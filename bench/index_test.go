@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"staircase/internal/engine"
@@ -21,17 +22,28 @@ func TestIndexPushdownSpeedup(t *testing.T) {
 	e := engine.New(d)
 	d.TagIndex() // warm
 
-	run := func(opts *engine.Options) int {
+	run := func(opts *engine.Options) *engine.Result {
 		r, err := e.EvalString(Q1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(r.Nodes)
+		return r
 	}
 	warmOpts := &engine.Options{Pushdown: engine.PushAlways}
 	coldOpts := &engine.Options{Pushdown: engine.PushAlways, NoIndex: true}
-	if run(warmOpts) != run(coldOpts) {
+	warmRes, coldRes := run(warmOpts), run(coldOpts)
+	if !slices.Equal(warmRes.Nodes, coldRes.Nodes) {
 		t.Fatal("warm and rescan evaluation disagree")
+	}
+	// Every pushed step takes its fragment from the tag/kind index when
+	// warm and from a name-column scan under NoIndex.
+	for i, s := range warmRes.Steps {
+		if !s.Pushed || !s.Indexed {
+			t.Errorf("warm step %d (%s): pushed=%v indexed=%v, want an index fragment", i+1, s.Step, s.Pushed, s.Indexed)
+		}
+		if cs := coldRes.Steps[i]; !cs.Pushed || cs.Indexed {
+			t.Errorf("rescan step %d (%s): pushed=%v indexed=%v, want a name-column scan", i+1, cs.Step, cs.Pushed, cs.Indexed)
+		}
 	}
 	rescan := timeIt(7, func() { run(coldOpts) })
 	warm := timeIt(7, func() { run(warmOpts) })

@@ -76,7 +76,7 @@ func smokeFamily(c *Corpus) []struct {
 	vd.ValueIndex() // warm so the Warm run measures steady state
 	// Value benchmarks run prepared plans (the server's steady state):
 	// the warm plan materialises its value fragment once, so per-op
-	// time is the semijoin probes, not the B-tree range scan.
+	// time is the semijoin probes, not the index range read.
 	evalV := func(q string, opts *engine.Options) func(b *testing.B) {
 		return func(b *testing.B) {
 			p, err := ve.PrepareString(q, opts)
@@ -123,7 +123,7 @@ func smokeFamily(c *Corpus) []struct {
 		{"EnginePushdownWarm", evalQ(Q1, &engine.Options{Pushdown: engine.PushAlways})},
 		{"EnginePushdownCold", evalQ(Q1, &engine.Options{Pushdown: engine.PushAlways, NoIndex: true})},
 		// The value-index hot path: warm = pre-sorted fragments from the
-		// string/numeric value B-trees semijoined against the context;
+		// string/numeric value partitions semijoined against the context;
 		// rescan = Options.NoValueIndex, the predicate sub-plan running
 		// once per candidate node.
 		{"ValuePushdownWarm", evalV(QValueRange, nil)},

@@ -1,6 +1,6 @@
 // The value-index experiment: comparison and contains() predicates
 // served by the per-document value index (staircase-intersectable
-// pre-sorted fragments from the string/numeric B-trees) versus the
+// pre-sorted fragments from the string/numeric partitions) versus the
 // per-node re-evaluation fallback (Options.NoValueIndex), plus the
 // one-off construction cost that buys the difference. This is the §6
 // fragmentation idea applied to the value plane: a predicate becomes a
@@ -17,7 +17,7 @@ import (
 )
 
 // The value-experiment query pair: a numeric range comparison served
-// by the derived numeric B-tree partition, and a substring predicate
+// by the derived numeric partition, and a substring predicate
 // served by the string partition's scan — the two ends of the value
 // index's selectivity spectrum.
 const (
@@ -37,7 +37,7 @@ func ValuePushdown(c *Corpus, sizes []float64) Table {
 		Title:  "value index: warm fragment semijoin vs per-node re-evaluation",
 		Header: []string{"size[MB]", "case", "result", "build[ms]", "vidx-bytes", "rescan[ms]", "warm[ms]", "speedup"},
 		Notes: []string{
-			fmt.Sprintf("range = %s (numeric B-tree); contains = %s (string partition scan)", QValueRange, QValueContains),
+			fmt.Sprintf("range = %s (numeric range); contains = %s (string partition scan)", QValueRange, QValueContains),
 			"rescan = Options.NoValueIndex: the predicate sub-plan runs once per candidate node",
 			"both sides run prepared plans (the server's steady state); the warm plan's fragment is materialised once per plan",
 			"top1 = EvalLimit(1) through the cursor executor: first-result latency",

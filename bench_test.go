@@ -349,6 +349,45 @@ func BenchmarkEnginePushdownCold(b *testing.B) {
 	})
 }
 
+// --- value index: fragment semijoin, prepared and ad hoc ----------------------
+
+func benchValuePushdown(b *testing.B, cold bool) {
+	for _, mb := range benchSizes {
+		b.Run(fmt.Sprintf("%gMB", mb), func(b *testing.B) {
+			d := corpus.ValueDoc(mb)
+			d.TagIndex()
+			d.ValueIndex() // both resident, as in a server's catalog
+			e := engine.New(d)
+			p, err := e.PrepareString(bench.QValueRange, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					if p, err = e.PrepareString(bench.QValueRange, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := p.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkValuePushdownWarm runs one prepared value-predicate plan
+// repeatedly: its value fragment is materialised once, so an iteration
+// is the semijoin alone.
+func BenchmarkValuePushdownWarm(b *testing.B) { benchValuePushdown(b, false) }
+
+// BenchmarkValuePushdownCold prepares the plan afresh in every
+// iteration — parse, compile, the orderer's cardinality probe and the
+// fragment's materialisation from the value index, then the run: what
+// an ad-hoc query that misses the server's plan cache pays.
+func BenchmarkValuePushdownCold(b *testing.B) { benchValuePushdown(b, true) }
+
 // BenchmarkIndexBuild measures the one-off O(n) index construction the
 // warm path amortises (also the in-memory cost of loading a v1/SCJ1
 // file, which carries no index section).

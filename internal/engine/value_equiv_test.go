@@ -1,5 +1,5 @@
 // Differential tests for the value index: every value predicate must
-// produce byte-identical results whether it is served from B-tree
+// produce byte-identical results whether it is served from value-index
 // fragments (the value-semijoin rewrite), re-evaluated per node with
 // the index disabled (Options.NoValueIndex), or run through the
 // legacy evaluator. Streaming (cursor drain, EvalLimit prefixes) is
@@ -197,11 +197,11 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 		q      string
 		source string // substring expected in EXPLAIN text
 	}{
-		{"//open_auction[current > 10]", "numeric B-tree"},
-		{"//bidder[increase >= 10]", "numeric B-tree"},
-		{"//person[@id >= 'p2']", "string B-tree"},
+		{"//open_auction[current > 10]", "numeric range"},
+		{"//bidder[increase >= 10]", "numeric range"},
+		{"//person[@id >= 'p2']", "string range"},
 		{"//person[contains(name, 'aro')]", "substring scan"},
-		{"//name[. = 'Alice']", "string B-tree"},
+		{"//name[. = 'Alice']", "string range"},
 	}
 	for _, tc := range cases {
 		p, err := e.PrepareString(tc.q, nil)

@@ -313,7 +313,7 @@ func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred
 //	Filter(S, [axis::t op lit])  =>  ValueSemiJoin(S, axis, ValueScan(t, op, lit))
 //
 // valid for comparison ('=', '<', '<=', '>', '>=' — '!=' is not a
-// B-tree range) and contains() predicates whose path is a bare
+// value range) and contains() predicates whose path is a bare
 // relative single step on self, child, attribute or descendant(-or-
 // self), with a name, '*', text() or node() test, over an
 // attribute-free context. The rewrite applies independently of value-

@@ -541,11 +541,11 @@ func (p *Plan) valueSource(t *valueScan) string {
 	}
 	switch {
 	case t.contains:
-		return "value index (string B-tree, substring scan)"
+		return "value index (substring scan)"
 	case t.numeric:
-		return "value index (numeric B-tree)"
+		return "value index (numeric range)"
 	default:
-		return "value index (string B-tree)"
+		return "value index (string range)"
 	}
 }
 

@@ -7,13 +7,13 @@
 //	Filter(S, [contains(axis::t,l)]) =>  ValueSemiJoin(S, axis, ValueScan(t, contains l))
 //
 // ValueScan resolves the predicate to a pre-sorted node-list fragment:
-// a B-tree range lookup over the index's string or numeric partition
-// (typed by the literal), filtered by the predicate's node test, plus
-// the re-evaluated overflow nodes (values longer than the index key
-// cap). ValueSemiJoin then keeps the input nodes that stand in the
-// predicate axis relation to the fragment, decided per input node by
-// binary search over the fragment — the exists-semijoin discipline
-// extended to value predicates.
+// a range of the index's string or numeric partition (typed by the
+// literal), filtered by the predicate's node test and then sorted into
+// document order, plus the re-evaluated overflow nodes (values longer
+// than the index key cap). ValueSemiJoin then keeps the input nodes
+// that stand in the predicate axis relation to the fragment, decided
+// per input node by binary search over the fragment — the
+// exists-semijoin discipline extended to value predicates.
 //
 // The rewrite is applied unconditionally for eligible predicates, so
 // the canonical plan string is independent of index availability:
@@ -26,6 +26,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -55,8 +56,8 @@ type valueScan struct {
 	// The fragment is a pure function of the plan's document and
 	// predicate (both immutable after Compile), so it is materialised
 	// at most once per plan and shared read-only by every Run — the
-	// B-tree range scan and node-test filter price a prepared plan's
-	// first execution, not each one.
+	// range read and node-test filter price a prepared plan's first
+	// execution, not each one.
 	once sync.Once
 	frag []int32
 }
@@ -100,21 +101,31 @@ func (o *valueScan) resolveWith(d *doc.Document, opts *Options) (list []int32, o
 // materialize computes the fragment from the value index.
 func (o *valueScan) materialize(d *doc.Document, ix *vindex.Index) []int32 {
 	var keyed []int32
-	switch {
-	case o.contains:
-		keyed = ix.ContainsSubstr(o.lit)
-	case o.numeric:
-		if f, okf := vindex.ParseNumber(o.lit); okf {
-			keyed = ix.LookupNumeric(valueOpFor(o.op), f)
+	if o.contains {
+		// ContainsSubstr returns a fresh slice: filter it in place.
+		keyed = filterTest(d, o.pa, o.test, ix.ContainsSubstr(o.lit))
+	} else {
+		// A range is a view of the index's node column grouped by value:
+		// keep the nodes passing the predicate's node test while reading
+		// it, and sort only those survivors back into document order.
+		var view []int32
+		inOrder := true
+		if !o.numeric {
+			view, inOrder = ix.StringRange(valueOpFor(o.op), o.lit)
+		} else if f, okf := vindex.ParseNumber(o.lit); okf {
+			view, inOrder = ix.NumericRange(valueOpFor(o.op), f)
 		}
 		// A non-numeric number literal cannot occur (the parser marks
 		// Numeric only for number tokens); no keyed node matches it.
-	default:
-		keyed = ix.LookupString(valueOpFor(o.op), o.lit)
+		for _, v := range view {
+			if nodePassesTest(d, o.pa, o.test, v) {
+				keyed = append(keyed, v)
+			}
+		}
+		if !inOrder {
+			slices.Sort(keyed)
+		}
 	}
-	// The lookups return fresh slices: filter by the predicate's node
-	// test in place.
-	keyed = filterTest(d, o.pa, o.test, keyed)
 	// Overflow nodes (values past the index key cap) re-evaluate per
 	// node, test first so only candidate kinds pay the string rebuild.
 	var over []int32

@@ -859,16 +859,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = fault.WithTag(ctx, "query")
 
 	resp := QueryResponse{Doc: h.Name(), Generation: h.Generation(), Results: make([]QueryResult, len(queries))}
-	// Each batch item is an independent goroutine; the worker semaphore
-	// inside evalOne bounds how many actually evaluate at once.
+	// Batch items past the first are independent goroutines (the worker
+	// semaphore inside evalOne bounds how many actually evaluate at
+	// once); the first runs here, so a one-query request spawns none —
+	// a goroutine and a wake-up would cost more than a small cache hit.
 	var wg sync.WaitGroup
-	for i, q := range queries {
+	for i, q := range queries[1:] {
 		wg.Add(1)
 		go func(i int, q string) {
 			defer wg.Done()
 			resp.Results[i] = s.evalOne(ctx, h, q, opts, req.NoCache, req.Limit)
-		}(i, q)
+		}(i+1, q)
 	}
+	resp.Results[0] = s.evalOne(ctx, h, queries[0], opts, req.NoCache, req.Limit)
 	wg.Wait()
 
 	s.queries.Add(int64(len(queries)))

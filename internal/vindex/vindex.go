@@ -7,14 +7,15 @@
 // package does the same for value predicates. A comparison predicate
 // like [price > 100] or a contains() call normally forces the engine
 // to compute the string value of every candidate node. With the value
-// index, the predicate becomes a range over sorted distinct values —
-// resolved to a rank interval by binary search and drained from a
-// B+-tree (internal/btree) keyed (value rank, pre) — yielding a
-// pre-sorted node fragment the staircase semijoin machinery can
-// intersect with the context, exactly like a name-test fragment.
+// index, the predicate becomes a range over sorted distinct values,
+// resolved to a rank interval by binary search. A rank interval is one
+// contiguous slice of the node column (StringRange/NumericRange return
+// it as a read-only view); copied and sorted back into document order
+// it is a pre-sorted node fragment the staircase semijoin machinery
+// can intersect with the context, exactly like a name-test fragment.
 //
 // Layout: the distinct string values are sorted and stored once; a CSR
-// pair (offsets + node list) maps each value rank to its pre-sorted
+// pair (offsets + node column) maps each value rank to its pre-sorted
 // occupant list. Values longer than MaxKeyLen are not keyed — their
 // nodes go to the overflow list and are re-evaluated per node at query
 // time, so a pathological value (the root element's string value is
@@ -36,15 +37,15 @@
 package vindex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-
-	"staircase/internal/btree"
 )
 
 // ParseNumber parses a node string value (or literal) as a finite
@@ -108,18 +109,16 @@ func (o Op) String() string {
 type Index struct {
 	strs   []string // sorted distinct keyed values, each <= MaxKeyLen bytes
 	strOff []uint32 // CSR offsets into strPre, len(strs)+1 entries
-	strPre []int32  // node pre ranks, grouped by value rank, ascending per group
+	strPre []int32  // node column: pre ranks grouped by value rank, ascending per group
 
-	// Numeric partition, derived from the string partition: the ranks
-	// whose value parses as a finite number, re-sorted numerically.
+	// Numeric partition, derived from the string partition: the nodes
+	// whose value parses as a finite number, regrouped by that number
+	// (several spellings of one number share a group).
 	nums   []float64
 	numOff []uint32
 	numPre []int32
 
 	overflow []int32 // nodes with values > MaxKeyLen, ascending
-
-	strTree *btree.Tree // (string rank, pre) -> pre
-	numTree *btree.Tree // (numeric rank, pre) -> pre
 
 	nodes int // document size the index was built for
 }
@@ -140,7 +139,7 @@ type entry struct {
 
 // Add records one node's string value. Calls must arrive in strictly
 // increasing pre order (the document pass), covering every node; Add
-// panics on out-of-order input like btree.BulkLoad does.
+// panics on out-of-order input.
 func (b *Builder) Add(pre int32, val string) {
 	if len(val) > MaxKeyLen {
 		b.AddOverflow(pre)
@@ -175,7 +174,7 @@ func (b *Builder) Build(n int) *Index {
 	}
 	// Stable by value: Add delivered pres in preorder, so each value
 	// group stays ascending.
-	sort.SliceStable(b.entries, func(i, j int) bool { return b.entries[i].val < b.entries[j].val })
+	slices.SortStableFunc(b.entries, func(x, y entry) int { return strings.Compare(x.val, y.val) })
 	var (
 		strs   []string
 		strOff = make([]uint32, 0, 16)
@@ -199,63 +198,45 @@ func (b *Builder) Build(n int) *Index {
 }
 
 // newIndex assembles an Index from a validated (or freshly built)
-// string partition: it derives the numeric partition and bulk-loads
-// the rank trees.
+// string partition by deriving the numeric partition. Only the distinct
+// numeric values are sorted; each numeric group is the concatenation of
+// its spellings' node lists, re-sorted when there are several.
 func newIndex(strs []string, strOff []uint32, strPre []int32, overflow []int32, n int) *Index {
 	ix := &Index{
 		strs: strs, strOff: strOff, strPre: strPre,
 		overflow: overflow, nodes: n,
 	}
-	type numEntry struct {
-		f   float64
-		pre int32
+	type numRank struct {
+		f float64
+		r int // string rank spelling f
 	}
-	var nes []numEntry
+	var (
+		nrs   []numRank
+		total uint32
+	)
 	for r, s := range strs {
-		f, ok := ParseNumber(s)
-		if !ok {
-			continue
-		}
-		for _, p := range strPre[strOff[r]:strOff[r+1]] {
-			nes = append(nes, numEntry{f, p})
+		if f, ok := ParseNumber(s); ok {
+			nrs = append(nrs, numRank{f, r})
+			total += strOff[r+1] - strOff[r]
 		}
 	}
-	sort.Slice(nes, func(i, j int) bool {
-		if nes[i].f != nes[j].f {
-			return nes[i].f < nes[j].f
-		}
-		return nes[i].pre < nes[j].pre
-	})
+	slices.SortFunc(nrs, func(x, y numRank) int { return cmp.Compare(x.f, y.f) })
 	ix.numOff = append(ix.numOff, 0)
-	for i, e := range nes {
-		if i == 0 || e.f != nes[i-1].f {
-			ix.nums = append(ix.nums, e.f)
-			if i > 0 {
-				ix.numOff = append(ix.numOff, uint32(i))
-			}
+	ix.numPre = make([]int32, 0, total)
+	for i := 0; i < len(nrs); {
+		start, j := len(ix.numPre), i
+		for ; j < len(nrs) && nrs[j].f == nrs[i].f; j++ {
+			r := nrs[j].r
+			ix.numPre = append(ix.numPre, strPre[strOff[r]:strOff[r+1]]...)
 		}
-		ix.numPre = append(ix.numPre, e.pre)
+		if j-i > 1 {
+			slices.Sort(ix.numPre[start:])
+		}
+		ix.nums = append(ix.nums, nrs[i].f)
+		ix.numOff = append(ix.numOff, uint32(len(ix.numPre)))
+		i = j
 	}
-	ix.numOff = append(ix.numOff, uint32(len(ix.numPre)))
-	if len(ix.nums) == 0 {
-		ix.numOff = ix.numOff[:1]
-	}
-	ix.strTree = bulkRankTree(ix.strOff, ix.strPre)
-	ix.numTree = bulkRankTree(ix.numOff, ix.numPre)
 	return ix
-}
-
-// bulkRankTree bulk-loads a (rank, pre) -> pre B+-tree from a CSR
-// partition. The CSR order is exactly key order, so the load is a
-// single bottom-up pass.
-func bulkRankTree(off []uint32, pres []int32) *btree.Tree {
-	keys := make([]btree.Key, len(pres))
-	for r := 0; r+1 < len(off); r++ {
-		for i := off[r]; i < off[r+1]; i++ {
-			keys[i] = btree.Key{A: int32(r), B: pres[i]}
-		}
-	}
-	return btree.BulkLoad(keys, pres, nil)
 }
 
 // Nodes returns the size of the document the index was built for.
@@ -278,9 +259,10 @@ func (ix *Index) Entries() int64 {
 // slice must not be modified.
 func (ix *Index) Overflow() []int32 { return ix.overflow }
 
-// Bytes returns the in-memory footprint of the index (strings, CSR
-// arrays, and the rank trees at ~20 bytes per entry). The catalog
-// charges this against its residency budget alongside IndexBytes.
+// Bytes returns the in-memory footprint of the index (the distinct
+// strings and numbers plus the CSR arrays of both partitions). The
+// catalog charges this against its residency budget alongside
+// IndexBytes.
 func (ix *Index) Bytes() int64 {
 	const stringHeader = 16
 	total := int64(0)
@@ -290,93 +272,95 @@ func (ix *Index) Bytes() int64 {
 	total += 4 * int64(len(ix.strOff)+len(ix.numOff))
 	total += 4 * int64(len(ix.strPre)+len(ix.numPre)+len(ix.overflow))
 	total += 8 * int64(len(ix.nums))
-	total += 20 * int64(len(ix.strPre)+len(ix.numPre)) // rank-tree entries
 	return total
 }
 
-// LookupString returns the pre-sorted nodes whose string value stands
-// in relation op to lit, among the keyed values (callers handle
-// Overflow separately). The result is freshly allocated.
-func (ix *Index) LookupString(op Op, lit string) []int32 {
-	n := len(ix.strs)
+// StringRange returns the keyed nodes whose string value stands in
+// relation op to lit as a read-only view of the node column: grouped by
+// value, ascending within each group (callers handle Overflow
+// separately). inOrder reports that the view is already in document
+// order because it spans at most one value group; otherwise a caller
+// that needs document order copies the nodes it wants and sorts them.
+func (ix *Index) StringRange(op Op, lit string) (view []int32, inOrder bool) {
 	ge := sort.SearchStrings(ix.strs, lit) // first rank >= lit
 	gt := ge                               // first rank > lit
-	for gt < n && ix.strs[gt] == lit {
+	if gt < len(ix.strs) && ix.strs[gt] == lit {
 		gt++
 	}
-	lo, hi := rankInterval(op, ge, gt, n)
-	return ix.scanRanks(ix.strTree, lo, hi)
+	return rankView(ix.strOff, ix.strPre, op, ge, gt)
 }
 
-// LookupNumeric returns the pre-sorted nodes whose value parses as a
-// number standing in relation op to f. Values that do not parse never
-// match (xpath.CompareValue semantics).
-func (ix *Index) LookupNumeric(op Op, f float64) []int32 {
-	n := len(ix.nums)
+// NumericRange is StringRange over the numeric partition: the nodes
+// whose value parses as a number standing in relation op to f. Values
+// that do not parse never match (xpath.CompareValue semantics).
+func (ix *Index) NumericRange(op Op, f float64) (view []int32, inOrder bool) {
 	ge := sort.SearchFloat64s(ix.nums, f)
 	gt := ge
-	for gt < n && ix.nums[gt] == f {
+	if gt < len(ix.nums) && ix.nums[gt] == f {
 		gt++
 	}
-	lo, hi := rankInterval(op, ge, gt, n)
-	return ix.scanRanks(ix.numTree, lo, hi)
+	return rankView(ix.numOff, ix.numPre, op, ge, gt)
 }
 
-// rankInterval turns the (first >= lit, first > lit) bracketing ranks
-// into the inclusive rank interval an operator selects.
-func rankInterval(op Op, ge, gt, n int) (lo, hi int) {
+// rankView turns the (first >= lit, first > lit) bracketing ranks into
+// the rank interval an operator selects and returns that interval's
+// slice of the node column.
+func rankView(off []uint32, pres []int32, op Op, ge, gt int) (view []int32, inOrder bool) {
+	lo, hi := 0, len(off)-1 // half-open rank interval
 	switch op {
 	case OpEq:
-		return ge, gt - 1
+		lo, hi = ge, gt
 	case OpLt:
-		return 0, ge - 1
+		hi = ge
 	case OpLe:
-		return 0, gt - 1
+		hi = gt
 	case OpGt:
-		return gt, n - 1
+		lo = gt
 	default: // OpGe
-		return ge, n - 1
+		lo = ge
 	}
+	if lo >= hi {
+		return nil, true
+	}
+	return pres[off[lo]:off[hi]], hi-lo == 1
 }
 
-// scanRanks drains the tree entries of the inclusive rank interval
-// [lo, hi], restoring document order when the interval spans more than
-// one value group.
-func (ix *Index) scanRanks(t *btree.Tree, lo, hi int) []int32 {
-	if lo > hi {
+// LookupString returns the result of StringRange as a freshly
+// allocated slice in document order.
+func (ix *Index) LookupString(op Op, lit string) []int32 {
+	return sortedCopy(ix.StringRange(op, lit))
+}
+
+// LookupNumeric returns the result of NumericRange as a freshly
+// allocated slice in document order.
+func (ix *Index) LookupNumeric(op Op, f float64) []int32 {
+	return sortedCopy(ix.NumericRange(op, f))
+}
+
+func sortedCopy(view []int32, inOrder bool) []int32 {
+	if len(view) == 0 {
 		return nil
 	}
-	var out []int32
-	t.Scan(
-		btree.Key{A: int32(lo), B: math.MinInt32},
-		btree.Key{A: int32(hi), B: math.MaxInt32},
-		func(_ btree.Key, v int32) bool { out = append(out, v); return true },
-	)
-	if lo != hi {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(view)
+	if !inOrder {
+		slices.Sort(out)
 	}
 	return out
 }
 
 // ContainsSubstr returns the pre-sorted nodes whose keyed string value
-// contains sub. The scan over distinct values is O(#values × |value|);
-// matching groups drain from the rank tree.
+// contains sub. The scan over distinct values is O(#values × |value|).
 func (ix *Index) ContainsSubstr(sub string) []int32 {
 	var out []int32
 	groups := 0
 	for r, s := range ix.strs {
-		if !strings.Contains(s, sub) {
-			continue
+		if strings.Contains(s, sub) {
+			groups++
+			out = append(out, ix.strPre[ix.strOff[r]:ix.strOff[r+1]]...)
 		}
-		groups++
-		ix.strTree.Scan(
-			btree.Key{A: int32(r), B: math.MinInt32},
-			btree.Key{A: int32(r), B: math.MaxInt32},
-			func(_ btree.Key, v int32) bool { out = append(out, v); return true },
-		)
 	}
 	if groups > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }
@@ -410,9 +394,9 @@ func (ix *Index) ForEachNumeric(f func(val float64, pres []int32)) {
 // MaxKeyLen bytes, offsets are strictly increasing (every distinct
 // value owns at least one node), per-group node lists are strictly
 // ascending, and the keyed lists plus the overflow list partition
-// [0, n) exactly. The numeric partition and the rank trees are not
-// stored — they derive deterministically on load — so writing a
-// freshly read index reproduces the input bytes exactly.
+// [0, n) exactly. The numeric partition is not stored — it derives
+// deterministically on load — so writing a freshly read index
+// reproduces the input bytes exactly.
 
 // WriteSection serializes the index.
 func (ix *Index) WriteSection(w io.Writer) error {

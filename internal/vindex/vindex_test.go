@@ -337,3 +337,34 @@ func TestDerivedNumericPartition(t *testing.T) {
 		t.Fatalf("numeric groups %v, want %v", groups, want)
 	}
 }
+
+// TestLookupCost pins what a lookup costs without a clock: a range
+// inside one value group is one allocation (the copy), a range across
+// groups at most two, and the resident index stays within 24 bytes per
+// indexed node on a document whose values are short.
+func TestLookupCost(t *testing.T) {
+	vals := make([]string, 4000)
+	for i := range vals {
+		vals[i] = fmt.Sprint(i % 50)
+	}
+	ix := buildFrom(vals)
+	var sink []int32
+	if n := testing.AllocsPerRun(20, func() { sink = ix.LookupNumeric(OpEq, 7) }); n != 1 {
+		t.Errorf("single-group numeric lookup: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { sink = ix.LookupString(OpEq, "7") }); n != 1 {
+		t.Errorf("single-group string lookup: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { sink = ix.LookupNumeric(OpGt, 7) }); n > 2 {
+		t.Errorf("multi-group numeric lookup: %v allocations, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { sink = ix.LookupString(OpLe, "3") }); n > 2 {
+		t.Errorf("multi-group string lookup: %v allocations, want <= 2", n)
+	}
+	if len(sink) == 0 {
+		t.Fatal("lookups returned nothing")
+	}
+	if per := float64(ix.Bytes()) / float64(ix.Entries()); per > 24 {
+		t.Errorf("index holds %.1f bytes per entry, want <= 24", per)
+	}
+}
