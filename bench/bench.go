@@ -647,11 +647,11 @@ func CopyVsScan(c *Corpus, sizes []float64) Table {
 		var est, nsk core.Stats
 		copyTime := timeIt(5, func() {
 			est = core.Stats{}
-			core.DescendantJoin(d, root, &core.Options{Variant: core.SkipEstimate, Stats: &est, KeepAttributes: true})
+			core.DescendantJoin(d, root, &core.Options{Variant: core.SkipEstimate, Stats: &est, Emit: core.Emit{Kinds: core.AllKinds}})
 		})
 		scanTime := timeIt(5, func() {
 			nsk = core.Stats{}
-			core.DescendantJoin(d, root, &core.Options{Variant: core.NoSkip, Stats: &nsk, KeepAttributes: true})
+			core.DescendantJoin(d, root, &core.Options{Variant: core.NoSkip, Stats: &nsk, Emit: core.Emit{Kinds: core.AllKinds}})
 		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", mb), fmt.Sprint(d.Size()),

@@ -50,7 +50,23 @@ type Baseline struct {
 // whole gate (family × runs) finishes in well under a minute.
 const smokeSizeMB = 0.5
 
-// smokeFamily enumerates the gated benchmarks over one corpus document.
+// heavySizeMB is the document size of the PlanRunHeavy points: out of
+// L2, where bytes moved and not comparisons set the kernels' cost.
+const heavySizeMB = 16
+
+// HeavyQueries are prepared plans whose cost is the batch kernels' own:
+// the document-wide scans and two two-step paths of the repository
+// benchmark's axes_batch workload. The first two are gate points; root
+// bench_test.go's BenchmarkPlanRunHeavy runs all four.
+var HeavyQueries = []struct{ Name, Query string }{
+	{"desc-node", "/descendant::node()"},
+	{"text-anc-node", "/descendant::text()/ancestor::node()"},
+	{"bidder-desc-increase", "/descendant::bidder/descendant::increase"},
+	{"open_auction-desc-bidder", "/descendant::open_auction/descendant::bidder"},
+}
+
+// smokeFamily enumerates the gated benchmarks over one corpus document
+// (and, for the PlanRunHeavy points, its 16 MB sibling).
 func smokeFamily(c *Corpus) []struct {
 	name string
 	fn   func(b *testing.B)
@@ -91,10 +107,26 @@ func smokeFamily(c *Corpus) []struct {
 			}
 		}
 	}
+	runHeavy := func(q string) func(b *testing.B) {
+		return func(b *testing.B) {
+			p, err := engine.New(c.Doc(heavySizeMB)).PrepareString(q, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	return []struct {
 		name string
 		fn   func(b *testing.B)
 	}{
+		{"PlanRunHeavyDescNode", runHeavy(HeavyQueries[0].Query)},
+		{"PlanRunHeavyTextAncNode", runHeavy(HeavyQueries[1].Query)},
 		{"StaircaseDescendant", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.DescendantJoin(d, cx.profiles, nil)

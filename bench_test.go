@@ -408,6 +408,32 @@ func BenchmarkPlanCompile(b *testing.B) {
 	})
 }
 
+// BenchmarkPlanRunHeavy runs prepared plans whose cost is the batch
+// kernels' own — the document-wide scans and the two-step paths of the
+// repository benchmark's axes_batch workload — on a 16 MB document, out
+// of L2, and reports B/op and ns per result node.
+func BenchmarkPlanRunHeavy(b *testing.B) {
+	for _, q := range bench.HeavyQueries {
+		b.Run(q.Name, func(b *testing.B) {
+			pl, err := engine.New(corpus.Doc(16)).PrepareString(q.Query, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			results := 0
+			for i := 0; i < b.N; i++ {
+				r, err := pl.Plan().RunRoot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				results += len(r.Nodes)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(results), "ns/result")
+		})
+	}
+}
+
 func BenchmarkIndexBuild(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		for i := 0; i < b.N; i++ {
@@ -425,7 +451,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 func BenchmarkCopyVsScanCopyPhase(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		root := []int32{c.d.Root()}
-		o := &core.Options{Variant: core.SkipEstimate, KeepAttributes: true}
+		o := &core.Options{Variant: core.SkipEstimate, Emit: core.Emit{Kinds: core.AllKinds}}
 		for i := 0; i < b.N; i++ {
 			core.DescendantJoin(c.d, root, o)
 		}
@@ -435,7 +461,7 @@ func BenchmarkCopyVsScanCopyPhase(b *testing.B) {
 func BenchmarkCopyVsScanScanPhase(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		root := []int32{c.d.Root()}
-		o := &core.Options{Variant: core.NoSkip, KeepAttributes: true}
+		o := &core.Options{Variant: core.NoSkip, Emit: core.Emit{Kinds: core.AllKinds}}
 		for i := 0; i < b.N; i++ {
 			core.DescendantJoin(c.d, root, o)
 		}
@@ -482,20 +508,12 @@ func BenchmarkStaircaseAncestorVsMPMGJN(b *testing.B) {
 
 // --- design-choice ablations ---------------------------------------------------
 
-// BenchmarkPruneOnTheFly compares pruning as a pre-pass against on-the-
-// fly pruning inside the partition loop (§3.2).
+// BenchmarkPrunePrePass measures the join with its pruning pre-pass over
+// a context that is already a staircase (the pass returns it uncopied;
+// the on-the-fly variant of §3.2 it used to be compared with is gone).
 func BenchmarkPrunePrePass(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		o := &core.Options{Variant: core.SkipEstimate}
-		for i := 0; i < b.N; i++ {
-			core.DescendantJoin(c.d, c.increases, o)
-		}
-	})
-}
-
-func BenchmarkPruneOnTheFly(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		o := &core.Options{Variant: core.SkipEstimate, PruneInline: true}
 		for i := 0; i < b.N; i++ {
 			core.DescendantJoin(c.d, c.increases, o)
 		}

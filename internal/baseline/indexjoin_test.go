@@ -82,7 +82,7 @@ func TestIndexedJoinTouchesMoreThanStaircase(t *testing.T) {
 	var is IndexJoinStats
 	IndexedDescendantJoin(d, tree, context, &is)
 	var ss core.Stats
-	core.DescendantJoin(d, context, &core.Options{Variant: core.Skip, Stats: &ss, KeepAttributes: true})
+	core.DescendantJoin(d, context, &core.Options{Variant: core.Skip, Stats: &ss, Emit: core.Emit{Kinds: core.AllKinds}})
 	if ss.Scanned >= is.Touched {
 		t.Fatalf("staircase scanned %d >= indexed join touched %d", ss.Scanned, is.Touched)
 	}

@@ -15,198 +15,157 @@ import (
 // of v's descendants, so the scan may jump over the entire subtree of
 // v. Equation (1) sizes the jump; the level column makes it exact (the
 // paper's estimate post(v)−pre(v) is maximally off by h).
+//
+// The result is sized once: partition [from, c) holds at most level(c)
+// ancestors of c and at most its own width.
 func AncestorJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	st.addContext(int64(len(context)))
 	if len(context) == 0 {
 		return nil
 	}
 	if !o.AssumePruned {
-		// Ancestor pruning looks one context node ahead, which is
-		// awkward to fold into the partition loop; on-the-fly pruning
-		// for the ancestor axis therefore also runs as a (cheap)
-		// pre-pass. PruneInline and the default behave identically.
 		context = PruneAncestor(d, context)
 	}
-	if st != nil {
-		st.PrunedSize += int64(len(context))
-	}
-
-	post := d.PostSlice()
-	level := d.LevelSlice()
-	kind := d.KindSlice()
-	result := make([]int32, 0, int(d.Height())*2)
+	post, level := d.PostSlice(), d.LevelSlice()
+	e := o.Emit.cols(d)
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 
 	// First partition: [0, c0-1] against boundary post(c0); subsequent
-	// partitions: [c_{i-1}+1, c_i - 1] against boundary post(c_i).
-	from := int32(0)
-	if o.ScanStart > 0 {
-		from = o.ScanStart // parallel execution: earlier partitions
-		// belong to another worker.
-	}
+	// partitions: [c_{i-1}+1, c_i - 1] against boundary post(c_i). Under
+	// parallel execution the partitions before ScanStart belong to
+	// another worker.
+	start, size := max(o.ScanStart, 0), 0
+	from := start
 	for _, c := range context {
-		result = scanPartitionAnc(result, post, level, kind, from, c-1, post[c], o, st)
+		size += int(max(min(level[c], c-from), 0))
 		from = c + 1
 	}
-	if st != nil {
-		st.addResult(int64(len(result)))
+	if o.OrSelf {
+		size += len(context)
 	}
-	return result
-}
-
-// scanPartitionAnc scans doc pres [from, to] against the ancestor
-// boundary `bound` (nodes with post > bound qualify) and appends
-// qualifying nodes to result.
-func scanPartitionAnc(result []int32, post, level []int32, kind []doc.Kind,
-	from, to, bound int32, o *Options, st *Stats) []int32 {
-
-	switch o.Variant {
-	case NoSkip:
-		for i := from; i <= to; i++ {
+	out := make([]int32, size)
+	k := 0
+	var compared, skipped int64
+	from = start
+	for _, c := range context {
+		bound := post[c]
+		for i := from; i < c; {
+			compared++
 			if post[i] > bound {
-				if o.KeepAttributes || kind[i] != doc.Attr {
-					result = append(result, i)
-				}
-			}
-		}
-		if n := int64(to - from + 1); n > 0 && st != nil {
-			st.Compared += n
-			st.Scanned += n
-		}
-	default: // Skip and SkipEstimate coincide for the ancestor axis
-		i := from
-		for i <= to {
-			if st != nil {
-				st.Compared++
-				st.Scanned++
-			}
-			if post[i] > bound {
-				if o.KeepAttributes || kind[i] != doc.Attr {
-					result = append(result, i)
+				if mask>>kind[i]&1 != 0 && (name == nil || name[i] == id) {
+					out[k] = i
+					k++
 				}
 				i++
 				continue
 			}
-			// v and all its descendants lie on the preceding axis of
-			// the boundary context node: jump over the subtree.
-			// Exact size via Equation (1): post - pre + level.
-			next := i + 1 + (post[i] - i + level[i])
-			if next <= i { // defensive: never stall
-				next = i + 1
+			if o.Variant == NoSkip {
+				i++
+				continue
 			}
-			if st != nil {
-				jump := next - i - 1
-				if to+1 < next {
-					jump = to - i
-				}
-				if jump > 0 {
-					st.Skipped += int64(jump)
-				}
-			}
+			// i and all its descendants lie on the preceding axis of c:
+			// jump over the subtree, sized exactly by Equation (1).
+			next := i + 1 + max(post[i]-i+level[i], 0)
+			skipped += int64(min(next, c) - i - 1)
 			i = next
 		}
+		if o.OrSelf && e.pass(c) {
+			out[k] = c
+			k++
+		}
+		from = c + 1
 	}
-	return result
+	st.addScan(len(context), 0, compared, skipped, k)
+	return out[:k]
 }
 
 // FollowingJoin evaluates context/following. After pruning, the context
 // degenerates to the single node with minimum postorder rank (§3.1), so
-// the join is one region query; the region is materialised by a bulk
-// copy of the pre range beyond the context node's subtree (every node
-// after the subtree of c follows c).
+// the join is one region query: every node after the subtree of c
+// follows c, and the region's width is the result bound.
 func FollowingJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	st.addContext(int64(len(context)))
 	c, ok := ReduceFollowing(d, context)
 	if !ok {
 		return nil
 	}
-	if st != nil {
-		st.PrunedSize++
-	}
-	kind := d.KindSlice()
 	n := int32(d.Size())
-	start := c + 1 + d.SubtreeSize(c) // first pre after c's subtree
-	if st != nil && start < n {
-		st.Scanned += int64(n - start)
-		st.Copied += int64(n - start)
-	}
-	result := make([]int32, 0, int(n-start))
-	for i := start; i < n; i++ {
-		if o.KeepAttributes || kind[i] != doc.Attr {
-			result = append(result, i)
-		}
-	}
-	if st != nil {
-		st.addResult(int64(len(result)))
-	}
-	return result
+	start := min(c+1+d.SubtreeSize(c), n) // first pre after c's subtree
+	e := o.Emit.cols(d)
+	out := make([]int32, n-start)
+	k := e.emitRange(out, 0, start, n-1)
+	st.addScan(1, int64(n-start), 0, 0, k)
+	return out[:k]
 }
 
 // PrecedingJoin evaluates context/preceding. After pruning, the context
 // degenerates to the single node with maximum preorder rank (§3.1).
 // Every node before c in pre order is either an ancestor of c (at most
 // h many) or on the preceding axis, so one scan of [0, c) with an
-// ancestor test per node suffices.
+// ancestor test per node suffices, and c bounds the result.
 func PrecedingJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	st.addContext(int64(len(context)))
 	c, ok := ReducePreceding(d, context)
 	if !ok {
 		return nil
 	}
-	if st != nil {
-		st.PrunedSize++
-	}
-	post := d.PostSlice()
-	kind := d.KindSlice()
-	bound := post[c]
-	result := make([]int32, 0, int(c))
-	for i := int32(0); i < c; i++ {
-		if post[i] < bound {
-			if o.KeepAttributes || kind[i] != doc.Attr {
-				result = append(result, i)
+	e := o.Emit.cols(d)
+	mask, id, kind := e.mask, e.id, e.kind[:c]
+	post, bound := d.PostSlice()[:c], d.Post(c)
+	out := make([]int32, c)
+	k := 0
+	if e.name == nil {
+		// Nearly every node passes the comparison; which kinds pass the
+		// mask is not predictable, so that half is a store and an add.
+		for i, p := range post {
+			if p < bound {
+				out[k] = int32(i)
+				k += int(mask >> kind[i] & 1)
+			}
+		}
+	} else {
+		for i, nm := range e.name[:c] {
+			if nm == id && post[i] < bound && mask>>kind[i]&1 != 0 {
+				out[k] = int32(i)
+				k++
 			}
 		}
 	}
-	if st != nil {
-		st.Scanned += int64(c)
-		st.Compared += int64(c)
-		st.addResult(int64(len(result)))
-	}
-	return result
+	st.addScan(1, 0, int64(c), 0, k)
+	return out[:k]
 }
 
-// MergeOrSelf merges a staircase join result with the context sequence
-// itself, implementing the -or-self axis variants. Both inputs must be
-// strictly increasing; the output is their strictly increasing union.
+// MergeOrSelf merges two strictly increasing sequences into their
+// strictly increasing union: the '|' merge, and the self side of an
+// or-self step where the kernel could not emit it (pushdown, baselines).
+// When one side is empty the other is returned as is, not copied.
 func MergeOrSelf(result, context []int32) []int32 {
-	out := make([]int32, 0, len(result)+len(context))
-	i, j := 0, 0
+	if len(context) == 0 {
+		return result
+	}
+	if len(result) == 0 {
+		return context
+	}
+	out := make([]int32, len(result)+len(context))
+	i, j, k := 0, 0, 0
 	for i < len(result) && j < len(context) {
-		switch {
-		case result[i] < context[j]:
-			out = append(out, result[i])
+		r, c := result[i], context[j]
+		if r <= c {
 			i++
-		case result[i] > context[j]:
-			out = append(out, context[j])
-			j++
-		default:
-			out = append(out, result[i])
-			i++
+		}
+		if c <= r {
 			j++
 		}
+		out[k] = min(r, c)
+		k++
 	}
-	out = append(out, result[i:]...)
-	out = append(out, context[j:]...)
-	return out
+	k += copy(out[k:], result[i:])
+	k += copy(out[k:], context[j:])
+	return out[:k]
 }

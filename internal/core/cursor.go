@@ -64,21 +64,22 @@ type JoinCursor interface {
 // are serial by construction).
 func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) (JoinCursor, error) {
 	o := opts.orDefault()
+	e := o.Emit.cols(d)
 	switch a {
 	case axis.Descendant:
 		return &descCursor{
-			d: d, post: d.PostSlice(), kind: d.KindSlice(),
+			d: d, post: d.PostSlice(), emitCols: e,
 			n: int32(d.Size()), src: src, o: o, prevPost: -1,
 		}, nil
 	case axis.Ancestor:
 		return &ancCursor{
-			d: d, post: d.PostSlice(), level: d.LevelSlice(), kind: d.KindSlice(),
+			d: d, post: d.PostSlice(), level: d.LevelSlice(), emitCols: e,
 			src: src, o: o,
 		}, nil
 	case axis.Following:
-		return &folCursor{d: d, kind: d.KindSlice(), n: int32(d.Size()), src: src, o: o}, nil
+		return &folCursor{d: d, emitCols: e, n: int32(d.Size()), src: src, o: o}, nil
 	case axis.Preceding:
-		return &precCursor{d: d, post: d.PostSlice(), kind: d.KindSlice(), src: src, o: o}, nil
+		return &precCursor{d: d, post: d.PostSlice(), emitCols: e, src: src, o: o}, nil
 	default:
 		return nil, errNonPartitioning(a)
 	}
@@ -92,21 +93,22 @@ func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) 
 // early or seeks forward never rescans fragment prefixes.
 func NewJoinNodeListCursor(d *doc.Document, a axis.Axis, list []int32, src NodeSource, opts *Options) (JoinCursor, error) {
 	o := opts.orDefault()
+	e := o.Emit.cols(d)
 	switch a {
 	case axis.Descendant:
 		return &descListCursor{
-			d: d, post: d.PostSlice(), kind: d.KindSlice(), list: list,
+			d: d, post: d.PostSlice(), emitCols: e, list: list,
 			src: src, o: o, prevPost: -1,
 		}, nil
 	case axis.Ancestor:
 		return &ancListCursor{
-			d: d, post: d.PostSlice(), kind: d.KindSlice(), list: list,
+			d: d, post: d.PostSlice(), emitCols: e, list: list,
 			src: src, o: o,
 		}, nil
 	case axis.Following:
-		return &folListCursor{d: d, kind: d.KindSlice(), list: list, src: src, o: o}, nil
+		return &folListCursor{d: d, emitCols: e, list: list, src: src, o: o}, nil
 	case axis.Preceding:
-		return &precListCursor{d: d, post: d.PostSlice(), kind: d.KindSlice(), list: list, src: src, o: o}, nil
+		return &precListCursor{d: d, post: d.PostSlice(), emitCols: e, list: list, src: src, o: o}, nil
 	default:
 		return nil, errNonPartitioning(a)
 	}
@@ -152,9 +154,9 @@ func (s *Stats) addCopied(n int64) {
 // context survivors, each scanned copy-phase-then-compare (Algorithm 4)
 // and suspended whenever the batch buffer fills.
 type descCursor struct {
+	emitCols
 	d    *doc.Document
 	post []int32
-	kind []doc.Kind
 	n    int32
 	src  NodeSource
 	o    *Options
@@ -263,7 +265,7 @@ func (c *descCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		// guaranteed descendants, no post comparison needed.
 		if c.o.Variant == SkipEstimate {
 			for c.pos <= c.est && len(dst) < cap(dst) {
-				if c.o.KeepAttributes || c.kind[c.pos] != doc.Attr {
+				if c.pass(c.pos) {
 					dst = append(dst, c.pos)
 				}
 				st.addCopied(1)
@@ -279,7 +281,7 @@ func (c *descCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		for c.pos <= c.to && len(dst) < cap(dst) {
 			st.addCompared(1)
 			if c.post[c.pos] < c.bound {
-				if c.o.KeepAttributes || c.kind[c.pos] != doc.Attr {
+				if c.pass(c.pos) {
 					dst = append(dst, c.pos)
 				}
 				c.pos++
@@ -307,10 +309,10 @@ func (c *descCursor) Next(dst []int32, seek int32) ([]int32, error) {
 // context node's pre rank; non-ancestor subtrees are jumped via
 // Equation (1) made exact by the level column.
 type ancCursor struct {
+	emitCols
 	d     *doc.Document
 	post  []int32
 	level []int32
-	kind  []doc.Kind
 	src   NodeSource
 	o     *Options
 
@@ -407,7 +409,7 @@ func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		for c.pos <= c.to && len(dst) < cap(dst) {
 			st.addCompared(1)
 			if c.post[c.pos] > c.bound {
-				if c.o.KeepAttributes || c.kind[c.pos] != doc.Attr {
+				if c.pass(c.pos) {
 					dst = append(dst, c.pos)
 				}
 				c.pos++
@@ -445,11 +447,11 @@ func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
 // before the last context node is seen), then the cursor copies the
 // document suffix beyond that node's subtree batch by batch.
 type folCursor struct {
-	d    *doc.Document
-	kind []doc.Kind
-	n    int32
-	src  NodeSource
-	o    *Options
+	emitCols
+	d   *doc.Document
+	n   int32
+	src NodeSource
+	o   *Options
 
 	pos    int32
 	inited bool
@@ -505,7 +507,7 @@ func (c *folCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		c.pos = j
 	}
 	for c.pos < c.n && len(dst) < cap(dst) {
-		if c.o.KeepAttributes || c.kind[c.pos] != doc.Attr {
+		if c.pass(c.pos) {
 			dst = append(dst, c.pos)
 		}
 		st.addCopied(1)
@@ -527,9 +529,9 @@ func (c *folCursor) Next(dst []int32, seek int32) ([]int32, error) {
 // maximum-pre node (again a full drain), then the cursor scans [0, c)
 // against the boundary post rank batch by batch.
 type precCursor struct {
+	emitCols
 	d    *doc.Document
 	post []int32
-	kind []doc.Kind
 	src  NodeSource
 	o    *Options
 
@@ -587,7 +589,7 @@ func (c *precCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	for c.pos < c.end && len(dst) < cap(dst) {
 		st.addCompared(1)
 		if c.post[c.pos] < c.bound {
-			if c.o.KeepAttributes || c.kind[c.pos] != doc.Attr {
+			if c.pass(c.pos) {
 				dst = append(dst, c.pos)
 			}
 		}

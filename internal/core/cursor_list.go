@@ -13,9 +13,9 @@ import (
 // --- descendant ∩ list -----------------------------------------------------
 
 type descListCursor struct {
+	emitCols
 	d    *doc.Document
 	post []int32
-	kind []doc.Kind
 	list []int32
 	src  NodeSource
 	o    *Options
@@ -126,7 +126,7 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		}
 		for c.li < c.guar && len(dst) < cap(dst) {
 			v := c.list[c.li]
-			if c.o.KeepAttributes || c.kind[v] != doc.Attr {
+			if c.pass(v) {
 				dst = append(dst, v)
 			}
 			st.addCopied(1)
@@ -140,7 +140,7 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 			v := c.list[c.li]
 			st.addCompared(1)
 			if c.post[v] < c.bound {
-				if c.o.KeepAttributes || c.kind[v] != doc.Attr {
+				if c.pass(v) {
 					dst = append(dst, v)
 				}
 				c.li++
@@ -165,9 +165,9 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 // --- ancestor ∩ list -------------------------------------------------------
 
 type ancListCursor struct {
+	emitCols
 	d    *doc.Document
 	post []int32
-	kind []doc.Kind
 	list []int32
 	src  NodeSource
 	o    *Options
@@ -260,7 +260,7 @@ func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 			v := c.list[c.li]
 			st.addCompared(1)
 			if c.post[v] > c.bound {
-				if c.o.KeepAttributes || c.kind[v] != doc.Attr {
+				if c.pass(v) {
 					dst = append(dst, v)
 				}
 				c.li++
@@ -288,8 +288,8 @@ func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 // --- following / preceding ∩ list ------------------------------------------
 
 type folListCursor struct {
+	emitCols
 	d    *doc.Document
-	kind []doc.Kind
 	list []int32
 	src  NodeSource
 	o    *Options
@@ -335,7 +335,7 @@ func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	}
 	for c.li < len(c.list) && len(dst) < cap(dst) {
 		v := c.list[c.li]
-		if c.o.KeepAttributes || c.kind[v] != doc.Attr {
+		if c.pass(v) {
 			dst = append(dst, v)
 		}
 		st.addCopied(1)
@@ -354,9 +354,9 @@ func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 }
 
 type precListCursor struct {
+	emitCols
 	d    *doc.Document
 	post []int32
-	kind []doc.Kind
 	list []int32
 	src  NodeSource
 	o    *Options
@@ -403,7 +403,7 @@ func (c *precListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		v := c.list[c.li]
 		st.addCompared(1)
 		if c.post[v] < c.bound {
-			if c.o.KeepAttributes || c.kind[v] != doc.Attr {
+			if c.pass(v) {
 				dst = append(dst, v)
 			}
 		}

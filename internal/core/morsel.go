@@ -36,7 +36,6 @@ package core
 // which also makes the final Stats merge race-free.
 
 import (
-	"sort"
 	"sync"
 
 	"staircase/internal/axis"
@@ -240,7 +239,7 @@ func (m *MorselCursor) Next(dst []int32, seekPre int32) ([]int32, error) {
 		}
 		r := m.results[m.emit]
 		if seekPre > 0 && m.off < len(r) && r[m.off] < seekPre {
-			m.off += sort.Search(len(r)-m.off, func(i int) bool { return r[m.off+i] >= seekPre })
+			m.off += searchList(r[m.off:], seekPre)
 		}
 		n := copy(dst[len(dst):cap(dst)], r[m.off:])
 		dst = dst[:len(dst)+n]
@@ -310,7 +309,7 @@ func morselTaskCount(span int64, workers int) int {
 func morselChunkOpts(o *Options, st *Stats) Options {
 	wo := *o
 	wo.AssumePruned = true
-	wo.PruneInline = false
+	wo.OrSelf = false
 	wo.ScanStart = 0
 	wo.ScanLimit = 0
 	wo.Stats = st
@@ -355,7 +354,7 @@ func morselDescTasks(d *doc.Document, context, list []int32, useList bool, worke
 	if len(pruned) == 0 {
 		return nil
 	}
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	if len(pruned) == 1 {
 		c := pruned[0]
 		o.Stats.addPruned(1)
@@ -364,11 +363,11 @@ func morselDescTasks(d *doc.Document, context, list []int32, useList bool, worke
 			lb := int64(searchList(list, c+1))
 			ub := int64(searchList(list, int32(sub)))
 			return morselRangeTasks(lb, ub, workers, func(from, to int64, st *Stats) []int32 {
-				return morselFilterList(list, kind, from, to, o, st, nil)
+				return morselFilterList(list, e, from, to, st, nil)
 			})
 		}
 		return morselRangeTasks(int64(c)+1, sub, workers, func(from, to int64, st *Stats) []int32 {
-			return morselFilterRange(kind, from, to, o, st, nil)
+			return morselFilterRange(e, from, to, st, nil)
 		})
 	}
 	chunks := PartitionStaircase(pruned, workers*morselsPerWorker, pruned[0], int32(d.Size()))
@@ -412,7 +411,7 @@ func morselAncTasks(d *doc.Document, context, list []int32, useList bool, worker
 		return nil
 	}
 	post := d.PostSlice()
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	if len(pruned) == 1 {
 		c := pruned[0]
 		o.Stats.addPruned(1)
@@ -421,11 +420,11 @@ func morselAncTasks(d *doc.Document, context, list []int32, useList bool, worker
 		if useList {
 			ub := int64(searchList(list, c))
 			return morselRangeTasks(0, ub, workers, func(from, to int64, st *Stats) []int32 {
-				return morselFilterList(list, kind, from, to, o, st, keep)
+				return morselFilterList(list, e, from, to, st, keep)
 			})
 		}
 		return morselRangeTasks(0, int64(c), workers, func(from, to int64, st *Stats) []int32 {
-			return morselFilterRange(kind, from, to, o, st, keep)
+			return morselFilterRange(e, from, to, st, keep)
 		})
 	}
 	chunks := PartitionStaircase(pruned, workers*morselsPerWorker, 0, pruned[len(pruned)-1])
@@ -459,16 +458,16 @@ func morselFolTasks(d *doc.Document, context, list []int32, useList bool, worker
 		return nil
 	}
 	o.Stats.addPruned(1)
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	start := c + 1 + d.SubtreeSize(c)
 	if useList {
 		from := int64(searchList(list, start))
 		return morselRangeTasks(from, int64(len(list)), workers, func(from, to int64, st *Stats) []int32 {
-			return morselFilterList(list, kind, from, to, o, st, nil)
+			return morselFilterList(list, e, from, to, st, nil)
 		})
 	}
 	return morselRangeTasks(int64(start), int64(d.Size()), workers, func(from, to int64, st *Stats) []int32 {
-		return morselFilterRange(kind, from, to, o, st, nil)
+		return morselFilterRange(e, from, to, st, nil)
 	})
 }
 
@@ -482,29 +481,29 @@ func morselPrecTasks(d *doc.Document, context, list []int32, useList bool, worke
 	}
 	o.Stats.addPruned(1)
 	post := d.PostSlice()
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	bound := post[c]
 	keep := func(v int32) bool { return post[v] < bound }
 	if useList {
 		ub := int64(searchList(list, c))
 		return morselRangeTasks(0, ub, workers, func(from, to int64, st *Stats) []int32 {
-			return morselFilterList(list, kind, from, to, o, st, keep)
+			return morselFilterList(list, e, from, to, st, keep)
 		})
 	}
 	return morselRangeTasks(0, int64(c), workers, func(from, to int64, st *Stats) []int32 {
-		return morselFilterRange(kind, from, to, o, st, keep)
+		return morselFilterRange(e, from, to, st, keep)
 	})
 }
 
 // morselFilterRange scans document pre ranks [from, to), applying the
 // attribute filter and an optional extra predicate.
-func morselFilterRange(kind []doc.Kind, from, to int64, o *Options, st *Stats, keep func(int32) bool) []int32 {
+func morselFilterRange(e emitCols, from, to int64, st *Stats, keep func(int32) bool) []int32 {
 	out := make([]int32, 0, to-from)
 	for v := int32(from); v < int32(to); v++ {
 		if keep != nil && !keep(v) {
 			continue
 		}
-		if o.KeepAttributes || kind[v] != doc.Attr {
+		if e.pass(v) {
 			out = append(out, v)
 		}
 	}
@@ -519,13 +518,13 @@ func morselFilterRange(kind []doc.Kind, from, to int64, o *Options, st *Stats, k
 }
 
 // morselFilterList is morselFilterRange over node-list indexes.
-func morselFilterList(list []int32, kind []doc.Kind, from, to int64, o *Options, st *Stats, keep func(int32) bool) []int32 {
+func morselFilterList(list []int32, e emitCols, from, to int64, st *Stats, keep func(int32) bool) []int32 {
 	out := make([]int32, 0, to-from)
 	for _, v := range list[from:to] {
 		if keep != nil && !keep(v) {
 			continue
 		}
-		if o.KeepAttributes || kind[v] != doc.Attr {
+		if e.pass(v) {
 			out = append(out, v)
 		}
 	}

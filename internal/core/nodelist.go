@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"staircase/internal/axis"
 	"staircase/internal/doc"
 )
@@ -52,132 +50,143 @@ func (e *nonPartitioningError) Error() string {
 
 // searchList returns the smallest index i with list[i] >= pre.
 func searchList(list []int32, pre int32) int {
-	return sort.Search(len(list), func(i int) bool { return list[i] >= pre })
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if list[m] < pre {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-// DescendantJoinNodeList computes context/descendant ∩ list.
+// searchFrom returns the smallest index i >= lo with list[i] >= pre
+// (len(list) if there is none), galloping: an exponential probe from lo
+// brackets the answer, a binary search of the bracket finds it. One hop
+// costs O(log distance), so a sweep that only moves forward costs
+// O(|context| + |list|) however the partitions fall.
+func searchFrom(list []int32, lo int, pre int32) int {
+	hi := lo
+	for step := 1; hi < len(list) && list[hi] < pre; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	hi = min(hi, len(list))
+	return lo + searchList(list[lo:hi], pre)
+}
+
+// DescendantJoinNodeList computes context/descendant ∩ list. The result
+// is sized once: it lies in the list range the staircase spans and holds
+// at most Σ |descendant(c)| nodes (Equation (1)).
 func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	st.addContext(int64(len(context)))
 	if len(context) == 0 || len(list) == 0 {
 		return nil
 	}
 	if !o.AssumePruned {
 		context = PruneDescendant(d, context)
 	}
-	if st != nil {
-		st.PrunedSize += int64(len(context))
-	}
 	post := d.PostSlice()
-	kind := d.KindSlice()
-	result := make([]int32, 0, 64)
+	e := o.Emit.cols(d)
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 
-	li := 0
+	li := searchList(list, context[0]+1)
+	lastCtx := context[len(context)-1]
+	size, docBound := searchFrom(list, li, lastCtx+1+d.SubtreeSize(lastCtx))-li, 0
+	for _, c := range context {
+		if docBound += int(d.SubtreeSize(c)); docBound >= size {
+			break
+		}
+	}
+	out := make([]int32, min(size, docBound))
+	k := 0
+	var copied, compared, skipped int64
 	for i, c := range context {
 		// Partition of c in the list: entries with pre > c, up to the
 		// next context node.
-		if li < len(list) && list[li] <= c {
-			li = searchList(list[li:], c+1) + li
-		}
+		li = searchFrom(list, li, c+1)
 		end := len(list)
 		if i+1 < len(context) {
-			end = searchList(list, context[i+1])
+			end = searchFrom(list, li, context[i+1])
 		}
 		bound := post[c]
-		switch o.Variant {
-		case NoSkip:
-			for j := li; j < end; j++ {
-				v := list[j]
-				if post[v] < bound && (o.KeepAttributes || kind[v] != doc.Attr) {
-					result = append(result, v)
+		j := li
+		if o.Variant == SkipEstimate {
+			// Copy phase on the list: all entries with pre <= post(c)
+			// are guaranteed descendants of c (Equation (1) lower bound).
+			guarantee := searchFrom(list[:end], j, bound+1)
+			for ; j < guarantee; j++ {
+				if v := list[j]; mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+					out[k] = v
+					k++
 				}
 			}
-			if st != nil {
-				st.Compared += int64(end - li)
-				st.Scanned += int64(end - li)
-			}
-			li = end
-		default: // Skip, SkipEstimate
-			j := li
-			if o.Variant == SkipEstimate {
-				// Copy phase on the list: all entries with pre <= post(c)
-				// are guaranteed descendants of c (Equation (1) lower
-				// bound); locate the range by binary search.
-				guarantee := searchList(list[j:end], bound+1) + j
-				for ; j < guarantee; j++ {
-					v := list[j]
-					if o.KeepAttributes || kind[v] != doc.Attr {
-						result = append(result, v)
-					}
-				}
-				if st != nil {
-					st.Copied += int64(guarantee - li)
-					st.Scanned += int64(guarantee - li)
-				}
-			}
-			for ; j < end; j++ {
-				v := list[j]
-				if st != nil {
-					st.Compared++
-					st.Scanned++
-				}
-				if post[v] < bound {
-					if o.KeepAttributes || kind[v] != doc.Attr {
-						result = append(result, v)
-					}
-				} else {
-					if st != nil {
-						st.Skipped += int64(end - j - 1)
-					}
+			copied += int64(guarantee - li)
+		}
+		from := j
+		for ; j < end; j++ {
+			v := list[j]
+			if post[v] >= bound {
+				if o.Variant != NoSkip {
 					break
 				}
+			} else if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+				out[k] = v
+				k++
 			}
-			li = end
 		}
+		compared += int64(j - from)
+		if j < end {
+			compared++ // the breaking entry was compared too
+			skipped += int64(end - j - 1)
+		}
+		li = end
 	}
-	if st != nil {
-		st.addResult(int64(len(result)))
-	}
-	return result
+	st.addScan(len(context), copied, compared, skipped, k)
+	return out[:k]
 }
 
-// AncestorJoinNodeList computes context/ancestor ∩ list.
+// AncestorJoinNodeList computes context/ancestor ∩ list. The result is
+// sized once: it lies in the list prefix before the last context node
+// and holds at most as many nodes as the document join's would.
 func AncestorJoinNodeList(d *doc.Document, list, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	st.addContext(int64(len(context)))
 	if len(context) == 0 || len(list) == 0 {
 		return nil
 	}
 	if !o.AssumePruned {
 		context = PruneAncestor(d, context)
 	}
-	if st != nil {
-		st.PrunedSize += int64(len(context))
-	}
-	post := d.PostSlice()
-	kind := d.KindSlice()
-	result := make([]int32, 0, 64)
+	post, level := d.PostSlice(), d.LevelSlice()
+	e := o.Emit.cols(d)
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 
-	li := 0
+	size, docBound, from := searchList(list, context[len(context)-1]), 0, int32(0)
 	for _, c := range context {
-		end := searchList(list, c) // partition: list entries with pre < c
+		if docBound += int(max(min(level[c], c-from), 0)); docBound >= size {
+			break
+		}
+		from = c + 1
+	}
+	out := make([]int32, min(size, docBound))
+	k, li := 0, 0
+	var compared, skipped int64
+	for _, c := range context {
+		end := searchFrom(list, li, c) // partition: list entries with pre < c
 		bound := post[c]
-		j := li
-		for j < end {
+		for j := li; j < end; {
 			v := list[j]
-			if st != nil {
-				st.Compared++
-				st.Scanned++
-			}
+			compared++
 			if post[v] > bound {
-				if o.KeepAttributes || kind[v] != doc.Attr {
-					result = append(result, v)
+				if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+					out[k] = v
+					k++
 				}
 				j++
 				continue
@@ -186,84 +195,61 @@ func AncestorJoinNodeList(d *doc.Document, list, context []int32, opts *Options)
 				j++
 				continue
 			}
-			// v and its descendants precede c: jump past v's subtree
-			// within the list by binary search.
-			next := searchList(list[j+1:end], v+1+d.SubtreeSize(v)) + j + 1
-			if st != nil {
-				st.Skipped += int64(next - j - 1)
-			}
+			// v and its descendants precede c: gallop past v's subtree
+			// within the list.
+			next := searchFrom(list[:end], j+1, v+1+d.SubtreeSize(v))
+			skipped += int64(next - j - 1)
 			j = next
 		}
 		li = end
 	}
-	if st != nil {
-		st.addResult(int64(len(result)))
-	}
-	return result
+	st.addScan(len(context), 0, compared, skipped, k)
+	return out[:k]
 }
 
 // FollowingJoinNodeList computes context/following ∩ list: the list
 // suffix beyond the subtree of the minimum-post context node.
 func FollowingJoinNodeList(d *doc.Document, list, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
-	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	o.Stats.addContext(int64(len(context)))
 	c, ok := ReduceFollowing(d, context)
 	if !ok || len(list) == 0 {
 		return nil
 	}
-	if st != nil {
-		st.PrunedSize++
-	}
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	from := searchList(list, c+1+d.SubtreeSize(c))
-	result := make([]int32, 0, len(list)-from)
+	out := make([]int32, len(list)-from)
+	k := 0
 	for _, v := range list[from:] {
-		if o.KeepAttributes || kind[v] != doc.Attr {
-			result = append(result, v)
+		if e.pass(v) {
+			out[k] = v
+			k++
 		}
 	}
-	if st != nil {
-		st.Copied += int64(len(list) - from)
-		st.Scanned += int64(len(list) - from)
-		st.addResult(int64(len(result)))
-	}
-	return result
+	o.Stats.addScan(1, int64(len(list)-from), 0, 0, k)
+	return out[:k]
 }
 
 // PrecedingJoinNodeList computes context/preceding ∩ list: list entries
 // before the maximum-pre context node, minus its ancestors.
 func PrecedingJoinNodeList(d *doc.Document, list, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
-	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	o.Stats.addContext(int64(len(context)))
 	c, ok := ReducePreceding(d, context)
 	if !ok || len(list) == 0 {
 		return nil
 	}
-	if st != nil {
-		st.PrunedSize++
-	}
-	post := d.PostSlice()
-	kind := d.KindSlice()
-	bound := post[c]
+	post, bound := d.PostSlice(), d.Post(c)
+	e := o.Emit.cols(d)
 	end := searchList(list, c)
-	result := make([]int32, 0, end)
+	out := make([]int32, end)
+	k := 0
 	for _, v := range list[:end] {
-		if st != nil {
-			st.Compared++
-			st.Scanned++
-		}
-		if post[v] < bound && (o.KeepAttributes || kind[v] != doc.Attr) {
-			result = append(result, v)
+		if post[v] < bound && e.pass(v) {
+			out[k] = v
+			k++
 		}
 	}
-	if st != nil {
-		st.addResult(int64(len(result)))
-	}
-	return result
+	o.Stats.addScan(1, 0, int64(end), 0, k)
+	return out[:k]
 }

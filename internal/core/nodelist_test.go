@@ -123,10 +123,10 @@ func TestNodeListSkipTouchesFewerEntries(t *testing.T) {
 	list := randomList(rng, d, 0.5)
 	context := randomContext(rng, d, 3)
 	var noskip, skip Stats
-	// KeepAttributes: the |result|+|context| bound counts attribute
+	// AllKinds: the |result|+|context| bound counts attribute
 	// nodes, which are compared before being filtered from the result.
-	DescendantJoinNodeList(d, list, context, &Options{Variant: NoSkip, Stats: &noskip, KeepAttributes: true})
-	DescendantJoinNodeList(d, list, context, &Options{Variant: Skip, Stats: &skip, KeepAttributes: true})
+	DescendantJoinNodeList(d, list, context, &Options{Variant: NoSkip, Stats: &noskip, Emit: Emit{Kinds: AllKinds}})
+	DescendantJoinNodeList(d, list, context, &Options{Variant: Skip, Stats: &skip, Emit: Emit{Kinds: AllKinds}})
 	if skip.Scanned > noskip.Scanned {
 		t.Fatalf("skip scanned %d > noskip scanned %d", skip.Scanned, noskip.Scanned)
 	}

@@ -24,7 +24,6 @@ package core
 // parallelised by slicing the region itself.
 
 import (
-	"sort"
 	"sync"
 
 	"staircase/internal/axis"
@@ -108,9 +107,7 @@ func PartitionStaircase(context []int32, workers int, spanLo, spanHi int32) []Ch
 			target := spanLo + int32(span*int64(w+1)/int64(workers))
 			// Snap to the first staircase boundary at or beyond the
 			// target, but always advance by at least one context node.
-			hi = lo + 1 + sort.Search(k-lo-1, func(i int) bool {
-				return context[lo+1+i] >= target
-			})
+			hi = lo + 1 + searchList(context[lo+1:], target)
 		}
 		chunks = append(chunks, Chunk{Lo: lo, Hi: hi})
 		lo = hi
@@ -177,7 +174,6 @@ func ParallelDescendantJoin(d *doc.Document, context []int32, workers int, opts 
 			defer pb.capture()
 			wo := *o
 			wo.AssumePruned = true
-			wo.PruneInline = false
 			wo.ScanStart = 0
 			wo.ScanLimit = 0
 			wo.Stats = &stats[i]
@@ -236,7 +232,6 @@ func ParallelAncestorJoin(d *doc.Document, context []int32, workers int, opts *O
 			defer pb.capture()
 			wo := *o
 			wo.AssumePruned = true
-			wo.PruneInline = false
 			wo.ScanStart = 0
 			wo.ScanLimit = 0
 			wo.Stats = &stats[i]
@@ -273,16 +268,14 @@ func ParallelFollowingJoin(d *doc.Document, context []int32, workers int, opts *
 	if st != nil {
 		st.PrunedSize++
 	}
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	n := int32(d.Size())
 	start := c + 1 + d.SubtreeSize(c) // first pre after c's subtree
 	if st != nil && start < n {
 		st.Scanned += int64(n - start)
 		st.Copied += int64(n - start)
 	}
-	result := parallelRangeScan(start, n, workers, st, func(v int32) bool {
-		return o.KeepAttributes || kind[v] != doc.Attr
-	})
+	result := parallelRangeScan(start, n, workers, st, e.pass)
 	if st != nil {
 		st.addResult(int64(len(result)))
 	}
@@ -311,10 +304,10 @@ func ParallelPrecedingJoin(d *doc.Document, context []int32, workers int, opts *
 		st.Compared += int64(c)
 	}
 	post := d.PostSlice()
-	kind := d.KindSlice()
+	e := o.Emit.cols(d)
 	bound := post[c]
 	result := parallelRangeScan(0, c, workers, st, func(v int32) bool {
-		return post[v] < bound && (o.KeepAttributes || kind[v] != doc.Attr)
+		return post[v] < bound && e.pass(v)
 	})
 	if st != nil {
 		st.addResult(int64(len(result)))

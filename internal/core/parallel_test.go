@@ -286,7 +286,7 @@ func TestParallelJoinOutputStrictlyIncreasing(t *testing.T) {
 		d := randomDoc(rng, 200+rng.Intn(600))
 		context := randomContext(rng, d, 1+rng.Intn(30))
 		for _, a := range allAxes {
-			got, err := ParallelJoin(d, a, context, 2+rng.Intn(7), &Options{KeepAttributes: rng.Intn(2) == 0})
+			got, err := ParallelJoin(d, a, context, 2+rng.Intn(7), &Options{Emit: Emit{Kinds: []KindMask{0, AllKinds}[rng.Intn(2)]}, OrSelf: rng.Intn(2) == 0})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,9 +322,10 @@ func TestParallelJoinAllVariantOptionCombinations(t *testing.T) {
 	context := randomContext(rng, d, 35)
 	for _, a := range allAxes {
 		for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
-			for _, keepAttr := range []bool{false, true} {
+			for _, e := range []Emit{{}, {Kinds: AllKinds}, {Kinds: 1 << doc.Elem, ByName: true, Name: d.NameID(context[0])}} {
 				for _, workers := range []int{2, 3, 7} {
-					eqDoc(t, d, a, context, workers, Options{Variant: v, KeepAttributes: keepAttr})
+					eqDoc(t, d, a, context, workers, Options{Variant: v, Emit: e})
+					eqDoc(t, d, a, context, workers, Options{Variant: v, Emit: e, OrSelf: true})
 				}
 			}
 		}

@@ -123,12 +123,12 @@ func TestQuickDescAncestorGaloisConnection(t *testing.T) {
 	f := func(seed int64, ctxBits uint16) bool {
 		d, context := docFromSeed(seed, ctxBits)
 		c := context[0]
-		desc, err := Join(d, axis.Descendant, []int32{c}, &Options{KeepAttributes: true})
+		desc, err := Join(d, axis.Descendant, []int32{c}, &Options{Emit: Emit{Kinds: AllKinds}})
 		if err != nil {
 			return false
 		}
 		for i := 0; i < len(desc) && i < 10; i++ {
-			anc, err := Join(d, axis.Ancestor, []int32{desc[i]}, &Options{KeepAttributes: true})
+			anc, err := Join(d, axis.Ancestor, []int32{desc[i]}, &Options{Emit: Emit{Kinds: AllKinds}})
 			if err != nil {
 				return false
 			}

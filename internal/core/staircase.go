@@ -79,7 +79,7 @@ type Stats struct {
 	PrunedSize int64
 	// Scanned counts document nodes touched by the scan: Copied+Compared.
 	Scanned int64
-	// Copied counts nodes emitted without a post-rank comparison
+	// Copied counts nodes visited without a post-rank comparison
 	// (estimation-based copy phase only).
 	Copied int64
 	// Compared counts nodes whose post rank was compared against the
@@ -87,7 +87,10 @@ type Stats struct {
 	Compared int64
 	// Skipped counts document nodes jumped over without being touched.
 	Skipped int64
-	// Result is the number of result nodes produced.
+	// Result is the number of nodes emitted, counted after Options.Emit:
+	// under a name or kind test it is smaller than the number of nodes
+	// the scan found inside the axis region. The scan counters above do
+	// not depend on the test.
 	Result int64
 	// Workers is the number of parallel chunks a Parallel*Join actually
 	// ran (after clamping to the staircase size and scan range); 0 for
@@ -95,11 +98,84 @@ type Stats struct {
 	Workers int64
 }
 
-// add is a nil-safe counter bump helper used by the join loops.
+// addResult is a nil-safe counter bump helper used by the join loops.
 func (s *Stats) addResult(n int64) {
 	if s != nil {
 		s.Result += n
 	}
+}
+
+// addScan folds one batch join's counters into s (nil-safe): the
+// staircase size, the nodes visited without and with a post comparison,
+// the nodes jumped, and the nodes emitted.
+func (s *Stats) addScan(pruned int, copied, compared, skipped int64, result int) {
+	if s != nil {
+		s.PrunedSize += int64(pruned)
+		s.Copied += copied
+		s.Compared += compared
+		s.Scanned += copied + compared
+		s.Skipped += skipped
+		s.Result += int64(result)
+	}
+}
+
+// KindMask is a set of node kinds: bit k stands for doc.Kind k.
+type KindMask uint8
+
+const (
+	// NonAttr holds every kind but attribute — what node() selects on
+	// every axis but `attribute`, and what the zero Emit stands for.
+	NonAttr KindMask = 1<<doc.Elem | 1<<doc.Text | 1<<doc.Comment | 1<<doc.PI | 1<<doc.VRoot
+	// AllKinds delivers attribute nodes like any other node.
+	AllKinds KindMask = NonAttr | 1<<doc.Attr
+	// NoKinds is a non-zero mask no kind is a member of (a test nothing
+	// passes: an absent tag name, text() on the attribute axis).
+	NoKinds KindMask = 1 << 7
+)
+
+// Emit is the one test a join applies to a node its scan found inside the
+// axis region: the node's kind must be in Kinds and, under ByName, its
+// name id must equal Name. It carries both the paper's attribute filter
+// (§3: attributes are filtered on every axis but `attribute`) and the
+// step's node test, so neither needs a second pass over the result. The
+// zero value selects NonAttr.
+type Emit struct {
+	Kinds  KindMask
+	ByName bool
+	Name   int32
+}
+
+// Pass decides the test for one node, given its kind and name id.
+func (e Emit) Pass(k doc.Kind, name int32) bool {
+	if e.Kinds == 0 {
+		e.Kinds = NonAttr
+	}
+	return e.Kinds>>k&1 != 0 && (!e.ByName || name == e.Name)
+}
+
+// emitCols is an Emit bound to a document's kind and name columns; name
+// is nil unless the test is by name. Batch kernels copy the fields into
+// locals before their scan loop, cursors embed the struct.
+type emitCols struct {
+	mask KindMask
+	id   int32
+	kind []doc.Kind
+	name []int32
+}
+
+func (e Emit) cols(d *doc.Document) emitCols {
+	c := emitCols{mask: e.Kinds, id: e.Name, kind: d.KindSlice()}
+	if c.mask == 0 {
+		c.mask = NonAttr
+	}
+	if e.ByName {
+		c.name = d.NameSlice()
+	}
+	return c
+}
+
+func (c *emitCols) pass(v int32) bool {
+	return c.mask>>c.kind[v]&1 != 0 && (c.name == nil || c.name[v] == c.id)
 }
 
 // Options configures a staircase join invocation. The zero value (and a
@@ -111,15 +187,16 @@ type Options struct {
 	// explicitly distinguishes "unset"; use DefaultOptions for the
 	// paper configuration).
 	Variant Variant
-	// KeepAttributes disables the attribute filter, delivering
-	// attribute nodes like any other node. The paper filters attributes
-	// on every axis but `attribute` (§3).
-	KeepAttributes bool
-	// PruneInline folds pruning into the partition loop instead of
-	// running it as a separate pre-pass over the context (§3.2: the
-	// join "is easily adapted to do pruning on-the-fly, thus saving a
-	// separate scan over the context table").
-	PruneInline bool
+	// Emit is the node test fused into the scan; the zero value filters
+	// attributes and nothing else.
+	Emit Emit
+	// OrSelf makes the document batch kernels (Join, ParallelJoin) of
+	// the descendant and ancestor axes evaluate the or-self axis: every
+	// context node passing Emit joins the result. A context node pruning
+	// drops lies inside another one's region, so emitting the staircase
+	// nodes — before their partition on descendant, after it on ancestor —
+	// covers them all. The other kernel families ignore the field.
+	OrSelf bool
 	// AssumePruned skips pruning entirely; the caller asserts the
 	// context is already a proper staircase. Violating the assertion
 	// yields wrong results (the paper: the basic algorithm "only works
@@ -179,44 +256,64 @@ func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32
 // for the descendant axis: a node is dropped iff it is a descendant of
 // an earlier context node. The surviving sequence has strictly
 // increasing pre AND post ranks — a proper staircase. The input must be
-// in document order; duplicates are dropped as a side effect.
+// in document order; duplicates are dropped as a side effect. A context
+// that already is a proper staircase (a step's output fed to the next
+// step usually is) is returned as is, not copied: callers must treat the
+// result as read-only.
 func PruneDescendant(d *doc.Document, context []int32) []int32 {
 	post := d.PostSlice()
-	out := make([]int32, 0, len(context))
 	prev := int32(-1)
-	for _, c := range context {
-		if post[c] > prev {
-			out = append(out, c)
-			prev = post[c]
+	for i, c := range context {
+		if post[c] <= prev {
+			out := make([]int32, len(context)-1)
+			k := copy(out, context[:i])
+			for _, c := range context[i+1:] {
+				if post[c] > prev {
+					out[k] = c
+					k++
+					prev = post[c]
+				}
+			}
+			return out[:k]
 		}
+		prev = post[c]
 	}
-	return out
+	return context
 }
 
 // PruneAncestor removes context nodes covered for the ancestor axis: a
 // node is dropped iff it is an ancestor of a later context node (its
 // ancestor-or-self path is a prefix of the other's, Figure 4). The
 // surviving staircase again has strictly increasing pre and post ranks.
+// Like PruneDescendant it returns a proper staircase uncopied.
 func PruneAncestor(d *doc.Document, context []int32) []int32 {
 	post := d.PostSlice()
-	out := make([]int32, 0, len(context))
-	for i, c := range context {
-		// c is an ancestor of the next context node iff the next node
-		// lies in c's descendant window; descendants of c within the
-		// context directly follow c (document order), so checking the
-		// immediate successor suffices.
-		if i+1 < len(context) {
-			next := context[i+1]
-			if post[next] < post[c] { // next is a descendant of c
-				continue
+	for i := range context {
+		if ancCovered(post, context, i) {
+			out := make([]int32, len(context)-1)
+			k := copy(out, context[:i])
+			for j := i + 1; j < len(context); j++ {
+				if !ancCovered(post, context, j) {
+					out[k] = context[j]
+					k++
+				}
 			}
-			if next == c { // duplicate
-				continue
-			}
+			return out[:k]
 		}
-		out = append(out, c)
 	}
-	return out
+	return context
+}
+
+// ancCovered reports whether context[i] is an ancestor (or a duplicate)
+// of the next context node. Descendants of a node within the context
+// directly follow it (document order), so checking the immediate
+// successor suffices.
+func ancCovered(post, context []int32, i int) bool {
+	if i+1 == len(context) {
+		return false
+	}
+	c, next := context[i], context[i+1]
+	return post[next] < post[c] || next == c
 }
 
 // ReduceFollowing returns the single context node that determines the
@@ -262,159 +359,103 @@ func IsStaircaseDesc(d *doc.Document, context []int32) bool {
 // --- descendant staircase join (§3.2–§4.2) --------------------------------
 
 // DescendantJoin evaluates context/descendant with the staircase join.
+// The result is sized once, before the scan: partition (c, to] holds at
+// most |descendant(c)| = post(c)−pre(c)+level(c) result nodes (Equation
+// (1)) and at most its own width, so one allocation takes the whole
+// result and the scan writes it with indexed stores.
 func DescendantJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	st := o.Stats
-	if st != nil {
-		st.ContextSize += int64(len(context))
-	}
+	st.addContext(int64(len(context)))
 	if len(context) == 0 {
 		return nil
 	}
-	if !o.AssumePruned && !o.PruneInline {
+	if !o.AssumePruned {
 		context = PruneDescendant(d, context)
 	}
-
-	post := d.PostSlice()
-	kind := d.KindSlice()
-	n := int32(d.Size())
-	if o.ScanLimit > 0 && o.ScanLimit < n-1 {
-		n = o.ScanLimit + 1 // partitions end at pre rank ScanLimit
+	post, level := d.PostSlice(), d.LevelSlice()
+	e := o.Emit.cols(d)
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	last := int32(d.Size()) - 1 // the last partition ends here
+	if o.ScanLimit > 0 && o.ScanLimit < last {
+		last = o.ScanLimit
 	}
-	// A generous initial capacity: the last staircase step's boundary is
-	// an upper bound for how far the scan can reach.
-	result := make([]int32, 0, 1024)
-
-	prevPost := int32(-1) // on-the-fly pruning state
-	partitions := int64(0)
-
-	emit := func(c int32, from, to int32) { // partition of c covers pres [from, to]
-		partitions++
-		result = scanPartitionDesc(result, post, kind, from, to, post[c], o, st)
+	size := 0
+	for i, c := range context {
+		size += int(min(post[c]-c+level[c], descPartEnd(context, i, last)-c))
 	}
-
-	for i := 0; i < len(context); i++ {
-		c := context[i]
-		if o.PruneInline && !o.AssumePruned {
-			if post[c] <= prevPost {
-				continue
-			}
-			prevPost = post[c]
+	if o.OrSelf {
+		size += len(context)
+	}
+	out := make([]int32, size)
+	k := 0
+	var copied, compared, skipped int64
+	for i, c := range context {
+		if o.OrSelf && e.pass(c) {
+			out[k] = c
+			k++
 		}
-		// Find the partition end: pre of the next surviving context
-		// node minus one, or the end of the document.
-		to := n - 1
-		for j := i + 1; j < len(context); j++ {
-			cn := context[j]
-			if o.PruneInline && !o.AssumePruned && post[cn] <= post[c] {
-				continue // cn will be pruned; its pre does not bound us
-			}
-			to = cn - 1
-			break
+		to, bound := descPartEnd(context, i, last), post[c]
+		p := c + 1
+		if est := min(bound, to); o.Variant == SkipEstimate && est >= p {
+			// Copy phase: the first post(c)−pre(c) nodes after c are
+			// guaranteed descendants (Equation (1) lower bound).
+			k = e.emitRange(out, k, p, est)
+			copied += int64(est - p + 1)
+			p = est + 1
 		}
-		emit(c, c+1, to)
+		// Scan phase: under skipping it ends at the first node outside
+		// the boundary — the rest of the partition is an empty region of
+		// type Z (Figure 7 (b)); after a copy phase at most h nodes remain.
+		from := p
+		for ; p <= to; p++ {
+			if post[p] >= bound {
+				if o.Variant != NoSkip {
+					break
+				}
+			} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
+				out[k] = p
+				k++
+			}
+		}
+		compared += int64(p - from)
+		if p <= to {
+			compared++ // the breaking node was compared too
+			skipped += int64(to - p)
+		}
 	}
-	if st != nil {
-		st.PrunedSize += partitions
-		st.addResult(int64(len(result)))
-	}
-	return result
+	st.addScan(len(context), copied, compared, skipped, k)
+	return out[:k]
 }
 
-// scanPartitionDesc scans doc pres [from, to] against the descendant
-// boundary post rank `bound` and appends qualifying nodes to result.
-// It implements Algorithms 2 (NoSkip), 3 (Skip) and 4 (SkipEstimate).
-func scanPartitionDesc(result []int32, post []int32, kind []doc.Kind,
-	from, to, bound int32, o *Options, st *Stats) []int32 {
+// descPartEnd returns the last pre rank of the i-th descendant
+// partition: the node before the next staircase node, or last.
+func descPartEnd(context []int32, i int, last int32) int32 {
+	if i+1 < len(context) {
+		return context[i+1] - 1
+	}
+	return max(last, context[i])
+}
 
-	if from > to {
-		return result
+// emitRange writes the nodes of the pre range [from, to] that pass the
+// emit test to out[k:] — no post comparison — and returns the new k.
+// out must have room for the whole range. A kind test alone is a store
+// and an add per node, no branch.
+func (e *emitCols) emitRange(out []int32, k int, from, to int32) int {
+	mask, kind := e.mask, e.kind[from:to+1]
+	if e.name == nil {
+		for j, kd := range kind {
+			out[k] = from + int32(j)
+			k += int(mask >> kd & 1)
+		}
+		return k
 	}
-	i := from
-	switch o.Variant {
-	case NoSkip:
-		for ; i <= to; i++ {
-			if post[i] < bound {
-				if o.KeepAttributes || kind[i] != doc.Attr {
-					result = append(result, i)
-				}
-			}
-		}
-		if st != nil {
-			st.Compared += int64(to - from + 1)
-			st.Scanned += int64(to - from + 1)
-		}
-	case Skip:
-		for ; i <= to; i++ {
-			if post[i] < bound {
-				if o.KeepAttributes || kind[i] != doc.Attr {
-					result = append(result, i)
-				}
-			} else {
-				break // skip: empty region of type Z (Figure 7 (b))
-			}
-		}
-		if st != nil {
-			touched := i - from
-			if i <= to {
-				touched++ // the breaking node was compared too
-				st.Skipped += int64(to - i)
-			}
-			st.Compared += int64(touched)
-			st.Scanned += int64(touched)
-		}
-	case SkipEstimate:
-		// Copy phase: the first post(c)−pre(c) nodes after c are
-		// guaranteed descendants (Equation (1) lower bound); the
-		// partition starts at from = pre(c)+1, so the guaranteed range
-		// ends at pre rank `bound` (= post(c)) or the partition end.
-		estimate := bound
-		if to < estimate {
-			estimate = to
-		}
-		if o.KeepAttributes {
-			// Comparison-free bulk emit of the pre range [from, estimate].
-			if estimate >= i {
-				base := len(result)
-				result = append(result, make([]int32, int(estimate-i+1))...)
-				for k := range result[base:] {
-					result[base+k] = i + int32(k)
-				}
-				i = estimate + 1
-			}
-		} else {
-			for ; i <= estimate; i++ {
-				if kind[i] != doc.Attr {
-					result = append(result, i)
-				}
-			}
-		}
-		if st != nil {
-			copied := estimate - from + 1
-			if copied > 0 {
-				st.Copied += int64(copied)
-				st.Scanned += int64(copied)
-			}
-		}
-		// Scan phase: at most h further descendants.
-		scanned := int64(0)
-		for ; i <= to; i++ {
-			scanned++
-			if post[i] < bound {
-				if o.KeepAttributes || kind[i] != doc.Attr {
-					result = append(result, i)
-				}
-			} else {
-				break
-			}
-		}
-		if st != nil {
-			st.Compared += scanned
-			st.Scanned += scanned
-			if i <= to {
-				st.Skipped += int64(to - i)
-			}
+	id := e.id
+	for j, nm := range e.name[from : to+1] {
+		if nm == id && mask>>kind[j]&1 != 0 {
+			out[k] = from + int32(j)
+			k++
 		}
 	}
-	return result
+	return k
 }

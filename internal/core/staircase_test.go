@@ -69,9 +69,6 @@ func allVariants() []*Options {
 		{Variant: NoSkip},
 		{Variant: Skip},
 		{Variant: SkipEstimate},
-		{Variant: NoSkip, PruneInline: true},
-		{Variant: Skip, PruneInline: true},
-		{Variant: SkipEstimate, PruneInline: true},
 		nil, // default
 	}
 }
@@ -324,7 +321,7 @@ func TestSkipTouchBound(t *testing.T) {
 		d := randomDoc(rng, 400)
 		context := randomContext(rng, d, 1+rng.Intn(25))
 		var st Stats
-		res := DescendantJoin(d, context, &Options{Variant: Skip, Stats: &st, KeepAttributes: true})
+		res := DescendantJoin(d, context, &Options{Variant: Skip, Stats: &st, Emit: Emit{Kinds: AllKinds}})
 		if st.Scanned > int64(len(res))+int64(len(context)) {
 			t.Fatalf("trial %d: scanned %d > result %d + context %d",
 				trial, st.Scanned, len(res), len(context))
@@ -340,7 +337,7 @@ func TestEstimateComparisonBound(t *testing.T) {
 		d := randomDoc(rng, 400)
 		context := randomContext(rng, d, 1+rng.Intn(25))
 		var st Stats
-		DescendantJoin(d, context, &Options{Variant: SkipEstimate, Stats: &st, KeepAttributes: true})
+		DescendantJoin(d, context, &Options{Variant: SkipEstimate, Stats: &st, Emit: Emit{Kinds: AllKinds}})
 		bound := int64(d.Height()) * st.PrunedSize
 		if st.Compared > bound {
 			t.Fatalf("trial %d: compared %d > h*|context| = %d", trial, st.Compared, bound)
@@ -379,7 +376,7 @@ func TestNoSkipScansMoreThanSkip(t *testing.T) {
 	counts := map[Variant]int64{}
 	for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
 		var st Stats
-		DescendantJoin(d, context, &Options{Variant: v, Stats: &st, KeepAttributes: true})
+		DescendantJoin(d, context, &Options{Variant: v, Stats: &st, Emit: Emit{Kinds: AllKinds}})
 		counts[v] = st.Scanned
 	}
 	if counts[NoSkip] < counts[Skip] {

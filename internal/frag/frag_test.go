@@ -187,8 +187,8 @@ func TestParallelJoinStatsMerged(t *testing.T) {
 	d := randomDoc(rng, 2000)
 	context := randomContext(rng, d, 30)
 	var seq, par core.Stats
-	core.DescendantJoin(d, context, &core.Options{Variant: core.Skip, Stats: &seq, KeepAttributes: true})
-	ParallelDescendantJoin(d, context, 4, &core.Options{Variant: core.Skip, Stats: &par, KeepAttributes: true})
+	core.DescendantJoin(d, context, &core.Options{Variant: core.Skip, Stats: &seq, Emit: core.Emit{Kinds: core.AllKinds}})
+	ParallelDescendantJoin(d, context, 4, &core.Options{Variant: core.Skip, Stats: &par, Emit: core.Emit{Kinds: core.AllKinds}})
 	if par.Result != seq.Result {
 		t.Fatalf("result counters differ: %d vs %d", par.Result, seq.Result)
 	}

@@ -228,8 +228,7 @@ type ctxSource struct {
 	pulled int
 	// or-self self side
 	selfOn bool
-	a      axis.Axis
-	test   xpath.NodeTest
+	self   core.Emit
 	pend   []int32
 }
 
@@ -239,7 +238,7 @@ func (s *ctxSource) pull() (int32, bool, error) {
 			v := s.buf[s.pos]
 			s.pos++
 			s.pulled++
-			if s.selfOn && nodePassesTest(s.ec.env.Doc, s.a, s.test, v) {
+			if d := s.ec.env.Doc; s.selfOn && s.self.Pass(d.KindOf(v), d.NameID(v)) {
 				s.pend = append(s.pend, v)
 			}
 			return v, true, nil
@@ -331,14 +330,9 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 
 	src := &ctxSource{ec: ec, in: in}
 	if o.orSelf {
-		src.selfOn = true
-		src.test = o.test
-		src.a = o.orSelfAxis
-		if o.docNode {
-			// The implicit document node of an absolute path: its
-			// descendant(-or-self) set includes the root element itself.
-			src.a = axis.DescendantOrSelf
-		}
+		// (Under docNode the implicit document node's descendant set
+		// includes the root element itself: the same self side.)
+		src.selfOn, src.self = true, emitFor(d, o.base, o.test)
 	}
 
 	pushed := false
@@ -892,7 +886,7 @@ func (c *posFilterCursor) next(seek int32) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.pending = mergeDedup(c.pending, rs)
+		c.pending = core.MergeOrSelf(c.pending, rs)
 		if nxt, ok, err := c.peekCtx(); err != nil {
 			return nil, err
 		} else if ok {
@@ -907,18 +901,6 @@ func (c *posFilterCursor) next(seek int32) ([]int32, error) {
 }
 
 func (c *posFilterCursor) close() { c.in.close() }
-
-// mergeDedup merges two strictly increasing sequences into their
-// strictly increasing union.
-func mergeDedup(a, b []int32) []int32 {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	return core.MergeOrSelf(a, b)
-}
 
 // evalOneCapped is evalOne with the [k] early-stop enabled (cursor
 // path only: the materializing executor keeps its exact work counters).

@@ -25,7 +25,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -626,24 +626,17 @@ func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, s
 	d := ec.env.Doc
 	switch a {
 	case axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding:
-		return ec.partitioning(a, test, context, st)
-	case axis.DescendantOrSelf, axis.AncestorOrSelf:
-		base := axis.Descendant
-		if a == axis.AncestorOrSelf {
-			base = axis.Ancestor
-		}
-		nodes, err := ec.partitioning(base, test, context, st)
-		if err != nil {
-			return nil, err
-		}
-		selfPart := filterTest(d, a, test, append([]int32(nil), context...))
-		return core.MergeOrSelf(nodes, selfPart), nil
+		return ec.partitioning(a, false, test, context, st)
+	case axis.DescendantOrSelf:
+		return ec.partitioning(axis.Descendant, true, test, context, st)
+	case axis.AncestorOrSelf:
+		return ec.partitioning(axis.Ancestor, true, test, context, st)
 	case axis.Child:
 		var out []int32
 		for _, c := range context {
 			out = append(out, d.Children(c)...)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		sortNodes(out)
 		return filterTest(d, a, test, out), nil
 	case axis.Parent:
 		var out []int32
@@ -655,13 +648,13 @@ func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, s
 		out = sortDedup(out)
 		return filterTest(d, a, test, out), nil
 	case axis.Self:
-		return filterTest(d, a, test, append([]int32(nil), context...)), nil
+		return filterTest(d, a, test, slices.Clone(context)), nil
 	case axis.Attribute:
 		var out []int32
 		for _, c := range context {
 			out = append(out, d.Attributes(c)...)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		sortNodes(out)
 		return filterTest(d, a, test, out), nil
 	case axis.FollowingSibling:
 		var out []int32
@@ -719,13 +712,17 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 	}
 }
 
-// partitioning evaluates one of the four partitioning axes with the
-// configured strategy, applying the name test before or after the
-// join. The pushdown and parallel-fan-out decisions are made here,
-// from the actual context, with the cost model's bounds.
-func (ec *execCtx) partitioning(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
+// partitioning evaluates one of the four partitioning axes (with orSelf:
+// the or-self variant of descendant or ancestor) with the configured
+// strategy. The pushdown and parallel-fan-out decisions are made here,
+// from the actual context, with the cost model's bounds. The staircase
+// full scan applies the node test and emits the self side inside the
+// kernel; the pushdown path and the baselines filter and merge after.
+func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
 	d := ec.env.Doc
 	opts := ec.opts
+	var nodes []int32
+	var err error
 	switch opts.Strategy {
 	case Staircase, StaircaseSkip, StaircaseNoSkip:
 		co := &core.Options{Variant: variantFor(opts.Strategy)}
@@ -738,12 +735,13 @@ func (ec *execCtx) partitioning(a axis.Axis, test xpath.NodeTest, context []int3
 			ec.cur.bound = bound
 			ec.cur.workersOffered = workers
 		}
+		pushed := false
 		if opts.Pushdown != PushNever {
 			if list, indexed, ok := ec.fragList(test); ok {
 				if ec.cur != nil {
 					ec.cur.fragSize = len(list)
 				}
-				if shouldPush(int64(len(list)), bound, opts.Pushdown, workers) {
+				if pushed = shouldPush(int64(len(list)), bound, opts.Pushdown, workers); pushed {
 					if st != nil {
 						st.Pushed = true
 						st.Indexed = indexed
@@ -753,34 +751,29 @@ func (ec *execCtx) partitioning(a axis.Axis, test xpath.NodeTest, context []int3
 						ec.cur.indexed = indexed
 					}
 					if len(list) == 0 {
-						return nil, nil // tag/kind absent: empty result
+						return nil, nil // tag/kind absent: empty result, self side included
 					}
 					// Fragment joins stay serial: the node list is binary-
 					// search bounded and the cost model only chose this
 					// path because it beats even the parallel full-
 					// document join.
-					return core.JoinNodeList(d, a, list, context, co)
+					nodes, err = core.JoinNodeList(d, a, list, context, co)
 				}
 			}
 		}
-		var nodes []int32
-		var err error
-		if workers > 1 {
-			nodes, err = core.ParallelJoin(d, a, context, workers, co)
-		} else {
-			nodes, err = core.Join(d, a, context, co)
+		if !pushed {
+			co.Emit, co.OrSelf = emitFor(d, a, test), orSelf
+			if workers > 1 {
+				return core.ParallelJoin(d, a, context, workers, co)
+			}
+			return core.Join(d, a, context, co)
 		}
-		if err != nil {
-			return nil, err
-		}
-		return filterTest(d, a, test, nodes), nil
 	case Naive:
 		var nst *baseline.NaiveStats
 		if st != nil {
 			nst = &st.Naive
 		}
-		nodes := baseline.NaiveJoin(d, a, context, nst)
-		return filterTest(d, a, test, nodes), nil
+		nodes = filterTest(d, a, test, baseline.NaiveJoin(d, a, context, nst))
 	case SQL, SQLWindow:
 		so := baseline.SQLOptions{UseWindow: opts.Strategy == SQLWindow}
 		if test.Kind == xpath.TestName {
@@ -793,16 +786,17 @@ func (ec *execCtx) partitioning(a axis.Axis, test xpath.NodeTest, context []int3
 			if ec.cur != nil {
 				ec.cur.pushed = true
 			}
-			return ec.env.SQL().Step(a, context, so)
 		}
-		nodes, err := ec.env.SQL().Step(a, context, so)
-		if err != nil {
-			return nil, err
+		if nodes, err = ec.env.SQL().Step(a, context, so); so.Tag == "" {
+			nodes = filterTest(d, a, test, nodes)
 		}
-		return filterTest(d, a, test, nodes), nil
 	default:
 		return nil, fmt.Errorf("plan: unknown strategy %v", opts.Strategy)
 	}
+	if err != nil || !orSelf {
+		return nodes, err
+	}
+	return core.MergeOrSelf(nodes, filterTest(d, a, test, slices.Clone(context))), nil
 }
 
 // variantFor maps strategies to staircase join variants.
@@ -820,9 +814,10 @@ func variantFor(s Strategy) core.Variant {
 // filterTest filters nodes by the node test in place (the slice is
 // reused) and returns the filtered prefix.
 func filterTest(d *doc.Document, a axis.Axis, test xpath.NodeTest, nodes []int32) []int32 {
+	e, kind, name := emitFor(d, a, test), d.KindSlice(), d.NameSlice()
 	out := nodes[:0]
 	for _, v := range nodes {
-		if nodePassesTest(d, a, test, v) {
+		if e.Pass(kind[v], name[v]) {
 			out = append(out, v)
 		}
 	}
@@ -831,49 +826,56 @@ func filterTest(d *doc.Document, a axis.Axis, test xpath.NodeTest, nodes []int32
 
 // nodePassesTest decides the node test for one node on one axis.
 func nodePassesTest(d *doc.Document, a axis.Axis, test xpath.NodeTest, v int32) bool {
-	principal := doc.Elem
+	return emitFor(d, a, test).Pass(d.KindOf(v), d.NameID(v))
+}
+
+// emitFor translates a node test on axis a into the one test the
+// staircase kernels fuse into their scan and filterTest applies after
+// every other axis: a kind mask plus, for a name, its interned id,
+// resolved once. Attributes appear only on the attribute axis, and that
+// axis holds nothing else (axis.In semantics — value-index fragments rely
+// on this when filtered per axis), so the or-self axes drop attribute
+// self nodes under the same mask their base axis scans with.
+func emitFor(d *doc.Document, a axis.Axis, test xpath.NodeTest) core.Emit {
+	principal, onAxis := doc.Elem, core.NonAttr
 	if a == axis.Attribute {
-		principal = doc.Attr
+		principal, onAxis = doc.Attr, 1<<doc.Attr
 	}
-	k := d.KindOf(v)
-	// Axis-level kind filtering for axes evaluated outside the
-	// staircase join (child, self, siblings): attributes appear only
-	// on the attribute axis, and the attribute axis holds nothing but
-	// attributes (axis.In semantics — value-index fragments rely on
-	// this when filtered per axis).
-	if a != axis.Attribute && k == doc.Attr {
-		return false
-	}
-	if a == axis.Attribute && k != doc.Attr {
-		return false
-	}
+	var e core.Emit
 	switch test.Kind {
-	case xpath.TestName:
-		return k == principal && d.Name(v) == test.Name
-	case xpath.TestAny:
-		return k == principal
+	case xpath.TestName, xpath.TestAny:
+		e.Kinds = 1 << principal
 	case xpath.TestNode:
-		return true
+		e.Kinds = onAxis
 	case xpath.TestText:
-		return k == doc.Text
+		e.Kinds = 1 << doc.Text
 	case xpath.TestComment:
-		return k == doc.Comment
+		e.Kinds = 1 << doc.Comment
 	case xpath.TestPI:
-		return k == doc.PI && (test.Name == "" || d.Name(v) == test.Name)
-	default:
-		return false
+		e.Kinds = 1 << doc.PI
+	}
+	if test.Kind == xpath.TestName || test.Kind == xpath.TestPI && test.Name != "" {
+		if e.Name, e.ByName = d.Names().Lookup(test.Name); !e.ByName {
+			e.Kinds = 0 // no node carries the name
+		}
+	}
+	if e.Kinds &= onAxis; e.Kinds == 0 {
+		e.Kinds = core.NoKinds
+	}
+	return e
+}
+
+// sortNodes sorts a pre-rank slice, unless it already ascends (per-
+// context results concatenate in order whenever the context nodes do
+// not nest).
+func sortNodes(nodes []int32) {
+	if !slices.IsSorted(nodes) {
+		slices.Sort(nodes)
 	}
 }
 
 // sortDedup sorts a pre-rank slice and removes duplicates in place.
 func sortDedup(nodes []int32) []int32 {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	out := nodes[:0]
-	for i, v := range nodes {
-		if i > 0 && v == nodes[i-1] {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
+	sortNodes(nodes)
+	return slices.Compact(nodes)
 }

@@ -100,6 +100,7 @@ func (o *valueScan) resolveWith(d *doc.Document, opts *Options) (list []int32, o
 
 // materialize computes the fragment from the value index.
 func (o *valueScan) materialize(d *doc.Document, ix *vindex.Index) []int32 {
+	e, kind, name := emitFor(d, o.pa, o.test), d.KindSlice(), d.NameSlice()
 	var keyed []int32
 	if o.contains {
 		// ContainsSubstr returns a fresh slice: filter it in place.
@@ -118,7 +119,7 @@ func (o *valueScan) materialize(d *doc.Document, ix *vindex.Index) []int32 {
 		// A non-numeric number literal cannot occur (the parser marks
 		// Numeric only for number tokens); no keyed node matches it.
 		for _, v := range view {
-			if nodePassesTest(d, o.pa, o.test, v) {
+			if e.Pass(kind[v], name[v]) {
 				keyed = append(keyed, v)
 			}
 		}
@@ -130,7 +131,7 @@ func (o *valueScan) materialize(d *doc.Document, ix *vindex.Index) []int32 {
 	// node, test first so only candidate kinds pay the string rebuild.
 	var over []int32
 	for _, v := range ix.Overflow() {
-		if !nodePassesTest(d, o.pa, o.test, v) {
+		if !e.Pass(kind[v], name[v]) {
 			continue
 		}
 		if o.matches(d.StringValue(v)) {
