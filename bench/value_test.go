@@ -1,57 +1,46 @@
 package bench
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"staircase/internal/engine"
 )
 
-// TestValuePushdownSpeedup is the PR's acceptance bar: on the 0.5 MB
-// smoke document (values retained), the warm value-index fragment
-// semijoin must run the numeric range query at least 5x faster than
-// per-node re-evaluation (Options.NoValueIndex), both through prepared
-// plans (the server's steady state). The real ratio is far larger —
-// the rescan runs the predicate sub-plan once per candidate auction,
-// the warm plan binary-searches its memoised pre-sorted fragment — and
-// 5x leaves room for noisy CI runners and the race detector.
+// TestValuePushdownSpeedup holds the value-index fragment semijoin to
+// its work, not its wall clock (the time ratio is `benchrun -exp
+// value`): on the 0.5 MB smoke document (values retained) the numeric
+// range query returns the same nodes through the warm prepared plan and
+// through per-node re-evaluation (Options.NoValueIndex); the warm plan
+// serves its predicate from a value-index range and the rescan plan
+// evaluates it once per candidate; and, under both, the name step is an
+// index fragment join touching at most fragment + context nodes.
 func TestValuePushdownSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing measurement in -short mode")
-	}
 	c := NewCorpus()
 	d := c.ValueDoc(smokeSizeMB)
 	e := engine.New(d)
-	d.TagIndex()
-	d.ValueIndex() // warm
 
-	prep := func(opts *engine.Options) *engine.Prepared {
+	run := func(opts *engine.Options, source string) *engine.Result {
 		p, err := e.PrepareString(QValueRange, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
-	}
-	run := func(p *engine.Prepared) int {
 		r, err := p.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(r.Nodes)
+		if plan, err := p.Explain(); err != nil || !strings.Contains(plan, source) {
+			t.Fatalf("plan under %+v does not read %q (err %v):\n%s", opts, source, err, plan)
+		}
+		return r
 	}
-	warmP := prep(nil)
-	rescanP := prep(&engine.Options{NoValueIndex: true})
-	n := run(warmP)
-	if n == 0 {
-		t.Fatalf("%s matched nothing on the value corpus", QValueRange)
+	warm := run(nil, "value index (numeric range)")
+	rescan := run(&engine.Options{NoValueIndex: true}, "per-node evaluation (value index disabled)")
+	if len(warm.Nodes) == 0 || !slices.Equal(warm.Nodes, rescan.Nodes) {
+		t.Fatalf("warm (%d nodes) and rescan (%d nodes) evaluation disagree", len(warm.Nodes), len(rescan.Nodes))
 	}
-	if n != run(rescanP) {
-		t.Fatal("warm and rescan evaluation disagree")
-	}
-	rescan := timeIt(7, func() { run(rescanP) })
-	warm := timeIt(7, func() { run(warmP) })
-	ratio := float64(rescan.Nanoseconds()) / float64(warm.Nanoseconds())
-	t.Logf("rescan %v, warm %v, speedup %.1fx", rescan, warm, ratio)
-	if ratio < 5 {
-		t.Fatalf("warm value pushdown only %.1fx faster than rescan, want >= 5x", ratio)
-	}
+	tags := []string{"open_auction"}
+	checkFragmentWork(t, d, "warm", warm.Steps, tags, true)
+	checkFragmentWork(t, d, "rescan", rescan.Steps, tags, true)
 }

@@ -9,7 +9,12 @@
 package staircase_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,11 +22,13 @@ import (
 	"staircase/internal/axis"
 	"staircase/internal/baseline"
 	"staircase/internal/bat"
+	"staircase/internal/catalog"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
 	"staircase/internal/frag"
 	"staircase/internal/index"
+	"staircase/internal/server"
 )
 
 // benchSizes is the document sweep for benchmarks (MB equivalents).
@@ -387,6 +394,69 @@ func BenchmarkValuePushdownWarm(b *testing.B) { benchValuePushdown(b, false) }
 // fragment's materialisation from the value index, then the run: what
 // an ad-hoc query that misses the server's plan cache pays.
 func BenchmarkValuePushdownCold(b *testing.B) { benchValuePushdown(b, true) }
+
+// hitWriter is a reused in-process http.ResponseWriter, so a served
+// hit's B/op is the handler's and the harness's request, not a recorder.
+type hitWriter struct {
+	hdr  http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (w *hitWriter) Header() http.Header         { return w.hdr }
+func (w *hitWriter) WriteHeader(code int)        { w.code = code }
+func (w *hitWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// benchServeHit measures a warm POST /query answered from the result
+// cache, through Handler().ServeHTTP in-process on the smoke corpus:
+// request decode, plan and result look-ups, response envelope, one
+// Write. ns/node is the whole request over the nodes returned.
+func benchServeHit(b *testing.B, body string) {
+	cat := catalog.New(0)
+	if err := cat.AddDocument("d", corpus.Doc(0.5)); err != nil {
+		b.Fatal(err)
+	}
+	h := server.New(server.Config{Catalog: cat, CacheBytes: 64 << 20, ShareScans: true}).Handler()
+	w := &hitWriter{hdr: http.Header{}}
+	u := &url.URL{Path: "/query"}
+	post := func() {
+		w.code = 0
+		w.body.Reset()
+		h.ServeHTTP(w, &http.Request{
+			Method: http.MethodPost, URL: u, Host: "bench", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)),
+		})
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d: %.200s", w.code, w.body.Bytes())
+		}
+	}
+	post() // miss
+	post() // first hit: the entry gets its encoding
+	if !bytes.Contains(w.body.Bytes(), []byte(`"cached":true`)) {
+		b.Fatalf("not a cache hit: %.200s", w.body.Bytes())
+	}
+	_, array, _ := bytes.Cut(w.body.Bytes(), []byte(`"nodes":[`))
+	array, _, _ = bytes.Cut(array, []byte("]"))
+	nodes := bytes.Count(array, []byte(",")) + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
+}
+
+// BenchmarkServeHitSmall is the light class of the repository
+// benchmark's serve_hot workload: a limited path, ten nodes.
+func BenchmarkServeHitSmall(b *testing.B) {
+	benchServeHit(b, `{"doc":"d","query":"/descendant::person/descendant::name","limit":10}`)
+}
+
+// BenchmarkServeHitLarge is its heavy class: every node of the document
+// (about 9 000), where the parent spent 25 ns per node re-encoding.
+func BenchmarkServeHitLarge(b *testing.B) {
+	benchServeHit(b, `{"doc":"d","query":"/descendant::node()"}`)
+}
 
 // BenchmarkIndexBuild measures the one-off O(n) index construction the
 // warm path amortises (also the in-memory cost of loading a v1/SCJ1

@@ -14,8 +14,10 @@ import (
 // Keys are built by cacheKey from (document name, load generation,
 // strategy, pushdown, query text) — see docs/ARCHITECTURE.md for why
 // parallelism is deliberately *not* part of the key. Values are the
-// immutable result node slices; entries are charged 4 bytes per node
-// plus the key.
+// immutable result node slices plus, once an entry has been hit, the
+// JSON text of that slice, so later hits copy bytes instead of
+// re-encoding nodes; an entry never re-read never pays for one. Entries
+// are charged 4 bytes per node, the key and the encoding's length.
 type resultCache struct {
 	seed   maphash.Seed
 	shards []cacheShard
@@ -26,13 +28,22 @@ type cacheShard struct {
 	ll       *list.List // front = most recent
 	m        map[string]*list.Element
 	bytes    int64
+	encBytes int64 // the part of bytes held as encodings
 	maxBytes int64
 }
 
 type cacheEntry struct {
 	key   string
 	nodes []int32
+	enc   []byte // appendNodes(nil, nodes), attached by the first hit
 	bytes int64
+}
+
+// cached is the view of an entry a hit hands out; both slices are
+// read-only.
+type cached struct {
+	nodes []int32
+	enc   []byte // nil until attached
 }
 
 const cacheShards = 16
@@ -57,35 +68,72 @@ func newResultCache(maxBytes int64) *resultCache {
 	return c
 }
 
-func (c *resultCache) shard(key string) *cacheShard {
+// shard picks a shard by key hash (maphash.String and maphash.Bytes
+// agree): nil when the cache is disabled.
+func (c *resultCache) shard(hash uint64) *cacheShard {
 	if len(c.shards) == 0 {
 		return nil
 	}
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
+	return &c.shards[hash%uint64(len(c.shards))]
 }
 
-// Get returns the cached nodes for key. Callers must not modify the
-// returned slice.
-func (c *resultCache) Get(key string) ([]int32, bool) {
-	s := c.shard(key)
+// Get returns the entry under key and makes it the most recent. The key
+// is bytes so that a hit can look up a pooled buffer without building a
+// string.
+func (c *resultCache) Get(key []byte) (cached, bool) {
+	s := c.shard(maphash.Bytes(c.seed, key))
 	if s == nil {
-		return nil, false
+		return cached{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.m[key]
+	el, ok := s.m[string(key)]
 	if !ok {
-		return nil, false
+		return cached{}, false
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).nodes, true
+	e := el.Value.(*cacheEntry)
+	return cached{nodes: e.nodes, enc: e.enc}, true
+}
+
+// Attach offers enc as the encoding of the entry that holds nodes under
+// key and returns the encoding to serve: the entry's own if an earlier
+// hit attached one, else enc — retained, and charged to the budget at
+// the expense of colder entries, when the entry with it fits its shard
+// and still holds nodes.
+func (c *resultCache) Attach(key []byte, nodes []int32, enc []byte) []byte {
+	s := c.shard(maphash.Bytes(c.seed, key))
+	if s == nil {
+		return enc
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.m[string(key)]
+	if !ok {
+		return enc
+	}
+	e := el.Value.(*cacheEntry)
+	switch {
+	case len(e.nodes) != len(nodes) || (len(nodes) > 0 && &e.nodes[0] != &nodes[0]):
+		// replaced since the Get
+	case e.enc != nil:
+		return e.enc
+	case e.bytes+int64(len(enc)) <= s.maxBytes:
+		e.enc = enc
+		e.bytes += int64(len(enc))
+		s.bytes += int64(len(enc))
+		s.encBytes += int64(len(enc))
+		s.ll.MoveToFront(el) // evictLocked must not reach the entry itself
+		s.evictLocked()
+	}
+	return enc
 }
 
 // Put stores nodes under key, evicting least-recently-used entries to
 // stay within the shard budget. The slice is retained; callers must not
 // modify it afterwards.
 func (c *resultCache) Put(key string, nodes []int32) {
-	s := c.shard(key)
+	s := c.shard(maphash.String(c.seed, key))
 	if s == nil {
 		return
 	}
@@ -99,40 +147,47 @@ func (c *resultCache) Put(key string, nodes []int32) {
 		s.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
 		s.bytes += cost - e.bytes
-		e.nodes, e.bytes = nodes, cost
+		s.encBytes -= int64(len(e.enc))
+		e.nodes, e.enc, e.bytes = nodes, nil, cost
 	} else {
 		s.m[key] = s.ll.PushFront(&cacheEntry{key: key, nodes: nodes, bytes: cost})
 		s.bytes += cost
 	}
+	s.evictLocked()
+}
+
+// evictLocked drops least-recently-used entries until the shard is
+// within budget. Callers hold s.mu and have moved the entry they just
+// charged to the front, and no single entry exceeds the budget, so the
+// loop ends before it reaches that entry.
+func (s *cacheShard) evictLocked() {
 	for s.bytes > s.maxBytes {
-		el := s.ll.Back()
-		if el == nil {
-			break
-		}
-		e := s.ll.Remove(el).(*cacheEntry)
+		e := s.ll.Remove(s.ll.Back()).(*cacheEntry)
 		delete(s.m, e.key)
 		s.bytes -= e.bytes
+		s.encBytes -= int64(len(e.enc))
 	}
+}
+
+// sum adds f over the shards, each under its lock.
+func (c *resultCache) sum(f func(*cacheShard) int64) (n int64) {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+		n += f(&c.shards[i])
+		c.shards[i].mu.Unlock()
+	}
+	return n
 }
 
 // Len returns the number of cached entries across all shards.
 func (c *resultCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
+	return int(c.sum(func(s *cacheShard) int64 { return int64(len(s.m)) }))
 }
 
 // Bytes returns the charged bytes across all shards.
-func (c *resultCache) Bytes() int64 {
-	var n int64
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += c.shards[i].bytes
-		c.shards[i].mu.Unlock()
-	}
-	return n
+func (c *resultCache) Bytes() int64 { return c.sum(func(s *cacheShard) int64 { return s.bytes }) }
+
+// EncodedBytes returns the part of Bytes held as encodings.
+func (c *resultCache) EncodedBytes() int64 {
+	return c.sum(func(s *cacheShard) int64 { return s.encBytes })
 }

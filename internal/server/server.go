@@ -59,6 +59,7 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -66,8 +67,8 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,21 +159,25 @@ type Server struct {
 	compiled   map[string]*list.Element
 	compiledLL *list.List // front = most recent; values are *compiledEntry
 
-	preparedMu  sync.Mutex
+	// The result-cache fast path sits behind prepare(), so a plan hit
+	// takes preparedMu shared — concurrent warm requests do not
+	// serialise, and the look-up reads the request's pooled key bytes
+	// without building a string — and skips the LRU recency bump (an
+	// approximation the 4096-entry budget tolerates).
+	preparedMu  sync.RWMutex
 	prepared    map[string]*list.Element
 	preparedLL  *list.List        // front = most recent; values are *preparedEntry
 	preparedGen map[string]uint64 // latest generation seen per document
-	// preparedFast mirrors the prepared LRU for lock-free hits: the
-	// result-cache fast path sits behind prepare(), so a hit here must
-	// not serialise concurrent warm requests on preparedMu. Hits skip
-	// the LRU recency bump (recency is maintained by slow-path touches
-	// only — an approximation the 4096-entry budget tolerates).
-	preparedFast sync.Map // key -> *preparedEntry
+
+	// defaultOpts is engineOptions(nil), resolved once: a request
+	// without options shares it read-only.
+	defaultOpts *engine.Options
 
 	queries     atomic.Int64
 	batches     atomic.Int64
 	streams     atomic.Int64
 	cacheHits   atomic.Int64
+	encodedHits atomic.Int64 // hits that copied the entry's encoding
 	cacheMisses atomic.Int64
 	planHits    atomic.Int64
 	planMisses  atomic.Int64
@@ -246,6 +251,7 @@ func New(cfg Config) *Server {
 		},
 		OnWheelDone: func(cost int) { s.pool.release(cost) },
 	})
+	s.defaultOpts, _ = s.engineOptions(nil)
 	return s
 }
 
@@ -317,6 +323,83 @@ func (s *Server) requestCtx(r *http.Request, timeoutMs int) (context.Context, co
 	return context.WithTimeout(r.Context(), d)
 }
 
+// lazyCtx derives a /query request's evaluation context — deadline and
+// fault tag — on first use, so a request the result cache answers never
+// builds one. Batch items share it across goroutines.
+type lazyCtx struct {
+	s         *Server
+	r         *http.Request
+	timeoutMs int
+	once      sync.Once
+	ctx       context.Context
+	cancel    context.CancelFunc
+}
+
+func (l *lazyCtx) get() context.Context {
+	l.once.Do(func() {
+		l.ctx, l.cancel = l.s.requestCtx(l.r, l.timeoutMs)
+		l.ctx = fault.WithTag(l.ctx, "query")
+	})
+	return l.ctx
+}
+
+// done releases the context if the request derived one; the handler
+// calls it after every item has returned.
+func (l *lazyCtx) done() {
+	if l.cancel != nil {
+		l.cancel()
+	}
+}
+
+// reqState is the scratch of one POST /query or POST /stream request,
+// pooled so that a warm hit allocates none of it.
+type reqState struct {
+	req     QueryRequest
+	body    bytes.Buffer  // request body
+	queries []string      // Query, then Queries
+	results []QueryResult // one per query
+	key     []byte        // plan and cache key of the inline query
+	out     []byte        // encoded response (/stream: one line)
+	lc      lazyCtx
+	wg      sync.WaitGroup // batch items past the first
+}
+
+var reqStates = sync.Pool{New: func() any { return new(reqState) }}
+
+// maxPooledBuf is the largest buffer a reqState keeps between requests;
+// one huge response must not pin its encoding in the pool.
+const maxPooledBuf = 1 << 20
+
+// release returns st to the pool without the references it picked up:
+// result slices belong to the cache, strings to the request.
+func (st *reqState) release() {
+	clear(st.queries)
+	clear(st.results)
+	st.req, st.lc = QueryRequest{}, lazyCtx{}
+	if st.body.Cap() > maxPooledBuf {
+		st.body = bytes.Buffer{}
+	}
+	if cap(st.out) > maxPooledBuf {
+		st.out = nil
+	}
+	reqStates.Put(st)
+}
+
+// readRequest reads and decodes the body of a JSON endpoint into
+// st.req, answering 400 itself when it cannot.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, st *reqState) bool {
+	st.body.Reset()
+	_, err := st.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	if err == nil {
+		err = decodeRequest(st.body.Bytes(), &st.req)
+	}
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 // QueryOptions selects the evaluation configuration, mirroring
 // engine.Options with JSON-friendly names.
 type QueryOptions struct {
@@ -385,6 +468,9 @@ type QueryResult struct {
 	// else one of 400/408/499/500/503. Single-query requests surface it
 	// as the response code; batches stay 200 with per-item errors.
 	status int
+	// enc, when set, is the JSON text of Nodes from the result cache;
+	// the response copies it instead of encoding Nodes.
+	enc []byte
 }
 
 // QueryResponse is the POST /query response. Results align with the
@@ -417,6 +503,9 @@ var pushdowns = map[string]engine.Pushdown{
 // join workers for one query than the units the query holds in the
 // pool, keeping the "cannot oversubscribe the machine" contract honest.
 func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
+	if o == nil && s.defaultOpts != nil {
+		return s.defaultOpts, nil
+	}
 	opts := &engine.Options{
 		Parallelism:   s.cfg.DefaultParallelism,
 		MorselWorkers: s.cfg.MorselWorkers,
@@ -488,57 +577,58 @@ func workerCost(opts *engine.Options) int {
 	return cost
 }
 
-// cacheKey builds the result-cache key from the canonical
+// appendCacheKey appends the result-cache key built from the canonical
 // optimized-plan string. Document generation guards against
 // reload-after-eviction serving stale results; the canonical plan
 // covers the operator tree, strategy and pushdown policy, and — by
 // construction — collapses equivalent query texts ("//a/b" vs its
 // unabbreviated spelling) onto one entry, while parallelism and the
 // NoIndex ablation knob stay excluded (both are property-tested to be
-// byte-identical to the default evaluation).
-func cacheKey(docName string, gen uint64, canon string) string {
-	var sb strings.Builder
-	sb.Grow(len(docName) + len(canon) + 24)
-	sb.WriteString(docName)
-	sb.WriteByte(0)
-	sb.WriteString(strconv.FormatUint(gen, 10))
-	sb.WriteByte(0)
-	sb.WriteString(canon)
-	return sb.String()
+// byte-identical to the default evaluation). A limit joins the key:
+// truncated results must never collide with full ones or with other
+// limits.
+func appendCacheKey(dst []byte, docName string, gen uint64, canon string, limit int) []byte {
+	dst = append(dst, docName...)
+	dst = append(dst, 0)
+	dst = strconv.AppendUint(dst, gen, 10)
+	dst = append(dst, 0)
+	dst = append(dst, canon...)
+	if limit > 0 {
+		dst = append(dst, "\x00limit="...)
+		dst = strconv.AppendInt(dst, int64(limit), 10)
+	}
+	return dst
 }
 
-// preparedKey identifies a physical plan: document generation, full
-// options signature (parallelism and NoIndex change how a plan
-// executes, so prepared handles are per-knob even though results are
-// not), and the query text.
-func preparedKey(docName string, gen uint64, opts *engine.Options, query string) string {
-	var sb strings.Builder
-	sb.Grow(len(docName) + len(query) + 48)
-	sb.WriteString(docName)
-	sb.WriteByte(0)
-	sb.WriteString(strconv.FormatUint(gen, 10))
-	sb.WriteByte(0)
-	sb.WriteString(opts.Strategy.String())
-	sb.WriteByte(0)
-	sb.WriteString(opts.Pushdown.String())
-	sb.WriteByte(0)
-	sb.WriteString(strconv.Itoa(opts.Parallelism))
+// appendPreparedKey appends the key of a physical plan: document
+// generation, full options signature (parallelism and NoIndex change
+// how a plan executes, so prepared handles are per-knob even though
+// results are not), and the query text.
+func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Options, query string) []byte {
+	dst = append(dst, docName...)
+	dst = append(dst, 0)
+	dst = strconv.AppendUint(dst, gen, 10)
+	dst = append(dst, 0)
+	dst = append(dst, opts.Strategy.String()...)
+	dst = append(dst, 0)
+	dst = append(dst, opts.Pushdown.String()...)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(opts.Parallelism), 10)
 	if opts.MorselWorkers > 1 {
-		sb.WriteString(",morsels=")
-		sb.WriteString(strconv.Itoa(opts.MorselWorkers))
+		dst = append(dst, ",morsels="...)
+		dst = strconv.AppendInt(dst, int64(opts.MorselWorkers), 10)
 	}
 	if opts.NoIndex {
-		sb.WriteString(",noindex")
+		dst = append(dst, ",noindex"...)
 	}
 	if opts.NoValueIndex {
-		sb.WriteString(",novalueindex")
+		dst = append(dst, ",novalueindex"...)
 	}
 	if opts.NoReorder {
-		sb.WriteString(",noreorder")
+		dst = append(dst, ",noreorder"...)
 	}
-	sb.WriteByte(0)
-	sb.WriteString(query)
-	return sb.String()
+	dst = append(dst, 0)
+	return append(dst, query...)
 }
 
 // compile returns a compiled handle for the query text, LRU-cached.
@@ -575,15 +665,20 @@ func (s *Server) compile(query string) (*engine.Compiled, error) {
 // prepare returns the physical plan for (document, options, query),
 // LRU-cached per document generation: parse and logical rewrite come
 // from the compiled-query cache, the optimizer runs once per
-// generation × options × text.
-func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options) (*engine.Prepared, error) {
-	key := preparedKey(h.Name(), h.Generation(), opts, query)
-	if v, ok := s.preparedFast.Load(key); ok {
+// generation × options × text. The key is built in *kb, scratch the
+// caller may reuse afterwards.
+func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options, kb *[]byte) (*engine.Prepared, error) {
+	*kb = appendPreparedKey((*kb)[:0], h.Name(), h.Generation(), opts, query)
+	s.preparedMu.RLock()
+	el, ok := s.prepared[string(*kb)]
+	s.preparedMu.RUnlock()
+	if ok {
 		// The key embeds the generation, so a fast hit can never serve
 		// a stale document copy.
 		s.planHits.Add(1)
-		return v.(*preparedEntry).p, nil
+		return el.Value.(*preparedEntry).p, nil
 	}
+	key := string(*kb)
 	s.preparedMu.Lock()
 	s.dropStalePlansLocked(h.Name(), h.Generation())
 	if el, ok := s.prepared[key]; ok {
@@ -613,12 +708,10 @@ func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options) 
 	}
 	entry := &preparedEntry{key: key, doc: h.Name(), gen: h.Generation(), p: p}
 	s.prepared[key] = s.preparedLL.PushFront(entry)
-	s.preparedFast.Store(key, entry)
 	for len(s.prepared) > maxPrepared {
 		el := s.preparedLL.Back()
 		e := s.preparedLL.Remove(el).(*preparedEntry)
 		delete(s.prepared, e.key)
-		s.preparedFast.Delete(e.key)
 	}
 	return p, nil
 }
@@ -642,7 +735,6 @@ func (s *Server) dropStalePlansLocked(doc string, gen uint64) {
 		if e := el.Value.(*preparedEntry); e.doc == doc && e.gen != gen {
 			s.preparedLL.Remove(el)
 			delete(s.prepared, e.key)
-			s.preparedFast.Delete(e.key)
 		}
 		el = next
 	}
@@ -679,7 +771,7 @@ func (s *Server) classifyEvalErr(ctx context.Context, res *QueryResult, err erro
 // on their own goroutines, where an uncaught panic kills the process —
 // is recovered into a 500-classified result; the deferred release
 // keeps the worker budget balanced on that path.
-func (s *Server) evalOne(ctx context.Context, h *catalog.Handle, query string, opts *engine.Options, noCache bool, limit int) (res QueryResult) {
+func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *engine.Options, noCache bool, limit int, kb *[]byte) (res QueryResult) {
 	start := time.Now()
 	res = QueryResult{Query: query}
 	defer func() {
@@ -689,33 +781,38 @@ func (s *Server) evalOne(ctx context.Context, h *catalog.Handle, query string, o
 			res.ElapsedNs = time.Since(start).Nanoseconds()
 		}
 	}()
-	p, err := s.prepare(h, query, opts)
+	p, err := s.prepare(h, query, opts, kb)
 	if err != nil {
 		res.Error = err.Error()
 		res.status = http.StatusBadRequest
 		return res
 	}
-	key := cacheKey(h.Name(), h.Generation(), p.Canon())
-	if limit > 0 {
-		// Truncated results must never collide with full ones (or with
-		// other limits): the limit joins the key.
-		key += "\x00limit=" + strconv.Itoa(limit)
-	}
+	*kb = appendCacheKey((*kb)[:0], h.Name(), h.Generation(), p.Canon(), limit)
 	if !noCache {
-		if nodes, ok := s.cache.Get(key); ok {
+		if e, ok := s.cache.Get(*kb); ok {
 			s.cacheHits.Add(1)
-			res.Nodes = nodes
-			res.Count = len(nodes)
+			res.Nodes = e.nodes
+			if res.enc = e.enc; res.enc != nil {
+				s.encodedHits.Add(1)
+			} else {
+				// First hit: the entry has proved worth re-reading, so
+				// it gets its encoding now rather than at insert.
+				res.enc = s.cache.Attach(*kb, e.nodes, appendNodes(nil, e.nodes))
+			}
+			res.Count = len(e.nodes)
 			// A stored limited result of exactly `limit` nodes may have
 			// more behind it — the same conservative report EvalLimit
 			// itself gives at the boundary.
-			res.Truncated = limit > 0 && len(nodes) >= limit
+			res.Truncated = limit > 0 && len(e.nodes) >= limit
 			res.Cached = true
 			res.ElapsedNs = time.Since(start).Nanoseconds()
 			return res
 		}
 		s.cacheMisses.Add(1)
 	}
+	// Only a miss needs the key as a string and the request's context.
+	key := string(*kb)
+	ctx := lc.get()
 	if s.cfg.ShareScans && !noCache {
 		nodes, coalesced, serr := s.sharedEval(ctx, p, key, opts, limit)
 		elapsed := time.Since(start)
@@ -791,12 +888,9 @@ func (l *limitCursor) Next() ([]int32, error) {
 
 func (l *limitCursor) Close() { l.cur.Close() }
 
-// sharedEval evaluates through the pace-car registry: identical
-// concurrent cache misses share one execution keyed exactly like their
-// cache entry, and the completed buffer retires into the cache through
-// the flight. The returned bool reports coalescing (this client
-// attached to a flight another request created).
-func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, opts *engine.Options, limit int) ([]int32, bool, error) {
+// joinFlight joins (or creates) the in-flight execution of p under its
+// cache key; the completed buffer retires into the result cache.
+func (s *Server) joinFlight(p *engine.Prepared, key string, opts *engine.Options, limit int) (*share.Follower, bool) {
 	open := func(fctx context.Context) (share.Cursor, error) {
 		cur, err := p.Cursor(fctx)
 		if err != nil {
@@ -808,7 +902,16 @@ func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string,
 		return cur, nil
 	}
 	retire := func(nodes []int32) { s.cache.Put(key, nodes) }
-	f, created := s.flights.Join(key, workerCost(opts), open, retire)
+	return s.flights.Join(key, workerCost(opts), open, retire)
+}
+
+// sharedEval evaluates through the pace-car registry: identical
+// concurrent cache misses share one execution keyed exactly like their
+// cache entry, and the completed buffer retires into the cache through
+// the flight. The returned bool reports coalescing (this client
+// attached to a flight another request created).
+func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, opts *engine.Options, limit int) ([]int32, bool, error) {
+	f, created := s.joinFlight(p, key, opts, limit)
 	defer f.Close()
 	var nodes []int32
 	for {
@@ -824,16 +927,18 @@ func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string,
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody()))
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	st := reqStates.Get().(*reqState)
+	defer st.release()
+	if !s.readRequest(w, r, st) {
 		return
 	}
-	queries := req.Queries
+	req := &st.req
+	queries := st.queries[:0]
 	if req.Query != "" {
-		queries = append([]string{req.Query}, queries...)
+		queries = append(queries, req.Query)
 	}
+	queries = append(queries, req.Queries...)
+	st.queries = queries
 	if len(queries) == 0 {
 		s.fail(w, http.StatusBadRequest, "no query given")
 		return
@@ -854,32 +959,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.Close()
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
-	defer cancel()
-	ctx = fault.WithTag(ctx, "query")
+	st.lc = lazyCtx{s: s, r: r, timeoutMs: req.TimeoutMs}
+	defer st.lc.done()
 
-	resp := QueryResponse{Doc: h.Name(), Generation: h.Generation(), Results: make([]QueryResult, len(queries))}
+	results := slices.Grow(st.results[:0], len(queries))[:len(queries)]
+	st.results = results
 	// Batch items past the first are independent goroutines (the worker
 	// semaphore inside evalOne bounds how many actually evaluate at
 	// once); the first runs here, so a one-query request spawns none —
 	// a goroutine and a wake-up would cost more than a small cache hit.
-	var wg sync.WaitGroup
 	for i, q := range queries[1:] {
-		wg.Add(1)
+		st.wg.Add(1)
 		go func(i int, q string) {
-			defer wg.Done()
-			resp.Results[i] = s.evalOne(ctx, h, q, opts, req.NoCache, req.Limit)
+			defer st.wg.Done()
+			results[i] = s.evalOne(&st.lc, h, q, opts, req.NoCache, req.Limit, new([]byte))
 		}(i+1, q)
 	}
-	resp.Results[0] = s.evalOne(ctx, h, queries[0], opts, req.NoCache, req.Limit)
-	wg.Wait()
+	results[0] = s.evalOne(&st.lc, h, queries[0], opts, req.NoCache, req.Limit, &st.key)
+	st.wg.Wait()
 
 	s.queries.Add(int64(len(queries)))
 	if len(queries) > 1 {
 		s.batches.Add(1)
 	}
-	for i := range resp.Results {
-		res := &resp.Results[i]
+	for i := range results {
+		res := &results[i]
 		if res.Error != "" {
 			s.errors.Add(1)
 		}
@@ -891,18 +995,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// status (503 carries Retry-After so clients back off; a gone
 	// client gets nothing). Batches stay 200 with per-item errors: a
 	// shed or timed-out item must not mask its siblings' results.
-	if len(queries) == 1 && resp.Results[0].status != 0 {
-		code := resp.Results[0].status
+	code := http.StatusOK
+	if len(queries) == 1 && results[0].status != 0 {
+		code = results[0].status
 		if code == statusClientClosed {
 			return
 		}
 		if code == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, code, resp)
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	st.out = appendQueryResponse(st.out[:0], &QueryResponse{Doc: h.Name(), Generation: h.Generation(), Results: results})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(st.out)
 }
 
 // StreamChunk is one NDJSON line of a POST /stream response: either a
@@ -930,12 +1036,12 @@ type StreamChunk struct {
 // cancels the request context, the cursor stops between batches, and
 // the units release.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody()))
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	st := reqStates.Get().(*reqState)
+	defer st.release()
+	if !s.readRequest(w, r, st) {
 		return
 	}
+	req := &st.req
 	if req.Query == "" || len(req.Queries) > 0 {
 		s.fail(w, http.StatusBadRequest, "POST /stream takes exactly one query")
 		return
@@ -951,7 +1057,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Close()
-	p, err := s.prepare(h, req.Query, opts)
+	p, err := s.prepare(h, req.Query, opts, &st.key)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -959,8 +1065,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	ctx = fault.WithTag(ctx, "stream")
+	lw := lineWriter{w: w, buf: &st.out}
+	lw.flusher, _ = w.(http.Flusher)
 	if s.cfg.ShareScans && !req.NoCache {
-		s.streamShared(w, ctx, h, p, opts, req)
+		s.streamShared(&lw, ctx, h, p, opts, req.Limit, &st.key)
 		return
 	}
 	start := time.Now()
@@ -976,41 +1084,72 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cur.Close()
+	var next interface{ Next() ([]int32, error) } = cur
+	if req.Limit > 0 {
+		next = &limitCursor{cur: cur, left: req.Limit}
+	}
 
 	s.streams.Add(1)
 	s.queries.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	count := 0
-	truncated := false
+	if count, ok := s.pump(&lw, ctx, func() ([]int32, error) { return safeStreamNext(next) }); ok {
+		s.finishStream(&lw, h, start, count, req.Limit, false, false)
+	}
+}
+
+// pump writes the batches next yields as NDJSON lines until it is
+// exhausted and returns how many nodes went out; after a failure it has
+// written the error line and reports false.
+func (s *Server) pump(lw *lineWriter, ctx context.Context, next func() ([]int32, error)) (count int, ok bool) {
 	for {
-		b, err := safeStreamNext(cur)
+		b, err := next()
 		if err != nil {
-			s.streamError(enc, ctx, err)
-			return
+			s.streamError(lw, ctx, err)
+			return count, false
 		}
 		if b == nil {
-			break
-		}
-		if req.Limit > 0 && count+len(b) >= req.Limit {
-			b = b[:req.Limit-count]
-			count += len(b)
-			if len(b) > 0 {
-				_ = enc.Encode(StreamChunk{Nodes: b})
-			}
-			truncated = true // limit reached; more may exist
-			break
+			return count, true
 		}
 		count += len(b)
-		_ = enc.Encode(StreamChunk{Nodes: b})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		lw.sendNodes(b)
 	}
+}
+
+// finishStream writes a stream's terminal line. Reaching the limit
+// reports truncated: more may exist.
+func (s *Server) finishStream(lw *lineWriter, h *catalog.Handle, start time.Time, count, limit int, coalesced, cached bool) {
 	elapsed := time.Since(start)
 	h.RecordQuery(elapsed)
-	_ = enc.Encode(StreamChunk{Done: true, Count: count, Truncated: truncated, ElapsedNs: elapsed.Nanoseconds()})
+	lw.send(&StreamChunk{
+		Done:      true,
+		Count:     count,
+		Truncated: limit > 0 && count >= limit,
+		Coalesced: coalesced,
+		Cached:    cached,
+		ElapsedNs: elapsed.Nanoseconds(),
+	})
+}
+
+// lineWriter writes the NDJSON lines of a /stream response: each is
+// encoded into the request's pooled buffer and sent with one Write.
+type lineWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	buf     *[]byte
+}
+
+func (lw *lineWriter) send(c *StreamChunk) {
+	*lw.buf = appendStreamChunk((*lw.buf)[:0], c)
+	_, _ = lw.w.Write(*lw.buf)
+}
+
+// sendNodes writes a batch of result nodes and pushes it out to the
+// client: a stream's first results must not wait for its last.
+func (lw *lineWriter) sendNodes(b []int32) {
+	lw.send(&StreamChunk{Nodes: b})
+	if lw.flusher != nil {
+		lw.flusher.Flush()
+	}
 }
 
 // safeStreamNext pulls the next batch from a streaming cursor with
@@ -1028,11 +1167,11 @@ func safeStreamNext(cur interface{ Next() ([]int32, error) }) (b []int32, err er
 
 // streamError terminates a stream with an error line, counting
 // timeouts and cancels like the batch path.
-func (s *Server) streamError(enc *json.Encoder, ctx context.Context, err error) {
+func (s *Server) streamError(lw *lineWriter, ctx context.Context, err error) {
 	var res QueryResult
 	s.classifyEvalErr(ctx, &res, err)
 	s.errors.Add(1)
-	_ = enc.Encode(StreamChunk{Error: err.Error()})
+	lw.send(&StreamChunk{Error: err.Error()})
 }
 
 // failEval maps an admission or deadline failure to an HTTP response,
@@ -1058,70 +1197,33 @@ func (s *Server) failEval(w http.ResponseWriter, ctx context.Context, err error)
 // streams run the plan exactly once. Only the current driver holds
 // worker-budget units (via the registry's wheel hooks); followers are
 // blocked handlers replaying shared batches.
-func (s *Server) streamShared(w http.ResponseWriter, ctx context.Context, h *catalog.Handle, p *engine.Prepared, opts *engine.Options, req QueryRequest) {
-	key := cacheKey(h.Name(), h.Generation(), p.Canon())
-	if req.Limit > 0 {
-		key += "\x00limit=" + strconv.Itoa(req.Limit)
-	}
+func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *engine.Prepared, opts *engine.Options, limit int, kb *[]byte) {
+	*kb = appendCacheKey((*kb)[:0], h.Name(), h.Generation(), p.Canon(), limit)
 	start := time.Now()
 	s.streams.Add(1)
 	s.queries.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	finish := func(count int, coalesced, cached bool) {
-		elapsed := time.Since(start)
-		h.RecordQuery(elapsed)
-		_ = enc.Encode(StreamChunk{
-			Done:      true,
-			Count:     count,
-			Truncated: req.Limit > 0 && count >= req.Limit,
-			Coalesced: coalesced,
-			Cached:    cached,
-			ElapsedNs: elapsed.Nanoseconds(),
-		})
-	}
-	if nodes, ok := s.cache.Get(key); ok {
+	lw.w.Header().Set("Content-Type", "application/x-ndjson")
+	if e, ok := s.cache.Get(*kb); ok {
 		s.cacheHits.Add(1)
 		const chunk = 1024
-		for off := 0; off < len(nodes); off += chunk {
-			end := min(off+chunk, len(nodes))
-			_ = enc.Encode(StreamChunk{Nodes: nodes[off:end]})
+		for off := 0; off < len(e.nodes); off += chunk {
+			// The replay obeys the request like a live stream: a deadline
+			// or a gone client stops it between chunks.
+			if err := ctx.Err(); err != nil {
+				s.streamError(lw, ctx, err)
+				return
+			}
+			lw.sendNodes(e.nodes[off:min(off+chunk, len(e.nodes))])
 		}
-		finish(len(nodes), false, true)
+		s.finishStream(lw, h, start, len(e.nodes), limit, false, true)
 		return
 	}
 	s.cacheMisses.Add(1)
-	open := func(fctx context.Context) (share.Cursor, error) {
-		cur, err := p.Cursor(fctx)
-		if err != nil {
-			return nil, err
-		}
-		if req.Limit > 0 {
-			return &limitCursor{cur: cur, left: req.Limit}, nil
-		}
-		return cur, nil
-	}
-	retire := func(nodes []int32) { s.cache.Put(key, nodes) }
-	f, created := s.flights.Join(key, workerCost(opts), open, retire)
+	f, created := s.joinFlight(p, string(*kb), opts, limit)
 	defer f.Close()
-	count := 0
-	for {
-		b, err := f.Next(ctx)
-		if err != nil {
-			s.streamError(enc, ctx, err)
-			return
-		}
-		if b == nil {
-			break
-		}
-		count += len(b)
-		_ = enc.Encode(StreamChunk{Nodes: b})
-		if flusher != nil {
-			flusher.Flush()
-		}
+	if count, ok := s.pump(lw, ctx, func() ([]int32, error) { return f.Next(ctx) }); ok {
+		s.finishStream(lw, h, start, count, limit, !created, false)
 	}
-	finish(count, !created, false)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -1195,7 +1297,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Close()
-	p, err := s.prepare(h, query, opts)
+	p, err := s.prepare(h, query, opts, new([]byte))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1278,11 +1380,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("cache_misses_total", s.cacheMisses.Load())
 	emit("cache_entries", int64(s.cache.Len()))
 	emit("cache_bytes", s.cache.Bytes())
+	emit("cache_encoded_bytes", s.cache.EncodedBytes())
+	emit("cache_encoded_hits_total", s.encodedHits.Load())
 	emit("plan_cache_hits_total", s.planHits.Load())
 	emit("plan_cache_misses_total", s.planMisses.Load())
-	s.preparedMu.Lock()
+	s.preparedMu.RLock()
 	emit("plan_cache_entries", int64(len(s.prepared)))
-	s.preparedMu.Unlock()
+	s.preparedMu.RUnlock()
 	created, coalesced, handoffs := s.flights.Stats()
 	emit("shared_flights_total", created)
 	emit("coalesced_queries_total", coalesced)

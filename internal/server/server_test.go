@@ -759,7 +759,7 @@ func TestStalePreparedPlansDropOnReload(t *testing.T) {
 		defer h.Close()
 		gen := h.Generation()
 		for _, q := range []string{"//person", "//bidder", "//increase"} {
-			if _, err := s.prepare(h, q, &engine.Options{Parallelism: 1}); err != nil {
+			if _, err := s.prepare(h, q, &engine.Options{Parallelism: 1}, new([]byte)); err != nil {
 				t.Fatal(err)
 			}
 		}

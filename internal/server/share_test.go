@@ -263,10 +263,10 @@ func TestMorselWorkersOption(t *testing.T) {
 
 	// Distinct morsel widths must not collide in the prepared-plan
 	// cache (the option changes how a plan executes).
-	k2 := preparedKey("mem", 1, &engine.Options{Parallelism: 1, MorselWorkers: 2}, q)
-	k4 := preparedKey("mem", 1, &engine.Options{Parallelism: 1, MorselWorkers: 4}, q)
-	if k2 == k4 {
-		t.Fatal("preparedKey ignores MorselWorkers")
+	k2 := appendPreparedKey(nil, "mem", 1, &engine.Options{Parallelism: 1, MorselWorkers: 2}, q)
+	k4 := appendPreparedKey(nil, "mem", 1, &engine.Options{Parallelism: 1, MorselWorkers: 4}, q)
+	if bytes.Equal(k2, k4) {
+		t.Fatal("appendPreparedKey ignores MorselWorkers")
 	}
 	_ = s
 }
