@@ -48,6 +48,12 @@ type cached struct {
 
 const cacheShards = 16
 
+// minEncodedNodes is the smallest result that gets an encoding. A hit on
+// a smaller one encodes its nodes afresh — a few microseconds at most —
+// and the budget its encoding would take (about 1.7x the nodes) holds
+// entries instead.
+const minEncodedNodes = 1024
+
 // newResultCache builds a cache with the given total byte budget.
 // A budget <= 0 disables caching (Get always misses, Put drops).
 func newResultCache(maxBytes int64) *resultCache {
@@ -98,9 +104,9 @@ func (c *resultCache) Get(key []byte) (cached, bool) {
 
 // Attach offers enc as the encoding of the entry that holds nodes under
 // key and returns the encoding to serve: the entry's own if an earlier
-// hit attached one, else enc — retained, and charged to the budget at
-// the expense of colder entries, when the entry with it fits its shard
-// and still holds nodes.
+// hit attached one, else enc — retained, and charged like the nodes, only
+// if the shard has the room as it stands. An encoding never evicts an
+// entry: one lost that way would turn a hit into an evaluation.
 func (c *resultCache) Attach(key []byte, nodes []int32, enc []byte) []byte {
 	s := c.shard(maphash.Bytes(c.seed, key))
 	if s == nil {
@@ -118,13 +124,11 @@ func (c *resultCache) Attach(key []byte, nodes []int32, enc []byte) []byte {
 		// replaced since the Get
 	case e.enc != nil:
 		return e.enc
-	case e.bytes+int64(len(enc)) <= s.maxBytes:
+	case s.bytes+int64(len(enc)) <= s.maxBytes:
 		e.enc = enc
 		e.bytes += int64(len(enc))
 		s.bytes += int64(len(enc))
 		s.encBytes += int64(len(enc))
-		s.ll.MoveToFront(el) // evictLocked must not reach the entry itself
-		s.evictLocked()
 	}
 	return enc
 }
@@ -153,15 +157,7 @@ func (c *resultCache) Put(key string, nodes []int32) {
 		s.m[key] = s.ll.PushFront(&cacheEntry{key: key, nodes: nodes, bytes: cost})
 		s.bytes += cost
 	}
-	s.evictLocked()
-}
-
-// evictLocked drops least-recently-used entries until the shard is
-// within budget. Callers hold s.mu and have moved the entry they just
-// charged to the front, and no single entry exceeds the budget, so the
-// loop ends before it reaches that entry.
-func (s *cacheShard) evictLocked() {
-	for s.bytes > s.maxBytes {
+	for s.bytes > s.maxBytes { // ends before the entry just moved to the front
 		e := s.ll.Remove(s.ll.Back()).(*cacheEntry)
 		delete(s.m, e.key)
 		s.bytes -= e.bytes

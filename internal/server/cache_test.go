@@ -94,9 +94,9 @@ func chargedBytes(c *resultCache) (total, encoded int64) {
 }
 
 func TestCacheEncodingsStayInBudget(t *testing.T) {
-	const budget = 16 * 2000
+	const budget = 16 * 4000
 	c := newResultCache(budget)
-	keys := make([]string, 200)
+	keys := make([]string, 100) // about 6 entries of <= 400 B a shard: room for some encodings, not all
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 		nodes := make([]int32, 20+i%60)
@@ -114,25 +114,28 @@ func TestCacheEncodingsStayInBudget(t *testing.T) {
 		}
 	}
 	check("after puts")
-	attached := 0
-	for _, k := range keys { // hits on every surviving entry attach encodings and push colder ones out
-		if e, ok := c.Get([]byte(k)); ok {
-			enc := appendNodes(nil, e.nodes)
-			if got := c.Attach([]byte(k), e.nodes, enc); &got[0] != &enc[0] {
-				t.Fatalf("first Attach on %s returned another encoding", k)
-			}
-			if again, ok := c.Get([]byte(k)); !ok || again.enc == nil {
-				t.Fatalf("%s lost its entry or its encoding on Attach", k)
-			}
+	entries, attached := c.Len(), 0
+	for _, k := range keys { // a hit on every entry: encodings attach while their shard has room
+		e, ok := c.Get([]byte(k))
+		if !ok {
+			continue
+		}
+		enc, before := appendNodes(nil, e.nodes), c.EncodedBytes()
+		if got := c.Attach([]byte(k), e.nodes, enc); &got[0] != &enc[0] {
+			t.Fatalf("first Attach on %s returned another encoding", k)
+		}
+		if again, _ := c.Get([]byte(k)); again.enc != nil {
 			if got := c.Attach([]byte(k), e.nodes, appendNodes(nil, e.nodes)); &got[0] != &enc[0] {
 				t.Fatalf("second Attach on %s replaced the first encoding", k)
 			}
 			attached++
-			check("after attach " + k)
+		} else if c.EncodedBytes() != before {
+			t.Fatalf("%s kept no encoding but was charged for one", k)
 		}
+		check("after attach " + k)
 	}
-	if attached == 0 || c.EncodedBytes() == 0 {
-		t.Fatalf("%d encodings attached, %d bytes", attached, c.EncodedBytes())
+	if attached == 0 || c.Len() != entries {
+		t.Fatalf("%d encodings attached; %d entries before, %d after: an encoding must not evict", attached, entries, c.Len())
 	}
 
 	// Replacing an entry drops its encoding, and one made from the old
@@ -151,7 +154,7 @@ func TestCacheEncodingsStayInBudget(t *testing.T) {
 
 	// An encoding that does not fit beside its nodes is handed back for
 	// this response but not kept; the entry stays.
-	big := make([]int32, 400) // 1 600 B of a 2 000 B shard
+	big := make([]int32, 800) // 3 200 B of a 4 000 B shard
 	for i := range big {
 		big[i] = int32(1000000 + i)
 	}

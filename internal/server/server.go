@@ -794,7 +794,7 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *eng
 			res.Nodes = e.nodes
 			if res.enc = e.enc; res.enc != nil {
 				s.encodedHits.Add(1)
-			} else {
+			} else if len(e.nodes) >= minEncodedNodes {
 				// First hit: the entry has proved worth re-reading, so
 				// it gets its encoding now rather than at insert.
 				res.enc = s.cache.Attach(*kb, e.nodes, appendNodes(nil, e.nodes))
