@@ -15,47 +15,52 @@ func TestStreamExperiment(t *testing.T) {
 	}
 }
 
-// TestEvalFirstWallTime is the streaming acceptance criterion:
-// EvalLimit(1) on the exists-semijoin query class must complete in
-// <= 20% of the full Eval wall time (in practice it is a small fixed
-// cost, orders of magnitude below). Measured on a 4 MB document: on
-// the 0.5 MB smoke doc the full evaluation is ~10µs, close enough to
-// EvalLimit's ~1µs fixed cost that scheduler noise from concurrently
-// testing packages can push the ratio over the bar.
+// TestEvalFirstWallTime is the streaming acceptance criterion, stated as
+// work: EvalLimit(1) on the exists-semijoin query class touches, per
+// step, at most the first window its cursor kernels are handed plus the
+// context they pulled, while the full evaluation scans at least 20 times
+// that bound. (It used to compare two wall-clock medians; the name stays
+// for the test floor.)
 func TestEvalFirstWallTime(t *testing.T) {
+	const firstWindow = 16 // plan's execBatchMin: the first buffer a kernel scans into
 	c := NewCorpus()
 	d := c.Doc(4)
 	d.TagIndex()
-	e := engine.New(d)
-	p, err := e.PrepareString(QStream, nil)
+	p, err := engine.New(d).PrepareString(QStream, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	var fullN int
-	full := timeIt(7, func() {
-		r, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
+	scanned := func(steps []engine.StepReport) (n int64) {
+		for _, s := range steps {
+			n += s.Core.Scanned
 		}
-		fullN = len(r.Nodes)
-	})
-	if fullN == 0 {
+		return n
+	}
+	full, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Nodes) == 0 {
 		t.Fatal("fixture query returned nothing; acceptance criterion vacuous")
 	}
-	first := timeIt(7, func() {
-		r, err := p.EvalLimit(ctx, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Nodes) != 1 || !r.Truncated {
-			t.Fatalf("EvalLimit(1): %d nodes, truncated=%v", len(r.Nodes), r.Truncated)
-		}
-	})
-	if limit := full / 5; first > limit {
-		t.Fatalf("EvalLimit(1) took %v, over 20%% of full Eval (%v)", first, full)
+	first, err := p.EvalLimit(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("full=%v first=%v (%.1f%%)", full, first, 100*float64(first)/float64(full))
+	if len(first.Nodes) != 1 || first.Nodes[0] != full.Nodes[0] || !first.Truncated {
+		t.Fatalf("EvalLimit(1): nodes %v, truncated=%v; want [%d], true", first.Nodes, first.Truncated, full.Nodes[0])
+	}
+	var bound int64
+	for _, s := range first.Steps {
+		bound += firstWindow + int64(s.InputSize)
+	}
+	if got := scanned(first.Steps); got > bound {
+		t.Errorf("EvalLimit(1) scanned %d nodes, want <= %d (first window + pulled context per step)", got, bound)
+	}
+	if got := scanned(full.Steps); got < 20*bound {
+		t.Errorf("full evaluation scanned %d nodes, want >= 20 x %d", got, bound)
+	}
+	t.Logf("full scanned %d, first scanned %d (bound %d)", scanned(full.Steps), scanned(first.Steps), bound)
 }
 
 // TestEvalFirstAllocs: the executor's bounded-memory claim in absolute

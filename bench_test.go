@@ -504,6 +504,47 @@ func BenchmarkPlanRunHeavy(b *testing.B) {
 	}
 }
 
+// BenchmarkCursorDrain pulls k nodes through the cursor executor from
+// the plans of the repository benchmark's stream_first_k workload whose
+// cost is the cursor kernels' own, on the same 16 MB document: the two
+// k = 10 000 drains, the two following steps that used to drain their
+// context first, and a predicate path. It reports B/op, ns per result
+// node and the staircase kernels' Scanned per result node.
+func BenchmarkCursorDrain(b *testing.B) {
+	for _, q := range []struct {
+		name, query string
+		k           int
+	}{
+		{"text-anc-node-10k", "/descendant::text()/ancestor::node()", 10000},
+		{"increase-anc-bidder-10k", "/descendant::increase/ancestor::bidder", 10000},
+		{"seller-fol-bidder-10", "/descendant::seller/following::bidder", 10},
+		{"item-text-fol-keyword-10", "//item//text()/following::keyword", 10},
+		{"person-pred-10", "//person[profile/education]", 10},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			pl, err := engine.New(corpus.Doc(16)).PrepareString(q.query, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var results, scanned int64
+			for i := 0; i < b.N; i++ {
+				r, err := pl.Plan().RunLimitRoot(nil, q.k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				results += int64(len(r.Nodes))
+				for _, st := range r.Steps {
+					scanned += st.Core.Scanned
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(results), "ns/result")
+			b.ReportMetric(float64(scanned)/float64(results), "scanned/result")
+		})
+	}
+}
+
 func BenchmarkIndexBuild(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		for i := 0; i < b.N; i++ {

@@ -1,422 +1,246 @@
 // Resumable staircase joins over pre-sorted node lists (index
-// fragments) — the streaming counterparts of nodelist.go. Partition
-// boundaries, copy-phase guarantees, subtree jumps and seek targets
-// are all located by binary search on the list, so early-terminating
-// consumers touch only the fragment entries they actually consume.
+// fragments) — the streaming counterparts of nodelist.go, under the
+// rules of cursor.go with list entries as the window's positions.
+// The list position only ever moves forward, so partition boundaries,
+// copy-phase guarantees, subtree jumps and seek targets are all found
+// by galloping from it (searchFrom): early-terminating consumers touch
+// only the fragment entries they actually consume, and a full sweep
+// costs O(|context| + |list|) however the partitions fall.
 
 package core
 
-import (
-	"staircase/internal/doc"
-)
+// seekList moves the list position li forward to the first entry at or
+// beyond the seek hint within list[:end] and returns it with the number
+// of entries jumped.
+func seekList(list []int32, li, end int, seek int32) (int, int64) {
+	if seek <= 0 || li >= end || list[li] >= seek {
+		return li, 0
+	}
+	j := searchFrom(list[:end], li, seek)
+	return j, int64(j - li)
+}
 
 // --- descendant ∩ list -----------------------------------------------------
 
 type descListCursor struct {
-	emitCols
-	d    *doc.Document
-	post []int32
-	list []int32
-	src  NodeSource
-	o    *Options
-
-	inPart   bool
-	li, end  int // current scan index and partition end (exclusive)
-	guar     int // copy-phase end (exclusive; SkipEstimate)
-	bound    int32
-	prevPost int32
-	pending  int32
-	hasPend  bool
-	srcDone  bool
-	done     bool
-}
-
-func (c *descListCursor) nextSurvivor() (int32, bool, error) {
-	for {
-		v, ok, err := c.src()
-		if err != nil || !ok {
-			return 0, false, err
-		}
-		c.o.Stats.addContext(1)
-		if c.post[v] > c.prevPost {
-			c.prevPost = c.post[v]
-			return v, true, nil
-		}
-	}
-}
-
-func (c *descListCursor) startPartition() (bool, error) {
-	var owner int32
-	if c.hasPend {
-		owner, c.hasPend = c.pending, false
-	} else if c.srcDone {
-		return false, nil
-	} else {
-		v, ok, err := c.nextSurvivor()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			c.srcDone = true
-			return false, nil
-		}
-		owner = v
-	}
-	if !c.srcDone {
-		v, ok, err := c.nextSurvivor()
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			c.pending, c.hasPend = v, true
-		} else {
-			c.srcDone = true
-		}
-	}
-	// Partition of owner within the list: entries with pre > owner, up
-	// to the next surviving context node.
-	if c.li < len(c.list) && c.list[c.li] <= owner {
-		c.li = searchList(c.list[c.li:], owner+1) + c.li
-	}
-	c.end = len(c.list)
-	if c.hasPend {
-		c.end = searchList(c.list, c.pending)
-	}
-	c.bound = c.post[owner]
-	c.guar = c.li
-	if c.o.Variant == SkipEstimate {
-		// Copy phase: list entries with pre <= post(owner) are
-		// guaranteed descendants (Equation (1) lower bound).
-		c.guar = searchList(c.list[c.li:c.end], c.bound+1) + c.li
-	}
-	c.inPart = true
-	c.o.Stats.addPruned(1)
-	return true, nil
+	kernel
+	list    []int32
+	li, end int // scan index and partition end (exclusive)
+	guar    int // copy-phase end (exclusive; SkipEstimate)
+	stairs  descStairs
 }
 
 func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
-	if len(c.list) == 0 {
-		c.done = true
-		return nil, nil
-	}
-	st := c.o.Stats
-	for {
+	dst = dst[:cap(dst)]
+	e, list, post := c.emit.cols(c.d), c.list, c.d.PostSlice()
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	k, pruned, w := 0, 0, len(dst)
+	var copied, compared, skipped int64
+	var err error
+	for w > 0 {
 		if !c.inPart {
-			ok, err := c.startPartition()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			var owner int32
+			var ok bool
+			if owner, ok, err = c.nextOwner(post, &c.stairs); !ok {
 				c.done = true
-				if len(dst) == 0 {
-					st.addResult(0)
-					return nil, nil
+				break
+			}
+			// Partition of owner within the list: entries with pre > owner,
+			// up to the next surviving context node.
+			c.li = searchFrom(list, c.li, owner+1)
+			c.end = len(list)
+			if c.stairs.hasNext {
+				c.end = searchFrom(list, c.li, c.stairs.next)
+			}
+			c.bound = post[owner]
+			c.guar = c.li
+			if c.variant == SkipEstimate {
+				// Copy phase: list entries with pre <= post(owner) are
+				// guaranteed descendants (Equation (1) lower bound).
+				c.guar = searchFrom(list[:c.end], c.li, c.bound+1)
+			}
+			c.inPart = true
+			pruned++
+			w--
+		}
+		li, end, bound := c.li, c.end, c.bound
+		var jumped int64
+		li, jumped = seekList(list, li, end, seek)
+		skipped += jumped
+		if stop := min(c.guar, li+w); li < stop {
+			for _, v := range list[li:stop] {
+				if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+					dst[k] = v
+					k++
 				}
-				st.addResult(int64(len(dst)))
-				return dst, nil
 			}
+			copied += int64(stop - li)
+			w -= stop - li
+			li = stop
 		}
-		if seek > 0 && c.li < c.end && c.list[c.li] < seek {
-			j := searchList(c.list[c.li:c.end], seek) + c.li
-			st.addSkipped(int64(j - c.li))
-			c.li = j
-		}
-		for c.li < c.guar && len(dst) < cap(dst) {
-			v := c.list[c.li]
-			if c.pass(v) {
-				dst = append(dst, v)
-			}
-			st.addCopied(1)
-			c.li++
-		}
-		if c.li < c.guar {
-			st.addResult(int64(len(dst)))
-			return dst, nil
-		}
-		for c.li < c.end && len(dst) < cap(dst) {
-			v := c.list[c.li]
-			st.addCompared(1)
-			if c.post[v] < c.bound {
-				if c.pass(v) {
-					dst = append(dst, v)
+		if li >= c.guar {
+			j, stop := li, min(end, li+w)
+			for ; j < stop; j++ {
+				v := list[j]
+				if post[v] >= bound {
+					if c.variant != NoSkip {
+						break
+					}
+				} else if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+					dst[k] = v
+					k++
 				}
-				c.li++
-				continue
 			}
-			if c.o.Variant == NoSkip {
-				c.li++
-				continue
+			n := j - li
+			if j < stop { // the breaking entry was compared too
+				n++
+				skipped += int64(end - j - 1)
+				j = end
 			}
-			st.addSkipped(int64(c.end - c.li - 1))
-			c.li = c.end
+			compared += int64(n)
+			w -= n
+			li = j
 		}
-		if c.li >= c.end {
-			c.inPart = false
-			continue
-		}
-		st.addResult(int64(len(dst)))
-		return dst, nil
+		c.li = li
+		c.inPart = li < end
 	}
+	return c.finish(dst, k, pruned, copied, compared, skipped, err)
 }
 
 // --- ancestor ∩ list -------------------------------------------------------
 
 type ancListCursor struct {
-	emitCols
-	d    *doc.Document
-	post []int32
-	list []int32
-	src  NodeSource
-	o    *Options
-
-	inPart  bool
+	kernel
+	list    []int32
 	li, end int
-	bound   int32
-	cand    int32
-	hasCand bool
-	srcDone bool
-	done    bool
-}
-
-func (c *ancListCursor) nextSurvivor() (int32, bool, error) {
-	for {
-		if !c.hasCand {
-			if c.srcDone {
-				return 0, false, nil
-			}
-			v, ok, err := c.src()
-			if err != nil {
-				return 0, false, err
-			}
-			if !ok {
-				c.srcDone = true
-				return 0, false, nil
-			}
-			c.o.Stats.addContext(1)
-			c.cand, c.hasCand = v, true
-		}
-		if c.srcDone {
-			c.hasCand = false
-			return c.cand, true, nil
-		}
-		nxt, ok, err := c.src()
-		if err != nil {
-			return 0, false, err
-		}
-		if !ok {
-			c.srcDone = true
-			c.hasCand = false
-			return c.cand, true, nil
-		}
-		c.o.Stats.addContext(1)
-		if nxt == c.cand || c.post[nxt] < c.post[c.cand] {
-			c.cand = nxt
-			continue
-		}
-		survivor := c.cand
-		c.cand = nxt
-		return survivor, true, nil
-	}
+	la      ancLookahead
 }
 
 func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
-	if len(c.list) == 0 {
-		c.done = true
-		return nil, nil
-	}
-	st := c.o.Stats
-	for {
+	dst = dst[:cap(dst)]
+	e, list, post := c.emit.cols(c.d), c.list, c.d.PostSlice()
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	noSkip := c.variant == NoSkip
+	k, pruned, w := 0, 0, len(dst)
+	var compared, skipped int64
+	var err error
+	for w > 0 {
 		if !c.inPart {
-			owner, ok, err := c.nextSurvivor()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			var owner int32
+			var ok bool
+			if owner, ok, err = c.nextAnc(post, &c.la); !ok {
 				c.done = true
-				if len(dst) == 0 {
-					st.addResult(0)
-					return nil, nil
-				}
-				st.addResult(int64(len(dst)))
-				return dst, nil
+				break
 			}
-			c.end = searchList(c.list, owner) // entries with pre < owner
-			c.bound = c.post[owner]
+			c.end = searchFrom(list, c.li, owner) // entries with pre < owner
+			c.bound = post[owner]
 			c.inPart = true
-			st.addPruned(1)
+			pruned++
+			w--
 		}
-		if seek > 0 && c.li < c.end && c.list[c.li] < seek {
-			j := searchList(c.list[c.li:c.end], seek) + c.li
-			st.addSkipped(int64(j - c.li))
-			c.li = j
-		}
-		for c.li < c.end && len(dst) < cap(dst) {
-			v := c.list[c.li]
-			st.addCompared(1)
-			if c.post[v] > c.bound {
-				if c.pass(v) {
-					dst = append(dst, v)
+		li, end, bound := c.li, c.end, c.bound
+		var jumped int64
+		li, jumped = seekList(list, li, end, seek)
+		skipped += jumped
+		n := 0
+		for ; li < end && n < w; n++ {
+			v := list[li]
+			if post[v] > bound {
+				if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+					dst[k] = v
+					k++
 				}
-				c.li++
-				continue
+				li++
+			} else if noSkip {
+				li++
+			} else {
+				// v's whole subtree precedes the boundary node: gallop
+				// past it within the list.
+				next := searchFrom(list[:end], li+1, v+1+c.d.SubtreeSize(v))
+				skipped += int64(next - li - 1)
+				li = next
 			}
-			if c.o.Variant == NoSkip {
-				c.li++
-				continue
-			}
-			// v's whole subtree precedes the boundary node: jump past it
-			// within the list by binary search.
-			next := searchList(c.list[c.li+1:c.end], v+1+c.d.SubtreeSize(v)) + c.li + 1
-			st.addSkipped(int64(next - c.li - 1))
-			c.li = next
 		}
-		if c.li >= c.end {
-			c.inPart = false
-			continue
-		}
-		st.addResult(int64(len(dst)))
-		return dst, nil
+		compared += int64(n)
+		w -= n
+		c.li = li
+		c.inPart = li < end
 	}
+	return c.finish(dst, k, pruned, 0, compared, skipped, err)
 }
 
 // --- following / preceding ∩ list ------------------------------------------
 
 type folListCursor struct {
-	emitCols
-	d    *doc.Document
+	kernel
 	list []int32
-	src  NodeSource
-	o    *Options
-
-	li     int
-	inited bool
-	done   bool
+	li   int
 }
 
 func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
-	st := c.o.Stats
-	if !c.inited {
-		post := c.d.PostSlice()
-		best := int32(-1)
-		for {
-			v, ok, err := c.src()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			st.addContext(1)
-			if best < 0 || post[v] < post[best] {
-				best = v
-			}
-		}
-		c.inited = true
-		if best < 0 || len(c.list) == 0 {
+	pruned := 0
+	if !c.inPart {
+		best, ok, err := c.reduceFollowing(c.d)
+		if !ok {
 			c.done = true
-			return nil, nil
+			return c.finish(dst, 0, 0, 0, 0, 0, err)
 		}
-		st.addPruned(1)
 		c.li = searchList(c.list, best+1+c.d.SubtreeSize(best))
+		c.inPart, pruned = true, 1
 	}
-	if seek > 0 && c.li < len(c.list) && c.list[c.li] < seek {
-		j := searchList(c.list[c.li:], seek) + c.li
-		st.addSkipped(int64(j - c.li))
-		c.li = j
-	}
-	for c.li < len(c.list) && len(dst) < cap(dst) {
-		v := c.list[c.li]
-		if c.pass(v) {
-			dst = append(dst, v)
+	dst = dst[:cap(dst)]
+	e, list := c.emit.cols(c.d), c.list
+	li, skipped := seekList(list, c.li, len(list), seek)
+	k, stop := 0, min(len(list), li+len(dst))
+	for _, v := range list[li:stop] {
+		if e.pass(v) {
+			dst[k] = v
+			k++
 		}
-		st.addCopied(1)
-		c.li++
 	}
-	if c.li >= len(c.list) && len(dst) < cap(dst) {
-		c.done = true
-	}
-	if len(dst) == 0 {
-		c.done = true
-		st.addResult(0)
-		return nil, nil
-	}
-	st.addResult(int64(len(dst)))
-	return dst, nil
+	c.li, c.done = stop, stop >= len(list)
+	return c.finish(dst, k, pruned, int64(stop-li), 0, skipped, nil)
 }
 
 type precListCursor struct {
-	emitCols
-	d    *doc.Document
-	post []int32
-	list []int32
-	src  NodeSource
-	o    *Options
-
+	kernel
+	list    []int32
 	li, end int
-	bound   int32
-	inited  bool
-	done    bool
 }
 
 func (c *precListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
-	st := c.o.Stats
-	if !c.inited {
-		last := int32(-1)
-		for {
-			v, ok, err := c.src()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			st.addContext(1)
-			last = v
-		}
-		c.inited = true
-		if last < 0 || len(c.list) == 0 {
+	pruned := 0
+	if !c.inPart {
+		last, ok, err := c.reducePreceding()
+		if !ok {
 			c.done = true
-			return nil, nil
+			return c.finish(dst, 0, 0, 0, 0, 0, err)
 		}
-		st.addPruned(1)
-		c.end = searchList(c.list, last)
-		c.bound = c.post[last]
+		c.end, c.bound = searchList(c.list, last), c.d.Post(last)
+		c.inPart, pruned = true, 1
 	}
-	if seek > 0 && c.li < c.end && c.list[c.li] < seek {
-		j := searchList(c.list[c.li:c.end], seek) + c.li
-		st.addSkipped(int64(j - c.li))
-		c.li = j
-	}
-	for c.li < c.end && len(dst) < cap(dst) {
-		v := c.list[c.li]
-		st.addCompared(1)
-		if c.post[v] < c.bound {
-			if c.pass(v) {
-				dst = append(dst, v)
-			}
+	dst = dst[:cap(dst)]
+	e, post, bound := c.emit.cols(c.d), c.d.PostSlice(), c.bound
+	li, skipped := seekList(c.list, c.li, c.end, seek)
+	k, stop := 0, min(c.end, li+len(dst))
+	for _, v := range c.list[li:stop] {
+		if post[v] < bound && e.pass(v) {
+			dst[k] = v
+			k++
 		}
-		c.li++
 	}
-	if c.li >= c.end && len(dst) < cap(dst) {
-		c.done = true
-	}
-	if len(dst) == 0 {
-		c.done = true
-		st.addResult(0)
-		return nil, nil
-	}
-	st.addResult(int64(len(dst)))
-	return dst, nil
+	c.li, c.done = stop, stop >= c.end
+	return c.finish(dst, k, pruned, 0, int64(stop-li), skipped, nil)
 }

@@ -319,14 +319,21 @@ func ancCovered(post, context []int32, i int) bool {
 // ReduceFollowing returns the single context node that determines the
 // whole following-axis result: the node with minimum postorder rank
 // (§3.1: "all context nodes can be pruned except ... the minimum
-// postorder rank in case of following"). ok is false for empty contexts.
+// postorder rank in case of following"). In document order that node lies
+// inside the first context node's subtree — everything beyond it follows
+// the first node, with a larger post rank — so the search ends there. ok
+// is false for empty contexts.
 func ReduceFollowing(d *doc.Document, context []int32) (int32, bool) {
 	if len(context) == 0 {
 		return 0, false
 	}
 	post := d.PostSlice()
 	best := context[0]
+	hi := best + d.SubtreeSize(best)
 	for _, c := range context[1:] {
+		if c > hi {
+			break
+		}
 		if post[c] < post[best] {
 			best = c
 		}

@@ -2,21 +2,26 @@
 //
 // Every operator implements open(ec) (cursor, error); a cursor yields
 // the operator's result as a sequence of bounded, strictly increasing
-// preorder batches (execBatchSize nodes per batch), pulled on demand.
-// Downstream consumers that stop early — Plan.RunLimit, the engine's
-// EvalFirst/EvalLimit, existence probes, positional [k] predicates —
-// simply stop pulling, and the suspended staircase kernels
+// preorder batches (at most execBatchSize nodes per batch), pulled on
+// demand. Downstream consumers that stop early — Plan.RunLimit, the
+// engine's EvalFirst/EvalLimit, existence probes, positional [k]
+// predicates — simply stop pulling, and the suspended staircase kernels
 // (core.JoinCursor) never scan the document regions nobody asked for.
+// A join hands its kernel the batch buffer and takes back what one
+// window of that many positions yielded, node test applied inside the
+// scan; its context reaches the kernel as the input cursor's batches.
 // Memory stays bounded by the batch size for the pipelined operators;
 // the few inherently blocking spots (AxisStep's positional lookups,
-// reverse-axis PosFilter, the context drains of following/preceding)
-// materialize exactly what the semantics force them to.
+// reverse-axis PosFilter, the context drain of preceding) materialize
+// exactly what the semantics force them to. A following step reads its
+// context only as far as the first context node's subtree reaches and
+// leaves the operators below it suspended there.
 //
 // next additionally accepts a seekPre hint — the consumer's promise to
 // ignore result nodes with pre < seekPre — which operators translate
-// into scan-position jumps and node-list binary searches inside the
-// core kernels (SemiJoin turns fragment spans into such hints; the
-// public Plan cursor exposes it as Seek).
+// into scan-position jumps and node-list gallops inside the core
+// kernels (SemiJoin turns fragment spans into such hints; the public
+// Plan cursor exposes it as Seek).
 //
 // The materializing executor (op.run) remains the EXPLAIN and
 // full-result path; the differential suite pins cursor execution to
@@ -41,9 +46,10 @@ import (
 // to amortise per-batch dispatch over the column scans.
 const execBatchSize = 256
 
-// execBatchMin is the first batch's capacity; batches grow
-// geometrically toward execBatchSize so a LIMIT 1 / EvalFirst
-// consumer pays for a 16-node buffer and scan, not the full batch.
+// execBatchMin is the first batch's capacity, and with it the first
+// window a staircase kernel scans; batches grow geometrically toward
+// execBatchSize so a LIMIT 1 / EvalFirst consumer pays for a 16-node
+// buffer and a 16-position scan, not the full batch.
 const execBatchMin = 16
 
 // growBuf hands out a reusable batch buffer that starts at
@@ -215,76 +221,63 @@ func (o *fragScan) open(ec *execCtx) (cursor, error) {
 
 // --- StaircaseJoin ---------------------------------------------------------
 
-// ctxSource adapts an input cursor to a core.NodeSource, optionally
-// teeing every pulled context node that passes the or-self self test
-// into a pending queue the join stream merges back in (the streaming
-// form of core.MergeOrSelf over the context).
+// ctxSource adapts an input cursor to a core.NodeSource — the kernel
+// takes the input's batches as they are — optionally teeing every
+// context node that passes the or-self self test into a pending queue
+// the join stream merges back in (the streaming form of
+// core.MergeOrSelf over the context).
 type ctxSource struct {
-	ec     *execCtx
 	in     cursor
-	buf    []int32
-	pos    int
 	inDone bool
 	pulled int
-	// or-self self side
+	// or-self self side: the test and the columns it reads
 	selfOn bool
 	self   core.Emit
+	kind   []doc.Kind
+	name   []int32
 	pend   []int32
 }
 
-func (s *ctxSource) pull() (int32, bool, error) {
-	for {
-		if s.pos < len(s.buf) {
-			v := s.buf[s.pos]
-			s.pos++
-			s.pulled++
-			if d := s.ec.env.Doc; s.selfOn && s.self.Pass(d.KindOf(v), d.NameID(v)) {
+func (s *ctxSource) next() ([]int32, error) {
+	if s.inDone {
+		return nil, nil
+	}
+	b, err := s.in.next(0)
+	if err != nil || b == nil {
+		s.inDone = true
+		return nil, err
+	}
+	s.pulled += len(b)
+	if s.selfOn {
+		for _, v := range b {
+			if s.self.Pass(s.kind[v], s.name[v]) {
 				s.pend = append(s.pend, v)
 			}
-			return v, true, nil
 		}
-		if s.inDone {
-			return 0, false, nil
-		}
-		b, err := s.in.next(0)
-		if err != nil {
-			return 0, false, err
-		}
-		if b == nil {
-			s.inDone = true
-			return 0, false, nil
-		}
-		s.buf, s.pos = b, 0
 	}
+	return b, nil
 }
 
 // drain exhausts the underlying input (populating the self queue).
 func (s *ctxSource) drain() error {
 	for {
-		_, ok, err := s.pull()
-		if err != nil {
+		if b, err := s.next(); err != nil || b == nil {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 	}
 }
 
-// drainContext pulls the whole context through the source (populating
-// the or-self queue on the way) and returns it materialised — the
-// morsel path needs the full pruned staircase before task cutting.
+// drainContext pulls the rest of the context through the source
+// (populating the or-self queue on the way) and returns it materialised
+// — the morsel path needs the full pruned staircase before task cutting.
 func (s *ctxSource) drainContext() ([]int32, error) {
 	var out []int32
 	for {
-		v, ok, err := s.pull()
-		if err != nil {
-			return nil, err
+		b, err := s.next()
+		if err != nil || b == nil {
+			return out, err
 		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, v)
+		out = append(out, b...)
 	}
 }
 
@@ -328,12 +321,7 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 	ost.ran = true
 	co := &core.Options{Variant: o.variant, Stats: &st.Core}
 
-	src := &ctxSource{ec: ec, in: in}
-	if o.orSelf {
-		// (Under docNode the implicit document node's descendant set
-		// includes the root element itself: the same self side.)
-		src.selfOn, src.self = true, emitFor(d, o.base, o.test)
-	}
+	src := &ctxSource{in: in}
 
 	pushed := false
 	var frag []int32
@@ -344,6 +332,18 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 			ost.pushed, ost.indexed = true, indexed
 			ost.fragSize = len(list)
 			frag = list
+		}
+	}
+	if o.orSelf || !pushed {
+		emit := emitFor(d, o.base, o.test)
+		if o.orSelf {
+			// (Under docNode the implicit document node's descendant set
+			// includes the root element itself: the same self side.)
+			src.selfOn, src.self = true, emit
+			src.kind, src.name = d.KindSlice(), d.NameSlice()
+		}
+		if !pushed {
+			co.Emit = emit // a fragment already is the test
 		}
 	}
 	var kernel core.JoinCursor
@@ -365,27 +365,23 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 		ost.morsels, ost.morselWorkers = mk.Tasks(), mk.Workers()
 		kernel = mk
 	} else if pushed {
-		kernel, err = core.NewJoinNodeListCursor(d, o.base, frag, src.pull, co)
+		kernel, err = core.NewJoinNodeListCursor(d, o.base, frag, src.next, co)
 	} else {
-		kernel, err = core.NewJoinCursor(d, o.base, src.pull, co)
+		kernel, err = core.NewJoinCursor(d, o.base, src.next, co)
 	}
 	if err != nil {
 		in.close()
 		return nil, err
 	}
-	return &joinStreamCursor{
-		ec: ec, o: o, st: st, ost: ost, src: src, kernel: kernel, pushed: pushed,
-	}, nil
+	return &joinStreamCursor{ec: ec, st: st, ost: ost, src: src, kernel: kernel}, nil
 }
 
 type joinStreamCursor struct {
 	ec     *execCtx
-	o      *joinOp
 	st     *StepStats
 	ost    *opStat
 	src    *ctxSource
 	kernel core.JoinCursor
-	pushed bool
 	buf    growBuf
 
 	kernelDone bool
@@ -397,7 +393,15 @@ func (c *joinStreamCursor) next(seek int32) ([]int32, error) {
 		return nil, nil
 	}
 	start := time.Now()
-	defer func() { c.st.Duration += time.Since(start) }()
+	out, err := c.pull(seek)
+	c.st.Duration += time.Since(start)
+	return out, err
+}
+
+// pull asks the kernel for windows until one yields nodes (the kernel's
+// own output is the step's result: the emit test runs inside its scan)
+// or the join is exhausted.
+func (c *joinStreamCursor) pull(seek int32) ([]int32, error) {
 	for {
 		if err := c.ec.cancelled(); err != nil {
 			return nil, err
@@ -408,14 +412,7 @@ func (c *joinStreamCursor) next(seek int32) ([]int32, error) {
 			if err != nil {
 				return nil, err
 			}
-			if b == nil {
-				c.kernelDone = true
-			} else {
-				if !c.pushed {
-					b = filterTest(c.ec.env.Doc, c.o.base, c.o.test, b)
-				}
-				out = b
-			}
+			out, c.kernelDone = b, b == nil
 		}
 		if c.src.selfOn {
 			if c.kernelDone {
@@ -629,7 +626,13 @@ func (c *semiJoinCursor) next(seek int32) ([]int32, error) {
 		return nil, err
 	}
 	start := time.Now()
-	defer func() { c.st.Duration += time.Since(start) }()
+	out, err := c.probe(seek)
+	c.st.Duration += time.Since(start)
+	return out, err
+}
+
+// probe pulls input batches until one holds an admitted node.
+func (c *semiJoinCursor) probe(seek int32) ([]int32, error) {
 	for {
 		s := seek
 		if c.pr.minSeek > s {
@@ -947,22 +950,19 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 	if a == axis.DescendantOrSelf && nodePassesTest(d, a, test, c) {
 		out = append(out, c)
 	}
-	var co *core.Options
+	co := &core.Options{Variant: variantFor(ec.opts.Strategy)}
 	if st != nil {
-		co = &core.Options{Variant: variantFor(ec.opts.Strategy), Stats: &st.Core}
-	} else {
-		co = &core.Options{Variant: variantFor(ec.opts.Strategy)}
+		co.Stats = &st.Core
 	}
-	pushed := false
 	var kernel core.JoinCursor
 	var err error
 	if ec.opts.Pushdown != PushNever && pushable(test) {
 		if list, indexed, ok := pushdownList(d, test, ec.opts); ok && streamPush(ec.opts, indexed) {
-			pushed = true
 			kernel, err = core.NewJoinNodeListCursor(d, base, list, core.SliceSource([]int32{c}), co)
 		}
 	}
 	if kernel == nil && err == nil {
+		co.Emit = emitFor(d, base, test)
 		kernel, err = core.NewJoinCursor(d, base, core.SliceSource([]int32{c}), co)
 	}
 	if err != nil {
@@ -976,9 +976,6 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 		}
 		if b == nil {
 			break
-		}
-		if !pushed {
-			b = filterTest(d, base, test, b)
 		}
 		take := k - len(out)
 		if take > len(b) {
