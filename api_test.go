@@ -312,3 +312,43 @@ func TestPublicQueryFromUnsortedContext(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmValueProbeAllocations pins what a prepared value predicate
+// costs per run once the document is loaded: the value index hands out
+// views of its node column and substrings of its key arena, so a probe
+// allocates its operators and its result, nothing per key or per node —
+// 12 and 18 allocations when values were one string each, and no more
+// now that they are not.
+func TestWarmValueProbeAllocations(t *testing.T) {
+	var text bytes.Buffer
+	if err := staircase.WriteXMark(&text, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	d, err := staircase.Load(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query string
+		nodes int
+		bound float64
+	}{
+		{"/descendant::open_auction[initial > 100]", 100, 12},
+		{"/descendant::open_auction[initial > 499.5]/bidder", 1, 18},
+	} {
+		p, err := d.Prepare(c.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := p.Run(); err != nil || len(res.Nodes) != c.nodes {
+			t.Fatalf("%s: %d nodes (err %v), want %d", c.query, len(res.Nodes), err, c.nodes)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := p.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.bound {
+			t.Errorf("%s: %v allocations per warm run, want <= %v", c.query, n, c.bound)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"staircase/internal/frag"
 	"staircase/internal/index"
 	"staircase/internal/server"
+	"staircase/internal/xmark"
 )
 
 // benchSizes is the document sweep for benchmarks (MB equivalents).
@@ -554,6 +555,59 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(c.d.Size())/float64(b.Elapsed().Nanoseconds()/int64(b.N))*1000, "Mnodes/s")
+	})
+}
+
+// BenchmarkLoadPath times the four stages of getting a document ready
+// — shred the XML text, build the value index, write the SCJ2 encoding,
+// read it back — on 16 MB XMark: the profiler's entry points for the
+// load path. allocs/node is the number that says whether a stage still
+// allocates per node.
+func BenchmarkLoadPath(b *testing.B) {
+	var text bytes.Buffer
+	if err := xmark.Write(&text, xmark.Config{SizeMB: 16, Seed: 1, KeepValues: true}); err != nil {
+		b.Fatal(err)
+	}
+	d, err := doc.Shred(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := d.WriteBinary(&bin); err != nil {
+		b.Fatal(err)
+	}
+	stage := func(name string, bytes int, f func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(bytes))
+			b.ReportAllocs()
+			allocs := testing.AllocsPerRun(1, func() {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(allocs/float64(d.Size()), "allocs/node")
+		})
+	}
+	stage("shred", text.Len(), func() error {
+		_, err := doc.Shred(bytes.NewReader(text.Bytes()))
+		return err
+	})
+	stage("value-index", text.Len(), func() error {
+		if d.RebuildValueIndex().Entries() != int64(d.Size()) {
+			return fmt.Errorf("incomplete value index")
+		}
+		return nil
+	})
+	stage("write-binary", bin.Len(), func() error { return d.WriteBinary(io.Discard) })
+	stage("read-binary", bin.Len(), func() error {
+		_, err := doc.ReadBinary(bytes.NewReader(bin.Bytes()))
+		return err
 	})
 }
 

@@ -85,6 +85,7 @@ type DocInfo struct {
 	Pinned      bool          `json:"pinned"`
 	Generation  uint64        `json:"generation"`
 	Bytes       int64         `json:"bytes,omitempty"`
+	ValueBytes  int64         `json:"valueBytes,omitempty"`
 	IndexBytes  int64         `json:"indexBytes,omitempty"`
 	VIndexBytes int64         `json:"valueIndexBytes,omitempty"`
 	Nodes       int           `json:"nodes,omitempty"`
@@ -111,7 +112,8 @@ type entry struct {
 	d         *doc.Document
 	eng       *engine.Engine
 	gen       uint64 // bumped on every load
-	bytes     int64  // resident footprint: encoding + indexes
+	bytes     int64  // resident footprint: encoding + node values + indexes
+	valBytes  int64  // node-value share of bytes
 	idxBytes  int64  // tag/kind index share of bytes
 	vidxBytes int64  // value index share of bytes
 	refs      int
@@ -155,8 +157,8 @@ func WithoutValueIndex() Option {
 }
 
 // New returns an empty catalog. maxBytes bounds the total resident
-// bytes of loaded documents — structural encoding plus tag/kind index
-// (0 = unbounded); entries beyond the budget are evicted
+// bytes of loaded documents — structural encoding, node values and both
+// indexes (0 = unbounded); entries beyond the budget are evicted
 // least-recently-used once unreferenced.
 func New(maxBytes int64, opts ...Option) *Catalog {
 	c := &Catalog{entries: make(map[string]*entry), maxBytes: maxBytes}
@@ -193,18 +195,24 @@ func (c *Catalog) AddDocument(name string, d *doc.Document) error {
 	if _, ok := c.entries[name]; ok {
 		return fmt.Errorf("catalog: document %q already registered", name)
 	}
-	e := &entry{name: name, pinned: true, d: d, eng: engine.New(d), gen: 1, loads: 1, bytes: d.EncodedBytes()}
+	e := &entry{name: name, pinned: true, d: d, eng: engine.New(d), gen: 1, loads: 1}
 	if !c.noIndex {
-		e.idxBytes = d.TagIndex().Bytes()
-		e.bytes += e.idxBytes
+		d.TagIndex()
 	}
-	if !c.noVIndex && d.HasValues() {
+	if !c.noVIndex {
 		d.ValueIndex()
-		e.vidxBytes = d.ValueIndexBytes()
-		e.bytes += e.vidxBytes
 	}
+	e.charge(d)
 	c.entries[name] = e
 	return nil
+}
+
+// charge records the resident footprint of the entry's document: the
+// structural encoding, the node values (which EncodedBytes leaves out)
+// and whichever indexes are built.
+func (e *entry) charge(d *doc.Document) {
+	e.valBytes, e.idxBytes, e.vidxBytes = d.ValueBytes(), d.IndexBytes(), d.ValueIndexBytes()
+	e.bytes = d.EncodedBytes() + e.valBytes + e.idxBytes + e.vidxBytes
 }
 
 // Handle is a reference to a resident document. The document stays
@@ -254,9 +262,7 @@ func (c *Catalog) Open(name string) (*Handle, error) {
 		e.format = format
 		e.gen++
 		e.loads++
-		e.idxBytes = d.IndexBytes()
-		e.vidxBytes = d.ValueIndexBytes()
-		e.bytes = d.EncodedBytes() + e.idxBytes + e.vidxBytes
+		e.charge(d)
 		c.resident += e.bytes
 	}
 	h := &Handle{c: c, e: e, d: e.d, eng: e.eng, gen: e.gen}
@@ -328,9 +334,7 @@ func (c *Catalog) evict() {
 		victim.eng = nil
 		victim.evictions++
 		c.resident -= victim.bytes
-		victim.bytes = 0
-		victim.idxBytes = 0
-		victim.vidxBytes = 0
+		victim.bytes, victim.valBytes, victim.idxBytes, victim.vidxBytes = 0, 0, 0, 0
 	}
 }
 
@@ -347,7 +351,7 @@ func (c *Catalog) Names() []string {
 }
 
 // ResidentBytes returns the resident bytes of currently loaded
-// documents (structural encoding plus tag/kind index).
+// documents (structural encoding, node values and both indexes).
 func (c *Catalog) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -403,6 +407,7 @@ func (c *Catalog) Info() []DocInfo {
 			Pinned:      e.pinned,
 			Generation:  e.gen,
 			Bytes:       e.bytes,
+			ValueBytes:  e.valBytes,
 			IndexBytes:  e.idxBytes,
 			VIndexBytes: e.vidxBytes,
 			Loads:       e.loads,

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -291,12 +292,16 @@ func TestIndexResidencyAccounting(t *testing.T) {
 			if got := c.ValueIndexBytes(); got != wantVIdx {
 				t.Fatalf("catalog ValueIndexBytes = %d, want %d", got, wantVIdx)
 			}
-			if got, want := c.ResidentBytes(), d.EncodedBytes()+wantIdx+wantVIdx; got != want {
-				t.Fatalf("ResidentBytes = %d, want encoding+indexes = %d", got, want)
+			wantVal := d.ValueBytes()
+			if wantVal <= 0 {
+				t.Fatal("ValueBytes = 0 for a value-bearing document")
+			}
+			if got, want := c.ResidentBytes(), d.EncodedBytes()+wantVal+wantIdx+wantVIdx; got != want {
+				t.Fatalf("ResidentBytes = %d, want encoding+values+indexes = %d", got, want)
 			}
 			info := c.Info()
 			if len(info) != 1 || info[0].IndexBytes != wantIdx || info[0].VIndexBytes != wantVIdx ||
-				info[0].Bytes != d.EncodedBytes()+wantIdx+wantVIdx {
+				info[0].ValueBytes != wantVal || info[0].Bytes != d.EncodedBytes()+wantVal+wantIdx+wantVIdx {
 				t.Fatalf("info = %+v", info[0])
 			}
 		})
@@ -319,7 +324,7 @@ func TestWithoutIndexSkipsBuild(t *testing.T) {
 	if c.IndexBytes() != 0 {
 		t.Fatalf("IndexBytes = %d, want 0", c.IndexBytes())
 	}
-	if got, want := c.ResidentBytes(), h.Document().EncodedBytes()+h.Document().ValueIndexBytes(); got != want {
+	if got, want := c.ResidentBytes(), h.Document().EncodedBytes()+h.Document().ValueBytes()+h.Document().ValueIndexBytes(); got != want {
 		t.Fatalf("ResidentBytes = %d, want %d", got, want)
 	}
 }
@@ -340,7 +345,7 @@ func TestWithoutValueIndexSkipsBuild(t *testing.T) {
 	if c.ValueIndexBytes() != 0 {
 		t.Fatalf("ValueIndexBytes = %d, want 0", c.ValueIndexBytes())
 	}
-	if got, want := c.ResidentBytes(), h.Document().EncodedBytes()+h.Document().IndexBytes(); got != want {
+	if got, want := c.ResidentBytes(), h.Document().EncodedBytes()+h.Document().ValueBytes()+h.Document().IndexBytes(); got != want {
 		t.Fatalf("ResidentBytes = %d, want %d", got, want)
 	}
 }
@@ -378,6 +383,55 @@ func TestEvictionReclaimsIndexBytes(t *testing.T) {
 	}
 	if got := c.IndexBytes(); got != 0 {
 		t.Fatalf("IndexBytes = %d after eviction", got)
+	}
+}
+
+// TestEvictionCountsNodeValues: the value column is part of what a
+// document costs to keep. With a budget that holds the encodings and
+// indexes of two value-bearing documents but not their values as well
+// — what the catalog used to charge, and so kept both — opening the
+// second must evict the first.
+func TestEvictionCountsNodeValues(t *testing.T) {
+	d, err := xmark.Generate(xmark.Config{SizeMB: 0.05, Seed: 1, KeepValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := d.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	withoutValues := d.EncodedBytes() + d.IndexBytes() + d.ValueIndexBytes()
+	if d.ValueBytes() <= 0 || d.ValueBytes() >= withoutValues {
+		t.Fatalf("ValueBytes = %d beside %d of encoding and indexes", d.ValueBytes(), withoutValues)
+	}
+	c := New(2*withoutValues + d.ValueBytes())
+	for _, name := range []string{"a", "b"} {
+		path := filepath.Join(t.TempDir(), name+".scj")
+		if err := os.WriteFile(path, bin.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register(name, path, FormatAuto); err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := h.Document().ValueBytes(), d.ValueBytes(); got != want {
+			t.Fatalf("%s: ValueBytes = %d after a reload, want %d", name, got, want)
+		}
+		h.Close()
+	}
+	info := c.Info()
+	if info[0].Resident || !info[1].Resident || info[0].Evictions != 1 {
+		t.Fatalf("want a evicted and b resident, got %+v", info)
+	}
+	if info[1].ValueBytes != d.ValueBytes() || info[1].Bytes != withoutValues+d.ValueBytes() {
+		t.Fatalf("resident entry charged %d bytes, %d of them values; want %d and %d",
+			info[1].Bytes, info[1].ValueBytes, withoutValues+d.ValueBytes(), d.ValueBytes())
+	}
+	if got := c.ResidentBytes(); got != info[1].Bytes {
+		t.Fatalf("ResidentBytes = %d, want %d", got, info[1].Bytes)
 	}
 }
 

@@ -1,12 +1,12 @@
 package doc
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
+	"staircase/internal/colio"
 	"staircase/internal/fault"
 	"staircase/internal/index"
 	"staircase/internal/vindex"
@@ -68,7 +68,7 @@ func (d *Document) WriteBinaryV1(w io.Writer) error {
 }
 
 func (d *Document) writeBinary(w io.Writer, version int) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
+	bw := colio.Writer(w)
 	magic := binaryMagicV1
 	if version == 2 {
 		magic = binaryMagicV2
@@ -77,149 +77,69 @@ func (d *Document) writeBinary(w io.Writer, version int) error {
 		return err
 	}
 	var flags uint32
-	if d.value != nil {
+	if d.valOff != nil {
 		flags |= flagHasValues
 	}
 	if version == 2 {
 		flags |= flagHasIndex
-		if d.value != nil {
+		if d.valOff != nil {
 			flags |= flagHasVIndex
 		}
 	}
-	n := uint32(len(d.post))
-	for _, v := range []uint32{flags, n, uint32(d.height)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+	err := colio.WriteUint32(bw, flags, uint32(len(d.post)), uint32(d.height))
 	for _, col := range [][]int32{d.post, d.level, d.parent} {
-		if err := binary.Write(bw, binary.LittleEndian, col); err != nil {
-			return err
+		if err == nil {
+			err = colio.WriteWords(bw, col)
 		}
 	}
-	kinds := make([]byte, len(d.kind))
-	for i, k := range d.kind {
-		kinds[i] = byte(k)
+	if err == nil {
+		err = colio.WriteBytes(bw, d.kind)
 	}
-	if _, err := bw.Write(kinds); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, d.name); err != nil {
-		return err
+	if err == nil {
+		err = colio.WriteWords(bw, d.name)
 	}
 	// Dictionary.
-	if err := binary.Write(bw, binary.LittleEndian, uint32(d.names.Len())); err != nil {
+	if err == nil {
+		err = colio.WriteUint32(bw, uint32(d.names.Len()))
+	}
+	for id := 0; id < d.names.Len() && err == nil; id++ {
+		err = colio.WriteRecord(bw, d.names.Name(int32(id)))
+	}
+	if d.valOff != nil {
+		for pre := 0; pre < len(d.post) && err == nil; pre++ {
+			err = colio.WriteRecord(bw, d.Value(int32(pre)))
+		}
+	}
+	if err == nil && flags&flagHasIndex != 0 {
+		err = d.TagIndex().WriteSection(bw)
+	}
+	if err == nil && flags&flagHasVIndex != 0 {
+		err = d.ValueIndex().WriteSection(bw)
+	}
+	if err != nil {
 		return err
-	}
-	for id := 0; id < d.names.Len(); id++ {
-		if err := writeString(bw, d.names.Name(int32(id))); err != nil {
-			return err
-		}
-	}
-	if d.value != nil {
-		for _, v := range d.value {
-			if err := writeString(bw, v); err != nil {
-				return err
-			}
-		}
-	}
-	if flags&flagHasIndex != 0 {
-		if err := d.TagIndex().WriteSection(bw); err != nil {
-			return err
-		}
-	}
-	if flags&flagHasVIndex != 0 {
-		if err := d.ValueIndex().WriteSection(bw); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
 
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("doc: unreasonable string length %d", n)
-	}
-	// Read in bounded chunks: a forged length on a truncated stream
-	// fails after one small allocation instead of committing 256 MB.
-	const chunk = 1 << 16
-	var sb strings.Builder
-	buf := make([]byte, min(int(n), chunk))
-	for remaining := int(n); remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return "", err
-		}
-		sb.Write(buf[:c])
-		remaining -= c
-	}
-	return sb.String(), nil
-}
-
-// readInt32Col reads n little-endian int32s in bounded chunks, so a
-// corrupt node count on a short stream errors out after at most one
-// chunk's allocation rather than up-front gigabytes.
-func readInt32Col(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 20 // entries per read
-	if n <= chunk {
-		col := make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, col); err != nil {
-			return nil, err
-		}
-		return col, nil
-	}
-	col := make([]int32, 0, chunk)
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		part := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
-}
-
-// readByteCol is readInt32Col for byte columns.
-func readByteCol(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 22
-	col := make([]byte, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		col = append(col, make([]byte, c)...)
-		if _, err := io.ReadFull(r, col[len(col)-c:]); err != nil {
-			return nil, err
-		}
-		remaining -= c
-	}
-	return col, nil
-}
+// maxRecord caps one dictionary name or node value of a file.
+const maxRecord = 1 << 28
 
 // ReadBinary deserializes a document written by WriteBinary (either
 // format version, sniffed from the magic bytes) and validates the
-// encoding before returning it. Corrupt or truncated input of any
-// shape yields an error, never a panic or an unbounded allocation:
-// column and string reads are chunked against the stream, the name
+// encoding before returning it. The columns are decoded from the read
+// window straight into their slices and the value records streamed
+// into the document's one text arena (Value returns substrings of it).
+// Corrupt or truncated input of any shape yields an error, never a
+// panic or an unbounded allocation: column and string reads grow only
+// as the stream delivers (internal/colio), the name
 // dictionary must be duplicate-free and no larger than the node count,
 // Validate rejects any encoding (ranks, levels, kinds, name ids,
 // height) that the accessors could not serve safely, and a v2 index
 // section must agree exactly with the kind/name columns — a corrupt
 // index can never silently change query results.
 func ReadBinary(r io.Reader) (*Document, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := colio.Reader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("doc: read magic: %w", err)
@@ -233,11 +153,14 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	default:
 		return nil, fmt.Errorf("doc: bad magic %q", magic)
 	}
-	var flags, n uint32
-	var height int32
-	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return nil, err
+	var hdr [3]uint32 // flags, n, height
+	for i := range hdr {
+		var err error
+		if hdr[i], err = colio.ReadUint32(br); err != nil {
+			return nil, err
+		}
 	}
+	flags, n := hdr[0], hdr[1]
 	known := uint32(flagHasValues)
 	if version == 2 {
 		known |= flagHasIndex | flagHasVIndex
@@ -248,60 +171,53 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	if flags&flagHasVIndex != 0 && flags&flagHasValues == 0 {
 		return nil, fmt.Errorf("doc: value index section without node values")
 	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &height); err != nil {
-		return nil, err
-	}
 	if n == 0 || n > 1<<30 {
 		return nil, fmt.Errorf("doc: unreasonable node count %d", n)
 	}
-	d := &Document{names: NewDict(), height: height}
+	d := &Document{names: NewDict(), height: int32(hdr[2])}
 	var err error
 	for _, col := range []*[]int32{&d.post, &d.level, &d.parent} {
-		if *col, err = readInt32Col(br, int(n)); err != nil {
+		if *col, err = colio.ReadWords[int32](br, int(n)); err != nil {
 			return nil, err
 		}
 	}
-	kinds, err := readByteCol(br, int(n))
+	if d.kind, err = colio.ReadBytes[Kind](br, int(n)); err != nil {
+		return nil, err
+	}
+	if d.name, err = colio.ReadWords[int32](br, int(n)); err != nil {
+		return nil, err
+	}
+	dictLen, err := colio.ReadUint32(br)
 	if err != nil {
-		return nil, err
-	}
-	d.kind = make([]Kind, n)
-	for i, k := range kinds {
-		d.kind[i] = Kind(k)
-	}
-	if d.name, err = readInt32Col(br, int(n)); err != nil {
-		return nil, err
-	}
-	var dictLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &dictLen); err != nil {
 		return nil, err
 	}
 	if dictLen > n {
 		return nil, fmt.Errorf("doc: dictionary of %d names exceeds node count %d", dictLen, n)
 	}
+	var rec []byte
 	for i := uint32(0); i < dictLen; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return nil, err
+		if rec, err = colio.AppendRecord(br, rec[:0], maxRecord); err != nil {
+			return nil, fmt.Errorf("doc: dictionary: %w", err)
 		}
-		d.names.Intern(s)
-		if d.names.Len() != int(i)+1 {
-			return nil, fmt.Errorf("doc: duplicate dictionary entry %q", s)
+		if d.names.internBytes(rec) != int32(i) {
+			return nil, fmt.Errorf("doc: duplicate dictionary entry %q", rec)
 		}
 	}
 	if flags&flagHasValues != 0 {
-		vals := make([]string, 0, min(int(n), 1<<20))
-		for i := 0; i < int(n); i++ {
-			s, err := readString(br)
-			if err != nil {
-				return nil, err
+		// The five columns above prove the stream held n nodes, so the
+		// offsets are allocated whole; the arena grows as records arrive.
+		d.valOff = make([]uint32, 1, n+1)
+		var text []byte
+		for i := uint32(0); i < n; i++ {
+			if text, err = colio.AppendRecord(br, text, maxRecord); err != nil {
+				return nil, fmt.Errorf("doc: node %d value: %w", i, err)
 			}
-			vals = append(vals, s)
+			if uint64(len(text)) > math.MaxUint32 {
+				return nil, fmt.Errorf("doc: more than 4 GiB of node values")
+			}
+			d.valOff = append(d.valOff, uint32(len(text)))
 		}
-		d.value = vals
+		d.valText = string(text)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("doc: corrupt binary document: %w", err)
@@ -361,24 +277,26 @@ func (d *Document) validateIndex(ix *index.Index) error {
 }
 
 // validateValueIndex checks a deserialized value section against the
-// document: every keyed node's recomputed string value must equal the
-// value it is listed under, and every overflow node's value must
-// actually exceed vindex.MaxKeyLen. Combined with the structural
-// guarantees of vindex.ReadSection (sortedness, exact partition of
-// [0, n)) this pins the section to the one canonical value index of
-// the document — a corrupt section can never silently change query
-// results.
+// document: every keyed node's string value, compared piece by piece in
+// place, must equal the key it is listed under, and every overflow
+// node's value must actually exceed vindex.MaxKeyLen. Combined with the
+// structural guarantees of vindex.ReadSection (sortedness, exact
+// partition of [0, n)) this pins the section to the one canonical value
+// index of the document — a corrupt section can never silently change
+// query results.
 func (d *Document) validateValueIndex(ix *vindex.Index) error {
 	var bad error
-	ix.ForEachString(func(val string, pres []int32) {
-		if bad != nil {
-			return
-		}
+	ix.ForEachString(func(key string, pres []int32) {
 		for _, v := range pres {
-			s, ok := d.boundedStringValue(v)
-			if !ok || s != val {
-				bad = fmt.Errorf("vindex: node %d keyed under %q but its string value differs", v, val)
-				return
+			rest, ok := key, true
+			d.eachText(v, func(t string) bool {
+				if ok = strings.HasPrefix(rest, t); ok {
+					rest = rest[len(t):]
+				}
+				return ok
+			})
+			if (!ok || rest != "") && bad == nil {
+				bad = fmt.Errorf("vindex: node %d keyed under %q but its string value differs", v, key)
 			}
 		}
 	})
@@ -386,7 +304,7 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 		return bad
 	}
 	for _, v := range ix.Overflow() {
-		if _, ok := d.boundedStringValue(v); ok {
+		if size, _ := d.boundedTextLen(v); size <= vindex.MaxKeyLen {
 			return fmt.Errorf("vindex: node %d in overflow but its value fits a key", v)
 		}
 	}
@@ -394,8 +312,8 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 }
 
 // EncodedBytes returns the in-memory footprint of the structural
-// encoding in bytes (excluding string values and the tag/kind index,
-// see IndexBytes): 13 bytes per node (post, level, parent, name id: 4
+// encoding in bytes (excluding the node values and the indexes, see
+// ValueBytes, IndexBytes and ValueIndexBytes): 13 bytes per node (post, level, parent, name id: 4
 // each; kind: 1) plus the name dictionary. The pre column is void and
 // costs nothing — this is the quantity behind the paper's "1.5×
 // document size" storage claim.

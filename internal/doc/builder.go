@@ -3,6 +3,7 @@ package doc
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Builder constructs a pre/post encoded Document from a stream of
@@ -19,7 +20,14 @@ type Builder struct {
 	kind   []Kind
 	name   []int32
 	parent []int32
-	value  []string
+
+	// text is the value arena. A node's value is written to its tail
+	// first — by the string-taking events below, or in place by the
+	// scanner — and push commits it: valOff[pre+1] is where the value of
+	// node pre ends. Without keepValues the tail is scratch and valOff
+	// stays nil.
+	valOff []uint32
+	text   []byte
 
 	names      *Dict
 	keepValues bool
@@ -66,10 +74,10 @@ func NewBuilder(opts ...BuilderOption) *Builder {
 		b.names = NewDict()
 	}
 	if b.keepValues {
-		b.value = []string{}
+		b.valOff = []uint32{0}
 	}
 	if b.virtual {
-		b.push(VRoot, NoName, "")
+		b.push(VRoot, NoName)
 	}
 	return b
 }
@@ -81,8 +89,9 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
-// push enters a new node and returns its pre rank.
-func (b *Builder) push(k Kind, nameID int32, val string) int32 {
+// push enters a new node, whose value is the uncommitted tail of the
+// arena, and returns its pre rank.
+func (b *Builder) push(k Kind, nameID int32) int32 {
 	pre := int32(len(b.post))
 	lvl := int32(len(b.stack))
 	par := NoParent
@@ -96,14 +105,35 @@ func (b *Builder) push(k Kind, nameID int32, val string) int32 {
 	b.kind = append(b.kind, k)
 	b.name = append(b.name, nameID)
 	b.parent = append(b.parent, par)
-	if b.keepValues {
-		b.value = append(b.value, val)
-	}
+	b.commit()
 	if lvl > b.height {
 		b.height = lvl
 	}
 	b.stack = append(b.stack, pre)
 	return pre
+}
+
+// commit makes the arena tail the value of the last node (extending it,
+// if the node had one).
+func (b *Builder) commit() {
+	switch {
+	case !b.keepValues:
+		b.text = b.text[:0]
+	case uint64(len(b.text)) > math.MaxUint32:
+		b.fail("doc: more than 4 GiB of node values")
+	case len(b.valOff) > len(b.post):
+		b.valOff[len(b.post)] = uint32(len(b.text))
+	default:
+		b.valOff = append(b.valOff, uint32(len(b.text)))
+	}
+}
+
+// committed returns where the uncommitted tail of the arena starts.
+func (b *Builder) committed() int {
+	if !b.keepValues {
+		return 0
+	}
+	return int(b.valOff[len(b.post)])
 }
 
 // pop exits the innermost open node, assigning its post rank.
@@ -115,41 +145,57 @@ func (b *Builder) pop() {
 }
 
 // leaf enters and immediately exits a childless node.
-func (b *Builder) leaf(k Kind, nameID int32, val string) {
-	b.push(k, nameID, val)
+func (b *Builder) leaf(k Kind, nameID int32) {
+	b.push(k, nameID)
 	b.pop()
 }
 
+// The events that carry a name or a value come in two forms: the
+// exported one takes strings; the one the scanner calls takes a name id
+// and finds the value already at the tail of the arena.
+
 // OpenElem starts an element node with the given tag name.
-func (b *Builder) OpenElem(tag string) {
+func (b *Builder) OpenElem(tag string) { b.openElem(b.names.Intern(tag)) }
+
+func (b *Builder) openElem(id int32) {
 	if b.err != nil {
 		return
 	}
 	if len(b.stack) == 0 && b.roots > 0 {
-		b.fail("doc: second root element %q (use WithVirtualRoot for collections)", tag)
+		b.fail("doc: second root element %q (use WithVirtualRoot for collections)", b.names.Name(id))
 		return
 	}
-	b.push(Elem, b.names.Intern(tag), "")
+	b.push(Elem, id)
 	b.attrsOK = true
 }
 
 // Attr adds an attribute node to the currently open element. Attributes
 // must be added before any text or child events of that element.
 func (b *Builder) Attr(name, val string) {
+	b.text = append(b.text, val...)
+	b.attr(b.names.Intern(name))
+}
+
+func (b *Builder) attr(id int32) {
 	if b.err != nil {
 		return
 	}
 	if len(b.stack) == 0 || b.kind[b.stack[len(b.stack)-1]] != Elem || !b.attrsOK {
-		b.fail("doc: attribute %q outside element start", name)
+		b.fail("doc: attribute %q outside element start", b.names.Name(id))
 		return
 	}
-	b.leaf(Attr, b.names.Intern(name), val)
+	b.leaf(Attr, id)
 }
 
 // Text adds a text node under the currently open element. Adjacent text
 // is merged into a single node, keeping text nodes maximal as the XPath
 // data model requires.
 func (b *Builder) Text(s string) {
+	b.text = append(b.text, s...)
+	b.addText()
+}
+
+func (b *Builder) addText() {
 	if b.err != nil {
 		return
 	}
@@ -157,43 +203,48 @@ func (b *Builder) Text(s string) {
 		b.fail("doc: text content outside any element")
 		return
 	}
+	b.attrsOK = false
 	if last := len(b.post) - 1; last >= 0 &&
 		b.kind[last] == Text &&
 		b.parent[last] == b.stack[len(b.stack)-1] &&
 		b.post[last] == b.postCounter-1 {
-		if b.keepValues {
-			b.value[last] += s
-		}
-		b.attrsOK = false
+		b.commit() // the previous node is this text: its value grows
 		return
 	}
-	b.leaf(Text, NoName, s)
-	b.attrsOK = false
+	b.leaf(Text, NoName)
 }
+
+// outside reports that a comment or PI arriving now would sit outside
+// the root. That is legal XML, but the node needs a parent in the
+// plane: it is kept in collections and silently dropped otherwise,
+// before its name is interned or its value written.
+func (b *Builder) outside() bool { return len(b.stack) == 0 && !b.virtual }
 
 // Comment adds a comment node.
 func (b *Builder) Comment(s string) {
-	if b.err != nil {
-		return
+	if !b.outside() {
+		b.text = append(b.text, s...)
+		b.misc(Comment, NoName)
 	}
-	if len(b.stack) == 0 && !b.virtual {
-		// Comments outside the root are legal XML; we only keep them in
-		// collections (they need a parent in the plane). Silently drop.
-		return
-	}
-	b.leaf(Comment, NoName, s)
-	b.attrsOK = false
 }
 
 // PI adds a processing-instruction node with the given target and data.
 func (b *Builder) PI(target, data string) {
+	if !b.outside() {
+		b.text = append(b.text, data...)
+		b.misc(PI, b.names.Intern(target))
+	}
+}
+
+func (b *Builder) misc(k Kind, id int32) {
 	if b.err != nil {
 		return
 	}
-	if len(b.stack) == 0 && !b.virtual {
+	if b.outside() {
+		b.text = b.text[:b.committed()]
 		return
 	}
-	b.leaf(PI, b.names.Intern(target), data)
+	b.leaf(k, id)
 	b.attrsOK = false
 }
 
@@ -235,9 +286,13 @@ func (b *Builder) Done() (*Document, error) {
 		kind:   b.kind,
 		name:   b.name,
 		parent: b.parent,
-		value:  b.value,
+		valOff: b.valOff,
 		names:  b.names,
 		height: b.height,
+	}
+	if b.keepValues {
+		// The copy sheds the slack append left in the arena.
+		d.valText = string(b.text[:b.valOff[len(b.post)]])
 	}
 	return d, nil
 }

@@ -28,6 +28,15 @@ func (d *Dict) Intern(name string) int32 {
 	return id
 }
 
+// internBytes is Intern for a name still in a read buffer: only a name
+// not seen before is copied.
+func (d *Dict) internBytes(name []byte) int32 {
+	if id, ok := d.ids[string(name)]; ok {
+		return id
+	}
+	return d.Intern(string(name))
+}
+
 // Lookup returns the id for name and whether it is present. Unlike
 // Intern it never mutates the dictionary, so it is safe on shared
 // documents.

@@ -10,7 +10,10 @@
 // The store additionally records level (root depth), node kind, tag name
 // (interned) and parent, giving a group of BAT-style columns all indexed
 // positionally by pre: the pre column itself is virtual (void), exactly
-// as in the paper's Monet implementation (§4.1).
+// as in the paper's Monet implementation (§4.1). Node values follow the
+// same section's string heap: one text arena plus a fixed-width offset
+// column, so Value returns substrings that share the arena — there is
+// no string per node, and callers must not assume one.
 //
 // Attribute nodes participate in the plane with their own pre/post ranks
 // (visited as the first children of their owner element) but carry a
@@ -26,7 +29,6 @@ package doc
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,12 +90,18 @@ const NoParent int32 = -1
 // A Document is immutable after construction; it is safe for concurrent
 // readers.
 type Document struct {
-	post   []int32  // postorder rank, by pre
-	level  []int32  // root distance, by pre
-	kind   []Kind   // node kind, by pre
-	name   []int32  // interned tag/attribute name id, NoName if unnamed
-	parent []int32  // parent's pre, NoParent for the root
-	value  []string // text/attr/comment/PI content; nil if not retained
+	post   []int32 // postorder rank, by pre
+	level  []int32 // root distance, by pre
+	kind   []Kind  // node kind, by pre
+	name   []int32 // interned tag/attribute name id, NoName if unnamed
+	parent []int32 // parent's pre, NoParent for the root
+
+	// Text/attr/comment/PI content, in pre order in one arena: node v
+	// holds valText[valOff[v]:valOff[v+1]] (elements hold nothing, so a
+	// subtree's values are one contiguous span). valOff is nil if
+	// values were not retained.
+	valOff  []uint32
+	valText string
 
 	names  *Dict
 	height int32 // h: max level, computed at load time (§2.1 footnote 3)
@@ -158,7 +166,7 @@ func (d *Document) IndexBytes() int64 {
 // engine over the document. Documents built without values return nil
 // — callers fall back to per-node evaluation.
 func (d *Document) ValueIndex() *vindex.Index {
-	if d.value == nil {
+	if d.valOff == nil {
 		return nil
 	}
 	if ix := d.vidx.Load(); ix != nil {
@@ -175,44 +183,64 @@ func (d *Document) ValueIndex() *vindex.Index {
 }
 
 // buildValueIndex runs the document pass feeding the value index:
-// every node, in pre order, keyed by its bounded string value.
+// every node, in pre order, keyed by its bounded string value. Values
+// that are one span of the arena are interned as substrings; only an
+// element whose text is interleaved with other values is concatenated,
+// through one reused buffer.
 func (d *Document) buildValueIndex() *vindex.Index {
-	var b vindex.Builder
+	var (
+		b       vindex.Builder
+		scratch []byte
+	)
+	b.Grow(len(d.post))
 	for pre := range d.post {
-		if s, ok := d.boundedStringValue(int32(pre)); ok {
-			b.Add(int32(pre), s)
-		} else {
-			b.AddOverflow(int32(pre))
+		pre := int32(pre)
+		size, span := d.boundedTextLen(pre)
+		switch {
+		case size > vindex.MaxKeyLen:
+			b.AddOverflow(pre)
+		case size == len(span):
+			b.Add(pre, span)
+		default:
+			scratch = scratch[:0]
+			d.eachText(pre, func(t string) bool {
+				scratch = append(scratch, t...)
+				return true
+			})
+			b.AddBytes(pre, scratch)
 		}
 	}
 	return b.Build(len(d.post))
 }
 
-// boundedStringValue returns the node's XPath string value when it is
-// at most vindex.MaxKeyLen bytes, or ("", false) when longer — element
-// text concatenation stops at the cap, so a huge container element
-// costs O(MaxKeyLen), not a copy of its subtree text.
-func (d *Document) boundedStringValue(pre int32) (string, bool) {
-	switch d.kind[pre] {
-	case Text, Attr, Comment, PI:
-		v := d.value[pre]
-		if len(v) > vindex.MaxKeyLen {
-			return "", false
-		}
-		return v, true
-	default:
-		var sb strings.Builder
-		end := pre + d.SubtreeSize(pre)
-		for v := pre + 1; v <= end; v++ {
-			if d.kind[v] == Text {
-				sb.WriteString(d.value[v])
-				if sb.Len() > vindex.MaxKeyLen {
-					return "", false
-				}
-			}
-		}
-		return sb.String(), true
+// eachText calls f with every piece of the node's XPath string value
+// in order — the node's own content for text/attribute/comment/PI
+// nodes, each descendant text node's for elements and the virtual
+// root — until f returns false.
+func (d *Document) eachText(pre int32, f func(string) bool) {
+	if k := d.kind[pre]; k != Elem && k != VRoot {
+		f(d.Value(pre))
+		return
 	}
+	end := pre + d.SubtreeSize(pre)
+	for v := pre + 1; v <= end; v++ {
+		if d.kind[v] == Text && !f(d.Value(v)) {
+			return
+		}
+	}
+}
+
+// boundedTextLen returns the length of the node's string value,
+// counting no further than past vindex.MaxKeyLen — a huge container
+// element costs O(MaxKeyLen), not a pass over its subtree text — and
+// the arena span holding the node's (or its subtree's) values. When
+// the two lengths agree the span is the string value.
+func (d *Document) boundedTextLen(pre int32) (size int, span string) {
+	d.eachText(pre, func(t string) bool {
+		size += len(t)
+		return size <= vindex.MaxKeyLen
+	})
+	return size, d.valText[d.valOff[pre]:d.valOff[pre+d.SubtreeSize(pre)+1]]
 }
 
 // RebuildValueIndex builds a fresh value index from the document's
@@ -221,7 +249,7 @@ func (d *Document) boundedStringValue(pre int32) (string, bool) {
 // analogue times index.Build directly, but the value pass needs the
 // private value column). Returns nil when values were dropped.
 func (d *Document) RebuildValueIndex() *vindex.Index {
-	if d.value == nil {
+	if d.valOff == nil {
 		return nil
 	}
 	return d.buildValueIndex()
@@ -255,7 +283,14 @@ func (d *Document) Names() *Dict { return d.names }
 
 // HasValues reports whether node string values were retained at build
 // time (builders may drop them to save memory in large benchmarks).
-func (d *Document) HasValues() bool { return d.value != nil }
+func (d *Document) HasValues() bool { return d.valOff != nil }
+
+// ValueBytes returns the in-memory footprint of the node values: the
+// offset column plus the text arena, 0 for documents built without
+// values. The catalog charges it alongside EncodedBytes.
+func (d *Document) ValueBytes() int64 {
+	return 4*int64(len(d.valOff)) + int64(len(d.valText))
+}
 
 // Post returns post(v) for the node with preorder rank pre.
 func (d *Document) Post(pre int32) int32 { return d.post[pre] }
@@ -284,11 +319,13 @@ func (d *Document) Parent(pre int32) int32 { return d.parent[pre] }
 
 // Value returns the string value of a text/attribute/comment/PI node.
 // It returns "" for elements and for documents built without values.
+// The result is a substring of the document's one text arena: it costs
+// nothing to take, and keeping it alive keeps the arena alive.
 func (d *Document) Value(pre int32) string {
-	if d.value == nil {
+	if d.valOff == nil {
 		return ""
 	}
-	return d.value[pre]
+	return d.valText[d.valOff[pre]:d.valOff[pre+1]]
 }
 
 // SubtreeSize returns |descendant(v)| for the node with preorder rank
@@ -307,24 +344,27 @@ func (d *Document) Root() int32 { return 0 }
 // StringValue returns the XPath string value of a node: the node's own
 // content for text/attribute/comment/PI nodes, and the concatenation of
 // all descendant text for elements (and the virtual root). Documents
-// built without values yield "".
+// built without values yield "". Only an element whose text is
+// interleaved with attribute, comment or PI content is concatenated;
+// every other value is a substring of the arena.
 func (d *Document) StringValue(pre int32) string {
-	switch d.kind[pre] {
-	case Text, Attr, Comment, PI:
+	if k := d.kind[pre]; d.valOff == nil || k != Elem && k != VRoot {
 		return d.Value(pre)
-	default:
-		if d.value == nil {
-			return ""
-		}
-		var sb strings.Builder
-		end := pre + d.SubtreeSize(pre)
-		for v := pre + 1; v <= end; v++ {
-			if d.kind[v] == Text {
-				sb.WriteString(d.value[v])
-			}
-		}
-		return sb.String()
 	}
+	size, span := 0, d.valText[d.valOff[pre]:d.valOff[pre+d.SubtreeSize(pre)+1]]
+	d.eachText(pre, func(t string) bool {
+		size += len(t)
+		return true
+	})
+	if size == len(span) {
+		return span
+	}
+	buf := make([]byte, 0, size)
+	d.eachText(pre, func(t string) bool {
+		buf = append(buf, t...)
+		return true
+	})
+	return string(buf)
 }
 
 // IsDescendant reports whether node v is a proper descendant of node u,
@@ -421,7 +461,7 @@ func (d *Document) Validate() error {
 	if len(d.level) != n || len(d.kind) != n || len(d.name) != n || len(d.parent) != n {
 		return fmt.Errorf("doc: column length mismatch")
 	}
-	if d.value != nil && len(d.value) != n {
+	if d.valOff != nil && len(d.valOff) != n+1 {
 		return fmt.Errorf("doc: value column length mismatch")
 	}
 	if n == 0 {

@@ -1,10 +1,11 @@
 package doc
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
+
+	"staircase/internal/xmltext"
 )
 
 // Serialize writes the subtree rooted at node root back out as XML.
@@ -66,7 +67,7 @@ func (d *Document) Serialize(w io.Writer, root int32) error {
 				open = append(open, v)
 			}
 		case Text:
-			if err := xml.EscapeText(w, []byte(d.Value(v))); err != nil {
+			if err := xmltext.EscapeText(w, d.Value(v)); err != nil {
 				return err
 			}
 		case Comment:

@@ -1,7 +1,6 @@
 package doc
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -33,38 +32,36 @@ func ShredWithDict(d *Dict) ShredOption {
 	return func(c *shredConfig) { c.dict = d }
 }
 
-// Shred parses one XML document from r (stdlib encoding/xml) and loads
-// it into the pre/post plane. This is the "document loading" step of the
-// paper: the resulting table group is pre-sorted by construction and h
-// is computed on the fly.
+// Shred parses one XML document from r and loads it into the pre/post
+// plane. This is the "document loading" step of the paper (§2.1): one
+// sequential pass with a stack, the resulting table group pre-sorted by
+// construction and h computed on the fly. The input is read by the
+// package's own scanner (see scanner for the XML it accepts), which
+// writes names through the dictionary and character data straight into
+// the document's value arena.
 func Shred(r io.Reader, opts ...ShredOption) (*Document, error) {
-	cfg := shredConfig{keepValues: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var bopts []BuilderOption
-	if !cfg.keepValues {
-		bopts = append(bopts, WithoutValues())
-	}
-	if cfg.dict != nil {
-		bopts = append(bopts, WithDict(cfg.dict))
-	}
-	b := NewBuilder(bopts...)
-	if err := feed(b, r, cfg); err != nil {
-		return nil, err
-	}
-	return b.Done()
+	return shredAll(feed, []io.Reader{r}, false, opts)
 }
 
 // ShredCollection parses several XML documents and gathers them under a
 // virtual root node, so that a single plane (and a single B-tree, as the
 // paper notes) serves the whole collection.
 func ShredCollection(readers []io.Reader, opts ...ShredOption) (*Document, error) {
+	return shredAll(feed, readers, true, opts)
+}
+
+// shredAll builds one document from the given inputs, each streamed
+// into the builder by feed (the scanner; the tests also pass its
+// encoding/xml oracle).
+func shredAll(feed func(*Builder, io.Reader, shredConfig) error, readers []io.Reader, collection bool, opts []ShredOption) (*Document, error) {
 	cfg := shredConfig{keepValues: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	bopts := []BuilderOption{WithVirtualRoot()}
+	var bopts []BuilderOption
+	if collection {
+		bopts = append(bopts, WithVirtualRoot())
+	}
 	if !cfg.keepValues {
 		bopts = append(bopts, WithoutValues())
 	}
@@ -74,7 +71,10 @@ func ShredCollection(readers []io.Reader, opts ...ShredOption) (*Document, error
 	b := NewBuilder(bopts...)
 	for i, r := range readers {
 		if err := feed(b, r, cfg); err != nil {
-			return nil, fmt.Errorf("document %d: %w", i, err)
+			if collection {
+				err = fmt.Errorf("document %d: %w", i, err)
+			}
+			return nil, err
 		}
 	}
 	return b.Done()
@@ -85,47 +85,8 @@ func ShredString(s string, opts ...ShredOption) (*Document, error) {
 	return Shred(strings.NewReader(s), opts...)
 }
 
-// feed streams one document's tokens into the builder.
+// feed scans one document into the builder.
 func feed(b *Builder, r io.Reader, cfg shredConfig) error {
-	dec := xml.NewDecoder(r)
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("doc: XML parse error: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			b.OpenElem(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue // namespace declarations are not attribute nodes
-				}
-				b.Attr(a.Name.Local, a.Value)
-			}
-		case xml.EndElement:
-			b.CloseElem()
-		case xml.CharData:
-			s := string(t)
-			if !cfg.keepSpace && strings.TrimSpace(s) == "" {
-				continue
-			}
-			b.Text(s)
-		case xml.Comment:
-			b.Comment(string(t))
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				continue // XML declaration, not a PI node
-			}
-			b.PI(t.Target, string(t.Inst))
-		case xml.Directive:
-			// DOCTYPE etc.: no node in the XPath data model.
-		}
-		if b.Err() != nil {
-			return b.Err()
-		}
-	}
-	return b.Err()
+	s := scanner{r: r, b: b, keepSpace: cfg.keepSpace, buf: make([]byte, 1<<16)}
+	return s.run()
 }

@@ -27,9 +27,10 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
+
+	"staircase/internal/colio"
 )
 
 // Index holds one pre-sorted node list per element tag and per
@@ -184,38 +185,26 @@ func (ix *Index) Entries() int64 {
 
 // WriteSection serializes the index.
 func (ix *Index) WriteSection(w io.Writer) error {
-	hdr := []uint32{uint32(len(ix.tags)), uint32(len(ix.kinds))}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	bw := colio.Writer(w)
+	err := colio.WriteUint32(bw, uint32(len(ix.tags)), uint32(len(ix.kinds)))
+	if err == nil {
+		err = bw.WriteByte(ix.elem)
 	}
-	if _, err := w.Write([]byte{ix.elem}); err != nil {
-		return err
-	}
-	writeList := func(list []int32) error {
-		min, max, _ := Span(list)
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(list))); err != nil {
-			return err
-		}
-		for _, v := range []int32{min, max} {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
+	for _, lists := range [][][]int32{ix.tags, ix.kinds} {
+		for _, list := range lists {
+			min, max, _ := Span(list)
+			if err == nil {
+				err = colio.WriteUint32(bw, uint32(len(list)), uint32(min), uint32(max))
+			}
+			if err == nil {
+				err = colio.WriteWords(bw, list)
 			}
 		}
-		return binary.Write(w, binary.LittleEndian, list)
 	}
-	for _, l := range ix.tags {
-		if err := writeList(l); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	for _, l := range ix.kinds {
-		if err := writeList(l); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bw.Flush()
 }
 
 // ReadSection deserializes and validates an index section for a
@@ -224,13 +213,16 @@ func (ix *Index) WriteSection(w io.Writer) error {
 // caller's expectation exactly). Corrupt input of any shape (bad
 // lengths, unsorted lists, out-of-range ranks, span mismatches,
 // truncation) yields an error, never a panic or an unbounded
-// allocation.
+// allocation. When r is a bufio.Reader of at least colio.BufSize it is
+// read in place, consuming the section and no more.
 func ReadSection(r io.Reader, n, numNames, numKinds int, elem uint8) (*Index, error) {
-	var numTags, nk uint32
-	if err := binary.Read(r, binary.LittleEndian, &numTags); err != nil {
+	br := colio.Reader(r)
+	numTags, err := colio.ReadUint32(br)
+	if err != nil {
 		return nil, fmt.Errorf("index: read section header: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &nk); err != nil {
+	nk, err := colio.ReadUint32(br)
+	if err != nil {
 		return nil, fmt.Errorf("index: read section header: %w", err)
 	}
 	if int(numTags) != numNames {
@@ -239,12 +231,12 @@ func ReadSection(r io.Reader, n, numNames, numKinds int, elem uint8) (*Index, er
 	if int(nk) != numKinds {
 		return nil, fmt.Errorf("index: section has %d kind lists, want %d", nk, numKinds)
 	}
-	var stored [1]byte
-	if _, err := io.ReadFull(r, stored[:]); err != nil {
+	stored, err := br.ReadByte()
+	if err != nil {
 		return nil, fmt.Errorf("index: read element kind: %w", err)
 	}
-	if stored[0] != elem {
-		return nil, fmt.Errorf("index: section element kind %d, want %d", stored[0], elem)
+	if stored != elem {
+		return nil, fmt.Errorf("index: section element kind %d, want %d", stored, elem)
 	}
 	ix := &Index{
 		tags:  make([][]int32, numNames),
@@ -254,21 +246,15 @@ func ReadSection(r io.Reader, n, numNames, numKinds int, elem uint8) (*Index, er
 	}
 	var total int64
 	readList := func(what string) ([]int32, error) {
-		var count uint32
-		if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-			return nil, fmt.Errorf("index: read %s length: %w", what, err)
+		hdr, err := colio.ReadWords[uint32](br, 3) // count, min, max
+		if err != nil {
+			return nil, fmt.Errorf("index: read %s header: %w", what, err)
 		}
+		count, min, max := hdr[0], int32(hdr[1]), int32(hdr[2])
 		if int64(count) > int64(n) {
 			return nil, fmt.Errorf("index: %s has %d entries, document has %d nodes", what, count, n)
 		}
-		var min, max int32
-		if err := binary.Read(r, binary.LittleEndian, &min); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(r, binary.LittleEndian, &max); err != nil {
-			return nil, err
-		}
-		list, err := readInt32Chunked(r, int(count))
+		list, err := colio.ReadWords[int32](br, int(count))
 		if err != nil {
 			return nil, fmt.Errorf("index: read %s entries: %w", what, err)
 		}
@@ -311,32 +297,4 @@ func ReadSection(r io.Reader, n, numNames, numKinds int, elem uint8) (*Index, er
 		return nil, fmt.Errorf("index: lists index %d entries, document has %d nodes", total, n)
 	}
 	return ix, nil
-}
-
-// readInt32Chunked reads n little-endian int32s in bounded chunks so a
-// forged length on a truncated stream errors out after one chunk's
-// allocation.
-func readInt32Chunked(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		col := make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, col); err != nil {
-			return nil, err
-		}
-		return col, nil
-	}
-	col := make([]int32, 0, chunk)
-	for remaining := n; remaining > 0; {
-		c := chunk
-		if remaining < c {
-			c = remaining
-		}
-		part := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
 }

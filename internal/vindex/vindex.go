@@ -14,8 +14,11 @@
 // it is a pre-sorted node fragment the staircase semijoin machinery
 // can intersect with the context, exactly like a name-test fragment.
 //
-// Layout: the distinct string values are sorted and stored once; a CSR
-// pair (offsets + node column) maps each value rank to its pre-sorted
+// Layout: the distinct string values (the keys) are sorted and stored
+// once, as offsets into one text arena — keyOff + keyText, no string
+// header and no heap object per key, so the collector has nothing to
+// mark here; every key handed out is a substring of that arena. A CSR
+// pair (offsets + node column) maps each key rank to its pre-sorted
 // occupant list. Values longer than MaxKeyLen are not keyed — their
 // nodes go to the overflow list and are re-evaluated per node at query
 // time, so a pathological value (the root element's string value is
@@ -37,6 +40,7 @@
 package vindex
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -46,6 +50,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"staircase/internal/colio"
 )
 
 // ParseNumber parses a node string value (or literal) as a finite
@@ -56,7 +62,13 @@ import (
 // semantics; internal/xpath re-exports it so index lookups and
 // per-node comparison agree by construction.
 func ParseNumber(s string) (float64, bool) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	s = strings.TrimSpace(s)
+	// strconv builds an error value for every string it refuses, and
+	// most values are not numbers: turn away what cannot be one first.
+	if s == "" || (s[0] < '0' || s[0] > '9') && s[0] != '-' && s[0] != '+' && s[0] != '.' {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0, false
 	}
@@ -107,9 +119,12 @@ func (o Op) String() string {
 // Index is the immutable value index of one document. Safe for
 // concurrent readers after Build/ReadSection.
 type Index struct {
-	strs   []string // sorted distinct keyed values, each <= MaxKeyLen bytes
-	strOff []uint32 // CSR offsets into strPre, len(strs)+1 entries
-	strPre []int32  // node column: pre ranks grouped by value rank, ascending per group
+	// Sorted distinct keyed values, each <= MaxKeyLen bytes: key r is
+	// keyText[keyOff[r]:keyOff[r+1]].
+	keyOff  []uint32
+	keyText string
+	strOff  []uint32 // CSR offsets into strPre, one more entry than keys
+	strPre  []int32  // node column: pre ranks grouped by key rank, ascending per group
 
 	// Numeric partition, derived from the string partition: the nodes
 	// whose value parses as a finite number, regrouped by that number
@@ -123,87 +138,144 @@ type Index struct {
 	nodes int // document size the index was built for
 }
 
-// Builder accumulates (pre, value) pairs in preorder and builds the
-// index in one sort.
+// key returns the r-th distinct value, a substring of the arena.
+func (ix *Index) key(r int) string { return ix.keyText[ix.keyOff[r]:ix.keyOff[r+1]] }
+
+// Builder accumulates (pre, value) pairs in preorder, interning each
+// value as it arrives, and builds the index by sorting the distinct
+// values only: intern → sort distinct → scatter.
 type Builder struct {
-	entries  []entry
+	ids      map[string]uint32 // value → id, in order of first appearance
+	keys     []string          // id → value
+	kid      []uint32          // key id of each keyed node, in Add order
+	pres     []int32           // the keyed nodes, ascending
 	overflow []int32
 	last     int32
 	started  bool
 }
 
-type entry struct {
-	val string
-	pre int32
+// Grow sizes the builder for the n nodes of the document to come.
+func (b *Builder) Grow(n int) {
+	b.pres = slices.Grow(b.pres, n)
+	b.kid = slices.Grow(b.kid, n)
 }
 
 // Add records one node's string value. Calls must arrive in strictly
 // increasing pre order (the document pass), covering every node; Add
-// panics on out-of-order input.
+// panics on out-of-order input. A value seen for the first time is
+// retained until Build, so it should be a substring of long-lived text.
 func (b *Builder) Add(pre int32, val string) {
-	if len(val) > MaxKeyLen {
-		b.AddOverflow(pre)
-		return
+	id, ok := b.ids[val]
+	if !ok && len(val) <= MaxKeyLen {
+		id = b.intern(val)
 	}
-	b.advance(pre)
-	b.entries = append(b.entries, entry{val, pre})
+	b.add(pre, id, len(val) > MaxKeyLen)
+}
+
+// AddBytes is Add for a value assembled in a scratch buffer the caller
+// goes on to reuse: the probe allocates nothing, and only a value seen
+// for the first time is copied.
+func (b *Builder) AddBytes(pre int32, val []byte) {
+	id, ok := b.ids[string(val)]
+	if !ok && len(val) <= MaxKeyLen {
+		id = b.intern(string(val))
+	}
+	b.add(pre, id, len(val) > MaxKeyLen)
 }
 
 // AddOverflow records a node whose string value exceeds MaxKeyLen
 // without materialising the value (builders can stop concatenating
 // element text at the cap). Same ordering contract as Add.
-func (b *Builder) AddOverflow(pre int32) {
-	b.advance(pre)
-	b.overflow = append(b.overflow, pre)
+func (b *Builder) AddOverflow(pre int32) { b.add(pre, 0, true) }
+
+func (b *Builder) intern(val string) uint32 {
+	if b.ids == nil {
+		b.ids = make(map[string]uint32)
+	}
+	b.ids[val] = uint32(len(b.keys))
+	b.keys = append(b.keys, val)
+	return uint32(len(b.keys) - 1)
 }
 
-func (b *Builder) advance(pre int32) {
+func (b *Builder) add(pre int32, id uint32, overflow bool) {
 	if b.started && pre <= b.last {
 		panic(fmt.Sprintf("vindex: Add out of preorder: %d after %d", pre, b.last))
 	}
 	b.started, b.last = true, pre
+	if overflow {
+		b.overflow = append(b.overflow, pre)
+		return
+	}
+	b.pres = append(b.pres, pre)
+	b.kid = append(b.kid, id)
 }
 
 // Build constructs the index for a document of n nodes. It panics
 // unless the added entries cover exactly the pre ranks [0, n) — the
 // partition invariant ReadSection later revalidates.
 func (b *Builder) Build(n int) *Index {
-	if len(b.entries)+len(b.overflow) != n {
+	if len(b.pres)+len(b.overflow) != n {
 		panic(fmt.Sprintf("vindex: %d entries for a document of %d nodes",
-			len(b.entries)+len(b.overflow), n))
+			len(b.pres)+len(b.overflow), n))
 	}
-	// Stable by value: Add delivered pres in preorder, so each value
-	// group stays ascending.
-	slices.SortStableFunc(b.entries, func(x, y entry) int { return strings.Compare(x.val, y.val) })
-	var (
-		strs   []string
-		strOff = make([]uint32, 0, 16)
-		strPre = make([]int32, 0, len(b.entries))
-	)
-	strOff = append(strOff, 0)
-	for i, e := range b.entries {
-		if i == 0 || e.val != b.entries[i-1].val {
-			strs = append(strs, e.val)
-			if i > 0 {
-				strOff = append(strOff, uint32(i))
-			}
+	// Sort the distinct values, not the nodes: order[r] names the value
+	// of rank r. Each entry carries its value's first eight bytes, which
+	// settle most comparisons without a visit to the value itself.
+	type sortKey struct {
+		head uint64
+		id   uint32
+	}
+	order := make([]sortKey, len(b.keys))
+	size := 0
+	for i, k := range b.keys {
+		var head [8]byte
+		copy(head[:], k)
+		order[i] = sortKey{binary.BigEndian.Uint64(head[:]), uint32(i)}
+		size += len(k)
+	}
+	slices.SortFunc(order, func(x, y sortKey) int {
+		if x.head != y.head {
+			return cmp.Compare(x.head, y.head)
 		}
-		strPre = append(strPre, e.pre)
+		return strings.Compare(b.keys[x.id], b.keys[y.id])
+	})
+	var (
+		rank    = make([]uint32, len(order)) // id → rank
+		keyOff  = make([]uint32, 1, len(order)+1)
+		keyText strings.Builder
+	)
+	keyText.Grow(size)
+	for r, k := range order {
+		rank[k.id] = uint32(r)
+		keyText.WriteString(b.keys[k.id])
+		keyOff = append(keyOff, uint32(keyText.Len()))
 	}
-	strOff = append(strOff, uint32(len(strPre)))
-	if len(strs) == 0 {
-		strOff = strOff[:1]
+	// Counting sort of the nodes by rank. Add delivered them in
+	// preorder, so each value group comes out ascending.
+	strOff := make([]uint32, len(order)+1)
+	for _, id := range b.kid {
+		strOff[rank[id]+1]++
 	}
-	return newIndex(strs, strOff, strPre, b.overflow, n)
+	for r := range order {
+		strOff[r+1] += strOff[r]
+	}
+	next := slices.Clone(strOff[:len(order)])
+	strPre := make([]int32, len(b.pres))
+	for i, id := range b.kid {
+		r := rank[id]
+		strPre[next[r]] = b.pres[i]
+		next[r]++
+	}
+	return newIndex(keyOff, keyText.String(), strOff, strPre, b.overflow, n)
 }
 
 // newIndex assembles an Index from a validated (or freshly built)
 // string partition by deriving the numeric partition. Only the distinct
 // numeric values are sorted; each numeric group is the concatenation of
 // its spellings' node lists, re-sorted when there are several.
-func newIndex(strs []string, strOff []uint32, strPre []int32, overflow []int32, n int) *Index {
+func newIndex(keyOff []uint32, keyText string, strOff []uint32, strPre []int32, overflow []int32, n int) *Index {
 	ix := &Index{
-		strs: strs, strOff: strOff, strPre: strPre,
+		keyOff: keyOff, keyText: keyText, strOff: strOff, strPre: strPre,
 		overflow: overflow, nodes: n,
 	}
 	type numRank struct {
@@ -214,8 +286,8 @@ func newIndex(strs []string, strOff []uint32, strPre []int32, overflow []int32, 
 		nrs   []numRank
 		total uint32
 	)
-	for r, s := range strs {
-		if f, ok := ParseNumber(s); ok {
+	for r := range ix.NumValues() {
+		if f, ok := ParseNumber(ix.key(r)); ok {
 			nrs = append(nrs, numRank{f, r})
 			total += strOff[r+1] - strOff[r]
 		}
@@ -243,7 +315,7 @@ func newIndex(strs []string, strOff []uint32, strPre []int32, overflow []int32, 
 func (ix *Index) Nodes() int { return ix.nodes }
 
 // NumValues returns the number of distinct keyed string values.
-func (ix *Index) NumValues() int { return len(ix.strs) }
+func (ix *Index) NumValues() int { return len(ix.keyOff) - 1 }
 
 // NumNumeric returns the number of distinct numeric values.
 func (ix *Index) NumNumeric() int { return len(ix.nums) }
@@ -259,17 +331,13 @@ func (ix *Index) Entries() int64 {
 // slice must not be modified.
 func (ix *Index) Overflow() []int32 { return ix.overflow }
 
-// Bytes returns the in-memory footprint of the index (the distinct
-// strings and numbers plus the CSR arrays of both partitions). The
+// Bytes returns the in-memory footprint of the index (the key arena
+// and the distinct numbers plus the CSR arrays of both partitions). The
 // catalog charges this against its residency budget alongside
 // IndexBytes.
 func (ix *Index) Bytes() int64 {
-	const stringHeader = 16
-	total := int64(0)
-	for _, s := range ix.strs {
-		total += stringHeader + int64(len(s))
-	}
-	total += 4 * int64(len(ix.strOff)+len(ix.numOff))
+	total := int64(len(ix.keyText))
+	total += 4 * int64(len(ix.keyOff)+len(ix.strOff)+len(ix.numOff))
 	total += 4 * int64(len(ix.strPre)+len(ix.numPre)+len(ix.overflow))
 	total += 8 * int64(len(ix.nums))
 	return total
@@ -282,9 +350,10 @@ func (ix *Index) Bytes() int64 {
 // order because it spans at most one value group; otherwise a caller
 // that needs document order copies the nodes it wants and sorts them.
 func (ix *Index) StringRange(op Op, lit string) (view []int32, inOrder bool) {
-	ge := sort.SearchStrings(ix.strs, lit) // first rank >= lit
-	gt := ge                               // first rank > lit
-	if gt < len(ix.strs) && ix.strs[gt] == lit {
+	n := ix.NumValues()
+	ge := sort.Search(n, func(r int) bool { return ix.key(r) >= lit }) // first rank >= lit
+	gt := ge                                                           // first rank > lit
+	if gt < n && ix.key(gt) == lit {
 		gt++
 	}
 	return rankView(ix.strOff, ix.strPre, op, ge, gt)
@@ -349,15 +418,35 @@ func sortedCopy(view []int32, inOrder bool) []int32 {
 }
 
 // ContainsSubstr returns the pre-sorted nodes whose keyed string value
-// contains sub. The scan over distinct values is O(#values × |value|).
+// contains sub: one sweep of strings.Index over the key arena. A hit is
+// mapped to the key it starts in; one that runs past that key's end
+// straddles two keys and matches neither. Either way the sweep resumes
+// at the next key.
 func (ix *Index) ContainsSubstr(sub string) []int32 {
+	if sub == "" {
+		return sortedCopy(ix.strPre, ix.NumValues() <= 1)
+	}
 	var out []int32
-	groups := 0
-	for r, s := range ix.strs {
-		if strings.Contains(s, sub) {
+	groups, n := 0, ix.NumValues()
+	for r, from := 0, 0; ; {
+		i := strings.Index(ix.keyText[from:], sub)
+		if i < 0 {
+			break
+		}
+		hit := uint32(from + i)
+		// The key holding hit is the first at or after r that ends past
+		// it: gallop there, hits being close together.
+		step := 1
+		for ; r+step < n && ix.keyOff[r+step] <= hit; step *= 2 {
+			r += step
+		}
+		r += sort.Search(min(step, n-r)-1, func(k int) bool { return ix.keyOff[r+1+k] > hit })
+		if hit+uint32(len(sub)) <= ix.keyOff[r+1] {
 			groups++
 			out = append(out, ix.strPre[ix.strOff[r]:ix.strOff[r+1]]...)
 		}
+		r++
+		from = int(ix.keyOff[r])
 	}
 	if groups > 1 {
 		slices.Sort(out)
@@ -366,10 +455,11 @@ func (ix *Index) ContainsSubstr(sub string) []int32 {
 }
 
 // ForEachString visits every keyed value group in value order with its
-// pre-sorted node list. The callback must not retain or modify pres.
+// pre-sorted node list. val is a substring of the index's key arena;
+// the callback must not retain or modify pres.
 func (ix *Index) ForEachString(f func(val string, pres []int32)) {
-	for r, s := range ix.strs {
-		f(s, ix.strPre[ix.strOff[r]:ix.strOff[r+1]])
+	for r := range ix.NumValues() {
+		f(ix.key(r), ix.strPre[ix.strOff[r]:ix.strOff[r+1]])
 	}
 }
 
@@ -400,43 +490,42 @@ func (ix *Index) ForEachNumeric(f func(val float64, pres []int32)) {
 
 // WriteSection serializes the index.
 func (ix *Index) WriteSection(w io.Writer) error {
-	hdr := []uint32{uint32(len(ix.strs)), uint32(len(ix.strPre)), uint32(len(ix.overflow))}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	bw := colio.Writer(w)
+	err := colio.WriteUint32(bw, uint32(ix.NumValues()), uint32(len(ix.strPre)), uint32(len(ix.overflow)))
+	for r := 0; r < ix.NumValues() && err == nil; r++ {
+		err = colio.WriteRecord(bw, ix.key(r))
 	}
-	for _, s := range ix.strs {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, s); err != nil {
-			return err
-		}
+	if err == nil && ix.NumValues() > 0 {
+		err = colio.WriteWords(bw, ix.strOff)
 	}
-	if len(ix.strs) > 0 {
-		if err := binary.Write(w, binary.LittleEndian, ix.strOff); err != nil {
-			return err
-		}
+	if err == nil {
+		err = colio.WriteWords(bw, ix.strPre)
 	}
-	if err := binary.Write(w, binary.LittleEndian, ix.strPre); err != nil {
+	if err == nil {
+		err = colio.WriteWords(bw, ix.overflow)
+	}
+	if err != nil {
 		return err
 	}
-	return binary.Write(w, binary.LittleEndian, ix.overflow)
+	return bw.Flush()
 }
 
 // ReadSection deserializes and validates a value section for a
 // document of n nodes. Corrupt input of any shape (bad lengths,
 // unsorted values or node lists, out-of-range ranks, overlapping or
 // incomplete partitions, truncation) yields an error, never a panic or
-// an unbounded allocation.
+// an unbounded allocation. When r is a bufio.Reader of at least
+// colio.BufSize it is read in place, consuming the section and no more.
 func ReadSection(r io.Reader, n int) (*Index, error) {
-	var numValues, numKeyed, numOverflow uint32
-	for _, v := range []*uint32{&numValues, &numKeyed, &numOverflow} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+	br := colio.Reader(r)
+	var hdr [3]uint32
+	for i := range hdr {
+		var err error
+		if hdr[i], err = colio.ReadUint32(br); err != nil {
 			return nil, fmt.Errorf("vindex: read section header: %w", err)
 		}
 	}
+	numValues, numKeyed, numOverflow := hdr[0], hdr[1], hdr[2]
 	if int64(numKeyed)+int64(numOverflow) != int64(n) {
 		return nil, fmt.Errorf("vindex: %d keyed + %d overflow nodes for a document of %d",
 			numKeyed, numOverflow, n)
@@ -444,29 +533,26 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 	if int64(numValues) > int64(numKeyed) {
 		return nil, fmt.Errorf("vindex: %d distinct values but %d keyed nodes", numValues, numKeyed)
 	}
-	strs := make([]string, 0, numValues)
-	buf := make([]byte, MaxKeyLen)
+	// The keys stream into the arena, which grows only as the stream
+	// delivers; there are at most n of them.
+	var (
+		keyOff = make([]uint32, 1, numValues+1)
+		text   []byte
+	)
 	for i := uint32(0); i < numValues; i++ {
-		var l uint32
-		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-			return nil, fmt.Errorf("vindex: read value length: %w", err)
-		}
-		if l > MaxKeyLen {
-			return nil, fmt.Errorf("vindex: value %d has length %d > %d", i, l, MaxKeyLen)
-		}
-		if _, err := io.ReadFull(r, buf[:l]); err != nil {
+		var err error
+		if text, err = colio.AppendRecord(br, text, MaxKeyLen); err != nil {
 			return nil, fmt.Errorf("vindex: read value %d: %w", i, err)
 		}
-		s := string(buf[:l])
-		if i > 0 && s <= strs[i-1] {
+		if i > 0 && bytes.Compare(text[keyOff[i]:], text[keyOff[i-1]:keyOff[i]]) <= 0 {
 			return nil, fmt.Errorf("vindex: values not strictly ascending at %d", i)
 		}
-		strs = append(strs, s)
+		keyOff = append(keyOff, uint32(len(text)))
 	}
 	strOff := []uint32{0}
 	if numValues > 0 {
 		var err error
-		if strOff, err = readUint32Chunked(r, int(numValues)+1); err != nil {
+		if strOff, err = colio.ReadWords[uint32](br, int(numValues)+1); err != nil {
 			return nil, fmt.Errorf("vindex: read offsets: %w", err)
 		}
 		if strOff[0] != 0 || strOff[numValues] != numKeyed {
@@ -481,11 +567,11 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 	} else if numKeyed > 0 {
 		return nil, fmt.Errorf("vindex: %d keyed nodes but no values", numKeyed)
 	}
-	strPre, err := readInt32Chunked(r, int(numKeyed))
+	strPre, err := colio.ReadWords[int32](br, int(numKeyed))
 	if err != nil {
 		return nil, fmt.Errorf("vindex: read node lists: %w", err)
 	}
-	overflow, err := readInt32Chunked(r, int(numOverflow))
+	overflow, err := colio.ReadWords[int32](br, int(numOverflow))
 	if err != nil {
 		return nil, fmt.Errorf("vindex: read overflow list: %w", err)
 	}
@@ -521,39 +607,5 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 			return nil, err
 		}
 	}
-	return newIndex(strs, strOff, strPre, overflow, n), nil
-}
-
-// readInt32Chunked reads n little-endian int32s in bounded chunks so a
-// forged length on a truncated stream errors out after one chunk's
-// allocation.
-func readInt32Chunked(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 20
-	col := make([]int32, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		part := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
-}
-
-// readUint32Chunked is readInt32Chunked for uint32 columns.
-func readUint32Chunked(r io.Reader, n int) ([]uint32, error) {
-	const chunk = 1 << 20
-	col := make([]uint32, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		part := make([]uint32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
+	return newIndex(keyOff, string(text), strOff, strPre, overflow, n), nil
 }
