@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // chunk is the allocation step, in elements, of a column read.
@@ -121,6 +122,42 @@ func AppendRecord(br *bufio.Reader, dst []byte, maxLen uint32) ([]byte, error) {
 		br.Discard(len(win)) // cannot fail: the bytes were just peeked
 	}
 	return dst, nil
+}
+
+// ReadRecords reads count records into one arena: record i is
+// text[off[i]:off[i+1]]. The offsets are allocated whole — callers
+// bound count by data the stream has already delivered — the arena
+// grows as the records arrive, and more than 4 GiB of them is an error.
+func ReadRecords(br *bufio.Reader, count int, maxLen uint32) (off []uint32, text []byte, err error) {
+	off = make([]uint32, 1, count+1)
+	for len(off) <= count {
+		if _, err := br.Peek(4); err != nil {
+			return nil, nil, eof(err)
+		}
+		win, _ := br.Peek(br.Buffered()) // cannot fail: it asks for what is there
+		used := 0
+		for len(off) <= count && used+4 <= len(win) {
+			n := binary.LittleEndian.Uint32(win[used:])
+			if n > maxLen || uint64(used)+4+uint64(n) > uint64(len(win)) {
+				break
+			}
+			text = append(text, win[used+4:used+4+int(n)]...)
+			off = append(off, uint32(len(text)))
+			used += 4 + int(n)
+		}
+		br.Discard(used) // cannot fail: the bytes were just peeked
+		if used == 0 {
+			// Too long for the cap, or for what the window holds now.
+			if text, err = AppendRecord(br, text, maxLen); err != nil {
+				return nil, nil, err
+			}
+			off = append(off, uint32(len(text)))
+		}
+		if uint64(len(text)) > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("more than 4 GiB of string records")
+		}
+	}
+	return off, text, nil
 }
 
 // WriteWords writes col as little-endian 32-bit words.

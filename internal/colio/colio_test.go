@@ -98,3 +98,42 @@ func TestForgedCountsFailCheaply(t *testing.T) {
 		t.Errorf("record longer than the cap: %v, want a length error", err)
 	}
 }
+
+// TestReadRecords reads a run of records — empty ones, short ones, one
+// longer than the window — into one arena, and refuses a run that is
+// cut short or holds a record over the cap.
+func TestReadRecords(t *testing.T) {
+	records := []string{"", "a", "", strings.Repeat("window", BufSize/3), "tail", ""}
+	for i := 0; i < 3*BufSize/8; i++ {
+		records = append(records, strings.Repeat("r", i%7))
+	}
+	var buf bytes.Buffer
+	bw := Writer(&buf)
+	for _, r := range records {
+		if err := WriteRecord(bw, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteUint32(bw, 42); err != nil || bw.Flush() != nil {
+		t.Fatal("write failed")
+	}
+	br := Reader(bytes.NewReader(buf.Bytes()))
+	off, text, err := ReadRecords(br, len(records), 2*BufSize)
+	if err != nil || len(off) != len(records)+1 {
+		t.Fatalf("ReadRecords: %d offsets, err %v", len(off), err)
+	}
+	for i, want := range records {
+		if got := string(text[off[i]:off[i+1]]); got != want {
+			t.Fatalf("record %d = %q, want %q", i, got, want)
+		}
+	}
+	if v, err := ReadUint32(br); err != nil || v != 42 {
+		t.Fatalf("ReadRecords read past its records: next word %d, %v", v, err)
+	}
+	if _, _, err := ReadRecords(Reader(bytes.NewReader(buf.Bytes())), len(records), 100); err == nil {
+		t.Error("a record over the cap was accepted")
+	}
+	if _, _, err := ReadRecords(Reader(bytes.NewReader(buf.Bytes()[:buf.Len()-9])), len(records), 2*BufSize); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated run: %v, want unexpected EOF", err)
+	}
+}

@@ -3,7 +3,6 @@ package doc
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"staircase/internal/colio"
@@ -153,12 +152,9 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	default:
 		return nil, fmt.Errorf("doc: bad magic %q", magic)
 	}
-	var hdr [3]uint32 // flags, n, height
-	for i := range hdr {
-		var err error
-		if hdr[i], err = colio.ReadUint32(br); err != nil {
-			return nil, err
-		}
+	hdr, err := colio.ReadWords[uint32](br, 3) // flags, n, height
+	if err != nil {
+		return nil, err
 	}
 	flags, n := hdr[0], hdr[1]
 	known := uint32(flagHasValues)
@@ -175,7 +171,6 @@ func ReadBinary(r io.Reader) (*Document, error) {
 		return nil, fmt.Errorf("doc: unreasonable node count %d", n)
 	}
 	d := &Document{names: NewDict(), height: int32(hdr[2])}
-	var err error
 	for _, col := range []*[]int32{&d.post, &d.level, &d.parent} {
 		if *col, err = colio.ReadWords[int32](br, int(n)); err != nil {
 			return nil, err
@@ -205,17 +200,10 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	}
 	if flags&flagHasValues != 0 {
 		// The five columns above prove the stream held n nodes, so the
-		// offsets are allocated whole; the arena grows as records arrive.
-		d.valOff = make([]uint32, 1, n+1)
+		// offsets may be allocated whole; the arena grows as records arrive.
 		var text []byte
-		for i := uint32(0); i < n; i++ {
-			if text, err = colio.AppendRecord(br, text, maxRecord); err != nil {
-				return nil, fmt.Errorf("doc: node %d value: %w", i, err)
-			}
-			if uint64(len(text)) > math.MaxUint32 {
-				return nil, fmt.Errorf("doc: more than 4 GiB of node values")
-			}
-			d.valOff = append(d.valOff, uint32(len(text)))
+		if d.valOff, text, err = colio.ReadRecords(br, int(n), maxRecord); err != nil {
+			return nil, fmt.Errorf("doc: node values: %w", err)
 		}
 		d.valText = string(text)
 	}
@@ -287,6 +275,9 @@ func (d *Document) validateIndex(ix *index.Index) error {
 func (d *Document) validateValueIndex(ix *vindex.Index) error {
 	var bad error
 	ix.ForEachString(func(key string, pres []int32) {
+		if bad != nil {
+			return
+		}
 		for _, v := range pres {
 			rest, ok := key, true
 			d.eachText(v, func(t string) bool {
@@ -295,7 +286,7 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 				}
 				return ok
 			})
-			if (!ok || rest != "") && bad == nil {
+			if !ok || rest != "" {
 				bad = fmt.Errorf("vindex: node %d keyed under %q but its string value differs", v, key)
 			}
 		}
@@ -304,7 +295,7 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 		return bad
 	}
 	for _, v := range ix.Overflow() {
-		if size, _ := d.boundedTextLen(v); size <= vindex.MaxKeyLen {
+		if size, _ := d.textLen(v, vindex.MaxKeyLen); size <= vindex.MaxKeyLen {
 			return fmt.Errorf("vindex: node %d in overflow but its value fits a key", v)
 		}
 	}
@@ -313,7 +304,8 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 
 // EncodedBytes returns the in-memory footprint of the structural
 // encoding in bytes (excluding the node values and the indexes, see
-// ValueBytes, IndexBytes and ValueIndexBytes): 13 bytes per node (post, level, parent, name id: 4
+// ValueBytes, IndexBytes and ValueIndexBytes): 13 bytes per node
+// (post, level, parent, name id: 4
 // each; kind: 1) plus the name dictionary. The pre column is void and
 // costs nothing — this is the quantity behind the paper's "1.5×
 // document size" storage claim.

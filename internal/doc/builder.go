@@ -222,10 +222,8 @@ func (b *Builder) outside() bool { return len(b.stack) == 0 && !b.virtual }
 
 // Comment adds a comment node.
 func (b *Builder) Comment(s string) {
-	if !b.outside() {
-		b.text = append(b.text, s...)
-		b.misc(Comment, NoName)
-	}
+	b.text = append(b.text, s...)
+	b.misc(Comment, NoName)
 }
 
 // PI adds a processing-instruction node with the given target and data.

@@ -29,6 +29,7 @@ package doc
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -195,7 +196,7 @@ func (d *Document) buildValueIndex() *vindex.Index {
 	b.Grow(len(d.post))
 	for pre := range d.post {
 		pre := int32(pre)
-		size, span := d.boundedTextLen(pre)
+		size, span := d.textLen(pre, vindex.MaxKeyLen)
 		switch {
 		case size > vindex.MaxKeyLen:
 			b.AddOverflow(pre)
@@ -230,15 +231,15 @@ func (d *Document) eachText(pre int32, f func(string) bool) {
 	}
 }
 
-// boundedTextLen returns the length of the node's string value,
-// counting no further than past vindex.MaxKeyLen — a huge container
+// textLen returns the length of the node's string value, counting no
+// further than past limit — under vindex.MaxKeyLen a huge container
 // element costs O(MaxKeyLen), not a pass over its subtree text — and
 // the arena span holding the node's (or its subtree's) values. When
 // the two lengths agree the span is the string value.
-func (d *Document) boundedTextLen(pre int32) (size int, span string) {
+func (d *Document) textLen(pre int32, limit int) (size int, span string) {
 	d.eachText(pre, func(t string) bool {
 		size += len(t)
-		return size <= vindex.MaxKeyLen
+		return size <= limit
 	})
 	return size, d.valText[d.valOff[pre]:d.valOff[pre+d.SubtreeSize(pre)+1]]
 }
@@ -351,11 +352,7 @@ func (d *Document) StringValue(pre int32) string {
 	if k := d.kind[pre]; d.valOff == nil || k != Elem && k != VRoot {
 		return d.Value(pre)
 	}
-	size, span := 0, d.valText[d.valOff[pre]:d.valOff[pre+d.SubtreeSize(pre)+1]]
-	d.eachText(pre, func(t string) bool {
-		size += len(t)
-		return true
-	})
+	size, span := d.textLen(pre, math.MaxInt)
 	if size == len(span) {
 		return span
 	}

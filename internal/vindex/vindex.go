@@ -518,12 +518,9 @@ func (ix *Index) WriteSection(w io.Writer) error {
 // colio.BufSize it is read in place, consuming the section and no more.
 func ReadSection(r io.Reader, n int) (*Index, error) {
 	br := colio.Reader(r)
-	var hdr [3]uint32
-	for i := range hdr {
-		var err error
-		if hdr[i], err = colio.ReadUint32(br); err != nil {
-			return nil, fmt.Errorf("vindex: read section header: %w", err)
-		}
+	hdr, err := colio.ReadWords[uint32](br, 3)
+	if err != nil {
+		return nil, fmt.Errorf("vindex: read section header: %w", err)
 	}
 	numValues, numKeyed, numOverflow := hdr[0], hdr[1], hdr[2]
 	if int64(numKeyed)+int64(numOverflow) != int64(n) {
@@ -533,25 +530,18 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 	if int64(numValues) > int64(numKeyed) {
 		return nil, fmt.Errorf("vindex: %d distinct values but %d keyed nodes", numValues, numKeyed)
 	}
-	// The keys stream into the arena, which grows only as the stream
-	// delivers; there are at most n of them.
-	var (
-		keyOff = make([]uint32, 1, numValues+1)
-		text   []byte
-	)
-	for i := uint32(0); i < numValues; i++ {
-		var err error
-		if text, err = colio.AppendRecord(br, text, MaxKeyLen); err != nil {
-			return nil, fmt.Errorf("vindex: read value %d: %w", i, err)
-		}
-		if i > 0 && bytes.Compare(text[keyOff[i]:], text[keyOff[i-1]:keyOff[i]]) <= 0 {
+	// The keys stream into the arena; there are at most n of them.
+	keyOff, text, err := colio.ReadRecords(br, int(numValues), MaxKeyLen)
+	if err != nil {
+		return nil, fmt.Errorf("vindex: read values: %w", err)
+	}
+	for i := 1; i < int(numValues); i++ {
+		if bytes.Compare(text[keyOff[i]:keyOff[i+1]], text[keyOff[i-1]:keyOff[i]]) <= 0 {
 			return nil, fmt.Errorf("vindex: values not strictly ascending at %d", i)
 		}
-		keyOff = append(keyOff, uint32(len(text)))
 	}
 	strOff := []uint32{0}
 	if numValues > 0 {
-		var err error
 		if strOff, err = colio.ReadWords[uint32](br, int(numValues)+1); err != nil {
 			return nil, fmt.Errorf("vindex: read offsets: %w", err)
 		}
