@@ -23,7 +23,6 @@ import (
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/frag"
 	"staircase/internal/index"
 	"staircase/internal/xmark"
 )
@@ -487,9 +486,34 @@ func Window(c *Corpus, sizes []float64) Table {
 	return t
 }
 
+// TagStep is one (axis, tag) step of a TagPath.
+type TagStep struct {
+	Axis axis.Axis
+	Tag  string
+}
+
+// TagPath evaluates a chain of (axis, tag) steps from the document root
+// entirely over tag fragments: each step is a staircase join over the
+// shared tag index's node list for its tag (§6, fragmentation by tag
+// name).
+func TagPath(d *doc.Document, steps []TagStep, opts *core.Options) ([]int32, error) {
+	context := []int32{d.Root()}
+	for _, st := range steps {
+		id, ok := d.Names().Lookup(st.Tag)
+		if !ok {
+			return nil, nil
+		}
+		var err error
+		if context, err = core.JoinNodeList(d, st.Axis, d.TagIndex().Tag(id), context, opts); err != nil {
+			return nil, err
+		}
+	}
+	return context, nil
+}
+
 // Fragmentation regenerates the §6 fragmentation experiment: Q1 over
-// the regular engine vs the tag-fragmented store (paper: 345 ms →
-// 39 ms).
+// the regular engine vs staircase joins over the tag index's fragments
+// (paper: 345 ms → 39 ms).
 func Fragmentation(c *Corpus, sizes []float64) Table {
 	t := Table{
 		ID:     "frag",
@@ -510,14 +534,14 @@ func Fragmentation(c *Corpus, sizes []float64) Table {
 			}
 			n1 = len(r.Nodes)
 		})
-		store := frag.NewStore(d)
-		steps := []frag.PathStep{
+		d.TagIndex() // built once per document, outside the timing
+		steps := []TagStep{
 			{Axis: axis.Descendant, Tag: "profile"},
 			{Axis: axis.Descendant, Tag: "education"},
 		}
 		var n2 int
 		fragged := timeIt(3, func() {
-			r, err := store.Path(steps, nil)
+			r, err := TagPath(d, steps, nil)
 			if err != nil {
 				panic(err)
 			}

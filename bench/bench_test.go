@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"staircase/internal/axis"
+	"staircase/internal/engine"
 )
 
 // tinySizes keeps unit tests fast; the experiments themselves run at
@@ -50,6 +54,41 @@ func TestCorpusCaches(t *testing.T) {
 	d2 := c.Doc(0.05)
 	if d1 != d2 {
 		t.Fatal("corpus did not cache")
+	}
+}
+
+// TestTagPathMatchesEngine: staircase joins over the tag index's
+// fragments answer Q1 and Q2 exactly like the engine.
+func TestTagPathMatchesEngine(t *testing.T) {
+	d := NewCorpus().Doc(0.1)
+	e := engine.New(d)
+	for q, steps := range map[string][]TagStep{
+		Q1: {{Axis: axis.Descendant, Tag: "profile"}, {Axis: axis.Descendant, Tag: "education"}},
+		Q2: {{Axis: axis.Descendant, Tag: "increase"}, {Axis: axis.Ancestor, Tag: "bidder"}},
+	} {
+		got, err := TagPath(d, steps, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.EvalString(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Nodes) == 0 || !slices.Equal(got, want.Nodes) {
+			t.Fatalf("%s: tag path %d nodes, engine %d", q, len(got), len(want.Nodes))
+		}
+	}
+}
+
+// TestTagPathUnknownTag: an unknown tag yields nothing, and an axis the
+// staircase join does not partition is an error, not an empty result.
+func TestTagPathUnknownTag(t *testing.T) {
+	d := NewCorpus().Doc(0.05)
+	if got, err := TagPath(d, []TagStep{{Axis: axis.Descendant, Tag: "zzz"}}, nil); err != nil || got != nil {
+		t.Fatalf("unknown tag: %v, %v", got, err)
+	}
+	if _, err := TagPath(d, []TagStep{{Axis: axis.Child, Tag: "site"}}, nil); err == nil {
+		t.Fatal("expected error for non-partitioning axis")
 	}
 }
 

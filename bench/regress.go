@@ -8,10 +8,9 @@
 // the value-index build, and top-1 contains() latency), the greedy
 // filter-ordering hot path (warm reordered evaluation, the
 // source-order baseline, and the adaptive re-planning cursor drain),
-// plan compilation, the query server's warm plan-cache request path, the
-// shared-scan fan-out (8 coalesced cold streams per op) and the
-// morsel-parallel cursor drain — i.e. the hot paths every
-// perf-oriented PR touches. cmd/benchrun
+// plan compilation, the query server's warm plan-cache request path and
+// the shared-scan fan-out (8 coalesced cold streams per op) — i.e. the
+// hot paths every perf-oriented PR touches. cmd/benchrun
 // drives it via -gate / -write-baseline and publishes the full Compare
 // record for CI.
 package bench
@@ -257,37 +256,8 @@ func smokeFamily(c *Corpus) []struct {
 		}},
 		// Shared-scan execution: 8 concurrent identical cold /stream
 		// requests per op through the pace-car registry (one flight,
-		// follower replays), and a full morsel-parallel cursor drain —
-		// the order-restoring merge must not tax streaming throughput.
+		// follower replays).
 		{"CoalescedColdFanout", coalescedFanoutBench(d)},
-		{"MorselStreamThroughput", func(b *testing.B) {
-			p, err := e.PrepareString("/descendant-or-self::node()", &engine.Options{MorselWorkers: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cur, err := p.Cursor(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for {
-					batch, err := cur.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if batch == nil {
-						break
-					}
-					n += len(batch)
-				}
-				if n == 0 {
-					b.Fatal("empty drain")
-				}
-			}
-		}},
 		{"StreamThroughput", func(b *testing.B) {
 			// Whole-document drain: tens of batches per op, so the
 			// measurement reflects steady-state batch throughput rather

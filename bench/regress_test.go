@@ -85,8 +85,8 @@ func TestSmokeFamilyRuns(t *testing.T) {
 	// benchmark bodies execute; the real measurement happens in CI.
 	c := NewCorpus()
 	fam := smokeFamily(c)
-	if len(fam) != 24 {
-		t.Fatalf("family has %d members, want 24", len(fam))
+	if len(fam) != 23 {
+		t.Fatalf("family has %d members, want 23", len(fam))
 	}
 	for _, bm := range fam {
 		bm.fn(&testing.B{N: 1})

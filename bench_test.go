@@ -21,12 +21,10 @@ import (
 	"staircase/bench"
 	"staircase/internal/axis"
 	"staircase/internal/baseline"
-	"staircase/internal/bat"
 	"staircase/internal/catalog"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/frag"
 	"staircase/internal/index"
 	"staircase/internal/server"
 	"staircase/internal/xmark"
@@ -246,14 +244,14 @@ func BenchmarkSQLWindowOn(b *testing.B)  { benchSQLWindow(b, true) }
 
 func BenchmarkFragmentationQ1(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
-		store := frag.NewStore(c.d)
-		steps := []frag.PathStep{
+		c.d.TagIndex()
+		steps := []bench.TagStep{
 			{Axis: axis.Descendant, Tag: "profile"},
 			{Axis: axis.Descendant, Tag: "education"},
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Path(steps, nil); err != nil {
+			if _, err := bench.TagPath(c.d, steps, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -683,35 +681,4 @@ func BenchmarkPrunePrePass(b *testing.B) {
 			core.DescendantJoin(c.d, c.increases, o)
 		}
 	})
-}
-
-// BenchmarkVoidColumn measures the positional (void head) fetch join
-// against the hash join a materialised head needs (§4.1's storage
-// claim).
-func BenchmarkVoidColumnFetchJoin(b *testing.B) {
-	left, rightVoid, rightMat := voidBenchBATs()
-	b.Run("void", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			left.Join(rightVoid)
-		}
-	})
-	b.Run("materialised", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			left.Join(rightMat)
-		}
-	})
-}
-
-func voidBenchBATs() (left, rightVoid, rightMat bat.BAT) {
-	const n = 100_000
-	refs := make([]int32, n)
-	tails := make([]int32, n)
-	for i := range refs {
-		refs[i] = int32((i * 7919) % n)
-		tails[i] = int32(i)
-	}
-	left = bat.NewDense(refs)
-	rightVoid = bat.New(bat.NewVoid(0, n), bat.NewInt(tails))
-	rightMat = bat.New(bat.NewVoid(0, n).Materialize(), bat.NewInt(tails))
-	return
 }

@@ -37,9 +37,7 @@
 // -share-scans (default on) coalesces identical in-flight executions:
 // concurrent cache misses on the same (doc, plan, limit) key share one
 // pace-car execution, visible as coalesced_queries_total and
-// pace_car_handoffs_total in /metrics. -morsel-workers N parallelizes
-// inside each streaming cursor with an order-restoring merge; output
-// is byte-identical to serial.
+// pace_car_handoffs_total in /metrics.
 //
 // Overload and failure behaviour: -request-timeout bounds every
 // evaluation (a request may lower it with timeoutMs; expiry answers
@@ -103,7 +101,6 @@ func main() {
 	useVIndex := flag.Bool("value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
 	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering and adaptive re-planning (source-order predicate evaluation; results identical)")
 	shareScans := flag.Bool("share-scans", true, "coalesce identical in-flight executions: concurrent cache misses on one (doc, plan, limit) key share a single pace-car execution")
-	morsels := flag.Int("morsel-workers", 0, "default morsel parallelism inside each streaming cursor (0/1 serial, -1 all cores; output identical to serial)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline; requests may lower it with timeoutMs, expiry answers 408 (0 = none)")
 	maxQueue := flag.Int("max-queue", -1, "admission queue bound: past this many waiting requests new work is shed with 503 + Retry-After (-1 = 8x workers, 0 = unbounded)")
 	maxBody := flag.Int64("max-body-bytes", 1<<20, "request body cap on the JSON endpoints")
@@ -155,7 +152,6 @@ func main() {
 		NoValueIndex:       !*useVIndex,
 		NoReorder:          *noReorder,
 		ShareScans:         *shareScans,
-		MorselWorkers:      *morsels,
 		RequestTimeout:     *reqTimeout,
 		MaxQueue:           *maxQueue,
 		MaxBodyBytes:       *maxBody,

@@ -20,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"staircase"
@@ -51,7 +50,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "with -explain: print the plan tree as JSON")
 	limit := flag.Int("limit", 20, "max result nodes to print (0 = all)")
 	parallel := flag.Int("parallel", 0, "staircase-join workers: 0/1 = serial, N > 1 = up to N workers, -1 = GOMAXPROCS")
-	morsels := flag.Int("morsel-workers", 0, "morsel workers inside each streaming cursor: 0/1 = serial, N > 1 = up to N workers, -1 = GOMAXPROCS (output identical to serial)")
 	useIndex := flag.Bool("index", true, "use the shared tag/kind index for name-test pushdown (false: per-step column rescan; results identical)")
 	useVIndex := flag.Bool("value-index", true, "use the value index for comparison and contains() predicates (false: per-node re-evaluation; results identical)")
 	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering and adaptive re-planning (source-order predicate evaluation; results identical)")
@@ -87,13 +85,12 @@ func main() {
 	}
 
 	opts := &staircase.Options{
-		Strategy:      strat,
-		Pushdown:      push,
-		Parallelism:   *parallel,
-		MorselWorkers: *morsels,
-		NoIndex:       !*useIndex,
-		NoValueIndex:  !*useVIndex,
-		NoReorder:     *noReorder,
+		Strategy:     strat,
+		Pushdown:     push,
+		Parallelism:  *parallel,
+		NoIndex:      !*useIndex,
+		NoValueIndex: !*useVIndex,
+		NoReorder:    *noReorder,
 	}
 	if *explain {
 		var out []byte
@@ -112,18 +109,7 @@ func main() {
 		os.Stdout.Write(out)
 		return
 	}
-	// Morsel workers only exist in the streaming executor, so the flag
-	// routes evaluation through a full cursor drain (same bytes out).
-	var res *staircase.Result
-	if *morsels > 1 || *morsels < 0 {
-		var pl *staircase.Plan
-		pl, err = d.Prepare(query, opts)
-		if err == nil {
-			res, err = pl.RunLimit(math.MaxInt)
-		}
-	} else {
-		res, err = d.Query(query, opts)
-	}
+	res, err := d.Query(query, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xpathq:", err)
 		os.Exit(1)

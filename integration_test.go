@@ -17,7 +17,6 @@ import (
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/frag"
 	"staircase/internal/xmark"
 )
 
@@ -176,13 +175,12 @@ func TestIntegrationFragmentsAndParallelAgreeWithEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(d)
-	store := frag.NewStore(d)
 
 	want, err := e.EvalString(bench.Q2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := store.Path([]frag.PathStep{
+	got, err := bench.TagPath(d, []bench.TagStep{
 		{Axis: axis.Descendant, Tag: "increase"},
 		{Axis: axis.Ancestor, Tag: "bidder"},
 	}, nil)
@@ -199,7 +197,7 @@ func TestIntegrationFragmentsAndParallelAgreeWithEngine(t *testing.T) {
 	}
 	seq := core.AncestorJoin(d, inc.Nodes, nil)
 	for _, workers := range []int{1, 3, 7} {
-		par := frag.ParallelAncestorJoin(d, inc.Nodes, workers, nil)
+		par := core.ParallelAncestorJoin(d, inc.Nodes, workers, nil)
 		if len(par) != len(seq) {
 			t.Fatalf("parallel(%d): %d vs %d", workers, len(par), len(seq))
 		}

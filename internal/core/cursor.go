@@ -136,12 +136,6 @@ func (s *Stats) addContext(n int64) {
 	}
 }
 
-func (s *Stats) addPruned(n int64) {
-	if s != nil {
-		s.PrunedSize += n
-	}
-}
-
 // --- context input ---------------------------------------------------------
 
 // ctxIn is a kernel's read position in its context: the upstream batch

@@ -56,56 +56,3 @@ func TestPanicBoxNoopWithoutPanic(t *testing.T) {
 	wg.Wait()
 	pb.rethrow()
 }
-
-// newPanicMorsel builds a MorselCursor over hand-written tasks,
-// bypassing the axis task builders, to exercise the worker poisoning
-// path deterministically.
-func newPanicMorsel(tasks []morselTask, workers int) *MorselCursor {
-	m := &MorselCursor{
-		tasks:     tasks,
-		results:   make([][]int32, len(tasks)),
-		ready:     make([]bool, len(tasks)),
-		lookahead: 2 * workers,
-		nworkers:  workers,
-	}
-	m.cond = sync.NewCond(&m.mu)
-	m.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go m.worker()
-	}
-	return m
-}
-
-// TestMorselPanicPoisonsCursor pins the morsel containment contract: a
-// panicking task surfaces from Next as a fault.PanicError instead of
-// crashing the pool, the error is sticky, and Close still joins every
-// worker.
-func TestMorselPanicPoisonsCursor(t *testing.T) {
-	tasks := []morselTask{
-		func(st *Stats) []int32 { return []int32{1, 2} },
-		func(st *Stats) []int32 { panic("task boom") },
-		func(st *Stats) []int32 { return []int32{9} },
-	}
-	m := newPanicMorsel(tasks, 1)
-	defer m.Close()
-	var firstErr error
-	for i := 0; i < len(tasks)+1; i++ {
-		b, err := m.Next(make([]int32, 0, 8), 0)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		if b == nil {
-			break
-		}
-	}
-	if firstErr == nil {
-		t.Fatal("Next never surfaced the task panic")
-	}
-	if !fault.IsPanic(firstErr) {
-		t.Fatalf("Next returned %v, want *fault.PanicError", firstErr)
-	}
-	if _, err := m.Next(make([]int32, 0, 8), 0); err == nil {
-		t.Fatal("poisoned cursor served another batch; the error must be sticky")
-	}
-}

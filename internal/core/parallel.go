@@ -354,23 +354,6 @@ func parallelRangeScan(lo, hi int32, workers int, st *Stats, keep func(int32) bo
 	return concat32(results)
 }
 
-// FilterScanParallel filters the pre range [lo, hi) through keep on up
-// to `workers` goroutines, preserving document order — the exported
-// face of parallelRangeScan for fragment rebuilds (the NoIndex column
-// scans) under morsel-parallel execution. workers <= 1 scans serially.
-func FilterScanParallel(lo, hi int32, workers int, keep func(int32) bool) []int32 {
-	if workers <= 1 {
-		out := make([]int32, 0, 64)
-		for v := lo; v < hi; v++ {
-			if keep(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	return parallelRangeScan(lo, hi, workers, nil, keep)
-}
-
 // mergeWorkerStats folds per-worker counters into the caller's Stats.
 // ContextSize and Workers are owned by the parallel driver (workers see
 // the already-pruned context, so their ContextSize would double count).

@@ -115,6 +115,16 @@ func TestParallelJoinEmptyContext(t *testing.T) {
 	}
 }
 
+func TestParallelAxisJoinsEmptyContext(t *testing.T) {
+	d := randomDoc(rand.New(rand.NewSource(3)), 100)
+	if got := ParallelDescendantJoin(d, nil, 4, nil); len(got) != 0 {
+		t.Fatalf("descendant: empty context gave %v", got)
+	}
+	if got := ParallelAncestorJoin(d, nil, 4, nil); len(got) != 0 {
+		t.Fatalf("ancestor: empty context gave %v", got)
+	}
+}
+
 func TestParallelJoinSingleNodeContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := randomDoc(rng, 300)
@@ -272,6 +282,61 @@ func TestParallelJoinStatsConsistent(t *testing.T) {
 		}
 		if par.Workers < 1 {
 			t.Fatalf("axis %v: Workers=%d not recorded", a, par.Workers)
+		}
+	}
+}
+
+func TestParallelDescendantJoinStatsMerged(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := randomDoc(rng, 2000)
+	context := randomContext(rng, d, 30)
+	var seq, par Stats
+	DescendantJoin(d, context, &Options{Variant: Skip, Stats: &seq, Emit: Emit{Kinds: AllKinds}})
+	ParallelDescendantJoin(d, context, 4, &Options{Variant: Skip, Stats: &par, Emit: Emit{Kinds: AllKinds}})
+	if par.Result != seq.Result {
+		t.Fatalf("result counters differ: %d vs %d", par.Result, seq.Result)
+	}
+	if par.Scanned == 0 {
+		t.Fatal("parallel stats not merged")
+	}
+}
+
+func TestParallelJoinMatchesSequentialRandomDocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 15; trial++ {
+		d := randomDoc(rng, 600)
+		context := randomContext(rng, d, 1+rng.Intn(40))
+		for _, a := range allAxes {
+			want, err := Join(d, a, context, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 4, 8, 100} {
+				got, err := ParallelJoin(d, a, context, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !eq32(got, want) {
+					t.Fatalf("trial %d axis %v workers %d:\n got %v\nwant %v\ncontext %v",
+						trial, a, workers, got, want, context)
+				}
+			}
+		}
+	}
+}
+
+func TestParallelAxisJoinsVariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	d := randomDoc(rng, 800)
+	context := randomContext(rng, d, 25)
+	for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
+		want := DescendantJoin(d, context, &Options{Variant: v})
+		if got := ParallelDescendantJoin(d, context, 3, &Options{Variant: v}); !eq32(got, want) {
+			t.Fatalf("variant %v: parallel descendant differs", v)
+		}
+		want = AncestorJoin(d, context, &Options{Variant: v})
+		if got := ParallelAncestorJoin(d, context, 3, &Options{Variant: v}); !eq32(got, want) {
+			t.Fatalf("variant %v: parallel ancestor differs", v)
 		}
 	}
 }

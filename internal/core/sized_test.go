@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"os"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +15,18 @@ import (
 // Tests of the batch kernels' three rules: results sized once from the
 // encoding, pruning that does not copy a proper staircase, and the
 // galloping list search.
+
+// quickMax returns the testing/quick iteration count: the default in
+// ordinary runs, or STAIRCASE_QUICK_MAX when set (the nightly CI job
+// cranks the property suites up through this knob).
+func quickMax(def int) int {
+	if s := os.Getenv("STAIRCASE_QUICK_MAX"); s != "" {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
+			return n
+		}
+	}
+	return def
+}
 
 func refSearch(list []int32, lo int, pre int32) int {
 	return lo + sort.Search(len(list)-lo, func(i int) bool { return list[lo+i] >= pre })

@@ -1,7 +1,5 @@
 package doc
 
-import "staircase/internal/bat"
-
 // Dict interns tag and attribute names, mapping each distinct name to a
 // dense int32 id. Bulk node data stores ids only; the dictionary is the
 // single place holding the strings (mirroring Monet's string-dictionary
@@ -50,8 +48,3 @@ func (d *Dict) Name(id int32) string { return d.names[id] }
 
 // Len returns the number of distinct interned names.
 func (d *Dict) Len() int { return len(d.names) }
-
-// BAT returns the [id(void)|name] dictionary as a BAT view.
-func (d *Dict) BAT() bat.BAT {
-	return bat.New(bat.NewVoid(0, len(d.names)), bat.NewStr(d.names))
-}

@@ -8,9 +8,9 @@
 // of its preorder and postorder traversal ranks, placing it on the
 // two-dimensional pre/post plane (Figure 2 of the staircase join paper).
 // The store additionally records level (root depth), node kind, tag name
-// (interned) and parent, giving a group of BAT-style columns all indexed
-// positionally by pre: the pre column itself is virtual (void), exactly
-// as in the paper's Monet implementation (§4.1). Node values follow the
+// (interned) and parent as plain Go slices indexed positionally by pre:
+// the pre column itself is virtual (void), as in the paper's Monet
+// implementation (§4.1). Node values follow the
 // same section's string heap: one text arena plus a fixed-width offset
 // column, so Value returns substrings that share the arena — there is
 // no string per node, and callers must not assume one.
@@ -33,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"staircase/internal/bat"
 	"staircase/internal/index"
 	"staircase/internal/vindex"
 )
@@ -388,27 +387,6 @@ func (d *Document) NameSlice() []int32 { return d.name }
 
 // ParentSlice exposes the raw parent column. Callers must not modify it.
 func (d *Document) ParentSlice() []int32 { return d.parent }
-
-// PostBAT returns the [pre(void)|post] BAT view of the document — the
-// doc table of the paper, sharing storage with the Document.
-func (d *Document) PostBAT() bat.BAT {
-	return bat.New(bat.NewVoid(0, len(d.post)), bat.NewInt(d.post))
-}
-
-// LevelBAT returns the [pre(void)|level] BAT view.
-func (d *Document) LevelBAT() bat.BAT {
-	return bat.New(bat.NewVoid(0, len(d.level)), bat.NewInt(d.level))
-}
-
-// NameBAT returns the [pre(void)|nameid] BAT view.
-func (d *Document) NameBAT() bat.BAT {
-	return bat.New(bat.NewVoid(0, len(d.name)), bat.NewInt(d.name))
-}
-
-// ParentBAT returns the [pre(void)|parent] BAT view.
-func (d *Document) ParentBAT() bat.BAT {
-	return bat.New(bat.NewVoid(0, len(d.parent)), bat.NewInt(d.parent))
-}
 
 // Children returns the preorder ranks of the children of v (attributes
 // excluded), in document order. The scan walks the subtree of v and

@@ -446,6 +446,42 @@ func TestPropFourAxesPartitionPlane(t *testing.T) {
 	}
 }
 
+// TestTagIndexPartitionsElements: every element sits in exactly its
+// tag's list of the tag index, each list is sorted, and an unknown tag
+// has no list.
+func TestTagIndexPartitionsElements(t *testing.T) {
+	d := genRandomDoc(rand.New(rand.NewSource(1)), 400)
+	ix := d.TagIndex()
+	total := 0
+	for id := int32(0); int(id) < d.Names().Len(); id++ {
+		list := ix.Tag(id)
+		total += len(list)
+		for i, v := range list {
+			if d.KindOf(v) != Elem || d.NameID(v) != id {
+				t.Fatalf("tag %q holds node %d (%v %q)", d.Names().Name(id), v, d.KindOf(v), d.Name(v))
+			}
+			if i > 0 && list[i-1] >= v {
+				t.Fatalf("tag %q list unsorted", d.Names().Name(id))
+			}
+		}
+	}
+	elems := 0
+	for v := int32(0); int(v) < d.Size(); v++ {
+		if d.KindOf(v) == Elem {
+			elems++
+		}
+	}
+	if total != elems {
+		t.Fatalf("tag lists cover %d elements, document has %d", total, elems)
+	}
+	if _, ok := d.Names().Lookup("nosuch"); ok {
+		t.Fatal("unknown tag has a name id")
+	}
+	if ix.Tag(int32(d.Names().Len())) != nil || len(ix.KindList(uint8(Text))) == 0 {
+		t.Fatal("tag index accounting broken")
+	}
+}
+
 func TestPropRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -483,8 +519,8 @@ func TestDictBasics(t *testing.T) {
 	if _, ok := d.Lookup("gamma"); ok {
 		t.Fatal("Lookup invented a name")
 	}
-	if d.BAT().Len() != 2 {
-		t.Fatal("dict BAT wrong size")
+	if d.Len() != 2 {
+		t.Fatal("dict wrong size")
 	}
 }
 

@@ -1,33 +1,6 @@
 package doc
 
-import (
-	"testing"
-)
-
-func TestBATViewsShareStorage(t *testing.T) {
-	d := figure1(t)
-	post := d.PostBAT()
-	if post.Len() != d.Size() || !post.Head().IsVoid() {
-		t.Fatalf("PostBAT = %v", post)
-	}
-	for pre := 0; pre < d.Size(); pre++ {
-		if post.Tail().Int(pre) != d.Post(int32(pre)) {
-			t.Fatalf("PostBAT[%d] = %d", pre, post.Tail().Int(pre))
-		}
-	}
-	lvl := d.LevelBAT()
-	if lvl.Tail().Int(0) != 0 {
-		t.Fatal("LevelBAT root level wrong")
-	}
-	nm := d.NameBAT()
-	if nm.Tail().Int(0) != d.NameID(0) {
-		t.Fatal("NameBAT wrong")
-	}
-	par := d.ParentBAT()
-	if par.Tail().Int(1) != 0 {
-		t.Fatal("ParentBAT wrong")
-	}
-}
+import "testing"
 
 func TestStringValue(t *testing.T) {
 	d, err := ShredString(`<a x="attr"><b>one</b>mid<b>two</b><!--c--></a>`)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 
 	"staircase/internal/plan"
 	"staircase/internal/xpath"
@@ -172,21 +171,10 @@ func (p *Prepared) CursorContext(ctx context.Context, nodes []int32) (*plan.RunC
 	return p.pl.Cursor(ctx, nodes)
 }
 
-// explainRun produces the Result an explanation annotates. Morsel
-// annotations only exist on the streaming executor's Result, so a
-// morsel-enabled preparation explains a full cursor drain; everything
-// else keeps the batch executor.
-func (p *Prepared) explainRun() (*plan.Result, error) {
-	if p.opts.MorselWorkers > 1 || p.opts.MorselWorkers < 0 {
-		return p.pl.RunLimitRoot(context.Background(), math.MaxInt)
-	}
-	return p.pl.RunRoot()
-}
-
 // Explain executes the plan and renders the optimized operator tree
 // with per-operator fragment sources and actual cardinalities.
 func (p *Prepared) Explain() (string, error) {
-	r, err := p.explainRun()
+	r, err := p.pl.RunRoot()
 	if err != nil {
 		return "", err
 	}
@@ -195,7 +183,7 @@ func (p *Prepared) Explain() (string, error) {
 
 // ExplainJSON is Explain in machine-readable form.
 func (p *Prepared) ExplainJSON() ([]byte, error) {
-	r, err := p.explainRun()
+	r, err := p.pl.RunRoot()
 	if err != nil {
 		return nil, err
 	}

@@ -104,16 +104,10 @@ type Options struct {
 	// negative value (canonically AutoParallelism) uses GOMAXPROCS. The
 	// cost model may use fewer workers on steps too small to amortise
 	// the goroutine fan-out; StepReport.Core.Workers records the count
-	// actually used.
+	// actually used. Parallelism applies to Run; cursors (Cursor,
+	// EvalFirst, EvalLimit) always run the serial windowed kernels, so a
+	// limit consumer keeps its early exit.
 	Parallelism int
-	// MorselWorkers is the worker count for morsel-driven parallel
-	// execution inside streaming (cursor-based) evaluation: > 1 lets a
-	// single cursor pipeline cut each staircase join into many small
-	// tasks drained by that many workers through an order-restoring
-	// merge, a negative value (canonically AutoParallelism) uses
-	// GOMAXPROCS. Results are byte-identical to serial cursors; batch
-	// evaluation is unaffected (it uses Parallelism).
-	MorselWorkers int
 	// NoIndex disables the document's shared tag/kind index for this
 	// evaluation: pushdown fragments are rebuilt with an O(n) column
 	// scan per step (the pre-index behaviour). Results are identical;
@@ -143,13 +137,12 @@ type Options struct {
 // planOptions converts engine options to planner options.
 func planOptions(o *Options) *plan.Options {
 	return &plan.Options{
-		Strategy:      o.Strategy,
-		Pushdown:      o.Pushdown,
-		Parallelism:   o.Parallelism,
-		MorselWorkers: o.MorselWorkers,
-		NoIndex:       o.NoIndex,
-		NoValueIndex:  o.NoValueIndex,
-		NoReorder:     o.NoReorder,
+		Strategy:     o.Strategy,
+		Pushdown:     o.Pushdown,
+		Parallelism:  o.Parallelism,
+		NoIndex:      o.NoIndex,
+		NoValueIndex: o.NoValueIndex,
+		NoReorder:    o.NoReorder,
 	}
 }
 

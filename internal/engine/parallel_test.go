@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,6 +49,55 @@ func TestParallelEvalMatchesSerial(t *testing.T) {
 					t.Fatalf("%s parallelism=%d: node %d differs (%d vs %d)", q, par, i, got.Nodes[i], want.Nodes[i])
 				}
 			}
+		}
+	}
+}
+
+// TestLimitCursorIgnoresParallelism: a limit consumer runs the serial
+// windowed kernels whatever Parallelism says, so it keeps its early
+// exit — every step scans exactly what it scans under serial options,
+// and less than the full evaluation.
+func TestLimitCursorIgnoresParallelism(t *testing.T) {
+	d, err := xmark.Generate(xmark.Config{SizeMB: 4, Seed: 1, KeepValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(d)
+	for _, q := range []string{
+		"//item//text()/following::keyword",
+		"/descendant::text()/ancestor::node()",
+	} {
+		var scanned [2][]int64
+		for i, par := range []int{0, 4} {
+			p, err := e.PrepareString(q, &Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := p.EvalLimit(context.Background(), 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Nodes) != 10 || !r.Truncated {
+				t.Fatalf("%s parallelism=%d: %d nodes, truncated=%v", q, par, len(r.Nodes), r.Truncated)
+			}
+			for _, st := range r.Steps {
+				scanned[i] = append(scanned[i], st.Core.Scanned)
+			}
+		}
+		if !slices.Equal(scanned[0], scanned[1]) {
+			t.Fatalf("%s: per-step scanned %v serial vs %v with Parallelism 4", q, scanned[0], scanned[1])
+		}
+		full, err := e.EvalString(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var limited, all int64
+		for i, st := range full.Steps {
+			limited += scanned[0][i]
+			all += st.Core.Scanned
+		}
+		if limited >= all {
+			t.Fatalf("%s: limit 10 scanned %d nodes, the full run %d", q, limited, all)
 		}
 	}
 }

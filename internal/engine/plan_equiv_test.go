@@ -13,6 +13,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -191,6 +193,18 @@ func randQuery(rng *rand.Rand) string {
 	return q
 }
 
+// quickTrials returns the iteration count for the heavyweight property
+// suites: the default in ordinary runs, or STAIRCASE_QUICK_MAX when
+// set (the nightly CI job cranks the suites up through this knob).
+func quickTrials(def int) int {
+	if s := os.Getenv("STAIRCASE_QUICK_MAX"); s != "" {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
+			return n
+		}
+	}
+	return def
+}
+
 // TestPlanEquivalentToLegacyEval is the acceptance property: for every
 // generated query and every knob combination, plan-based execution
 // returns byte-identical node sequences to the step interpreter.
@@ -217,12 +231,12 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 			{Pushdown: PushAlways},
 			{Pushdown: PushNever, Parallelism: 2},
 			{Strategy: StaircaseNoSkip},
-			{MorselWorkers: 3},
-			{MorselWorkers: AutoParallelism, Pushdown: PushAlways},
-			{MorselWorkers: 2, NoIndex: true, Strategy: StaircaseSkip},
+			{Parallelism: 4, Strategy: StaircaseSkip},
+			{Parallelism: AutoParallelism, Pushdown: PushAlways},
+			{Parallelism: 2, NoIndex: true, Strategy: StaircaseSkip},
 			{NoReorder: true},
 			{NoReorder: true, NoIndex: true},
-			{NoReorder: true, MorselWorkers: 3},
+			{NoReorder: true, Parallelism: 3},
 		}
 		var wg sync.WaitGroup
 		for _, q := range queries {

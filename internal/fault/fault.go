@@ -41,7 +41,7 @@
 // reported as throughout the stack — and the process-wide
 // recovered-panic counter behind the server's
 // panics_recovered_total metric, so every containment boundary
-// (evalOne, stream loops, pace-car drive, morsel workers) counts
+// (evalOne, stream loops, pace-car drive, join workers) counts
 // through one place.
 package fault
 
@@ -341,7 +341,7 @@ func (p *injectedPanic) String() string {
 
 // PanicError is the error a recovered panic is reported as: every
 // containment boundary in the stack (request evaluation, stream
-// loops, the pace-car drive, morsel workers) converts panics to this
+// loops, the pace-car drive, join workers) converts panics to this
 // type via NewPanicError, so callers can both classify them
 // (errors.As / IsPanic) and read the captured stack.
 type PanicError struct {

@@ -127,22 +127,6 @@ func parallelWorkersFor(opts *Options, bound int64) int {
 	return w
 }
 
-// morselWorkersFor resolves the requested Options.MorselWorkers into
-// the worker-pool size for one streaming join cursor: negative
-// requests map to GOMAXPROCS, 0/1 keep the cursor serial. The morsel
-// cursor itself clamps further to its task count (small joins cut
-// into fewer tasks than workers).
-func morselWorkersFor(opts *Options) int {
-	w := opts.MorselWorkers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 {
-		return 1
-	}
-	return w
-}
-
 // estimates are the compile-time cardinality annotations of one
 // operator, shown by EXPLAIN. In is the estimated context size flowing
 // into the operator, Out its estimated output cardinality, and Bound

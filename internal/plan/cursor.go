@@ -144,9 +144,8 @@ func searchNodes(nodes []int32, pre int32) int {
 
 // blockingCursor materializes its result on first use (a pipeline
 // breaker) and then batches it out like a sliceCursor. in, when set,
-// is the input pipeline the fill closure drains: close must propagate
-// into it — a morsel join cursor abandoned mid-flight (LIMIT above a
-// pipeline breaker) holds a worker pool until closed.
+// is the input pipeline the fill closure drains: close propagates into
+// it.
 type blockingCursor struct {
 	fill   func() ([]int32, error)
 	in     cursor
@@ -267,20 +266,6 @@ func (s *ctxSource) drain() error {
 	}
 }
 
-// drainContext pulls the rest of the context through the source
-// (populating the or-self queue on the way) and returns it materialised
-// — the morsel path needs the full pruned staircase before task cutting.
-func (s *ctxSource) drainContext() ([]int32, error) {
-	var out []int32
-	for {
-		b, err := s.next()
-		if err != nil || b == nil {
-			return out, err
-		}
-		out = append(out, b...)
-	}
-}
-
 // takePend pops the pending self nodes <= hi, dropping those below the
 // seek hint.
 func (s *ctxSource) takePend(hi, seek int32) []int32 {
@@ -347,24 +332,7 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 		}
 	}
 	var kernel core.JoinCursor
-	if workers := morselWorkersFor(ec.opts); workers > 1 {
-		// Morsel-driven execution needs the whole pruned staircase up
-		// front to cut it into tasks, so the context is materialised
-		// here (teeing the or-self queue as a side effect). The morsel
-		// cursor's output is byte-identical to the serial kernels.
-		ctxNodes, derr := src.drainContext()
-		if derr != nil {
-			in.close()
-			return nil, derr
-		}
-		mk, merr := core.NewMorselJoinCursor(d, o.base, ctxNodes, frag, pushed, workers, co)
-		if merr != nil {
-			in.close()
-			return nil, merr
-		}
-		ost.morsels, ost.morselWorkers = mk.Tasks(), mk.Workers()
-		kernel = mk
-	} else if pushed {
+	if pushed {
 		kernel, err = core.NewJoinNodeListCursor(d, o.base, frag, src.next, co)
 	} else {
 		kernel, err = core.NewJoinCursor(d, o.base, src.next, co)
@@ -447,14 +415,7 @@ func (c *joinStreamCursor) pull(seek int32) ([]int32, error) {
 	}
 }
 
-func (c *joinStreamCursor) close() {
-	c.src.in.close()
-	// Morsel kernels own a worker pool; early termination must wake
-	// and join it (serial kernels have nothing to release).
-	if k, ok := c.kernel.(interface{ Close() }); ok {
-		k.Close()
-	}
-}
+func (c *joinStreamCursor) close() { c.src.in.close() }
 
 // --- SemiJoin --------------------------------------------------------------
 

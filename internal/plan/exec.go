@@ -56,11 +56,6 @@ type opStat struct {
 	// used.
 	bound          int64
 	workersOffered int
-	// morsels/morselWorkers record morsel-driven cursor execution: the
-	// number of order-restored tasks the join was cut into and the
-	// worker-pool size that drained them (0 for serial cursors).
-	morsels       int
-	morselWorkers int
 	// probeDir records the semijoin probe direction actually taken:
 	// probeFragSweep partitions the fragment (one staircase sweep over
 	// input+fragment), probeInputSeek probes each input node into the

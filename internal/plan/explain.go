@@ -17,16 +17,15 @@ import (
 
 // ExplainTree is the JSON form of an explained plan.
 type ExplainTree struct {
-	Query         string   `json:"query"`
-	Canon         string   `json:"canon"`
-	Strategy      string   `json:"strategy"`
-	Pushdown      string   `json:"pushdown"`
-	Parallelism   int      `json:"parallelism,omitempty"`
-	MorselWorkers int      `json:"morselWorkers,omitempty"`
-	NoIndex       bool     `json:"noIndex,omitempty"`
-	NoValueIndex  bool     `json:"noValueIndex,omitempty"`
-	NoReorder     bool     `json:"noReorder,omitempty"`
-	Rewrites      []string `json:"rewrites,omitempty"`
+	Query        string   `json:"query"`
+	Canon        string   `json:"canon"`
+	Strategy     string   `json:"strategy"`
+	Pushdown     string   `json:"pushdown"`
+	Parallelism  int      `json:"parallelism,omitempty"`
+	NoIndex      bool     `json:"noIndex,omitempty"`
+	NoValueIndex bool     `json:"noValueIndex,omitempty"`
+	NoReorder    bool     `json:"noReorder,omitempty"`
+	Rewrites     []string `json:"rewrites,omitempty"`
 	// Reorder lists the greedy ordering pass's fired decisions; Replans
 	// the mid-flight adaptive re-plans of the supplied execution.
 	Reorder     []string     `json:"reorder,omitempty"`
@@ -59,9 +58,6 @@ type ExplainNode struct {
 	Fragment int    `json:"fragment,omitempty"`
 	Bound    int64  `json:"bound,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	// Morsel-driven cursor execution (streaming runs only).
-	Morsels       int `json:"morsels,omitempty"`
-	MorselWorkers int `json:"morselWorkers,omitempty"`
 	// Fragment-scan leaves: the fragment source and exact statistics.
 	Source string `json:"source,omitempty"` // "shared tag/kind index" or "name-column scan"
 	Count  int64  `json:"count,omitempty"`
@@ -82,18 +78,17 @@ func (p *Plan) ExplainJSON(res *Result) ([]byte, error) {
 
 func (p *Plan) explainTree(res *Result) *ExplainTree {
 	t := &ExplainTree{
-		Query:         p.Query(),
-		Canon:         p.Canon(),
-		Strategy:      p.opts.Strategy.String(),
-		Pushdown:      p.opts.Pushdown.String(),
-		Parallelism:   p.opts.Parallelism,
-		MorselWorkers: p.opts.MorselWorkers,
-		NoIndex:       p.opts.NoIndex,
-		NoValueIndex:  p.opts.NoValueIndex,
-		NoReorder:     p.opts.NoReorder,
-		Rewrites:      p.rewrites,
-		Reorder:       p.orderNotes,
-		Root:          p.explainNode(p.root, res),
+		Query:        p.Query(),
+		Canon:        p.Canon(),
+		Strategy:     p.opts.Strategy.String(),
+		Pushdown:     p.opts.Pushdown.String(),
+		Parallelism:  p.opts.Parallelism,
+		NoIndex:      p.opts.NoIndex,
+		NoValueIndex: p.opts.NoValueIndex,
+		NoReorder:    p.opts.NoReorder,
+		Rewrites:     p.rewrites,
+		Reorder:      p.orderNotes,
+		Root:         p.explainNode(p.root, res),
 	}
 	if res != nil {
 		t.Executed = true
@@ -228,7 +223,6 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 			n.Fragment = ost.fragSize
 		}
 		n.Bound = ost.bound
-		n.Morsels, n.MorselWorkers = ost.morsels, ost.morselWorkers
 	}
 	for _, kid := range o.kids() {
 		n.Children = append(n.Children, p.explainNode(kid, res))
@@ -287,9 +281,6 @@ func (p *Plan) ExplainText(res *Result) string {
 	fmt.Fprintf(&sb, "plan: strategy=%s pushdown=%s", p.opts.Strategy, p.opts.Pushdown)
 	if p.opts.Parallelism != 0 {
 		fmt.Fprintf(&sb, " parallelism=%d", p.opts.Parallelism)
-	}
-	if p.opts.MorselWorkers != 0 {
-		fmt.Fprintf(&sb, " morsel-workers=%d", p.opts.MorselWorkers)
 	}
 	if p.opts.NoIndex {
 		sb.WriteString(" no-index")
@@ -466,10 +457,6 @@ func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opSt
 	}
 	p.renderPushdown(t, ost, line)
 	p.renderParallel(t, st, ost, line)
-	if ost != nil && ost.morsels > 0 {
-		line("  morsels=%d workers=%d (order-restoring merge; byte-identical to serial cursor)",
-			ost.morsels, ost.morselWorkers)
-	}
 }
 
 // renderPushdown prints the pushdown decision of a staircase join.

@@ -149,7 +149,7 @@ func pushdownList(d *doc.Document, test xpath.NodeTest, opts *Options) (list []i
 			return nil, !opts.NoIndex, true // absent tag: empty fragment
 		}
 		if opts.NoIndex {
-			return scanTagList(d, id, morselWorkersFor(opts)), false, true
+			return scanTagList(d, id), false, true
 		}
 		return d.TagIndex().Tag(id), true, true
 	case xpath.TestText:
@@ -179,19 +179,10 @@ func pushable(test xpath.NodeTest) bool {
 }
 
 // scanTagList rebuilds a tag fragment with an O(n) column scan — the
-// ColumnScan operator behind Options.NoIndex. Under morsel-parallel
-// execution the scan is sliced across the workers (document order is
-// preserved by construction); serially it stays a direct loop — the
-// per-node closure dispatch of the parallel splitter costs ~2x on this
-// hot path (gated by EnginePushdownCold).
-func scanTagList(d *doc.Document, nameID int32, workers int) []int32 {
+// ColumnScan operator behind Options.NoIndex.
+func scanTagList(d *doc.Document, nameID int32) []int32 {
 	kind := d.KindSlice()
 	name := d.NameSlice()
-	if workers > 1 {
-		return core.FilterScanParallel(0, int32(d.Size()), workers, func(v int32) bool {
-			return kind[v] == doc.Elem && name[v] == nameID
-		})
-	}
 	var list []int32
 	for v := 0; v < d.Size(); v++ {
 		if kind[v] == doc.Elem && name[v] == nameID {
@@ -202,17 +193,10 @@ func scanTagList(d *doc.Document, nameID int32, workers int) []int32 {
 }
 
 // kindFragment serves a non-element kind list from the index or by
-// scan (parallel under morsel execution, direct loop serially — see
-// scanTagList).
+// column scan.
 func kindFragment(d *doc.Document, k doc.Kind, opts *Options) (list []int32, indexed, ok bool) {
 	if opts.NoIndex {
 		kind := d.KindSlice()
-		if workers := morselWorkersFor(opts); workers > 1 {
-			list = core.FilterScanParallel(0, int32(d.Size()), workers, func(v int32) bool {
-				return kind[v] == k
-			})
-			return list, false, true
-		}
 		for v := 0; v < d.Size(); v++ {
 			if kind[v] == k {
 				list = append(list, int32(v))

@@ -135,17 +135,10 @@ type Options struct {
 	// joins: 0 or 1 evaluates serially, > 1 uses at most that many
 	// workers, negative (canonically AutoParallelism) uses GOMAXPROCS.
 	// The cost model may use fewer workers on steps too small to
-	// amortise the goroutine fan-out.
+	// amortise the goroutine fan-out. Only Run fans out: every cursor
+	// (Cursor, RunLimit) runs the serial windowed kernels, so a limit
+	// consumer keeps its early exit.
 	Parallelism int
-	// MorselWorkers is the worker count for morsel-driven parallel
-	// execution *inside* a streaming cursor pipeline: > 1 makes every
-	// staircase-join cursor cut its pruned staircase into many small
-	// tasks drained by that many workers through an order-restoring
-	// merge, negative (canonically AutoParallelism) uses GOMAXPROCS.
-	// Results are byte-identical to serial cursors; only Cursor-based
-	// execution is affected (batch Run uses Parallelism). 0 or 1 keeps
-	// cursors serial.
-	MorselWorkers int
 	// NoIndex disables the document's shared tag/kind index: pushdown
 	// fragments are rebuilt with an O(n) column scan per step (the
 	// ColumnScan operator). Results are identical; the knob exists for

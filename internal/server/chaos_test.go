@@ -131,12 +131,12 @@ func TestChaosSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts, cat := newChaosServer(t, Config{
-		CacheBytes:     1 << 20,
-		Workers:        4,
-		MaxQueue:       32,
-		ShareScans:     true,
-		MorselWorkers:  2,
-		RequestTimeout: 5 * time.Second,
+		CacheBytes:         1 << 20,
+		Workers:            4,
+		DefaultParallelism: 2,
+		MaxQueue:           32,
+		ShareScans:         true,
+		RequestTimeout:     5 * time.Second,
 	})
 
 	queries := []string{
@@ -201,10 +201,7 @@ func chaosRequest(rng *rand.Rand, client *http.Client, baseURL string, queries, 
 		req.TimeoutMs = 1 + rng.Intn(5)
 	}
 	if rng.Intn(4) == 0 {
-		req.Options = &QueryOptions{
-			Parallelism:   rng.Intn(4),
-			MorselWorkers: rng.Intn(4),
-		}
+		req.Options = &QueryOptions{Parallelism: rng.Intn(4)}
 	}
 	stream := rng.Intn(4) == 0
 	if stream || rng.Intn(3) > 0 {

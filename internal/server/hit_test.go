@@ -252,7 +252,7 @@ func TestCachedStreamReplayObeysRequest(t *testing.T) {
 	replay := func(ctx context.Context, rw *hitRecorder) {
 		var out, kb []byte
 		lw := lineWriter{w: rw, flusher: rw, buf: &out}
-		s.streamShared(&lw, ctx, h, p, s.defaultOpts, 0, &kb)
+		s.streamShared(&lw, ctx, h, p, 0, &kb)
 	}
 
 	rw := newHitRecorder()

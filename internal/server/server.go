@@ -53,7 +53,7 @@
 //     may lower (never raise) it with timeoutMs. Expiry surfaces as
 //     408 and cancels the running cursors between batches.
 //   - Panic containment: evaluation is recovered at every boundary —
-//     per batch item, per stream batch, per flight drive, per morsel
+//     per batch item, per stream batch, per flight drive, per join
 //     worker — so a panicking operator costs one query a 500, not the
 //     process; its semaphore units release and its flight aborts.
 package server
@@ -117,11 +117,6 @@ type Config struct {
 	// running the plan (xpathd -share-scans). Requests with NoCache
 	// bypass coalescing along with the cache.
 	ShareScans bool
-	// MorselWorkers is the default intra-cursor morsel parallelism for
-	// streaming execution when a request does not set one (0/1 serial,
-	// N > 1 up to N workers, engine.AutoParallelism = all cores; clamped
-	// by the worker budget).
-	MorselWorkers int
 	// RequestTimeout bounds every request's evaluation; <= 0 means no
 	// server-side deadline. A request may lower (never raise) it with
 	// timeoutMs. Expiry surfaces as 408.
@@ -272,7 +267,7 @@ func (s *Server) Handler() http.Handler {
 
 // recoverPanics is the handler-goroutine safety net. Evaluation paths
 // recover closer to the panic (evalOne, the stream loops, flight
-// drives, morsel workers) so they can release resources and answer
+// drives, join workers) so they can release resources and answer
 // precisely; this middleware catches what escapes anyway — net/http
 // would only log it and sever the connection, which a load balancer
 // cannot tell apart from a crash.
@@ -409,12 +404,9 @@ type QueryOptions struct {
 	// Pushdown: auto (default), always, never.
 	Pushdown string `json:"pushdown,omitempty"`
 	// Parallelism: 0/1 serial, N > 1 up to N staircase-join workers,
-	// -1 all cores. Clamped to the server's worker budget.
+	// -1 all cores. Clamped to the server's worker budget. Only full
+	// evaluations fan out; limit queries and streams run serial cursors.
 	Parallelism int `json:"parallelism,omitempty"`
-	// MorselWorkers: 0/1 serial streaming, N > 1 up to N morsel workers
-	// inside each streaming cursor, -1 all cores. Clamped to the
-	// server's worker budget.
-	MorselWorkers int `json:"morselWorkers,omitempty"`
 	// NoIndex evaluates without the shared tag/kind index (per-query
 	// column rescans; results are identical — ablation knob).
 	NoIndex bool `json:"noIndex,omitempty"`
@@ -507,11 +499,10 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 		return s.defaultOpts, nil
 	}
 	opts := &engine.Options{
-		Parallelism:   s.cfg.DefaultParallelism,
-		MorselWorkers: s.cfg.MorselWorkers,
-		NoIndex:       s.cfg.NoIndex,
-		NoValueIndex:  s.cfg.NoValueIndex,
-		NoReorder:     s.cfg.NoReorder,
+		Parallelism:  s.cfg.DefaultParallelism,
+		NoIndex:      s.cfg.NoIndex,
+		NoValueIndex: s.cfg.NoValueIndex,
+		NoReorder:    s.cfg.NoReorder,
 	}
 	if o != nil {
 		if o.NoIndex {
@@ -536,9 +527,6 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 		if o.Parallelism != 0 {
 			opts.Parallelism = o.Parallelism
 		}
-		if o.MorselWorkers != 0 {
-			opts.MorselWorkers = o.MorselWorkers
-		}
 	}
 	p := opts.Parallelism
 	if p < 0 {
@@ -551,30 +539,7 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 		p = 1
 	}
 	opts.Parallelism = p
-	mw := opts.MorselWorkers
-	if mw < 0 {
-		mw = runtime.GOMAXPROCS(0)
-	}
-	if mw > s.pool.cap {
-		mw = s.pool.cap
-	}
-	if mw < 1 {
-		mw = 1
-	}
-	opts.MorselWorkers = mw
 	return opts, nil
-}
-
-// workerCost is the number of worker-budget units a query holds while
-// evaluating: its effective intra-query parallelism — batch partition
-// workers or streaming morsel workers, whichever is wider (engineOptions
-// has already resolved and clamped both).
-func workerCost(opts *engine.Options) int {
-	cost := opts.Parallelism
-	if opts.MorselWorkers > cost {
-		cost = opts.MorselWorkers
-	}
-	return cost
 }
 
 // appendCacheKey appends the result-cache key built from the canonical
@@ -614,10 +579,6 @@ func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Opti
 	dst = append(dst, opts.Pushdown.String()...)
 	dst = append(dst, 0)
 	dst = strconv.AppendInt(dst, int64(opts.Parallelism), 10)
-	if opts.MorselWorkers > 1 {
-		dst = append(dst, ",morsels="...)
-		dst = strconv.AppendInt(dst, int64(opts.MorselWorkers), 10)
-	}
 	if opts.NoIndex {
 		dst = append(dst, ",noindex"...)
 	}
@@ -814,7 +775,7 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *eng
 	key := string(*kb)
 	ctx := lc.get()
 	if s.cfg.ShareScans && !noCache {
-		nodes, coalesced, serr := s.sharedEval(ctx, p, key, opts, limit)
+		nodes, coalesced, serr := s.sharedEval(ctx, p, key, limit)
 		elapsed := time.Since(start)
 		h.RecordQuery(elapsed)
 		res.ElapsedNs = elapsed.Nanoseconds()
@@ -828,7 +789,13 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *eng
 		res.Coalesced = coalesced
 		return res
 	}
-	cost, err := s.pool.acquire(ctx, workerCost(opts))
+	// A query holds one unit per worker it can run: RunCtx fans out over
+	// opts.Parallelism, EvalLimit drives a serial cursor.
+	units := opts.Parallelism
+	if limit > 0 {
+		units = 1
+	}
+	cost, err := s.pool.acquire(ctx, units)
 	if err != nil {
 		res.ElapsedNs = time.Since(start).Nanoseconds()
 		s.classifyEvalErr(ctx, &res, err)
@@ -889,8 +856,9 @@ func (l *limitCursor) Next() ([]int32, error) {
 func (l *limitCursor) Close() { l.cur.Close() }
 
 // joinFlight joins (or creates) the in-flight execution of p under its
-// cache key; the completed buffer retires into the result cache.
-func (s *Server) joinFlight(p *engine.Prepared, key string, opts *engine.Options, limit int) (*share.Follower, bool) {
+// cache key; the completed buffer retires into the result cache. A
+// flight drives a serial cursor, so its pace car holds one unit.
+func (s *Server) joinFlight(p *engine.Prepared, key string, limit int) (*share.Follower, bool) {
 	open := func(fctx context.Context) (share.Cursor, error) {
 		cur, err := p.Cursor(fctx)
 		if err != nil {
@@ -902,7 +870,7 @@ func (s *Server) joinFlight(p *engine.Prepared, key string, opts *engine.Options
 		return cur, nil
 	}
 	retire := func(nodes []int32) { s.cache.Put(key, nodes) }
-	return s.flights.Join(key, workerCost(opts), open, retire)
+	return s.flights.Join(key, 1, open, retire)
 }
 
 // sharedEval evaluates through the pace-car registry: identical
@@ -910,8 +878,8 @@ func (s *Server) joinFlight(p *engine.Prepared, key string, opts *engine.Options
 // cache entry, and the completed buffer retires into the cache through
 // the flight. The returned bool reports coalescing (this client
 // attached to a flight another request created).
-func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, opts *engine.Options, limit int) ([]int32, bool, error) {
-	f, created := s.joinFlight(p, key, opts, limit)
+func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, limit int) ([]int32, bool, error) {
+	f, created := s.joinFlight(p, key, limit)
 	defer f.Close()
 	var nodes []int32
 	for {
@@ -1031,10 +999,10 @@ type StreamChunk struct {
 
 // handleStream answers POST /stream: one query, evaluated through the
 // streaming cursor executor, with each result batch written as one
-// NDJSON line as soon as the kernels produce it. The stream holds its
-// worker-budget units for its whole duration; a client disconnect
+// NDJSON line as soon as the kernels produce it. The stream holds one
+// worker-budget unit for its whole duration; a client disconnect
 // cancels the request context, the cursor stops between batches, and
-// the units release.
+// the unit releases.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	st := reqStates.Get().(*reqState)
 	defer st.release()
@@ -1068,11 +1036,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	lw := lineWriter{w: w, buf: &st.out}
 	lw.flusher, _ = w.(http.Flusher)
 	if s.cfg.ShareScans && !req.NoCache {
-		s.streamShared(&lw, ctx, h, p, opts, req.Limit, &st.key)
+		s.streamShared(&lw, ctx, h, p, req.Limit, &st.key)
 		return
 	}
 	start := time.Now()
-	cost, err := s.pool.acquire(ctx, workerCost(opts))
+	cost, err := s.pool.acquire(ctx, 1) // a cursor runs serially
 	if err != nil {
 		s.failEval(w, ctx, err)
 		return
@@ -1197,7 +1165,7 @@ func (s *Server) failEval(w http.ResponseWriter, ctx context.Context, err error)
 // streams run the plan exactly once. Only the current driver holds
 // worker-budget units (via the registry's wheel hooks); followers are
 // blocked handlers replaying shared batches.
-func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *engine.Prepared, opts *engine.Options, limit int, kb *[]byte) {
+func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *engine.Prepared, limit int, kb *[]byte) {
 	*kb = appendCacheKey((*kb)[:0], h.Name(), h.Generation(), p.Canon(), limit)
 	start := time.Now()
 	s.streams.Add(1)
@@ -1219,7 +1187,7 @@ func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Ha
 		return
 	}
 	s.cacheMisses.Add(1)
-	f, created := s.joinFlight(p, string(*kb), opts, limit)
+	f, created := s.joinFlight(p, string(*kb), limit)
 	defer f.Close()
 	if count, ok := s.pump(lw, ctx, func() ([]int32, error) { return f.Next(ctx) }); ok {
 		s.finishStream(lw, h, start, count, limit, !created, false)
@@ -1241,15 +1209,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		par = n
-	}
-	morsels := 0
-	if v := q.Get("morselWorkers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad morselWorkers %q", v)
-			return
-		}
-		morsels = n
 	}
 	noIndex := false
 	if v := q.Get("noIndex"); v != "" {
@@ -1279,13 +1238,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		noReorder = b
 	}
 	opts, err := s.engineOptions(&QueryOptions{
-		Strategy:      q.Get("strategy"),
-		Pushdown:      q.Get("pushdown"),
-		Parallelism:   par,
-		MorselWorkers: morsels,
-		NoIndex:       noIndex,
-		NoValueIndex:  noValueIndex,
-		NoReorder:     noReorder,
+		Strategy:     q.Get("strategy"),
+		Pushdown:     q.Get("pushdown"),
+		Parallelism:  par,
+		NoIndex:      noIndex,
+		NoValueIndex: noValueIndex,
+		NoReorder:    noReorder,
 	})
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
@@ -1302,12 +1260,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Explain executes the plan, so it holds worker-budget units just
-	// like POST /query — explain traffic cannot oversubscribe the
-	// machine, and under overload it is shed the same way.
+	// Explain executes the plan through Plan.Run, so it holds one
+	// worker-budget unit per join worker just like a full POST /query —
+	// explain traffic cannot oversubscribe the machine, and under
+	// overload it is shed the same way.
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
-	cost, err := s.pool.acquire(ctx, workerCost(opts))
+	cost, err := s.pool.acquire(ctx, opts.Parallelism)
 	if err != nil {
 		s.failEval(w, ctx, err)
 		return

@@ -6,9 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"staircase/internal/catalog"
 	"staircase/internal/engine"
@@ -228,47 +231,135 @@ func TestShareScansLimitKeying(t *testing.T) {
 	}
 }
 
-// TestMorselWorkersOption: a request-level morselWorkers option is
-// accepted on /query and /stream and yields byte-identical results.
-func TestMorselWorkersOption(t *testing.T) {
-	s, ts, ref := newShareServer(t, 0.25)
-	const q = "/descendant::open_auction/descendant::bidder"
-	want, err := ref.EvalString(q, nil)
+// blockedWriter is a ResponseWriter whose first Write parks until
+// release closes: a stream held open by a client that stopped reading.
+type blockedWriter struct {
+	hdr     http.Header
+	once    sync.Once
+	wrote   chan struct{} // closed at the first Write
+	release chan struct{}
+}
+
+func (w *blockedWriter) Header() http.Header { return w.hdr }
+func (w *blockedWriter) WriteHeader(int)     {}
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.wrote) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestCursorHoldsOneWorkerUnit: a cursor execution (a shared flight, a
+// limit query, a stream) runs serially, so it holds one worker unit
+// whatever the parallelism default. With two units and one stream
+// parked on a blocked writer, a second cold stream and cold limit
+// queries must run at once instead of queueing behind it.
+func TestCursorHoldsOneWorkerUnit(t *testing.T) {
+	s, ts, cat := newChaosServer(t, Config{Workers: 2, DefaultParallelism: 2, ShareScans: true})
+
+	bw := &blockedWriter{hdr: http.Header{}, wrote: make(chan struct{}), release: make(chan struct{})}
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		body := strings.NewReader(`{"doc":"mem","query":"/descendant::person"}`)
+		s.Handler().ServeHTTP(bw, httptest.NewRequest(http.MethodPost, "/stream", body))
+	}()
+	<-bw.wrote
+	if got := s.pool.inUse(); got != 1 {
+		t.Errorf("a parked stream holds %d worker units, want 1", got)
+	}
+
+	var queued atomic.Bool
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+				if s.pool.queueDepth() > 0 {
+					queued.Store(true)
+				}
+			}
+		}
+	}()
+	chunks := postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: "/descendant::open_auction", TimeoutMs: 2000})
+	if last := chunks[len(chunks)-1]; !last.Done || last.Error != "" {
+		t.Errorf("second stream: %+v", last)
+	}
+	for _, noCache := range []bool{false, true} { // shared flight, then EvalLimit
+		resp, code := postQuery(t, ts.URL, QueryRequest{
+			Doc: "mem", Query: "/descendant::bidder", Limit: 5, NoCache: noCache, TimeoutMs: 2000,
+		})
+		if code != http.StatusOK || resp.Results[0].Count != 5 {
+			t.Errorf("limit query (noCache=%v): status %d %+v", noCache, code, resp.Results)
+		}
+	}
+	close(stop)
+	<-watched
+	if queued.Load() {
+		t.Error("a cold cursor execution queued behind one parked stream")
+	}
+	close(bw.release)
+	<-held
+	assertQuiesced(t, s, cat)
+}
+
+// TestRemovedOptionIgnored: clients written against a request option
+// the server no longer has (testdata/removed_option.json) keep working
+// — the field is ignored, not rejected, on POST /query and GET
+// /explain.
+func TestRemovedOptionIgnored(t *testing.T) {
+	raw, err := os.ReadFile("testdata/removed_option.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	resp, code := postQuery(t, ts.URL, QueryRequest{
-		Doc: "mem", Query: q, NoCache: true,
-		Options: &QueryOptions{MorselWorkers: 4},
-	})
-	if code != http.StatusOK || resp.Results[0].Error != "" {
-		t.Fatalf("status %d results %+v", code, resp.Results)
+	var removed struct {
+		Options      json.RawMessage `json:"options"`
+		ExplainParam string          `json:"explainParam"`
 	}
-	if !sameNodes(resp.Results[0].Nodes, want.Nodes) {
-		t.Fatal("morsel /query differs from serial reference")
+	if err := json.Unmarshal(raw, &removed); err != nil {
+		t.Fatal(err)
 	}
-
-	var got []int32
-	chunks := postStream(t, ts.URL, QueryRequest{
-		Doc: "mem", Query: q,
-		Options: &QueryOptions{MorselWorkers: 4},
-	})
-	for _, c := range chunks[:len(chunks)-1] {
-		got = append(got, c.Nodes...)
+	_, ts, _ := newShareServer(t, 0.25)
+	const q = "/descendant::open_auction/descendant::bidder"
+	query := func(options string) []int32 {
+		t.Helper()
+		body := `{"doc":"mem","query":"` + q + `","noCache":true` + options + `}`
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("options %q: status %d", options, resp.StatusCode)
+		}
+		var out QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Results[0].Nodes
 	}
-	if !sameNodes(got, want.Nodes) {
-		t.Fatal("morsel /stream differs from serial reference")
+	if want, got := query(""), query(`,"options":`+string(removed.Options)); !sameNodes(got, want) {
+		t.Fatalf("removed option changed the answer: %d vs %d nodes", len(got), len(want))
 	}
-
-	// Distinct morsel widths must not collide in the prepared-plan
-	// cache (the option changes how a plan executes).
-	k2 := appendPreparedKey(nil, "mem", 1, &engine.Options{Parallelism: 1, MorselWorkers: 2}, q)
-	k4 := appendPreparedKey(nil, "mem", 1, &engine.Options{Parallelism: 1, MorselWorkers: 4}, q)
-	if bytes.Equal(k2, k4) {
-		t.Fatal("appendPreparedKey ignores MorselWorkers")
+	explain := func(extra string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/explain?doc=mem&q=" + q + extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain%s: status %d %s", extra, resp.StatusCode, b)
+		}
+		return string(b)
 	}
-	_ = s
+	if want, got := explain(""), explain(removed.ExplainParam); got != want {
+		t.Fatalf("removed option changed the plan:\n%s\nvs\n%s", got, want)
+	}
 }
 
 // TestShareMetricsExposed: the new counters appear on /metrics.

@@ -113,11 +113,6 @@ type ServerConfig struct {
 	// plan, limit) key share one pace-car execution, and the completed
 	// buffer retires into the result cache (xpathd -share-scans).
 	ShareScans bool
-	// MorselWorkers is the default intra-cursor morsel parallelism for
-	// streaming execution when a request does not set one (0/1 serial,
-	// N > 1 up to N workers, AutoParallelism = all cores; clamped by
-	// the worker budget). Output stays byte-identical to serial.
-	MorselWorkers int
 	// RequestTimeout bounds every request's evaluation; <= 0 means no
 	// server-side deadline. A request may lower — never raise — it with
 	// its timeoutMs field. Expiry surfaces as HTTP 408 (xpathd
@@ -154,7 +149,6 @@ func NewServer(cfg ServerConfig) *Server {
 		NoReorder:          cfg.NoReorder,
 		MaxBatch:           cfg.MaxBatch,
 		ShareScans:         cfg.ShareScans,
-		MorselWorkers:      cfg.MorselWorkers,
 		RequestTimeout:     cfg.RequestTimeout,
 		MaxQueue:           cfg.MaxQueue,
 		MaxBodyBytes:       cfg.MaxBodyBytes,
