@@ -92,25 +92,17 @@ func TestTagPathUnknownTag(t *testing.T) {
 	}
 }
 
+// TestFig11aShowsDuplicates: on Q2's ancestor step the naive plan
+// produces duplicates (sibling bidders share ancestor paths), compared as
+// integers over the golden tables' runs.
 func TestFig11aShowsDuplicates(t *testing.T) {
-	c := NewCorpus()
-	tb := Fig11a(c, []float64{0.2})
-	// naive-produced > staircase: duplicates exist on Q2 (sibling
-	// bidders share ancestor paths).
-	row := tb.Rows[0]
-	if row[2] <= row[3] && len(row[2]) <= len(row[3]) {
-		t.Fatalf("expected naive-produced > staircase: %v", row)
-	}
+	paperShapes["fig11a"](t, paperTable(t, "fig11a"))
 }
 
+// TestFig11cSkipBeatsNoSkip: skipping scans fewer nodes than no
+// skipping, compared as integers over the golden tables' runs.
 func TestFig11cSkipBeatsNoSkip(t *testing.T) {
-	c := NewCorpus()
-	tb := Fig11c(c, []float64{0.2})
-	row := tb.Rows[0]
-	noskip, skip := row[1], row[2]
-	if len(skip) > len(noskip) || (len(skip) == len(noskip) && skip > noskip) {
-		t.Fatalf("skip (%s) should scan fewer nodes than no-skip (%s)", skip, noskip)
-	}
+	paperShapes["fig11c"](t, paperTable(t, "fig11c"))
 }
 
 func TestTimeItReturnsPositive(t *testing.T) {
