@@ -1,14 +1,16 @@
-// Package bench implements the experiment harness that regenerates
-// every table and figure of the staircase join paper's evaluation
-// (§4.4, Experiments 1–3), plus the §2.1 window experiment and the §6
-// future-research extensions. cmd/benchrun and the repository-level
-// testing.B benchmarks are thin wrappers around this package.
+// Package bench regenerates the tables and figures of the staircase
+// join paper's evaluation (§4.4, Experiments 1–3) plus the §2.1 window
+// experiment, the §4.1 storage claim, the §5 related-work comparison and
+// the §6 fragmentation extension: twelve tables. cmd/benchrun prints
+// them; the repository-level testing.B benchmarks share its corpus.
 //
 // Scale: the paper sweeps XMark documents of 1.1–1111 MB (50 k–50 M
 // nodes) on 2002 hardware. The harness sweeps the same shape at
-// configurable sizes (default 0.5–4 MB equivalents); every experiment
-// reports the quantities the paper plots so shapes and ratios can be
-// compared directly (see EXPERIMENTS.md).
+// configurable sizes (default 0.5–4 MB equivalents). Each table mixes
+// counts, the paper's reproducible claim, with wall-clock times that only
+// illustrate them: `go test ./bench -run Paper -v` holds the counts to
+// testdata/paper_golden.json and the paper's shapes, and prints every
+// table.
 package bench
 
 import (
@@ -23,7 +25,6 @@ import (
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/index"
 	"staircase/internal/xmark"
 )
 
@@ -36,13 +37,6 @@ const (
 // DefaultSizes is the default document sweep, in megabyte equivalents
 // (the paper: 1.1, 11.0, 111.0, 1111.0).
 var DefaultSizes = []float64{0.5, 1, 2, 4}
-
-// Parallelism is the engine worker count applied by the experiments
-// that time full staircase query evaluation (fig11b, fig11e, fig11f).
-// cmd/benchrun's -parallel flag sets it; 0 keeps the paper's serial
-// configuration. The dedicated "parallel" experiment sweeps worker
-// counts explicitly and ignores this knob.
-var Parallelism int
 
 // Corpus generates and caches sweep documents so experiments share
 // them. Safe for concurrent use.
@@ -92,6 +86,17 @@ func (c *Corpus) ValueDoc(mb float64) *doc.Document {
 	}
 	c.vdocs[mb] = d
 	return d
+}
+
+// Experiments lists the twelve experiments in the paper's order; the ids
+// are the tables' IDs and cmd/benchrun's -exp values.
+var Experiments = []struct {
+	ID  string
+	Run func(c *Corpus, sizes []float64) Table
+}{
+	{"table1", Table1}, {"fig3", Fig3}, {"fig11a", Fig11a}, {"fig11b", Fig11b},
+	{"fig11c", Fig11c}, {"fig11d", Fig11d}, {"fig11e", Fig11e}, {"fig11f", Fig11f},
+	{"window", Window}, {"frag", Fragmentation}, {"mpmgjn", MPMGJN}, {"storage", Storage},
 }
 
 // Table is a printable experiment result.
@@ -330,7 +335,7 @@ func Fig11b(c *Corpus, sizes []float64) Table {
 		var res *engine.Result
 		dur := timeIt(3, func() {
 			var err error
-			res, err = e.EvalString(Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever, Parallelism: Parallelism})
+			res, err = e.EvalString(Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
 			if err != nil {
 				panic(err)
 			}
@@ -432,8 +437,8 @@ func figEF(c *Corpus, sizes []float64, id, query string) Table {
 			})
 			return dur, n
 		}
-		scj, n1 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever, Parallelism: Parallelism})
-		early, n2 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways, Parallelism: Parallelism})
+		scj, n1 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
+		early, n2 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
 		sql, n3 := run(&engine.Options{Strategy: engine.SQL})
 		if n1 != n2 || n1 != n3 {
 			panic(fmt.Sprintf("bench: %s result mismatch: %d/%d/%d", id, n1, n2, n3))
@@ -553,135 +558,6 @@ func Fragmentation(c *Corpus, sizes []float64) Table {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", mb), fmt.Sprint(n1), ms(scj), ms(fragged),
 			fmt.Sprintf("%.1fx", float64(scj.Nanoseconds())/float64(fragged.Nanoseconds())),
-		})
-	}
-	return t
-}
-
-// IndexPushdown regenerates the tag/kind-index ablation: Q1 with
-// name-test pushdown forced, served by the shared per-document index
-// (warm) versus per-query name-column rescans (the pre-index
-// behaviour every cold engine used to pay), alongside the one-off
-// index build cost that buys the difference.
-func IndexPushdown(c *Corpus, sizes []float64) Table {
-	t := Table{
-		ID:     "index",
-		Title:  "tag/kind index: warm index-backed pushdown vs per-query rescan (Q1)",
-		Header: []string{"size[MB]", "nodes", "result", "build[ms]", "index-bytes", "rescan[ms]", "warm[ms]", "speedup"},
-		Notes: []string{
-			"rescan = Options.NoIndex: every pushed step rebuilds its fragment with an O(n) column scan",
-			"warm = shared immutable index on the document: fragment fetch is O(1), join is binary-search bounded",
-		},
-	}
-	for _, mb := range sizes {
-		d := c.Doc(mb)
-		e := engine.New(d)
-		build := timeIt(3, func() {
-			index.Build(d.KindSlice(), d.NameSlice(), d.Names().Len(), doc.NumKinds, doc.Elem)
-		})
-		ix := d.TagIndex() // warm the shared index
-		var n1, n2 int
-		rescan := timeIt(3, func() {
-			r, err := e.EvalString(Q1, &engine.Options{Pushdown: engine.PushAlways, NoIndex: true})
-			if err != nil {
-				panic(err)
-			}
-			n1 = len(r.Nodes)
-		})
-		warm := timeIt(3, func() {
-			r, err := e.EvalString(Q1, &engine.Options{Pushdown: engine.PushAlways})
-			if err != nil {
-				panic(err)
-			}
-			n2 = len(r.Nodes)
-		})
-		if n1 != n2 {
-			panic(fmt.Sprintf("bench: index result mismatch: %d vs %d", n1, n2))
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", mb), fmt.Sprint(d.Size()), fmt.Sprint(n1),
-			ms(build), fmt.Sprint(ix.Bytes()), ms(rescan), ms(warm),
-			fmt.Sprintf("%.1fx", float64(rescan.Nanoseconds())/float64(warm.Nanoseconds())),
-		})
-	}
-	return t
-}
-
-// Parallel regenerates the §3.2/§6 parallel-execution sketch with the
-// core partition-parallel join: the Q1 descendant step (profile
-// context) and the Q2 ancestor step (increase context) with 1..P
-// workers over the partitioned plane. workers=1 rows are the serial
-// baseline each axis' speedup is measured against.
-func Parallel(c *Corpus, mb float64, workers []int) Table {
-	t := Table{
-		ID:     "parallel",
-		Title:  fmt.Sprintf("§3.2/§6: partition-parallel staircase join (Q1 descendant / Q2 ancestor steps, %.1f MB)", mb),
-		Header: []string{"axis", "workers", "result", "time[ms]", "speedup"},
-		Notes: []string{
-			"pruning leaves disjoint staircase partitions: per-worker results concatenate without a merge",
-		},
-	}
-	d := c.Doc(mb)
-	cx := getContexts(d)
-	for _, step := range []struct {
-		axis    axis.Axis
-		context []int32
-	}{
-		{axis.Descendant, cx.profiles},
-		{axis.Ancestor, cx.increases},
-	} {
-		var base time.Duration
-		for _, w := range workers {
-			var n int
-			dur := timeIt(5, func() {
-				res, err := core.ParallelJoin(d, step.axis, step.context, w, nil)
-				if err != nil {
-					panic(err)
-				}
-				n = len(res)
-			})
-			if base == 0 {
-				base = dur
-			}
-			t.Rows = append(t.Rows, []string{
-				step.axis.String(), fmt.Sprint(w), fmt.Sprint(n), ms(dur),
-				fmt.Sprintf("%.2fx", float64(base.Nanoseconds())/float64(dur.Nanoseconds())),
-			})
-		}
-	}
-	return t
-}
-
-// CopyVsScan is the §4.2 ablation: the comparison-free copy phase vs
-// the compare-and-append scan phase over the same node volume, using
-// (root)/descendant — the experiment the paper uses to measure memory
-// bandwidth ("consists almost entirely of a copy phase").
-func CopyVsScan(c *Corpus, sizes []float64) Table {
-	t := Table{
-		ID:     "copyscan",
-		Title:  "§4.2: copy phase vs scan phase on (root)/descendant",
-		Header: []string{"size[MB]", "nodes", "copied", "compared", "copy[ms]", "scan[ms]", "ratio"},
-		Notes: []string{
-			"paper: copy iteration ≈5 cy vs ≈17 cy for compare-and-append (≈3.4x)",
-		},
-	}
-	for _, mb := range sizes {
-		d := c.Doc(mb)
-		root := []int32{d.Root()}
-		var est, nsk core.Stats
-		copyTime := timeIt(5, func() {
-			est = core.Stats{}
-			core.DescendantJoin(d, root, &core.Options{Variant: core.SkipEstimate, Stats: &est, Emit: core.Emit{Kinds: core.AllKinds}})
-		})
-		scanTime := timeIt(5, func() {
-			nsk = core.Stats{}
-			core.DescendantJoin(d, root, &core.Options{Variant: core.NoSkip, Stats: &nsk, Emit: core.Emit{Kinds: core.AllKinds}})
-		})
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", mb), fmt.Sprint(d.Size()),
-			fmt.Sprint(est.Copied), fmt.Sprint(est.Compared),
-			ms(copyTime), ms(scanTime),
-			fmt.Sprintf("%.1fx", float64(scanTime.Nanoseconds())/float64(copyTime.Nanoseconds())),
 		})
 	}
 	return t

@@ -10,29 +10,17 @@ import (
 	"staircase/internal/engine"
 )
 
-// tinySizes keeps unit tests fast; the experiments themselves run at
-// larger scale via cmd/benchrun and the repo-level benchmarks.
+// tinySizes keeps unit tests fast; the golden tables run at paperSizes
+// and cmd/benchrun at any size.
 var tinySizes = []float64{0.05, 0.1}
 
 func TestAllExperimentsRunAndRender(t *testing.T) {
 	c := NewCorpus()
-	tables := []Table{
-		Table1(c, tinySizes),
-		Fig3(c, tinySizes),
-		Fig11a(c, tinySizes),
-		Fig11b(c, tinySizes),
-		Fig11c(c, tinySizes),
-		Fig11d(c, tinySizes),
-		Fig11e(c, tinySizes),
-		Fig11f(c, tinySizes),
-		Window(c, tinySizes),
-		Fragmentation(c, tinySizes),
-		Parallel(c, 0.1, []int{1, 2}),
-		CopyVsScan(c, tinySizes),
-		MPMGJN(c, tinySizes),
-		Storage(c, tinySizes),
-	}
-	for _, tb := range tables {
+	for _, exp := range Experiments {
+		tb := exp.Run(c, tinySizes)
+		if tb.ID != exp.ID {
+			t.Errorf("experiment %s renders table %s", exp.ID, tb.ID)
+		}
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s: no rows", tb.ID)
 		}

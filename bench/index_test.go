@@ -8,6 +8,11 @@ import (
 	"staircase/internal/engine"
 )
 
+// smokeSizeMB is the document size of the work assertions: big enough
+// that a column scan dwarfs an index fragment join, small enough to
+// generate in milliseconds.
+const smokeSizeMB = 0.5
+
 // tagFragment is the tag/kind index's node list for an element name —
 // the fragment a pushed name test joins against.
 func tagFragment(t *testing.T, d *doc.Document, name string) []int32 {
@@ -45,8 +50,7 @@ func checkFragmentWork(t *testing.T, d *doc.Document, what string, steps []engin
 }
 
 // TestIndexPushdownSpeedup holds index-backed name-test pushdown to its
-// work, not its wall clock (the >= 5x time ratio lives in the bench
-// gate: EnginePushdownWarm/Cold): on the 0.5 MB smoke document the warm
+// work, not its wall clock: on the 0.5 MB smoke document the warm
 // path and the rescan baseline (Options.NoIndex) return the same nodes,
 // every step of Q1 takes its fragment from the tag/kind index when warm
 // and from a name-column scan under NoIndex, and the warm join touches

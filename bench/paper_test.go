@@ -43,12 +43,9 @@ var (
 // paperTables runs the twelve paper experiments once per test binary.
 func paperTables() []Table {
 	paperOnce.Do(func() {
-		c := NewCorpus()
-		s := paperSizes
-		paperCorpus = c
-		paperRun = []Table{
-			Table1(c, s), Fig3(c, s), Fig11a(c, s), Fig11b(c, s), Fig11c(c, s), Fig11d(c, s),
-			Fig11e(c, s), Fig11f(c, s), Window(c, s), Fragmentation(c, s), MPMGJN(c, s), Storage(c, s),
+		paperCorpus = NewCorpus()
+		for _, exp := range Experiments {
+			paperRun = append(paperRun, exp.Run(paperCorpus, paperSizes))
 		}
 	})
 	return paperRun

@@ -8,9 +8,12 @@ import (
 	"staircase/internal/engine"
 )
 
+// qValueRange is a numeric range comparison served by the value index's
+// derived numeric partition.
+const qValueRange = "//open_auction[current > 100]"
+
 // TestValuePushdownSpeedup holds the value-index fragment semijoin to
-// its work, not its wall clock (the time ratio is `benchrun -exp
-// value`): on the 0.5 MB smoke document (values retained) the numeric
+// its work, not its wall clock: on the 0.5 MB smoke document (values retained) the numeric
 // range query returns the same nodes through the warm prepared plan and
 // through per-node re-evaluation (Options.NoValueIndex); the warm plan
 // serves its predicate from a value-index range and the rescan plan
@@ -22,7 +25,7 @@ func TestValuePushdownSpeedup(t *testing.T) {
 	e := engine.New(d)
 
 	run := func(opts *engine.Options, source string) *engine.Result {
-		p, err := e.PrepareString(QValueRange, opts)
+		p, err := e.PrepareString(qValueRange, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

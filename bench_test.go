@@ -1,8 +1,7 @@
 // Package staircase_test hosts the testing.B benchmarks that regenerate
-// the paper's tables and figures (one benchmark family per artifact;
-// see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded results). cmd/benchrun prints the same quantities as
-// formatted tables.
+// the paper's tables and figures (one benchmark family per artifact).
+// `go test ./bench -run Paper -v` prints the same quantities as tables
+// and holds their counts to bench/testdata/paper_golden.json.
 //
 // Benchmarks report, besides ns/op, the work counters the paper plots
 // (nodes scanned, duplicates, keys touched) via b.ReportMetric.
@@ -357,6 +356,10 @@ func BenchmarkEnginePushdownCold(b *testing.B) {
 
 // --- value index: fragment semijoin, prepared and ad hoc ----------------------
 
+// valueRange is a numeric range comparison served by the value index's
+// derived numeric partition.
+const valueRange = "//open_auction[current > 100]"
+
 func benchValuePushdown(b *testing.B, cold bool) {
 	for _, mb := range benchSizes {
 		b.Run(fmt.Sprintf("%gMB", mb), func(b *testing.B) {
@@ -364,14 +367,14 @@ func benchValuePushdown(b *testing.B, cold bool) {
 			d.TagIndex()
 			d.ValueIndex() // both resident, as in a server's catalog
 			e := engine.New(d)
-			p, err := e.PrepareString(bench.QValueRange, nil)
+			p, err := e.PrepareString(valueRange, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if cold {
-					if p, err = e.PrepareString(bench.QValueRange, nil); err != nil {
+					if p, err = e.PrepareString(valueRange, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -457,9 +460,6 @@ func BenchmarkServeHitLarge(b *testing.B) {
 	benchServeHit(b, `{"doc":"d","query":"/descendant::node()"}`)
 }
 
-// BenchmarkIndexBuild measures the one-off O(n) index construction the
-// warm path amortises (also the in-memory cost of loading a v1/SCJ1
-// file, which carries no index section).
 // BenchmarkPlanCompile measures the plan pipeline alone — parse,
 // logical build, rewrite, physical compilation for Q1, no execution —
 // the per-request planner cost the server's caches amortise.
@@ -482,7 +482,12 @@ func BenchmarkPlanCompile(b *testing.B) {
 // repository benchmark's axes_batch workload — on a 16 MB document, out
 // of L2, and reports B/op and ns per result node.
 func BenchmarkPlanRunHeavy(b *testing.B) {
-	for _, q := range bench.HeavyQueries {
+	for _, q := range []struct{ Name, Query string }{
+		{"desc-node", "/descendant::node()"},
+		{"text-anc-node", "/descendant::text()/ancestor::node()"},
+		{"bidder-desc-increase", "/descendant::bidder/descendant::increase"},
+		{"open_auction-desc-bidder", "/descendant::open_auction/descendant::bidder"},
+	} {
 		b.Run(q.Name, func(b *testing.B) {
 			pl, err := engine.New(corpus.Doc(16)).PrepareString(q.Query, nil)
 			if err != nil {
@@ -544,6 +549,9 @@ func BenchmarkCursorDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexBuild measures the one-off O(n) index construction the
+// warm path amortises (also the in-memory cost of loading a v1/SCJ1
+// file, which carries no index section).
 func BenchmarkIndexBuild(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		for i := 0; i < b.N; i++ {

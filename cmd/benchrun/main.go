@@ -1,46 +1,18 @@
-// Command benchrun regenerates every table and figure of the staircase
-// join paper's evaluation (see DESIGN.md for the experiment index), and
-// doubles as the CI benchmark-regression gate.
+// Command benchrun prints the tables and figures of the staircase join
+// paper's evaluation, wall-clock times included (package bench has the
+// experiment index; `go test ./bench -run Paper -v` checks their counts
+// against bench/testdata/paper_golden.json).
 //
 // Usage:
 //
-//	benchrun [-exp all|table1|fig3|fig11a|fig11b|fig11c|fig11d|fig11e|fig11f|window|frag|index|value|order|parallel|copyscan|mpmgjn|storage|server|stream|share]
-//	         [-sizes 0.5,1,2,4] [-parallel-size 4] [-workers 1,2,4,8] [-clients 1,2,4,8]
-//	         [-parallel N] [-out file] [-json]
-//
-// -parallel N runs the query-evaluation experiments (fig11b/e/f) with N
-// partition-parallel staircase-join workers (-1 = GOMAXPROCS); the
-// dedicated "parallel" experiment sweeps -workers explicitly, and the
-// "server" experiment sweeps -clients concurrent HTTP clients against
-// the xpathd query server (cold vs warm result cache). The "share"
-// experiment sweeps -clients identical cold /stream requests through
-// the pace-car coalescing registry against the solo fan-out baseline.
+//	benchrun [-exp all|table1|fig3|fig11a|fig11b|fig11c|fig11d|fig11e|fig11f|window|frag|mpmgjn|storage]
+//	         [-sizes 0.5,1,2,4] [-out file] [-json]
 //
 // Sizes are megabyte equivalents of the XMark-substitute generator; the
 // paper sweeps 1.1–1111 MB. Larger sizes reproduce the same shapes with
 // more headroom: try -sizes 1,4,16,64 on a machine with a few GB of RAM.
-//
-// Regression gate:
-//
-//	benchrun -write-baseline BENCH_baseline.json [-gate-runs 5]
-//	benchrun -gate BENCH_baseline.json [-gate-runs 5] [-gate-tol 0.25]
-//	         [-gate-out current.json] [-compare-out compare.json]
-//
-// The gate measures the staircase-join benchmark family (the four
-// partitioning-axis joins, Q1/Q2 engine evaluation, the tag/kind
-// index family: warm index-backed pushdown, the cold rescan baseline,
-// and index construction, and the value-index family: warm value
-// fragment semijoin, the per-node re-evaluation baseline, value-index
-// construction, and top-1 contains() latency, and the ordering family:
-// warm greedy-reordered evaluation, the source-order baseline, and the
-// adaptive re-planning cursor drain), takes the fastest
-// ns/op of -gate-runs runs
-// per benchmark, normalises for the speed difference between the
-// baseline host and this host (the family-median ratio), and exits
-// non-zero if any benchmark regresses by more than -gate-tol versus
-// the baseline. -compare-out records the full per-benchmark comparison
-// (baseline, current, raw and normalised ratios, verdict) as JSON — CI
-// publishes it as a per-PR artifact.
+// The times only illustrate the counts; the repository's performance
+// gate is benchmark/run.sh.
 package main
 
 import (
@@ -67,209 +39,60 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad worker count %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// runGate executes the benchmark-regression gate and returns the
-// process exit code.
-func runGate(c *bench.Corpus, baselinePath, writePath, outPath, comparePath string, runs int, tol float64) int {
-	if writePath != "" {
-		points := bench.RunSmoke(c, runs)
-		f, err := os.Create(writePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteBaseline(f, points, runs); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		fmt.Printf("wrote %d benchmark points (fastest of %d runs each) to %s\n", len(points), runs, writePath)
-		return 0
-	}
-	f, err := os.Open(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrun:", err)
-		return 1
-	}
-	baseline, err := bench.ReadBaseline(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrun: %s: %v\n", baselinePath, err)
-		return 1
-	}
-	points := bench.RunSmoke(c, runs)
-	if outPath != "" {
-		of, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		err = bench.WriteBaseline(of, points, runs)
-		of.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-	}
-	cmp := bench.Compare(baseline, points, tol)
-	for _, p := range cmp.Points {
-		switch {
-		case p.New:
-			fmt.Printf("%-22s %12.0f ns/op  (new vs baseline)\n", p.Name, p.CurrentNs)
-		case p.Missing:
-			fmt.Printf("%-22s %12s         (in baseline, not measured)\n", p.Name, "-")
-		default:
-			fmt.Printf("%-22s %12.0f ns/op  (%+.1f%% vs baseline)\n", p.Name, p.CurrentNs, 100*(p.Ratio-1))
-		}
-	}
-	if comparePath != "" {
-		// The full baseline-vs-current record: CI publishes it per PR so
-		// the perf trajectory of the gated family stays inspectable.
-		cf, err := os.Create(comparePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		enc := json.NewEncoder(cf)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(cmp)
-		cf.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-	}
-	if !cmp.Passed {
-		fmt.Fprintln(os.Stderr, "benchrun: benchmark regression gate FAILED:")
-		for _, f := range cmp.Failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
-		}
-		return 1
-	}
-	fmt.Printf("gate passed: no benchmark regressed by more than %.0f%% (machine scale %.2fx)\n", 100*tol, cmp.Scale)
-	return 0
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "benchrun:", err)
+	os.Exit(code)
 }
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	sizesFlag := flag.String("sizes", "0.5,1,2,4", "document sizes in MB equivalents")
-	parSize := flag.Float64("parallel-size", 4, "document size for the parallel and server experiments")
-	workersFlag := flag.String("workers", "1,2,4,8", "worker counts for the parallel experiment")
-	clientsFlag := flag.String("clients", "1,2,4,8", "client counts for the server experiment")
-	parallel := flag.Int("parallel", 0, "staircase-join workers for query experiments: 0/1 = serial, N > 1 = up to N workers, -1 = GOMAXPROCS")
 	out := flag.String("out", "", "also write output to this file")
 	jsonOut := flag.Bool("json", false, "emit experiment results as JSON instead of formatted tables")
-	gate := flag.String("gate", "", "run the benchmark-regression gate against this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "measure the gate family and write a baseline file")
-	gateOut := flag.String("gate-out", "", "with -gate: also write the current measurements to this file")
-	compareOut := flag.String("compare-out", "", "with -gate: write the full baseline-vs-current comparison (per-benchmark ratios, machine scale, verdict) as JSON")
-	gateRuns := flag.Int("gate-runs", 5, "gate runs per benchmark (the fastest run is compared)")
-	gateTol := flag.Float64("gate-tol", 0.25, "allowed fractional ns/op regression before the gate fails")
 	flag.Parse()
-	bench.Parallelism = *parallel
-
-	if *gate != "" || *writeBaseline != "" {
-		os.Exit(runGate(bench.NewCorpus(), *gate, *writeBaseline, *gateOut, *compareOut, *gateRuns, *gateTol))
-	}
 
 	sizes, err := parseFloats(*sizesFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrun:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
-	workers, err := parseInts(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrun:", err)
-		os.Exit(2)
+	var ids []string
+	var run []func(*bench.Corpus, []float64) bench.Table
+	for _, e := range bench.Experiments {
+		ids = append(ids, e.ID)
+		if *exp == "all" || *exp == e.ID {
+			run = append(run, e.Run)
+		}
 	}
-	clients, err := parseInts(*clientsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrun:", err)
-		os.Exit(2)
+	if len(run) == 0 {
+		fail(2, fmt.Errorf("unknown experiment %q (known: %s, all)", *exp, strings.Join(ids, ", ")))
 	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
 	c := bench.NewCorpus()
-	runs := map[string]func() bench.Table{
-		"table1":   func() bench.Table { return bench.Table1(c, sizes) },
-		"fig3":     func() bench.Table { return bench.Fig3(c, sizes) },
-		"fig11a":   func() bench.Table { return bench.Fig11a(c, sizes) },
-		"fig11b":   func() bench.Table { return bench.Fig11b(c, sizes) },
-		"fig11c":   func() bench.Table { return bench.Fig11c(c, sizes) },
-		"fig11d":   func() bench.Table { return bench.Fig11d(c, sizes) },
-		"fig11e":   func() bench.Table { return bench.Fig11e(c, sizes) },
-		"fig11f":   func() bench.Table { return bench.Fig11f(c, sizes) },
-		"window":   func() bench.Table { return bench.Window(c, sizes) },
-		"frag":     func() bench.Table { return bench.Fragmentation(c, sizes) },
-		"index":    func() bench.Table { return bench.IndexPushdown(c, sizes) },
-		"value":    func() bench.Table { return bench.ValuePushdown(c, sizes) },
-		"order":    func() bench.Table { return bench.Ordering(c, sizes) },
-		"parallel": func() bench.Table { return bench.Parallel(c, *parSize, workers) },
-		"copyscan": func() bench.Table { return bench.CopyVsScan(c, sizes) },
-		"mpmgjn":   func() bench.Table { return bench.MPMGJN(c, sizes) },
-		"storage":  func() bench.Table { return bench.Storage(c, sizes) },
-		"server":   func() bench.Table { return bench.ServerThroughput(c, *parSize, clients) },
-		"stream":   func() bench.Table { return bench.Stream(c, sizes) },
-		"share":    func() bench.Table { return bench.Share(c, *parSize, clients) },
-	}
-	order := []string{"table1", "fig3", "fig11a", "fig11b", "fig11c", "fig11d",
-		"fig11e", "fig11f", "window", "frag", "index", "value", "order", "parallel", "copyscan", "mpmgjn", "storage", "server", "stream", "share"}
-
-	emitJSON := func(tables []bench.Table) {
+	if *jsonOut {
+		tables := make([]bench.Table, 0, len(run))
+		for _, r := range run {
+			tables = append(tables, r(c, sizes))
+		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tables); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *exp == "all" {
-		if *jsonOut {
-			tables := make([]bench.Table, 0, len(order))
-			for _, id := range order {
-				tables = append(tables, runs[id]())
-			}
-			emitJSON(tables)
-			return
-		}
-		// Text mode streams each table as its experiment completes — a
-		// full sweep runs for minutes and partial output is valuable.
-		for _, id := range order {
-			fmt.Fprintln(w, runs[id]().Format())
+			fail(1, err)
 		}
 		return
 	}
-	run, ok := runs[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchrun: unknown experiment %q (known: %s, all)\n",
-			*exp, strings.Join(order, ", "))
-		os.Exit(2)
+	// Text mode streams each table as its experiment completes — a full
+	// sweep runs for minutes and partial output is valuable.
+	for _, r := range run {
+		fmt.Fprintln(w, r(c, sizes).Format())
 	}
-	if *jsonOut {
-		emitJSON([]bench.Table{run()})
-		return
-	}
-	fmt.Fprintln(w, run().Format())
 }
