@@ -29,9 +29,8 @@ import (
 var updatePaperGolden = flag.Bool("update-paper-golden", false, "rewrite testdata/paper_golden.json")
 
 // paperSizes are the golden tables' document sizes in MB equivalents:
-// two sizes show the shapes hold as the document grows, both stay small
-// because Fig. 3's SQL plan is quadratic in the context's region, and
-// both print exactly in the tables' one-decimal size column.
+// two sizes show the shapes hold as the document grows, and both stay
+// small because Fig. 3's SQL plan is quadratic in the context's region.
 var paperSizes = []float64{0.2, 0.5}
 
 var (
@@ -99,9 +98,6 @@ func TestPaperGolden(t *testing.T) {
 		t.Log("\n" + tb.Format())
 		got[tb.ID] = countColumns(tb)
 	}
-	if len(got) != 12 {
-		t.Fatalf("%d paper tables, want 12", len(got))
-	}
 	path := filepath.Join("testdata", "paper_golden.json")
 	if *updatePaperGolden {
 		b, err := json.MarshalIndent(got, "", " ")
@@ -149,16 +145,6 @@ func num(t *testing.T, tb Table, r int, col string) int64 {
 	return 0
 }
 
-// size reads the document size of row r.
-func size(t *testing.T, tb Table, r int) float64 {
-	t.Helper()
-	mb, err := strconv.ParseFloat(tb.Rows[r][0], 64)
-	if err != nil {
-		t.Fatalf("%s row %d: size %q: %v", tb.ID, r, tb.Rows[r][0], err)
-	}
-	return mb
-}
-
 // paperShapes are the paper's claims, one per experiment that makes a
 // count claim, asserted on every row (every size) of the table.
 var paperShapes = map[string]func(t *testing.T, tb Table){
@@ -187,7 +173,7 @@ var paperShapes = map[string]func(t *testing.T, tb Table){
 			if dups := num(t, tb, r, "sql-dups"); dups <= 0 {
 				t.Errorf("row %d: the SQL plan produced %d duplicates, want > 0", r, dups)
 			}
-			d := paperCorpus.Doc(size(t, tb, r))
+			d := paperCorpus.Doc(paperSizes[r])
 			ctx := []int32{getContexts(d).increases[0]}
 			scj := core.DescendantJoin(d, core.FollowingJoin(d, ctx, nil), nil)
 			e := baseline.NewSQLEngine(d)
