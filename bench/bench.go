@@ -34,10 +34,6 @@ const (
 	Q2 = "/descendant::increase/ancestor::bidder"
 )
 
-// DefaultSizes is the default document sweep, in megabyte equivalents
-// (the paper: 1.1, 11.0, 111.0, 1111.0).
-var DefaultSizes = []float64{0.5, 1, 2, 4}
-
 // Corpus generates and caches sweep documents so experiments share
 // them. Safe for concurrent use.
 type Corpus struct {
@@ -72,8 +68,8 @@ func (c *Corpus) Doc(mb float64) *doc.Document {
 
 // ValueDoc returns the cached document of the given size with text and
 // attribute values retained (same seed and structure as Doc) — the
-// corpus of the value-index experiments, kept separate because value
-// retention roughly doubles the per-document memory.
+// corpus of the value-index tests and benchmarks, kept separate because
+// value retention roughly doubles the per-document memory.
 func (c *Corpus) ValueDoc(mb float64) *doc.Document {
 	c.mu.Lock()
 	defer c.mu.Unlock()

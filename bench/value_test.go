@@ -13,12 +13,13 @@ import (
 const qValueRange = "//open_auction[current > 100]"
 
 // TestValuePushdownSpeedup holds the value-index fragment semijoin to
-// its work, not its wall clock: on the 0.5 MB smoke document (values retained) the numeric
-// range query returns the same nodes through the warm prepared plan and
-// through per-node re-evaluation (Options.NoValueIndex); the warm plan
-// serves its predicate from a value-index range and the rescan plan
-// evaluates it once per candidate; and, under both, the name step is an
-// index fragment join touching at most fragment + context nodes.
+// its work, not its wall clock: on the 0.5 MB smoke document (values
+// retained) the numeric range query returns the same nodes through the
+// warm prepared plan and through per-node re-evaluation
+// (Options.NoValueIndex); the warm plan serves its predicate from a
+// value-index range and the rescan plan evaluates it once per candidate;
+// and, under both, the name step is an index fragment join touching at
+// most fragment + context nodes.
 func TestValuePushdownSpeedup(t *testing.T) {
 	c := NewCorpus()
 	d := c.ValueDoc(smokeSizeMB)
