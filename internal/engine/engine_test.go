@@ -245,7 +245,7 @@ var fixtureQueries = []string{
 	"//bidder[increase >= 10]",
 	"//person[@id >= 'p2']/name",
 	"//person[contains(name, 'aro')]/name",
-	"//person[profile/age > 35]", // two-step path: PredFilter, not rewritten
+	"//person[profile/age > 35]", // two-step path: the probes climb one prefix step
 	"//name[. > 'Bob']",
 	"//increase[self::node() = 5]",
 	"//person[not(@id = 'p1')][age <= 100]",

@@ -27,6 +27,8 @@ var goldenQueries = []struct {
 	{"q2_rewritten", "/descendant::bidder[descendant::increase]"},
 	{"value_range", "//open_auction[current > 10]"},
 	{"value_contains", "//person[contains(name, 'aro')]/name"},
+	// A two-step predicate path: the semijoin climbs child::profile.
+	{"value_path", "//person[profile/age > 35]"},
 	// The greedy ordering pass hoists the exact-count value semijoin
 	// above the source-first unknown-cost predicate filter.
 	{"reordered", "//person[profile][name = 'Carol']"},

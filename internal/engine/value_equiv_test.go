@@ -67,36 +67,54 @@ func randomValueDoc(rng *rand.Rand, n int) *doc.Document {
 	return d
 }
 
+// randValueTest draws a node test for a value predicate's step. cat
+// names attributes only, so as an element test it matches nothing.
+func randValueTest(rng *rand.Rand) string {
+	switch rng.Intn(6) {
+	case 0:
+		return "*"
+	case 1:
+		return "node()"
+	case 2:
+		return "text()"
+	default:
+		tags := []string{"item", "price", "name", "cat"}
+		return tags[rng.Intn(len(tags))]
+	}
+}
+
 // randValuePred builds a random value predicate. It covers every
 // comparison operator (including != which is never index-served),
 // contains(), numeric and string literals, and both rewrite-eligible
-// paths (self, child, attribute, descendant) and ineligible ones
-// (ancestor, following-sibling, multi-step) so the per-node fallback
-// is exercised alongside the fragment probes.
+// paths (self, child, attribute, descendant, and chains of 2–3 child
+// steps ending in a child or attribute step, some through a prefix tag
+// no element has) and ineligible ones (ancestor, following-sibling,
+// steps after a non-child step) so the per-node fallback is exercised
+// alongside the fragment probes.
 func randValuePred(rng *rand.Rand) string {
 	path := "."
-	if rng.Intn(4) != 0 {
+	switch r := rng.Intn(8); {
+	case r < 2:
+	case r < 4:
+		path = ""
+		for i := 1 + rng.Intn(2); i > 0; i-- {
+			prefix := []string{"item", "cat", "*"}
+			path += "child::" + prefix[rng.Intn(len(prefix))] + "/"
+		}
+		if rng.Intn(3) == 0 {
+			path += "attribute::price"
+		} else {
+			path += "child::" + randValueTest(rng)
+		}
+	default:
 		axes := []string{
 			"attribute", "child", "self",
 			"descendant", "descendant-or-self",
 			"ancestor", "following-sibling",
 		}
-		a := axes[rng.Intn(len(axes))]
-		var test string
-		switch rng.Intn(6) {
-		case 0:
-			test = "*"
-		case 1:
-			test = "node()"
-		case 2:
-			test = "text()"
-		default:
-			tags := []string{"item", "price", "name", "cat"}
-			test = tags[rng.Intn(len(tags))]
-		}
-		path = a + "::" + test
+		path = axes[rng.Intn(len(axes))] + "::" + randValueTest(rng)
 		if rng.Intn(5) == 0 {
-			path += "/child::node()" // multi-step: not rewritten
+			path += "/child::node()" // rewritten only after a child::name or child::* step
 		}
 	}
 	if rng.Intn(4) == 0 {
@@ -139,7 +157,7 @@ func randValueQuery(rng *rand.Rand) string {
 // legacy evaluator agree, and that cursors and EvalLimit prefixes
 // match batch output under every knob combination.
 func TestValuePushdownEquivalence(t *testing.T) {
-	trials := 5
+	trials := quickTrials(5)
 	queriesPer := 40
 	if testing.Short() {
 		trials, queriesPer = 2, 12
@@ -202,6 +220,7 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 		{"//person[@id >= 'p2']", "string range"},
 		{"//person[contains(name, 'aro')]", "substring scan"},
 		{"//name[. = 'Alice']", "string range"},
+		{"//person[profile/age > 35]", "numeric range"},
 	}
 	for _, tc := range cases {
 		p, err := e.PrepareString(tc.q, nil)
@@ -262,17 +281,22 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 }
 
 // TestValueSemiJoinNotRewritten pins the eligibility guards: nested
-// paths, != comparisons, and reverse axes must stay on the per-node
-// PredFilter path (and still produce correct results — covered by the
-// fixture matrix; here we only assert the rewrite did not fire).
+// predicates, != comparisons, reverse axes and multi-step paths other
+// than child chains must stay on the per-node PredFilter path (and
+// still produce correct results — covered by the fixture matrix; here
+// we only assert the rewrite did not fire).
 func TestValueSemiJoinNotRewritten(t *testing.T) {
 	d := fixture(t)
 	e := New(d)
 	for _, q := range []string{
-		"//person[profile/age > 35]",         // multi-step path
 		"//open_auction[current != 10]",      // != is not range-servable
 		"//name[ancestor::person = 'x']",     // reverse axis
 		"//open_auction[bidder[increase=5]]", // nested predicate
+		"//person[profile//age > 35]",        // descendant step in a chain
+		"//person[profile[age]/age > 35]",    // predicate on a prefix step
+		"//person[@id/x = 'a']",              // attribute prefix step
+		"//person[*/descendant::age > 35]",   // chain ending in descendant
+		"//person[profile/age != 35]",        // != over a chain
 	} {
 		p, err := e.PrepareString(q, nil)
 		if err != nil {

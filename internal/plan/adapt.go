@@ -79,15 +79,15 @@ func newChainStage(ec *execCtx, o op) *chainStage {
 				return s
 			}
 			d := ec.env.Doc
-			pa := t.pa
+			pa, up := t.pa, t.up
 			spanHi := list[len(list)-1]
 			var min int32
 			if pa == axis.Self {
 				min = list[0]
 			}
-			s.apply = func(v int32) (bool, error) { return valueQualifies(d, pa, list, v), nil }
+			s.apply = func(v int32) (bool, error) { return valueQualifies(d, pa, up, list, v), nil }
 			s.minSeek = func() int32 { return min }
-			// Every supported predicate axis looks at pre ranks >= the
+			// Every supported predicate path looks at pre ranks >= the
 			// context node: past the fragment's last node nothing further
 			// qualifies.
 			s.exhausted = func(v int32) bool { return v >= spanHi }

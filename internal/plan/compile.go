@@ -11,6 +11,7 @@ package plan
 
 import (
 	"staircase/internal/axis"
+	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/index"
 	"staircase/internal/xpath"
@@ -313,13 +314,15 @@ func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred
 //	Filter(S, [axis::t op lit])  =>  ValueSemiJoin(S, axis, ValueScan(t, op, lit))
 //
 // valid for comparison ('=', '<', '<=', '>', '>=' — '!=' is not a
-// value range) and contains() predicates whose path is a bare
-// relative single step on self, child, attribute or descendant(-or-
-// self), with a name, '*', text() or node() test, over an
-// attribute-free context. The rewrite applies independently of value-
-// index availability — the operator falls back to per-node evaluation
-// at execution time — so the canonical plan string stays stable
-// across Options.NoValueIndex.
+// value range) and contains() predicates over an attribute-free
+// context whose relative path ends in a bare step with a name, '*',
+// text() or node() test: a single step on self, child, attribute or
+// descendant(-or-self), or a chain of bare child::name / child::*
+// steps ending in a child or attribute step (the probes climb the
+// chain up the parent column). The rewrite applies independently of
+// value-index availability — the operator falls back to per-node
+// evaluation at execution time — so the canonical plan string stays
+// stable across Options.NoValueIndex.
 func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred xpath.Predicate, estIn int64) (*valueSemiJoinOp, error) {
 	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
 		return nil, nil
@@ -339,15 +342,19 @@ func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis,
 	default:
 		return nil, nil
 	}
-	if path.Absolute || len(path.Steps) != 1 {
+	if path.Absolute || len(path.Steps) == 0 {
 		return nil, nil
 	}
-	step := path.Steps[0]
+	step, prefix := path.Steps[len(path.Steps)-1], path.Steps[:len(path.Steps)-1]
 	if len(step.Preds) > 0 {
 		return nil, nil
 	}
 	switch step.Axis {
-	case axis.Self, axis.Child, axis.Attribute, axis.Descendant, axis.DescendantOrSelf:
+	case axis.Child, axis.Attribute:
+	case axis.Self, axis.Descendant, axis.DescendantOrSelf:
+		if len(prefix) > 0 {
+			return nil, nil
+		}
 	default:
 		return nil, nil
 	}
@@ -356,21 +363,33 @@ func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis,
 	default:
 		return nil, nil
 	}
-	vs.pa, vs.test = step.Axis, step.Test
-	prog, err := compilePredProg(c.env, c.opts, pred)
-	if err != nil {
-		return nil, err
+	var up []core.Emit // the prefix tests in climb order, innermost first
+	for i := len(prefix) - 1; i >= 0; i-- {
+		s := prefix[i]
+		if s.Axis != axis.Child || len(s.Preds) > 0 || s.Test.Kind != xpath.TestName && s.Test.Kind != xpath.TestAny {
+			return nil, nil
+		}
+		up = append(up, emitFor(c.env.Doc, axis.Child, s.Test))
 	}
-	c.add(vs)
+	vs.pa, vs.test = step.Axis, step.Test
 	vj := &valueSemiJoinOp{
 		in:   in,
 		meta: meta,
 		pred: pred.String(),
+		path: path,
 		pa:   step.Axis,
+		up:   up,
 		scan: vs,
-		prog: prog,
 		est:  estimates{In: estIn, Out: maxInt64(estIn/2, 1)},
 	}
+	if !valueIndexServes(c.env.Doc, c.opts) {
+		// The per-node program runs only where the index cannot serve.
+		var err error
+		if vj.prog, err = compilePredProg(c.env, c.opts, pred); err != nil {
+			return nil, err
+		}
+	}
+	c.add(vs)
 	c.add(vj)
 	c.p.rewrites = append(c.p.rewrites, "value-semijoin")
 	return vj, nil

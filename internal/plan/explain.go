@@ -186,7 +186,11 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 	case *valueSemiJoinOp:
 		n.Step = t.meta.ord
-		n.Detail = fmt.Sprintf("[%s] probed on axis %s", p.opDetail(t), t.pa)
+		if len(t.up) == 0 {
+			n.Detail = fmt.Sprintf("[%s] probed on axis %s", p.opDetail(t), t.pa)
+		} else {
+			n.Detail = fmt.Sprintf("[%s] probed up the path %s", p.opDetail(t), t.path)
+		}
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 	case *valueScan:
 		n.Detail = p.opDetail(t)
@@ -379,7 +383,11 @@ func (p *Plan) renderOp(sb *strings.Builder, o op, res *Result, depth int) {
 		order()
 	case *valueSemiJoinOp:
 		line("ValueSemiJoin (step %d)", t.meta.ord)
-		line("  operator: value semijoin, fragment probes on the %s axis (value-semijoin rewrite, set-at-a-time)", t.pa)
+		if len(t.up) == 0 {
+			line("  operator: value semijoin, fragment probes on the %s axis (value-semijoin rewrite, set-at-a-time)", t.pa)
+		} else {
+			line("  operator: value semijoin, fragment probes climb the path %s up the parent column (value-semijoin rewrite, set-at-a-time)", t.path)
+		}
 		line("  predicate filter: [%s] evaluated against the value fragment", p.opDetail(t))
 		card(t.est)
 		order()

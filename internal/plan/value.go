@@ -1,20 +1,22 @@
 // The value-semijoin rewrite: comparison and contains() predicates
-// over a single relative step evaluate set-at-a-time against the
-// document's value index instead of one sub-path evaluation per
-// candidate node.
+// over a relative step — or a chain of child steps ending in a child
+// or attribute step — evaluate set-at-a-time against the document's
+// value index instead of one sub-path evaluation per candidate node.
 //
 //	Filter(S, [axis::t op lit])      =>  ValueSemiJoin(S, axis, ValueScan(t, op, lit))
 //	Filter(S, [contains(axis::t,l)]) =>  ValueSemiJoin(S, axis, ValueScan(t, contains l))
+//	Filter(S, [p/…/axis::t op lit])  =>  ValueSemiJoin(S, p/…/axis, ValueScan(t, op, lit))
 //
-// ValueScan resolves the predicate to a pre-sorted node-list fragment:
-// a range of the index's string or numeric partition (typed by the
-// literal), put into document order through a pre bitmap and filtered
-// by the predicate's node test, merged with the re-evaluated overflow
-// nodes (values longer than the index key cap). ValueSemiJoin then
-// keeps the input nodes that stand in the predicate axis relation to
-// the fragment, decided per input node by binary search over the
-// fragment — the exists-semijoin discipline extended to value
-// predicates.
+// ValueScan resolves the predicate's last step to a pre-sorted node-list
+// fragment: a range of the index's string or numeric partition (typed by
+// the literal), put into document order through a pre bitmap and filtered
+// by the step's node test, merged with the re-evaluated overflow nodes
+// (values longer than the index key cap). ValueSemiJoin then keeps the
+// input nodes that stand in the predicate axis relation to the fragment,
+// decided per input node by binary search over the fragment — the
+// exists-semijoin discipline extended to value predicates. A chain's
+// prefix steps are decided by climbing the parent column from each
+// fragment node, one hop per step, testing each node on the way.
 //
 // The rewrite is applied unconditionally for eligible predicates, so
 // the canonical plan string is independent of index availability:
@@ -87,15 +89,18 @@ func (o *valueScan) resolve(ec *execCtx) (list []int32, ok bool) {
 // resolveWith is resolve without an execution context (the greedy
 // ordering pass resolves resident fragments at compile time).
 func (o *valueScan) resolveWith(d *doc.Document, opts *Options) (list []int32, ok bool) {
-	if opts.NoValueIndex || !d.HasValues() {
+	if !valueIndexServes(d, opts) {
 		return nil, false
 	}
-	ix := d.ValueIndex()
-	if ix == nil {
-		return nil, false
-	}
-	o.once.Do(func() { o.frag = o.materialize(d, ix, opts) })
+	o.once.Do(func() { o.frag = o.materialize(d, d.ValueIndex(), opts) })
 	return o.frag, true
+}
+
+// valueIndexServes reports whether value fragments can be served: the
+// index is enabled and the document carries values (ValueIndex is then
+// non-nil).
+func valueIndexServes(d *doc.Document, opts *Options) bool {
+	return !opts.NoValueIndex && d.HasValues()
 }
 
 // materialize computes the fragment from the value index: the keyed
@@ -199,13 +204,18 @@ type valueSemiJoinOp struct {
 	opBase
 	in   op
 	meta *stepMeta
-	// pred is the original predicate rendering (for EXPLAIN).
+	// pred is the original predicate rendering (for EXPLAIN); path its
+	// path, which EXPLAIN names when it has more than one step.
 	pred string
-	// pa is the predicate path's axis, which the probes decide.
+	path xpath.Path
+	// pa is the axis of the path's last step, which the probes decide;
+	// up holds the tests of the child steps before it, innermost first
+	// (see climb).
 	pa   axis.Axis
+	up   []core.Emit
 	scan *valueScan
-	// prog is the per-node fallback program (NoValueIndex, value-less
-	// documents).
+	// prog is the per-node fallback program, compiled only when the value
+	// index cannot serve (NoValueIndex, value-less documents).
 	prog *predProg
 	est  estimates
 	// srcOrd/chain: see predFilterOp.
@@ -236,7 +246,7 @@ func (o *valueSemiJoinOp) run(ec *execCtx) ([]int32, error) {
 		// (the inverse image of valueQualifies) and intersect with the
 		// input instead of probing every input node.
 		ost.probeDir = probeFragSweep
-		out = intersectSorted(in, valueCandidates(d, o.pa, list))
+		out = intersectSorted(in, valueCandidates(d, o.pa, o.up, list))
 	} else {
 		if indexed {
 			ost.probeDir = probeInputSeek
@@ -250,7 +260,7 @@ func (o *valueSemiJoinOp) run(ec *execCtx) ([]int32, error) {
 			}
 			var ok bool
 			if indexed {
-				ok = valueQualifies(d, o.pa, list, v)
+				ok = valueQualifies(d, o.pa, o.up, list, v)
 			} else {
 				ok, err = o.prog.holds(ec, v)
 				if err != nil {
@@ -273,8 +283,8 @@ func (o *valueSemiJoinOp) run(ec *execCtx) ([]int32, error) {
 // the predicate axis: binary search over the pre-sorted fragment plus
 // Equation (1) subtree windows (attributes are inside their element's
 // window, so the child/attribute probes scan the fragment∩subtree
-// slice checking parenthood).
-func valueQualifies(d *doc.Document, pa axis.Axis, list []int32, c int32) bool {
+// slice, climbing from each node to see whether it reaches c).
+func valueQualifies(d *doc.Document, pa axis.Axis, up []core.Emit, list []int32, c int32) bool {
 	switch pa {
 	case axis.Self:
 		i := searchNodes(list, c)
@@ -288,7 +298,7 @@ func valueQualifies(d *doc.Document, pa axis.Axis, list []int32, c int32) bool {
 	default: // axis.Child, axis.Attribute
 		end := c + d.SubtreeSize(c)
 		for i := searchNodes(list, c+1); i < len(list) && list[i] <= end; i++ {
-			if d.Parent(list[i]) == c {
+			if climb(d, up, list[i]) == c {
 				return true
 			}
 		}
@@ -296,12 +306,29 @@ func valueQualifies(d *doc.Document, pa axis.Axis, list []int32, c int32) bool {
 	}
 }
 
+// climb returns the one context node fragment node f can certify
+// through a child/attribute step behind the child steps whose tests up
+// holds, innermost first: the parent column followed one hop per step,
+// every node reached passing its step's test, then one hop more. The
+// hop count is fixed by the path, so the answer is exact; doc.NoParent
+// when a test fails or the climb leaves the document.
+func climb(d *doc.Document, up []core.Emit, f int32) int32 {
+	p := d.Parent(f)
+	for _, e := range up {
+		if p == doc.NoParent || !e.Pass(d.KindOf(p), d.NameID(p)) {
+			return doc.NoParent
+		}
+		p = d.Parent(p)
+	}
+	return p
+}
+
 // valueCandidates derives, from the fragment nodes, every context node
 // the predicate axis could certify — the inverse image of
-// valueQualifies. Self: the fragment node itself; child/attribute: its
-// parent; descendant: its proper ancestors (the parent chain);
-// descendant-or-self: itself plus the chain.
-func valueCandidates(d *doc.Document, pa axis.Axis, list []int32) []int32 {
+// valueQualifies. Self: the fragment node itself; child/attribute: the
+// node its climb reaches; descendant: its proper ancestors (the parent
+// chain); descendant-or-self: itself plus the chain.
+func valueCandidates(d *doc.Document, pa axis.Axis, up []core.Emit, list []int32) []int32 {
 	var cands []int32
 	for _, f := range list {
 		switch pa {
@@ -317,7 +344,7 @@ func valueCandidates(d *doc.Document, pa axis.Axis, list []int32) []int32 {
 				cands = append(cands, p)
 			}
 		default: // axis.Child, axis.Attribute
-			if p := d.Parent(f); p != doc.NoParent {
+			if p := climb(d, up, f); p != doc.NoParent {
 				cands = append(cands, p)
 			}
 		}
@@ -447,7 +474,7 @@ func (c *valueSemiJoinCursor) next(seek int32) ([]int32, error) {
 		for _, v := range b {
 			var ok bool
 			if c.indexed {
-				ok = valueQualifies(c.d, c.o.pa, c.list, v)
+				ok = valueQualifies(c.d, c.o.pa, c.o.up, c.list, v)
 			} else {
 				ok, err = c.o.prog.holds(c.ec, v)
 				if err != nil {
@@ -460,9 +487,10 @@ func (c *valueSemiJoinCursor) next(seek int32) ([]int32, error) {
 		}
 		c.ost.in += len(b)
 		c.st.InputSize = c.ost.in
-		// Every supported predicate axis looks at pre ranks >= the
-		// context node (self, child, attribute, descendant(-or-self)):
-		// past the fragment's last node nothing further qualifies.
+		// Every supported predicate path looks at pre ranks >= the
+		// context node (self, child, attribute, descendant(-or-self),
+		// child chains): past the fragment's last node nothing further
+		// qualifies.
 		if c.indexed && b[len(b)-1] >= c.spanHi {
 			c.done = true
 		}

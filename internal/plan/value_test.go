@@ -166,6 +166,74 @@ func TestValueScanFragments(t *testing.T) {
 	}
 }
 
+// TestValuePathProbeDirections: a two-hop predicate path (q/@v) climbs
+// the parent column in both probe directions and in the chain cursor,
+// and agrees with the per-node program. Decoys hold a v attribute one
+// hop off: on an x child, on a q outside any p, and on a q nested in a
+// q, whose climb ends at the outer q instead of the p.
+func TestValuePathProbeDirections(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&sb, `<p><q v="%d"/></p>`, i)
+	}
+	sb.WriteString(`<p><x v="1000"/></p><q v="1000"/><p><q><q v="1000"/></q></p></r>`)
+	env := NewEnv(shredString(t, sb.String()))
+	for _, tc := range []struct {
+		q    string
+		dir  int8
+		want int
+	}{
+		// 102 persons against 4 fragment nodes: sweep the fragment.
+		{"//p[q/@v > 98]", probeFragSweep, 1},
+		// 102 persons against 103 fragment nodes: probe per person.
+		{"//p[q/@v >= 0]", probeInputSeek, 100},
+	} {
+		p := compileQuery(t, env, tc.q, nil)
+		var vj *valueSemiJoinOp
+		for _, o := range p.ops {
+			if v, ok := o.(*valueSemiJoinOp); ok {
+				vj = v
+			}
+		}
+		if vj == nil || len(vj.up) != 1 || vj.prog != nil {
+			t.Fatalf("%s: not a one-climb value semijoin without fallback program: %+v", tc.q, vj)
+		}
+		res, err := p.RunRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := run(t, env, tc.q, &Options{NoValueIndex: true})
+		if len(res.Nodes) != tc.want || !equal32(res.Nodes, want) {
+			t.Errorf("%s = %d nodes %v, NoValueIndex %v", tc.q, len(res.Nodes), res.Nodes, want)
+		}
+		if got := res.ops[vj.opID()].probeDir; got != tc.dir {
+			t.Errorf("%s: probeDir = %d, want %d", tc.q, got, tc.dir)
+		}
+	}
+
+	// Two value semijoins on one step stream through the chain cursor.
+	q := "//p[q/@v > 10][q/@v < 20]"
+	p := compileQuery(t, env, q, nil)
+	top, ok := p.root.(*valueSemiJoinOp)
+	if !ok || top.chain == nil || len(top.chain.members) != 2 {
+		t.Fatalf("%s: root %T is not a two-member chain", q, p.root)
+	}
+	lr, err := p.RunLimitRoot(context.Background(), math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(t, env, q, &Options{NoValueIndex: true})
+	if len(want) != 9 || !equal32(lr.Nodes, want) || !equal32(run(t, env, q, nil), want) {
+		t.Errorf("%s: chain cursor %v, NoValueIndex %v", q, lr.Nodes, want)
+	}
+	for _, m := range top.chain.members {
+		if ost := lr.ops[m.opID()]; !ost.ran || !ost.indexed || ost.probeDir != probeInputSeek {
+			t.Errorf("%s: chain stage %s stat %+v, want an indexed input-seek", q, chainLabel(m), ost)
+		}
+	}
+}
+
 // TestValueScanMaterializeCost: materialising //open_auction[initial >
 // C] allocates in proportion to the matching initial nodes, not to the
 // numeric nodes above C the index range holds (the range goes into the
