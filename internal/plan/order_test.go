@@ -10,7 +10,9 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,6 +268,76 @@ func TestChainCursorMatchesBatch(t *testing.T) {
 		}
 		if !equal32(lr.Nodes, batch) {
 			t.Fatalf("%s: chain cursor %v != batch %v", q, lr.Nodes, batch)
+		}
+	}
+}
+
+// TestReorderedStreamWork pins what reordered filter chains cost when
+// the cursor executor drains them: for LIMIT 1 and a full drain, the
+// result nodes and each step's staircase counters. Seeks and early
+// exits must keep reaching the base join: the last query's first
+// evaluated member is an ancestor exists-semijoin whose probe seeks the
+// //name join past every name outside a person.
+func TestReorderedStreamWork(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 60; i++ {
+		if i%10 == 9 {
+			fmt.Fprintf(&sb, "<person><name>n%d</name></person>", i)
+		} else {
+			fmt.Fprintf(&sb, "<x><y/><name>n%d</name><y/></x>", i)
+		}
+	}
+	sb.WriteString("</r>")
+	fix, vpath, anc := fixture(t), shredString(t, valuePathXML()), shredString(t, sb.String())
+	// drain is one execution's outcome: the result nodes and, per step,
+	// Core.Scanned and Core.Skipped.
+	type drain struct {
+		nodes []int32
+		work  [][2]int64
+	}
+	for _, tc := range []struct {
+		d          *doc.Document
+		q          string
+		first, all drain // LIMIT 1, full drain
+	}{
+		{fix, "//site[descendant::person][descendant::education]",
+			drain{nil, [][2]int64{{0, 0}}}, drain{nil, [][2]int64{{0, 0}}}},
+		{fix, "//person[profile][name = 'Carol']",
+			drain{[]int32{13}, [][2]int64{{3, 0}}}, drain{[]int32{13}, [][2]int64{{3, 0}}}},
+		{fix, "//open_auction[descendant::bidder][current > 10]",
+			drain{[]int32{21}, [][2]int64{{2, 0}}}, drain{[]int32{21}, [][2]int64{{2, 0}}}},
+		{fix, "//person[name][profile][descendant::education]",
+			drain{[]int32{2}, [][2]int64{{3, 0}}}, drain{[]int32{2, 13}, [][2]int64{{3, 0}}}},
+		{vpath, "//p[q/@v > 10][q/@v < 20]",
+			drain{[]int32{34}, [][2]int64{{15, 0}}},
+			drain{[]int32{34, 37, 40, 43, 46, 49, 52, 55, 58}, [][2]int64{{79, 0}}}},
+		{anc, "//name[. != 'n0'][ancestor::person]",
+			drain{[]int32{47}, [][2]int64{{15, 9}}},
+			drain{[]int32{47, 95, 143, 191, 239, 287}, [][2]int64{{46, 14}}}},
+	} {
+		p := compileQuery(t, NewEnv(tc.d), tc.q, nil)
+		if len(p.orderNotes) == 0 {
+			t.Errorf("%s: greedy pass did not reorder", tc.q)
+		}
+		for _, want := range []struct {
+			limit int
+			drain
+		}{{1, tc.first}, {math.MaxInt, tc.all}} {
+			lr, err := p.RunLimitRoot(context.Background(), want.limit)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.q, err)
+			}
+			if !equal32(lr.Nodes, want.nodes) {
+				t.Errorf("%s limit %d: nodes %v, want %v", tc.q, want.limit, lr.Nodes, want.nodes)
+			}
+			var work [][2]int64
+			for _, st := range lr.Steps {
+				work = append(work, [2]int64{st.Core.Scanned, st.Core.Skipped})
+			}
+			if !slices.Equal(work, want.work) {
+				t.Errorf("%s limit %d: scanned/skipped per step %v, want %v", tc.q, want.limit, work, want.work)
+			}
 		}
 	}
 }

@@ -166,19 +166,25 @@ func TestValueScanFragments(t *testing.T) {
 	}
 }
 
-// TestValuePathProbeDirections: a two-hop predicate path (q/@v) climbs
-// the parent column in both probe directions and in the chain cursor,
-// and agrees with the per-node program. Decoys hold a v attribute one
-// hop off: on an x child, on a q outside any p, and on a q nested in a
-// q, whose climb ends at the outer q instead of the p.
-func TestValuePathProbeDirections(t *testing.T) {
+// valuePathXML is a hundred <p><q v="i"/></p> records followed by
+// decoys that hold a v attribute one hop off: on an x child, on a q
+// outside any p, and on a q nested in a q, whose climb ends at the outer
+// q instead of the p.
+func valuePathXML() string {
 	var sb strings.Builder
 	sb.WriteString("<r>")
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&sb, `<p><q v="%d"/></p>`, i)
 	}
 	sb.WriteString(`<p><x v="1000"/></p><q v="1000"/><p><q><q v="1000"/></q></p></r>`)
-	env := NewEnv(shredString(t, sb.String()))
+	return sb.String()
+}
+
+// TestValuePathProbeDirections: a two-hop predicate path (q/@v) climbs
+// the parent column in both probe directions and in the chain cursor,
+// and agrees with the per-node program on valuePathXML's decoys.
+func TestValuePathProbeDirections(t *testing.T) {
+	env := NewEnv(shredString(t, valuePathXML()))
 	for _, tc := range []struct {
 		q    string
 		dir  int8
