@@ -99,7 +99,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "default staircase-join parallelism per query (0/1 serial, -1 all cores)")
 	useIndex := flag.Bool("index", true, "keep the shared tag/kind index resident per document (false: per-query column rescans; results identical)")
 	useVIndex := flag.Bool("value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
-	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering and adaptive re-planning (source-order predicate evaluation; results identical)")
+	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
 	shareScans := flag.Bool("share-scans", true, "coalesce identical in-flight executions: concurrent cache misses on one (doc, plan, limit) key share a single pace-car execution")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline; requests may lower it with timeoutMs, expiry answers 408 (0 = none)")
 	maxQueue := flag.Int("max-queue", -1, "admission queue bound: past this many waiting requests new work is shed with 503 + Retry-After (-1 = 8x workers, 0 = unbounded)")

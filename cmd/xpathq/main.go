@@ -52,7 +52,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "staircase-join workers: 0/1 = serial, N > 1 = up to N workers, -1 = GOMAXPROCS")
 	useIndex := flag.Bool("index", true, "use the shared tag/kind index for name-test pushdown (false: per-step column rescan; results identical)")
 	useVIndex := flag.Bool("value-index", true, "use the value index for comparison and contains() predicates (false: per-node re-evaluation; results identical)")
-	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering and adaptive re-planning (source-order predicate evaluation; results identical)")
+	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {

@@ -120,11 +120,10 @@ type Options struct {
 	// benchmarks.
 	NoValueIndex bool
 	// NoReorder disables the planner's statistics-driven greedy
-	// ordering of commutable filter chains, the empty-fragment
-	// short-circuit and mid-flight adaptive re-planning: predicates
-	// evaluate strictly in source order, semijoins always sweep their
-	// fragment. Results are identical; the knob exists for ablation and
-	// the ordering benchmarks.
+	// ordering of commutable filter chains and the empty-fragment
+	// short-circuit: predicates evaluate strictly in source order,
+	// semijoins always sweep their fragment. Results are identical; the
+	// knob exists for ablation and the ordering benchmarks.
 	NoReorder bool
 	// LegacyEval bypasses the plan compiler and evaluates with the
 	// pre-plan recursive step interpreter. Results are identical — the

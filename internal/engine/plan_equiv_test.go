@@ -306,10 +306,11 @@ func randFilterQuery(rng *rand.Rand) string {
 // TestReorderEquivalence is the ordering pass's differential property:
 // for randomly generated multi-predicate queries, greedy-ordered
 // evaluation, source-order evaluation (NoReorder) and the legacy step
-// interpreter return byte-identical node sequences; the streaming
-// chain cursor (with mid-flight re-planning armed) matches too; and
-// ordering never changes the canonical plan string (the result-cache
-// key).
+// interpreter return byte-identical node sequences; draining the
+// reordered chain through the filters' stacked cursors, each passing
+// its seek hint down and stopping on its own exhaustion, matches too;
+// and ordering never changes the canonical plan string (the
+// result-cache key).
 func TestReorderEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	trials := quickTrials(4)

@@ -423,9 +423,6 @@ func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
 	if !ec.opts.Strategy.staircase() {
 		return newRunCursor(ec, o), nil
 	}
-	if o.chain != nil {
-		return openChain(ec, o.chain)
-	}
 	in, err := o.in.open(ec)
 	if err != nil {
 		return nil, err
@@ -449,9 +446,9 @@ func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
 // fragment's reduction node (following/preceding) — the node-list
 // join's partition arithmetic turned into point probes, plus seek
 // hints derived from the fragment span. Shared by the streaming
-// cursor, the materializing executor's input-probe direction, and the
-// adaptive chain stages. Not safe for concurrent use (minSeek advances
-// while probing): build one per execution.
+// cursor and the materializing executor's input-probe direction. Not
+// safe for concurrent use (minSeek advances while probing): build one
+// per execution.
 type semiProbe struct {
 	existsAxis axis.Axis
 	d          *doc.Document
@@ -669,9 +666,6 @@ func (o *axisStepOp) open(ec *execCtx) (cursor, error) {
 // --- PredFilter ------------------------------------------------------------
 
 func (o *predFilterOp) open(ec *execCtx) (cursor, error) {
-	if o.chain != nil {
-		return openChain(ec, o.chain)
-	}
 	in, err := o.in.open(ec)
 	if err != nil {
 		return nil, err
@@ -1148,7 +1142,7 @@ func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Resul
 	if !truncated && !cur.Exhausted() {
 		truncated = true // stopped exactly at the limit: more may exist
 	}
-	return &Result{Nodes: nodes, Steps: cur.ec.steps, Truncated: truncated, ops: cur.ec.ops, replans: cur.ec.replans}, nil
+	return &Result{Nodes: nodes, Steps: cur.ec.steps, Truncated: truncated, ops: cur.ec.ops}, nil
 }
 
 // RunLimitRoot is RunLimit from the document root.

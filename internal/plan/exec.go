@@ -103,9 +103,6 @@ type execCtx struct {
 	// evaluating, so the shared partitioning helper reuses its resolved
 	// list instead of re-probing the index maps.
 	curFrag *fragScan
-	// replans collects mid-flight adaptive re-planning notes (cursor
-	// executor), surfaced through Result for EXPLAIN's reorder footer.
-	replans []string
 	// subs holds the execution each predicate sub-plan reuses for every
 	// candidate node of this execution (predProg.evalSub).
 	subs map[*predProg]*execCtx
@@ -140,8 +137,7 @@ type Result struct {
 	// while further results may exist (the cursor was not drained).
 	Truncated bool
 
-	ops     []opStat // per-operator actuals, consumed by EXPLAIN
-	replans []string // adaptive re-plan notes, consumed by EXPLAIN
+	ops []opStat // per-operator actuals, consumed by EXPLAIN
 }
 
 // Plan is a compiled physical plan, bound to one document (via its
@@ -224,7 +220,7 @@ func (p *Plan) RunCtx(ctx context.Context, initial []int32) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Nodes: nodes, Steps: ec.steps, ops: ec.ops, replans: ec.replans}, nil
+	return &Result{Nodes: nodes, Steps: ec.steps, ops: ec.ops}, nil
 }
 
 // newExecCtx builds the per-execution state shared by the

@@ -26,10 +26,8 @@ type ExplainTree struct {
 	NoValueIndex bool     `json:"noValueIndex,omitempty"`
 	NoReorder    bool     `json:"noReorder,omitempty"`
 	Rewrites     []string `json:"rewrites,omitempty"`
-	// Reorder lists the greedy ordering pass's fired decisions; Replans
-	// the mid-flight adaptive re-plans of the supplied execution.
+	// Reorder lists the greedy ordering pass's fired decisions.
 	Reorder     []string     `json:"reorder,omitempty"`
-	Replans     []string     `json:"replans,omitempty"`
 	Executed    bool         `json:"executed"`
 	ResultCount int          `json:"resultCount"`
 	Root        *ExplainNode `json:"root"`
@@ -93,7 +91,6 @@ func (p *Plan) explainTree(res *Result) *ExplainTree {
 	if res != nil {
 		t.Executed = true
 		t.ResultCount = len(res.Nodes)
-		t.Replans = res.replans
 	}
 	return t
 }
@@ -308,21 +305,15 @@ func (p *Plan) ExplainText(res *Result) string {
 	} else {
 		p.renderOp(&sb, p.root, res, 0)
 	}
-	p.renderReorderFooter(&sb, res)
+	p.renderReorderFooter(&sb)
 	return sb.String()
 }
 
 // renderReorderFooter prints the greedy ordering pass's fired
-// decisions and — for an executed plan — the adaptive re-plans of
-// that run.
-func (p *Plan) renderReorderFooter(sb *strings.Builder, res *Result) {
+// decisions.
+func (p *Plan) renderReorderFooter(sb *strings.Builder) {
 	for _, note := range p.orderNotes {
 		fmt.Fprintf(sb, "reorder: %s\n", note)
-	}
-	if res != nil {
-		for _, note := range res.replans {
-			fmt.Fprintf(sb, "reorder: %s\n", note)
-		}
 	}
 }
 

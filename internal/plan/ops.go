@@ -329,9 +329,6 @@ type predFilterOp struct {
 	// canonical plan string renders commutable filter chains in srcOrd
 	// order so ordering decisions never change Canon.
 	srcOrd int
-	// chain, on the bottom operator of a reordered filter chain, carries
-	// the adaptive-execution metadata (order.go); nil otherwise.
-	chain *chainMeta
 }
 
 func (o *predFilterOp) kids() []op { return []op{o.in} }
@@ -382,9 +379,7 @@ type semiJoinOp struct {
 	frag       *fragScan
 	variant    core.Variant
 	est        estimates
-	// srcOrd/chain: see predFilterOp.
-	srcOrd int
-	chain  *chainMeta
+	srcOrd     int // see predFilterOp
 }
 
 func (o *semiJoinOp) kids() []op { return []op{o.in, o.frag} }

@@ -22,10 +22,12 @@
 // Options.NoReorder disables the pass (ablation; the differential
 // suite pins greedy ≡ left-to-right ≡ legacy).
 //
-// Mid-flight adaptive re-planning (adapt.go) builds on the chain
-// metadata attached here: reordered filter chains execute through one
-// chain cursor whose stage order can be revised at batch boundaries
-// when observed selectivities diverge from the compile-time estimates.
+// The order is final: every count the pass ranks on is exact, so there
+// is no estimate for execution to correct. A reordered chain executes
+// as the operators it rewired — in batch each filter runs over its
+// input's result, and in the cursor executor each filter's cursor pulls
+// from the one below it, passing its seek hint down and stopping on its
+// own exhaustion.
 
 package plan
 
@@ -38,37 +40,18 @@ import (
 )
 
 // reordersTotal counts plan compilations whose greedy pass changed an
-// evaluation order (including empty-branch short-circuits);
-// adaptiveReplansTotal counts mid-flight stage-order switches adopted
-// by the cursor executor. Both feed the server's /metrics.
-var (
-	reordersTotal        atomic.Int64
-	adaptiveReplansTotal atomic.Int64
-)
+// evaluation order (including empty-branch short-circuits); it feeds
+// the server's /metrics.
+var reordersTotal atomic.Int64
 
 // Reorders returns the process-wide count of greedy ordering decisions
 // that changed a plan (plan_reorders_total).
 func Reorders() int64 { return reordersTotal.Load() }
 
-// AdaptiveReplans returns the process-wide count of adopted mid-flight
-// re-planning switches (adaptive_replans_total).
-func AdaptiveReplans() int64 { return adaptiveReplansTotal.Load() }
-
-// replanRatio is the divergence threshold for adaptive re-planning:
-// a stage's observed selectivity must differ from its compile-time
-// estimate by at least this factor (either direction) before the chain
-// cursor revises its stage order.
-const replanRatio = 4.0
-
-// chainMeta is the adaptive-execution metadata of a commutable filter
-// chain, attached to the chain's topmost operator. base is the
-// operator below the chain (its cursor feeds the stages); members are
-// the filter operators in the greedy evaluation order. Immutable after
-// compile: the chain cursor copies the member order per execution.
-type chainMeta struct {
-	base    op
-	members []op
-}
+// AdaptiveReplans always returns 0: no execution revises the greedy
+// order. It stays because the benchmark's plan.replans_per_query layer
+// row still reads it.
+func AdaptiveReplans() int64 { return 0 }
 
 // emptyOp replaces a branch whose result is provably empty at compile
 // time (zero-cardinality fragment on the spine): it emits nothing and
@@ -262,9 +245,8 @@ func (c *compiler) reorderFrom(o op) op {
 }
 
 // orderChain greedily sorts one chain's members, rewires the operator
-// links, re-stamps estimates, and attaches the adaptive chain
-// metadata. members arrive in (source) evaluation order; the returned
-// op is the new chain top.
+// links and re-stamps estimates. members arrive in (source) evaluation
+// order; the returned op is the new chain top.
 func (c *compiler) orderChain(base op, members []op) op {
 	ranks := make(map[op]chainRank, len(members))
 	for _, m := range members {
@@ -320,24 +302,7 @@ func (c *compiler) orderChain(base op, members []op) op {
 		estIn = maxInt64(estIn/2, 1)
 		in = m
 	}
-	top := sorted[len(sorted)-1]
-	if len(sorted) >= 2 {
-		setChainMeta(top, &chainMeta{base: base, members: sorted})
-	}
-	return top
-}
-
-// setChainMeta attaches the adaptive-execution metadata to the chain's
-// topmost member.
-func setChainMeta(o op, m *chainMeta) {
-	switch t := o.(type) {
-	case *predFilterOp:
-		t.chain = m
-	case *semiJoinOp:
-		t.chain = m
-	case *valueSemiJoinOp:
-		t.chain = m
-	}
+	return in
 }
 
 // chainOrd returns the step ordinal a chain member belongs to.

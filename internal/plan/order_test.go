@@ -1,12 +1,12 @@
 package plan
 
-// Unit tests for the greedy ordering pass (order.go), the execution-time
-// probe-direction decision (ops.go/value.go) and the adaptive chain
-// cursor (adapt.go): probe direction pinned on hand-built fragments,
-// empty-intermediate short-circuits terminating without downstream
-// work, greedy hoisting of exact-count semijoins, canon invariance
-// under ordering (the result-cache key), fragment-list memoization and
-// mid-flight re-planning.
+// Unit tests for the greedy ordering pass (order.go) and the
+// execution-time probe-direction decision (ops.go/value.go): probe
+// direction pinned on hand-built fragments, empty-intermediate
+// short-circuits terminating without downstream work, greedy hoisting
+// of exact-count semijoins, canon invariance under ordering (the
+// result-cache key), fragment-list memoization, and the results and
+// work of reordered chains drained through the cursor executor.
 
 import (
 	"context"
@@ -245,10 +245,11 @@ func TestFragScanMemoized(t *testing.T) {
 	}
 }
 
-// TestChainCursorMatchesBatch: reordered multi-predicate steps stream
-// through the adaptive chain cursor; the drained sequence must be
-// byte-identical to batch execution and to the NoReorder plan.
-func TestChainCursorMatchesBatch(t *testing.T) {
+// TestReorderedCursorMatchesBatch: reordered multi-predicate steps
+// stream through their filters' stacked cursors in the greedy order;
+// the drained sequence must be byte-identical to batch execution and to
+// the NoReorder plan.
+func TestReorderedCursorMatchesBatch(t *testing.T) {
 	env := NewEnv(fixture(t))
 	for _, q := range []string{
 		"//site[descendant::person][descendant::education]",
@@ -267,7 +268,7 @@ func TestChainCursorMatchesBatch(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		if !equal32(lr.Nodes, batch) {
-			t.Fatalf("%s: chain cursor %v != batch %v", q, lr.Nodes, batch)
+			t.Fatalf("%s: cursor %v != batch %v", q, lr.Nodes, batch)
 		}
 	}
 }
@@ -339,47 +340,6 @@ func TestReorderedStreamWork(t *testing.T) {
 				t.Errorf("%s limit %d: scanned/skipped per step %v, want %v", tc.q, want.limit, work, want.work)
 			}
 		}
-	}
-}
-
-// TestAdaptiveReplanFires: when a filter's observed selectivity
-// diverges from its estimate mid-flight, the chain cursor re-sorts its
-// stages, counts the switch and notes it for EXPLAIN. The estimate
-// halves its input, so a stage passing everything followed by a stage
-// passing nothing diverges after the first batch.
-func TestAdaptiveReplanFires(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("<r>")
-	for i := 0; i < 600; i++ {
-		sb.WriteString("<item><b>t</b></item>")
-	}
-	sb.WriteString("</r>")
-	env := NewEnv(shredString(t, sb.String()))
-	q := "//item[child::b][child::c]"
-	p := compileQuery(t, env, q, nil)
-	before := AdaptiveReplans()
-	lr, err := p.RunLimitRoot(context.Background(), math.MaxInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lr.Nodes) != 0 {
-		t.Fatalf("nodes = %d, want 0", len(lr.Nodes))
-	}
-	if AdaptiveReplans() == before {
-		t.Error("adaptive_replans_total did not move")
-	}
-	if len(lr.replans) == 0 {
-		t.Error("no re-plan note on the execution result")
-	} else if !strings.Contains(lr.replans[0], "adaptive re-plan") {
-		t.Errorf("re-plan note = %q", lr.replans[0])
-	}
-	// The batch executor (static order) and the adapted cursor agree.
-	br, err := p.RunRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal32(br.Nodes, lr.Nodes) {
-		t.Fatalf("batch %v != adapted cursor %v", br.Nodes, lr.Nodes)
 	}
 }
 

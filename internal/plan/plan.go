@@ -150,9 +150,9 @@ type Options struct {
 	// identical (the canonical plan string does not change); the knob
 	// exists for ablation and the value-rescan benchmarks.
 	NoValueIndex bool
-	// NoReorder disables the greedy ordering pass and mid-flight
-	// adaptive re-planning: commutable predicate filters evaluate in
-	// source order, semijoin probe directions stay fixed, and provably
+	// NoReorder disables the greedy ordering pass: commutable
+	// predicate filters evaluate in source order, semijoin probe
+	// directions stay fixed, and provably
 	// empty intermediates are not short-circuited. Results are identical
 	// (ordering is excluded from the canonical plan string); the knob
 	// exists for ablation and the order benchmarks.

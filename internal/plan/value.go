@@ -216,11 +216,9 @@ type valueSemiJoinOp struct {
 	scan *valueScan
 	// prog is the per-node fallback program, compiled only when the value
 	// index cannot serve (NoValueIndex, value-less documents).
-	prog *predProg
-	est  estimates
-	// srcOrd/chain: see predFilterOp.
-	srcOrd int
-	chain  *chainMeta
+	prog   *predProg
+	est    estimates
+	srcOrd int // see predFilterOp
 }
 
 func (o *valueSemiJoinOp) kids() []op { return []op{o.in, o.scan} }
@@ -388,9 +386,6 @@ func intersectSorted(a, b []int32) []int32 {
 }
 
 func (o *valueSemiJoinOp) open(ec *execCtx) (cursor, error) {
-	if o.chain != nil {
-		return openChain(ec, o.chain)
-	}
 	in, err := o.in.open(ec)
 	if err != nil {
 		return nil, err

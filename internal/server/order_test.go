@@ -16,11 +16,8 @@ import (
 )
 
 // newOrderServer registers a synthetic document shaped for the ordering
-// counters: item 0 holds the only z element (a 1-node fragment the
-// greedy pass hoists), every item holds a b, and no item holds a c (the
-// never-matching filter whose observed selectivity forces a mid-flight
-// re-plan); 600 items push the streaming executor through several
-// batches.
+// counter: item 0 holds the only z element (a 1-node fragment the
+// greedy pass hoists) and each of the 600 items holds a b.
 func newOrderServer(t *testing.T) (*httptest.Server, func()) {
 	t.Helper()
 	var sb strings.Builder
@@ -66,15 +63,12 @@ func scrapeMetric(t *testing.T, url, name string) int64 {
 }
 
 // TestOrderingMetricsExposed: compiling a reorderable query moves
-// plan_reorders_total, and a streamed execution whose filter
-// selectivities diverge from the estimates moves
-// adaptive_replans_total.
+// plan_reorders_total.
 func TestOrderingMetricsExposed(t *testing.T) {
 	ts, done := newOrderServer(t)
 	defer done()
 
 	reordersBefore := scrapeMetric(t, ts.URL, "xpathd_plan_reorders_total")
-	replansBefore := scrapeMetric(t, ts.URL, "xpathd_adaptive_replans_total")
 
 	// Exact fragment counts hoist the 1-node z semijoin above the
 	// 600-node b semijoin at compile time.
@@ -93,16 +87,5 @@ func TestOrderingMetricsExposed(t *testing.T) {
 	}
 	if got := scrapeMetric(t, ts.URL, "xpathd_plan_reorders_total"); got <= reordersBefore {
 		t.Errorf("plan_reorders_total %d -> %d, want increase", reordersBefore, got)
-	}
-
-	// Streaming the never-matching second filter: its observed
-	// selectivity collapses against the halving estimate after the
-	// first batch and the chain cursor adopts a new stage order.
-	chunks := postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: "//item[child::b][child::c]"})
-	if len(chunks) == 0 {
-		t.Fatal("no stream chunks")
-	}
-	if got := scrapeMetric(t, ts.URL, "xpathd_adaptive_replans_total"); got <= replansBefore {
-		t.Errorf("adaptive_replans_total %d -> %d, want increase", replansBefore, got)
 	}
 }

@@ -103,10 +103,10 @@ type Config struct {
 	// (ablation knob, xpathd -value-index=false). Individual requests
 	// may also set it.
 	NoValueIndex bool
-	// NoReorder disables the planner's greedy filter ordering,
-	// empty-fragment short-circuit and mid-flight adaptive re-planning
-	// by default: predicates evaluate in source order (ablation knob,
-	// xpathd -no-reorder). Individual requests may also set it.
+	// NoReorder disables the planner's greedy filter ordering and
+	// empty-fragment short-circuit by default: predicates evaluate in
+	// source order (ablation knob, xpathd -no-reorder). Individual
+	// requests may also set it.
 	NoReorder bool
 	// MaxBatch caps the number of queries in one POST /query request;
 	// <= 0 defaults to 256.
@@ -415,8 +415,7 @@ type QueryOptions struct {
 	// knob).
 	NoValueIndex bool `json:"noValueIndex,omitempty"`
 	// NoReorder evaluates predicates strictly in source order, without
-	// greedy ordering or adaptive re-planning (results are identical —
-	// ablation knob).
+	// greedy ordering (results are identical — ablation knob).
 	NoReorder bool `json:"noReorder,omitempty"`
 }
 
@@ -1356,7 +1355,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("timeout_queries_total", s.timeouts.Load())
 	emit("panics_recovered_total", fault.Recovered())
 	emit("plan_reorders_total", plan.Reorders())
-	emit("adaptive_replans_total", plan.AdaptiveReplans())
 	emit("workers_in_use", int64(s.pool.inUse()))
 	emit("workers_capacity", int64(s.pool.cap))
 	emit("worker_queue_depth", int64(s.pool.queueDepth()))

@@ -101,9 +101,9 @@ type ServerConfig struct {
 	// (per-node predicate re-evaluation; results identical — ablation
 	// knob).
 	NoValueIndex bool
-	// NoReorder disables greedy filter ordering and adaptive
-	// re-planning by default (source-order predicate evaluation;
-	// results identical — ablation knob).
+	// NoReorder disables greedy filter ordering by default
+	// (source-order predicate evaluation; results identical — ablation
+	// knob).
 	NoReorder bool
 	// MaxBatch caps the number of queries in one POST /query request;
 	// <= 0 defaults to 256.
