@@ -83,13 +83,13 @@ func canonOp(sb *strings.Builder, o op) {
 func canonChain(sb *strings.Builder, top op) {
 	var members []op
 	cur := top
-	for chainable(cur) {
+	for f := asFilter(cur); f != nil; f = asFilter(cur) {
 		members = append(members, cur)
-		cur = primaryIn(cur)
+		cur = f.in
 	}
 	canonOp(sb, cur)
 	sort.SliceStable(members, func(i, j int) bool {
-		return chainSrcOrd(members[i]) < chainSrcOrd(members[j])
+		return asFilter(members[i]).srcOrd < asFilter(members[j]).srcOrd
 	})
 	for _, m := range members {
 		switch t := m.(type) {
@@ -104,18 +104,4 @@ func canonChain(sb *strings.Builder, top op) {
 			fmt.Fprintf(sb, "/valuesemijoin[%s]", t.pred)
 		}
 	}
-}
-
-// chainSrcOrd returns a chain member's source position within its
-// step's predicate list.
-func chainSrcOrd(o op) int {
-	switch t := o.(type) {
-	case *predFilterOp:
-		return t.srcOrd
-	case *semiJoinOp:
-		return t.srcOrd
-	case *valueSemiJoinOp:
-		return t.srcOrd
-	}
-	return 0
 }

@@ -105,33 +105,30 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 	estOut := opEstimate(cur)
 
 	for pi, pred := range s.Preds {
-		if sj := c.trySemiJoin(cur, meta, s.Axis, pred, estOut); sj != nil {
-			sj.srcOrd = pi
+		fb := filterBase{in: cur, meta: meta, est: filterEst(estOut), srcOrd: pi}
+		if sj := c.trySemiJoin(fb, s.Axis, pred); sj != nil {
 			cur = sj
-			estOut = maxInt64(estOut/2, 1)
-			continue
-		}
-		if vj, err := c.tryValueSemiJoin(cur, meta, s.Axis, pred, estOut); err != nil {
+		} else if vj, err := c.tryValueSemiJoin(fb, s.Axis, pred); err != nil {
 			return nil, 0, err
 		} else if vj != nil {
-			vj.srcOrd = pi
 			cur = vj
-			estOut = maxInt64(estOut/2, 1)
-			continue
+		} else {
+			prog, err := compilePredProg(c.env, c.opts, pred)
+			if err != nil {
+				return nil, 0, err
+			}
+			pf := &predFilterOp{filterBase: fb, pred: pred, prog: prog}
+			c.add(pf)
+			cur = pf
 		}
-		prog, err := compilePredProg(c.env, c.opts, pred)
-		if err != nil {
-			return nil, 0, err
-		}
-		estOut = maxInt64(estOut/2, 1)
-		pf := &predFilterOp{in: cur, meta: meta, pred: pred, prog: prog,
-			srcOrd: pi,
-			est:    estimates{In: opEstimate(cur), Out: estOut}}
-		c.add(pf)
-		cur = pf
+		estOut = fb.est.Out
 	}
 	return cur, estOut, nil
 }
+
+// filterEst is the compile convention for a filter's estimates: it
+// keeps half its input.
+func filterEst(in int64) estimates { return estimates{In: in, Out: maxInt64(in/2, 1)} }
 
 // compileAxis lowers the axis::test part of a step: a StaircaseJoin
 // (or the naive/SQL baseline in its slot) for the partitioning axes
@@ -280,7 +277,7 @@ func (c *compiler) testKnownEmpty(test xpath.NodeTest) bool {
 // an attribute-free context (any non-attribute owning axis). The
 // rewrite replaces |S| per-node path evaluations with one staircase
 // node-list join — the set-at-a-time discipline applied to predicates.
-func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred xpath.Predicate, estIn int64) *semiJoinOp {
+func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.Predicate) *semiJoinOp {
 	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute {
 		return nil
 	}
@@ -294,14 +291,12 @@ func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred
 	}
 	inv := inverseAxis(step.Axis)
 	sj := &semiJoinOp{
-		in:         in,
-		meta:       meta,
+		filterBase: fb,
 		pred:       pred.String(),
 		existsAxis: step.Axis,
 		inv:        inv,
 		frag:       c.newFragScan(step.Test),
 		variant:    variantFor(c.opts.Strategy),
-		est:        estimates{In: estIn, Out: maxInt64(estIn/2, 1)},
 	}
 	c.add(sj)
 	c.p.rewrites = append(c.p.rewrites, "exists-semijoin")
@@ -323,7 +318,7 @@ func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred
 // value-index availability — the operator falls back to per-node
 // evaluation at execution time — so the canonical plan string stays
 // stable across Options.NoValueIndex.
-func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred xpath.Predicate, estIn int64) (*valueSemiJoinOp, error) {
+func (c *compiler) tryValueSemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.Predicate) (*valueSemiJoinOp, error) {
 	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
 		return nil, nil
 	}
@@ -373,14 +368,12 @@ func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis,
 	}
 	vs.pa, vs.test = step.Axis, step.Test
 	vj := &valueSemiJoinOp{
-		in:   in,
-		meta: meta,
-		pred: pred.String(),
-		path: path,
-		pa:   step.Axis,
-		up:   up,
-		scan: vs,
-		est:  estimates{In: estIn, Out: maxInt64(estIn/2, 1)},
+		filterBase: fb,
+		pred:       pred.String(),
+		path:       path,
+		pa:         step.Axis,
+		up:         up,
+		scan:       vs,
 	}
 	if !valueIndexServes(c.env.Doc, c.opts) {
 		// The per-node program runs only where the index cannot serve.
@@ -416,12 +409,8 @@ func opEstimate(o op) int64 {
 		return t.est.Out
 	case *axisStepOp:
 		return t.est.Out
-	case *predFilterOp:
-		return t.est.Out
-	case *semiJoinOp:
-		return t.est.Out
-	case *valueSemiJoinOp:
-		return t.est.Out
+	case filterOp:
+		return t.filter().est.Out
 	case *posFilterOp:
 		return t.est.Out
 	default:

@@ -316,19 +316,44 @@ func (o *axisStepOp) run(ec *execCtx) ([]int32, error) {
 	return out, nil
 }
 
-// predFilterOp filters a document-ordered node set by a non-positional
-// predicate, node at a time.
-type predFilterOp struct {
+// filterBase is the header of the three commutable filters
+// (PredFilter, SemiJoin, ValueSemiJoin), the members of a reorderable
+// chain: the input link and estimates the greedy pass rewires and
+// re-stamps, and the step the filter belongs to.
+type filterBase struct {
 	opBase
 	in   op
 	meta *stepMeta
-	pred xpath.Predicate
-	prog *predProg
 	est  estimates
 	// srcOrd is the predicate's source position within its step; the
 	// canonical plan string renders commutable filter chains in srcOrd
 	// order so ordering decisions never change Canon.
 	srcOrd int
+}
+
+func (f *filterBase) filter() *filterBase { return f }
+
+// filterOp is a commutable filter. Positional filters are
+// order-sensitive and never are.
+type filterOp interface {
+	op
+	filter() *filterBase
+}
+
+// asFilter returns o's filter header, or nil when o is not a filterOp.
+func asFilter(o op) *filterBase {
+	if f, ok := o.(filterOp); ok {
+		return f.filter()
+	}
+	return nil
+}
+
+// predFilterOp filters a document-ordered node set by a non-positional
+// predicate, node at a time.
+type predFilterOp struct {
+	filterBase
+	pred xpath.Predicate
+	prog *predProg
 }
 
 func (o *predFilterOp) kids() []op { return []op{o.in} }
@@ -367,9 +392,7 @@ func (o *predFilterOp) run(ec *execCtx) ([]int32, error) {
 // s has a fragment node among its descendants iff s is an ancestor of
 // a fragment node — instead of one predicate evaluation per node.
 type semiJoinOp struct {
-	opBase
-	in   op
-	meta *stepMeta
+	filterBase
 	// pred is the original predicate rendering (for EXPLAIN).
 	pred string
 	// existsAxis is the predicate's axis; inv its inverse, which the
@@ -378,8 +401,6 @@ type semiJoinOp struct {
 	inv        axis.Axis
 	frag       *fragScan
 	variant    core.Variant
-	est        estimates
-	srcOrd     int // see predFilterOp
 }
 
 func (o *semiJoinOp) kids() []op { return []op{o.in, o.frag} }

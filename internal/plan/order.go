@@ -102,55 +102,6 @@ func (c *compiler) orderPlan() {
 	}
 }
 
-// chainable reports whether an operator is a commutable filter — a
-// member of a reorderable chain. Positional filters are excluded (they
-// are order-sensitive by definition).
-func chainable(o op) bool {
-	switch o.(type) {
-	case *predFilterOp, *semiJoinOp, *valueSemiJoinOp:
-		return true
-	}
-	return false
-}
-
-// primaryIn returns a chain member's input operator.
-func primaryIn(o op) op {
-	switch t := o.(type) {
-	case *predFilterOp:
-		return t.in
-	case *semiJoinOp:
-		return t.in
-	case *valueSemiJoinOp:
-		return t.in
-	}
-	return nil
-}
-
-// setChainIn rewires a chain member's input operator.
-func setChainIn(o, in op) {
-	switch t := o.(type) {
-	case *predFilterOp:
-		t.in = in
-	case *semiJoinOp:
-		t.in = in
-	case *valueSemiJoinOp:
-		t.in = in
-	}
-}
-
-// setChainEst re-stamps a chain member's cardinality estimates after
-// reordering (In = upstream Out, Out = the compile convention's half).
-func setChainEst(o op, est estimates) {
-	switch t := o.(type) {
-	case *predFilterOp:
-		t.est = est
-	case *semiJoinOp:
-		t.est = est
-	case *valueSemiJoinOp:
-		t.est = est
-	}
-}
-
 // chainLabel renders a chain member for ordering notes.
 func chainLabel(o op) string {
 	switch t := o.(type) {
@@ -226,15 +177,15 @@ func (c *compiler) reorderFrom(o op) op {
 		}
 		return o
 	}
-	if !chainable(o) {
+	if asFilter(o) == nil {
 		return o
 	}
-	// o heads a maximal filter chain (its consumer is not chainable).
+	// o heads a maximal filter chain (its consumer is not a filter).
 	var members []op // top-down
 	cur := o
-	for chainable(cur) {
+	for f := asFilter(cur); f != nil; f = asFilter(cur) {
 		members = append(members, cur)
-		cur = primaryIn(cur)
+		cur = f.in
 	}
 	base := c.reorderFrom(cur)
 	// Reverse into evaluation order (bottom-up).
@@ -276,7 +227,7 @@ func (c *compiler) orderChain(base op, members []op) op {
 		}
 		c.p.orderNotes = append(c.p.orderNotes, fmt.Sprintf(
 			"step %d: greedy filter order %v (source order %v)",
-			chainOrd(members[0]), labels, src))
+			asFilter(members[0]).meta.ord, labels, src))
 		if c.p.opOrder == nil {
 			c.p.opOrder = make(map[int]string)
 		}
@@ -294,28 +245,13 @@ func (c *compiler) orderChain(base op, members []op) op {
 	}
 
 	// Rewire and re-stamp estimates along the new order.
-	in := base
-	estIn := opEstimate(base)
+	in, est := base, filterEst(opEstimate(base))
 	for _, m := range sorted {
-		setChainIn(m, in)
-		setChainEst(m, estimates{In: estIn, Out: maxInt64(estIn/2, 1)})
-		estIn = maxInt64(estIn/2, 1)
-		in = m
+		f := asFilter(m)
+		f.in, f.est = in, est
+		in, est = m, filterEst(est.Out)
 	}
 	return in
-}
-
-// chainOrd returns the step ordinal a chain member belongs to.
-func chainOrd(o op) int {
-	switch t := o.(type) {
-	case *predFilterOp:
-		return t.meta.ord
-	case *semiJoinOp:
-		return t.meta.ord
-	case *valueSemiJoinOp:
-		return t.meta.ord
-	}
-	return 0
 }
 
 // branchEmptyReason walks a branch's spine looking for a provably

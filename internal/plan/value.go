@@ -201,9 +201,7 @@ func valueOpFor(op xpath.CompareOp) vindex.Op {
 // candidate). When the fragment cannot be served it degrades to the
 // compiled predicate program, node at a time.
 type valueSemiJoinOp struct {
-	opBase
-	in   op
-	meta *stepMeta
+	filterBase
 	// pred is the original predicate rendering (for EXPLAIN); path its
 	// path, which EXPLAIN names when it has more than one step.
 	pred string
@@ -216,9 +214,7 @@ type valueSemiJoinOp struct {
 	scan *valueScan
 	// prog is the per-node fallback program, compiled only when the value
 	// index cannot serve (NoValueIndex, value-less documents).
-	prog   *predProg
-	est    estimates
-	srcOrd int // see predFilterOp
+	prog *predProg
 }
 
 func (o *valueSemiJoinOp) kids() []op { return []op{o.in, o.scan} }
