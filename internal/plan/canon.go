@@ -81,13 +81,8 @@ func canonOp(sb *strings.Builder, o op) {
 // canonical string the result cache keys on. For unreordered plans
 // the source-order sort reproduces the bottom-up rendering exactly.
 func canonChain(sb *strings.Builder, top op) {
-	var members []op
-	cur := top
-	for f := asFilter(cur); f != nil; f = asFilter(cur) {
-		members = append(members, cur)
-		cur = f.in
-	}
-	canonOp(sb, cur)
+	members, base := filterChain(top)
+	canonOp(sb, base)
 	sort.SliceStable(members, func(i, j int) bool {
 		return asFilter(members[i]).srcOrd < asFilter(members[j]).srcOrd
 	})

@@ -305,16 +305,10 @@ func (p *Plan) ExplainText(res *Result) string {
 	} else {
 		p.renderOp(&sb, p.root, res, 0)
 	}
-	p.renderReorderFooter(&sb)
-	return sb.String()
-}
-
-// renderReorderFooter prints the greedy ordering pass's fired
-// decisions.
-func (p *Plan) renderReorderFooter(sb *strings.Builder) {
 	for _, note := range p.orderNotes {
-		fmt.Fprintf(sb, "reorder: %s\n", note)
+		fmt.Fprintf(&sb, "reorder: %s\n", note)
 	}
+	return sb.String()
 }
 
 // renderOp prints one operator and recurses into its inputs.

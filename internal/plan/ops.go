@@ -348,6 +348,16 @@ func asFilter(o op) *filterBase {
 	return nil
 }
 
+// filterChain returns the maximal filter chain headed by top, top-down,
+// and the operator below it.
+func filterChain(top op) (members []op, base op) {
+	for f := asFilter(top); f != nil; f = asFilter(top) {
+		members = append(members, top)
+		top = f.in
+	}
+	return members, top
+}
+
 // predFilterOp filters a document-ordered node set by a non-positional
 // predicate, node at a time.
 type predFilterOp struct {

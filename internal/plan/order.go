@@ -33,6 +33,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -177,22 +178,13 @@ func (c *compiler) reorderFrom(o op) op {
 		}
 		return o
 	}
-	if asFilter(o) == nil {
+	// A filter o heads a maximal chain (its consumer is not a filter).
+	members, below := filterChain(o)
+	if len(members) == 0 {
 		return o
 	}
-	// o heads a maximal filter chain (its consumer is not a filter).
-	var members []op // top-down
-	cur := o
-	for f := asFilter(cur); f != nil; f = asFilter(cur) {
-		members = append(members, cur)
-		cur = f.in
-	}
-	base := c.reorderFrom(cur)
-	// Reverse into evaluation order (bottom-up).
-	for i, j := 0, len(members)-1; i < j; i, j = i+1, j-1 {
-		members[i], members[j] = members[j], members[i]
-	}
-	return c.orderChain(base, members)
+	slices.Reverse(members) // into evaluation order (bottom-up)
+	return c.orderChain(c.reorderFrom(below), members)
 }
 
 // orderChain greedily sorts one chain's members, rewires the operator
