@@ -257,70 +257,6 @@ func BenchmarkFragmentationQ1(b *testing.B) {
 	})
 }
 
-// benchParallelJoin times the partition-parallel staircase join against
-// the serial join on one axis: the "serial" sub-benchmark is the
-// baseline, "workers=N" the parallel runs. On a multi-core host the
-// descendant-axis family shows the §3.2/§6 speedup (the partitions scan
-// disjoint document regions, so the join scales with cores until memory
-// bandwidth saturates); expect ≥1.5x with 4+ workers.
-func benchParallelJoin(b *testing.B, a axis.Axis, context func(benchCtx) []int32) {
-	c := getCtx(b, benchSizes[len(benchSizes)-1])
-	ctx := context(c)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Join(c.d, a, ctx, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ParallelJoin(c.d, a, ctx, workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkParallelDescendant(b *testing.B) {
-	benchParallelJoin(b, axis.Descendant, func(c benchCtx) []int32 { return c.profiles })
-}
-
-func BenchmarkParallelAncestor(b *testing.B) {
-	benchParallelJoin(b, axis.Ancestor, func(c benchCtx) []int32 { return c.increases })
-}
-
-func BenchmarkParallelFollowing(b *testing.B) {
-	benchParallelJoin(b, axis.Following, func(c benchCtx) []int32 { return c.increases })
-}
-
-func BenchmarkParallelPreceding(b *testing.B) {
-	benchParallelJoin(b, axis.Preceding, func(c benchCtx) []int32 { return c.increases })
-}
-
-// BenchmarkParallelEngineQ1 measures end-to-end query evaluation with
-// the engine's Parallelism option (cost model included), serial vs
-// parallel, on the descendant-heavy Q1.
-func BenchmarkParallelEngineQ1(b *testing.B) {
-	for _, par := range []int{0, 4} {
-		name := "serial"
-		if par > 0 {
-			name = fmt.Sprintf("parallelism=%d", par)
-		}
-		b.Run(name, func(b *testing.B) {
-			c := getCtx(b, benchSizes[len(benchSizes)-1])
-			opts := &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever, Parallelism: par}
-			for i := 0; i < b.N; i++ {
-				if _, err := c.eng.EvalString(bench.Q1, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- tag/kind index: zero-rescan pushdown ------------------------------------
 
 // BenchmarkEnginePushdownWarm measures Q1 with name-test pushdown

@@ -96,7 +96,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 64, "result cache budget in MB (0 disables)")
 	catalogMB := flag.Int64("catalog-mb", 0, "resident document budget in MB (0 = unbounded)")
 	workers := flag.Int("workers", 0, "worker budget for query evaluation (0 = GOMAXPROCS)")
-	parallel := flag.Int("parallel", 0, "default staircase-join parallelism per query (0/1 serial, -1 all cores)")
 	useIndex := flag.Bool("index", true, "keep the shared tag/kind index resident per document (false: per-query column rescans; results identical)")
 	useVIndex := flag.Bool("value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
 	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
@@ -144,17 +143,16 @@ func main() {
 	}
 
 	srv := staircase.NewServer(staircase.ServerConfig{
-		Catalog:            cat,
-		CacheBytes:         *cacheMB << 20,
-		Workers:            *workers,
-		DefaultParallelism: *parallel,
-		NoIndex:            !*useIndex,
-		NoValueIndex:       !*useVIndex,
-		NoReorder:          *noReorder,
-		ShareScans:         *shareScans,
-		RequestTimeout:     *reqTimeout,
-		MaxQueue:           *maxQueue,
-		MaxBodyBytes:       *maxBody,
+		Catalog:        cat,
+		CacheBytes:     *cacheMB << 20,
+		Workers:        *workers,
+		NoIndex:        !*useIndex,
+		NoValueIndex:   !*useVIndex,
+		NoReorder:      *noReorder,
+		ShareScans:     *shareScans,
+		RequestTimeout: *reqTimeout,
+		MaxQueue:       *maxQueue,
+		MaxBodyBytes:   *maxBody,
 	})
 	// No WriteTimeout: POST /stream responses legitimately run for as
 	// long as the evaluation deadline allows; slow-client protection on

@@ -7,7 +7,6 @@
 //
 //	xpathq -f doc.xml '//person[profile/education]/name'
 //	xpathq -f doc.xml -strategy sql -stats '/descendant::increase/ancestor::bidder'
-//	xpathq -f doc.xml -parallel -1 -stats '/descendant::open_auction/descendant::bidder'
 //	xpathq -f doc.xml -explain '//bidder[descendant::increase]'
 //	xpathq -f doc.xml -explain -json '//bidder'
 //	xmlgen -size 1 | xpathq '/descendant::profile/descendant::education'
@@ -49,7 +48,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the optimized physical plan instead of results")
 	asJSON := flag.Bool("json", false, "with -explain: print the plan tree as JSON")
 	limit := flag.Int("limit", 20, "max result nodes to print (0 = all)")
-	parallel := flag.Int("parallel", 0, "staircase-join workers: 0/1 = serial, N > 1 = up to N workers, -1 = GOMAXPROCS")
 	useIndex := flag.Bool("index", true, "use the shared tag/kind index for name-test pushdown (false: per-step column rescan; results identical)")
 	useVIndex := flag.Bool("value-index", true, "use the value index for comparison and contains() predicates (false: per-node re-evaluation; results identical)")
 	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
@@ -87,7 +85,6 @@ func main() {
 	opts := &staircase.Options{
 		Strategy:     strat,
 		Pushdown:     push,
-		Parallelism:  *parallel,
 		NoIndex:      !*useIndex,
 		NoValueIndex: !*useVIndex,
 		NoReorder:    *noReorder,
@@ -143,9 +140,6 @@ func main() {
 				fmt.Printf("          staircase: pruned %d->%d, scanned %d (copied %d, compared %d), skipped %d\n",
 					s.Core.ContextSize, s.Core.PrunedSize, s.Core.Scanned,
 					s.Core.Copied, s.Core.Compared, s.Core.Skipped)
-				if s.Core.Workers > 1 {
-					fmt.Printf("          parallel: %d workers\n", s.Core.Workers)
-				}
 			}
 			if s.Naive.Produced > 0 {
 				fmt.Printf("          naive: produced %d, duplicates %d\n",

@@ -1,9 +1,8 @@
-// Fragments: the paper's Future Research extensions (§6) — tag-name
-// fragmentation ("Q1 could be brought down from 345 ms to 39 ms") and
-// partition-parallel staircase joins (§3.2) — as they surface in the
-// public plan API: the optimizer pushes name tests below the join as
-// IndexScan fragments, and the cost model places parallel partition
-// workers; EXPLAIN shows both decisions.
+// Fragments: the paper's Future Research extension (§6) of tag-name
+// fragmentation ("Q1 could be brought down from 345 ms to 39 ms") as it
+// surfaces in the public plan API: the optimizer pushes name tests
+// below the join as IndexScan fragments, and EXPLAIN shows the
+// decision.
 //
 //	go run ./examples/fragments [-size 4]
 package main
@@ -12,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"staircase"
@@ -49,21 +47,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(p.MustExplain())
-
-	// --- partition-parallel execution --------------------------------
-	// A wide ancestor step over every increase node; the partitioned
-	// staircase join fans out across disjoint pre ranges.
-	const wide = "/descendant::increase/ancestor::node()"
-	fmt.Printf("parallel ancestor step (up to %d CPUs):\n", runtime.NumCPU())
-	var base float64
-	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-		r := timeQuery(d, wide, &staircase.Options{Pushdown: staircase.PushNever, Parallelism: workers})
-		if base == 0 {
-			base = r.ms
-		}
-		fmt.Printf("  %2d worker(s): %8.3fms  (%.2fx, %d ancestors)\n",
-			workers, r.ms, base/r.ms, r.count)
-	}
 }
 
 type timing struct {

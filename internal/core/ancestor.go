@@ -25,19 +25,14 @@ func AncestorJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	if len(context) == 0 {
 		return nil
 	}
-	if !o.AssumePruned {
-		context = PruneAncestor(d, context)
-	}
+	context = PruneAncestor(d, context)
 	post, level := d.PostSlice(), d.LevelSlice()
 	e := o.Emit.cols(d)
 	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 
 	// First partition: [0, c0-1] against boundary post(c0); subsequent
-	// partitions: [c_{i-1}+1, c_i - 1] against boundary post(c_i). Under
-	// parallel execution the partitions before ScanStart belong to
-	// another worker.
-	start, size := max(o.ScanStart, 0), 0
-	from := start
+	// partitions: [c_{i-1}+1, c_i - 1] against boundary post(c_i).
+	size, from := 0, int32(0)
 	for _, c := range context {
 		size += int(max(min(level[c], c-from), 0))
 		from = c + 1
@@ -48,7 +43,7 @@ func AncestorJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	out := make([]int32, size)
 	k := 0
 	var compared, skipped int64
-	from = start
+	from = 0
 	for _, c := range context {
 		bound := post[c]
 		for i := from; i < c; {

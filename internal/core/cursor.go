@@ -85,8 +85,7 @@ type JoinCursor interface {
 // NewJoinCursor returns a resumable staircase join over the full
 // document for one of the four partitioning axes. The context arrives
 // through src in document order; opts selects variant, emit test and
-// stats exactly like Join (OrSelf and ScanLimit/ScanStart are not
-// supported — cursors are serial by construction).
+// stats exactly like Join (OrSelf is not supported).
 func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) (JoinCursor, error) {
 	return newCursor(d, a, nil, false, src, opts)
 }

@@ -87,9 +87,7 @@ func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Option
 	if len(context) == 0 || len(list) == 0 {
 		return nil
 	}
-	if !o.AssumePruned {
-		context = PruneDescendant(d, context)
-	}
+	context = PruneDescendant(d, context)
 	post := d.PostSlice()
 	e := o.Emit.cols(d)
 	mask, id, kind, name := e.mask, e.id, e.kind, e.name
@@ -160,9 +158,7 @@ func AncestorJoinNodeList(d *doc.Document, list, context []int32, opts *Options)
 	if len(context) == 0 || len(list) == 0 {
 		return nil
 	}
-	if !o.AssumePruned {
-		context = PruneAncestor(d, context)
-	}
+	context = PruneAncestor(d, context)
 	post, level := d.PostSlice(), d.LevelSlice()
 	e := o.Emit.cols(d)
 	mask, id, kind, name := e.mask, e.id, e.kind, e.name

@@ -47,27 +47,6 @@ func TestQuickJoinEqualsSpec(t *testing.T) {
 	}
 }
 
-func TestQuickParallelEqualsSerial(t *testing.T) {
-	// The partition-parallel join must be byte-identical to the serial
-	// join for every axis, variant and worker count: pruning makes the
-	// staircase partitions disjoint, which is the whole point (§3.2/§6).
-	f := func(seed int64, ctxBits uint16, axisPick, variantPick, workerPick uint8) bool {
-		d, context := docFromSeed(seed, ctxBits)
-		a := []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding}[axisPick%4]
-		v := []Variant{NoSkip, Skip, SkipEstimate}[variantPick%3]
-		workers := 1 + int(workerPick%16)
-		want, err1 := Join(d, a, context, &Options{Variant: v})
-		got, err2 := ParallelJoin(d, a, context, workers, &Options{Variant: v})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return eq32(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickPruneIdempotent(t *testing.T) {
 	f := func(seed int64, ctxBits uint16) bool {
 		d, context := docFromSeed(seed, ctxBits)

@@ -18,12 +18,6 @@
 //     scans early, and Equation (1) turns the bulk of each descendant
 //     partition into a comparison-free copy phase, bounding post-rank
 //     comparisons by h·|context|.
-//  4. Partition-parallel execution (§3.2/§6, parallel.go): the pruned
-//     staircase's partitions scan pairwise disjoint pre ranges, so the
-//     staircase can be cut into contiguous chunks and joined on
-//     independent workers whose results concatenate — already in
-//     document order — without a merge. See PartitionStaircase and the
-//     Parallel*Join variants.
 //
 // All functions operate on preorder ranks (int32) against a
 // doc.Document; contexts are sequences of pre ranks in document order
@@ -92,10 +86,6 @@ type Stats struct {
 	// the scan found inside the axis region. The scan counters above do
 	// not depend on the test.
 	Result int64
-	// Workers is the number of parallel chunks a Parallel*Join actually
-	// ran (after clamping to the staircase size and scan range); 0 for
-	// serial execution.
-	Workers int64
 }
 
 // addResult is a nil-safe counter bump helper used by the join loops.
@@ -178,41 +168,22 @@ func (c *emitCols) pass(v int32) bool {
 	return c.mask>>c.kind[v]&1 != 0 && (c.name == nil || c.name[v] == c.id)
 }
 
-// Options configures a staircase join invocation. The zero value (and a
-// nil *Options) requests the full paper configuration: estimation-based
-// skipping, attribute filtering, pruning as a pre-pass.
+// Options configures a staircase join invocation. A nil *Options requests
+// the paper configuration (SkipEstimate, see DefaultOptions); the zero
+// value does not, because the zero Variant is NoSkip.
 type Options struct {
-	// Variant selects NoSkip, Skip or SkipEstimate (default SkipEstimate
-	// ... note: the zero value of Variant is NoSkip, so Options
-	// explicitly distinguishes "unset"; use DefaultOptions for the
-	// paper configuration).
+	// Variant selects NoSkip, Skip or SkipEstimate.
 	Variant Variant
 	// Emit is the node test fused into the scan; the zero value filters
 	// attributes and nothing else.
 	Emit Emit
-	// OrSelf makes the document batch kernels (Join, ParallelJoin) of
-	// the descendant and ancestor axes evaluate the or-self axis: every
-	// context node passing Emit joins the result. A context node pruning
-	// drops lies inside another one's region, so emitting the staircase
-	// nodes — before their partition on descendant, after it on ancestor —
-	// covers them all. The other kernel families ignore the field.
+	// OrSelf makes the document batch kernels (Join) of the descendant
+	// and ancestor axes evaluate the or-self axis: every context node
+	// passing Emit joins the result. A context node pruning drops lies
+	// inside another one's region, so emitting the staircase nodes —
+	// before their partition on descendant, after it on ancestor — covers
+	// them all. The other kernel families ignore the field.
 	OrSelf bool
-	// AssumePruned skips pruning entirely; the caller asserts the
-	// context is already a proper staircase. Violating the assertion
-	// yields wrong results (the paper: the basic algorithm "only works
-	// correctly on proper staircases").
-	AssumePruned bool
-	// ScanLimit, when positive, bounds the last descendant partition to
-	// pre ranks <= ScanLimit instead of the document end. It is the
-	// building block of the partition-parallel execution strategy the
-	// paper sketches in §3.2/§6: each worker joins a contiguous slice
-	// of the staircase, delimited by the next worker's first context
-	// node.
-	ScanLimit int32
-	// ScanStart, when positive, starts the first ancestor partition at
-	// this pre rank instead of 0 (the parallel counterpart for the
-	// ancestor axis).
-	ScanStart int32
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
 }
@@ -377,16 +348,11 @@ func DescendantJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	if len(context) == 0 {
 		return nil
 	}
-	if !o.AssumePruned {
-		context = PruneDescendant(d, context)
-	}
+	context = PruneDescendant(d, context)
 	post, level := d.PostSlice(), d.LevelSlice()
 	e := o.Emit.cols(d)
 	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 	last := int32(d.Size()) - 1 // the last partition ends here
-	if o.ScanLimit > 0 && o.ScanLimit < last {
-		last = o.ScanLimit
-	}
 	size := 0
 	for i, c := range context {
 		size += int(min(post[c]-c+level[c], descPartEnd(context, i, last)-c))
@@ -441,7 +407,7 @@ func descPartEnd(context []int32, i int, last int32) int32 {
 	if i+1 < len(context) {
 		return context[i+1] - 1
 	}
-	return max(last, context[i])
+	return last
 }
 
 // emitRange writes the nodes of the pre range [from, to] that pass the

@@ -303,11 +303,11 @@ func TestPropPruningPreservesResult(t *testing.T) {
 		// The join over the pruned context equals the spec over the
 		// full context (pruning does not change the result, §3.1).
 		if want, got := specJoin(d, axis.Descendant, context),
-			DescendantJoin(d, PruneDescendant(d, context), &Options{Variant: Skip, AssumePruned: true}); !eq32(got, want) {
+			DescendantJoin(d, PruneDescendant(d, context), &Options{Variant: Skip}); !eq32(got, want) {
 			t.Fatalf("descendant pruning changed result")
 		}
 		if want, got := specJoin(d, axis.Ancestor, context),
-			AncestorJoin(d, PruneAncestor(d, context), &Options{Variant: Skip, AssumePruned: true}); !eq32(got, want) {
+			AncestorJoin(d, PruneAncestor(d, context), &Options{Variant: Skip}); !eq32(got, want) {
 			t.Fatalf("ancestor pruning changed result")
 		}
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"runtime"
-
 	"staircase/internal/axis"
 )
 
@@ -90,46 +88,19 @@ func coreReduceFollowing(e *Engine, context []int32) (int32, bool) {
 	return best, true
 }
 
-// costPushdown decides node-test pushdown with the cost model: push
-// when the fragment (the tag or kind node list) is smaller than
-// `bound`, the estimateJoinTouches bound on what the full join would
-// touch. The fragment cardinality is exact — the shared tag/kind index
-// keeps per-list counts, so the decision reads a length instead of
-// scanning the name column. The full join runs partition-parallel when
-// the caller requested workers, so the comparison uses the
-// *per-worker* scan bound — a wide parallel join can beat a serial
-// fragment join even when the fragment is nominally smaller.
-func costPushdown(fragment, bound int64, workers int) bool {
-	if workers < 1 {
-		workers = 1
+// shouldPush decides node-test pushdown: forced by PushAlways/PushNever,
+// otherwise the cost model pushes when the fragment (the tag or kind
+// node list) is smaller than `bound`, the estimateJoinTouches bound on
+// what the full join would touch. The fragment cardinality is exact —
+// the shared tag/kind index keeps per-list counts, so the decision reads
+// a length instead of scanning the name column.
+func shouldPush(fragment, bound int64, mode Pushdown) bool {
+	switch mode {
+	case PushAlways:
+		return true
+	case PushNever:
+		return false
+	default:
+		return fragment < bound
 	}
-	return fragment < bound/int64(workers)
-}
-
-// minParallelWork is the minimum estimated number of touched nodes per
-// worker before the cost model lets a staircase join fan out: below it,
-// goroutine spawn and per-worker result concatenation dominate the scan
-// itself (a few µs of overhead vs ~1 ns per copied node).
-const minParallelWork = 1 << 11
-
-// parallelWorkersFor resolves the requested Options.Parallelism into
-// the worker count for one axis step whose estimateJoinTouches bound is
-// `bound`: negative requests map to GOMAXPROCS, and the result is
-// clamped so every worker gets at least minParallelWork estimated
-// touched nodes (the parallel operators' entry in the cost model).
-func parallelWorkersFor(opts *Options, bound int64) int {
-	w := opts.Parallelism
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 {
-		return 1
-	}
-	if maxW := bound / minParallelWork; int64(w) > maxW {
-		w = int(maxW)
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }

@@ -18,18 +18,18 @@ func TestCostModelPushesSelectiveTags(t *testing.T) {
 
 	// `education` is rare; the whole-document descendant join from the
 	// root would touch everything => push.
-	if !shouldPushTag(e, "education", e.estimateJoinTouches(axis.Descendant, root), PushAuto, 1) {
+	if !shouldPushTag(e, "education", e.estimateJoinTouches(axis.Descendant, root), PushAuto) {
 		t.Error("expected pushdown for selective tag from root context")
 	}
 	// Absent tag: trivially pushed (empty fragment).
-	if !shouldPushTag(e, "nosuchtag", e.estimateJoinTouches(axis.Descendant, root), PushAuto, 1) {
+	if !shouldPushTag(e, "nosuchtag", e.estimateJoinTouches(axis.Descendant, root), PushAuto) {
 		t.Error("expected pushdown for absent tag")
 	}
 	// Forced modes override the model.
-	if shouldPushTag(e, "education", e.estimateJoinTouches(axis.Descendant, root), PushNever, 1) {
+	if shouldPushTag(e, "education", e.estimateJoinTouches(axis.Descendant, root), PushNever) {
 		t.Error("PushNever must not push")
 	}
-	if !shouldPushTag(e, "nosuchtag", e.estimateJoinTouches(axis.Descendant, root), PushAlways, 1) {
+	if !shouldPushTag(e, "nosuchtag", e.estimateJoinTouches(axis.Descendant, root), PushAlways) {
 		t.Error("PushAlways must push")
 	}
 }
@@ -37,12 +37,12 @@ func TestCostModelPushesSelectiveTags(t *testing.T) {
 // shouldPushTag mirrors the evaluation path's pushdown decision for a
 // tag name: exact fragment cardinality from the shared index, then the
 // shouldPush policy/cost gate.
-func shouldPushTag(e *Engine, tag string, bound int64, mode Pushdown, workers int) bool {
+func shouldPushTag(e *Engine, tag string, bound int64, mode Pushdown) bool {
 	var frag int64
 	if id, ok := e.Document().Names().Lookup(tag); ok {
 		frag = int64(e.Document().TagIndex().TagCount(id))
 	}
-	return shouldPush(frag, bound, mode, workers)
+	return shouldPush(frag, bound, mode)
 }
 
 func TestCostModelAvoidsPushForTinyContexts(t *testing.T) {
@@ -61,7 +61,7 @@ func TestCostModelAvoidsPushForTinyContexts(t *testing.T) {
 	if d.SubtreeSize(leaf) > 4 {
 		t.Skip("education unexpectedly large")
 	}
-	if shouldPushTag(e, "item", e.estimateJoinTouches(axis.Descendant, []int32{leaf}), PushAuto, 1) {
+	if shouldPushTag(e, "item", e.estimateJoinTouches(axis.Descendant, []int32{leaf}), PushAuto) {
 		t.Error("pushed a large fragment for a tiny context subtree")
 	}
 }
@@ -126,5 +126,31 @@ func TestComputeStats(t *testing.T) {
 	}
 	if st.AvgLevel <= 0 {
 		t.Fatalf("avg level = %f", st.AvgLevel)
+	}
+}
+
+// TestEmptyContextAncestorStep: an intermediate step producing no
+// nodes followed by ancestor::<existing-tag> must evaluate to an empty
+// result, not panic in the cost model (estimateJoinTouches used to
+// index context[len-1] for the ancestor axis without an empty guard).
+func TestEmptyContextAncestorStep(t *testing.T) {
+	d := shred(t, `<r><b><c/></b></r>`)
+	e := New(d)
+	for _, q := range []string{
+		"/descendant::nosuchtag/ancestor::b",
+		"/descendant::nosuchtag/preceding::b",
+		"/descendant::nosuchtag/following::b",
+		"/descendant::nosuchtag/descendant::b",
+	} {
+		res, err := e.EvalString(q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Nodes) != 0 {
+			t.Fatalf("%s: expected empty result, got %v", q, res.Nodes)
+		}
+		if _, err := e.Explain(q, nil); err != nil {
+			t.Fatalf("explain %s: %v", q, err)
+		}
 	}
 }

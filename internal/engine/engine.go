@@ -23,15 +23,6 @@
 // selectivity heuristic decides automatically — the cost-model stub the
 // paper lists as future research — and can be overridden for ablation.
 //
-// Parallel execution (§3.2/§6): Options.Parallelism > 1 evaluates the
-// four partitioning axes with the partition-parallel staircase join
-// (core.ParallelJoin). The cost model clamps the requested worker count
-// so that each worker has enough estimated scan work to amortise the
-// fan-out, and factors the per-worker scan bound into the name-test
-// pushdown decision. Results are identical to serial evaluation —
-// pruning leaves staircase partitions that scan disjoint document
-// regions, so per-worker results concatenate in document order.
-//
 // Pushdown fragments come from the document's shared tag/kind index
 // (doc.TagIndex, internal/index): built at most once per document —
 // or loaded straight from an SCJ2 file — and shared lock-free by every
@@ -89,25 +80,11 @@ const (
 	PushNever = plan.PushNever
 )
 
-// AutoParallelism requests one staircase-join worker per available CPU
-// (runtime.GOMAXPROCS) when assigned to Options.Parallelism.
-const AutoParallelism = -1
-
 // Options configures evaluation. The zero value is the paper default:
-// full staircase join with automatic pushdown, serial execution.
+// full staircase join with automatic pushdown.
 type Options struct {
 	Strategy Strategy
 	Pushdown Pushdown
-	// Parallelism is the worker count for partition-parallel staircase
-	// joins on the descendant/ancestor/following/preceding axes: 0 or 1
-	// evaluates serially, > 1 uses at most that many workers, and any
-	// negative value (canonically AutoParallelism) uses GOMAXPROCS. The
-	// cost model may use fewer workers on steps too small to amortise
-	// the goroutine fan-out; StepReport.Core.Workers records the count
-	// actually used. Parallelism applies to Run; cursors (Cursor,
-	// EvalFirst, EvalLimit) always run the serial windowed kernels, so a
-	// limit consumer keeps its early exit.
-	Parallelism int
 	// NoIndex disables the document's shared tag/kind index for this
 	// evaluation: pushdown fragments are rebuilt with an O(n) column
 	// scan per step (the pre-index behaviour). Results are identical;
@@ -138,7 +115,6 @@ func planOptions(o *Options) *plan.Options {
 	return &plan.Options{
 		Strategy:     o.Strategy,
 		Pushdown:     o.Pushdown,
-		Parallelism:  o.Parallelism,
 		NoIndex:      o.NoIndex,
 		NoValueIndex: o.NoValueIndex,
 		NoReorder:    o.NoReorder,

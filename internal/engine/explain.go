@@ -4,9 +4,8 @@ package engine
 // query — the counterpart of the DB2 plan analysis in the paper's
 // Figure 3, now produced by the plan compiler: the operator tree with
 // the rewrite rules that fired, each operator's fragment source
-// (shared tag/kind index vs name-column scan), the pushdown and
-// parallel decisions with the cost model's bounds, and per-operator
-// cardinalities.
+// (shared tag/kind index vs name-column scan), the pushdown decision
+// with the cost model's bound, and per-operator cardinalities.
 //
 // The context sizes the cost model decides with are unknown before
 // execution, so Explain *executes the plan* (plans in this engine are

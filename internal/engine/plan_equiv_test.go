@@ -3,11 +3,11 @@ package engine
 // Differential property suite for the plan compiler: for randomly
 // generated documents and randomly generated queries — covering every
 // axis, the node-test kinds, predicate forms (existential, compare,
-// positional, not/and/or) and the NoIndex / Parallelism knobs — the
-// plan pipeline (build → rewrite → compile → execute) must produce
-// exactly the node sequence of the pre-plan step interpreter
-// (Options.LegacyEval). Run under -race in CI, this also exercises
-// concurrent plan execution over one shared engine.
+// positional, not/and/or) and the NoIndex, Pushdown, Strategy and
+// NoReorder knobs — the plan pipeline (build → rewrite → compile →
+// execute) must produce exactly the node sequence of the pre-plan step
+// interpreter (Options.LegacyEval). Run under -race in CI, this also
+// exercises concurrent plan execution over one shared engine.
 
 import (
 	"context"
@@ -226,17 +226,13 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 		knobs := []Options{
 			{},
 			{NoIndex: true},
-			{Parallelism: 3},
-			{Parallelism: AutoParallelism, NoIndex: true},
 			{Pushdown: PushAlways},
-			{Pushdown: PushNever, Parallelism: 2},
+			{Pushdown: PushNever},
 			{Strategy: StaircaseNoSkip},
-			{Parallelism: 4, Strategy: StaircaseSkip},
-			{Parallelism: AutoParallelism, Pushdown: PushAlways},
-			{Parallelism: 2, NoIndex: true, Strategy: StaircaseSkip},
+			{Strategy: StaircaseSkip},
+			{NoIndex: true, Strategy: StaircaseSkip},
 			{NoReorder: true},
 			{NoReorder: true, NoIndex: true},
-			{NoReorder: true, Parallelism: 3},
 		}
 		var wg sync.WaitGroup
 		for _, q := range queries {

@@ -99,10 +99,9 @@ func (e *Engine) evalPartitioning(a axis.Axis, test xpath.NodeTest, context []in
 			co.Stats = &rep.Core
 		}
 		bound := e.estimateJoinTouches(a, context)
-		workers := parallelWorkersFor(opts, bound)
 		if opts.Pushdown != PushNever {
 			if list, indexed, ok := e.pushdownList(test, opts); ok &&
-				shouldPush(int64(len(list)), bound, opts.Pushdown, workers) {
+				shouldPush(int64(len(list)), bound, opts.Pushdown) {
 				if len(list) == 0 {
 					return nil, nil // tag/kind absent: empty result
 				}
@@ -110,19 +109,10 @@ func (e *Engine) evalPartitioning(a axis.Axis, test xpath.NodeTest, context []in
 					rep.Pushed = true
 					rep.Indexed = indexed
 				}
-				// Fragment joins stay serial: the node list is binary-
-				// search bounded and the cost model only chose this path
-				// because it beats even the parallel full-document join.
 				return core.JoinNodeList(e.d, a, list, context, co)
 			}
 		}
-		var nodes []int32
-		var err error
-		if workers > 1 {
-			nodes, err = core.ParallelJoin(e.d, a, context, workers, co)
-		} else {
-			nodes, err = core.Join(e.d, a, context, co)
-		}
+		nodes, err := core.Join(e.d, a, context, co)
 		if err != nil {
 			return nil, err
 		}
@@ -209,22 +199,6 @@ func (e *Engine) kindFragment(k doc.Kind, opts *Options) (list []int32, indexed,
 		return e.scanKindList(k), false, true
 	}
 	return e.d.TagIndex().KindList(uint8(k)), true, true
-}
-
-// shouldPush decides node-test pushdown: forced by PushAlways/PushNever,
-// otherwise delegated to the cost model (cost.go). fragment is the
-// exact fragment cardinality, bound the estimateJoinTouches bound for
-// the step, and workers the parallelism the full-document join would
-// run with, which lowers its effective cost.
-func shouldPush(fragment, bound int64, mode Pushdown, workers int) bool {
-	switch mode {
-	case PushAlways:
-		return true
-	case PushNever:
-		return false
-	default:
-		return costPushdown(fragment, bound, workers)
-	}
 }
 
 // filterTest filters nodes by the node test in place (the slice is

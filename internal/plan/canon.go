@@ -2,9 +2,9 @@
 // plan computes (together with the document): operator tree, axes,
 // node tests, predicates, strategy and pushdown policy. Execution
 // attributes that are property-tested to never change results —
-// parallel worker counts, index-vs-scan fragment sourcing — are
-// deliberately excluded, so the same canonical string covers a serial
-// indexed run and a parallel NoIndex run, and equivalent query texts
+// index-vs-scan fragment sourcing, ordering — are deliberately
+// excluded, so the same canonical string covers an indexed run and a
+// NoIndex run, and equivalent query texts
 // (`//a/b` and `/descendant-or-self::node()/child::a/child::b`,
 // `a[b and c]` and `a[b][c]`) canonicalise identically after the
 // logical rewrites.

@@ -4,10 +4,9 @@
 // XPath rewriting laws"). Two kinds of quantities live here:
 //
 //   - execution-time bounds computed from the *actual* context
-//     sequence an operator receives (estimateJoinTouches,
-//     costPushdown, parallelWorkersFor). These drive the pushdown and
-//     parallel-fan-out decisions inside StaircaseJoin, exactly as the
-//     step interpreter decided them, so plan-based execution makes
+//     sequence an operator receives (estimateJoinTouches, shouldPush).
+//     These drive the pushdown decision inside StaircaseJoin, exactly
+//     as the step interpreter decided it, so plan-based execution makes
 //     identical choices;
 //   - compile-time estimates derived from document statistics and the
 //     tag/kind index's exact per-fragment cardinalities (estimate*).
@@ -23,8 +22,6 @@
 package plan
 
 import (
-	"runtime"
-
 	"staircase/internal/axis"
 	"staircase/internal/doc"
 )
@@ -74,57 +71,19 @@ func estimateJoinTouches(d *doc.Document, a axis.Axis, context []int32) int64 {
 	}
 }
 
-// costPushdown decides node-test pushdown: push when the fragment (the
-// tag or kind node list) is smaller than `bound`, the
-// estimateJoinTouches bound on what the full join would touch. The
-// full join runs partition-parallel when the caller requested workers,
-// so the comparison uses the *per-worker* scan bound.
-func costPushdown(fragment, bound int64, workers int) bool {
-	if workers < 1 {
-		workers = 1
-	}
-	return fragment < bound/int64(workers)
-}
-
 // shouldPush decides node-test pushdown: forced by PushAlways/
-// PushNever, otherwise delegated to the cost model.
-func shouldPush(fragment, bound int64, mode Pushdown, workers int) bool {
+// PushNever, otherwise the cost model pushes when the fragment (the tag
+// or kind node list) is smaller than `bound`, the estimateJoinTouches
+// bound on what the full join would touch.
+func shouldPush(fragment, bound int64, mode Pushdown) bool {
 	switch mode {
 	case PushAlways:
 		return true
 	case PushNever:
 		return false
 	default:
-		return costPushdown(fragment, bound, workers)
+		return fragment < bound
 	}
-}
-
-// minParallelWork is the minimum estimated number of touched nodes per
-// worker before the cost model lets a staircase join fan out: below
-// it, goroutine spawn and per-worker result concatenation dominate the
-// scan itself.
-const minParallelWork = 1 << 11
-
-// parallelWorkersFor resolves the requested Options.Parallelism into
-// the worker count for one axis step whose estimateJoinTouches bound
-// is `bound`: negative requests map to GOMAXPROCS, and the result is
-// clamped so every worker gets at least minParallelWork estimated
-// touched nodes.
-func parallelWorkersFor(opts *Options, bound int64) int {
-	w := opts.Parallelism
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 {
-		return 1
-	}
-	if maxW := bound / minParallelWork; int64(w) > maxW {
-		w = int(maxW)
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // estimates are the compile-time cardinality annotations of one

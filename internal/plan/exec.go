@@ -52,10 +52,8 @@ type opStat struct {
 	// never scanned because a downstream consumer stopped early.
 	skipped int64
 	// bound is the cost model's full-join touch bound from the actual
-	// context; workersOffered the worker count the fan-out decision
-	// used.
-	bound          int64
-	workersOffered int
+	// context.
+	bound int64
 	// probeDir records the semijoin probe direction actually taken:
 	// probeFragSweep partitions the fragment (one staircase sweep over
 	// input+fragment), probeInputSeek probes each input node into the
@@ -196,7 +194,7 @@ func (p *Plan) NumSteps() int { return len(p.metas) }
 // the same document: the string covers the operator tree, axes, node
 // tests, predicates, strategy and pushdown policy, and deliberately
 // excludes the execution-time attributes that cannot change results
-// (parallel worker counts, index-vs-scan fragment source). The query
+// (index-vs-scan fragment source, ordering). The query
 // server keys its result cache on it, so equivalent query texts share
 // cache entries.
 func (p *Plan) Canon() string {

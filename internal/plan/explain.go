@@ -11,7 +11,6 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
 )
 
@@ -21,7 +20,6 @@ type ExplainTree struct {
 	Canon        string   `json:"canon"`
 	Strategy     string   `json:"strategy"`
 	Pushdown     string   `json:"pushdown"`
-	Parallelism  int      `json:"parallelism,omitempty"`
 	NoIndex      bool     `json:"noIndex,omitempty"`
 	NoValueIndex bool     `json:"noValueIndex,omitempty"`
 	NoReorder    bool     `json:"noReorder,omitempty"`
@@ -55,7 +53,6 @@ type ExplainNode struct {
 	Indexed  bool   `json:"indexed,omitempty"`
 	Fragment int    `json:"fragment,omitempty"`
 	Bound    int64  `json:"bound,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 	// Fragment-scan leaves: the fragment source and exact statistics.
 	Source string `json:"source,omitempty"` // "shared tag/kind index" or "name-column scan"
 	Count  int64  `json:"count,omitempty"`
@@ -80,7 +77,6 @@ func (p *Plan) explainTree(res *Result) *ExplainTree {
 		Canon:        p.Canon(),
 		Strategy:     p.opts.Strategy.String(),
 		Pushdown:     p.opts.Pushdown.String(),
-		Parallelism:  p.opts.Parallelism,
 		NoIndex:      p.opts.NoIndex,
 		NoValueIndex: p.opts.NoValueIndex,
 		NoReorder:    p.opts.NoReorder,
@@ -165,7 +161,6 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 				n.Work = fmt.Sprintf("scanned %d (copied %d, compared %d), skipped %d",
 					st.Core.Scanned, st.Core.Copied, st.Core.Compared, st.Core.Skipped)
 			}
-			n.Workers = int(st.Core.Workers)
 		}
 	case *axisStepOp:
 		n.Step = t.meta.ord
@@ -280,9 +275,6 @@ func (p *Plan) ExplainText(res *Result) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s\n", p.Query())
 	fmt.Fprintf(&sb, "plan: strategy=%s pushdown=%s", p.opts.Strategy, p.opts.Pushdown)
-	if p.opts.Parallelism != 0 {
-		fmt.Fprintf(&sb, " parallelism=%d", p.opts.Parallelism)
-	}
 	if p.opts.NoIndex {
 		sb.WriteString(" no-index")
 	}
@@ -401,8 +393,8 @@ func (p *Plan) renderOp(sb *strings.Builder, o op, res *Result, depth int) {
 	}
 }
 
-// renderJoin prints the join operator with its strategy, pushdown and
-// parallel annotations — the physical-plan counterpart of the paper's
+// renderJoin prints the join operator with its strategy and pushdown
+// annotations — the physical-plan counterpart of the paper's
 // Figure 3 plan analysis.
 func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opStat, depth int,
 	line func(string, ...any), card func(estimates)) {
@@ -439,17 +431,14 @@ func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opSt
 	line("  operator: staircase join, %s", variant)
 	line("  properties: no duplicates, document order (no unique/sort needed)")
 	card(t.est)
-	var st *StepStats
 	if res != nil {
-		st = &res.Steps[t.meta.ord-1]
-		if st.Core.ContextSize > 0 {
+		if st := &res.Steps[t.meta.ord-1]; st.Core.ContextSize > 0 {
 			line("  pruning: %d -> %d staircase partitions", st.Core.ContextSize, st.Core.PrunedSize)
 			line("  work: scanned %d (copied %d, compared %d), skipped %d",
 				st.Core.Scanned, st.Core.Copied, st.Core.Compared, st.Core.Skipped)
 		}
 	}
 	p.renderPushdown(t, ost, line)
-	p.renderParallel(t, st, ost, line)
 }
 
 // renderPushdown prints the pushdown decision of a staircase join.
@@ -480,36 +469,6 @@ func (p *Plan) renderPushdown(t *joinOp, ost *opStat, line func(string, ...any))
 	default:
 		line("  pushdown: test %s applied after join (mode %s, fragment %d vs full-join bound %d)",
 			testName, p.opts.Pushdown, ost.fragSize, ost.bound)
-	}
-}
-
-// renderParallel prints the partition-parallel fan-out decision of a
-// staircase join, mirroring the executor's cost-model branches.
-func (p *Plan) renderParallel(t *joinOp, st *StepStats, ost *opStat, line func(string, ...any)) {
-	if st == nil || st.Core.ContextSize == 0 {
-		return
-	}
-	if st.Core.Workers > 1 {
-		line("  parallel: %d workers over %d partitions (disjoint pre ranges, concat in document order)",
-			st.Core.Workers, st.Core.PrunedSize)
-		return
-	}
-	req := p.opts.Parallelism
-	if req <= 1 && req >= 0 {
-		return
-	}
-	if req < 0 {
-		req = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case ost != nil && ost.pushed:
-		line("  parallel: n/a (name-test pushdown chose the serial fragment join)")
-	case req <= 1:
-		line("  parallel: n/a (GOMAXPROCS resolves to a single worker)")
-	case st.Core.Workers == 1:
-		line("  parallel: single chunk (%d staircase partition(s) do not split further)", st.Core.PrunedSize)
-	default:
-		line("  parallel: declined by cost model (step below %d touched nodes per worker)", int64(minParallelWork))
 	}
 }
 

@@ -748,8 +748,8 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 
 // partitioning evaluates one of the four partitioning axes (with orSelf:
 // the or-self variant of descendant or ancestor) with the configured
-// strategy. The pushdown and parallel-fan-out decisions are made here,
-// from the actual context, with the cost model's bounds. The staircase
+// strategy. The pushdown decision is made here, from the actual context,
+// with the cost model's bound. The staircase
 // full scan applies the node test and emits the self side inside the
 // kernel; the pushdown path and the baselines filter and merge after.
 func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
@@ -764,10 +764,8 @@ func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, c
 			co.Stats = &st.Core
 		}
 		bound := estimateJoinTouches(d, a, context)
-		workers := parallelWorkersFor(opts, bound)
 		if ec.cur != nil {
 			ec.cur.bound = bound
-			ec.cur.workersOffered = workers
 		}
 		pushed := false
 		if opts.Pushdown != PushNever {
@@ -775,7 +773,7 @@ func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, c
 				if ec.cur != nil {
 					ec.cur.fragSize = len(list)
 				}
-				if pushed = shouldPush(int64(len(list)), bound, opts.Pushdown, workers); pushed {
+				if pushed = shouldPush(int64(len(list)), bound, opts.Pushdown); pushed {
 					if st != nil {
 						st.Pushed = true
 						st.Indexed = indexed
@@ -787,19 +785,12 @@ func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, c
 					if len(list) == 0 {
 						return nil, nil // tag/kind absent: empty result, self side included
 					}
-					// Fragment joins stay serial: the node list is binary-
-					// search bounded and the cost model only chose this
-					// path because it beats even the parallel full-
-					// document join.
 					nodes, err = core.JoinNodeList(d, a, list, context, co)
 				}
 			}
 		}
 		if !pushed {
 			co.Emit, co.OrSelf = emitFor(d, a, test), orSelf
-			if workers > 1 {
-				return core.ParallelJoin(d, a, context, workers, co)
-			}
 			return core.Join(d, a, context, co)
 		}
 	case Naive:

@@ -12,10 +12,9 @@
 // PredFilter, PosFilter, Merge) that execute directly against the
 // internal/core staircase kernels and the internal/index tag/kind
 // index. What used to be ad hoc decisions inside a recursive Eval —
-// name/kind-test pushdown, join-variant selection, partition-parallel
-// placement — are now inspectable attributes of plan operators,
-// rendered by EXPLAIN in text and JSON form with per-operator fragment
-// sources and cardinalities.
+// name/kind-test pushdown, join-variant selection — are now inspectable
+// attributes of plan operators, rendered by EXPLAIN in text and JSON
+// form with per-operator fragment sources and cardinalities.
 //
 // The pipeline is
 //
@@ -31,11 +30,11 @@
 // cache on so that equivalent query texts share cache entries.
 //
 // Cost-model decisions that depend on the runtime context sequence
-// (pushdown of a specific step, parallel worker fan-out) are resolved
-// by the operators at execution time with exactly the bounds the
-// legacy evaluator used, so plan-based execution is result- and
-// report-identical to it; the plan records the candidate fragment scan
-// and the policy, and EXPLAIN reports the decision actually taken.
+// (pushdown of a specific step) are resolved by the operators at
+// execution time with exactly the bounds the legacy evaluator used, so
+// plan-based execution is result- and report-identical to it; the plan
+// records the candidate fragment scan and the policy, and EXPLAIN
+// reports the decision actually taken.
 package plan
 
 import (
@@ -117,13 +116,8 @@ func (p Pushdown) String() string {
 	}
 }
 
-// AutoParallelism requests one staircase-join worker per available CPU
-// (runtime.GOMAXPROCS) when assigned to Options.Parallelism.
-const AutoParallelism = -1
-
 // Options configures plan compilation and execution. The zero value is
-// the paper default: full staircase join with automatic pushdown,
-// serial execution.
+// the paper default: full staircase join with automatic pushdown.
 type Options struct {
 	// Strategy selects the physical operator family for the four
 	// partitioning axes.
@@ -131,14 +125,6 @@ type Options struct {
 	// Pushdown is the name/kind-test pushdown policy for staircase
 	// strategies.
 	Pushdown Pushdown
-	// Parallelism is the worker count for partition-parallel staircase
-	// joins: 0 or 1 evaluates serially, > 1 uses at most that many
-	// workers, negative (canonically AutoParallelism) uses GOMAXPROCS.
-	// The cost model may use fewer workers on steps too small to
-	// amortise the goroutine fan-out. Only Run fans out: every cursor
-	// (Cursor, RunLimit) runs the serial windowed kernels, so a limit
-	// consumer keeps its early exit.
-	Parallelism int
 	// NoIndex disables the document's shared tag/kind index: pushdown
 	// fragments are rebuilt with an O(n) column scan per step (the
 	// ColumnScan operator). Results are identical; the knob exists for

@@ -139,12 +139,12 @@ func TestPlanCanonEquivalence(t *testing.T) {
 			t.Errorf("canon(%q) == canon(%q) = %s, want distinct", pair[0], pair[1], a)
 		}
 	}
-	// Parallelism and NoIndex are excluded from the canonical string
-	// (property-tested to never change results) ...
-	a := compileQuery(t, env, "//bidder", &Options{Parallelism: 4}).Canon()
+	// NoIndex is excluded from the canonical string (property-tested to
+	// never change results) ...
+	a := compileQuery(t, env, "//bidder", nil).Canon()
 	b := compileQuery(t, env, "//bidder", &Options{NoIndex: true}).Canon()
 	if a != b {
-		t.Errorf("canon differs across parallel/noindex knobs:\n %s\n %s", a, b)
+		t.Errorf("canon differs across the noindex knob:\n %s\n %s", a, b)
 	}
 	// ... while strategy and pushdown policy are included.
 	c := compileQuery(t, env, "//bidder", &Options{Strategy: SQL}).Canon()

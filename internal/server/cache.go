@@ -11,9 +11,8 @@ import (
 // cache concurrently; each shard is an independent LRU with its own
 // slice of the byte budget.
 //
-// Keys are built by cacheKey from (document name, load generation,
-// strategy, pushdown, query text) — see docs/ARCHITECTURE.md for why
-// parallelism is deliberately *not* part of the key. Values are the
+// Keys are built by appendCacheKey from (document name, load
+// generation, canonical plan, limit). Values are the
 // immutable result node slices plus, once an entry has been hit, the
 // JSON text of that slice, so later hits copy bytes instead of
 // re-encoding nodes; an entry never re-read never pays for one. Entries

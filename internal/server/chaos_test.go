@@ -131,12 +131,11 @@ func TestChaosSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts, cat := newChaosServer(t, Config{
-		CacheBytes:         1 << 20,
-		Workers:            4,
-		DefaultParallelism: 2,
-		MaxQueue:           32,
-		ShareScans:         true,
-		RequestTimeout:     5 * time.Second,
+		CacheBytes:     1 << 20,
+		Workers:        4,
+		MaxQueue:       32,
+		ShareScans:     true,
+		RequestTimeout: 5 * time.Second,
 	})
 
 	queries := []string{
@@ -201,7 +200,9 @@ func chaosRequest(rng *rand.Rand, client *http.Client, baseURL string, queries, 
 		req.TimeoutMs = 1 + rng.Intn(5)
 	}
 	if rng.Intn(4) == 0 {
-		req.Options = &QueryOptions{Parallelism: rng.Intn(4)}
+		// Any options object, even an empty one, takes the encoding/json
+		// decode path.
+		req.Options = &QueryOptions{}
 	}
 	stream := rng.Intn(4) == 0
 	if stream || rng.Intn(3) > 0 {
@@ -304,7 +305,7 @@ func TestOverloadSheds(t *testing.T) {
 	})
 
 	// Hold the whole worker budget so every request parks.
-	if _, err := s.pool.acquire(context.Background(), 1); err != nil {
+	if err := s.pool.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,7 +357,7 @@ func TestOverloadSheds(t *testing.T) {
 	}
 
 	// Free the worker: the queued requests must complete normally.
-	s.pool.release(1)
+	s.pool.release()
 	for i := 0; i < 2; i++ {
 		if code := <-queued; code != http.StatusOK {
 			t.Fatalf("queued request finished with %d, want 200", code)
@@ -380,10 +381,10 @@ func getStatus(t *testing.T, url string) int {
 
 // TestCancelledQueuedClientReleasesSlot pins the disconnected-client
 // contract at the HTTP level: a client that gives up while queued
-// leaves no units held and no queue slot behind.
+// leaves no unit held and no queue slot behind.
 func TestCancelledQueuedClientReleasesSlot(t *testing.T) {
 	s, ts, cat := newChaosServer(t, Config{Workers: 1, MaxQueue: 8})
-	if _, err := s.pool.acquire(context.Background(), 1); err != nil {
+	if err := s.pool.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,7 +408,7 @@ func TestCancelledQueuedClientReleasesSlot(t *testing.T) {
 	cancel()
 	<-done
 	waitFor(t, "queue slot abandoned", func() bool { return s.pool.queueDepth() == 0 })
-	s.pool.release(1)
+	s.pool.release()
 	assertQuiesced(t, s, cat)
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"staircase/internal/fault"
@@ -13,17 +14,11 @@ import (
 // queueing unboundedly.
 var errShed = errors.New("server overloaded: worker queue full")
 
-// wsem is a small weighted FIFO semaphore: the server's shared worker
-// budget and its admission controller. Inter-query concurrency and
-// intra-query partition parallelism compose through it — a request
-// evaluating with engine parallelism p holds p units for the duration
-// of its evaluation, so the total number of busy staircase-join
-// workers across all in-flight queries never exceeds the budget.
-//
-// Waiters are served strictly in arrival order (like
-// golang.org/x/sync/semaphore): a wide request at the head of the queue
-// blocks narrower requests behind it until it gets its units, so a
-// steady stream of narrow queries can never starve a wide one.
+// wsem is the server's worker semaphore: a FIFO counting semaphore over
+// the shared worker budget, and its admission controller. Every query
+// execution holds exactly one unit for its duration, so at most cap
+// queries evaluate at once. Waiters are served strictly in arrival
+// order.
 //
 // Two overload behaviours distinguish admission (acquire) from wheel
 // transfer (acquireWheel):
@@ -42,131 +37,95 @@ type wsem struct {
 	mu       sync.Mutex
 	cap      int
 	used     int
-	maxQueue int       // admission queue bound; 0 = unbounded
-	waiters  []*waiter // FIFO
-	shed     int64     // lifetime acquires rejected with errShed
-}
-
-type waiter struct {
-	n     int
-	ready chan struct{}
+	maxQueue int             // admission queue bound; 0 = unbounded
+	waiters  []chan struct{} // FIFO; closed on grant
+	shed     int64           // lifetime acquires rejected with errShed
 }
 
 func newWsem(capacity, maxQueue int) *wsem {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	return &wsem{cap: capacity, maxQueue: maxQueue}
+	return &wsem{cap: max(capacity, 1), maxQueue: max(maxQueue, 0)}
 }
 
-// acquire blocks until n units are available and takes them,
-// returning the granted count (n clamped to the capacity, so an
-// over-wide request degrades to whole-pool exclusivity instead of
-// deadlocking). It fails fast with errShed when the admission queue
-// is at maxQueue, and with ctx.Err() when the context is cancelled
-// while queued — abandoning the queue slot without ever holding
-// units. A nil ctx never cancels.
-func (s *wsem) acquire(ctx context.Context, n int) (int, error) {
+// take grants a unit at once when one is free and nobody is queued
+// (nil, nil); otherwise it parks the caller at the tail of the queue and
+// returns the channel its grant closes. A bounded take fails with errShed
+// instead when maxQueue waiters are already parked.
+func (s *wsem) take(bounded bool) (chan struct{}, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.waiters) == 0 && s.used < s.cap {
+		s.used++
+		return nil, nil
+	}
+	if bounded && s.maxQueue > 0 && len(s.waiters) >= s.maxQueue {
+		s.shed++
+		return nil, errShed
+	}
+	ready := make(chan struct{})
+	s.waiters = append(s.waiters, ready)
+	return ready, nil
+}
+
+// acquire blocks until a unit is free and takes it. It fails fast with
+// errShed when the admission queue is at maxQueue, and with ctx.Err()
+// when the context is cancelled while queued — abandoning the queue slot
+// without ever holding the unit. A nil ctx never cancels.
+func (s *wsem) acquire(ctx context.Context) error {
 	if err := fault.HitCtx(ctx, "pool.acquire"); err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > s.cap {
-		n = s.cap
+		return err
 	}
 	var done <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return err
 		}
 		done = ctx.Done()
 	}
-	s.mu.Lock()
-	if len(s.waiters) == 0 && s.used+n <= s.cap {
-		s.used += n
-		s.mu.Unlock()
-		return n, nil
+	ready, err := s.take(true)
+	if ready == nil {
+		return err
 	}
-	if s.maxQueue > 0 && len(s.waiters) >= s.maxQueue {
-		s.shed++
-		s.mu.Unlock()
-		return 0, errShed
-	}
-	w := &waiter{n: n, ready: make(chan struct{})}
-	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
 	select {
-	case <-w.ready:
-		return n, nil
+	case <-ready:
+		return nil
 	case <-done:
 		s.mu.Lock()
 		select {
-		case <-w.ready:
-			// The grant raced the cancellation: the units are ours, give
-			// them straight back (and wake whoever they now unblock).
-			s.used -= n
+		case <-ready:
+			// The grant raced the cancellation: the unit is ours, hand it
+			// straight on.
+			s.used--
 			s.grantLocked()
-			s.mu.Unlock()
 		default:
-			for i, q := range s.waiters {
-				if q == w {
-					s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-					break
-				}
-			}
-			// Removing a queue head may unblock the requests behind it.
-			s.grantLocked()
-			s.mu.Unlock()
+			s.waiters = slices.DeleteFunc(s.waiters, func(w chan struct{}) bool { return w == ready })
 		}
-		return 0, ctx.Err()
-	}
-}
-
-// acquireWheel blocks until n units are available and takes them,
-// bypassing the admission bound: flight wheel transfers between
-// already-admitted clients must never be shed.
-func (s *wsem) acquireWheel(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > s.cap {
-		n = s.cap
-	}
-	s.mu.Lock()
-	if len(s.waiters) == 0 && s.used+n <= s.cap {
-		s.used += n
 		s.mu.Unlock()
-		return n
+		return ctx.Err()
 	}
-	w := &waiter{n: n, ready: make(chan struct{})}
-	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
-	<-w.ready
-	return n
 }
 
-func (s *wsem) release(n int) {
+// acquireWheel blocks until a unit is free and takes it, bypassing the
+// admission bound: flight wheel transfers between already-admitted
+// clients must never be shed.
+func (s *wsem) acquireWheel() {
+	if ready, _ := s.take(false); ready != nil {
+		<-ready
+	}
+}
+
+func (s *wsem) release() {
 	s.mu.Lock()
-	s.used -= n
+	s.used--
 	s.grantLocked()
 	s.mu.Unlock()
 }
 
 // grantLocked serves queued waiters in FIFO order while units last.
 func (s *wsem) grantLocked() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		if s.used+w.n > s.cap {
-			break // FIFO: the head waits for its full grant
-		}
-		s.used += w.n
+	for len(s.waiters) > 0 && s.used < s.cap {
+		s.used++
+		close(s.waiters[0])
 		s.waiters = s.waiters[1:]
-		close(w.ready)
 	}
 }
 

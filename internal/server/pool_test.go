@@ -24,76 +24,65 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// mustAcquire is the old blocking acquire for tests that exercise the
-// FIFO discipline rather than admission control.
-func (s *wsem) mustAcquire(t *testing.T, n int) int {
+// mustAcquire takes a unit for tests that exercise the FIFO discipline
+// rather than admission control.
+func (s *wsem) mustAcquire(t *testing.T) {
 	t.Helper()
-	got, err := s.acquire(context.Background(), n)
-	if err != nil {
-		t.Fatalf("acquire(%d): %v", n, err)
+	if err := s.acquire(context.Background()); err != nil {
+		t.Fatalf("acquire: %v", err)
 	}
-	return got
 }
 
-// TestWsemFIFO pins the no-starvation property: a wide request at the
-// head of the queue is served before narrower requests that arrived
-// after it, even while units keep becoming available.
+// TestWsemFIFO pins the no-starvation property: waiters are granted in
+// arrival order, one per released unit, and a newcomer joins behind the
+// waiters already parked instead of taking the next freed unit.
 func TestWsemFIFO(t *testing.T) {
 	s := newWsem(2, 0)
-	if got := s.mustAcquire(t, 5); got != 2 {
-		t.Fatalf("acquire clamped to %d, want 2", got)
+	s.mustAcquire(t)
+	s.mustAcquire(t)
+
+	granted := make(chan int, 6)
+	enqueue := func(i int) {
+		depth := s.waiterCount()
+		go func() { s.acquire(context.Background()); granted <- i }()
+		waitFor(t, "waiter queued", func() bool { return s.waiterCount() == depth+1 })
 	}
-	if s.inUse() != 2 {
-		t.Fatalf("inUse %d, want 2", s.inUse())
+	for i := 0; i < 4; i++ {
+		enqueue(i)
 	}
-
-	wide := make(chan struct{})
-	go func() { s.acquire(context.Background(), 2); close(wide) }()
-	waitFor(t, "wide waiter", func() bool { return s.waiterCount() == 1 })
-
-	narrow := make(chan struct{})
-	go func() { s.acquire(context.Background(), 1); close(narrow) }()
-	waitFor(t, "narrow waiter", func() bool { return s.waiterCount() == 2 })
-
-	// One unit free: the wide head still lacks units, and FIFO means the
-	// narrow request behind it must NOT jump the queue.
-	s.release(1)
-	select {
-	case <-wide:
-		t.Fatal("wide waiter granted with only 1 unit free")
-	case <-narrow:
-		t.Fatal("narrow waiter jumped the FIFO queue")
-	case <-time.After(20 * time.Millisecond):
+	for i := 0; i < 6; i++ {
+		s.release()
+		if got := <-granted; got != i {
+			t.Fatalf("grant %d went to waiter %d, want arrival order", i, got)
+		}
+		select {
+		case got := <-granted:
+			t.Fatalf("one released unit granted a second waiter (%d)", got)
+		case <-time.After(5 * time.Millisecond):
+		}
+		if i < 2 {
+			enqueue(4 + i) // newcomers queue behind the remaining waiters
+		}
 	}
-
-	s.release(1) // both units free: the wide head gets its grant
-	<-wide
-	select {
-	case <-narrow:
-		t.Fatal("narrow waiter granted while wide holds the full budget")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	s.release(2)
-	<-narrow
-	s.release(1)
-	if s.inUse() != 0 {
-		t.Fatalf("inUse %d after all releases, want 0", s.inUse())
+	s.release()
+	s.release()
+	if s.inUse() != 0 || s.queueDepth() != 0 {
+		t.Fatalf("inUse=%d depth=%d after all releases, want 0/0", s.inUse(), s.queueDepth())
 	}
 }
 
 // TestWsemShedsBeyondQueueBound pins the admission contract: with
 // maxQueue waiters already parked, further acquires fail fast with
 // errShed, the queue never grows past the bound, and shed requests
-// never held units.
+// never held a unit.
 func TestWsemShedsBeyondQueueBound(t *testing.T) {
 	s := newWsem(1, 2)
-	s.mustAcquire(t, 1)
+	s.mustAcquire(t)
 
 	granted := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			if _, err := s.acquire(context.Background(), 1); err == nil {
+			if err := s.acquire(context.Background()); err == nil {
 				granted <- struct{}{}
 			}
 		}()
@@ -104,7 +93,7 @@ func TestWsemShedsBeyondQueueBound(t *testing.T) {
 	}
 
 	for i := 0; i < 5; i++ {
-		if _, err := s.acquire(context.Background(), 1); !errors.Is(err, errShed) {
+		if err := s.acquire(context.Background()); !errors.Is(err, errShed) {
 			t.Fatalf("acquire past the bound: err=%v, want errShed", err)
 		}
 		if s.queueDepth() != 2 {
@@ -115,11 +104,11 @@ func TestWsemShedsBeyondQueueBound(t *testing.T) {
 		t.Fatalf("shedCount %d, want 5", s.shedCount())
 	}
 
-	s.release(1)
+	s.release()
 	<-granted
-	s.release(1)
+	s.release()
 	<-granted
-	s.release(1)
+	s.release()
 	if s.inUse() != 0 || s.queueDepth() != 0 {
 		t.Fatalf("inUse=%d depth=%d after drain, want 0/0", s.inUse(), s.queueDepth())
 	}
@@ -127,66 +116,59 @@ func TestWsemShedsBeyondQueueBound(t *testing.T) {
 
 // TestWsemCancelAbandonsQueueSlot pins the disconnected-client
 // contract: a queued waiter whose ctx is cancelled leaves the queue
-// without ever holding units, and waiters behind it are re-examined
-// (a cancelled wide head must not block a narrow successor forever).
+// without ever holding a unit, so the next freed unit goes to the
+// waiter behind it.
 func TestWsemCancelAbandonsQueueSlot(t *testing.T) {
-	s := newWsem(2, 0)
-	s.mustAcquire(t, 1)
+	s := newWsem(1, 0)
+	s.mustAcquire(t)
 
-	// Wide head: needs both units, so it parks.
 	ctx, cancel := context.WithCancel(context.Background())
 	headErr := make(chan error, 1)
-	go func() {
-		_, err := s.acquire(ctx, 2)
-		headErr <- err
-	}()
-	waitFor(t, "wide head queued", func() bool { return s.waiterCount() == 1 })
+	go func() { headErr <- s.acquire(ctx) }()
+	waitFor(t, "head queued", func() bool { return s.waiterCount() == 1 })
 
-	// Narrow successor: one unit is free, but FIFO parks it behind the
-	// head.
-	narrow := make(chan struct{})
-	go func() { s.acquire(context.Background(), 1); close(narrow) }()
-	waitFor(t, "narrow waiter queued", func() bool { return s.waiterCount() == 2 })
+	next := make(chan struct{})
+	go func() { s.acquire(context.Background()); close(next) }()
+	waitFor(t, "successor queued", func() bool { return s.waiterCount() == 2 })
 
 	cancel()
 	if err := <-headErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter returned %v", err)
 	}
-	// The abandoned head's departure must unblock the narrow waiter.
-	select {
-	case <-narrow:
-	case <-time.After(2 * time.Second):
-		t.Fatal("narrow waiter still parked after head abandoned")
+	if s.queueDepth() != 1 || s.inUse() != 1 {
+		t.Fatalf("inUse=%d depth=%d after the head left, want 1/1", s.inUse(), s.queueDepth())
 	}
-	s.release(1)
-	s.release(1)
+	s.release() // goes to the successor, not the abandoned slot
+	select {
+	case <-next:
+	case <-time.After(2 * time.Second):
+		t.Fatal("successor still parked after the head abandoned its slot")
+	}
+	s.release()
 	if s.inUse() != 0 || s.queueDepth() != 0 {
-		t.Fatalf("inUse=%d depth=%d, want 0/0 — cancelled waiter leaked units", s.inUse(), s.queueDepth())
+		t.Fatalf("inUse=%d depth=%d, want 0/0 — cancelled waiter leaked a unit", s.inUse(), s.queueDepth())
 	}
 }
 
 // TestWsemCancelAfterGrantReturnsUnits covers the race where the
-// grant and the cancellation cross: the waiter must hand the units
-// straight back rather than leak them.
+// grant and the cancellation cross: the waiter must hand the unit
+// straight back rather than leak it.
 func TestWsemCancelAfterGrantReturnsUnits(t *testing.T) {
 	s := newWsem(1, 0)
 	for i := 0; i < 200; i++ {
-		s.mustAcquire(t, 1)
+		s.mustAcquire(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		res := make(chan error, 1)
-		go func() {
-			_, err := s.acquire(ctx, 1)
-			res <- err
-		}()
+		go func() { res <- s.acquire(ctx) }()
 		waitFor(t, "waiter queued", func() bool { return s.waiterCount() == 1 })
 		// Release and cancel concurrently: whichever wins, the invariant
-		// is that all units end up free.
-		go s.release(1)
+		// is that the unit ends up free.
+		go s.release()
 		cancel()
 		if err := <-res; err == nil {
-			s.release(1)
+			s.release()
 		}
-		waitFor(t, "units returned", func() bool { return s.inUse() == 0 && s.queueDepth() == 0 })
+		waitFor(t, "unit returned", func() bool { return s.inUse() == 0 && s.queueDepth() == 0 })
 	}
 }
 
@@ -195,17 +177,18 @@ func TestWsemCancelAfterGrantReturnsUnits(t *testing.T) {
 // admission queue.
 func TestWsemAcquireWheelBypassesBound(t *testing.T) {
 	s := newWsem(1, 1)
-	s.mustAcquire(t, 1)
-	go s.acquire(context.Background(), 1) // fills the admission queue
+	s.mustAcquire(t)
+	go s.acquire(context.Background()) // fills the admission queue
 	waitFor(t, "admission queue full", func() bool { return s.saturated() })
 
-	got := make(chan int, 1)
-	go func() { got <- s.acquireWheel(1) }()
+	got := make(chan struct{})
+	go func() { s.acquireWheel(); close(got) }()
 	waitFor(t, "wheel waiter queued", func() bool { return s.queueDepth() == 2 })
-	s.release(1) // serves the admitted waiter first (FIFO)…
-	s.release(1) // …then the wheel transfer
-	if n := <-got; n != 1 {
-		t.Fatalf("acquireWheel granted %d, want 1", n)
+	s.release() // serves the admitted waiter first (FIFO)…
+	s.release() // …then the wheel transfer
+	<-got
+	s.release()
+	if s.inUse() != 0 || s.queueDepth() != 0 {
+		t.Fatalf("inUse=%d depth=%d, want 0/0", s.inUse(), s.queueDepth())
 	}
-	s.release(1)
 }

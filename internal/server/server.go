@@ -16,10 +16,8 @@
 //     optimized-plan string) — equivalent query texts compile to the
 //     same canonical plan and share one entry; see
 //     docs/ARCHITECTURE.md for the key design;
-//   - a weighted worker semaphore that both inter-query concurrency and
-//     intra-query partition parallelism (engine.Options.Parallelism)
-//     draw from, so a burst of wide parallel queries cannot oversubscribe
-//     the machine;
+//   - a FIFO worker semaphore holding one unit per running execution,
+//     so a burst of queries cannot oversubscribe the machine;
 //   - optionally (Config.ShareScans) a pace-car registry that coalesces
 //     identical in-flight executions: concurrent cache misses on the
 //     same (doc, generation, canonical plan, limit) key share one
@@ -34,7 +32,7 @@
 //
 // Request contexts propagate into plan execution: a client disconnect
 // or server timeout cancels the running cursors between batches, so
-// abandoned queries release their worker-semaphore units instead of
+// abandoned queries release their worker-semaphore unit instead of
 // scanning to completion. Limited queries (POST /query with limit=N,
 // POST /stream) evaluate through the engine's streaming executor —
 // the staircase kernels stop after the N-th result — and the result
@@ -48,14 +46,14 @@
 //     (Config.MaxQueue). At the bound, new work is shed immediately
 //     with 503 + Retry-After instead of queueing unboundedly, and a
 //     queued waiter whose client disconnects abandons its slot without
-//     ever holding units.
+//     ever holding a unit.
 //   - Deadlines: Config.RequestTimeout bounds every request; a request
 //     may lower (never raise) it with timeoutMs. Expiry surfaces as
 //     408 and cancels the running cursors between batches.
 //   - Panic containment: evaluation is recovered at every boundary —
-//     per batch item, per stream batch, per flight drive, per join
-//     worker — so a panicking operator costs one query a 500, not the
-//     process; its semaphore units release and its flight aborts.
+//     per batch item, per stream batch, per flight drive — so a
+//     panicking operator costs one query a 500, not the process; its
+//     semaphore unit releases and its flight aborts.
 package server
 
 import (
@@ -90,10 +88,6 @@ type Config struct {
 	// Workers is the shared worker budget for query evaluation; <= 0
 	// defaults to GOMAXPROCS.
 	Workers int
-	// DefaultParallelism is the engine parallelism applied when a
-	// request does not set one (0 = serial, engine.AutoParallelism = all
-	// cores, clamped by the worker budget).
-	DefaultParallelism int
 	// NoIndex disables the shared tag/kind index by default: pushdown
 	// fragments are rebuilt by column scan per query (ablation knob,
 	// xpathd -index=false). Individual requests may also set it.
@@ -233,18 +227,14 @@ func New(cfg Config) *Server {
 	}
 	// The pace car is the only client of a flight doing work, so it is
 	// the only one charged against the worker budget: the wheel hooks
-	// acquire and release the flight's cost as the wheel changes hands.
-	// engineOptions clamps every cost to the pool capacity, so the
-	// acquire can never deadlock on an over-wide grant. The take goes
-	// through the bounded, context-aware acquire: a candidate driver
-	// that is shed (or whose client is gone) fails alone — the flight
-	// stays live for the other followers, one of whom takes the wheel.
+	// acquire and release its unit as the wheel changes hands. The take
+	// goes through the bounded, context-aware acquire: a candidate
+	// driver that is shed (or whose client is gone) fails alone — the
+	// flight stays live for the other followers, one of whom takes the
+	// wheel.
 	s.flights = share.NewRegistry(0, share.Hooks{
-		OnWheel: func(ctx context.Context, cost int) error {
-			_, err := s.pool.acquire(ctx, cost)
-			return err
-		},
-		OnWheelDone: func(cost int) { s.pool.release(cost) },
+		OnWheel:     s.pool.acquire,
+		OnWheelDone: s.pool.release,
 	})
 	s.defaultOpts, _ = s.engineOptions(nil)
 	return s
@@ -267,7 +257,7 @@ func (s *Server) Handler() http.Handler {
 
 // recoverPanics is the handler-goroutine safety net. Evaluation paths
 // recover closer to the panic (evalOne, the stream loops, flight
-// drives, join workers) so they can release resources and answer
+// drives) so they can release resources and answer
 // precisely; this middleware catches what escapes anyway — net/http
 // would only log it and sever the connection, which a load balancer
 // cannot tell apart from a crash.
@@ -403,10 +393,6 @@ type QueryOptions struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Pushdown: auto (default), always, never.
 	Pushdown string `json:"pushdown,omitempty"`
-	// Parallelism: 0/1 serial, N > 1 up to N staircase-join workers,
-	// -1 all cores. Clamped to the server's worker budget. Only full
-	// evaluations fan out; limit queries and streams run serial cursors.
-	Parallelism int `json:"parallelism,omitempty"`
 	// NoIndex evaluates without the shared tag/kind index (per-query
 	// column rescans; results are identical — ablation knob).
 	NoIndex bool `json:"noIndex,omitempty"`
@@ -489,16 +475,12 @@ var pushdowns = map[string]engine.Pushdown{
 	"never":  engine.PushNever,
 }
 
-// engineOptions resolves request options against server defaults and
-// clamps parallelism to the worker budget: the engine never spawns more
-// join workers for one query than the units the query holds in the
-// pool, keeping the "cannot oversubscribe the machine" contract honest.
+// engineOptions resolves request options against server defaults.
 func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 	if o == nil && s.defaultOpts != nil {
 		return s.defaultOpts, nil
 	}
 	opts := &engine.Options{
-		Parallelism:  s.cfg.DefaultParallelism,
 		NoIndex:      s.cfg.NoIndex,
 		NoValueIndex: s.cfg.NoValueIndex,
 		NoReorder:    s.cfg.NoReorder,
@@ -523,21 +505,7 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 		}
 		opts.Strategy = strat
 		opts.Pushdown = push
-		if o.Parallelism != 0 {
-			opts.Parallelism = o.Parallelism
-		}
 	}
-	p := opts.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > s.pool.cap {
-		p = s.pool.cap
-	}
-	if p < 1 {
-		p = 1
-	}
-	opts.Parallelism = p
 	return opts, nil
 }
 
@@ -546,9 +514,9 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 // reload-after-eviction serving stale results; the canonical plan
 // covers the operator tree, strategy and pushdown policy, and — by
 // construction — collapses equivalent query texts ("//a/b" vs its
-// unabbreviated spelling) onto one entry, while parallelism and the
-// NoIndex ablation knob stay excluded (both are property-tested to be
-// byte-identical to the default evaluation). A limit joins the key:
+// unabbreviated spelling) onto one entry, while the NoIndex ablation
+// knob stays excluded (it is property-tested to be byte-identical to
+// the default evaluation). A limit joins the key:
 // truncated results must never collide with full ones or with other
 // limits.
 func appendCacheKey(dst []byte, docName string, gen uint64, canon string, limit int) []byte {
@@ -565,9 +533,9 @@ func appendCacheKey(dst []byte, docName string, gen uint64, canon string, limit 
 }
 
 // appendPreparedKey appends the key of a physical plan: document
-// generation, full options signature (parallelism and NoIndex change
-// how a plan executes, so prepared handles are per-knob even though
-// results are not), and the query text.
+// generation, full options signature (NoIndex changes how a plan
+// executes, so prepared handles are per-knob even though results are
+// not), and the query text.
 func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Options, query string) []byte {
 	dst = append(dst, docName...)
 	dst = append(dst, 0)
@@ -576,8 +544,6 @@ func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Opti
 	dst = append(dst, opts.Strategy.String()...)
 	dst = append(dst, 0)
 	dst = append(dst, opts.Pushdown.String()...)
-	dst = append(dst, 0)
-	dst = strconv.AppendInt(dst, int64(opts.Parallelism), 10)
 	if opts.NoIndex {
 		dst = append(dst, ",noindex"...)
 	}
@@ -788,21 +754,14 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *eng
 		res.Coalesced = coalesced
 		return res
 	}
-	// A query holds one unit per worker it can run: RunCtx fans out over
-	// opts.Parallelism, EvalLimit drives a serial cursor.
-	units := opts.Parallelism
-	if limit > 0 {
-		units = 1
-	}
-	cost, err := s.pool.acquire(ctx, units)
-	if err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		res.ElapsedNs = time.Since(start).Nanoseconds()
 		s.classifyEvalErr(ctx, &res, err)
 		return res
 	}
 	// Deferred (not inline after eval) so a panicking operator cannot
-	// leak its units past the recover above.
-	defer s.pool.release(cost)
+	// leak its unit past the recover above.
+	defer s.pool.release()
 	var r *engine.Result
 	if limit > 0 {
 		r, err = p.EvalLimit(ctx, limit)
@@ -855,8 +814,8 @@ func (l *limitCursor) Next() ([]int32, error) {
 func (l *limitCursor) Close() { l.cur.Close() }
 
 // joinFlight joins (or creates) the in-flight execution of p under its
-// cache key; the completed buffer retires into the result cache. A
-// flight drives a serial cursor, so its pace car holds one unit.
+// cache key; the completed buffer retires into the result cache. Its
+// pace car holds one unit.
 func (s *Server) joinFlight(p *engine.Prepared, key string, limit int) (*share.Follower, bool) {
 	open := func(fctx context.Context) (share.Cursor, error) {
 		cur, err := p.Cursor(fctx)
@@ -869,7 +828,7 @@ func (s *Server) joinFlight(p *engine.Prepared, key string, limit int) (*share.F
 		return cur, nil
 	}
 	retire := func(nodes []int32) { s.cache.Put(key, nodes) }
-	return s.flights.Join(key, 1, open, retire)
+	return s.flights.Join(key, open, retire)
 }
 
 // sharedEval evaluates through the pace-car registry: identical
@@ -1039,12 +998,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	cost, err := s.pool.acquire(ctx, 1) // a cursor runs serially
-	if err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		s.failEval(w, ctx, err)
 		return
 	}
-	defer s.pool.release(cost)
+	defer s.pool.release()
 	cur, err := p.Cursor(ctx)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
@@ -1161,8 +1119,8 @@ func (s *Server) failEval(w http.ResponseWriter, ctx context.Context, err error)
 // the stream is keyed exactly like its result-cache entry, a cache hit
 // replays the retired buffer of an earlier flight, and a miss joins
 // (or creates) the in-flight execution — identical concurrent cold
-// streams run the plan exactly once. Only the current driver holds
-// worker-budget units (via the registry's wheel hooks); followers are
+// streams run the plan exactly once. Only the current driver holds a
+// worker-budget unit (via the registry's wheel hooks); followers are
 // blocked handlers replaying shared batches.
 func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *engine.Prepared, limit int, kb *[]byte) {
 	*kb = appendCacheKey((*kb)[:0], h.Name(), h.Generation(), p.Canon(), limit)
@@ -1200,15 +1158,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	par := 0
-	if v := q.Get("parallelism"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad parallelism %q", v)
-			return
-		}
-		par = n
-	}
 	noIndex := false
 	if v := q.Get("noIndex"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -1239,7 +1188,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	opts, err := s.engineOptions(&QueryOptions{
 		Strategy:     q.Get("strategy"),
 		Pushdown:     q.Get("pushdown"),
-		Parallelism:  par,
 		NoIndex:      noIndex,
 		NoValueIndex: noValueIndex,
 		NoReorder:    noReorder,
@@ -1260,17 +1208,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Explain executes the plan through Plan.Run, so it holds one
-	// worker-budget unit per join worker just like a full POST /query —
-	// explain traffic cannot oversubscribe the machine, and under
-	// overload it is shed the same way.
+	// worker-budget unit just like a full POST /query — explain traffic
+	// cannot oversubscribe the machine, and under overload it is shed
+	// the same way.
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
-	cost, err := s.pool.acquire(ctx, opts.Parallelism)
-	if err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		s.failEval(w, ctx, err)
 		return
 	}
-	defer s.pool.release(cost)
+	defer s.pool.release()
 	if q.Get("format") == "json" {
 		out, err := p.ExplainJSON()
 		if err != nil {

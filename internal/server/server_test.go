@@ -216,7 +216,7 @@ func TestExplainDocsHealthMetrics(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return string(b), resp.StatusCode
 	}
-	body, code := get("/explain?doc=mem&q=/descendant::increase/ancestor::bidder&parallelism=2")
+	body, code := get("/explain?doc=mem&q=/descendant::increase/ancestor::bidder")
 	if code != http.StatusOK || !bytes.Contains([]byte(body), []byte("staircase join")) {
 		t.Fatalf("explain: %d %q", code, body)
 	}
@@ -277,7 +277,7 @@ var propStrategies = []string{"staircase", "staircase-skip", "staircase-noskip",
 // test: N concurrent clients issue randomized (doc, query, options)
 // batches and every result must be byte-identical to a serial
 // engine.Eval of the same query — across strategies, pushdown modes,
-// parallelism degrees, and cache hits/misses. Run under -race in CI.
+// and cache hits/misses. Run under -race in CI.
 func TestConcurrentClientsMatchSerial(t *testing.T) {
 	_, ts, ref := newTestServer(t, 1<<20)
 
@@ -291,7 +291,7 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 		if ok {
 			return nodes
 		}
-		r, err := ref[docName].EvalString(query, nil) // serial defaults
+		r, err := ref[docName].EvalString(query, nil) // default options
 		if err != nil {
 			t.Errorf("reference eval %q: %v", query, err)
 			return nil
@@ -326,9 +326,8 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 					Queries: queries,
 					NoCache: rng.Intn(3) == 0,
 					Options: &QueryOptions{
-						Strategy:    propStrategies[rng.Intn(len(propStrategies))],
-						Pushdown:    []string{"auto", "always", "never"}[rng.Intn(3)],
-						Parallelism: []int{0, 2, 4, -1}[rng.Intn(4)],
+						Strategy: propStrategies[rng.Intn(len(propStrategies))],
+						Pushdown: []string{"auto", "always", "never"}[rng.Intn(3)],
 					},
 				}
 				body, err := json.Marshal(req)
@@ -759,7 +758,7 @@ func TestStalePreparedPlansDropOnReload(t *testing.T) {
 		defer h.Close()
 		gen := h.Generation()
 		for _, q := range []string{"//person", "//bidder", "//increase"} {
-			if _, err := s.prepare(h, q, &engine.Options{Parallelism: 1}, new([]byte)); err != nil {
+			if _, err := s.prepare(h, q, &engine.Options{}, new([]byte)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -249,12 +249,11 @@ func (w *blockedWriter) Write(p []byte) (int, error) {
 }
 
 // TestCursorHoldsOneWorkerUnit: a cursor execution (a shared flight, a
-// limit query, a stream) runs serially, so it holds one worker unit
-// whatever the parallelism default. With two units and one stream
-// parked on a blocked writer, a second cold stream and cold limit
-// queries must run at once instead of queueing behind it.
+// limit query, a stream) holds one worker unit. With two units and one
+// stream parked on a blocked writer, a second cold stream and cold
+// limit queries must run at once instead of queueing behind it.
 func TestCursorHoldsOneWorkerUnit(t *testing.T) {
-	s, ts, cat := newChaosServer(t, Config{Workers: 2, DefaultParallelism: 2, ShareScans: true})
+	s, ts, cat := newChaosServer(t, Config{Workers: 2, ShareScans: true})
 
 	bw := &blockedWriter{hdr: http.Header{}, wrote: make(chan struct{}), release: make(chan struct{})}
 	held := make(chan struct{})
@@ -307,20 +306,25 @@ func TestCursorHoldsOneWorkerUnit(t *testing.T) {
 }
 
 // TestRemovedOptionIgnored: clients written against a request option
-// the server no longer has (testdata/removed_option.json) keep working
-// — the field is ignored, not rejected, on POST /query and GET
-// /explain.
+// the server no longer has (each entry of testdata/removed_option.json)
+// keep working — the field is ignored, not rejected, on POST /query and
+// GET /explain.
 func TestRemovedOptionIgnored(t *testing.T) {
 	raw, err := os.ReadFile("testdata/removed_option.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var removed struct {
-		Options      json.RawMessage `json:"options"`
-		ExplainParam string          `json:"explainParam"`
+	var file struct {
+		Removed []struct {
+			Options      json.RawMessage `json:"options"`
+			ExplainParam string          `json:"explainParam"`
+		} `json:"removed"`
 	}
-	if err := json.Unmarshal(raw, &removed); err != nil {
+	if err := json.Unmarshal(raw, &file); err != nil {
 		t.Fatal(err)
+	}
+	if len(file.Removed) == 0 {
+		t.Fatal("no removed options listed")
 	}
 	_, ts, _ := newShareServer(t, 0.25)
 	const q = "/descendant::open_auction/descendant::bidder"
@@ -341,9 +345,6 @@ func TestRemovedOptionIgnored(t *testing.T) {
 		}
 		return out.Results[0].Nodes
 	}
-	if want, got := query(""), query(`,"options":`+string(removed.Options)); !sameNodes(got, want) {
-		t.Fatalf("removed option changed the answer: %d vs %d nodes", len(got), len(want))
-	}
 	explain := func(extra string) string {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/explain?doc=mem&q=" + q + extra)
@@ -357,8 +358,14 @@ func TestRemovedOptionIgnored(t *testing.T) {
 		}
 		return string(b)
 	}
-	if want, got := explain(""), explain(removed.ExplainParam); got != want {
-		t.Fatalf("removed option changed the plan:\n%s\nvs\n%s", got, want)
+	wantNodes, wantPlan := query(""), explain("")
+	for _, removed := range file.Removed {
+		if got := query(`,"options":` + string(removed.Options)); !sameNodes(got, wantNodes) {
+			t.Errorf("removed option %s changed the answer: %d vs %d nodes", removed.Options, len(got), len(wantNodes))
+		}
+		if got := explain(removed.ExplainParam); got != wantPlan {
+			t.Errorf("removed option %s changed the plan:\n%s\nvs\n%s", removed.ExplainParam, got, wantPlan)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@
 // The drive is also a panic-containment boundary: a panicking cursor
 // (or plan open) becomes a *fault.PanicError that finishes the flight
 // like any execution error — every follower sees it, the wheel hooks
-// balance, and no semaphore units leak — instead of unwinding through
+// balance, and no semaphore unit leaks — instead of unwinding through
 // the registry with capacity held.
 //
 // Lock ordering: Registry.mu before flight.mu, never the reverse.
@@ -70,7 +70,7 @@ type OpenFunc func(ctx context.Context) (Cursor, error)
 
 // Hooks let the owner account for the wheel: the server maps OnWheel /
 // OnWheelDone to worker-semaphore acquire/release, so exactly one
-// client of a flight — the current driver — holds worker units, while
+// client of a flight — the current driver — holds a worker unit, while
 // followers are just blocked handlers. Hooks are invoked outside all
 // registry and flight locks; OnWheel may block, waiting on ctx — the
 // candidate driver's own request context, so a queued wheel take
@@ -78,8 +78,8 @@ type OpenFunc func(ctx context.Context) (Cursor, error)
 // shed, cancellation) is returned to that candidate alone: the flight
 // stays live and another follower may take the wheel.
 type Hooks struct {
-	OnWheel     func(ctx context.Context, cost int) error
-	OnWheelDone func(cost int)
+	OnWheel     func(ctx context.Context) error
+	OnWheelDone func()
 }
 
 // DefaultMaxLag is the backpressure window when NewRegistry is given a
@@ -131,9 +131,9 @@ func (r *Registry) InFlight() int {
 // Join attaches to the flight under key, creating it when absent (or
 // when the resident flight is already abandoned and merely awaiting
 // removal). The returned bool reports creation: the creating client is
-// the one whose open/retire/cost are bound to the flight, and — being
+// the one whose open/retire are bound to the flight, and — being
 // the first to call Next — almost always its initial pace car.
-func (r *Registry) Join(key string, cost int, open OpenFunc, retire func(nodes []int32)) (*Follower, bool) {
+func (r *Registry) Join(key string, open OpenFunc, retire func(nodes []int32)) (*Follower, bool) {
 	r.mu.Lock()
 	if fl, ok := r.flights[key]; ok {
 		fl.mu.Lock()
@@ -151,7 +151,6 @@ func (r *Registry) Join(key string, cost int, open OpenFunc, retire func(nodes [
 	fl := &flight{
 		reg:       r,
 		key:       key,
-		cost:      cost,
 		open:      open,
 		retire:    retire,
 		ctx:       ctx,
@@ -177,16 +176,16 @@ func (r *Registry) remove(fl *flight) {
 	r.mu.Unlock()
 }
 
-func (r *Registry) onWheel(ctx context.Context, cost int) error {
+func (r *Registry) onWheel(ctx context.Context) error {
 	if h := r.hooks.OnWheel; h != nil {
-		return h(ctx, cost)
+		return h(ctx)
 	}
 	return nil
 }
 
-func (r *Registry) onWheelDone(cost int) {
+func (r *Registry) onWheelDone() {
 	if h := r.hooks.OnWheelDone; h != nil {
-		h(cost)
+		h()
 	}
 }
 
@@ -198,7 +197,6 @@ func (r *Registry) onWheelDone(cost int) {
 type flight struct {
 	reg    *Registry
 	key    string
-	cost   int
 	open   OpenFunc
 	retire func(nodes []int32)
 	ctx    context.Context
@@ -299,7 +297,7 @@ func (f *Follower) Next(ctx context.Context) ([]int32, error) {
 			tookOver := fl.last != nil && fl.last != f
 			fl.driver, fl.last = f, f
 			fl.mu.Unlock()
-			if err := fl.reg.onWheel(ctx, fl.cost); err != nil {
+			if err := fl.reg.onWheel(ctx); err != nil {
 				// Admission denied this candidate the wheel (shed, or its
 				// own ctx cancelled while queued): put the wheel back for
 				// the next follower and fail only this client.
@@ -426,7 +424,7 @@ func (f *Follower) releaseWheelLocked(err error) ([]int32, error) {
 	fl.driver = nil
 	fl.broadcastLocked()
 	fl.mu.Unlock()
-	fl.reg.onWheelDone(fl.cost)
+	fl.reg.onWheelDone()
 	return nil, err
 }
 
@@ -445,7 +443,7 @@ func (f *Follower) finishLocked(flat []int32, err error) ([]int32, error) {
 	if err == nil && fl.retire != nil {
 		fl.retire(flat)
 	}
-	fl.reg.onWheelDone(fl.cost)
+	fl.reg.onWheelDone()
 	return nil, err
 }
 
@@ -475,7 +473,7 @@ func (f *Follower) Close() {
 	fl.broadcastLocked()
 	fl.mu.Unlock()
 	if wasDriver {
-		fl.reg.onWheelDone(fl.cost)
+		fl.reg.onWheelDone()
 	}
 	if abandon {
 		fl.cancel()

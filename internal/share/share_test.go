@@ -116,7 +116,7 @@ func TestSoloDrainRetiresIntoCache(t *testing.T) {
 	batches := mkBatches(5)
 	var retired []int32
 	retires := 0
-	f, created := r.Join("k", 1, openFake(&fakeCursor{batches: batches, errAt: -1}),
+	f, created := r.Join("k", openFake(&fakeCursor{batches: batches, errAt: -1}),
 		func(nodes []int32) { retired = nodes; retires++ })
 	if !created {
 		t.Fatal("first Join did not create the flight")
@@ -143,7 +143,7 @@ func TestFollowerMidFlightSeesIdenticalBytes(t *testing.T) {
 	batches := mkBatches(6)
 	want := concat(batches)
 	step := make(chan struct{})
-	pace, created := r.Join("k", 1, openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
+	pace, created := r.Join("k", openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
 	if !created {
 		t.Fatal("expected creation")
 	}
@@ -171,7 +171,7 @@ func TestFollowerMidFlightSeesIdenticalBytes(t *testing.T) {
 
 	// A follower attaching now must replay those two batches
 	// immediately — before the throttled cursor produces anything more.
-	follower, created := r.Join("k", 1, nil, nil)
+	follower, created := r.Join("k", nil, nil)
 	if created {
 		t.Fatal("second Join created a new flight instead of coalescing")
 	}
@@ -230,12 +230,12 @@ func TestPaceCarCancelPromotesFollower(t *testing.T) {
 	cur := &fakeCursor{batches: batches, errAt: -1}
 	ctx, cancel := context.WithCancel(context.Background())
 
-	pace, _ := r.Join("k", 1, openFake(cur), nil)
+	pace, _ := r.Join("k", openFake(cur), nil)
 	b, err := pace.Next(ctx)
 	if err != nil || !eq32(b, batches[0]) {
 		t.Fatalf("pace car first batch = %v, %v", b, err)
 	}
-	follower, created := r.Join("k", 1, nil, nil)
+	follower, created := r.Join("k", nil, nil)
 	if created {
 		t.Fatal("follower did not coalesce")
 	}
@@ -268,8 +268,8 @@ func TestBackpressureBoundsDriverLag(t *testing.T) {
 	var produced atomic.Int64
 	cur := &fakeCursor{batches: batches, errAt: -1, produced: &produced}
 
-	pace, _ := r.Join("k", 1, openFake(cur), nil)
-	slow, created := r.Join("k", 1, nil, nil)
+	pace, _ := r.Join("k", openFake(cur), nil)
+	slow, created := r.Join("k", nil, nil)
 	if created {
 		t.Fatal("slow follower did not coalesce")
 	}
@@ -330,7 +330,7 @@ func TestAbandonCancelsFlightAndSkipsRetire(t *testing.T) {
 		flightCtx = ctx
 		return &fakeCursor{batches: mkBatches(8), errAt: -1, closed: &closed}, nil
 	}
-	f, _ := r.Join("k", 1, open, func([]int32) { retired = true })
+	f, _ := r.Join("k", open, func([]int32) { retired = true })
 	if _, err := f.Next(context.Background()); err != nil {
 		t.Fatalf("Next: %v", err)
 	}
@@ -351,7 +351,7 @@ func TestAbandonCancelsFlightAndSkipsRetire(t *testing.T) {
 		t.Fatal("abandoned flight retired a partial buffer")
 	}
 	// The key is free again: the next client re-executes from scratch.
-	if _, created := r.Join("k", 1, open, nil); !created {
+	if _, created := r.Join("k", open, nil); !created {
 		t.Fatal("Join after abandon coalesced onto a dead flight")
 	}
 }
@@ -360,8 +360,8 @@ func TestCursorErrorReachesEveryFollower(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
 	batches := mkBatches(3)
 	cur := &fakeCursor{batches: batches, errAt: 2} // two good batches, then boom
-	pace, _ := r.Join("k", 1, openFake(cur), nil)
-	follower, _ := r.Join("k", 1, nil, nil)
+	pace, _ := r.Join("k", openFake(cur), nil)
+	follower, _ := r.Join("k", nil, nil)
 
 	var paceErr error
 	var got []int32
@@ -413,14 +413,14 @@ func TestCoalesceCounters(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
 	step := make(chan struct{})
 	batches := mkBatches(2)
-	pace, created := r.Join("k", 1, openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
+	pace, created := r.Join("k", openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
 	if !created {
 		t.Fatal("expected creation")
 	}
 	followers := make([]*Follower, 7)
 	for i := range followers {
 		var c bool
-		followers[i], c = r.Join("k", 1, nil, nil)
+		followers[i], c = r.Join("k", nil, nil)
 		if c {
 			t.Fatalf("join %d created a duplicate flight", i)
 		}
@@ -450,34 +450,34 @@ func TestCoalesceCounters(t *testing.T) {
 func TestWheelHooksBalance(t *testing.T) {
 	var acquired, released atomic.Int64
 	hooks := Hooks{
-		OnWheel:     func(_ context.Context, cost int) error { acquired.Add(int64(cost)); return nil },
-		OnWheelDone: func(cost int) { released.Add(int64(cost)) },
+		OnWheel:     func(context.Context) error { acquired.Add(1); return nil },
+		OnWheelDone: func() { released.Add(1) },
 	}
 	r := NewRegistry(0, hooks)
 	batches := mkBatches(4)
 	cur := &fakeCursor{batches: batches, errAt: -1}
 	ctx, cancel := context.WithCancel(context.Background())
-	pace, _ := r.Join("k", 3, openFake(cur), nil)
+	pace, _ := r.Join("k", openFake(cur), nil)
 	if _, err := pace.Next(ctx); err != nil {
 		t.Fatalf("Next: %v", err)
 	}
-	follower, _ := r.Join("k", 3, nil, nil)
+	follower, _ := r.Join("k", nil, nil)
 	cancel()
 	if _, err := pace.Next(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Next = %v", err)
 	}
 	pace.Close()
 	drain(t, follower)
-	// Two wheel tenures (creator, then the promoted follower), cost 3
-	// units each, every acquire balanced by a release.
-	if a, rl := acquired.Load(), released.Load(); a != 6 || rl != 6 {
-		t.Fatalf("hook units acquired/released = %d/%d, want 6/6", a, rl)
+	// Two wheel tenures (creator, then the promoted follower), every
+	// acquire balanced by a release.
+	if a, rl := acquired.Load(), released.Load(); a != 2 || rl != 2 {
+		t.Fatalf("hook units acquired/released = %d/%d, want 2/2", a, rl)
 	}
 }
 
 func TestNextAfterCloseFails(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
-	f, _ := r.Join("k", 1, openFake(&fakeCursor{batches: mkBatches(1), errAt: -1}), nil)
+	f, _ := r.Join("k", openFake(&fakeCursor{batches: mkBatches(1), errAt: -1}), nil)
 	f.Close()
 	if _, err := f.Next(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Next after Close = %v, want ErrClosed", err)
@@ -506,15 +506,15 @@ func (c *panicCursor) Next() ([]int32, error) {
 func TestPanicInDriveAbortsFlight(t *testing.T) {
 	var acquired, released atomic.Int64
 	hooks := Hooks{
-		OnWheel:     func(_ context.Context, cost int) error { acquired.Add(int64(cost)); return nil },
-		OnWheelDone: func(cost int) { released.Add(int64(cost)) },
+		OnWheel:     func(context.Context) error { acquired.Add(1); return nil },
+		OnWheelDone: func() { released.Add(1) },
 	}
 	r := NewRegistry(0, hooks)
 	closed := &atomic.Bool{}
 	cur := &panicCursor{fakeCursor: fakeCursor{batches: mkBatches(4), errAt: -1, closed: closed}, panicAt: 2}
 
-	pace, _ := r.Join("k", 2, func(context.Context) (Cursor, error) { return cur, nil }, nil)
-	follower, _ := r.Join("k", 2, nil, nil)
+	pace, _ := r.Join("k", func(context.Context) (Cursor, error) { return cur, nil }, nil)
+	follower, _ := r.Join("k", nil, nil)
 	defer pace.Close()
 	defer follower.Close()
 
@@ -551,7 +551,7 @@ func TestPanicInDriveAbortsFlight(t *testing.T) {
 // rather than unwinding with the wheel held.
 func TestPanicInOpenAbortsFlight(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
-	f, _ := r.Join("k", 1, func(context.Context) (Cursor, error) { panic("open exploded") }, nil)
+	f, _ := r.Join("k", func(context.Context) (Cursor, error) { panic("open exploded") }, nil)
 	defer f.Close()
 	if _, err := f.Next(context.Background()); !fault.IsPanic(err) {
 		t.Fatalf("Next after panicking open = %v, want recovered panic", err)
@@ -568,7 +568,7 @@ func TestPanicInOpenAbortsFlight(t *testing.T) {
 func TestWheelDeniedFailsOnlyThatClient(t *testing.T) {
 	var denials atomic.Int64
 	hooks := Hooks{
-		OnWheel: func(_ context.Context, cost int) error {
+		OnWheel: func(context.Context) error {
 			if denials.Add(1) == 1 {
 				return errBoom // first candidate is shed
 			}
@@ -578,8 +578,8 @@ func TestWheelDeniedFailsOnlyThatClient(t *testing.T) {
 	r := NewRegistry(0, hooks)
 	batches := mkBatches(3)
 	cur := &fakeCursor{batches: batches, errAt: -1}
-	shedded, _ := r.Join("k", 1, openFake(cur), nil)
-	survivor, _ := r.Join("k", 1, nil, nil)
+	shedded, _ := r.Join("k", openFake(cur), nil)
+	survivor, _ := r.Join("k", nil, nil)
 	defer shedded.Close()
 
 	if _, err := shedded.Next(context.Background()); !errors.Is(err, errBoom) {

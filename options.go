@@ -7,8 +7,7 @@ import (
 
 // Options configures query planning and execution. The zero value (or
 // a nil *Options) is the paper default: full staircase join with
-// automatic name-test pushdown, serial execution, shared tag/kind
-// index enabled.
+// automatic name-test pushdown, shared tag/kind index enabled.
 type Options = engine.Options
 
 // Strategy selects the axis-step algorithm for the four partitioning
@@ -45,10 +44,6 @@ const (
 	// PushNever evaluates the join first and filters afterwards.
 	PushNever = engine.PushNever
 )
-
-// AutoParallelism requests one staircase-join worker per available CPU
-// when assigned to Options.Parallelism.
-const AutoParallelism = engine.AutoParallelism
 
 // Result is the outcome of a query: the node sequence (preorder
 // ranks, document order, duplicate-free) plus per-step statistics.

@@ -90,10 +90,6 @@ type ServerConfig struct {
 	// Workers is the shared worker budget for query evaluation; <= 0
 	// defaults to GOMAXPROCS.
 	Workers int
-	// DefaultParallelism is the engine parallelism applied when a
-	// request does not set one (0 = serial, AutoParallelism = all
-	// cores, clamped by the worker budget).
-	DefaultParallelism int
 	// NoIndex disables the shared tag/kind index by default
 	// (per-query column rescans; results identical — ablation knob).
 	NoIndex bool
@@ -140,18 +136,17 @@ type Server struct {
 // NewServer builds a query server over the catalog.
 func NewServer(cfg ServerConfig) *Server {
 	return &Server{s: server.New(server.Config{
-		Catalog:            cfg.Catalog.c,
-		CacheBytes:         cfg.CacheBytes,
-		Workers:            cfg.Workers,
-		DefaultParallelism: cfg.DefaultParallelism,
-		NoIndex:            cfg.NoIndex,
-		NoValueIndex:       cfg.NoValueIndex,
-		NoReorder:          cfg.NoReorder,
-		MaxBatch:           cfg.MaxBatch,
-		ShareScans:         cfg.ShareScans,
-		RequestTimeout:     cfg.RequestTimeout,
-		MaxQueue:           cfg.MaxQueue,
-		MaxBodyBytes:       cfg.MaxBodyBytes,
+		Catalog:        cfg.Catalog.c,
+		CacheBytes:     cfg.CacheBytes,
+		Workers:        cfg.Workers,
+		NoIndex:        cfg.NoIndex,
+		NoValueIndex:   cfg.NoValueIndex,
+		NoReorder:      cfg.NoReorder,
+		MaxBatch:       cfg.MaxBatch,
+		ShareScans:     cfg.ShareScans,
+		RequestTimeout: cfg.RequestTimeout,
+		MaxQueue:       cfg.MaxQueue,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
 	})}
 }
 

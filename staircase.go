@@ -108,7 +108,6 @@ func Open(path string) (*Document, error) {
 // Load reads a document from a reader, sniffing the SCJ1/SCJ2 binary
 // magic exactly like Open.
 func Load(r io.Reader) (*Document, error) {
-	layoutPad() // layout.go: keeps the benchmark's calibration loop inside one 64-byte line
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.Peek(4)
 	if err == nil && (string(magic) == "SCJ1" || string(magic) == "SCJ2") {
@@ -200,9 +199,9 @@ func (d *Document) Attributes(v int32) []int32 { return d.d.Attributes(v) }
 func (d *Document) Stats() DocStats { return d.d.ComputeStats() }
 
 // Query parses, plans and runs a query with the document root as
-// context. opts selects strategy, pushdown policy, parallelism and
-// the index ablation knob; nil is the paper default (staircase join
-// with automatic pushdown, serial).
+// context. opts selects strategy, pushdown policy and the ablation
+// knobs; nil is the paper default (staircase join with automatic
+// pushdown).
 func (d *Document) Query(query string, opts *Options) (*Result, error) {
 	return d.e.EvalString(query, opts)
 }
