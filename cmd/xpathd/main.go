@@ -88,44 +88,61 @@ func (p *pairList) Set(s string) error {
 	return nil
 }
 
+// config is the parsed command line.
+type config struct {
+	addr                           string
+	docs, gens                     pairList
+	cacheMB, catalogMB, maxBody    int64
+	workers, maxQueue              int
+	useIndex, useVIndex, noReorder bool
+	shareScans                     bool
+	reqTimeout, drainTimeout       time.Duration
+}
+
+// registerFlags declares the command's flags on fs.
+func registerFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.Var(&c.docs, "doc", "register a document: name=path (XML or SCJ1/SCJ2 binary, repeatable)")
+	fs.Var(&c.gens, "gen", "register a generated XMark document: name=sizeMB (repeatable)")
+	fs.Int64Var(&c.cacheMB, "cache-mb", 64, "result cache budget in MB (0 disables)")
+	fs.Int64Var(&c.catalogMB, "catalog-mb", 0, "resident document budget in MB (0 = unbounded)")
+	fs.IntVar(&c.workers, "workers", 0, "worker budget for query evaluation (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.useIndex, "index", true, "keep the shared tag/kind index resident per document (false: per-query column rescans; results identical)")
+	fs.BoolVar(&c.useVIndex, "value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
+	fs.BoolVar(&c.noReorder, "no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
+	fs.BoolVar(&c.shareScans, "share-scans", true, "coalesce identical in-flight executions: concurrent cache misses on one (doc, plan, limit) key share a single pace-car execution")
+	fs.DurationVar(&c.reqTimeout, "request-timeout", 30*time.Second, "per-request evaluation deadline; requests may lower it with timeoutMs, expiry answers 408 (0 = none)")
+	fs.IntVar(&c.maxQueue, "max-queue", -1, "admission queue bound: past this many waiting requests new work is shed with 503 + Retry-After (-1 = 8x workers, 0 = unbounded)")
+	fs.Int64Var(&c.maxBody, "max-body-bytes", 1<<20, "request body cap on the JSON endpoints")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests and streams to finish")
+	return c
+}
+
 func main() {
-	var docs, gens pairList
-	addr := flag.String("addr", ":8080", "listen address")
-	flag.Var(&docs, "doc", "register a document: name=path (XML or SCJ1/SCJ2 binary, repeatable)")
-	flag.Var(&gens, "gen", "register a generated XMark document: name=sizeMB (repeatable)")
-	cacheMB := flag.Int64("cache-mb", 64, "result cache budget in MB (0 disables)")
-	catalogMB := flag.Int64("catalog-mb", 0, "resident document budget in MB (0 = unbounded)")
-	workers := flag.Int("workers", 0, "worker budget for query evaluation (0 = GOMAXPROCS)")
-	useIndex := flag.Bool("index", true, "keep the shared tag/kind index resident per document (false: per-query column rescans; results identical)")
-	useVIndex := flag.Bool("value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
-	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
-	shareScans := flag.Bool("share-scans", true, "coalesce identical in-flight executions: concurrent cache misses on one (doc, plan, limit) key share a single pace-car execution")
-	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline; requests may lower it with timeoutMs, expiry answers 408 (0 = none)")
-	maxQueue := flag.Int("max-queue", -1, "admission queue bound: past this many waiting requests new work is shed with 503 + Retry-After (-1 = 8x workers, 0 = unbounded)")
-	maxBody := flag.Int64("max-body-bytes", 1<<20, "request body cap on the JSON endpoints")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests and streams to finish")
+	cfg := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if len(docs) == 0 && len(gens) == 0 {
+	if len(cfg.docs) == 0 && len(cfg.gens) == 0 {
 		fmt.Fprintln(os.Stderr, "xpathd: no documents; use -doc name=path or -gen name=sizeMB")
 		os.Exit(2)
 	}
 
 	var catOpts []staircase.CatalogOption
-	if !*useIndex {
+	if !cfg.useIndex {
 		catOpts = append(catOpts, staircase.WithoutIndex())
 	}
-	if !*useVIndex {
+	if !cfg.useVIndex {
 		catOpts = append(catOpts, staircase.WithoutValueIndex())
 	}
-	cat := staircase.NewCatalog(*catalogMB<<20, catOpts...)
-	for _, kv := range docs {
+	cat := staircase.NewCatalog(cfg.catalogMB<<20, catOpts...)
+	for _, kv := range cfg.docs {
 		if err := cat.Register(kv.name, kv.value); err != nil {
 			fmt.Fprintln(os.Stderr, "xpathd:", err)
 			os.Exit(1)
 		}
 	}
-	for _, kv := range gens {
+	for _, kv := range cfg.gens {
 		mb, err := strconv.ParseFloat(kv.value, 64)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xpathd: bad -gen size %q: %v\n", kv.value, err)
@@ -144,22 +161,22 @@ func main() {
 
 	srv := staircase.NewServer(staircase.ServerConfig{
 		Catalog:        cat,
-		CacheBytes:     *cacheMB << 20,
-		Workers:        *workers,
-		NoIndex:        !*useIndex,
-		NoValueIndex:   !*useVIndex,
-		NoReorder:      *noReorder,
-		ShareScans:     *shareScans,
-		RequestTimeout: *reqTimeout,
-		MaxQueue:       *maxQueue,
-		MaxBodyBytes:   *maxBody,
+		CacheBytes:     cfg.cacheMB << 20,
+		Workers:        cfg.workers,
+		NoIndex:        !cfg.useIndex,
+		NoValueIndex:   !cfg.useVIndex,
+		NoReorder:      cfg.noReorder,
+		ShareScans:     cfg.shareScans,
+		RequestTimeout: cfg.reqTimeout,
+		MaxQueue:       cfg.maxQueue,
+		MaxBodyBytes:   cfg.maxBody,
 	})
 	// No WriteTimeout: POST /stream responses legitimately run for as
 	// long as the evaluation deadline allows; slow-client protection on
 	// the read side comes from the header/body timeouts and the body
 	// size cap instead.
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       60 * time.Second,
@@ -179,14 +196,14 @@ func main() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "xpathd: draining")
 		srv.BeginDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "xpathd: drain timed out:", err)
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "xpathd: serving %d document(s) on %s\n", len(cat.Names()), *addr)
+	fmt.Fprintf(os.Stderr, "xpathd: serving %d document(s) on %s\n", len(cat.Names()), cfg.addr)
 	if err := httpSrv.ListenAndServe(); err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "xpathd:", err)
 		os.Exit(1)

@@ -40,17 +40,32 @@ var pushdowns = map[string]staircase.PushdownMode{
 	"never":  staircase.PushNever,
 }
 
+// config is the parsed command line.
+type config struct {
+	file, strategy, pushdown       string
+	stats, explain, asJSON         bool
+	limit                          int
+	useIndex, useVIndex, noReorder bool
+}
+
+// registerFlags declares the command's flags on fs.
+func registerFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.file, "f", "", "XML or SCJ binary file (default: stdin; format sniffed)")
+	fs.StringVar(&c.strategy, "strategy", "staircase", "axis-step strategy: staircase, staircase-skip, staircase-noskip, naive, sql, sql-window")
+	fs.StringVar(&c.pushdown, "pushdown", "auto", "name-test pushdown: auto, always, never")
+	fs.BoolVar(&c.stats, "stats", false, "print per-step statistics")
+	fs.BoolVar(&c.explain, "explain", false, "print the optimized physical plan instead of results")
+	fs.BoolVar(&c.asJSON, "json", false, "with -explain: print the plan tree as JSON")
+	fs.IntVar(&c.limit, "limit", 20, "max result nodes to print (0 = all)")
+	fs.BoolVar(&c.useIndex, "index", true, "use the shared tag/kind index for name-test pushdown (false: per-step column rescan; results identical)")
+	fs.BoolVar(&c.useVIndex, "value-index", true, "use the value index for comparison and contains() predicates (false: per-node re-evaluation; results identical)")
+	fs.BoolVar(&c.noReorder, "no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
+	return c
+}
+
 func main() {
-	file := flag.String("f", "", "XML or SCJ binary file (default: stdin; format sniffed)")
-	strategy := flag.String("strategy", "staircase", "axis-step strategy: staircase, staircase-skip, staircase-noskip, naive, sql, sql-window")
-	pushdown := flag.String("pushdown", "auto", "name-test pushdown: auto, always, never")
-	stats := flag.Bool("stats", false, "print per-step statistics")
-	explain := flag.Bool("explain", false, "print the optimized physical plan instead of results")
-	asJSON := flag.Bool("json", false, "with -explain: print the plan tree as JSON")
-	limit := flag.Int("limit", 20, "max result nodes to print (0 = all)")
-	useIndex := flag.Bool("index", true, "use the shared tag/kind index for name-test pushdown (false: per-step column rescan; results identical)")
-	useVIndex := flag.Bool("value-index", true, "use the value index for comparison and contains() predicates (false: per-node re-evaluation; results identical)")
-	noReorder := flag.Bool("no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
+	cfg := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -59,21 +74,21 @@ func main() {
 	}
 	query := flag.Arg(0)
 
-	strat, ok := strategies[*strategy]
+	strat, ok := strategies[cfg.strategy]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "xpathq: unknown strategy %q\n", *strategy)
+		fmt.Fprintf(os.Stderr, "xpathq: unknown strategy %q\n", cfg.strategy)
 		os.Exit(2)
 	}
-	push, ok := pushdowns[*pushdown]
+	push, ok := pushdowns[cfg.pushdown]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "xpathq: unknown pushdown mode %q\n", *pushdown)
+		fmt.Fprintf(os.Stderr, "xpathq: unknown pushdown mode %q\n", cfg.pushdown)
 		os.Exit(2)
 	}
 
 	var d *staircase.Document
 	var err error
-	if *file != "" {
-		d, err = staircase.Open(*file)
+	if cfg.file != "" {
+		d, err = staircase.Open(cfg.file)
 	} else {
 		d, err = staircase.Load(os.Stdin)
 	}
@@ -85,13 +100,13 @@ func main() {
 	opts := &staircase.Options{
 		Strategy:     strat,
 		Pushdown:     push,
-		NoIndex:      !*useIndex,
-		NoValueIndex: !*useVIndex,
-		NoReorder:    *noReorder,
+		NoIndex:      !cfg.useIndex,
+		NoValueIndex: !cfg.useVIndex,
+		NoReorder:    cfg.noReorder,
 	}
-	if *explain {
+	if cfg.explain {
 		var out []byte
-		if *asJSON {
+		if cfg.asJSON {
 			out, err = d.ExplainJSON(query, opts)
 			out = append(out, '\n')
 		} else {
@@ -114,8 +129,8 @@ func main() {
 
 	fmt.Printf("%d node(s)\n", len(res.Nodes))
 	shown := len(res.Nodes)
-	if *limit > 0 && shown > *limit {
-		shown = *limit
+	if cfg.limit > 0 && shown > cfg.limit {
+		shown = cfg.limit
 	}
 	for _, v := range res.Nodes[:shown] {
 		line := fmt.Sprintf("pre=%-8d %-22s %s", v, d.Kind(v), d.Name(v))
@@ -130,7 +145,7 @@ func main() {
 		fmt.Printf("... %d more\n", len(res.Nodes)-shown)
 	}
 
-	if *stats {
+	if cfg.stats {
 		fmt.Println("\nper-step statistics:")
 		for i, s := range res.Steps {
 			fmt.Printf("  step %d: %-40s %6d -> %-6d  %8.3fms  pushed=%v indexed=%v\n",
