@@ -1,5 +1,5 @@
 // End-to-end integration tests: generator -> shredder/binary store ->
-// engine strategies -> extensions, exercised together the way the
+// engine variants -> extensions, exercised together the way the
 // paper's evaluation pipeline uses them.
 package staircase_test
 
@@ -17,11 +17,14 @@ import (
 	"staircase/internal/catalog"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
+	"staircase/internal/spec"
 	"staircase/internal/xmark"
+	"staircase/internal/xpath"
 )
 
-// integrationQueries is the differential battery: every strategy and
-// pushdown mode must agree on every query.
+// integrationQueries is the differential battery: every staircase
+// variant and pushdown mode must match the reference evaluator on every
+// query.
 var integrationQueries = []string{
 	bench.Q1,
 	bench.Q2,
@@ -37,27 +40,22 @@ var integrationQueries = []string{
 	"//date/preceding-sibling::node()",
 }
 
-func TestIntegrationAllStrategiesAgree(t *testing.T) {
-	d, err := xmark.Generate(xmark.Config{SizeMB: 0.3, Seed: 77, KeepValues: true})
+func TestIntegrationAllVariantsMatchSpec(t *testing.T) {
+	// The reference costs |context| · n per step, and a '//' step's
+	// context is the whole document: at 0.1 MB (2 000 nodes) the battery
+	// takes it a fifth of a second.
+	d, err := xmark.Generate(xmark.Config{SizeMB: 0.1, Seed: 77, KeepValues: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := engine.New(d)
-	strategies := []engine.Strategy{
-		engine.Staircase, engine.StaircaseSkip, engine.StaircaseNoSkip,
-		engine.Naive, engine.SQL, engine.SQLWindow,
-	}
 	for _, q := range integrationQueries {
-		var want []int32
-		for _, s := range strategies {
+		want := spec.EvalQuery(d, mustParseQuery(t, q), []int32{d.Root()})
+		for _, s := range []engine.Strategy{engine.Staircase, engine.StaircaseSkip, engine.StaircaseNoSkip} {
 			for _, p := range []engine.Pushdown{engine.PushAuto, engine.PushAlways, engine.PushNever} {
 				res, err := e.EvalString(q, &engine.Options{Strategy: s, Pushdown: p})
 				if err != nil {
 					t.Fatalf("%s [%v/%v]: %v", q, s, p, err)
-				}
-				if want == nil {
-					want = res.Nodes
-					continue
 				}
 				if len(res.Nodes) != len(want) {
 					t.Fatalf("%s [%v/%v]: %d nodes, want %d", q, s, p, len(res.Nodes), len(want))
@@ -70,6 +68,15 @@ func TestIntegrationAllStrategiesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+func mustParseQuery(t *testing.T, q string) xpath.Query {
+	t.Helper()
+	pq, err := xpath.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pq
 }
 
 func TestIntegrationBinaryStoreServesQueries(t *testing.T) {
@@ -148,7 +155,7 @@ func TestIntegrationConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i, q := range integrationQueries {
 				opts := &engine.Options{
-					Strategy: []engine.Strategy{engine.Staircase, engine.SQL}[(w+i)%2],
+					Strategy: []engine.Strategy{engine.Staircase, engine.StaircaseNoSkip}[(w+i)%2],
 				}
 				r, err := e.EvalString(q, opts)
 				if err != nil {

@@ -8,6 +8,7 @@ import (
 	"staircase/internal/axis"
 	"staircase/internal/core"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 )
 
 func figure1(t testing.TB) *doc.Document {
@@ -29,19 +30,6 @@ func eq32(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-func specJoin(d *doc.Document, a axis.Axis, context []int32) []int32 {
-	var out []int32
-	for v := int32(0); int(v) < d.Size(); v++ {
-		for _, c := range context {
-			if axis.In(d, a, c, v) {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
 }
 
 func randomDoc(rng *rand.Rand, n int) *doc.Document {
@@ -95,7 +83,7 @@ func TestNaiveJoinMatchesSpec(t *testing.T) {
 		context := randomContext(rng, d, 1+rng.Intn(15))
 		for _, a := range []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding} {
 			got := NaiveJoin(d, a, context, nil)
-			want := specJoin(d, a, context)
+			want := spec.Join(d, a, context)
 			if !eq32(got, want) {
 				t.Fatalf("trial %d axis %v: got %v want %v", trial, a, got, want)
 			}
@@ -161,7 +149,7 @@ func TestSQLEngineMatchesSpec(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := specJoin(d, a, context)
+				want := spec.Join(d, a, context)
 				if !eq32(got, want) {
 					t.Fatalf("trial %d axis %v window=%v: got %v want %v", trial, a, useWindow, got, want)
 				}
@@ -182,7 +170,7 @@ func TestSQLEngineTagIndexMatchesSpecPlusNameTest(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want []int32
-			for _, v := range specJoin(d, a, context) {
+			for _, v := range spec.Join(d, a, context) {
 				if d.Name(v) == "q" && d.KindOf(v) == doc.Elem {
 					want = append(want, v)
 				}
@@ -284,12 +272,12 @@ func TestMPMGJNMatchesSpec(t *testing.T) {
 		d := randomDoc(rng, 220)
 		context := randomContext(rng, d, 1+rng.Intn(15))
 		gotD := MPMGJNDescendant(d, context, nil)
-		wantD := specJoin(d, axis.Descendant, context)
+		wantD := spec.Join(d, axis.Descendant, context)
 		if !eq32(gotD, wantD) {
 			t.Fatalf("trial %d descendant: got %v want %v", trial, gotD, wantD)
 		}
 		gotA := MPMGJNAncestor(d, context, nil)
-		wantA := specJoin(d, axis.Ancestor, context)
+		wantA := spec.Join(d, axis.Ancestor, context)
 		if !eq32(gotA, wantA) {
 			t.Fatalf("trial %d ancestor: got %v want %v", trial, gotA, wantA)
 		}

@@ -8,6 +8,7 @@ import (
 	"staircase/internal/btree"
 	"staircase/internal/core"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 )
 
 // prepostTree builds the (pre, post) index used by the indexed joins.
@@ -30,12 +31,12 @@ func TestIndexedJoinsMatchSpec(t *testing.T) {
 		tree := prepostTree(d)
 		context := randomContext(rng, d, 1+rng.Intn(15))
 		gotD := IndexedDescendantJoin(d, tree, context, nil)
-		wantD := specJoin(d, axis.Descendant, context)
+		wantD := spec.Join(d, axis.Descendant, context)
 		if !eq32(gotD, wantD) {
 			t.Fatalf("trial %d descendant: got %v want %v", trial, gotD, wantD)
 		}
 		gotA := IndexedAncestorJoin(d, tree, context, nil)
-		wantA := specJoin(d, axis.Ancestor, context)
+		wantA := spec.Join(d, axis.Ancestor, context)
 		if !eq32(gotA, wantA) {
 			t.Fatalf("trial %d ancestor: got %v want %v", trial, gotA, wantA)
 		}

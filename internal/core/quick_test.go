@@ -7,6 +7,7 @@ import (
 
 	"staircase/internal/axis"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 )
 
 // testing/quick property tests over seed-generated documents and
@@ -40,7 +41,7 @@ func TestQuickJoinEqualsSpec(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return eq32(got, specJoin(d, a, context))
+		return eq32(got, spec.Join(d, a, context))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

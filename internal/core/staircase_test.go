@@ -7,6 +7,7 @@ import (
 
 	"staircase/internal/axis"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 )
 
 // figure1 shreds the running example of the paper (Figures 1, 2, 4, 8):
@@ -47,21 +48,6 @@ func eq32(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-// specJoin is the specification result: all nodes on axis a of any
-// context node, document order, duplicate free, attribute filtering on.
-func specJoin(d *doc.Document, a axis.Axis, context []int32) []int32 {
-	var out []int32
-	for v := int32(0); int(v) < d.Size(); v++ {
-		for _, c := range context {
-			if axis.In(d, a, c, v) {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
 }
 
 func allVariants() []*Options {
@@ -147,7 +133,7 @@ func TestJoinMatchesSpecOnFigure1AllContexts(t *testing.T) {
 			}
 		}
 		for _, a := range []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding} {
-			want := specJoin(d, a, context)
+			want := spec.Join(d, a, context)
 			for _, o := range allVariants() {
 				got, err := Join(d, a, context, o)
 				if err != nil {
@@ -247,7 +233,7 @@ func TestPropJoinMatchesSpecOnRandomDocs(t *testing.T) {
 		d := randomDoc(rng, 200)
 		context := randomContext(rng, d, 1+rng.Intn(20))
 		for _, a := range []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding} {
-			want := specJoin(d, a, context)
+			want := spec.Join(d, a, context)
 			for _, o := range allVariants() {
 				got, err := Join(d, a, context, o)
 				if err != nil {
@@ -302,11 +288,11 @@ func TestPropPruningPreservesResult(t *testing.T) {
 		context := randomContext(rng, d, 1+rng.Intn(40))
 		// The join over the pruned context equals the spec over the
 		// full context (pruning does not change the result, §3.1).
-		if want, got := specJoin(d, axis.Descendant, context),
+		if want, got := spec.Join(d, axis.Descendant, context),
 			DescendantJoin(d, PruneDescendant(d, context), &Options{Variant: Skip}); !eq32(got, want) {
 			t.Fatalf("descendant pruning changed result")
 		}
-		if want, got := specJoin(d, axis.Ancestor, context),
+		if want, got := spec.Join(d, axis.Ancestor, context),
 			AncestorJoin(d, PruneAncestor(d, context), &Options{Variant: Skip}); !eq32(got, want) {
 			t.Fatalf("ancestor pruning changed result")
 		}
@@ -417,7 +403,7 @@ func TestAttributeContextNodes(t *testing.T) {
 	}
 	// ancestor of @b = (r, x).
 	got := AncestorJoin(d, []int32{attrB}, nil)
-	want := specJoin(d, axis.Ancestor, []int32{attrB})
+	want := spec.Join(d, axis.Ancestor, []int32{attrB})
 	if !eq32(got, want) {
 		t.Fatalf("ancestor of attr = %v, want %v", got, want)
 	}

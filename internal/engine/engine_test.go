@@ -8,11 +8,12 @@ import (
 
 	"staircase/internal/axis"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 	"staircase/internal/xpath"
 )
 
-// allStrategies is the engine comparison matrix.
-var allStrategies = []Strategy{Staircase, StaircaseSkip, StaircaseNoSkip, Naive, SQL, SQLWindow}
+// allStrategies is the staircase join's three skip rules (Algorithms 2–4).
+var allStrategies = []Strategy{Staircase, StaircaseSkip, StaircaseNoSkip}
 
 func shred(t testing.TB, s string) *doc.Document {
 	t.Helper()
@@ -21,156 +22,6 @@ func shred(t testing.TB, s string) *doc.Document {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// specEval is a brute-force reference evaluator: axis.In over all node
-// pairs, node tests and predicates applied literally.
-func specEval(d *doc.Document, p xpath.Path, context []int32) []int32 {
-	cur := context
-	if p.Absolute {
-		cur = []int32{d.Root()}
-	}
-	for i, step := range p.Steps {
-		if i == 0 && p.Absolute && d.KindOf(d.Root()) != doc.VRoot {
-			cur = specDocRootStep(d, step)
-			continue
-		}
-		cur = specStep(d, step, cur)
-	}
-	return cur
-}
-
-// specDocRootStep mirrors the engine's document-node semantics for the
-// first step of an absolute path.
-func specDocRootStep(d *doc.Document, step xpath.Step) []int32 {
-	var nodes []int32
-	switch step.Axis {
-	case axis.Child:
-		if specTest(d, step.Axis, step.Test, d.Root()) {
-			nodes = []int32{d.Root()}
-		}
-	case axis.Descendant, axis.DescendantOrSelf:
-		for v := int32(0); int(v) < d.Size(); v++ {
-			if d.KindOf(v) != doc.Attr && specTest(d, step.Axis, step.Test, v) {
-				nodes = append(nodes, v)
-			}
-		}
-	case axis.Self, axis.AncestorOrSelf:
-		if step.Test.Kind == xpath.TestNode {
-			nodes = []int32{d.Root()}
-		}
-	}
-	for _, pred := range step.Preds {
-		var kept []int32
-		for i, v := range nodes {
-			if specPred(d, v, pred, i+1, len(nodes)) {
-				kept = append(kept, v)
-			}
-		}
-		nodes = kept
-	}
-	return nodes
-}
-
-func specStep(d *doc.Document, step xpath.Step, context []int32) []int32 {
-	var all []int32
-	for _, c := range context {
-		var nodes []int32
-		for v := int32(0); int(v) < d.Size(); v++ {
-			if axis.In(d, step.Axis, c, v) && specTest(d, step.Axis, step.Test, v) {
-				nodes = append(nodes, v)
-			}
-		}
-		if step.Axis.Reverse() {
-			for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-				nodes[i], nodes[j] = nodes[j], nodes[i]
-			}
-		}
-		for _, pred := range step.Preds {
-			var kept []int32
-			for i, v := range nodes {
-				if specPred(d, v, pred, i+1, len(nodes)) {
-					kept = append(kept, v)
-				}
-			}
-			nodes = kept
-		}
-		all = append(all, nodes...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var out []int32
-	for i, v := range all {
-		if i > 0 && v == all[i-1] {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func specTest(d *doc.Document, a axis.Axis, test xpath.NodeTest, v int32) bool {
-	principal := doc.Elem
-	if a == axis.Attribute {
-		principal = doc.Attr
-	}
-	k := d.KindOf(v)
-	switch test.Kind {
-	case xpath.TestName:
-		return k == principal && d.Name(v) == test.Name
-	case xpath.TestAny:
-		return k == principal
-	case xpath.TestNode:
-		return true
-	case xpath.TestText:
-		return k == doc.Text
-	case xpath.TestComment:
-		return k == doc.Comment
-	case xpath.TestPI:
-		return k == doc.PI && (test.Name == "" || d.Name(v) == test.Name)
-	}
-	return false
-}
-
-func specPred(d *doc.Document, v int32, pred xpath.Predicate, pos, size int) bool {
-	switch p := pred.(type) {
-	case xpath.Position:
-		return pos == p.N
-	case xpath.Last:
-		return pos == size
-	case xpath.Exists:
-		return len(specEval(d, p.Path, []int32{v})) > 0
-	case xpath.Compare:
-		for _, n := range specEval(d, p.Path, []int32{v}) {
-			if xpath.CompareValue(d.StringValue(n), p.Op, p.Literal, p.Numeric) {
-				return true
-			}
-		}
-		return false
-	case xpath.Contains:
-		for _, n := range specEval(d, p.Path, []int32{v}) {
-			if strings.Contains(d.StringValue(n), p.Literal) {
-				return true
-			}
-		}
-		return false
-	case xpath.Not:
-		return !specPred(d, v, p.Inner, pos, size)
-	case xpath.And:
-		for _, q := range p.Preds {
-			if !specPred(d, v, q, pos, size) {
-				return false
-			}
-		}
-		return true
-	case xpath.Or:
-		for _, q := range p.Preds {
-			if specPred(d, v, q, pos, size) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
 }
 
 func eq32(a, b []int32) bool {
@@ -258,7 +109,7 @@ func TestEngineMatchesSpecOnFixture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want := specEval(d, p, []int32{0})
+		want := spec.Eval(d, p, []int32{0})
 		for _, s := range allStrategies {
 			for _, push := range []Pushdown{PushAuto, PushAlways, PushNever} {
 				e := New(d)
@@ -333,7 +184,7 @@ func TestEngineMatchesSpecOnRandomDocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := specEval(d, p, []int32{0})
+			want := spec.Eval(d, p, []int32{0})
 			for _, s := range allStrategies {
 				got, err := e.EvalString(q, &Options{Strategy: s})
 				if err != nil {
@@ -458,7 +309,7 @@ func TestEngineUnionQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range specEval(d, p, []int32{0}) {
+			for _, v := range spec.Eval(d, p, []int32{0}) {
 				want = append(want, v)
 			}
 		}

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 	"staircase/internal/xmark"
 	"staircase/internal/xpath"
 )
@@ -87,8 +87,8 @@ func TestFollowingCursorStopsPulling(t *testing.T) {
 			}
 			for _, ctx := range followingContexts(rng, d) {
 				var want, wantList []int32
-				for _, v := range baseline.NaiveJoin(d, axis.Following, ctx, nil) {
-					if specPasses(d, axis.Following, node, v) {
+				for _, v := range spec.Join(d, axis.Following, ctx) {
+					if spec.Test(d, axis.Following, node, v) {
 						want = append(want, v)
 						if _, in := slices.BinarySearch(list, v); in {
 							wantList = append(wantList, v)

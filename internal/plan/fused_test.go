@@ -10,44 +10,17 @@ import (
 	"testing"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 	"staircase/internal/xmark"
 	"staircase/internal/xpath"
 )
 
 // Differential tests of the node test fused into the staircase scan: the
 // kernel under emitFor's mask must equal the naive region queries
-// filtered node by node with the test spelled out from the data model.
-
-// specPasses decides a node test the slow way, one string compare per
-// node — the oracle emitFor + core.Emit are compared with.
-func specPasses(d *doc.Document, a axis.Axis, test xpath.NodeTest, v int32) bool {
-	principal := doc.Elem
-	if a == axis.Attribute {
-		principal = doc.Attr
-	}
-	k := d.KindOf(v)
-	if (a == axis.Attribute) != (k == doc.Attr) {
-		return false
-	}
-	switch test.Kind {
-	case xpath.TestName:
-		return k == principal && d.Name(v) == test.Name
-	case xpath.TestAny:
-		return k == principal
-	case xpath.TestNode:
-		return true
-	case xpath.TestText:
-		return k == doc.Text
-	case xpath.TestComment:
-		return k == doc.Comment
-	case xpath.TestPI:
-		return k == doc.PI && (test.Name == "" || d.Name(v) == test.Name)
-	}
-	return false
-}
+// filtered node by node with the test spelled out from the data model
+// (internal/spec).
 
 // fusedTests is every node-test kind: a name present and one absent, a
 // name only attributes carry, *, node(), text(), comment(), and
@@ -174,19 +147,10 @@ func TestFusedEmitEqualsNaiveJoinPlusTest(t *testing.T) {
 			for _, ax := range fusedAxes {
 				for _, test := range fusedTests {
 					var want []int32
-					for _, v := range baseline.NaiveJoin(d, ax.base, ctx, nil) {
-						if specPasses(d, ax.a, test, v) {
+					for _, v := range spec.Join(d, ax.a, ctx) {
+						if spec.Test(d, ax.a, test, v) {
 							want = append(want, v)
 						}
-					}
-					if ax.orSelf {
-						for _, c := range ctx {
-							if specPasses(d, ax.a, test, c) {
-								want = append(want, c)
-							}
-						}
-						slices.Sort(want)
-						want = slices.Compact(want)
 					}
 					for _, v := range []core.Variant{core.NoSkip, core.Skip, core.SkipEstimate} {
 						var st core.Stats
@@ -208,12 +172,12 @@ func TestFusedEmitEqualsNaiveJoinPlusTest(t *testing.T) {
 	}
 }
 
-// TestFusedPlansEqualNaiveStrategy runs whole plans — attribute and
-// nested contexts reach the join through a preceding step — on three
-// goroutines per prepared plan (the race detector's view of a plan's
-// shared fragment lists and the uncopied staircases), against the Naive
-// strategy, which still filters and merges after the join.
-func TestFusedPlansEqualNaiveStrategy(t *testing.T) {
+// TestFusedPlansMatchSpec runs whole plans — attribute and nested
+// contexts reach the join through a preceding step — on three goroutines
+// per prepared plan (the race detector's view of a plan's shared
+// fragment lists and the uncopied staircases), under every option set,
+// against the reference evaluator.
+func TestFusedPlansMatchSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	contexts := []string{"/descendant-or-self::node()", "/descendant::*/attribute::*", "/descendant::q"}
 	for shape, d := range fusedDocs(t, rng) {
@@ -222,7 +186,7 @@ func TestFusedPlansEqualNaiveStrategy(t *testing.T) {
 			for _, ax := range fusedAxes {
 				for _, test := range fusedTests {
 					q := fmt.Sprintf("%s/%v::%v", ctx, ax.a, test)
-					want := run(t, env, q, &Options{Strategy: Naive})
+					want := spec.Eval(d, xpath.MustParse(q), nil)
 					for _, opts := range []*Options{
 						{Pushdown: PushNever}, {Strategy: StaircaseSkip, Pushdown: PushNever},
 						{Strategy: StaircaseNoSkip}, {Pushdown: PushAlways}, nil,
@@ -326,7 +290,7 @@ func TestChildSweepEqualsParentColumn(t *testing.T) {
 					for _, test := range fusedTests {
 						var want []int32
 						for v := int32(0); int(v) < d.Size(); v++ {
-							if p := d.Parent(v); p != doc.NoParent && in[p] && specPasses(d, a, test, v) {
+							if p := d.Parent(v); p != doc.NoParent && in[p] && spec.Test(d, a, test, v) {
 								want = append(want, v)
 							}
 						}

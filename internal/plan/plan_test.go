@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 	"staircase/internal/xpath"
 )
 
@@ -147,7 +148,7 @@ func TestPlanCanonEquivalence(t *testing.T) {
 		t.Errorf("canon differs across the noindex knob:\n %s\n %s", a, b)
 	}
 	// ... while strategy and pushdown policy are included.
-	c := compileQuery(t, env, "//bidder", &Options{Strategy: SQL}).Canon()
+	c := compileQuery(t, env, "//bidder", &Options{Strategy: StaircaseNoSkip}).Canon()
 	if c == a {
 		t.Errorf("canon ignores strategy: %s", c)
 	}
@@ -166,8 +167,8 @@ func TestPlanSemiJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The naive strategy keeps the per-node PredFilter; results agree.
-	want := run(t, env, "/descendant::bidder[descendant::increase]", &Options{Strategy: Naive})
+	// The reference evaluates the predicate node by node; results agree.
+	want := spec.Eval(d, xpath.MustParse("/descendant::bidder[descendant::increase]"), nil)
 	if len(res.Nodes) != len(want) {
 		t.Fatalf("semijoin %v vs predfilter %v", res.Nodes, want)
 	}
