@@ -20,19 +20,11 @@ var errShed = errors.New("server overloaded: worker queue full")
 // queries evaluate at once. Waiters are served strictly in arrival
 // order.
 //
-// Two overload behaviours distinguish admission (acquire) from wheel
-// transfer (acquireWheel):
-//
-//   - acquire is context-aware and queue-bounded. A waiter whose ctx
-//     is cancelled abandons its queue slot (a disconnected client can
-//     never receive — and briefly hold — a grant it will not use), and
-//     once maxQueue waiters are parked, further acquires fail with
-//     errShed immediately instead of growing the queue.
-//
-//   - acquireWheel blocks unconditionally. It is reserved for shared
-//     flights passing the wheel between already-admitted clients: the
-//     work was admitted once, so a mid-flight driver change must not
-//     be shed.
+// acquire is context-aware and queue-bounded. A waiter whose ctx is
+// cancelled abandons its queue slot (a disconnected client can never
+// receive — and briefly hold — a grant it will not use), and once
+// maxQueue waiters are parked, further acquires fail with errShed
+// immediately instead of growing the queue.
 type wsem struct {
 	mu       sync.Mutex
 	cap      int
@@ -48,16 +40,16 @@ func newWsem(capacity, maxQueue int) *wsem {
 
 // take grants a unit at once when one is free and nobody is queued
 // (nil, nil); otherwise it parks the caller at the tail of the queue and
-// returns the channel its grant closes. A bounded take fails with errShed
-// instead when maxQueue waiters are already parked.
-func (s *wsem) take(bounded bool) (chan struct{}, error) {
+// returns the channel its grant closes. It fails with errShed instead
+// when maxQueue waiters are already parked.
+func (s *wsem) take() (chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.waiters) == 0 && s.used < s.cap {
 		s.used++
 		return nil, nil
 	}
-	if bounded && s.maxQueue > 0 && len(s.waiters) >= s.maxQueue {
+	if s.maxQueue > 0 && len(s.waiters) >= s.maxQueue {
 		s.shed++
 		return nil, errShed
 	}
@@ -81,7 +73,7 @@ func (s *wsem) acquire(ctx context.Context) error {
 		}
 		done = ctx.Done()
 	}
-	ready, err := s.take(true)
+	ready, err := s.take()
 	if ready == nil {
 		return err
 	}
@@ -101,15 +93,6 @@ func (s *wsem) acquire(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		return ctx.Err()
-	}
-}
-
-// acquireWheel blocks until a unit is free and takes it, bypassing the
-// admission bound: flight wheel transfers between already-admitted
-// clients must never be shed.
-func (s *wsem) acquireWheel() {
-	if ready, _ := s.take(false); ready != nil {
-		<-ready
 	}
 }
 

@@ -171,24 +171,3 @@ func TestWsemCancelAfterGrantReturnsUnits(t *testing.T) {
 		waitFor(t, "unit returned", func() bool { return s.inUse() == 0 && s.queueDepth() == 0 })
 	}
 }
-
-// TestWsemAcquireWheelBypassesBound pins that wheel transfers between
-// already-admitted flight clients are never shed, even at a saturated
-// admission queue.
-func TestWsemAcquireWheelBypassesBound(t *testing.T) {
-	s := newWsem(1, 1)
-	s.mustAcquire(t)
-	go s.acquire(context.Background()) // fills the admission queue
-	waitFor(t, "admission queue full", func() bool { return s.saturated() })
-
-	got := make(chan struct{})
-	go func() { s.acquireWheel(); close(got) }()
-	waitFor(t, "wheel waiter queued", func() bool { return s.queueDepth() == 2 })
-	s.release() // serves the admitted waiter first (FIFO)…
-	s.release() // …then the wheel transfer
-	<-got
-	s.release()
-	if s.inUse() != 0 || s.queueDepth() != 0 {
-		t.Fatalf("inUse=%d depth=%d, want 0/0", s.inUse(), s.queueDepth())
-	}
-}
