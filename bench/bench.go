@@ -411,8 +411,9 @@ func Fig11d(c *Corpus, sizes []float64) Table {
 	return t
 }
 
-// figEF shares the Experiment 3 implementation for Figures 11 (e)/(f).
-func figEF(c *Corpus, sizes []float64, id, query string) Table {
+// figEF shares the Experiment 3 implementation for Figures 11 (e)/(f);
+// steps spells the query for the SQL plan.
+func figEF(c *Corpus, sizes []float64, id, query string, steps []TagStep) Table {
 	t := Table{
 		ID:     id,
 		Title:  fmt.Sprintf("Figure 11 (%s): performance comparison, %s", id[len(id)-1:], query),
@@ -437,7 +438,15 @@ func figEF(c *Corpus, sizes []float64, id, query string) Table {
 		}
 		scj, n1 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
 		early, n2 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
-		sql, n3 := run(&engine.Options{Strategy: engine.SQL})
+		sqlEng := baseline.NewSQLEngine(d)
+		var n3 int
+		sql := timeIt(3, func() {
+			r, err := SQLPath(sqlEng, d, steps)
+			if err != nil {
+				panic(err)
+			}
+			n3 = len(r)
+		})
 		if n1 != n2 || n1 != n3 {
 			panic(fmt.Sprintf("bench: %s result mismatch: %d/%d/%d", id, n1, n2, n3))
 		}
@@ -451,10 +460,10 @@ func figEF(c *Corpus, sizes []float64, id, query string) Table {
 }
 
 // Fig11e regenerates Figure 11 (e): Q1 across engines.
-func Fig11e(c *Corpus, sizes []float64) Table { return figEF(c, sizes, "fig11e", Q1) }
+func Fig11e(c *Corpus, sizes []float64) Table { return figEF(c, sizes, "fig11e", Q1, Q1Steps) }
 
 // Fig11f regenerates Figure 11 (f): Q2 across engines.
-func Fig11f(c *Corpus, sizes []float64) Table { return figEF(c, sizes, "fig11f", Q2) }
+func Fig11f(c *Corpus, sizes []float64) Table { return figEF(c, sizes, "fig11f", Q2, Q2Steps) }
 
 // Window regenerates the §2.1 experiment: the Equation (1) window
 // predicate (SQL query line 7) delimiting descendant index range scans.
@@ -489,10 +498,32 @@ func Window(c *Corpus, sizes []float64) Table {
 	return t
 }
 
-// TagStep is one (axis, tag) step of a TagPath.
+// TagStep is one (axis, tag) step of a TagPath or an SQLPath.
 type TagStep struct {
 	Axis axis.Axis
 	Tag  string
+}
+
+// Q1Steps and Q2Steps spell Q1 and Q2 as (axis, tag) steps from the
+// root.
+var (
+	Q1Steps = []TagStep{{Axis: axis.Descendant, Tag: "profile"}, {Axis: axis.Descendant, Tag: "education"}}
+	Q2Steps = []TagStep{{Axis: axis.Descendant, Tag: "increase"}, {Axis: axis.Ancestor, Tag: "bidder"}}
+)
+
+// SQLPath evaluates a chain of (axis, tag) steps from the document root
+// with the SQL plan of Figure 3: each step is one B-tree indexed
+// semijoin whose concatenated (pre, post, tag) keys apply the name test
+// inside the index scan (the paper's DB2 observation).
+func SQLPath(e *baseline.SQLEngine, d *doc.Document, steps []TagStep) ([]int32, error) {
+	context := []int32{d.Root()}
+	for _, st := range steps {
+		var err error
+		if context, err = e.Step(st.Axis, context, baseline.SQLOptions{Tag: st.Tag}); err != nil {
+			return nil, err
+		}
+	}
+	return context, nil
 }
 
 // TagPath evaluates a chain of (axis, tag) steps from the document root
@@ -538,13 +569,9 @@ func Fragmentation(c *Corpus, sizes []float64) Table {
 			n1 = len(r.Nodes)
 		})
 		d.TagIndex() // built once per document, outside the timing
-		steps := []TagStep{
-			{Axis: axis.Descendant, Tag: "profile"},
-			{Axis: axis.Descendant, Tag: "education"},
-		}
 		var n2 int
 		fragged := timeIt(3, func() {
-			r, err := TagPath(d, steps, nil)
+			r, err := TagPath(d, Q1Steps, nil)
 			if err != nil {
 				panic(err)
 			}

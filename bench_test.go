@@ -204,9 +204,20 @@ func BenchmarkFig11eQ1EarlyNametest(b *testing.B) {
 	benchEngineQuery(b, bench.Q1, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
 }
 
-func BenchmarkFig11eQ1SQL(b *testing.B) {
-	benchEngineQuery(b, bench.Q1, &engine.Options{Strategy: engine.SQL})
+// benchSQLPath times a query's steps through the SQL plan of Figure 3.
+func benchSQLPath(b *testing.B, steps []bench.TagStep) {
+	forSizes(b, func(b *testing.B, c benchCtx) {
+		sqlEng := baseline.NewSQLEngine(c.d)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bench.SQLPath(sqlEng, c.d, steps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
+
+func BenchmarkFig11eQ1SQL(b *testing.B) { benchSQLPath(b, bench.Q1Steps) }
 
 func BenchmarkFig11fQ2Staircase(b *testing.B) {
 	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
@@ -216,9 +227,7 @@ func BenchmarkFig11fQ2EarlyNametest(b *testing.B) {
 	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
 }
 
-func BenchmarkFig11fQ2SQL(b *testing.B) {
-	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.SQL})
-}
+func BenchmarkFig11fQ2SQL(b *testing.B) { benchSQLPath(b, bench.Q2Steps) }
 
 // --- §2.1: Equation (1) window on the SQL plan -------------------------------
 
@@ -244,13 +253,9 @@ func BenchmarkSQLWindowOn(b *testing.B)  { benchSQLWindow(b, true) }
 func BenchmarkFragmentationQ1(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		c.d.TagIndex()
-		steps := []bench.TagStep{
-			{Axis: axis.Descendant, Tag: "profile"},
-			{Axis: axis.Descendant, Tag: "education"},
-		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.TagPath(c.d, steps, nil); err != nil {
+			if _, err := bench.TagPath(c.d, bench.Q1Steps, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

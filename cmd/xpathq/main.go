@@ -1,12 +1,11 @@
 // Command xpathq loads an XML document into the XPath accelerator
-// encoding and evaluates XPath queries against it with a selectable
-// axis-step strategy — a tiny interactive face for the public
-// staircase package.
+// encoding and evaluates XPath queries against it with the staircase
+// join — a tiny interactive face for the public staircase package.
 //
 // Usage:
 //
 //	xpathq -f doc.xml '//person[profile/education]/name'
-//	xpathq -f doc.xml -strategy sql -stats '/descendant::increase/ancestor::bidder'
+//	xpathq -f doc.xml -pushdown never -stats '/descendant::increase/ancestor::bidder'
 //	xpathq -f doc.xml -explain '//bidder[descendant::increase]'
 //	xpathq -f doc.xml -explain -json '//bidder'
 //	xmlgen -size 1 | xpathq '/descendant::profile/descendant::education'
@@ -24,16 +23,6 @@ import (
 	"staircase"
 )
 
-// strategies maps flag values to engine strategies.
-var strategies = map[string]staircase.Strategy{
-	"staircase":        staircase.Staircase,
-	"staircase-skip":   staircase.StaircaseSkip,
-	"staircase-noskip": staircase.StaircaseNoSkip,
-	"naive":            staircase.NaiveStrategy,
-	"sql":              staircase.SQLStrategy,
-	"sql-window":       staircase.SQLWindowStrategy,
-}
-
 var pushdowns = map[string]staircase.PushdownMode{
 	"auto":   staircase.PushAuto,
 	"always": staircase.PushAlways,
@@ -42,7 +31,7 @@ var pushdowns = map[string]staircase.PushdownMode{
 
 // config is the parsed command line.
 type config struct {
-	file, strategy, pushdown       string
+	file, pushdown                 string
 	stats, explain, asJSON         bool
 	limit                          int
 	useIndex, useVIndex, noReorder bool
@@ -52,7 +41,6 @@ type config struct {
 func registerFlags(fs *flag.FlagSet) *config {
 	c := &config{}
 	fs.StringVar(&c.file, "f", "", "XML or SCJ binary file (default: stdin; format sniffed)")
-	fs.StringVar(&c.strategy, "strategy", "staircase", "axis-step strategy: staircase, staircase-skip, staircase-noskip, naive, sql, sql-window")
 	fs.StringVar(&c.pushdown, "pushdown", "auto", "name-test pushdown: auto, always, never")
 	fs.BoolVar(&c.stats, "stats", false, "print per-step statistics")
 	fs.BoolVar(&c.explain, "explain", false, "print the optimized physical plan instead of results")
@@ -74,11 +62,6 @@ func main() {
 	}
 	query := flag.Arg(0)
 
-	strat, ok := strategies[cfg.strategy]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "xpathq: unknown strategy %q\n", cfg.strategy)
-		os.Exit(2)
-	}
 	push, ok := pushdowns[cfg.pushdown]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "xpathq: unknown pushdown mode %q\n", cfg.pushdown)
@@ -98,7 +81,6 @@ func main() {
 	}
 
 	opts := &staircase.Options{
-		Strategy:     strat,
 		Pushdown:     push,
 		NoIndex:      !cfg.useIndex,
 		NoValueIndex: !cfg.useVIndex,
@@ -155,10 +137,6 @@ func main() {
 				fmt.Printf("          staircase: pruned %d->%d, scanned %d (copied %d, compared %d), skipped %d\n",
 					s.Core.ContextSize, s.Core.PrunedSize, s.Core.Scanned,
 					s.Core.Copied, s.Core.Compared, s.Core.Skipped)
-			}
-			if s.Naive.Produced > 0 {
-				fmt.Printf("          naive: produced %d, duplicates %d\n",
-					s.Naive.Produced, s.Naive.Duplicates)
 			}
 		}
 	}

@@ -6,10 +6,10 @@
 // the rewrite rules, compile the physical plan against the document
 // and execute it; Compile returns a reusable parse+rewrite handle and
 // Prepare a bound physical plan for callers that run one query many
-// times (the query server, benchmark loops). A per-step strategy knob
-// selects between the staircase join variants and the tree-unaware
-// baselines, which is exactly the comparison matrix of the paper's
-// Experiments 1–3. The pre-plan recursive step interpreter is kept,
+// times (the query server, benchmark loops). A strategy knob selects the
+// staircase join's skip rule (Algorithms 2–4); the paper's tree-unaware
+// baselines live in internal/baseline, which only the experiments in
+// bench/ call. The pre-plan recursive step interpreter is kept,
 // verbatim, behind Options.LegacyEval as the oracle of the plan ≡
 // legacy differential property suite (plan_equiv_test.go).
 //
@@ -38,16 +38,15 @@ import (
 	"time"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/plan"
 	"staircase/internal/xpath"
 )
 
-// Strategy selects the axis-step algorithm for partitioning axes. It
-// is an alias of plan.Strategy: the planner owns the strategy space,
-// the engine re-exports it for its callers.
+// Strategy selects the staircase join's skip rule. It is an alias of
+// plan.Strategy: the planner owns the strategy space, the engine
+// re-exports it for its callers.
 type Strategy = plan.Strategy
 
 const (
@@ -58,17 +57,9 @@ const (
 	StaircaseSkip = plan.StaircaseSkip
 	// StaircaseNoSkip uses the basic algorithm (Algorithm 2).
 	StaircaseNoSkip = plan.StaircaseNoSkip
-	// Naive evaluates one region query per context node and removes
-	// duplicates afterwards (Experiment 1's strawman).
-	Naive = plan.Naive
-	// SQL mimics the tree-unaware indexed plan of Figure 3.
-	SQL = plan.SQL
-	// SQLWindow is SQL plus the Equation (1) window predicate (§2.1).
-	SQLWindow = plan.SQLWindow
 )
 
-// Pushdown controls name-test pushdown for staircase strategies (an
-// alias of plan.Pushdown).
+// Pushdown controls name-test pushdown (an alias of plan.Pushdown).
 type Pushdown = plan.Pushdown
 
 const (
@@ -134,11 +125,8 @@ type StepReport struct {
 	// join; Indexed reports whether the pushed fragment came from the
 	// document's shared tag/kind index (false: name-column scan).
 	Pushed, Indexed bool
-	// Core holds staircase join work counters (staircase strategies,
-	// partitioning axes only).
+	// Core holds staircase join work counters (partitioning axes only).
 	Core core.Stats
-	// Naive holds naive-strategy counters.
-	Naive baseline.NaiveStats
 	// Duration is the wall-clock time of the step.
 	Duration time.Duration
 }
@@ -155,10 +143,9 @@ type Result struct {
 	Truncated bool
 }
 
-// Engine evaluates XPath paths over one document. Engines are safe for
-// concurrent use: the only mutable state is the lazily built SQL
-// baseline (mutex-guarded); pushdown fragments live in the document's
-// shared immutable tag/kind index, not in the engine.
+// Engine evaluates XPath paths over one document. Engines are immutable
+// and safe for concurrent use: pushdown fragments live in the
+// document's shared immutable tag/kind index, not in the engine.
 type Engine struct {
 	d   *doc.Document
 	env *plan.Env
@@ -175,12 +162,6 @@ func (e *Engine) Env() *plan.Env { return e.env }
 
 // Document returns the engine's document.
 func (e *Engine) Document() *doc.Document { return e.d }
-
-// sqlEngine lazily builds the B-tree indexes of the SQL baseline
-// (shared with the planner via the engine's Env).
-func (e *Engine) sqlEngine() *baseline.SQLEngine {
-	return e.env.SQL()
-}
 
 // TagList returns the pre-sorted list of element nodes carrying the
 // given name id — the nametest(doc, n) fragment of §4.4, served by the
@@ -282,7 +263,6 @@ func planResult(r *plan.Result) *Result {
 			Pushed:     s.Pushed,
 			Indexed:    s.Indexed,
 			Core:       s.Core,
-			Naive:      s.Naive,
 			Duration:   s.Duration,
 		}
 	}

@@ -42,17 +42,6 @@ func TestExplainPushdownDecision(t *testing.T) {
 	}
 }
 
-func TestExplainSQLPlan(t *testing.T) {
-	e := New(fixture(t))
-	out, err := e.Explain("/descendant::bidder", &Options{Strategy: SQL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "B-tree indexed") || !strings.Contains(out, "unique") {
-		t.Errorf("expected SQL plan description:\n%s", out)
-	}
-}
-
 func TestExplainUnionAndPredicates(t *testing.T) {
 	e := New(fixture(t))
 	out, err := e.Explain("//person[profile and name] | //bidder", nil)

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/xpath"
@@ -113,29 +112,6 @@ func (e *Engine) evalPartitioning(a axis.Axis, test xpath.NodeTest, context []in
 			}
 		}
 		nodes, err := core.Join(e.d, a, context, co)
-		if err != nil {
-			return nil, err
-		}
-		return e.filterTest(a, test, nodes), nil
-	case Naive:
-		var nst *baseline.NaiveStats
-		if rep != nil {
-			nst = &rep.Naive
-		}
-		nodes := baseline.NaiveJoin(e.d, a, context, nst)
-		return e.filterTest(a, test, nodes), nil
-	case SQL, SQLWindow:
-		so := baseline.SQLOptions{UseWindow: opts.Strategy == SQLWindow}
-		if test.Kind == xpath.TestName {
-			// The paper's DB2 observation: the B-tree uses concatenated
-			// (pre, post, tag name) keys, so the name test is early.
-			so.Tag = test.Name
-			if rep != nil {
-				rep.Pushed = true
-			}
-			return e.sqlEngine().Step(a, context, so)
-		}
-		nodes, err := e.sqlEngine().Step(a, context, so)
 		if err != nil {
 			return nil, err
 		}

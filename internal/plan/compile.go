@@ -1,7 +1,6 @@
 // Physical compilation: lower a rewritten logical plan onto the
-// operator set, binding it to one document. Compilation selects the
-// operator family from the strategy, resolves document-node semantics
-// for the first step of absolute paths, attaches fragment scans
+// operator set, binding it to one document. Compilation resolves
+// document-node semantics for the first step of absolute paths, attaches fragment scans
 // (IndexScan/ColumnScan) to every join whose node test the tag/kind
 // index can serve, picks the staircase variant, applies the
 // exists-semijoin rewrite where profitable, and annotates every
@@ -50,7 +49,7 @@ func Compile(env *Env, l *Logical, opts *Options) (*Plan, error) {
 	} else {
 		p.root = c.add(&mergeOp{ins: branches})
 	}
-	if o.Strategy.staircase() && !o.NoReorder {
+	if !o.NoReorder {
 		c.orderPlan()
 	}
 	return p, nil
@@ -130,9 +129,9 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 // keeps half its input.
 func filterEst(in int64) estimates { return estimates{In: in, Out: maxInt64(in/2, 1)} }
 
-// compileAxis lowers the axis::test part of a step: a StaircaseJoin
-// (or the naive/SQL baseline in its slot) for the partitioning axes
-// and their or-self variants, an AxisStep for everything else.
+// compileAxis lowers the axis::test part of a step: a StaircaseJoin for
+// the partitioning axes and their or-self variants, an AxisStep for
+// everything else.
 func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bool, estIn int64) op {
 	d := c.env.Doc
 	base, orSelf := joinAxis(s.Axis)
@@ -147,7 +146,7 @@ func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bo
 			test:       s.Test,
 			variant:    variantFor(c.opts.Strategy),
 		}
-		if c.opts.Strategy.staircase() && pushable(s.Test) && c.opts.Pushdown != PushNever {
+		if pushable(s.Test) && c.opts.Pushdown != PushNever {
 			jo.frag = c.newFragScan(s.Test)
 		}
 		card := c.fragCard(s.Test)
@@ -278,7 +277,7 @@ func (c *compiler) testKnownEmpty(test xpath.NodeTest) bool {
 // rewrite replaces |S| per-node path evaluations with one staircase
 // node-list join — the set-at-a-time discipline applied to predicates.
 func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.Predicate) *semiJoinOp {
-	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute {
+	if owningAxis == axis.Attribute {
 		return nil
 	}
 	ex, ok := pred.(xpath.Exists)
@@ -319,7 +318,7 @@ func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.P
 // evaluation at execution time — so the canonical plan string stays
 // stable across Options.NoValueIndex.
 func (c *compiler) tryValueSemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.Predicate) (*valueSemiJoinOp, error) {
-	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
+	if owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
 		return nil, nil
 	}
 	vs := &valueScan{}

@@ -143,9 +143,8 @@ func searchNodes(nodes []int32, pre int32) int {
 }
 
 // blockingCursor materializes its result on first use (a pipeline
-// breaker) and then batches it out like a sliceCursor. in, when set,
-// is the input pipeline the fill closure drains: close propagates into
-// it.
+// breaker) and then batches it out like a sliceCursor. in is the input
+// pipeline the fill closure drains: close propagates into it.
 type blockingCursor struct {
 	fill   func() ([]int32, error)
 	in     cursor
@@ -165,19 +164,7 @@ func (c *blockingCursor) next(seek int32) ([]int32, error) {
 	return c.sc.next(seek)
 }
 
-func (c *blockingCursor) close() {
-	if c.in != nil {
-		c.in.close()
-	}
-}
-
-// newRunCursor falls back to the materializing executor for operators
-// (or whole strategies — Naive, SQL) without a streaming
-// implementation: run() evaluates the operator subtree eagerly and
-// the result batches out.
-func newRunCursor(ec *execCtx, o op) cursor {
-	return &blockingCursor{fill: func() ([]int32, error) { return o.run(ec) }}
-}
+func (c *blockingCursor) close() { c.in.close() }
 
 // drainAll pulls a cursor to exhaustion, materialising its sequence.
 func drainAll(ec *execCtx, c cursor) ([]int32, error) {
@@ -293,9 +280,6 @@ func streamPush(opts *Options, indexed bool) bool {
 }
 
 func (o *joinOp) open(ec *execCtx) (cursor, error) {
-	if !ec.opts.Strategy.staircase() {
-		return newRunCursor(ec, o), nil
-	}
 	in, err := o.in.open(ec)
 	if err != nil {
 		return nil, err
@@ -420,9 +404,6 @@ func (c *joinStreamCursor) close() { c.src.in.close() }
 // --- SemiJoin --------------------------------------------------------------
 
 func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
-	if !ec.opts.Strategy.staircase() {
-		return newRunCursor(ec, o), nil
-	}
 	in, err := o.in.open(ec)
 	if err != nil {
 		return nil, err
@@ -863,7 +844,7 @@ func (c *posFilterCursor) close() { c.in.close() }
 // evalOneCapped is evalOne with the [k] early-stop enabled (cursor
 // path only: the materializing executor keeps its exact work counters).
 func (o *posFilterOp) evalOneCapped(ec *execCtx, c int32, st *StepStats) ([]int32, error) {
-	if k := o.firstK(); k > 0 && !o.step.Axis.Reverse() && !o.docNode && ec.opts.Strategy.staircase() {
+	if k := o.firstK(); k > 0 && !o.step.Axis.Reverse() && !o.docNode {
 		nodes, err := ec.axisTestFirstK(o.step.Axis, o.step.Test, c, k, st)
 		if err != nil {
 			return nil, err

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/xpath"
 )
@@ -30,11 +29,8 @@ type StepStats struct {
 	// join; Indexed reports whether the pushed fragment came from the
 	// document's shared tag/kind index (false: name-column scan).
 	Pushed, Indexed bool
-	// Core holds staircase join work counters (staircase strategies,
-	// partitioning axes only).
+	// Core holds staircase join work counters (partitioning axes only).
 	Core core.Stats
-	// Naive holds naive-strategy counters.
-	Naive baseline.NaiveStats
 	// Duration is the wall-clock time of the step.
 	Duration time.Duration
 }

@@ -149,9 +149,7 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 	case *joinOp:
 		n.Step = t.meta.ord
 		n.Detail = p.opDetail(t)
-		if p.opts.Strategy.staircase() {
-			n.Variant = t.variant.String()
-		}
+		n.Variant = t.variant.String()
 		n.DocNode = t.docNode
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 		if res != nil {
@@ -226,21 +224,13 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 	return n
 }
 
-// opName names the physical operator, resolving the strategy aliases
-// of the join slot.
+// opName names the physical operator.
 func opName(o op, opts *Options) string {
 	switch t := o.(type) {
 	case *sourceOp:
 		return "Source"
 	case *joinOp:
-		switch opts.Strategy {
-		case Naive:
-			return "NaiveJoin"
-		case SQL, SQLWindow:
-			return "SQLJoin"
-		default:
-			return "StaircaseJoin"
-		}
+		return "StaircaseJoin"
 	case *axisStepOp:
 		return "AxisStep"
 	case *predFilterOp:
@@ -393,34 +383,13 @@ func (p *Plan) renderOp(sb *strings.Builder, o op, res *Result, depth int) {
 	}
 }
 
-// renderJoin prints the join operator with its strategy and pushdown
-// annotations — the physical-plan counterpart of the paper's
-// Figure 3 plan analysis.
+// renderJoin prints the join operator with its variant and pushdown
+// annotations.
 func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opStat, depth int,
 	line func(string, ...any), card func(estimates)) {
 	label := fmt.Sprintf("step %d: %s::%s", t.meta.ord, t.stepAxis(), t.test)
 	if t.docNode {
 		label += ", document node"
-	}
-	switch p.opts.Strategy {
-	case Naive:
-		line("NaiveJoin (%s)", label)
-		line("  operator: per-context region queries + sort + unique (tree-unaware)")
-		line("  properties: may generate duplicates; plan appends unique over pre-sorted output")
-		card(t.est)
-		return
-	case SQL:
-		line("SQLJoin (%s)", label)
-		line("  operator: B-tree indexed nested-loop semijoin (Figure 3 plan)")
-		line("  properties: may generate duplicates; plan appends unique over pre-sorted output")
-		card(t.est)
-		return
-	case SQLWindow:
-		line("SQLJoin (%s)", label)
-		line("  operator: B-tree indexed semijoin + Equation(1) window delimiter (§2.1 line 7)")
-		line("  properties: may generate duplicates; plan appends unique over pre-sorted output")
-		card(t.est)
-		return
 	}
 	variant := map[Strategy]string{
 		Staircase:       "estimation-based skipping (Algorithm 4)",

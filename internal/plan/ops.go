@@ -16,10 +16,6 @@
 //	PosFilter      a whole step with position-sensitive predicates,
 //	               context node at a time with proximity positions
 //	Merge          the '|' union merge (document order, dedup)
-//
-// The NaiveJoin and SQLJoin strategy baselines reuse the StaircaseJoin
-// operator slot with a different strategy tag, mirroring the paper's
-// comparison matrix.
 
 package plan
 
@@ -30,7 +26,6 @@ import (
 	"time"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/xpath"
@@ -208,8 +203,7 @@ func kindFragment(d *doc.Document, k doc.Kind, opts *Options) (list []int32, ind
 }
 
 // joinOp evaluates one partitioning-axis step (or an or-self variant)
-// with the plan's strategy: the staircase join kernels, the naive
-// region-query baseline, or the SQL B-tree semijoin.
+// with the staircase join kernels.
 type joinOp struct {
 	opBase
 	in   op
@@ -747,81 +741,49 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 }
 
 // partitioning evaluates one of the four partitioning axes (with orSelf:
-// the or-self variant of descendant or ancestor) with the configured
-// strategy. The pushdown decision is made here, from the actual context,
-// with the cost model's bound. The staircase
-// full scan applies the node test and emits the self side inside the
-// kernel; the pushdown path and the baselines filter and merge after.
+// the or-self variant of descendant or ancestor) with the staircase
+// join. The pushdown decision is made here, from the actual context,
+// with the cost model's bound. The full scan applies the node test and
+// emits the self side inside the kernel; the pushdown path merges the
+// self side after.
 func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
 	d := ec.env.Doc
 	opts := ec.opts
-	var nodes []int32
-	var err error
-	switch opts.Strategy {
-	case Staircase, StaircaseSkip, StaircaseNoSkip:
-		co := &core.Options{Variant: variantFor(opts.Strategy)}
-		if st != nil {
-			co.Stats = &st.Core
-		}
-		bound := estimateJoinTouches(d, a, context)
-		if ec.cur != nil {
-			ec.cur.bound = bound
-		}
-		pushed := false
-		if opts.Pushdown != PushNever {
-			if list, indexed, ok := ec.fragList(test); ok {
-				if ec.cur != nil {
-					ec.cur.fragSize = len(list)
-				}
-				if pushed = shouldPush(int64(len(list)), bound, opts.Pushdown); pushed {
-					if st != nil {
-						st.Pushed = true
-						st.Indexed = indexed
-					}
-					if ec.cur != nil {
-						ec.cur.pushed = true
-						ec.cur.indexed = indexed
-					}
-					if len(list) == 0 {
-						return nil, nil // tag/kind absent: empty result, self side included
-					}
-					nodes, err = core.JoinNodeList(d, a, list, context, co)
-				}
-			}
-		}
-		if !pushed {
-			co.Emit, co.OrSelf = emitFor(d, a, test), orSelf
-			return core.Join(d, a, context, co)
-		}
-	case Naive:
-		var nst *baseline.NaiveStats
-		if st != nil {
-			nst = &st.Naive
-		}
-		nodes = filterTest(d, a, test, baseline.NaiveJoin(d, a, context, nst))
-	case SQL, SQLWindow:
-		so := baseline.SQLOptions{UseWindow: opts.Strategy == SQLWindow}
-		if test.Kind == xpath.TestName {
-			// The paper's DB2 observation: the B-tree uses concatenated
-			// (pre, post, tag name) keys, so the name test is early.
-			so.Tag = test.Name
-			if st != nil {
-				st.Pushed = true
-			}
+	co := &core.Options{Variant: variantFor(opts.Strategy)}
+	if st != nil {
+		co.Stats = &st.Core
+	}
+	bound := estimateJoinTouches(d, a, context)
+	if ec.cur != nil {
+		ec.cur.bound = bound
+	}
+	if opts.Pushdown != PushNever {
+		if list, indexed, ok := ec.fragList(test); ok {
 			if ec.cur != nil {
-				ec.cur.pushed = true
+				ec.cur.fragSize = len(list)
+			}
+			if shouldPush(int64(len(list)), bound, opts.Pushdown) {
+				if st != nil {
+					st.Pushed = true
+					st.Indexed = indexed
+				}
+				if ec.cur != nil {
+					ec.cur.pushed = true
+					ec.cur.indexed = indexed
+				}
+				if len(list) == 0 {
+					return nil, nil // tag/kind absent: empty result, self side included
+				}
+				nodes, err := core.JoinNodeList(d, a, list, context, co)
+				if err != nil || !orSelf {
+					return nodes, err
+				}
+				return core.MergeOrSelf(nodes, filterTest(d, a, test, slices.Clone(context))), nil
 			}
 		}
-		if nodes, err = ec.env.SQL().Step(a, context, so); so.Tag == "" {
-			nodes = filterTest(d, a, test, nodes)
-		}
-	default:
-		return nil, fmt.Errorf("plan: unknown strategy %v", opts.Strategy)
 	}
-	if err != nil || !orSelf {
-		return nodes, err
-	}
-	return core.MergeOrSelf(nodes, filterTest(d, a, test, slices.Clone(context))), nil
+	co.Emit, co.OrSelf = emitFor(d, a, test), orSelf
+	return core.Join(d, a, context, co)
 }
 
 // variantFor maps strategies to staircase join variants.

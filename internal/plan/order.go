@@ -78,7 +78,7 @@ func (o *emptyOp) open(ec *execCtx) (cursor, error) {
 }
 
 // orderPlan is the greedy ordering pass entry point, run by Compile
-// for staircase strategies unless Options.NoReorder. Per union branch:
+// unless Options.NoReorder. Per union branch:
 // reorder the commutable filter chains, then short-circuit the branch
 // entirely when its spine holds a provably empty intermediate.
 func (c *compiler) orderPlan() {

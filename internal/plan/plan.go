@@ -39,13 +39,12 @@ package plan
 
 import (
 	"fmt"
-	"sync"
 
-	"staircase/internal/baseline"
 	"staircase/internal/doc"
 )
 
-// Strategy selects the axis-step algorithm for partitioning axes.
+// Strategy selects the staircase join's skip rule for the partitioning
+// axes (Algorithms 2–4).
 type Strategy uint8
 
 const (
@@ -56,13 +55,6 @@ const (
 	StaircaseSkip
 	// StaircaseNoSkip uses the basic algorithm (Algorithm 2).
 	StaircaseNoSkip
-	// Naive evaluates one region query per context node and removes
-	// duplicates afterwards (Experiment 1's strawman).
-	Naive
-	// SQL mimics the tree-unaware indexed plan of Figure 3.
-	SQL
-	// SQLWindow is SQL plus the Equation (1) window predicate (§2.1).
-	SQLWindow
 )
 
 // String names the strategy.
@@ -74,23 +66,12 @@ func (s Strategy) String() string {
 		return "staircase-skip"
 	case StaircaseNoSkip:
 		return "staircase-noskip"
-	case Naive:
-		return "naive"
-	case SQL:
-		return "sql"
-	case SQLWindow:
-		return "sql-window"
 	default:
 		return fmt.Sprintf("Strategy(%d)", uint8(s))
 	}
 }
 
-// staircase reports whether the strategy is a staircase join variant.
-func (s Strategy) staircase() bool {
-	return s == Staircase || s == StaircaseSkip || s == StaircaseNoSkip
-}
-
-// Pushdown controls name-test pushdown for staircase strategies.
+// Pushdown controls name-test pushdown.
 type Pushdown uint8
 
 const (
@@ -119,11 +100,9 @@ func (p Pushdown) String() string {
 // Options configures plan compilation and execution. The zero value is
 // the paper default: full staircase join with automatic pushdown.
 type Options struct {
-	// Strategy selects the physical operator family for the four
-	// partitioning axes.
+	// Strategy selects the staircase join variant.
 	Strategy Strategy
-	// Pushdown is the name/kind-test pushdown policy for staircase
-	// strategies.
+	// Pushdown is the name/kind-test pushdown policy.
 	Pushdown Pushdown
 	// NoIndex disables the document's shared tag/kind index: pushdown
 	// fragments are rebuilt with an O(n) column scan per step (the
@@ -153,27 +132,13 @@ func (o *Options) orDefault() *Options {
 	return o
 }
 
-// Env is the execution environment a plan binds to: the document plus
-// the lazily built per-document runtime state the baseline operators
-// need (the SQL baseline's B-trees). One Env is shared by every plan
-// over a document; it is safe for concurrent use.
+// Env is the execution environment a plan binds to. One Env is shared
+// by every plan over a document; it is immutable and safe for
+// concurrent use.
 type Env struct {
 	// Doc is the pre/post encoded document.
 	Doc *doc.Document
-
-	mu  sync.Mutex
-	sql *baseline.SQLEngine
 }
 
 // NewEnv returns an environment over the document.
 func NewEnv(d *doc.Document) *Env { return &Env{Doc: d} }
-
-// SQL lazily builds and returns the B-tree indexes of the SQL baseline.
-func (e *Env) SQL() *baseline.SQLEngine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sql == nil {
-		e.sql = baseline.NewSQLEngine(e.Doc)
-	}
-	return e.sql
-}

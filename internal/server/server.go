@@ -388,9 +388,6 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, st *reqStat
 // QueryOptions selects the evaluation configuration, mirroring
 // engine.Options with JSON-friendly names.
 type QueryOptions struct {
-	// Strategy: staircase (default), staircase-skip, staircase-noskip,
-	// naive, sql, sql-window.
-	Strategy string `json:"strategy,omitempty"`
 	// Pushdown: auto (default), always, never.
 	Pushdown string `json:"pushdown,omitempty"`
 	// NoIndex evaluates without the shared tag/kind index (per-query
@@ -458,16 +455,6 @@ type QueryResponse struct {
 	Results    []QueryResult `json:"results"`
 }
 
-var strategies = map[string]engine.Strategy{
-	"":                 engine.Staircase,
-	"staircase":        engine.Staircase,
-	"staircase-skip":   engine.StaircaseSkip,
-	"staircase-noskip": engine.StaircaseNoSkip,
-	"naive":            engine.Naive,
-	"sql":              engine.SQL,
-	"sql-window":       engine.SQLWindow,
-}
-
 var pushdowns = map[string]engine.Pushdown{
 	"":       engine.PushAuto,
 	"auto":   engine.PushAuto,
@@ -495,15 +482,10 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 		if o.NoReorder {
 			opts.NoReorder = true
 		}
-		strat, ok := strategies[o.Strategy]
-		if !ok {
-			return nil, fmt.Errorf("unknown strategy %q", o.Strategy)
-		}
 		push, ok := pushdowns[o.Pushdown]
 		if !ok {
 			return nil, fmt.Errorf("unknown pushdown mode %q", o.Pushdown)
 		}
-		opts.Strategy = strat
 		opts.Pushdown = push
 	}
 	return opts, nil
@@ -512,7 +494,7 @@ func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
 // appendCacheKey appends the result-cache key built from the canonical
 // optimized-plan string. Document generation guards against
 // reload-after-eviction serving stale results; the canonical plan
-// covers the operator tree, strategy and pushdown policy, and — by
+// covers the operator tree and pushdown policy, and — by
 // construction — collapses equivalent query texts ("//a/b" vs its
 // unabbreviated spelling) onto one entry, while the NoIndex ablation
 // knob stays excluded (it is property-tested to be byte-identical to
@@ -540,8 +522,6 @@ func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Opti
 	dst = append(dst, docName...)
 	dst = append(dst, 0)
 	dst = strconv.AppendUint(dst, gen, 10)
-	dst = append(dst, 0)
-	dst = append(dst, opts.Strategy.String()...)
 	dst = append(dst, 0)
 	dst = append(dst, opts.Pushdown.String()...)
 	if opts.NoIndex {
@@ -1186,7 +1166,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		noReorder = b
 	}
 	opts, err := s.engineOptions(&QueryOptions{
-		Strategy:     q.Get("strategy"),
 		Pushdown:     q.Get("pushdown"),
 		NoIndex:      noIndex,
 		NoValueIndex: noValueIndex,

@@ -190,9 +190,9 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, code := postQuery(t, ts.URL, QueryRequest{
 		Doc: "mem", Query: "/descendant::a",
-		Options: &QueryOptions{Strategy: "quantum"},
+		Options: &QueryOptions{Pushdown: "quantum"},
 	}); code != http.StatusBadRequest {
-		t.Fatalf("bad strategy: status %d", code)
+		t.Fatalf("bad pushdown: status %d", code)
 	}
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
@@ -271,13 +271,11 @@ func randomQuery(rng *rand.Rand) string {
 	}
 }
 
-var propStrategies = []string{"staircase", "staircase-skip", "staircase-noskip", "sql", "sql-window"}
-
 // TestConcurrentClientsMatchSerial is the server-concurrency property
 // test: N concurrent clients issue randomized (doc, query, options)
 // batches and every result must be byte-identical to a serial
-// engine.Eval of the same query — across strategies, pushdown modes,
-// and cache hits/misses. Run under -race in CI.
+// engine.Eval of the same query — across pushdown modes and cache
+// hits/misses. Run under -race in CI.
 func TestConcurrentClientsMatchSerial(t *testing.T) {
 	_, ts, ref := newTestServer(t, 1<<20)
 
@@ -326,7 +324,6 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 					Queries: queries,
 					NoCache: rng.Intn(3) == 0,
 					Options: &QueryOptions{
-						Strategy: propStrategies[rng.Intn(len(propStrategies))],
 						Pushdown: []string{"auto", "always", "never"}[rng.Intn(3)],
 					},
 				}

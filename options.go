@@ -10,8 +10,8 @@ import (
 // automatic name-test pushdown, shared tag/kind index enabled.
 type Options = engine.Options
 
-// Strategy selects the axis-step algorithm for the four partitioning
-// axes — the paper's comparison matrix.
+// Strategy selects the staircase join's skip rule for the four
+// partitioning axes (the paper's Algorithms 2–4).
 type Strategy = engine.Strategy
 
 const (
@@ -22,18 +22,9 @@ const (
 	StaircaseSkip = engine.StaircaseSkip
 	// StaircaseNoSkip uses the basic partitioned scan (Algorithm 2).
 	StaircaseNoSkip = engine.StaircaseNoSkip
-	// NaiveStrategy evaluates one region query per context node and
-	// deduplicates afterwards (Experiment 1's strawman).
-	NaiveStrategy = engine.Naive
-	// SQLStrategy mimics the tree-unaware indexed plan of Figure 3.
-	SQLStrategy = engine.SQL
-	// SQLWindowStrategy is SQLStrategy plus the Equation (1) window
-	// predicate (§2.1).
-	SQLWindowStrategy = engine.SQLWindow
 )
 
-// PushdownMode controls name/kind-test pushdown for staircase
-// strategies.
+// PushdownMode controls name/kind-test pushdown.
 type PushdownMode = engine.Pushdown
 
 const (

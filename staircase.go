@@ -199,9 +199,9 @@ func (d *Document) Attributes(v int32) []int32 { return d.d.Attributes(v) }
 func (d *Document) Stats() DocStats { return d.d.ComputeStats() }
 
 // Query parses, plans and runs a query with the document root as
-// context. opts selects strategy, pushdown policy and the ablation
-// knobs; nil is the paper default (staircase join with automatic
-// pushdown).
+// context. opts selects the staircase variant, pushdown policy and the
+// ablation knobs; nil is the paper default (staircase join with
+// automatic pushdown).
 func (d *Document) Query(query string, opts *Options) (*Result, error) {
 	return d.e.EvalString(query, opts)
 }
