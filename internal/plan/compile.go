@@ -1,10 +1,10 @@
 // Physical compilation: lower a rewritten logical plan onto the
 // operator set, binding it to one document. Compilation resolves
-// document-node semantics for the first step of absolute paths, attaches fragment scans
-// (IndexScan/ColumnScan) to every join whose node test the tag/kind
-// index can serve, picks the staircase variant, applies the
-// exists-semijoin rewrite where profitable, and annotates every
-// operator with cardinality estimates for EXPLAIN.
+// document-node semantics for the first step of absolute paths,
+// attaches fragment scans (IndexScan/ColumnScan) to every join whose
+// node test the tag/kind index can serve, picks the staircase variant,
+// applies the exists-semijoin rewrite where profitable, and annotates
+// every operator with cardinality estimates for EXPLAIN.
 
 package plan
 
