@@ -156,8 +156,7 @@ func New(d *doc.Document) *Engine {
 	return &Engine{d: d, env: plan.NewEnv(d)}
 }
 
-// Env returns the plan execution environment of the engine (shared
-// per-document runtime state for the planner's operators).
+// Env returns the plan execution environment of the engine.
 func (e *Engine) Env() *plan.Env { return e.env }
 
 // Document returns the engine's document.
