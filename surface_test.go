@@ -36,6 +36,8 @@ func TestSurface(t *testing.T) {
 		{"QueryOptions JSON", jsonNames(reflect.TypeOf(server.QueryOptions{}))},
 		{"metrics", metricNames(t)},
 		{"EXPLAIN JSON keys", explainKeys(t)},
+		{"EXPLAIN operators", planSurface(t, "op")},
+		{"rewrite rules", planSurface(t, "rewrites")},
 	}
 	var sb strings.Builder
 	sb.WriteString("# Surface ledger. Regenerate: go test . -run TestSurface -update-surface\n")
@@ -172,6 +174,71 @@ func explainKeys(t *testing.T) []string {
 		seen["tree."+k] = true
 		if k == "root" {
 			walk(v.(map[string]any))
+		}
+	}
+	var out []string
+	for k := range seen {
+		out = append(out, k)
+	}
+	return out
+}
+
+// surfaceQueries reach every EXPLAIN operator and every rewrite rule,
+// between them, under the default options and under NoIndex.
+var surfaceQueries = []string{
+	// Source, StaircaseJoin, IndexScan (ColumnScan under NoIndex),
+	// SemiJoin; exists-semijoin.
+	"/descendant::open_auction[descendant::bidder]/descendant::increase",
+	// AxisStep; collapse-descendant-or-self.
+	"//person/name",
+	// drop-self-node.
+	"/descendant::person/self::node()",
+	// PredFilter; split-and.
+	"/descendant::person[name and not(profile)]",
+	// ValueSemiJoin, ValueScan; value-semijoin.
+	"/descendant::open_auction[current > 5]",
+	// PosFilter.
+	"/descendant::person[1]",
+	// EmptyResult (the index counts no nosuch element).
+	"/descendant::nosuch/ancestor::person",
+	// Merge.
+	"/descendant::name | /descendant::current",
+}
+
+// planSurface collects, over surfaceQueries under the default options
+// and NoIndex, the operator names (field "op") or the rewrite rules
+// (field "rewrites") of their executed EXPLAIN JSON trees.
+func planSurface(t *testing.T, field string) []string {
+	d := surfaceDoc(t)
+	seen := map[string]bool{}
+	var walk func(n map[string]any)
+	walk = func(n map[string]any) {
+		seen[n["op"].(string)] = true
+		kids, _ := n["children"].([]any)
+		for _, c := range kids {
+			walk(c.(map[string]any))
+		}
+	}
+	for _, opts := range []*staircase.Options{nil, {NoIndex: true}} {
+		for _, q := range surfaceQueries {
+			b, err := d.ExplainJSON(q, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			var tree struct {
+				Rewrites []string       `json:"rewrites"`
+				Root     map[string]any `json:"root"`
+			}
+			if err := json.Unmarshal(b, &tree); err != nil {
+				t.Fatal(err)
+			}
+			if field == "op" {
+				walk(tree.Root)
+				continue
+			}
+			for _, r := range tree.Rewrites {
+				seen[r] = true
+			}
 		}
 	}
 	var out []string
