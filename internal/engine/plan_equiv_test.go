@@ -116,9 +116,41 @@ func randTest(rng *rand.Rand) string {
 	}
 }
 
+// randChildChain builds an existential child path: 1-3 bare child steps
+// with a name or '*' test before the last and a name, '*' or text() test
+// last. One chain in four puts a predicate on a prefix step, a decoy
+// that no semijoin serves.
+func randChildChain(rng *rand.Rand) string {
+	n := 1 + rng.Intn(3)
+	decoy := -1
+	if n > 1 && rng.Intn(4) == 0 {
+		decoy = rng.Intn(n - 1)
+	}
+	var out string
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			out += "/"
+		}
+		test := []string{"p", "q", "r", "zz", "*"}[rng.Intn(5)]
+		if i == n-1 && rng.Intn(4) == 0 {
+			test = "text()"
+		}
+		if rng.Intn(2) == 0 {
+			test = "child::" + test
+		}
+		out += test
+		if i == decoy {
+			out += "[" + randTest(rng) + "]"
+		}
+	}
+	return out
+}
+
 // randPred builds a predicate string; depth bounds nesting.
 func randPred(rng *rand.Rand, depth int) string {
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
+	case 7:
+		return randChildChain(rng)
 	case 0:
 		return fmt.Sprintf("%d", 1+rng.Intn(3))
 	case 1:
@@ -268,17 +300,19 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 }
 
 // randFilterStep builds one step stacking 2-4 commutable predicates —
-// the shape the greedy ordering pass reorders: existential steps
-// (semijoin candidates), value comparisons (value-semijoin candidates)
-// and per-node programs, in random source order.
+// the shape the greedy ordering pass reorders: existential steps and
+// child chains (semijoin candidates), value comparisons (value-semijoin
+// candidates) and per-node programs, in random source order.
 func randFilterStep(rng *rand.Rand) string {
 	s := randStep(rng)
 	for p, n := 0, 2+rng.Intn(3); p < n; p++ {
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			s += fmt.Sprintf("[%s::%s]", randAxes[rng.Intn(len(randAxes))], randTest(rng))
 		case 1:
 			s += "[" + randStep(rng) + " = 't']"
+		case 2:
+			s += "[" + randChildChain(rng) + "]"
 		default:
 			s += "[" + randPred(rng, 1) + "]"
 		}

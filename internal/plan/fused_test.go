@@ -176,7 +176,8 @@ func TestFusedEmitEqualsNaiveJoinPlusTest(t *testing.T) {
 // contexts reach the join through a preceding step — on three goroutines
 // per prepared plan (the race detector's view of a plan's shared
 // fragment lists and the uncopied staircases), under every option set,
-// against the reference evaluator.
+// against the reference evaluator. Each step also runs filtered by the
+// existential child paths [p], [p/q] and [text()].
 func TestFusedPlansMatchSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	contexts := []string{"/descendant-or-self::node()", "/descendant::*/attribute::*", "/descendant::q"}
@@ -185,29 +186,31 @@ func TestFusedPlansMatchSpec(t *testing.T) {
 		for _, ctx := range contexts {
 			for _, ax := range fusedAxes {
 				for _, test := range fusedTests {
-					q := fmt.Sprintf("%s/%v::%v", ctx, ax.a, test)
-					want := spec.Eval(d, xpath.MustParse(q), nil)
-					for _, opts := range []*Options{
-						{Pushdown: PushNever}, {Strategy: StaircaseSkip, Pushdown: PushNever},
-						{Strategy: StaircaseNoSkip}, {Pushdown: PushAlways}, nil,
-					} {
-						p := compileQuery(t, env, q, opts)
-						var wg sync.WaitGroup
-						for g := 0; g < 3; g++ {
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								res, err := p.RunRoot()
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								if !slices.Equal(res.Nodes, want) {
-									t.Errorf("%s, %s, %+v:\n got %v\nwant %v", shape, q, opts, res.Nodes, want)
-								}
-							}()
+					for _, pred := range []string{"", "[p]", "[p/q]", "[text()]"} {
+						q := fmt.Sprintf("%s/%v::%v%s", ctx, ax.a, test, pred)
+						want := spec.Eval(d, xpath.MustParse(q), nil)
+						for _, opts := range []*Options{
+							{Pushdown: PushNever}, {Strategy: StaircaseSkip, Pushdown: PushNever},
+							{Strategy: StaircaseNoSkip}, {Pushdown: PushAlways}, nil,
+						} {
+							p := compileQuery(t, env, q, opts)
+							var wg sync.WaitGroup
+							for g := 0; g < 3; g++ {
+								wg.Add(1)
+								go func() {
+									defer wg.Done()
+									res, err := p.RunRoot()
+									if err != nil {
+										t.Error(err)
+										return
+									}
+									if !slices.Equal(res.Nodes, want) {
+										t.Errorf("%s, %s, %+v:\n got %v\nwant %v", shape, q, opts, res.Nodes, want)
+									}
+								}()
+							}
+							wg.Wait()
 						}
-						wg.Wait()
 					}
 				}
 			}
