@@ -96,6 +96,11 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 		}
 		pf := &posFilterOp{in: in, meta: meta, step: s.step(), docNode: docNode, progs: progs}
 		pf.est = estimates{In: estIn, Out: estimateStep(c.env.Doc, s.Axis, c.fragCard(s.Test), estIn)}
+		if pushable(s.Test) && c.opts.Pushdown != PushNever {
+			// Each context node's partitioning step resolves its fragment
+			// through the plan's memoised scan, not once per node.
+			c.newFragScan(s.Test)
+		}
 		c.add(pf)
 		return pf, maxInt64(pf.est.Out/2, 1), nil
 	}
@@ -194,10 +199,14 @@ func orSelfAxis(a axis.Axis, docNode bool) axis.Axis {
 	return a
 }
 
-// newFragScan builds the fragment-scan leaf for a pushable node test,
-// with exact cardinality and pre span when the index serves this
-// compilation (ColumnScan compilations leave them unknown).
+// newFragScan returns the plan's fragment-scan leaf for a pushable node
+// test, building it on the test's first use, with exact cardinality and
+// pre span when the index serves this compilation (ColumnScan
+// compilations leave them unknown).
 func (c *compiler) newFragScan(test xpath.NodeTest) *fragScan {
+	if fs := c.p.frags[test]; fs != nil {
+		return fs
+	}
 	fs := &fragScan{test: test, card: -1}
 	if !c.opts.NoIndex {
 		if list := c.indexList(test); list != nil || c.testKnownEmpty(test) {
@@ -207,6 +216,10 @@ func (c *compiler) newFragScan(test xpath.NodeTest) *fragScan {
 			}
 		}
 	}
+	if c.p.frags == nil {
+		c.p.frags = make(map[xpath.NodeTest]*fragScan)
+	}
+	c.p.frags[test] = fs
 	c.add(fs)
 	return fs
 }

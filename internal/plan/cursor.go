@@ -893,7 +893,7 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 	var kernel core.JoinCursor
 	var err error
 	if ec.opts.Pushdown != PushNever && pushable(test) {
-		if list, indexed, ok := pushdownList(d, test, ec.opts); ok && streamPush(ec.opts, indexed) {
+		if list, indexed, ok := ec.fragList(test); ok && streamPush(ec.opts, indexed) {
 			kernel, err = core.NewJoinNodeListCursor(d, base, list, core.SliceSource([]int32{c}), co)
 		}
 	}

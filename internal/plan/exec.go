@@ -93,19 +93,20 @@ type execCtx struct {
 	// partitioning axis, so the shared helpers can record the cost
 	// bounds and decisions they compute.
 	cur *opStat
-	// curFrag is the memoized fragment scan of the join currently
-	// evaluating, so the shared partitioning helper reuses its resolved
-	// list instead of re-probing the index maps.
-	curFrag *fragScan
+	// frags is the plan's fragment scans by node test, so the shared
+	// partitioning helper reuses their memoised lists instead of
+	// re-probing the index maps (or, under NoIndex, re-scanning the
+	// columns) once per call.
+	frags map[xpath.NodeTest]*fragScan
 	// subs holds the execution each predicate sub-plan reuses for every
 	// candidate node of this execution (predProg.evalSub).
 	subs map[*predProg]*execCtx
 }
 
 // fragList resolves the fragment list for a node test, serving it from
-// the current join's memoized fragment scan when the tests match.
+// the plan's memoised fragment scan of that test when it has one.
 func (ec *execCtx) fragList(test xpath.NodeTest) (list []int32, indexed, ok bool) {
-	if f := ec.curFrag; f != nil && f.test == test {
+	if f := ec.frags[test]; f != nil {
 		return f.resolveWith(ec.env.Doc, ec.opts)
 	}
 	return pushdownList(ec.env.Doc, test, ec.opts)
@@ -145,6 +146,9 @@ type Plan struct {
 	ops      []op        // all operators, indexed by op id
 	metas    []*stepMeta // one per location step, in step order
 	rewrites []string    // logical + physical rewrites applied
+	// frags holds one fragment scan per pushable node test, shared by
+	// every operator of the plan that tests it.
+	frags map[xpath.NodeTest]*fragScan
 
 	// orderNotes lists the greedy ordering pass's fired decisions;
 	// opOrder maps op ids to per-operator ordering annotations. Both
@@ -227,6 +231,7 @@ func (p *Plan) newExecCtx(ctx context.Context, initial []int32) *execCtx {
 		ops:     make([]opStat, len(p.ops)),
 		steps:   make([]StepStats, len(p.metas)),
 		ctx:     ctx,
+		frags:   p.frags,
 	}
 	for i, m := range p.metas {
 		ec.steps[i].Step = m.display

@@ -239,8 +239,8 @@ func (o *joinOp) run(ec *execCtx) ([]int32, error) {
 	}
 	st := ec.step(o.meta, len(in))
 	ost := &ec.ops[o.id]
-	prev, prevFrag := ec.cur, ec.curFrag
-	ec.cur, ec.curFrag = ost, o.frag
+	prev := ec.cur
+	ec.cur = ost
 	skippedBefore := st.Core.Skipped
 	start := time.Now()
 	var out []int32
@@ -250,7 +250,7 @@ func (o *joinOp) run(ec *execCtx) ([]int32, error) {
 		out, err = ec.axisTest(o.stepAxis(), o.test, in, st)
 	}
 	st.Duration += time.Since(start)
-	ec.cur, ec.curFrag = prev, prevFrag
+	ec.cur = prev
 	if err != nil {
 		return nil, err
 	}

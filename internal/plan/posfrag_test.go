@@ -1,0 +1,60 @@
+package plan
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"testing"
+
+	"staircase/internal/xmark"
+)
+
+// TestPositionalStepResolvesFragmentOnce: a positional step resolves its
+// fragment once per plan, not once per context node. Under NoIndex every
+// resolution is a column scan over the whole document, so per-node
+// resolution makes a run's allocation grow with context × document; once
+// per plan it grows with the document alone. Both faces are measured,
+// Plan.Run and the cursor behind RunLimit, as bytes allocated per run
+// from 0.5 MB to 2 MB of XMark (4× the nodes): linear growth reads about
+// 4×, per-node scans read over 20×.
+func TestPositionalStepResolvesFragmentOnce(t *testing.T) {
+	const q = "//person/descendant::name[1]"
+	faces := []struct {
+		name string
+		run  func(p *Plan) (*Result, error)
+	}{
+		{"Run", (*Plan).RunRoot},
+		{"RunLimit", func(p *Plan) (*Result, error) { return p.RunLimitRoot(context.Background(), math.MaxInt) }},
+	}
+	bytesPerRun := func(sizeMB float64, run func(p *Plan) (*Result, error)) uint64 {
+		d, err := xmark.Generate(xmark.Config{SizeMB: sizeMB, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := compileQuery(t, NewEnv(d), q, &Options{NoIndex: true})
+		res, err := run(p) // the first run pays the plan's one column scan
+		if err != nil || len(res.Nodes) == 0 {
+			t.Fatalf("%s: %d nodes, error %v", q, len(res.Nodes), err)
+		}
+		// TotalAlloc counts bytes, whoever allocates them: take the least
+		// of a few runs so a runtime goroutine cannot inflate the reading.
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for i := 0; i < 3; i++ {
+			runtime.ReadMemStats(&before)
+			if _, err := run(p); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, f := range faces {
+		small, large := bytesPerRun(0.5, f.run), bytesPerRun(2, f.run)
+		t.Logf("%s: %d B at 0.5 MB, %d B at 2 MB (%.1f×)", f.name, small, large, float64(large)/float64(small))
+		if large > 8*small {
+			t.Errorf("%s under NoIndex: %d B a run at 0.5 MB, %d B at 2 MB: grows faster than the document", f.name, small, large)
+		}
+	}
+}
