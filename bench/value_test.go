@@ -40,7 +40,7 @@ func TestValuePushdownSpeedup(t *testing.T) {
 		return r
 	}
 	warm := run(nil, "value index (numeric range)")
-	rescan := run(&engine.Options{NoValueIndex: true}, "per-node evaluation (value index disabled)")
+	rescan := run(&engine.Options{NoValueIndex: true}, "(node at a time)")
 	if len(warm.Nodes) == 0 || !slices.Equal(warm.Nodes, rescan.Nodes) {
 		t.Fatalf("warm (%d nodes) and rescan (%d nodes) evaluation disagree", len(warm.Nodes), len(rescan.Nodes))
 	}

@@ -90,7 +90,7 @@ type Options struct {
 	// NoReorder disables the planner's statistics-driven greedy
 	// ordering of commutable filter chains and the empty-fragment
 	// short-circuit: predicates evaluate strictly in source order,
-	// semijoins always sweep their fragment. Results are identical; the
+	// semijoins keep one probe direction. Results are identical; the
 	// knob exists for ablation and the ordering benchmarks.
 	NoReorder bool
 	// LegacyEval bypasses the plan compiler and evaluates with the

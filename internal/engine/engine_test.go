@@ -90,7 +90,7 @@ var fixtureQueries = []string{
 	"//person[profile and not(profile/education)]",
 	"//bidder[position()=1 or last()]",
 	"//person[name and position()=2]",
-	// Value predicates: the value-semijoin rewrite and its fallbacks.
+	// Value predicates: semijoins over value fragments and PredFilters.
 	"//open_auction[current > 10]",
 	"//open_auction[current < 1]/@id",
 	"//bidder[increase >= 10]",

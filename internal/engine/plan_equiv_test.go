@@ -171,7 +171,7 @@ func randPred(rng *rand.Rand, depth int) string {
 		return randStep(rng) + " = 't'"
 	default:
 		// Existential paths, including the single-partitioning-step
-		// form the exists-semijoin rewrite targets.
+		// form the staircase semijoin serves.
 		if rng.Intn(2) == 0 {
 			return fmt.Sprintf("%s::%s", randAxes[rng.Intn(len(randAxes))], randTest(rng))
 		}
@@ -300,9 +300,9 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 }
 
 // randFilterStep builds one step stacking 2-4 commutable predicates —
-// the shape the greedy ordering pass reorders: existential steps and
-// child chains (semijoin candidates), value comparisons (value-semijoin
-// candidates) and per-node programs, in random source order.
+// the shape the greedy ordering pass reorders: existential steps, child
+// chains and value comparisons (semijoin candidates) and per-node
+// programs, in random source order.
 func randFilterStep(rng *rand.Rand) string {
 	s := randStep(rng)
 	for p, n := 0, 2+rng.Intn(3); p < n; p++ {

@@ -1,6 +1,6 @@
 // Differential tests for the value index: every value predicate must
 // produce byte-identical results whether it is served from value-index
-// fragments (the value-semijoin rewrite), re-evaluated per node with
+// fragments (the semijoin rewrite), re-evaluated per node with
 // the index disabled (Options.NoValueIndex), or run through the
 // legacy evaluator. Streaming (cursor drain, EvalLimit prefixes) is
 // checked against batch execution on every knob combination, and the
@@ -86,11 +86,11 @@ func randValueTest(rng *rand.Rand) string {
 // randValuePred builds a random value predicate. It covers every
 // comparison operator (including != which is never index-served),
 // contains(), numeric and string literals, and both rewrite-eligible
-// paths (self, child, attribute, descendant, and chains of 2–3 child
-// steps ending in a child or attribute step, some through a prefix tag
-// no element has) and ineligible ones (ancestor, following-sibling,
-// steps after a non-child step) so the per-node fallback is exercised
-// alongside the fragment probes.
+// paths (self, child, attribute, the partitioning axes,
+// descendant-or-self, and chains of 2–3 child steps ending in a child or
+// attribute step, some through a prefix tag no element has) and
+// ineligible ones (following-sibling, steps after a non-child step) so
+// PredFilter is exercised alongside the fragment probes.
 func randValuePred(rng *rand.Rand) string {
 	path := "."
 	switch r := rng.Intn(8); {
@@ -110,7 +110,7 @@ func randValuePred(rng *rand.Rand) string {
 		axes := []string{
 			"attribute", "child", "self",
 			"descendant", "descendant-or-self",
-			"ancestor", "following-sibling",
+			"ancestor", "following", "preceding", "following-sibling",
 		}
 		path = axes[rng.Intn(len(axes))] + "::" + randValueTest(rng)
 		if rng.Intn(5) == 0 {
@@ -204,11 +204,11 @@ func TestValuePushdownEquivalence(t *testing.T) {
 	}
 }
 
-// TestValueSemiJoinRewriteFires pins that eligible predicates are
-// compiled to the value-semijoin form, that EXPLAIN reports the
-// fragment source, and that disabling the index changes neither the
-// canonical plan nor the result.
-func TestValueSemiJoinRewriteFires(t *testing.T) {
+// TestValuePredicateRewriteFires pins that eligible predicates are
+// compiled to a semijoin over a value fragment, that EXPLAIN reports the
+// fragment source, and that disabling the index compiles them to
+// PredFilter and changes neither the canonical plan nor the result.
+func TestValuePredicateRewriteFires(t *testing.T) {
 	d := fixture(t)
 	e := New(d)
 	cases := []struct {
@@ -229,12 +229,12 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 		}
 		found := false
 		for _, rw := range p.Rewrites() {
-			if rw == "value-semijoin" {
+			if rw == "semijoin" {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("%s: rewrite list %v lacks value-semijoin", tc.q, p.Rewrites())
+			t.Errorf("%s: rewrite list %v lacks semijoin", tc.q, p.Rewrites())
 		}
 		txt, err := p.Explain()
 		if err != nil {
@@ -260,8 +260,8 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 		if err != nil {
 			t.Fatalf("explain noindex %s: %v", tc.q, err)
 		}
-		if !strings.Contains(txtNo, "value index disabled") {
-			t.Errorf("%s: NoValueIndex explain lacks disabled marker:\n%s", tc.q, txtNo)
+		if !strings.Contains(txtNo, "PredFilter") || strings.Contains(txtNo, "SemiJoin") {
+			t.Errorf("%s: NoValueIndex explain is not a PredFilter:\n%s", tc.q, txtNo)
 		}
 		got, err := p.Run()
 		if err != nil {
@@ -280,17 +280,18 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 	}
 }
 
-// TestValueSemiJoinNotRewritten pins the eligibility guards: nested
-// predicates, != comparisons, reverse axes and multi-step paths other
-// than child chains must stay on the per-node PredFilter path (and
+// TestValuePredicateNotRewritten pins the eligibility guards: nested
+// predicates, != comparisons, axes no relation serves and multi-step
+// paths other than child chains must stay on the per-node PredFilter
+// path (and
 // still produce correct results — covered by the fixture matrix; here
 // we only assert the rewrite did not fire).
-func TestValueSemiJoinNotRewritten(t *testing.T) {
+func TestValuePredicateNotRewritten(t *testing.T) {
 	d := fixture(t)
 	e := New(d)
 	for _, q := range []string{
 		"//open_auction[current != 10]",      // != is not range-servable
-		"//name[ancestor::person = 'x']",     // reverse axis
+		"//name[parent::person = 'x']",       // parent axis
 		"//open_auction[bidder[increase=5]]", // nested predicate
 		"//person[profile//age > 35]",        // descendant step in a chain
 		"//person[profile[age]/age > 35]",    // predicate on a prefix step
@@ -303,8 +304,8 @@ func TestValueSemiJoinNotRewritten(t *testing.T) {
 			t.Fatalf("prepare %s: %v", q, err)
 		}
 		for _, rw := range p.Rewrites() {
-			if rw == "value-semijoin" {
-				t.Errorf("%s: unexpectedly rewritten to value-semijoin", q)
+			if rw == "semijoin" {
+				t.Errorf("%s: unexpectedly rewritten to semijoin", q)
 			}
 		}
 	}

@@ -2,9 +2,10 @@
 // plan computes (together with the document): operator tree, axes,
 // node tests, predicates, strategy and pushdown policy. Execution
 // attributes that are property-tested to never change results —
-// index-vs-scan fragment sourcing, ordering — are deliberately
-// excluded, so the same canonical string covers an indexed run and a
-// NoIndex run, and equivalent query texts
+// index-vs-scan fragment sourcing, ordering, whether a predicate runs
+// as a semijoin or a PredFilter — are deliberately excluded, so the
+// same canonical string covers an indexed run and a NoIndex or
+// NoValueIndex run, and equivalent query texts
 // (`//a/b` and `/descendant-or-self::node()/child::a/child::b`,
 // `a[b and c]` and `a[b][c]`) canonicalise identically after the
 // logical rewrites.
@@ -47,7 +48,7 @@ func canonOp(sb *strings.Builder, o op) {
 			sb.WriteString(",docnode")
 		}
 		sb.WriteString(")")
-	case *predFilterOp, *semiJoinOp, *valueSemiJoinOp:
+	case filterOp:
 		canonChain(sb, o)
 	case *emptyOp:
 		// Transparent: emptiness is a property of the document binding
@@ -80,6 +81,9 @@ func canonOp(sb *strings.Builder, o op) {
 // ordering decisions are result-invariant and must not change the
 // canonical string the result cache keys on. For unreordered plans
 // the source-order sort reproduces the bottom-up rendering exactly.
+// Every member renders as its predicate, whichever operator evaluates
+// it: a semijoin under the default options and the PredFilter the same
+// predicate compiles to under NoValueIndex share one string.
 func canonChain(sb *strings.Builder, top op) {
 	members, base := filterChain(top)
 	canonOp(sb, base)
@@ -87,16 +91,6 @@ func canonChain(sb *strings.Builder, top op) {
 		return asFilter(members[i]).srcOrd < asFilter(members[j]).srcOrd
 	})
 	for _, m := range members {
-		switch t := m.(type) {
-		case *predFilterOp:
-			fmt.Fprintf(sb, "/filter[%s]", t.pred)
-		case *semiJoinOp:
-			fmt.Fprintf(sb, "/semijoin(%s::%s,variant=%s)", t.existsAxis, t.frag.test, t.variant)
-		case *valueSemiJoinOp:
-			// Deliberately source-free: the same canonical string covers
-			// an index-served execution and the per-node fallback
-			// (Options.NoValueIndex, value-less documents).
-			fmt.Fprintf(sb, "/valuesemijoin[%s]", t.pred)
-		}
+		fmt.Fprintf(sb, "/filter[%s]", asFilter(m).pred)
 	}
 }

@@ -3,8 +3,8 @@
 // document-node semantics for the first step of absolute paths,
 // attaches fragment scans (IndexScan/ColumnScan) to every join whose
 // node test the tag/kind index can serve, picks the staircase variant,
-// applies the exists-semijoin rewrite where profitable, and annotates
-// every operator with cardinality estimates for EXPLAIN.
+// turns every predicate a fragment serves into a semijoin, and
+// annotates every operator with cardinality estimates for EXPLAIN.
 
 package plan
 
@@ -109,21 +109,15 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 	estOut := opEstimate(cur)
 
 	for pi, pred := range s.Preds {
-		fb := filterBase{in: cur, meta: meta, est: filterEst(estOut), srcOrd: pi}
-		if sj := c.trySemiJoin(fb, s.Axis, pred); sj != nil {
+		fb := filterBase{in: cur, meta: meta, est: filterEst(estOut), pred: pred, srcOrd: pi}
+		if sj := c.trySemiJoin(fb, s.Axis); sj != nil {
 			cur = sj
-		} else if vj, err := c.tryValueSemiJoin(fb, s.Axis, pred); err != nil {
-			return nil, 0, err
-		} else if vj != nil {
-			cur = vj
 		} else {
 			prog, err := compilePredProg(c.env, c.opts, pred)
 			if err != nil {
 				return nil, 0, err
 			}
-			pf := &predFilterOp{filterBase: fb, pred: pred, prog: prog}
-			c.add(pf)
-			cur = pf
+			cur = c.add(&predFilterOp{filterBase: fb, prog: prog})
 		}
 		estOut = fb.est.Out
 	}
@@ -280,124 +274,97 @@ func (c *compiler) testKnownEmpty(test xpath.NodeTest) bool {
 	return !ok
 }
 
-// trySemiJoin applies the exists-semijoin rewrite to one predicate:
+// trySemiJoin applies the semijoin rewrite to one predicate:
 //
-//	Filter(S, [axis::t])  =>  SemiJoin(S, inverse(axis), fragment(t))
+//	Filter(S, [p])  =>  SemiJoin(S, fragment(p), relation(p))
 //
-// valid when the predicate is a bare existential single step on a
-// partitioning axis with an index-servable node test, evaluated over
-// an attribute-free context (any non-attribute owning axis). The
-// rewrite replaces |S| per-node path evaluations with one staircase
-// node-list join — the set-at-a-time discipline applied to predicates.
-func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.Predicate) *semiJoinOp {
+// valid when p's path is relative, its steps carry no predicates, a
+// fragment serves its last step and a relation leads from that step
+// back to S (semijoin.go):
+//
+//   - fragment: for an existential path, the tag/kind list of a
+//     pushable last test off the attribute axis (the index lists
+//     elements, not attributes); for a comparison ('!=' is no value
+//     range) or contains() whose last test is a name, '*', text() or
+//     node(), the value-index view, when the value index serves this
+//     compilation — otherwise the predicate stays a PredFilter;
+//   - relation: staircase for one step on a partitioning axis; climb
+//     for a self or descendant-or-self step, or a child or attribute
+//     step behind any number of bare child::name or child::* steps.
+//
+// Over an attribute-owning axis (the input is attributes) nothing is
+// rewritten.
+func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis) *semiJoinOp {
 	if owningAxis == axis.Attribute {
 		return nil
 	}
-	ex, ok := pred.(xpath.Exists)
-	if !ok || ex.Path.Absolute || len(ex.Path.Steps) != 1 {
-		return nil
-	}
-	step := ex.Path.Steps[0]
-	if !step.Axis.Partitioning() || len(step.Preds) > 0 || !pushable(step.Test) {
-		return nil
-	}
-	inv := inverseAxis(step.Axis)
-	sj := &semiJoinOp{
-		filterBase: fb,
-		pred:       pred.String(),
-		existsAxis: step.Axis,
-		inv:        inv,
-		frag:       c.newFragScan(step.Test),
-		variant:    variantFor(c.opts.Strategy),
-	}
-	c.add(sj)
-	c.p.rewrites = append(c.p.rewrites, "exists-semijoin")
-	return sj
-}
-
-// tryValueSemiJoin applies the value-semijoin rewrite to one
-// predicate:
-//
-//	Filter(S, [axis::t op lit])  =>  ValueSemiJoin(S, axis, ValueScan(t, op, lit))
-//
-// valid for comparison ('=', '<', '<=', '>', '>=' — '!=' is not a
-// value range) and contains() predicates over an attribute-free
-// context whose relative path ends in a bare step with a name, '*',
-// text() or node() test: a single step on self, child, attribute or
-// descendant(-or-self), or a chain of bare child::name / child::*
-// steps ending in a child or attribute step (the probes climb the
-// chain up the parent column). The rewrite applies independently of
-// value-index availability — the operator falls back to per-node
-// evaluation at execution time — so the canonical plan string stays
-// stable across Options.NoValueIndex.
-func (c *compiler) tryValueSemiJoin(fb filterBase, owningAxis axis.Axis, pred xpath.Predicate) (*valueSemiJoinOp, error) {
-	if owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
-		return nil, nil
-	}
-	vs := &valueScan{}
 	var path xpath.Path
-	switch p := pred.(type) {
+	var vs *valueScan
+	switch p := fb.pred.(type) {
+	case xpath.Exists:
+		path = p.Path
 	case xpath.Compare:
 		if p.Op == xpath.OpNe {
-			return nil, nil
+			return nil
 		}
-		path = p.Path
-		vs.op, vs.lit, vs.numeric = p.Op, p.Literal, p.Numeric
+		path, vs = p.Path, &valueScan{op: p.Op, lit: p.Literal, numeric: p.Numeric}
 	case xpath.Contains:
-		path = p.Path
-		vs.contains, vs.lit = true, p.Literal
+		path, vs = p.Path, &valueScan{contains: true, lit: p.Literal}
 	default:
-		return nil, nil
+		return nil
 	}
 	if path.Absolute || len(path.Steps) == 0 {
-		return nil, nil
+		return nil
 	}
-	step, prefix := path.Steps[len(path.Steps)-1], path.Steps[:len(path.Steps)-1]
-	if len(step.Preds) > 0 {
-		return nil, nil
+	last, prefix := path.Steps[len(path.Steps)-1], path.Steps[:len(path.Steps)-1]
+	if len(last.Preds) > 0 {
+		return nil
 	}
-	switch step.Axis {
+	if vs == nil {
+		if !pushable(last.Test) || last.Axis == axis.Attribute {
+			return nil
+		}
+	} else if !valueIndexServes(c.env.Doc, c.opts) || !valueTest(last.Test) {
+		return nil
+	}
+	switch last.Axis {
 	case axis.Child, axis.Attribute:
-	case axis.Self, axis.Descendant, axis.DescendantOrSelf:
+	case axis.Self, axis.DescendantOrSelf, axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding:
 		if len(prefix) > 0 {
-			return nil, nil
+			return nil
 		}
 	default:
-		return nil, nil
-	}
-	switch step.Test.Kind {
-	case xpath.TestName, xpath.TestAny, xpath.TestText, xpath.TestNode:
-	default:
-		return nil, nil
+		return nil
 	}
 	var up []core.Emit // the prefix tests in climb order, innermost first
 	for i := len(prefix) - 1; i >= 0; i-- {
 		s := prefix[i]
 		if s.Axis != axis.Child || len(s.Preds) > 0 || s.Test.Kind != xpath.TestName && s.Test.Kind != xpath.TestAny {
-			return nil, nil
+			return nil
 		}
 		up = append(up, emitFor(c.env.Doc, axis.Child, s.Test))
 	}
-	vs.pa, vs.test = step.Axis, step.Test
-	vj := &valueSemiJoinOp{
-		filterBase: fb,
-		pred:       pred.String(),
-		path:       path,
-		pa:         step.Axis,
-		up:         up,
-		scan:       vs,
+	sj := &semiJoinOp{filterBase: fb, a: last.Axis, up: up, path: path}
+	if vs == nil {
+		sj.frag = c.newFragScan(last.Test)
+	} else {
+		vs.pa, vs.test = last.Axis, last.Test
+		c.add(vs)
+		sj.frag = vs
 	}
-	if !valueIndexServes(c.env.Doc, c.opts) {
-		// The per-node program runs only where the index cannot serve.
-		var err error
-		if vj.prog, err = compilePredProg(c.env, c.opts, pred); err != nil {
-			return nil, err
-		}
+	c.add(sj)
+	c.p.rewrites = append(c.p.rewrites, "semijoin")
+	return sj
+}
+
+// valueTest reports whether a value fragment serves a last step's node
+// test.
+func valueTest(test xpath.NodeTest) bool {
+	switch test.Kind {
+	case xpath.TestName, xpath.TestAny, xpath.TestText, xpath.TestNode:
+		return true
 	}
-	c.add(vs)
-	c.add(vj)
-	c.p.rewrites = append(c.p.rewrites, "value-semijoin")
-	return vj, nil
+	return false
 }
 
 // inverseAxis maps each partitioning axis to its inverse.

@@ -199,7 +199,7 @@ func (o *sourceOp) open(ec *execCtx) (cursor, error) {
 }
 
 func (o *fragScan) open(ec *execCtx) (cursor, error) {
-	list, _, _ := o.resolve(ec)
+	list, _ := o.nodes(ec.env.Doc, ec.opts)
 	// Batches are released to consumers, which may filter them in
 	// place; the memoised fragment is shared.
 	return &sliceCursor{nodes: append([]int32(nil), list...)}, nil
@@ -295,7 +295,7 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 	pushed := false
 	var frag []int32
 	if o.frag != nil && ec.opts.Pushdown != PushNever {
-		if list, indexed, ok := o.frag.resolve(ec); ok && streamPush(ec.opts, indexed) {
+		if list, indexed := o.frag.nodes(d, ec.opts); streamPush(ec.opts, indexed) {
 			pushed = true
 			st.Pushed, st.Indexed = true, indexed
 			ost.pushed, ost.indexed = true, indexed
@@ -400,216 +400,6 @@ func (c *joinStreamCursor) pull(seek int32) ([]int32, error) {
 }
 
 func (c *joinStreamCursor) close() { c.src.in.close() }
-
-// --- SemiJoin --------------------------------------------------------------
-
-func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
-	in, err := o.in.open(ec)
-	if err != nil {
-		return nil, err
-	}
-	st := &ec.steps[o.meta.ord-1]
-	ost := &ec.ops[o.id]
-	ost.ran = true
-	list, indexed, _ := o.frag.resolve(ec)
-	ost.indexed = indexed
-	ost.fragSize = len(list)
-	ost.probeDir = probeInputSeek // streaming is point-probe by nature
-	return &semiJoinCursor{
-		ec: ec, o: o, st: st, ost: ost, in: in,
-		pr: newSemiProbe(ec.env.Doc, o.existsAxis, list),
-	}, nil
-}
-
-// semiProbe is the point-probe form of the exists-semijoin: it decides
-// per input node whether the node stands in the exists axis relation
-// to a fragment, by binary search (descendant/ancestor) or against the
-// fragment's reduction node (following/preceding) — the node-list
-// join's partition arithmetic turned into point probes, plus seek
-// hints derived from the fragment span. Shared by the streaming
-// cursor and the materializing executor's input-probe direction. Not
-// safe for concurrent use (minSeek advances while probing): build one
-// per execution.
-type semiProbe struct {
-	existsAxis axis.Axis
-	d          *doc.Document
-	post       []int32
-	kind       []doc.Kind
-	list       []int32
-
-	prefixMax      []int32 // existsAxis == Ancestor
-	minSeek        int32   // first input pre that can possibly qualify
-	spanLo, spanHi int32
-}
-
-// newSemiProbe builds the probe state for one execution over a
-// resolved (shared, read-only) fragment list.
-func newSemiProbe(d *doc.Document, existsAxis axis.Axis, list []int32) *semiProbe {
-	p := &semiProbe{
-		existsAxis: existsAxis, d: d,
-		post: d.PostSlice(), kind: d.KindSlice(), list: list,
-	}
-	if len(list) > 0 {
-		p.spanLo, p.spanHi = list[0], list[len(list)-1]
-		switch existsAxis {
-		case axis.Ancestor:
-			// prefixMax[i] = max subtree end over list[:i+1]: an input
-			// node b has a fragment ancestor iff some fragment node
-			// before it reaches at least b.
-			p.prefixMax = make([]int32, len(list))
-			m := int32(-1)
-			for i, f := range list {
-				if end := f + d.SubtreeSize(f); end > m {
-					m = end
-				}
-				p.prefixMax[i] = m
-			}
-			p.minSeek = p.spanLo + 1
-		case axis.Preceding:
-			// Following-join reduction: only the minimum-post fragment
-			// node matters; everything after its subtree qualifies.
-			best := list[0]
-			for _, f := range list[1:] {
-				if p.post[f] < p.post[best] {
-					best = f
-				}
-			}
-			p.minSeek = best + 1 + d.SubtreeSize(best)
-		}
-	}
-	return p
-}
-
-// qualifies decides the exists predicate for one input node and may
-// raise p.minSeek (the next input pre that could qualify).
-func (p *semiProbe) qualifies(v int32) bool {
-	switch p.existsAxis {
-	case axis.Descendant:
-		if v >= p.spanHi {
-			return false
-		}
-		i := searchNodes(p.list, v+1)
-		return i < len(p.list) && p.list[i] <= v+p.d.SubtreeSize(v)
-	case axis.Ancestor:
-		i := searchNodes(p.list, v)
-		if i > 0 && p.prefixMax[i-1] >= v {
-			return true
-		}
-		// No fragment subtree reaches v; the next possible hit starts
-		// after the next fragment node.
-		if i < len(p.list) {
-			if s := p.list[i] + 1; s > p.minSeek {
-				p.minSeek = s
-			}
-		} else {
-			p.minSeek = math.MaxInt32
-		}
-		return false
-	case axis.Following:
-		// Preceding-join reduction: compare against the maximum-pre
-		// fragment node.
-		f := p.spanHi
-		return v < f && p.post[v] < p.post[f]
-	default: // axis.Preceding
-		return v >= p.minSeek
-	}
-}
-
-// admit is the full per-node test: attribute nodes never qualify (the
-// node-list join's output filter), below-minSeek nodes cannot stand in
-// the relation, and the rest go through qualifies.
-func (p *semiProbe) admit(v int32) bool {
-	if v < p.minSeek || p.kind[v] == doc.Attr {
-		return false
-	}
-	return p.qualifies(v)
-}
-
-// exhaustedAfter reports that no input node >= v can qualify, so the
-// consumer may stop probing input entirely.
-func (p *semiProbe) exhaustedAfter(v int32) bool {
-	switch p.existsAxis {
-	case axis.Descendant:
-		return v >= p.spanHi
-	case axis.Following:
-		return v >= p.spanHi
-	case axis.Ancestor:
-		return p.minSeek == math.MaxInt32
-	default:
-		return false
-	}
-}
-
-// semiJoinCursor streams the exists-semijoin: input nodes pass through
-// iff they stand in the exists axis relation to the fragment, decided
-// by the point probe.
-type semiJoinCursor struct {
-	ec   *execCtx
-	o    *semiJoinOp
-	st   *StepStats
-	ost  *opStat
-	in   cursor
-	pr   *semiProbe
-	done bool
-}
-
-func (c *semiJoinCursor) next(seek int32) ([]int32, error) {
-	if c.done {
-		return nil, nil
-	}
-	if len(c.pr.list) == 0 {
-		c.done = true
-		return nil, nil
-	}
-	if err := c.ec.cancelled(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	out, err := c.probe(seek)
-	c.st.Duration += time.Since(start)
-	return out, err
-}
-
-// probe pulls input batches until one holds an admitted node.
-func (c *semiJoinCursor) probe(seek int32) ([]int32, error) {
-	for {
-		s := seek
-		if c.pr.minSeek > s {
-			s = c.pr.minSeek
-		}
-		b, err := c.in.next(s)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			c.done = true
-			return nil, nil
-		}
-		// Filter in place: b is the producing operator's batch buffer,
-		// released to us until our next pull.
-		out := b[:0]
-		for _, v := range b {
-			if c.pr.admit(v) {
-				out = append(out, v)
-			}
-		}
-		c.ost.in += len(b)
-		c.st.InputSize = c.ost.in
-		if c.pr.exhaustedAfter(b[len(b)-1]) {
-			c.done = true
-		}
-		if len(out) > 0 {
-			c.ost.out += len(out)
-			c.st.OutputSize = c.ost.out
-			return out, nil
-		}
-		if c.done {
-			return nil, nil
-		}
-	}
-}
-
-func (c *semiJoinCursor) close() { c.in.close() }
 
 // --- AxisStep (pipeline breaker) ------------------------------------------
 

@@ -107,7 +107,8 @@ type execCtx struct {
 // the plan's memoised fragment scan of that test when it has one.
 func (ec *execCtx) fragList(test xpath.NodeTest) (list []int32, indexed, ok bool) {
 	if f := ec.frags[test]; f != nil {
-		return f.resolveWith(ec.env.Doc, ec.opts)
+		list, indexed = f.nodes(ec.env.Doc, ec.opts)
+		return list, indexed, true
 	}
 	return pushdownList(ec.env.Doc, test, ec.opts)
 }

@@ -104,12 +104,8 @@ func (p *Plan) opDetail(o op) string {
 				p.display[i] = fmt.Sprintf("%s::%s", t.stepAxis(), t.test)
 			case *axisStepOp:
 				p.display[i] = fmt.Sprintf("%s::%s", t.a, t.test)
-			case *predFilterOp:
-				p.display[i] = fmt.Sprintf("%s", t.pred)
-			case *semiJoinOp:
-				p.display[i] = fmt.Sprintf("%s", t.pred)
-			case *valueSemiJoinOp:
-				p.display[i] = fmt.Sprintf("%s", t.pred)
+			case filterOp:
+				p.display[i] = t.filter().pred.String()
 			case *posFilterOp:
 				p.display[i] = t.step.String()
 			case *valueScan:
@@ -171,20 +167,11 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 	case *semiJoinOp:
 		n.Step = t.meta.ord
-		n.Detail = fmt.Sprintf("[%s] on inverse axis %s", p.opDetail(t), t.inv)
-		n.Variant = t.variant.String()
-		n.EstIn, n.EstOut = t.est.In, t.est.Out
-	case *valueSemiJoinOp:
-		n.Step = t.meta.ord
-		if len(t.up) == 0 {
-			n.Detail = fmt.Sprintf("[%s] probed on axis %s", p.opDetail(t), t.pa)
-		} else {
-			n.Detail = fmt.Sprintf("[%s] probed up the path %s", p.opDetail(t), t.path)
-		}
+		n.Detail = fmt.Sprintf("[%s] %s", p.opDetail(t), t.relation())
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 	case *valueScan:
 		n.Detail = p.opDetail(t)
-		n.Source = p.valueSource(t)
+		n.Source = valueSource(t)
 	case *posFilterOp:
 		n.Step = t.meta.ord
 		n.Detail = p.opDetail(t)
@@ -226,7 +213,7 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 
 // opName names the physical operator.
 func opName(o op, opts *Options) string {
-	switch t := o.(type) {
+	switch o.(type) {
 	case *sourceOp:
 		return "Source"
 	case *joinOp:
@@ -237,8 +224,6 @@ func opName(o op, opts *Options) string {
 		return "PredFilter"
 	case *semiJoinOp:
 		return "SemiJoin"
-	case *valueSemiJoinOp:
-		return "ValueSemiJoin"
 	case *valueScan:
 		return "ValueScan"
 	case *posFilterOp:
@@ -251,7 +236,6 @@ func opName(o op, opts *Options) string {
 		if opts.NoIndex {
 			return "ColumnScan"
 		}
-		_ = t
 		return "IndexScan"
 	default:
 		return fmt.Sprintf("%T", o)
@@ -344,18 +328,8 @@ func (p *Plan) renderOp(sb *strings.Builder, o op, res *Result, depth int) {
 		order()
 	case *semiJoinOp:
 		line("SemiJoin (step %d)", t.meta.ord)
-		line("  operator: staircase semijoin over the %s axis (exists-semijoin rewrite, set-at-a-time)", t.inv)
-		line("  predicate filter: [%s] evaluated as fragment semijoin", p.opDetail(t))
-		card(t.est)
-		order()
-	case *valueSemiJoinOp:
-		line("ValueSemiJoin (step %d)", t.meta.ord)
-		if len(t.up) == 0 {
-			line("  operator: value semijoin, fragment probes on the %s axis (value-semijoin rewrite, set-at-a-time)", t.pa)
-		} else {
-			line("  operator: value semijoin, fragment probes climb the path %s up the parent column (value-semijoin rewrite, set-at-a-time)", t.path)
-		}
-		line("  predicate filter: [%s] evaluated against the value fragment", p.opDetail(t))
+		line("  operator: semijoin, %s (set-at-a-time)", t.relation())
+		line("  predicate filter: [%s] evaluated against the fragment", p.opDetail(t))
 		card(t.est)
 		order()
 	case *posFilterOp:
@@ -373,7 +347,7 @@ func (p *Plan) renderOp(sb *strings.Builder, o op, res *Result, depth int) {
 		p.renderFrag(sb, t, depth, line)
 		return // leaves carry their detail on one block, no inputs
 	case *valueScan:
-		line("ValueScan (fragment %s; %s)", p.opDetail(t), p.valueSource(t))
+		line("ValueScan (fragment %s; %s)", p.opDetail(t), valueSource(t))
 		return
 	case *mergeOp:
 		line("Merge (union)")
@@ -441,12 +415,9 @@ func (p *Plan) renderPushdown(t *joinOp, ost *opStat, line func(string, ...any))
 	}
 }
 
-// valueSource names where a value fragment comes from in this plan's
-// configuration — the fragment-source line of ValueScan leaves.
-func (p *Plan) valueSource(t *valueScan) string {
-	if p.opts.NoValueIndex {
-		return "per-node evaluation (value index disabled)"
-	}
+// valueSource names where a value fragment comes from — the
+// fragment-source line of ValueScan leaves.
+func valueSource(t *valueScan) string {
 	switch {
 	case t.contains:
 		return "value index (substring scan)"

@@ -9,10 +9,10 @@
 //	               the §4.4 name/kind-test pushdown candidate
 //	AxisStep       the remaining axes: positional parent/child/sibling
 //	               and attribute lookups over the encoding's columns
-//	SemiJoin       a rewritten existential predicate: keeps the input
-//	               nodes that stand in the inverse axis relation to a
-//	               fragment, set-at-a-time (no per-node evaluation)
-//	PredFilter     a non-positional predicate, node at a time
+//	SemiJoin       a predicate a fragment serves: keeps the input nodes
+//	               a fragment node certifies through a staircase or a
+//	               parent-column climb, set-at-a-time (semijoin.go)
+//	PredFilter     any other non-positional predicate, node at a time
 //	PosFilter      a whole step with position-sensitive predicates,
 //	               context node at a time with proximity positions
 //	Merge          the '|' union merge (document order, dedup)
@@ -103,34 +103,32 @@ type fragScan struct {
 	once    sync.Once
 	list    []int32
 	indexed bool
-	ok      bool
 }
 
 func (o *fragScan) kids() []op { return nil }
 
-// run resolves the fragment list; used via resolve, never as a chain
+// run resolves the fragment list; used via nodes, never as a chain
 // link.
 func (o *fragScan) run(ec *execCtx) ([]int32, error) {
-	list, _, _ := o.resolve(ec)
+	list, _ := o.nodes(ec.env.Doc, ec.opts)
 	// Callers own run results; the memoised fragment is shared.
 	return append([]int32(nil), list...), nil
 }
 
-// resolve returns the fragment node list, whether it came from the
-// shared index, and whether the test is servable at all. The returned
-// slice is shared across executions: callers must not mutate it.
-func (o *fragScan) resolve(ec *execCtx) (list []int32, indexed, ok bool) {
-	return o.resolveWith(ec.env.Doc, ec.opts)
+// nodes returns the fragment node list and whether it came from the
+// shared index (a fragScan is built for pushable tests only). The
+// returned slice is shared across executions: callers must not mutate
+// it.
+func (o *fragScan) nodes(d *doc.Document, opts *Options) (list []int32, indexed bool) {
+	o.once.Do(func() {
+		o.list, o.indexed, _ = pushdownList(d, o.test, opts)
+	})
+	return o.list, o.indexed
 }
 
-// resolveWith is resolve without an execution context (the greedy
-// ordering pass runs at compile time).
-func (o *fragScan) resolveWith(d *doc.Document, opts *Options) (list []int32, indexed, ok bool) {
-	o.once.Do(func() {
-		o.list, o.indexed, o.ok = pushdownList(d, o.test, opts)
-	})
-	return o.list, o.indexed, o.ok
-}
+// count is the fragment's exact cardinality as the compilation counted
+// it, -1 when unknown.
+func (o *fragScan) count(*doc.Document, *Options) int64 { return o.card }
 
 // pushdownList resolves the fragment node list for a pushable node
 // test — the nametest(doc, n) (or kind-test) operand of the §4.4
@@ -310,15 +308,16 @@ func (o *axisStepOp) run(ec *execCtx) ([]int32, error) {
 	return out, nil
 }
 
-// filterBase is the header of the three commutable filters
-// (PredFilter, SemiJoin, ValueSemiJoin), the members of a reorderable
-// chain: the input link and estimates the greedy pass rewires and
-// re-stamps, and the step the filter belongs to.
+// filterBase is the header of the two commutable filters (PredFilter,
+// SemiJoin), the members of a reorderable chain: the predicate, the
+// input link and estimates the greedy pass rewires and re-stamps, and
+// the step the filter belongs to.
 type filterBase struct {
 	opBase
 	in   op
 	meta *stepMeta
 	est  estimates
+	pred xpath.Predicate
 	// srcOrd is the predicate's source position within its step; the
 	// canonical plan string renders commutable filter chains in srcOrd
 	// order so ordering decisions never change Canon.
@@ -326,6 +325,9 @@ type filterBase struct {
 }
 
 func (f *filterBase) filter() *filterBase { return f }
+
+// label renders the filter's predicate for ordering notes.
+func (f *filterBase) label() string { return "[" + f.pred.String() + "]" }
 
 // filterOp is a commutable filter. Positional filters are
 // order-sensitive and never are.
@@ -356,7 +358,6 @@ func filterChain(top op) (members []op, base op) {
 // predicate, node at a time.
 type predFilterOp struct {
 	filterBase
-	pred xpath.Predicate
 	prog *predProg
 }
 
@@ -387,73 +388,6 @@ func (o *predFilterOp) run(ec *execCtx) ([]int32, error) {
 	st.Duration += time.Since(start)
 	st.OutputSize = len(out)
 	ec.ops[o.id].record(len(in), len(out))
-	return out, nil
-}
-
-// semiJoinOp is the exists-semijoin rewrite: keep the input nodes that
-// have at least one fragment node on the predicate's axis. Evaluated
-// set-at-a-time as a staircase node-list join on the *inverse* axis —
-// s has a fragment node among its descendants iff s is an ancestor of
-// a fragment node — instead of one predicate evaluation per node.
-type semiJoinOp struct {
-	filterBase
-	// pred is the original predicate rendering (for EXPLAIN).
-	pred string
-	// existsAxis is the predicate's axis; inv its inverse, which the
-	// node-list join runs on.
-	existsAxis axis.Axis
-	inv        axis.Axis
-	frag       *fragScan
-	variant    core.Variant
-}
-
-func (o *semiJoinOp) kids() []op { return []op{o.in, o.frag} }
-
-func (o *semiJoinOp) run(ec *execCtx) ([]int32, error) {
-	in, err := o.in.run(ec)
-	if err != nil {
-		return nil, err
-	}
-	if err := ec.cancelled(); err != nil {
-		return nil, err
-	}
-	st := &ec.steps[o.meta.ord-1]
-	ost := &ec.ops[o.id]
-	start := time.Now()
-	skippedBefore := st.Core.Skipped
-	list, indexed, _ := o.frag.resolve(ec)
-	ost.indexed = indexed
-	var out []int32
-	if len(in) > 0 && len(list) > 0 {
-		if !ec.opts.NoReorder && probeFromInput(len(in), len(list)) {
-			// Input-probe direction: the input is far smaller than the
-			// fragment, so per-node binary probes (O(n log f)) beat the
-			// node-list join's linear sweep (O(n + f)).
-			ost.probeDir = probeInputSeek
-			pr := newSemiProbe(ec.env.Doc, o.existsAxis, list)
-			out = in[:0]
-			for _, v := range in {
-				if pr.admit(v) {
-					out = append(out, v)
-				}
-				if pr.exhaustedAfter(v) {
-					break
-				}
-			}
-		} else {
-			ost.probeDir = probeFragSweep
-			co := &core.Options{Variant: o.variant, Stats: &st.Core}
-			out, err = core.JoinNodeList(ec.env.Doc, o.inv, in, list, co)
-		}
-	}
-	st.Duration += time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	st.OutputSize = len(out)
-	ost.record(len(in), len(out))
-	ost.fragSize = len(list)
-	ost.skipped += st.Core.Skipped - skippedBefore
 	return out, nil
 }
 

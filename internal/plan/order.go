@@ -10,7 +10,7 @@
 // the "when greedy beats optimal" price/performance point. Semijoin
 // probe *direction* (sweep the fragment vs. binary-probe each input
 // node) is decided at execution time from the actual cardinalities
-// (ops.go/value.go); and when any intermediate is provably empty —
+// (semijoin.go); and when any intermediate is provably empty —
 // a name test over an absent tag, an empty semijoin fragment — the
 // whole branch is replaced by a zero-cardinality EmptyOp and the
 // downstream operators never execute.
@@ -103,27 +103,13 @@ func (c *compiler) orderPlan() {
 	}
 }
 
-// chainLabel renders a chain member for ordering notes.
-func chainLabel(o op) string {
-	switch t := o.(type) {
-	case *predFilterOp:
-		return "[" + t.pred.String() + "]"
-	case *semiJoinOp:
-		return "[" + t.pred + "]"
-	case *valueSemiJoinOp:
-		return "[" + t.pred + "]"
-	}
-	return "?"
-}
-
 // chainRank ranks a chain member for the greedy sort. Class 0 holds
-// filters with an exact fragment count (exists-semijoins whose
-// fragment the index counted at compile, value semijoins whose
-// fragment is resident), ordered by that count ascending — smallest
-// certified fragment first. Class 1 holds unknown-count semijoins
-// (NoIndex compilations: still a set-at-a-time sweep, cheaper than
-// per-node work). Class 2 holds per-node predicate programs and
-// fallback value semijoins. Ties keep source order (stable sort).
+// semijoins whose fragment the compilation counted exactly (the tag
+// index's lists, resident value fragments), ordered by that count
+// ascending — smallest certified fragment first. Class 1 holds
+// unknown-count semijoins (NoIndex compilations: still set-at-a-time,
+// cheaper than per-node work). Class 2 holds per-node predicate
+// programs. Ties keep source order (stable sort).
 type chainRank struct {
 	cls   int
 	count int64
@@ -131,21 +117,14 @@ type chainRank struct {
 }
 
 func (c *compiler) rankMember(o op) chainRank {
-	switch t := o.(type) {
-	case *semiJoinOp:
-		if t.frag.card >= 0 {
-			return chainRank{cls: 0, count: t.frag.card, src: t.srcOrd}
+	r := chainRank{cls: 2, src: asFilter(o).srcOrd}
+	if sj, ok := o.(*semiJoinOp); ok {
+		r.cls, r.count = 1, sj.frag.count(c.env.Doc, c.opts)
+		if r.count >= 0 {
+			r.cls = 0
 		}
-		return chainRank{cls: 1, src: t.srcOrd}
-	case *valueSemiJoinOp:
-		if list, ok := t.scan.resolveWith(c.env.Doc, c.opts); ok {
-			return chainRank{cls: 0, count: int64(len(list)), src: t.srcOrd}
-		}
-		return chainRank{cls: 2, src: t.srcOrd}
-	case *predFilterOp:
-		return chainRank{cls: 2, src: t.srcOrd}
 	}
-	return chainRank{cls: 3}
+	return r
 }
 
 func (r chainRank) less(o chainRank) bool {
@@ -211,11 +190,11 @@ func (c *compiler) orderChain(base op, members []op) op {
 		reordersTotal.Add(1)
 		var labels []string
 		for _, m := range sorted {
-			labels = append(labels, chainLabel(m))
+			labels = append(labels, asFilter(m).label())
 		}
 		var src []string
 		for _, m := range members {
-			src = append(src, chainLabel(m))
+			src = append(src, asFilter(m).label())
 		}
 		c.p.orderNotes = append(c.p.orderNotes, fmt.Sprintf(
 			"step %d: greedy filter order %v (source order %v)",
@@ -277,13 +256,8 @@ func (c *compiler) branchEmptyReason(o op) string {
 			}
 			o = t.in
 		case *semiJoinOp:
-			if t.frag.card == 0 {
-				return fmt.Sprintf("step %d predicate %s has an empty fragment", t.meta.ord, chainLabel(t))
-			}
-			o = t.in
-		case *valueSemiJoinOp:
-			if list, ok := t.scan.resolveWith(c.env.Doc, c.opts); ok && len(list) == 0 {
-				return fmt.Sprintf("step %d predicate %s has an empty value fragment", t.meta.ord, chainLabel(t))
+			if t.frag.count(c.env.Doc, c.opts) == 0 {
+				return fmt.Sprintf("step %d predicate %s has an empty fragment", t.meta.ord, t.label())
 			}
 			o = t.in
 		case *predFilterOp:

@@ -1,7 +1,7 @@
 package plan
 
 // Unit tests for the greedy ordering pass (order.go) and the
-// execution-time probe-direction decision (ops.go/value.go): probe
+// execution-time probe-direction decision (semijoin.go): probe
 // direction pinned on hand-built fragments, empty-intermediate
 // short-circuits terminating without downstream work, greedy hoisting
 // of exact-count semijoins, canon invariance under ordering (the
@@ -41,7 +41,7 @@ func TestProbeFromInput(t *testing.T) {
 	}
 }
 
-// findSemiJoin returns the plan's single exists-semijoin operator.
+// findSemiJoin returns the plan's first semijoin operator.
 func findSemiJoin(t *testing.T, p *Plan) *semiJoinOp {
 	t.Helper()
 	for _, o := range p.ops {
@@ -223,10 +223,10 @@ func TestFragScanMemoized(t *testing.T) {
 	if frag == nil {
 		t.Fatal("plan has no fragScan")
 	}
-	l1, _, ok1 := frag.resolveWith(env.Doc, &p.opts)
-	l2, _, ok2 := frag.resolveWith(env.Doc, &p.opts)
-	if !ok1 || !ok2 || len(l1) == 0 {
-		t.Fatalf("resolve failed: %v %v %v", l1, ok1, ok2)
+	l1, _ := frag.nodes(env.Doc, &p.opts)
+	l2, _ := frag.nodes(env.Doc, &p.opts)
+	if len(l1) == 0 {
+		t.Fatalf("resolve failed: %v", l1)
 	}
 	if &l1[0] != &l2[0] {
 		t.Error("fragment list resolved twice (not memoized)")
@@ -277,7 +277,7 @@ func TestReorderedCursorMatchesBatch(t *testing.T) {
 // the cursor executor drains them: for LIMIT 1 and a full drain, the
 // result nodes and each step's staircase counters. Seeks and early
 // exits must keep reaching the base join: the last query's first
-// evaluated member is an ancestor exists-semijoin whose probe seeks the
+// evaluated member is an ancestor staircase semijoin whose probe seeks the
 // //name join past every name outside a person.
 func TestReorderedStreamWork(t *testing.T) {
 	var sb strings.Builder

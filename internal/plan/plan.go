@@ -110,10 +110,10 @@ type Options struct {
 	// ablation and the rescan-baseline benchmarks.
 	NoIndex bool
 	// NoValueIndex disables the document's value index: comparison and
-	// contains() predicates rewritten to value semijoins fall back to
-	// per-node predicate evaluation at execution time. Results are
-	// identical (the canonical plan string does not change); the knob
-	// exists for ablation and the value-rescan benchmarks.
+	// contains() predicates compile to per-node predicate filters instead
+	// of semijoins over value fragments. Results are identical (the
+	// canonical plan string does not change); the knob exists for
+	// ablation and the value-rescan benchmarks.
 	NoValueIndex bool
 	// NoReorder disables the greedy ordering pass: commutable
 	// predicate filters evaluate in source order, semijoin probe

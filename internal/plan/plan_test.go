@@ -154,14 +154,14 @@ func TestPlanCanonEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanSemiJoin: the exists-semijoin rewrite fires for Q2's
+// TestPlanSemiJoin: the semijoin rewrite fires for Q2's
 // rewritten form and produces the same nodes as per-node filtering.
 func TestPlanSemiJoin(t *testing.T) {
 	d := fixture(t)
 	env := NewEnv(d)
 	p := compileQuery(t, env, "/descendant::bidder[descendant::increase]", nil)
-	if !strings.Contains(strings.Join(p.Rewrites(), ","), "exists-semijoin") {
-		t.Fatalf("rewrites = %v, want exists-semijoin", p.Rewrites())
+	if !strings.Contains(strings.Join(p.Rewrites(), ","), "semijoin") {
+		t.Fatalf("rewrites = %v, want semijoin", p.Rewrites())
 	}
 	res, err := p.RunRoot()
 	if err != nil {

@@ -2,8 +2,8 @@
 // predicate is compiled once per plan — existential and comparison
 // predicates carry a full sub-plan for their relative path — and then
 // evaluated per candidate node (PredFilter) or per proximity position
-// (PosFilter). The exists-semijoin rewrite (ops.go) bypasses this
-// machinery entirely for the predicates it covers.
+// (PosFilter). The semijoin rewrite (semijoin.go) bypasses this
+// machinery entirely for the predicates a fragment serves.
 
 package plan
 

@@ -30,9 +30,10 @@
 //	  position-sensitive predicates, whose proximity positions would
 //	  be renumbered between the split filters.
 //
-// A fourth rewrite, exists-semijoin, is applied during physical
-// compilation (compile.go) because its profitability depends on the
-// node test being servable by the document's tag/kind index.
+// A fourth rule, semijoin, is applied during physical compilation
+// (compile.go) because whether it applies depends on the document: on
+// the tag/kind index serving the node test, or the value index serving
+// the comparison.
 
 package plan
 

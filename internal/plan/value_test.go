@@ -118,10 +118,7 @@ func TestValueScanFragments(t *testing.T) {
 				t.FailNow()
 			}
 
-			frag, ok := vs.resolveWith(d, &p.opts)
-			if !ok {
-				t.Fatalf("%s: fragment not served by the value index", q)
-			}
+			frag, _ := vs.nodes(d, &p.opts)
 			var brute []int32
 			for v := int32(0); v < int32(d.Size()); v++ {
 				if nodePassesTest(d, vs.pa, vs.test, v) && vs.matches(d.StringValue(v)) {
@@ -196,14 +193,17 @@ func TestValuePathProbeDirections(t *testing.T) {
 		{"//p[q/@v >= 0]", probeInputSeek, 100},
 	} {
 		p := compileQuery(t, env, tc.q, nil)
-		var vj *valueSemiJoinOp
+		var vj *semiJoinOp
 		for _, o := range p.ops {
-			if v, ok := o.(*valueSemiJoinOp); ok {
+			if v, ok := o.(*semiJoinOp); ok {
 				vj = v
 			}
 		}
-		if vj == nil || len(vj.up) != 1 || vj.prog != nil {
-			t.Fatalf("%s: not a one-climb value semijoin without fallback program: %+v", tc.q, vj)
+		if vj == nil || len(vj.up) != 1 {
+			t.Fatalf("%s: not a one-climb semijoin: %+v", tc.q, vj)
+		}
+		if _, ok := vj.frag.(*valueScan); !ok {
+			t.Fatalf("%s: semijoin over %T, want a value fragment", tc.q, vj.frag)
 		}
 		res, err := p.RunRoot()
 		if err != nil {
@@ -221,9 +221,9 @@ func TestValuePathProbeDirections(t *testing.T) {
 	// Two value semijoins on one step stream through their cursors.
 	q := "//p[q/@v > 10][q/@v < 20]"
 	p := compileQuery(t, env, q, nil)
-	var vjs []*valueSemiJoinOp
+	var vjs []*semiJoinOp
 	for _, o := range p.ops {
-		if v, ok := o.(*valueSemiJoinOp); ok {
+		if v, ok := o.(*semiJoinOp); ok {
 			vjs = append(vjs, v)
 		}
 	}
@@ -240,7 +240,7 @@ func TestValuePathProbeDirections(t *testing.T) {
 	}
 	for _, v := range vjs {
 		if ost := lr.ops[v.opID()]; !ost.ran || !ost.indexed || ost.probeDir != probeInputSeek {
-			t.Errorf("%s: %s stat %+v, want an indexed input-seek", q, chainLabel(v), ost)
+			t.Errorf("%s: %s stat %+v, want an indexed input-seek", q, v.label(), ost)
 		}
 	}
 }

@@ -587,7 +587,7 @@ func TestQueryNoValueIndexMatchesDefault(t *testing.T) {
 
 // TestExplainShowsValueIndexSource: /explain names the value-fragment
 // source for a comparison predicate and the noValueIndex parameter
-// flips it to the per-node fallback.
+// compiles it to a per-node PredFilter.
 func TestExplainShowsValueIndexSource(t *testing.T) {
 	_, ts, _ := newTestServer(t, 1<<20)
 	defer ts.Close()
@@ -613,7 +613,7 @@ func TestExplainShowsValueIndexSource(t *testing.T) {
 		t.Fatalf("explain missing value-index source:\n%s", out)
 	}
 	out = get(ts.URL + q + "&noValueIndex=true")
-	if !bytes.Contains([]byte(out), []byte("value index disabled")) {
+	if !bytes.Contains([]byte(out), []byte("PredFilter")) {
 		t.Fatalf("explain missing per-node fallback:\n%s", out)
 	}
 }

@@ -1,7 +1,7 @@
 // Value-comparison semantics shared by every execution path. The plan
 // executor's predicate programs, the legacy per-node interpreter, the
 // value index's overflow filter, and the eligibility rules of the
-// value-semijoin rewrite all call these two functions, so the three
+// semijoin rewrite all call these two functions, so the three
 // ways a comparison predicate can evaluate (index lookup, per-node
 // plan filter, legacy interpreter) agree by construction.
 package xpath

@@ -187,7 +187,7 @@ func explainKeys(t *testing.T) []string {
 // between them, under the default options and under NoIndex.
 var surfaceQueries = []string{
 	// Source, StaircaseJoin, IndexScan (ColumnScan under NoIndex),
-	// SemiJoin; exists-semijoin.
+	// SemiJoin; semijoin.
 	"/descendant::open_auction[descendant::bidder]/descendant::increase",
 	// AxisStep; collapse-descendant-or-self.
 	"//person/name",
@@ -195,7 +195,7 @@ var surfaceQueries = []string{
 	"/descendant::person/self::node()",
 	// PredFilter; split-and.
 	"/descendant::person[name and not(profile)]",
-	// ValueSemiJoin, ValueScan; value-semijoin.
+	// SemiJoin, ValueScan; semijoin.
 	"/descendant::open_auction[current > 5]",
 	// PosFilter.
 	"/descendant::person[1]",
