@@ -29,9 +29,11 @@ var goldenQueries = []struct {
 	{"value_contains", "//person[contains(name, 'aro')]/name"},
 	// A two-step predicate path: the semijoin climbs child::profile.
 	{"value_path", "//person[profile/age > 35]"},
+	// An existential child path: a climb over the tag index's list.
+	{"exists_path", "//person[profile/education]"},
 	// The greedy ordering pass hoists the exact-count value semijoin
-	// above the source-first unknown-cost predicate filter.
-	{"reordered", "//person[profile][name = 'Carol']"},
+	// above the source-first per-node predicate filter.
+	{"reordered", "//person[not(watches)][name = 'Carol']"},
 	// A fragment statistic proves the branch empty at compile time: the
 	// plan short-circuits under an EmptyResult operator.
 	{"empty_intermediate", "//annotation/ancestor::person"},
