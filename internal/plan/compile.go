@@ -357,30 +357,6 @@ func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis) *semiJoinOp 
 	return sj
 }
 
-// valueTest reports whether a value fragment serves a last step's node
-// test.
-func valueTest(test xpath.NodeTest) bool {
-	switch test.Kind {
-	case xpath.TestName, xpath.TestAny, xpath.TestText, xpath.TestNode:
-		return true
-	}
-	return false
-}
-
-// inverseAxis maps each partitioning axis to its inverse.
-func inverseAxis(a axis.Axis) axis.Axis {
-	switch a {
-	case axis.Descendant:
-		return axis.Ancestor
-	case axis.Ancestor:
-		return axis.Descendant
-	case axis.Following:
-		return axis.Preceding
-	default:
-		return axis.Following
-	}
-}
-
 // opEstimate returns the estimated output cardinality of an operator.
 func opEstimate(o op) int64 {
 	switch t := o.(type) {

@@ -77,6 +77,20 @@ func (o *semiJoinOp) relation() string {
 	}
 }
 
+// inverseAxis maps each partitioning axis to its inverse.
+func inverseAxis(a axis.Axis) axis.Axis {
+	switch a {
+	case axis.Descendant:
+		return axis.Ancestor
+	case axis.Ancestor:
+		return axis.Descendant
+	case axis.Following:
+		return axis.Preceding
+	default:
+		return axis.Following
+	}
+}
+
 // seeks decides the probe direction from the actual cardinalities, each
 // relation by its own rule: a staircase probes per input node when the
 // fragment dwarfs the input, a climb sweeps the fragment when the input

@@ -86,6 +86,16 @@ func valueIndexServes(d *doc.Document, opts *Options) bool {
 	return !opts.NoValueIndex && d.HasValues()
 }
 
+// valueTest reports whether a value fragment serves a last step's node
+// test.
+func valueTest(test xpath.NodeTest) bool {
+	switch test.Kind {
+	case xpath.TestName, xpath.TestAny, xpath.TestText, xpath.TestNode:
+		return true
+	}
+	return false
+}
+
 // materialize computes the fragment from the value index: the keyed
 // nodes the predicate selects plus the overflow nodes it matches, those
 // passing the node test, in document order.
