@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -486,6 +487,47 @@ func BenchmarkCursorDrain(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(results), "ns/result")
 			b.ReportMetric(float64(scanned)/float64(results), "scanned/result")
+		})
+	}
+}
+
+// BenchmarkAdhocLightDrain drains, through the cursor executor, the four
+// light query families of the repository benchmark's serve_adhoc
+// workload on an 8 MB document, each on a freshly compiled plan so that
+// everything a plan resolves once (fragments, certified sets) is paid in
+// every iteration, as on a server miss. Besides ns/op it reports the
+// wall time and the staircase Scanned of the step that holds the
+// predicates (its duration nests the join below the filters).
+func BenchmarkAdhocLightDrain(b *testing.B) {
+	e := engine.New(corpus.ValueDoc(8))
+	for _, q := range []struct{ name, query string }{
+		{"initial-bidder-increase", "//open_auction[initial > 470]/bidder/increase"},
+		{"price-seller", "//closed_auction[price < 32]/seller"},
+		{"current-reserve-seller", "//open_auction[current > 470][reserve]/seller"},
+		{"quantity-initial-bidder-itemref", "//open_auction[quantity = 2][initial > 470][bidder]/itemref"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			cq, err := engine.Compile(q.query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var predNs, predScanned int64
+			for i := 0; i < b.N; i++ {
+				pl, err := e.Prepare(cq, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := pl.Plan().RunLimitRoot(nil, math.MaxInt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				predNs += r.Steps[0].Duration.Nanoseconds()
+				predScanned += r.Steps[0].Core.Scanned
+			}
+			b.ReportMetric(float64(predNs)/float64(b.N), "pred-step-ns/op")
+			b.ReportMetric(float64(predScanned)/float64(b.N), "pred-step-scanned/op")
 		})
 	}
 }
