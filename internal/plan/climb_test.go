@@ -7,8 +7,10 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"staircase/internal/spec"
@@ -124,5 +126,121 @@ func drainCursor(t testing.TB, p *Plan, root []int32) []int32 {
 			return out
 		}
 		out = append(out, b...)
+	}
+}
+
+// climbsOf returns a plan's climb semijoins.
+func climbsOf(p *Plan) []*semiJoinOp {
+	var out []*semiJoinOp
+	for _, o := range p.ops {
+		if sj, ok := o.(*semiJoinOp); ok && !sj.a.Partitioning() {
+			out = append(out, sj)
+		}
+	}
+	return out
+}
+
+// TestClimbCursorDirection: the cursor face sweeps a climb whose
+// fragment is no larger than its compile-time input bound and seeks
+// otherwise; NoReorder pins input-seek. After a sweep, the join below
+// has scanned at most the certified nodes plus one window.
+func TestClimbCursorDirection(t *testing.T) {
+	d := shredString(t, climbXML())
+	env := NewEnv(d)
+	root := []int32{d.Root()}
+	sweeps := map[string]bool{}
+	for _, q := range climbShapes {
+		for _, opts := range []*Options{nil, {NoReorder: true}} {
+			p := compileQuery(t, env, q, opts)
+			lr, err := p.RunLimit(context.Background(), root, math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sj := range climbsOf(p) {
+				ost := lr.ops[sj.opID()]
+				want := probeInputSeek
+				if opts == nil && int64(ost.fragSize) <= sj.est.In {
+					want = probeFragSweep
+					sweeps[q] = true
+				}
+				if ost.probeDir != want {
+					t.Errorf("%s %+v: %s cursor probeDir %d (fragment %d, input bound %d), want %d",
+						q, opts, sj.label(), ost.probeDir, ost.fragSize, sj.est.In, want)
+				}
+			}
+		}
+	}
+	for _, q := range []string{"//p[v > 230]", "//p[v >= 0][a/b]", "//*[x]", "//*[text()]"} {
+		if !sweeps[q] {
+			t.Errorf("%s: no climb swept", q)
+		}
+	}
+
+	// The //p join below a sweep seeks to each certified p and stops
+	// after the last: the first nine p elements, and the nine last with
+	// the 22 nested ones.
+	for _, q := range []string{"//p[v < 9]", "//p[v > 230]"} {
+		p := compileQuery(t, env, q, nil)
+		sj := climbsOf(p)[0]
+		lr, err := p.RunLimit(context.Background(), root, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dir := lr.ops[sj.opID()].probeDir; dir != probeFragSweep {
+			t.Fatalf("%s: cursor probeDir %d, want a sweep", q, dir)
+		}
+		cert := sj.certified(d, nil)
+		if scanned := lr.Steps[0].Core.Scanned; scanned > int64(len(cert)+execBatchSize) {
+			t.Errorf("%s: the join below the sweep scanned %d, certified %d", q, scanned, len(cert))
+		}
+	}
+}
+
+// TestClimbConcurrentFaces: one prepared plan per shape, run by eight
+// goroutines through Plan.Run and cursor drains at once, shares one
+// certified set and returns the same nodes on every execution (run
+// under -race).
+func TestClimbConcurrentFaces(t *testing.T) {
+	d := shredString(t, climbXML())
+	env := NewEnv(d)
+	root := []int32{d.Root()}
+	for _, q := range climbShapes {
+		p := compileQuery(t, env, q, nil)
+		want := run(t, env, q, &Options{NoReorder: true})
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					var got []int32
+					if (g+i)%2 == 0 {
+						res, err := p.Run(root)
+						if err != nil {
+							errs <- err.Error()
+							return
+						}
+						got = res.Nodes
+					} else {
+						lr, err := p.RunLimit(context.Background(), root, math.MaxInt)
+						if err != nil {
+							errs <- err.Error()
+							return
+						}
+						got = lr.Nodes
+					}
+					if !slices.Equal(got, want) {
+						errs <- fmt.Sprintf("%s: goroutine %d got %v, want %v", q, g, got, want)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
 	}
 }

@@ -215,10 +215,18 @@ func (c *compiler) orderChain(base op, members []op) op {
 		}
 	}
 
-	// Rewire and re-stamp estimates along the new order.
+	// Rewire and re-stamp estimates along the new order. A self, child or
+	// attribute climb certifies at most one node per fragment node, so
+	// its exact count bounds what it passes on: the bound a later climb's
+	// cursor compares its own fragment with.
 	in, est := base, filterEst(opEstimate(base))
 	for _, m := range sorted {
 		f := asFilter(m)
+		if sj, ok := m.(*semiJoinOp); ok && sj.certifiesOne() {
+			if n := ranks[m].count; n >= 0 && n < est.Out {
+				est.Out = n
+			}
+		}
 		f.in, f.est = in, est
 		in, est = m, filterEst(est.Out)
 	}

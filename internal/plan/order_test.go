@@ -276,9 +276,11 @@ func TestReorderedCursorMatchesBatch(t *testing.T) {
 // TestReorderedStreamWork pins what reordered filter chains cost when
 // the cursor executor drains them: for LIMIT 1 and a full drain, the
 // result nodes and each step's staircase counters. Seeks and early
-// exits must keep reaching the base join: the last query's first
-// evaluated member is an ancestor staircase semijoin whose probe seeks the
-// //name join past every name outside a person.
+// exits must keep reaching the base join: the second query's first
+// member is a climb that sweeps, seeking the //person join to its one
+// certified person, and the last query's first evaluated member is an
+// ancestor staircase semijoin whose probe seeks the //name join past
+// every name outside a person.
 func TestReorderedStreamWork(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<r>")
@@ -305,7 +307,7 @@ func TestReorderedStreamWork(t *testing.T) {
 		{fix, "//site[descendant::person][descendant::education]",
 			drain{nil, [][2]int64{{0, 0}}}, drain{nil, [][2]int64{{0, 0}}}},
 		{fix, "//person[profile][name = 'Carol']",
-			drain{[]int32{13}, [][2]int64{{3, 0}}}, drain{[]int32{13}, [][2]int64{{3, 0}}}},
+			drain{[]int32{13}, [][2]int64{{1, 2}}}, drain{[]int32{13}, [][2]int64{{1, 2}}}},
 		{fix, "//open_auction[descendant::bidder][current > 10]",
 			drain{[]int32{21}, [][2]int64{{2, 0}}}, drain{[]int32{21}, [][2]int64{{2, 0}}}},
 		{fix, "//person[name][profile][descendant::education]",

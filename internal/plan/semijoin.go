@@ -19,17 +19,24 @@
 //     its parent-column walk up the path reaches — Monet's positional
 //     parent lookup (§4), one tested hop per step.
 //
-// Either relation runs in one of two directions, chosen per execution
-// from the actual cardinalities: input-seek decides each input node by
-// binary search over the fragment (semiProbe); fragment-sweep derives
-// the certified nodes from the fragment in one pass. The cursor face is
-// input-seek by nature, with seek hints from the fragment span.
+// Either relation runs in one of two directions: input-seek decides
+// each input node by binary search over the fragment (semiProbe);
+// fragment-sweep derives the certified nodes from the fragment in one
+// pass. A staircase seeks when the fragment outnumbers the batch input
+// 16×, and its cursor always seeks. A climb sweeps when its fragment is
+// no larger than its input — the batch face reads the input's length,
+// the cursor face the compile-time input bound — through its certified
+// set: the sorted, duplicate-free nodes the fragment certifies, built at
+// most once per plan. The batch sweep intersects the input with it; the
+// cursor pulls its input from the next certified node on.
 
 package plan
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"staircase/internal/axis"
@@ -61,6 +68,11 @@ type semiJoinOp struct {
 	up []core.Emit
 	// path is the predicate's path, which EXPLAIN names when up is set.
 	path xpath.Path
+	// A climb's certified set is a pure function of the plan's document
+	// and fragment, so it is built at most once per plan, by the first
+	// sweep on either face, and shared read-only by every execution.
+	certOnce sync.Once
+	cert     []int32
 }
 
 func (o *semiJoinOp) kids() []op { return []op{o.in, o.frag} }
@@ -91,15 +103,22 @@ func inverseAxis(a axis.Axis) axis.Axis {
 	}
 }
 
-// seeks decides the probe direction from the actual cardinalities, each
-// relation by its own rule: a staircase probes per input node when the
-// fragment dwarfs the input, a climb sweeps the fragment when the input
-// dwarfs it. NoReorder pins the staircase sweep and the climb probe.
+// seeks decides the probe direction from exact counts, each relation by
+// its own rule: a staircase probes per input node when the fragment
+// dwarfs the input, a climb sweeps when its fragment is no larger than
+// its input. NoReorder pins the staircase sweep and the climb probe.
 func (o *semiJoinOp) seeks(opts *Options, in, frag int) bool {
 	if o.a.Partitioning() {
 		return !opts.NoReorder && probeFromInput(in, frag)
 	}
-	return opts.NoReorder || !probeFromInput(frag, in)
+	return opts.NoReorder || frag > in
+}
+
+// certifiesOne reports a climb whose fragment nodes certify at most one
+// node each: a self, child or attribute step (descendant-or-self
+// certifies a whole ancestor chain).
+func (o *semiJoinOp) certifiesOne() bool {
+	return o.a == axis.Self || o.a == axis.Child || o.a == axis.Attribute
 }
 
 func (o *semiJoinOp) run(ec *execCtx) ([]int32, error) {
@@ -159,36 +178,51 @@ func (o *semiJoinOp) seek(ec *execCtx, in, list []int32) ([]int32, error) {
 }
 
 // sweep derives the certified input nodes from the fragment: a
-// staircase node-list join on the inverse axis, or each fragment node's
-// climb (descendant-or-self: its whole ancestor chain) intersected with
-// the input.
+// staircase node-list join on the inverse axis, or the input
+// intersected with the climb's certified set.
 func (o *semiJoinOp) sweep(ec *execCtx, in, list []int32, st *StepStats) ([]int32, error) {
 	d := ec.env.Doc
 	if o.a.Partitioning() {
 		co := &core.Options{Variant: variantFor(ec.opts.Strategy), Stats: &st.Core}
 		return core.JoinNodeList(d, inverseAxis(o.a), in, list, co)
 	}
-	var cands []int32
-	for i, f := range list {
-		if i&1023 == 0 {
-			if err := ec.cancelled(); err != nil {
-				return nil, err
-			}
-		}
+	return intersectSorted(in, o.certified(d, list)), nil
+}
+
+// certified returns the climb's certified set: the sorted,
+// duplicate-free nodes fragment list certifies — each fragment node's
+// climb, or under descendant-or-self its whole ancestor chain. It is
+// built on first use and shared read-only: callers must not mutate it.
+func (o *semiJoinOp) certified(d *doc.Document, list []int32) []int32 {
+	o.certOnce.Do(func() {
 		switch o.a {
 		case axis.Self:
-			cands = append(cands, f)
+			o.cert = list // certifies itself
 		case axis.DescendantOrSelf:
-			for p := f; p != doc.NoParent; p = d.Parent(p) {
-				cands = append(cands, p)
+			var cands []int32
+			for _, f := range list {
+				for p := f; p != doc.NoParent; p = d.Parent(p) {
+					cands = append(cands, p)
+				}
 			}
-		default: // axis.Child, axis.Attribute
-			if p := climb(d, o.up, f); p != doc.NoParent {
-				cands = append(cands, p)
+			o.cert = sortDedup(cands)
+		default: // axis.Child, axis.Attribute: at most one node per fragment node
+			cert, sorted := make([]int32, 0, len(list)), true
+			for _, f := range list {
+				if p := climb(d, o.up, f); p != doc.NoParent {
+					if n := len(cert); n > 0 && p < cert[n-1] {
+						sorted = false
+					}
+					cert = append(cert, p)
+				}
 			}
+			if !sorted {
+				slices.Sort(cert)
+			}
+			o.cert = slices.Compact(cert)
 		}
-	}
-	return intersectSorted(in, sortDedup(cands)), nil
+	})
+	return o.cert
 }
 
 // climb returns the one context node fragment node f can certify
@@ -389,15 +423,21 @@ func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
 	list, indexed := o.frag.nodes(ec.env.Doc, ec.opts)
 	ost.indexed = indexed
 	ost.fragSize = len(list)
-	ost.probeDir = probeInputSeek // streaming is point-probe by nature
+	// A cursor never sees its whole input: a climb compares its fragment
+	// with the compile-time input bound. A staircase always seeks.
+	if !o.a.Partitioning() && len(list) > 0 && !o.seeks(ec.opts, int(o.est.In), len(list)) {
+		ost.probeDir = probeFragSweep
+		return &climbSweepCursor{ec: ec, st: st, ost: ost, in: in, cert: o.certified(ec.env.Doc, list)}, nil
+	}
+	ost.probeDir = probeInputSeek
 	return &semiJoinCursor{
 		ec: ec, st: st, ost: ost, in: in,
 		pr: newSemiProbe(ec.env.Doc, o.a, o.up, list),
 	}, nil
 }
 
-// semiJoinCursor streams the semijoin: input batches filter in place
-// through the point probe, pulled with its seek hints. Once the input
+// semiJoinCursor streams the semijoin in the input-seek direction: input
+// batches filter in place through the point probe, pulled with its seek hints. Once the input
 // passes the last node that could qualify, the cursor stops pulling, and
 // the staircase kernels upstream never scan the rest of the document.
 type semiJoinCursor struct {
@@ -466,3 +506,71 @@ func (c *semiJoinCursor) probe(seek int32) ([]int32, error) {
 }
 
 func (c *semiJoinCursor) close() { c.in.close() }
+
+// climbSweepCursor streams a climb in the fragment-sweep direction: it
+// pulls its input from the next certified node on, keeps the batch
+// nodes that merge with the certified set, and is exhausted after the
+// last certified node. The join cursors below turn each seek into a list
+// gallop, so they touch only the certified nodes' neighbourhoods.
+type climbSweepCursor struct {
+	ec   *execCtx
+	st   *StepStats
+	ost  *opStat
+	in   cursor
+	cert []int32 // shared, read-only
+	pos  int     // the first certified node not yet passed
+	done bool
+}
+
+func (c *climbSweepCursor) next(seek int32) ([]int32, error) {
+	for !c.done {
+		if err := c.ec.cancelled(); err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		out, err := c.merge(seek)
+		c.st.Duration += time.Since(start)
+		if err != nil || len(out) > 0 {
+			return out, err
+		}
+	}
+	return nil, nil
+}
+
+// merge pulls one input batch from max(seek, next certified node) and
+// filters it in place to the certified nodes it holds.
+func (c *climbSweepCursor) merge(seek int32) ([]int32, error) {
+	if c.pos < len(c.cert) && c.cert[c.pos] < seek {
+		c.pos += searchNodes(c.cert[c.pos:], seek)
+	}
+	if c.pos == len(c.cert) {
+		c.done = true
+		return nil, nil
+	}
+	b, err := c.in.next(c.cert[c.pos])
+	if err != nil || b == nil {
+		c.done = true
+		return nil, err
+	}
+	out := b[:0]
+	for _, v := range b {
+		for c.pos < len(c.cert) && c.cert[c.pos] < v {
+			c.pos++
+		}
+		if c.pos == len(c.cert) {
+			break
+		}
+		if c.cert[c.pos] == v {
+			out = append(out, v)
+			c.pos++
+		}
+	}
+	c.done = c.pos == len(c.cert)
+	c.ost.in += len(b)
+	c.st.InputSize = c.ost.in
+	c.ost.out += len(out)
+	c.st.OutputSize = c.ost.out
+	return out, nil
+}
+
+func (c *climbSweepCursor) close() { c.in.close() }

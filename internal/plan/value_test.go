@@ -178,8 +178,10 @@ func valuePathXML() string {
 }
 
 // TestValuePathProbeDirections: a two-hop predicate path (q/@v) climbs
-// the parent column in both probe directions and in the cursor,
-// and agrees with the per-node program on valuePathXML's decoys.
+// the parent column in both probe directions on both faces, and agrees
+// with the per-node program on valuePathXML's decoys. A climb sweeps
+// when its fragment is no larger than its input: 102 p elements, read
+// from the batch input and from the compile-time bound alike.
 func TestValuePathProbeDirections(t *testing.T) {
 	env := NewEnv(shredString(t, valuePathXML()))
 	for _, tc := range []struct {
@@ -187,9 +189,11 @@ func TestValuePathProbeDirections(t *testing.T) {
 		dir  int8
 		want int
 	}{
-		// 102 persons against 4 fragment nodes: sweep the fragment.
+		// 4 fragment nodes: sweep.
 		{"//p[q/@v > 98]", probeFragSweep, 1},
-		// 102 persons against 103 fragment nodes: probe per person.
+		// input = fragment = 102: sweep.
+		{"//p[q/@v >= 1]", probeFragSweep, 99},
+		// input = fragment - 1: probe per p.
 		{"//p[q/@v >= 0]", probeInputSeek, 100},
 	} {
 		p := compileQuery(t, env, tc.q, nil)
@@ -216,9 +220,21 @@ func TestValuePathProbeDirections(t *testing.T) {
 		if got := res.ops[vj.opID()].probeDir; got != tc.dir {
 			t.Errorf("%s: probeDir = %d, want %d", tc.q, got, tc.dir)
 		}
+		lr, err := p.RunLimitRoot(context.Background(), math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equal32(lr.Nodes, want) {
+			t.Errorf("%s: cursor %v, NoValueIndex %v", tc.q, lr.Nodes, want)
+		}
+		if got := lr.ops[vj.opID()].probeDir; got != tc.dir {
+			t.Errorf("%s: cursor probeDir = %d, want %d", tc.q, got, tc.dir)
+		}
 	}
 
-	// Two value semijoins on one step stream through their cursors.
+	// Two value semijoins on one step stream through their cursors. The
+	// 20-node fragment sweeps the 102 p elements; its certified count
+	// bounds the input of the 92-node fragment, which seeks.
 	q := "//p[q/@v > 10][q/@v < 20]"
 	p := compileQuery(t, env, q, nil)
 	var vjs []*semiJoinOp
@@ -239,8 +255,12 @@ func TestValuePathProbeDirections(t *testing.T) {
 		t.Errorf("%s: cursor %v, NoValueIndex %v", q, lr.Nodes, want)
 	}
 	for _, v := range vjs {
-		if ost := lr.ops[v.opID()]; !ost.ran || !ost.indexed || ost.probeDir != probeInputSeek {
-			t.Errorf("%s: %s stat %+v, want an indexed input-seek", q, v.label(), ost)
+		dir := probeInputSeek
+		if v.label() == "[child::q/attribute::v < 20]" {
+			dir = probeFragSweep
+		}
+		if ost := lr.ops[v.opID()]; !ost.ran || !ost.indexed || ost.probeDir != dir {
+			t.Errorf("%s: %s stat %+v, want an indexed probeDir %d", q, v.label(), ost, dir)
 		}
 	}
 }
