@@ -18,8 +18,8 @@ import (
 // never panic. Documents and queries that do not parse are skipped, and
 // so are queries with more than two predicates, whose reference
 // evaluation grows with the document to the power of their nesting.
-// The seeds are the predicate shapes a semijoin serves and the decoys
-// next to them.
+// The seeds are the predicate shapes a semijoin serves, in both probe
+// directions, and the decoys next to them.
 //
 //	go test -run '^$' -fuzz '^FuzzQueryDiff$' -fuzztime 60s ./internal/plan
 func FuzzQueryDiff(f *testing.F) {
@@ -27,6 +27,7 @@ func FuzzQueryDiff(f *testing.F) {
 		fixtureXML,
 		`<r><p><q v="1"/>t</p><p><x v="2"/><!--c--></p><q v="3"><q v="4"/></q><?go x?></r>`,
 		`<a k="1"><b>2<c>3</c></b><b k="x"><c/>4</b>5<a><b><c>6</c></b></a></a>`,
+		`<r><s><x/><s><t><x/></t>u<s><t/></s></s></s><p k="1"><v>1</v><a><b/></a></p><p k="2"><v>2</v>w<a><p><v>3</v><x/></p></a></p></r>`,
 	}
 	queries := []string{
 		"//open_auction[reserve]/bidder", "//open_auction[bidder]/current", "//person[profile/education]",
@@ -36,6 +37,8 @@ func FuzzQueryDiff(f *testing.F) {
 		"//bidder[descendant::increase]", "//c[preceding::b]", "//b[self::b]", "//a[descendant-or-self::c]",
 		"//person[@id]", "//person[*]", "//person[node()]", "//a[b[c]/c]", "//a[b//c]", "//a[/a/b]",
 		"//person[not(profile)]", "//b[c or text()]", "//b[c][2]", "//p[q/@v != 1]",
+		"//p[v > 1][a]", "//p[v > 1][a/b]", "//p[v < 3]/a", "//*[x]", "//*[*/x]", "//*[text()]", "//s[t/x]",
+		"//person[profile][name = 'Carol']", "//open_auction[current > 10][bidder]", "//p[q/@v >= 1][q]",
 	}
 	for _, d := range docs {
 		for _, q := range queries {
