@@ -92,10 +92,8 @@ func TestClimbSemiJoinFacesMatchSpec(t *testing.T) {
 			if !slices.Equal(res.Nodes, want) {
 				t.Errorf("%s %+v: Run %v, spec %v", q, opts, res.Nodes, want)
 			}
-			if got := drainCursor(t, p, root); !slices.Equal(got, want) {
-				t.Errorf("%s %+v: cursor %v, spec %v", q, opts, got, want)
-			}
-			for _, k := range []int{1, 3} {
+			// A limit past every result drains the cursor.
+			for _, k := range []int{math.MaxInt, 1, 3} {
 				lr, err := p.RunLimit(context.Background(), root, k)
 				if err != nil {
 					t.Fatal(err)
@@ -105,27 +103,6 @@ func TestClimbSemiJoinFacesMatchSpec(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// drainCursor pulls a plan's cursor to exhaustion.
-func drainCursor(t testing.TB, p *Plan, root []int32) []int32 {
-	t.Helper()
-	cur, err := p.Cursor(context.Background(), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	var out []int32
-	for {
-		b, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			return out
-		}
-		out = append(out, b...)
 	}
 }
 

@@ -436,10 +436,11 @@ func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
 	}, nil
 }
 
-// semiJoinCursor streams the semijoin in the input-seek direction: input
-// batches filter in place through the point probe, pulled with its seek hints. Once the input
-// passes the last node that could qualify, the cursor stops pulling, and
-// the staircase kernels upstream never scan the rest of the document.
+// semiJoinCursor streams the semijoin in the input-seek direction:
+// input batches filter in place through the point probe, pulled with
+// its seek hints. Once the input passes the last node that could
+// qualify, the cursor stops pulling, and the staircase kernels upstream
+// never scan the rest of the document.
 type semiJoinCursor struct {
 	ec   *execCtx
 	st   *StepStats
@@ -511,7 +512,8 @@ func (c *semiJoinCursor) close() { c.in.close() }
 // pulls its input from the next certified node on, keeps the batch
 // nodes that merge with the certified set, and is exhausted after the
 // last certified node. The join cursors below turn each seek into a list
-// gallop, so they touch only the certified nodes' neighbourhoods.
+// gallop: they scan one window from each certified node they are sent
+// to, not the input between.
 type climbSweepCursor struct {
 	ec   *execCtx
 	st   *StepStats
