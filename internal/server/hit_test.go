@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -52,14 +53,22 @@ func (r *hitRecorder) Write(p []byte) (int, error) {
 
 func (r *hitRecorder) Flush() { r.flushes++ }
 
-var queryURL = &url.URL{Path: "/query"}
+var (
+	queryURL  = &url.URL{Path: "/query"}
+	streamURL = &url.URL{Path: "/stream"}
+)
 
 // serveQuery posts body to /query in-process and returns the response.
 func serveQuery(h http.Handler, rw *hitRecorder, body []byte) []byte {
+	return servePost(h, rw, queryURL, body)
+}
+
+// servePost posts body to u in-process and returns the response.
+func servePost(h http.Handler, rw *hitRecorder, u *url.URL, body []byte) []byte {
 	rw.status, rw.writes, rw.flushes = 0, 0, 0
 	rw.body.Reset()
 	h.ServeHTTP(rw, &http.Request{
-		Method: http.MethodPost, URL: queryURL, Host: "test",
+		Method: http.MethodPost, URL: u, Host: "test",
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
 	})
@@ -146,6 +155,64 @@ func TestHitAllocations(t *testing.T) {
 	want := fmt.Sprintf("xpathd_cache_encoded_bytes %d\nxpathd_cache_encoded_hits_total %d\n", enc, hits)
 	if hits < 500 || enc < 100000 || !strings.Contains(rw.body.String(), want) {
 		t.Errorf("encoded hits %d, encoded bytes %d, /metrics lacks %q", hits, enc, want)
+	}
+}
+
+// TestMissAllocations bounds what a cold miss of N nodes allocates, in
+// bytes per result node: the flight's batches, and the one completed
+// slice where something keeps it. Every request names its own limit,
+// past the result, so each is a miss with the same N-node answer.
+func TestMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	const query = "/descendant::*"
+	countRE := regexp.MustCompile(`"count":(\d+)`)
+	for _, c := range []struct {
+		name    string
+		u       *url.URL
+		budget  int64
+		perNode uint64
+	}{
+		{"stream, refused by the cache", streamURL, 16 << 15, 20},
+		{"stream, kept by the cache", streamURL, 64 << 20, 20},
+		{"query", queryURL, 64 << 20, 40},
+	} {
+		s := newHitServer(t, Config{CacheBytes: c.budget, ShareScans: true})
+		h, rw := s.Handler(), newHitRecorder()
+		limit := 1 << 20
+		miss := func() []byte {
+			limit++
+			return servePost(h, rw, c.u, fmt.Appendf(nil, `{"doc":"d","query":%q,"limit":%d}`, query, limit))
+		}
+		m := countRE.FindSubmatch(miss())
+		if m == nil {
+			t.Fatalf("%s: no count in the response", c.name)
+		}
+		n, _ := strconv.ParseUint(string(m[1]), 10, 64)
+		if n < 15000 {
+			t.Fatalf("%s: %d nodes, want a result of about 20 000", c.name, n)
+		}
+		per := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 4
+			for range runs {
+				miss()
+			}
+			runtime.ReadMemStats(&after)
+			per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if slack := uint64(16 << 10); per > c.perNode*n+slack {
+			t.Errorf("%s: a miss of %d nodes allocates %d B (%.1f B/node), want <= %d B/node + %d B",
+				c.name, n, per, float64(per)/float64(n), c.perNode, slack)
+		} else {
+			t.Logf("%s: a miss of %d nodes allocates %d B (%.1f B/node)", c.name, n, per, float64(per)/float64(n))
+		}
+		if kept := s.cache.Len() > 0; kept != (c.budget > 16<<15) {
+			t.Errorf("%s: %d cache entries", c.name, s.cache.Len())
+		}
 	}
 }
 
