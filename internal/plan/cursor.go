@@ -167,7 +167,18 @@ func (c *blockingCursor) next(seek int32) ([]int32, error) {
 func (c *blockingCursor) close() { c.in.close() }
 
 // drainAll pulls a cursor to exhaustion, materialising its sequence.
-func drainAll(ec *execCtx, c cursor) ([]int32, error) {
+// A blocking cursor not read yet hands over its materialised slice
+// whole instead of batch by batch: the slice is the execution's own,
+// and no consumer of a drained context modifies it.
+func drainAll(c cursor) ([]int32, error) {
+	if bc, ok := c.(*blockingCursor); ok && !bc.inited {
+		nodes, err := bc.fill()
+		if err != nil {
+			return nil, err
+		}
+		bc.inited = true // and exhausted: sc holds nothing
+		return nodes, nil
+	}
 	var out []int32
 	for {
 		b, err := c.next(0)
@@ -409,7 +420,7 @@ func (o *axisStepOp) open(ec *execCtx) (cursor, error) {
 		return nil, err
 	}
 	return &blockingCursor{in: in, fill: func() ([]int32, error) {
-		ctxNodes, err := drainAll(ec, in)
+		ctxNodes, err := drainAll(in)
 		if err != nil {
 			return nil, err
 		}
@@ -512,7 +523,7 @@ func (o *posFilterOp) open(ec *execCtx) (cursor, error) {
 		// per-context results in reverse document order: inherently
 		// blocking. The document-node case is a single evaluation.
 		return &blockingCursor{in: in, fill: func() ([]int32, error) {
-			ctxNodes, err := drainAll(ec, in)
+			ctxNodes, err := drainAll(in)
 			if err != nil {
 				return nil, err
 			}

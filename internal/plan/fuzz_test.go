@@ -19,7 +19,7 @@ import (
 // so are queries with more than two predicates, whose reference
 // evaluation grows with the document to the power of their nesting.
 // The seeds are the predicate shapes a semijoin serves, in both probe
-// directions, and the decoys next to them.
+// directions, the decoys next to them, and chains of blocking steps.
 //
 //	go test -run '^$' -fuzz '^FuzzQueryDiff$' -fuzztime 60s ./internal/plan
 func FuzzQueryDiff(f *testing.F) {
@@ -40,6 +40,7 @@ func FuzzQueryDiff(f *testing.F) {
 		"//p[v > 1][a]", "//p[v > 1][a/b]", "//p[v < 3]/a", "//*[x]", "//*[*/x]", "//*[text()]", "//s[t/x]",
 		"//person[profile][name = 'Carol']", "//open_auction[current > 10][bidder]", "//p[q/@v >= 1][q]",
 	}
+	queries = append(queries, blockingShapes...)
 	for _, d := range docs {
 		for _, q := range queries {
 			f.Add([]byte(d), q)

@@ -132,20 +132,45 @@ func (c *resultCache) Attach(key []byte, nodes []int32, enc []byte) []byte {
 	return enc
 }
 
-// Put stores nodes under key, evicting least-recently-used entries to
-// stay within the shard budget. The slice is retained; callers must not
-// modify it afterwards.
-func (c *resultCache) Put(key string, nodes []int32) {
+// nodeBytes is what an entry is charged per node.
+const nodeBytes = 4
+
+// entryCost is the charge of an entry of n nodes under key, before any
+// encoding is attached.
+func entryCost(key string, n int) int64 { return int64(len(key)) + nodeBytes*int64(n) + 64 }
+
+// maxNodes is the admission rule: the largest result the shard takes
+// under key (-1 when not even an empty one fits). A larger entry would
+// evict the whole shard for one entry.
+func (s *cacheShard) maxNodes(key string) int {
+	room := s.maxBytes - entryCost(key, 0)
+	if room < 0 {
+		return -1
+	}
+	return int(room / nodeBytes)
+}
+
+// MaxNodes returns the largest result Put keeps under key: -1 when the
+// cache is disabled.
+func (c *resultCache) MaxNodes(key string) int {
 	s := c.shard(maphash.String(c.seed, key))
 	if s == nil {
+		return -1
+	}
+	return s.maxNodes(key)
+}
+
+// Put stores nodes under key, evicting least-recently-used entries to
+// stay within the shard budget; a result over MaxNodes(key) is dropped.
+// The slice is retained; callers must not modify it afterwards.
+func (c *resultCache) Put(key string, nodes []int32) {
+	s := c.shard(maphash.String(c.seed, key))
+	if s == nil || len(nodes) > s.maxNodes(key) {
 		return
 	}
-	cost := int64(len(key)) + 4*int64(len(nodes)) + 64
+	cost := entryCost(key, len(nodes))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cost > s.maxBytes {
-		return // would evict the whole shard for one entry
-	}
 	if el, ok := s.m[key]; ok {
 		s.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)

@@ -174,9 +174,9 @@ func TestMissAllocations(t *testing.T) {
 		budget  int64
 		perNode uint64
 	}{
-		{"stream, refused by the cache", streamURL, 16 << 15, 20},
-		{"stream, kept by the cache", streamURL, 64 << 20, 20},
-		{"query", queryURL, 64 << 20, 40},
+		{"stream, refused by the cache", streamURL, 16 << 15, 4},
+		{"stream, kept by the cache", streamURL, 64 << 20, 8},
+		{"query", queryURL, 64 << 20, 8},
 	} {
 		s := newHitServer(t, Config{CacheBytes: c.budget, ShareScans: true})
 		h, rw := s.Handler(), newHitRecorder()
@@ -204,7 +204,7 @@ func TestMissAllocations(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		if slack := uint64(16 << 10); per > c.perNode*n+slack {
+		if slack := uint64(24 << 10); per > c.perNode*n+slack {
 			t.Errorf("%s: a miss of %d nodes allocates %d B (%.1f B/node), want <= %d B/node + %d B",
 				c.name, n, per, float64(per)/float64(n), c.perNode, slack)
 		} else {

@@ -794,9 +794,9 @@ func (l *limitCursor) Next() ([]int32, error) {
 func (l *limitCursor) Close() { l.cur.Close() }
 
 // joinFlight joins (or creates) the in-flight execution of p under its
-// cache key; the completed buffer retires into the result cache. Its
-// pace car holds one unit.
-func (s *Server) joinFlight(p *engine.Prepared, key string, limit int) (*share.Follower, bool) {
+// cache key; a completed result of at most keep nodes becomes one slice
+// and retires into the result cache. Its pace car holds one unit.
+func (s *Server) joinFlight(p *engine.Prepared, key string, limit, keep int) (*share.Follower, bool) {
 	open := func(fctx context.Context) (share.Cursor, error) {
 		cur, err := p.Cursor(fctx)
 		if err != nil {
@@ -808,28 +808,45 @@ func (s *Server) joinFlight(p *engine.Prepared, key string, limit int) (*share.F
 		return cur, nil
 	}
 	retire := func(nodes []int32) { s.cache.Put(key, nodes) }
-	return s.flights.Join(key, open, retire)
+	return s.flights.Join(key, keep, open, retire)
 }
 
 // sharedEval evaluates through the pace-car registry: identical
 // concurrent cache misses share one execution keyed exactly like their
-// cache entry, and the completed buffer retires into the cache through
-// the flight. The returned bool reports coalescing (this client
-// attached to a flight another request created).
+// cache entry, and the completed result retires into the cache through
+// the flight. Its client needs the whole answer, so a flight it creates
+// keeps every result, and the slice the cache gets is the one returned.
+// The returned bool reports coalescing (this client attached to a
+// flight another request created).
 func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, limit int) ([]int32, bool, error) {
-	f, created := s.joinFlight(p, key, limit)
+	f, created := s.joinFlight(p, key, limit, share.Unbounded)
 	defer f.Close()
-	var nodes []int32
+	// A flight joined rather than created may be a /stream client's that
+	// outgrows the cache and keeps no slice: then the batches it handed
+	// out are concatenated once, at their final size.
+	var batches [][]int32
+	n := 0
 	for {
 		b, err := f.Next(ctx)
 		if err != nil {
 			return nil, !created, err
 		}
 		if b == nil {
-			return nodes, !created, nil
+			break
 		}
+		if !created {
+			batches = append(batches, b)
+		}
+		n += len(b)
+	}
+	if nodes := f.Result(); nodes != nil || n == 0 {
+		return nodes, !created, nil
+	}
+	nodes := make([]int32, 0, n)
+	for _, b := range batches {
 		nodes = append(nodes, b...)
 	}
+	return nodes, !created, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -1124,7 +1141,8 @@ func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Ha
 		return
 	}
 	s.cacheMisses.Add(1)
-	f, created := s.joinFlight(p, string(*kb), limit)
+	key := string(*kb)
+	f, created := s.joinFlight(p, key, limit, s.cache.MaxNodes(key))
 	defer f.Close()
 	if count, ok := s.pump(lw, ctx, func() ([]int32, error) { return f.Next(ctx) }); ok {
 		s.finishStream(lw, h, start, count, limit, !created, false)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -180,6 +181,72 @@ func TestQueryShareScansCoalesce(t *testing.T) {
 	}
 	if created, _, _ := s.ShareStats(); created != 1 {
 		t.Fatalf("NoCache request went through the registry (created=%d)", created)
+	}
+}
+
+// TestQueryJoinsUnkeptFlight: a /query miss that coalesces onto a flight
+// whose owner keeps no result (a /stream the cache refuses) gets no
+// completed slice from the flight; it answers from the batches it was
+// handed, and nothing retires into the cache.
+func TestQueryJoinsUnkeptFlight(t *testing.T) {
+	s, _, ref := newShareServer(t, 0.25)
+	const q = "/descendant::*"
+	want, err := ref.EvalString(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.cat.Open("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	p, err := s.prepare(h, q, s.defaultOpts, new([]byte))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := string(appendCacheKey(nil, "mem", h.Generation(), p.Canon(), 0))
+	ctx := context.Background()
+	owner, _ := s.joinFlight(p, key, 0, -1)
+	defer owner.Close()
+	got := []int32{}
+	b, err := owner.Next(ctx) // take the wheel and produce the first batch
+	if err != nil || b == nil {
+		t.Fatalf("owner's first batch: %v, %v", b, err)
+	}
+	got = append(got, b...)
+
+	type answer struct {
+		nodes     []int32
+		coalesced bool
+		err       error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		nodes, coalesced, err := s.sharedEval(ctx, p, key, 0)
+		done <- answer{nodes, coalesced, err}
+	}()
+	for _, c, _ := s.ShareStats(); c == 0; _, c, _ = s.ShareStats() {
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		b, err := owner.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		got = append(got, b...)
+	}
+	a := <-done
+	if a.err != nil || !a.coalesced {
+		t.Fatalf("sharedEval: coalesced %v, err %v", a.coalesced, a.err)
+	}
+	if !sameNodes(got, want.Nodes) || !sameNodes(a.nodes, want.Nodes) || cap(a.nodes) != len(a.nodes) {
+		t.Fatalf("owner %d nodes, follower %d (cap %d), want %d", len(got), len(a.nodes), cap(a.nodes), len(want.Nodes))
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("a flight that keeps nothing retired %d cache entries", n)
 	}
 }
 

@@ -29,12 +29,16 @@
 //     (backpressure via the same broadcast channel), so one slow
 //     client bounds speculative buffering instead of forcing the
 //     flight to materialise arbitrarily far ahead of consumption. The
-//     consumed prefix is retained — it is the future cache entry.
+//     consumed prefix is retained, one exact-size copy per batch, until
+//     the flight completes.
 //
-//   - Coalescing and caching share one entry. On completion the flight
-//     retires its buffer through a callback (the server's cache.Put
-//     under the identical key) and leaves the registry, so the next
-//     cold client hits the cache instead of a dead flight.
+//   - Coalescing and caching share one entry. The flight's owner names
+//     the largest result it keeps; on completion a result within that
+//     bound is concatenated once, at its final size, and retired through
+//     a callback (the server's cache.Put under the identical key), and
+//     the flight leaves the registry, so the next cold client hits the
+//     cache instead of a dead flight. A larger result is never copied
+//     whole: its batches die with the flight.
 //
 // The drive is also a panic-containment boundary: a panicking cursor
 // (or plan open) becomes a *fault.PanicError that finishes the flight
@@ -48,6 +52,7 @@ package share
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -86,6 +91,9 @@ type Hooks struct {
 // non-positive one: the driver stays within this many batches of the
 // slowest live follower.
 const DefaultMaxLag = 8
+
+// Unbounded is the keep bound of an owner that keeps every result.
+const Unbounded = math.MaxInt
 
 // ErrClosed is returned by Next on a follower that was already closed.
 var ErrClosed = errors.New("share: follower used after Close")
@@ -131,9 +139,12 @@ func (r *Registry) InFlight() int {
 // Join attaches to the flight under key, creating it when absent (or
 // when the resident flight is already abandoned and merely awaiting
 // removal). The returned bool reports creation: the creating client is
-// the one whose open/retire are bound to the flight, and — being
-// the first to call Next — almost always its initial pace car.
-func (r *Registry) Join(key string, open OpenFunc, retire func(nodes []int32)) (*Follower, bool) {
+// the one whose keep/open/retire are bound to the flight, and — being
+// the first to call Next — almost always its initial pace car. keep is
+// the largest result, in nodes, the owner keeps: a completed result of
+// at most keep nodes becomes one slice, which retire receives and
+// Result returns; a larger one is never built (nor retired).
+func (r *Registry) Join(key string, keep int, open OpenFunc, retire func(nodes []int32)) (*Follower, bool) {
 	r.mu.Lock()
 	if fl, ok := r.flights[key]; ok {
 		fl.mu.Lock()
@@ -151,12 +162,11 @@ func (r *Registry) Join(key string, open OpenFunc, retire func(nodes []int32)) (
 	fl := &flight{
 		reg:       r,
 		key:       key,
+		keep:      keep,
 		open:      open,
 		retire:    retire,
 		ctx:       ctx,
 		cancel:    cancel,
-		notify:    make(chan struct{}),
-		offs:      []int{0},
 		followers: make(map[*Follower]struct{}),
 	}
 	f := &Follower{fl: fl}
@@ -189,23 +199,25 @@ func (r *Registry) onWheelDone() {
 	}
 }
 
-// flight is one shared execution. The buffer is a flat node slice with
-// batch boundaries in offs: batch i is flat[offs[i]:offs[i+1]], and
-// batches are immutable once appended, so followers hand out subslices
-// without copying (append may reallocate flat, which leaves previously
-// returned views on the old backing array — still valid).
+// flight is one shared execution. The buffer holds each produced batch
+// as its own exact-size copy; batches are immutable once appended, so
+// followers hand them out without copying, and growing the batch list
+// leaves every batch where it is.
 type flight struct {
 	reg    *Registry
 	key    string
+	keep   int // largest result the owner keeps, in nodes
 	open   OpenFunc
 	retire func(nodes []int32)
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
-	notify    chan struct{} // closed and replaced on every state change
-	flat      []int32
-	offs      []int
+	notify    chan struct{} // closed on the next state change; nil when nobody waits
+	waiters   int           // clients parked on notify
+	batches   [][]int32
+	nodes     int     // total nodes across batches
+	result    []int32 // the completed result, when within keep
 	done      bool
 	err       error
 	opened    bool
@@ -217,21 +229,54 @@ type flight struct {
 	followers map[*Follower]struct{}
 }
 
-func (fl *flight) nbatches() int { return len(fl.offs) - 1 }
-
-func (fl *flight) batch(i int) []int32 { return fl.flat[fl.offs[i]:fl.offs[i+1]] }
-
 // broadcastLocked wakes every waiter (followers parked for new batches
-// and a driver parked on backpressure).
+// and a driver parked on backpressure). With nobody parked it does
+// nothing: a state change nobody waits for costs no channel.
 func (fl *flight) broadcastLocked() {
-	close(fl.notify)
-	fl.notify = make(chan struct{})
+	if fl.waiters > 0 {
+		close(fl.notify)
+		fl.notify, fl.waiters = nil, 0
+	}
 }
 
-// appendLocked copies one produced batch into the shared buffer.
-func (fl *flight) appendLocked(b []int32) {
-	fl.flat = append(fl.flat, b...)
-	fl.offs = append(fl.offs, len(fl.flat))
+// waitLocked parks until the next broadcast or until ctx is done.
+// Called with fl.mu held; returns with it held.
+func (fl *flight) waitLocked(ctx context.Context) {
+	if fl.notify == nil {
+		fl.notify = make(chan struct{})
+	}
+	ch := fl.notify
+	fl.waiters++
+	fl.mu.Unlock()
+	select {
+	case <-ch:
+	case <-ctx.Done():
+	}
+	fl.mu.Lock()
+	if fl.notify == ch {
+		fl.waiters-- // woken by ctx, not by a broadcast
+	}
+}
+
+// appendLocked keeps an exact-size copy of one produced batch.
+func (fl *flight) appendLocked(b []int32) []int32 {
+	c := make([]int32, len(b))
+	copy(c, b)
+	fl.batches = append(fl.batches, c)
+	fl.nodes += len(c)
+	return c
+}
+
+// flatten joins batches into one exact-size slice (nil when empty).
+func flatten(batches [][]int32, n int) []int32 {
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, 0, n)
+	for _, b := range batches {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // lagExceededLocked reports whether producing another batch would put
@@ -247,7 +292,7 @@ func (fl *flight) lagExceededLocked(driver *Follower) bool {
 			min, any = f.pos, true
 		}
 	}
-	return any && fl.nbatches()-min >= fl.reg.maxLag
+	return any && len(fl.batches)-min >= fl.reg.maxLag
 }
 
 // Follower is one client's view of a flight. Not safe for concurrent
@@ -274,8 +319,8 @@ func (f *Follower) Next(ctx context.Context) ([]int32, error) {
 			fl.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if f.pos < fl.nbatches() {
-			b := fl.batch(f.pos)
+		if f.pos < len(fl.batches) {
+			b := fl.batches[f.pos]
 			f.pos++
 			if fl.lagWait {
 				fl.broadcastLocked() // un-park the driver
@@ -314,15 +359,24 @@ func (f *Follower) Next(ctx context.Context) ([]int32, error) {
 			}
 			return f.drive(ctx)
 		}
-		ch := fl.notify
-		fl.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		fl.waitLocked(ctx)
+		if err := ctx.Err(); err != nil {
+			fl.mu.Unlock()
+			return nil, err
 		}
-		fl.mu.Lock()
 	}
+}
+
+// Result returns the completed result as one slice — the slice the
+// flight retired — once Next has reported exhaustion. It is nil when
+// the result outgrew the owner's keep bound (the client then holds the
+// batches it was handed), when the result is empty, and after an error.
+// The slice is shared and read-only.
+func (f *Follower) Result() []int32 {
+	fl := f.fl
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return fl.result
 }
 
 // safeOpen contains panics out of the flight's OpenFunc: a panicking
@@ -383,13 +437,7 @@ func (f *Follower) drive(ctx context.Context) ([]int32, error) {
 			return f.releaseWheelLocked(err)
 		}
 		fl.lagWait = true
-		ch := fl.notify
-		fl.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-		}
-		fl.mu.Lock()
+		fl.waitLocked(ctx)
 		fl.lagWait = false
 	}
 	if err := ctx.Err(); err != nil {
@@ -406,11 +454,19 @@ func (f *Follower) drive(ctx context.Context) ([]int32, error) {
 	}
 	if b == nil {
 		safeClose(cur)
-		return f.finishLocked(fl.flat, nil)
+		var result []int32
+		if fl.nodes <= fl.keep {
+			// Only the driver appends, and it holds the wheel: the
+			// batches stay as they are while the lock is released.
+			batches, n := fl.batches, fl.nodes
+			fl.mu.Unlock()
+			result = flatten(batches, n)
+			fl.mu.Lock()
+		}
+		return f.finishLocked(result, nil)
 	}
-	fl.appendLocked(b)
-	f.pos = fl.nbatches()
-	out := fl.batch(f.pos - 1)
+	out := fl.appendLocked(b)
+	f.pos = len(fl.batches)
 	fl.broadcastLocked()
 	fl.mu.Unlock()
 	return out, nil
@@ -428,20 +484,22 @@ func (f *Follower) releaseWheelLocked(err error) ([]int32, error) {
 	return nil, err
 }
 
-// finishLocked terminates the flight: completion (err == nil, flat is
-// the full result, which retires into the owner's cache) or execution
-// error (propagated to every follower). Called with fl.mu held;
-// unlocks it.
-func (f *Follower) finishLocked(flat []int32, err error) ([]int32, error) {
+// finishLocked terminates the flight: completion (err == nil; a result
+// within the keep bound arrives concatenated and retires into the
+// owner's cache) or execution error (propagated to every follower).
+// Called with fl.mu held; unlocks it.
+func (f *Follower) finishLocked(result []int32, err error) ([]int32, error) {
 	fl := f.fl
+	kept := err == nil && fl.nodes <= fl.keep
 	fl.done = true
 	fl.err = err
+	fl.result = result
 	fl.driver = nil
 	fl.broadcastLocked()
 	fl.mu.Unlock()
 	fl.reg.remove(fl) // future clients go through the cache instead
-	if err == nil && fl.retire != nil {
-		fl.retire(flat)
+	if kept && fl.retire != nil {
+		fl.retire(result)
 	}
 	fl.reg.onWheelDone()
 	return nil, err

@@ -116,7 +116,7 @@ func TestSoloDrainRetiresIntoCache(t *testing.T) {
 	batches := mkBatches(5)
 	var retired []int32
 	retires := 0
-	f, created := r.Join("k", openFake(&fakeCursor{batches: batches, errAt: -1}),
+	f, created := r.Join("k", Unbounded, openFake(&fakeCursor{batches: batches, errAt: -1}),
 		func(nodes []int32) { retired = nodes; retires++ })
 	if !created {
 		t.Fatal("first Join did not create the flight")
@@ -138,12 +138,72 @@ func TestSoloDrainRetiresIntoCache(t *testing.T) {
 	}
 }
 
+// TestKeepBoundOwnsTheResult: a result larger than the owner's keep
+// bound is never concatenated nor retired; one within it retires once,
+// as exactly the concatenation at its final size, and Result hands out
+// that same slice.
+func TestKeepBoundOwnsTheResult(t *testing.T) {
+	batches := mkBatches(5)
+	want := concat(batches)
+	for _, keep := range []int{-1, 0, len(want) - 1, len(want), Unbounded} {
+		r := NewRegistry(0, Hooks{})
+		var retired []int32
+		retires := 0
+		f, _ := r.Join("k", keep, openFake(&fakeCursor{batches: batches, errAt: -1}),
+			func(nodes []int32) { retired = nodes; retires++ })
+		drain(t, f)
+		res := f.Result()
+		if keep < len(want) {
+			if retires != 0 || res != nil {
+				t.Errorf("keep %d < %d nodes: retired %d times, Result %v", keep, len(want), retires, res)
+			}
+			continue
+		}
+		if retires != 1 || !eq32(retired, want) || cap(retired) != len(retired) {
+			t.Errorf("keep %d: retired %d times with %v (cap %d), want once with %v at cap %d",
+				keep, retires, retired, cap(retired), want, len(want))
+		}
+		if len(res) == 0 || &res[0] != &retired[0] {
+			t.Errorf("keep %d: Result is not the retired slice", keep)
+		}
+	}
+}
+
+// TestSoloDrainAllocations pins what a solo flight allocates: one copy
+// per batch, the completed slice, and a constant — the flight, its
+// context and follower, and the batch list's logarithmic growth. A
+// state change nobody waits for (every batch of a solo drain) allocates
+// no channel.
+func TestSoloDrainAllocations(t *testing.T) {
+	const n = 100
+	batches := mkBatches(n)
+	r := NewRegistry(0, Hooks{})
+	var retired []int32
+	retire := func(nodes []int32) { retired = nodes }
+	allocs := testing.AllocsPerRun(20, func() {
+		f, _ := r.Join("k", Unbounded, openFake(&fakeCursor{batches: batches, errAt: -1}), retire)
+		for {
+			if b, err := f.Next(context.Background()); err != nil || b == nil {
+				break
+			}
+		}
+		f.Close()
+	})
+	if !eq32(retired, concat(batches)) {
+		t.Fatalf("retired %d nodes, want %d", len(retired), 3*n)
+	}
+	const overhead = 20
+	if allocs > n+1+overhead {
+		t.Fatalf("a solo drain of %d batches allocates %v objects, want <= %d", n, allocs, n+1+overhead)
+	}
+}
+
 func TestFollowerMidFlightSeesIdenticalBytes(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
 	batches := mkBatches(6)
 	want := concat(batches)
 	step := make(chan struct{})
-	pace, created := r.Join("k", openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
+	pace, created := r.Join("k", Unbounded, openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
 	if !created {
 		t.Fatal("expected creation")
 	}
@@ -171,7 +231,7 @@ func TestFollowerMidFlightSeesIdenticalBytes(t *testing.T) {
 
 	// A follower attaching now must replay those two batches
 	// immediately — before the throttled cursor produces anything more.
-	follower, created := r.Join("k", nil, nil)
+	follower, created := r.Join("k", Unbounded, nil, nil)
 	if created {
 		t.Fatal("second Join created a new flight instead of coalescing")
 	}
@@ -230,12 +290,12 @@ func TestPaceCarCancelPromotesFollower(t *testing.T) {
 	cur := &fakeCursor{batches: batches, errAt: -1}
 	ctx, cancel := context.WithCancel(context.Background())
 
-	pace, _ := r.Join("k", openFake(cur), nil)
+	pace, _ := r.Join("k", Unbounded, openFake(cur), nil)
 	b, err := pace.Next(ctx)
 	if err != nil || !eq32(b, batches[0]) {
 		t.Fatalf("pace car first batch = %v, %v", b, err)
 	}
-	follower, created := r.Join("k", nil, nil)
+	follower, created := r.Join("k", Unbounded, nil, nil)
 	if created {
 		t.Fatal("follower did not coalesce")
 	}
@@ -268,8 +328,8 @@ func TestBackpressureBoundsDriverLag(t *testing.T) {
 	var produced atomic.Int64
 	cur := &fakeCursor{batches: batches, errAt: -1, produced: &produced}
 
-	pace, _ := r.Join("k", openFake(cur), nil)
-	slow, created := r.Join("k", nil, nil)
+	pace, _ := r.Join("k", Unbounded, openFake(cur), nil)
+	slow, created := r.Join("k", Unbounded, nil, nil)
 	if created {
 		t.Fatal("slow follower did not coalesce")
 	}
@@ -330,7 +390,7 @@ func TestAbandonCancelsFlightAndSkipsRetire(t *testing.T) {
 		flightCtx = ctx
 		return &fakeCursor{batches: mkBatches(8), errAt: -1, closed: &closed}, nil
 	}
-	f, _ := r.Join("k", open, func([]int32) { retired = true })
+	f, _ := r.Join("k", Unbounded, open, func([]int32) { retired = true })
 	if _, err := f.Next(context.Background()); err != nil {
 		t.Fatalf("Next: %v", err)
 	}
@@ -351,7 +411,7 @@ func TestAbandonCancelsFlightAndSkipsRetire(t *testing.T) {
 		t.Fatal("abandoned flight retired a partial buffer")
 	}
 	// The key is free again: the next client re-executes from scratch.
-	if _, created := r.Join("k", open, nil); !created {
+	if _, created := r.Join("k", Unbounded, open, nil); !created {
 		t.Fatal("Join after abandon coalesced onto a dead flight")
 	}
 }
@@ -360,8 +420,8 @@ func TestCursorErrorReachesEveryFollower(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
 	batches := mkBatches(3)
 	cur := &fakeCursor{batches: batches, errAt: 2} // two good batches, then boom
-	pace, _ := r.Join("k", openFake(cur), nil)
-	follower, _ := r.Join("k", nil, nil)
+	pace, _ := r.Join("k", Unbounded, openFake(cur), nil)
+	follower, _ := r.Join("k", Unbounded, nil, nil)
 
 	var paceErr error
 	var got []int32
@@ -413,14 +473,14 @@ func TestCoalesceCounters(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
 	step := make(chan struct{})
 	batches := mkBatches(2)
-	pace, created := r.Join("k", openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
+	pace, created := r.Join("k", Unbounded, openFake(&fakeCursor{batches: batches, errAt: -1, step: step}), nil)
 	if !created {
 		t.Fatal("expected creation")
 	}
 	followers := make([]*Follower, 7)
 	for i := range followers {
 		var c bool
-		followers[i], c = r.Join("k", nil, nil)
+		followers[i], c = r.Join("k", Unbounded, nil, nil)
 		if c {
 			t.Fatalf("join %d created a duplicate flight", i)
 		}
@@ -457,11 +517,11 @@ func TestWheelHooksBalance(t *testing.T) {
 	batches := mkBatches(4)
 	cur := &fakeCursor{batches: batches, errAt: -1}
 	ctx, cancel := context.WithCancel(context.Background())
-	pace, _ := r.Join("k", openFake(cur), nil)
+	pace, _ := r.Join("k", Unbounded, openFake(cur), nil)
 	if _, err := pace.Next(ctx); err != nil {
 		t.Fatalf("Next: %v", err)
 	}
-	follower, _ := r.Join("k", nil, nil)
+	follower, _ := r.Join("k", Unbounded, nil, nil)
 	cancel()
 	if _, err := pace.Next(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Next = %v", err)
@@ -477,7 +537,7 @@ func TestWheelHooksBalance(t *testing.T) {
 
 func TestNextAfterCloseFails(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
-	f, _ := r.Join("k", openFake(&fakeCursor{batches: mkBatches(1), errAt: -1}), nil)
+	f, _ := r.Join("k", Unbounded, openFake(&fakeCursor{batches: mkBatches(1), errAt: -1}), nil)
 	f.Close()
 	if _, err := f.Next(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Next after Close = %v, want ErrClosed", err)
@@ -513,8 +573,8 @@ func TestPanicInDriveAbortsFlight(t *testing.T) {
 	closed := &atomic.Bool{}
 	cur := &panicCursor{fakeCursor: fakeCursor{batches: mkBatches(4), errAt: -1, closed: closed}, panicAt: 2}
 
-	pace, _ := r.Join("k", func(context.Context) (Cursor, error) { return cur, nil }, nil)
-	follower, _ := r.Join("k", nil, nil)
+	pace, _ := r.Join("k", Unbounded, func(context.Context) (Cursor, error) { return cur, nil }, nil)
+	follower, _ := r.Join("k", Unbounded, nil, nil)
 	defer pace.Close()
 	defer follower.Close()
 
@@ -551,7 +611,7 @@ func TestPanicInDriveAbortsFlight(t *testing.T) {
 // rather than unwinding with the wheel held.
 func TestPanicInOpenAbortsFlight(t *testing.T) {
 	r := NewRegistry(0, Hooks{})
-	f, _ := r.Join("k", func(context.Context) (Cursor, error) { panic("open exploded") }, nil)
+	f, _ := r.Join("k", Unbounded, func(context.Context) (Cursor, error) { panic("open exploded") }, nil)
 	defer f.Close()
 	if _, err := f.Next(context.Background()); !fault.IsPanic(err) {
 		t.Fatalf("Next after panicking open = %v, want recovered panic", err)
@@ -578,8 +638,8 @@ func TestWheelDeniedFailsOnlyThatClient(t *testing.T) {
 	r := NewRegistry(0, hooks)
 	batches := mkBatches(3)
 	cur := &fakeCursor{batches: batches, errAt: -1}
-	shedded, _ := r.Join("k", openFake(cur), nil)
-	survivor, _ := r.Join("k", nil, nil)
+	shedded, _ := r.Join("k", Unbounded, openFake(cur), nil)
+	survivor, _ := r.Join("k", Unbounded, nil, nil)
 	defer shedded.Close()
 
 	if _, err := shedded.Next(context.Background()); !errors.Is(err, errBoom) {
