@@ -28,22 +28,15 @@ var blockingShapes = []string{
 	"//p[v > 230]/a/b",
 }
 
-// blockingChains counts the blocking steps of p whose input is an
-// AxisStep, the shape drainAll hands over whole.
+// blockingChains counts the AxisSteps of p whose input is an AxisStep,
+// the shape drainAll hands over whole.
 func blockingChains(p *Plan) int {
 	n := 0
 	for _, o := range p.ops {
-		var in op
-		switch o := o.(type) {
-		case *axisStepOp:
-			in = o.in
-		case *posFilterOp:
-			if o.docNode || o.step.Axis.Reverse() {
-				in = o.in
+		if s, ok := o.(*axisStepOp); ok {
+			if _, ok := s.in.(*axisStepOp); ok {
+				n++
 			}
-		}
-		if _, ok := in.(*axisStepOp); ok {
-			n++
 		}
 	}
 	return n
