@@ -96,7 +96,7 @@ func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) 
 // boundaries, copy-phase guarantees, subtree jumps and seek targets are
 // located by galloping from the current list position (searchFrom), so
 // a downstream consumer that stops early or seeks forward never rescans
-// fragment prefixes.
+// fragment prefixes. Like JoinNodeList it ignores opts.Emit.
 func NewJoinNodeListCursor(d *doc.Document, a axis.Axis, list []int32, src NodeSource, opts *Options) (JoinCursor, error) {
 	return newCursor(d, a, list, true, src, opts)
 }

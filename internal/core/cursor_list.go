@@ -1,6 +1,8 @@
 // Resumable staircase joins over pre-sorted node lists (index
 // fragments) — the streaming counterparts of nodelist.go, under the
-// rules of cursor.go with list entries as the window's positions.
+// rules of cursor.go with list entries as the window's positions. Like
+// the batch kernels they apply no node test: a list is its test's
+// fragment.
 // The list position only ever moves forward, so partition boundaries,
 // copy-phase guarantees, subtree jumps and seek targets are all found
 // by galloping from it (searchFrom): early-terminating consumers touch
@@ -35,8 +37,7 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
-	e, list, post := c.emit.cols(c.d), c.list, c.d.PostSlice()
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	list, post := c.list, c.d.PostSlice()
 	k, pruned, w := 0, 0, len(dst)
 	var copied, compared, skipped int64
 	var err error
@@ -71,12 +72,7 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		li, jumped = seekList(list, li, end, seek)
 		skipped += jumped
 		if stop := min(c.guar, li+w); li < stop {
-			for _, v := range list[li:stop] {
-				if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
-					dst[k] = v
-					k++
-				}
-			}
+			k += copy(dst[k:], list[li:stop])
 			copied += int64(stop - li)
 			w -= stop - li
 			li = stop
@@ -89,7 +85,7 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 					if c.variant != NoSkip {
 						break
 					}
-				} else if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+				} else {
 					dst[k] = v
 					k++
 				}
@@ -124,8 +120,7 @@ func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
-	e, list, post := c.emit.cols(c.d), c.list, c.d.PostSlice()
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	list, post := c.list, c.d.PostSlice()
 	noSkip := c.variant == NoSkip
 	k, pruned, w := 0, 0, len(dst)
 	var compared, skipped int64
@@ -152,10 +147,8 @@ func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		for ; li < end && n < w; n++ {
 			v := list[li]
 			if post[v] > bound {
-				if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
-					dst[k] = v
-					k++
-				}
+				dst[k] = v
+				k++
 				li++
 			} else if noSkip {
 				li++
@@ -198,15 +191,10 @@ func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		c.inPart, pruned = true, 1
 	}
 	dst = dst[:cap(dst)]
-	e, list := c.emit.cols(c.d), c.list
+	list := c.list
 	li, skipped := seekList(list, c.li, len(list), seek)
-	k, stop := 0, min(len(list), li+len(dst))
-	for _, v := range list[li:stop] {
-		if e.pass(v) {
-			dst[k] = v
-			k++
-		}
-	}
+	k := copy(dst, list[li:])
+	stop := li + k
 	c.li, c.done = stop, stop >= len(list)
 	return c.finish(dst, k, pruned, int64(stop-li), 0, skipped, nil)
 }
@@ -232,11 +220,11 @@ func (c *precListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		c.inPart, pruned = true, 1
 	}
 	dst = dst[:cap(dst)]
-	e, post, bound := c.emit.cols(c.d), c.d.PostSlice(), c.bound
+	post, bound := c.d.PostSlice(), c.bound
 	li, skipped := seekList(c.list, c.li, c.end, seek)
 	k, stop := 0, min(c.end, li+len(dst))
 	for _, v := range c.list[li:stop] {
-		if post[v] < bound && e.pass(v) {
+		if post[v] < bound {
 			dst[k] = v
 			k++
 		}

@@ -20,6 +20,11 @@ import (
 // in document order, so no later list node in the partition can be a
 // descendant of c.
 
+// A node list is its test's fragment: every entry already passes the
+// step's node test, and none is an attribute (tag lists hold elements,
+// kind lists non-elements). The kernels therefore apply no test: they
+// copy list entries, and Options.Emit is ignored.
+
 // JoinNodeList evaluates an axis step along a partitioning axis against
 // a pre-sorted node list instead of the whole document. The result is
 // the intersection of the usual staircase join result with the list.
@@ -89,8 +94,6 @@ func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Option
 	}
 	context = PruneDescendant(d, context)
 	post := d.PostSlice()
-	e := o.Emit.cols(d)
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 
 	li := searchList(list, context[0]+1)
 	lastCtx := context[len(context)-1]
@@ -117,13 +120,9 @@ func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Option
 			// Copy phase on the list: all entries with pre <= post(c)
 			// are guaranteed descendants of c (Equation (1) lower bound).
 			guarantee := searchFrom(list[:end], j, bound+1)
-			for ; j < guarantee; j++ {
-				if v := list[j]; mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
-					out[k] = v
-					k++
-				}
-			}
+			k += copy(out[k:], list[j:guarantee])
 			copied += int64(guarantee - li)
+			j = guarantee
 		}
 		from := j
 		for ; j < end; j++ {
@@ -132,7 +131,7 @@ func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Option
 				if o.Variant != NoSkip {
 					break
 				}
-			} else if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
+			} else {
 				out[k] = v
 				k++
 			}
@@ -148,6 +147,40 @@ func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Option
 	return out[:k]
 }
 
+// SubtreeNodeList computes c/descendant-or-self ∩ list, the list entries
+// in [c, c + |subtree(c)|], with two binary searches: the result is a
+// subslice of list, not a copy, so the caller must not write to it. The
+// counters are DescendantJoinNodeList's on the context [c].
+func SubtreeNodeList(d *doc.Document, list []int32, c int32, opts *Options) []int32 {
+	o := opts.orDefault()
+	o.Stats.addContext(1)
+	if len(list) == 0 {
+		return nil
+	}
+	lo := searchList(list, c+1)
+	hi := searchFrom(list, lo, c+1+d.SubtreeSize(c))
+	// The descendant kernel copies the entries up to post(c), compares the
+	// rest of the subtree, and breaks at the first entry beyond it, which
+	// NoSkip compares too, with everything after.
+	copied, compared, skipped := int64(0), int64(hi-lo), int64(0)
+	if o.Variant == SkipEstimate {
+		g := searchFrom(list[:hi], lo, d.Post(c)+1)
+		copied, compared = int64(g-lo), int64(hi-g)
+	}
+	if rest := int64(len(list) - hi); rest > 0 {
+		if o.Variant == NoSkip {
+			compared += rest
+		} else {
+			compared, skipped = compared+1, rest-1
+		}
+	}
+	o.Stats.addScan(1, copied, compared, skipped, hi-lo)
+	if lo > 0 && list[lo-1] == c {
+		lo--
+	}
+	return list[lo:hi]
+}
+
 // AncestorJoinNodeList computes context/ancestor ∩ list. The result is
 // sized once: it lies in the list prefix before the last context node
 // and holds at most as many nodes as the document join's would.
@@ -160,8 +193,6 @@ func AncestorJoinNodeList(d *doc.Document, list, context []int32, opts *Options)
 	}
 	context = PruneAncestor(d, context)
 	post, level := d.PostSlice(), d.LevelSlice()
-	e := o.Emit.cols(d)
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 
 	size, docBound, from := searchList(list, context[len(context)-1]), 0, int32(0)
 	for _, c := range context {
@@ -180,10 +211,8 @@ func AncestorJoinNodeList(d *doc.Document, list, context []int32, opts *Options)
 			v := list[j]
 			compared++
 			if post[v] > bound {
-				if mask>>kind[v]&1 != 0 && (name == nil || name[v] == id) {
-					out[k] = v
-					k++
-				}
+				out[k] = v
+				k++
 				j++
 				continue
 			}
@@ -212,18 +241,11 @@ func FollowingJoinNodeList(d *doc.Document, list, context []int32, opts *Options
 	if !ok || len(list) == 0 {
 		return nil
 	}
-	e := o.Emit.cols(d)
 	from := searchList(list, c+1+d.SubtreeSize(c))
 	out := make([]int32, len(list)-from)
-	k := 0
-	for _, v := range list[from:] {
-		if e.pass(v) {
-			out[k] = v
-			k++
-		}
-	}
-	o.Stats.addScan(1, int64(len(list)-from), 0, 0, k)
-	return out[:k]
+	k := copy(out, list[from:])
+	o.Stats.addScan(1, int64(k), 0, 0, k)
+	return out
 }
 
 // PrecedingJoinNodeList computes context/preceding ∩ list: list entries
@@ -236,12 +258,11 @@ func PrecedingJoinNodeList(d *doc.Document, list, context []int32, opts *Options
 		return nil
 	}
 	post, bound := d.PostSlice(), d.Post(c)
-	e := o.Emit.cols(d)
 	end := searchList(list, c)
 	out := make([]int32, end)
 	k := 0
 	for _, v := range list[:end] {
-		if post[v] < bound && e.pass(v) {
+		if post[v] < bound {
 			out[k] = v
 			k++
 		}

@@ -11,11 +11,13 @@ import (
 	"staircase/internal/spec"
 )
 
-// randomList draws a sorted subset of the document's nodes.
+// randomList draws a sorted subset of the document's non-attribute
+// nodes: the shape of a tag or kind fragment, which the node-list kernels
+// take as their test.
 func randomList(rng *rand.Rand, d *doc.Document, p float64) []int32 {
 	var out []int32
 	for v := int32(0); int(v) < d.Size(); v++ {
-		if rng.Float64() < p {
+		if rng.Float64() < p && d.KindOf(v) != doc.Attr {
 			out = append(out, v)
 		}
 	}
@@ -113,15 +115,47 @@ func TestNodeListSkipTouchesFewerEntries(t *testing.T) {
 	list := randomList(rng, d, 0.5)
 	context := randomContext(rng, d, 3)
 	var noskip, skip Stats
-	// AllKinds: the |result|+|context| bound counts attribute
-	// nodes, which are compared before being filtered from the result.
-	DescendantJoinNodeList(d, list, context, &Options{Variant: NoSkip, Stats: &noskip, Emit: Emit{Kinds: AllKinds}})
-	DescendantJoinNodeList(d, list, context, &Options{Variant: Skip, Stats: &skip, Emit: Emit{Kinds: AllKinds}})
+	DescendantJoinNodeList(d, list, context, &Options{Variant: NoSkip, Stats: &noskip})
+	DescendantJoinNodeList(d, list, context, &Options{Variant: Skip, Stats: &skip})
 	if skip.Scanned > noskip.Scanned {
 		t.Fatalf("skip scanned %d > noskip scanned %d", skip.Scanned, noskip.Scanned)
 	}
 	if skip.Scanned > skip.Result+int64(len(context)) {
 		t.Fatalf("skip scanned %d > result %d + context %d", skip.Scanned, skip.Result, len(context))
+	}
+}
+
+// TestSubtreeNodeListMatchesKernel: the two-search span of a subtree
+// over a list equals the descendant kernel on the one-node context with
+// the node merged back in, counts the kernel's work under every variant,
+// and is a subslice of the list.
+func TestSubtreeNodeListMatchesKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		d := randomDoc(rng, 50+rng.Intn(300))
+		list := randomList(rng, d, 0.05+0.9*rng.Float64())
+		for _, c := range []int32{d.Root(), int32(rng.Intn(d.Size())), int32(rng.Intn(d.Size()))} {
+			for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
+				var want, got Stats
+				nodes := DescendantJoinNodeList(d, list, []int32{c}, &Options{Variant: v, Stats: &want})
+				if _, in := slices.BinarySearch(list, c); in {
+					nodes = MergeOrSelf(nodes, []int32{c})
+				}
+				span := SubtreeNodeList(d, list, c, &Options{Variant: v, Stats: &got})
+				if !eq32(span, nodes) || got != want {
+					t.Fatalf("trial %d, node %d, %v: span %v with %+v, kernel %v with %+v", trial, c, v, span, got, nodes, want)
+				}
+				if len(span) > 0 {
+					if i := searchList(list, span[0]); &list[i] != &span[0] {
+						t.Fatalf("trial %d, node %d: the span is a copy, not a subslice of the list", trial, c)
+					}
+				}
+			}
+		}
+	}
+	var st Stats
+	if got := SubtreeNodeList(figure1(t), nil, 0, &Options{Stats: &st}); got != nil || st != (Stats{ContextSize: 1}) {
+		t.Fatalf("empty list: %v with %+v", got, st)
 	}
 }
 

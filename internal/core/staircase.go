@@ -175,7 +175,9 @@ type Options struct {
 	// Variant selects NoSkip, Skip or SkipEstimate.
 	Variant Variant
 	// Emit is the node test fused into the scan; the zero value filters
-	// attributes and nothing else.
+	// attributes and nothing else. The node-list kernels (JoinNodeList,
+	// SubtreeNodeList and the list cursors) ignore it: a list already is
+	// its test's fragment.
 	Emit Emit
 	// OrSelf makes the document batch kernels (Join) of the descendant
 	// and ancestor axes evaluate the or-self axis: every context node

@@ -133,6 +133,12 @@ func filterEst(in int64) estimates { return estimates{In: in, Out: maxInt64(in/2
 // everything else.
 func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bool, estIn int64) op {
 	d := c.env.Doc
+	// Both operators only read their context, so a document-node step
+	// below lends them its fragment. Filters, merges and the plan's
+	// caller own what they receive and get a copy.
+	if j, ok := in.(*joinOp); ok && j.docNode {
+		j.lend = true
+	}
 	base, orSelf := joinAxis(s.Axis)
 	if base != axis.Child && (!docNode || s.Axis == axis.Descendant || s.Axis == axis.DescendantOrSelf) {
 		jo := &joinOp{

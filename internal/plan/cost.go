@@ -23,6 +23,7 @@ package plan
 
 import (
 	"staircase/internal/axis"
+	"staircase/internal/core"
 	"staircase/internal/doc"
 )
 
@@ -56,13 +57,9 @@ func estimateJoinTouches(d *doc.Document, a axis.Axis, context []int32) int64 {
 		}
 		return bound
 	case axis.Following:
-		post := d.PostSlice()
-		best := context[0]
-		for _, c := range context[1:] {
-			if post[c] < post[best] {
-				best = c
-			}
-		}
+		// The minimum-post context node lies inside the first one's
+		// subtree, so the search stops there.
+		best, _ := core.ReduceFollowing(d, context)
 		return n - int64(best)
 	case axis.Preceding:
 		return int64(context[len(context)-1])

@@ -87,6 +87,18 @@ var invariantChecks bool
 // the PosFilter sorted-concatenation invariant. Test-only.
 func EnableInvariantChecks(on bool) { invariantChecks = on }
 
+// assertFragment panics when a list about to be joined as a node list
+// holds an attribute: the node-list kernels apply no node test, so every
+// list they join must already be its test's fragment.
+func assertFragment(d *doc.Document, list []int32) {
+	kind := d.KindSlice()
+	for _, v := range list {
+		if kind[v] == doc.Attr {
+			panic("plan: node-list join over a list holding an attribute")
+		}
+	}
+}
+
 // assertSortedDedup panics unless nodes is strictly increasing — the
 // invariant the PosFilter sort decay relies on.
 func assertSortedDedup(nodes []int32) {
@@ -312,6 +324,9 @@ func (o *joinOp) open(ec *execCtx) (cursor, error) {
 			ost.pushed, ost.indexed = true, indexed
 			ost.fragSize = len(list)
 			frag = list
+			if invariantChecks {
+				assertFragment(d, frag)
+			}
 		}
 	}
 	if o.orSelf || !pushed {
@@ -687,14 +702,14 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 	if a == axis.DescendantOrSelf && nodePassesTest(d, a, test, c) {
 		out = append(out, c)
 	}
-	co := &core.Options{Variant: variantFor(ec.opts.Strategy)}
-	if st != nil {
-		co.Stats = &st.Core
-	}
+	co := ec.coreOptions(st)
 	var kernel core.JoinCursor
 	var err error
 	if ec.opts.Pushdown != PushNever && pushable(test) {
 		if list, indexed, ok := ec.fragList(test); ok && streamPush(ec.opts, indexed) {
+			if invariantChecks {
+				assertFragment(d, list)
+			}
 			kernel, err = core.NewJoinNodeListCursor(d, base, list, core.SliceSource([]int32{c}), co)
 		}
 	}

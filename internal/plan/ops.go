@@ -214,6 +214,10 @@ type joinOp struct {
 	// docNode: first step of an absolute path with document-node
 	// semantics (descendant/descendant-or-self only reach joinOp).
 	docNode bool
+	// lend: the docNode step's consumer only reads its input (a
+	// StaircaseJoin or an AxisStep), so a pushed step returns the index
+	// list's own subslice (docNodeStep). Set when the consumer compiles.
+	lend    bool
 	test    xpath.NodeTest
 	variant core.Variant
 	frag    *fragScan // pushdown candidate; nil when not pushable
@@ -243,7 +247,7 @@ func (o *joinOp) run(ec *execCtx) ([]int32, error) {
 	start := time.Now()
 	var out []int32
 	if o.docNode {
-		out, err = ec.docRootAxisTest(o.stepAxis(), o.test, st)
+		out, err = ec.docNodeStep(o.test, st, o.lend)
 	} else {
 		out, err = ec.axisTest(o.stepAxis(), o.test, in, st)
 	}
@@ -661,7 +665,7 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 	case axis.Child:
 		return filterTest(d, a, test, []int32{root}), nil
 	case axis.Descendant, axis.DescendantOrSelf:
-		return ec.axisTest(axis.DescendantOrSelf, test, []int32{root}, st)
+		return ec.docNodeStep(test, st, false)
 	case axis.Self, axis.AncestorOrSelf:
 		if test.Kind == xpath.TestNode {
 			return []int32{root}, nil // stand-in for the document node
@@ -674,50 +678,94 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 	}
 }
 
+// docNodeStep evaluates a document-node step, /descendant::test or
+// /descendant-or-self::test: the root element's descendant-or-self nodes
+// that pass test. Pushed, that is the span of test's fragment over the
+// root's subtree, found by two binary searches (core.SubtreeNodeList).
+// With lend the step returns the index list's own subslice, for a
+// consumer that only reads it; otherwise one exact-size copy.
+func (ec *execCtx) docNodeStep(test xpath.NodeTest, st *StepStats, lend bool) ([]int32, error) {
+	d := ec.env.Doc
+	root := []int32{d.Root()}
+	co := ec.coreOptions(st)
+	list, pushed := ec.pushdown(axis.Descendant, test, root, st)
+	if !pushed {
+		co.Emit, co.OrSelf = emitFor(d, axis.Descendant, test), true
+		return core.Join(d, axis.Descendant, root, co)
+	}
+	if len(list) == 0 {
+		return nil, nil // tag/kind absent
+	}
+	nodes := core.SubtreeNodeList(d, list, root[0], co)
+	if lend {
+		return nodes, nil
+	}
+	return slices.Clone(nodes), nil
+}
+
 // partitioning evaluates one of the four partitioning axes (with orSelf:
 // the or-self variant of descendant or ancestor) with the staircase
-// join. The pushdown decision is made here, from the actual context,
-// with the cost model's bound. The full scan applies the node test and
-// emits the self side inside the kernel; the pushdown path merges the
-// self side after.
+// join. The full scan applies the node test and emits the self side
+// inside the kernel; the pushdown path merges the self side after.
 func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
 	d := ec.env.Doc
-	opts := ec.opts
-	co := &core.Options{Variant: variantFor(opts.Strategy)}
-	if st != nil {
-		co.Stats = &st.Core
-	}
-	bound := estimateJoinTouches(d, a, context)
-	if ec.cur != nil {
-		ec.cur.bound = bound
-	}
-	if opts.Pushdown != PushNever {
-		if list, indexed, ok := ec.fragList(test); ok {
-			if ec.cur != nil {
-				ec.cur.fragSize = len(list)
-			}
-			if shouldPush(int64(len(list)), bound, opts.Pushdown) {
-				if st != nil {
-					st.Pushed = true
-					st.Indexed = indexed
-				}
-				if ec.cur != nil {
-					ec.cur.pushed = true
-					ec.cur.indexed = indexed
-				}
-				if len(list) == 0 {
-					return nil, nil // tag/kind absent: empty result, self side included
-				}
-				nodes, err := core.JoinNodeList(d, a, list, context, co)
-				if err != nil || !orSelf {
-					return nodes, err
-				}
-				return core.MergeOrSelf(nodes, filterTest(d, a, test, slices.Clone(context))), nil
-			}
+	co := ec.coreOptions(st)
+	if list, pushed := ec.pushdown(a, test, context, st); pushed {
+		if len(list) == 0 {
+			return nil, nil // tag/kind absent: empty result, self side included
 		}
+		nodes, err := core.JoinNodeList(d, a, list, context, co)
+		if err != nil || !orSelf {
+			return nodes, err
+		}
+		return core.MergeOrSelf(nodes, filterTest(d, a, test, slices.Clone(context))), nil
 	}
 	co.Emit, co.OrSelf = emitFor(d, a, test), orSelf
 	return core.Join(d, a, context, co)
+}
+
+// pushdown makes the §4.4 decision for a partitioning step from its
+// actual context, with the cost model's bound, and records both on the
+// step and the current operator. pushed reports that the step joins
+// against list, the test's fragment.
+func (ec *execCtx) pushdown(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats) (list []int32, pushed bool) {
+	bound := estimateJoinTouches(ec.env.Doc, a, context)
+	if ec.cur != nil {
+		ec.cur.bound = bound
+	}
+	if ec.opts.Pushdown == PushNever {
+		return nil, false
+	}
+	list, indexed, ok := ec.fragList(test)
+	if !ok {
+		return nil, false
+	}
+	if ec.cur != nil {
+		ec.cur.fragSize = len(list)
+	}
+	if !shouldPush(int64(len(list)), bound, ec.opts.Pushdown) {
+		return nil, false
+	}
+	if st != nil {
+		st.Pushed, st.Indexed = true, indexed
+	}
+	if ec.cur != nil {
+		ec.cur.pushed, ec.cur.indexed = true, indexed
+	}
+	if invariantChecks {
+		assertFragment(ec.env.Doc, list)
+	}
+	return list, true
+}
+
+// coreOptions returns the kernel options of one step: the plan's
+// variant, counting into the step's stats when it has any.
+func (ec *execCtx) coreOptions(st *StepStats) *core.Options {
+	co := &core.Options{Variant: variantFor(ec.opts.Strategy)}
+	if st != nil {
+		co.Stats = &st.Core
+	}
+	return co
 }
 
 // variantFor maps strategies to staircase join variants.

@@ -183,8 +183,12 @@ func (o *semiJoinOp) seek(ec *execCtx, in, list []int32) ([]int32, error) {
 func (o *semiJoinOp) sweep(ec *execCtx, in, list []int32, st *StepStats) ([]int32, error) {
 	d := ec.env.Doc
 	if o.a.Partitioning() {
-		co := &core.Options{Variant: variantFor(ec.opts.Strategy), Stats: &st.Core}
-		return core.JoinNodeList(d, inverseAxis(o.a), in, list, co)
+		// The input is the list here. It holds no attribute: steps on the
+		// attribute axis compile their predicates to PredFilter.
+		if invariantChecks {
+			assertFragment(d, in)
+		}
+		return core.JoinNodeList(d, inverseAxis(o.a), in, list, ec.coreOptions(st))
 	}
 	return intersectSorted(in, o.certified(d, list)), nil
 }
