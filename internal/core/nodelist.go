@@ -149,8 +149,9 @@ func DescendantJoinNodeList(d *doc.Document, list, context []int32, opts *Option
 
 // SubtreeNodeList computes c/descendant-or-self ∩ list, the list entries
 // in [c, c + |subtree(c)|], with two binary searches: the result is a
-// subslice of list, not a copy, so the caller must not write to it. The
-// counters are DescendantJoinNodeList's on the context [c].
+// subslice of list, not a copy, so the caller must not write to it (its
+// capacity ends with it, so an append copies). The counters are
+// DescendantJoinNodeList's on the context [c].
 func SubtreeNodeList(d *doc.Document, list []int32, c int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	o.Stats.addContext(1)
@@ -178,7 +179,7 @@ func SubtreeNodeList(d *doc.Document, list []int32, c int32, opts *Options) []in
 	if lo > 0 && list[lo-1] == c {
 		lo--
 	}
-	return list[lo:hi]
+	return list[lo:hi:hi]
 }
 
 // AncestorJoinNodeList computes context/ancestor ∩ list. The result is

@@ -128,7 +128,7 @@ func TestNodeListSkipTouchesFewerEntries(t *testing.T) {
 // TestSubtreeNodeListMatchesKernel: the two-search span of a subtree
 // over a list equals the descendant kernel on the one-node context with
 // the node merged back in, counts the kernel's work under every variant,
-// and is a subslice of the list.
+// and is a subslice of the list that an append cannot write past.
 func TestSubtreeNodeListMatchesKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 40; trial++ {
@@ -148,6 +148,9 @@ func TestSubtreeNodeListMatchesKernel(t *testing.T) {
 				if len(span) > 0 {
 					if i := searchList(list, span[0]); &list[i] != &span[0] {
 						t.Fatalf("trial %d, node %d: the span is a copy, not a subslice of the list", trial, c)
+					}
+					if cap(span) != len(span) {
+						t.Fatalf("trial %d, node %d: the span's capacity %d reaches past it (%d)", trial, c, cap(span), len(span))
 					}
 				}
 			}
