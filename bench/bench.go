@@ -196,12 +196,12 @@ func Table1(c *Corpus, sizes []float64) Table {
 	for _, mb := range sizes {
 		d := c.Doc(mb)
 		cx := getContexts(d)
-		rootDesc := core.DescendantJoin(d, []int32{d.Root()}, nil)
+		rootDesc, _ := core.Join(d, axis.Descendant, []int32{d.Root()}, nil)
 		e := engine.New(d)
 
 		// Q1: step-2 descendant axis over the profile context, then
 		// the education name test.
-		q1axis := core.DescendantJoin(d, cx.profiles, nil)
+		q1axis, _ := core.Join(d, axis.Descendant, cx.profiles, nil)
 		q1res, err := e.EvalString(Q1, nil)
 		if err != nil {
 			panic(err)
@@ -273,8 +273,8 @@ func Fig3(c *Corpus, sizes []float64) Table {
 			scjStats = core.Stats{}
 			o := core.DefaultOptions()
 			o.Stats = &scjStats
-			f := core.FollowingJoin(d, ctx, o)
-			scjRes = core.DescendantJoin(d, f, o)
+			f, _ := core.Join(d, axis.Following, ctx, o)
+			scjRes, _ = core.Join(d, axis.Descendant, f, o)
 		})
 		if len(sqlRes) != len(scjRes) {
 			panic(fmt.Sprintf("bench: fig3 result mismatch: %d vs %d", len(sqlRes), len(scjRes)))
@@ -366,7 +366,7 @@ func Fig11c(c *Corpus, sizes []float64) Table {
 		stats := map[core.Variant]core.Stats{}
 		for _, v := range []core.Variant{core.NoSkip, core.Skip, core.SkipEstimate} {
 			var st core.Stats
-			core.DescendantJoin(d, cx.profiles, &core.Options{Variant: v, Stats: &st})
+			core.Join(d, axis.Descendant, cx.profiles, &core.Options{Variant: v, Stats: &st})
 			stats[v] = st
 		}
 		skipPct := 0.0
@@ -403,7 +403,7 @@ func Fig11d(c *Corpus, sizes []float64) Table {
 		row := []string{fmt.Sprintf("%.1f", mb)}
 		for _, v := range []core.Variant{core.NoSkip, core.Skip, core.SkipEstimate} {
 			o := &core.Options{Variant: v}
-			dur := timeIt(5, func() { core.DescendantJoin(d, cx.profiles, o) })
+			dur := timeIt(5, func() { core.Join(d, axis.Descendant, cx.profiles, o) })
 			row = append(row, ms(dur))
 		}
 		t.Rows = append(t.Rows, row)

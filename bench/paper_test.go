@@ -175,7 +175,8 @@ var paperShapes = map[string]func(t *testing.T, tb Table){
 			}
 			d := paperCorpus.Doc(paperSizes[r])
 			ctx := []int32{getContexts(d).increases[0]}
-			scj := core.DescendantJoin(d, core.FollowingJoin(d, ctx, nil), nil)
+			f, _ := core.Join(d, axis.Following, ctx, nil)
+			scj, _ := core.Join(d, axis.Descendant, f, nil)
 			e := baseline.NewSQLEngine(d)
 			f, err := e.Step(axis.Following, ctx, baseline.SQLOptions{})
 			if err != nil {

@@ -127,8 +127,8 @@ func BenchmarkFig3Staircase(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		ctx := []int32{c.increases[0]}
 		for i := 0; i < b.N; i++ {
-			f := core.FollowingJoin(c.d, ctx, nil)
-			core.DescendantJoin(c.d, f, nil)
+			f, _ := core.Join(c.d, axis.Following, ctx, nil)
+			core.Join(c.d, axis.Descendant, f, nil)
 		}
 	})
 }
@@ -174,7 +174,7 @@ func benchVariant(b *testing.B, v core.Variant) {
 		var st core.Stats
 		for i := 0; i < b.N; i++ {
 			st = core.Stats{}
-			core.DescendantJoin(c.d, c.profiles, &core.Options{Variant: v, Stats: &st})
+			core.Join(c.d, axis.Descendant, c.profiles, &core.Options{Variant: v, Stats: &st})
 		}
 		b.ReportMetric(float64(st.Scanned), "scanned/op")
 		b.ReportMetric(float64(st.Skipped), "skipped/op")
@@ -607,7 +607,7 @@ func BenchmarkCopyVsScanCopyPhase(b *testing.B) {
 		root := []int32{c.d.Root()}
 		o := &core.Options{Variant: core.SkipEstimate, Emit: core.Emit{Kinds: core.AllKinds}}
 		for i := 0; i < b.N; i++ {
-			core.DescendantJoin(c.d, root, o)
+			core.Join(c.d, axis.Descendant, root, o)
 		}
 	})
 }
@@ -617,7 +617,7 @@ func BenchmarkCopyVsScanScanPhase(b *testing.B) {
 		root := []int32{c.d.Root()}
 		o := &core.Options{Variant: core.NoSkip, Emit: core.Emit{Kinds: core.AllKinds}}
 		for i := 0; i < b.N; i++ {
-			core.DescendantJoin(c.d, root, o)
+			core.Join(c.d, axis.Descendant, root, o)
 		}
 	})
 }
@@ -669,7 +669,7 @@ func BenchmarkPrunePrePass(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		o := &core.Options{Variant: core.SkipEstimate}
 		for i := 0; i < b.N; i++ {
-			core.DescendantJoin(c.d, c.increases, o)
+			core.Join(c.d, axis.Descendant, c.increases, o)
 		}
 	})
 }

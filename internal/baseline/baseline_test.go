@@ -315,7 +315,7 @@ func TestMPMGJNTouchesMoreThanStaircase(t *testing.T) {
 	var ms MPMGJNStats
 	MPMGJNDescendant(d, context, &ms)
 	var ss core.Stats
-	core.DescendantJoin(d, context, &core.Options{Variant: core.Skip, Stats: &ss})
+	core.Join(d, axis.Descendant, context, &core.Options{Variant: core.Skip, Stats: &ss})
 	if ss.Scanned >= ms.Touched {
 		t.Fatalf("staircase scanned %d, MPMGJN touched %d — expected staircase < MPMGJN",
 			ss.Scanned, ms.Touched)

@@ -76,66 +76,6 @@ func AncestorJoin(d *doc.Document, context []int32, opts *Options) []int32 {
 	return out[:k]
 }
 
-// FollowingJoin evaluates context/following. After pruning, the context
-// degenerates to the single node with minimum postorder rank (§3.1), so
-// the join is one region query: every node after the subtree of c
-// follows c, and the region's width is the result bound.
-func FollowingJoin(d *doc.Document, context []int32, opts *Options) []int32 {
-	o := opts.orDefault()
-	st := o.Stats
-	st.addContext(int64(len(context)))
-	c, ok := ReduceFollowing(d, context)
-	if !ok {
-		return nil
-	}
-	n := int32(d.Size())
-	start := min(c+1+d.SubtreeSize(c), n) // first pre after c's subtree
-	e := o.Emit.cols(d)
-	out := make([]int32, n-start)
-	k := e.emitRange(out, 0, start, n-1)
-	st.addScan(1, int64(n-start), 0, 0, k)
-	return out[:k]
-}
-
-// PrecedingJoin evaluates context/preceding. After pruning, the context
-// degenerates to the single node with maximum preorder rank (§3.1).
-// Every node before c in pre order is either an ancestor of c (at most
-// h many) or on the preceding axis, so one scan of [0, c) with an
-// ancestor test per node suffices, and c bounds the result.
-func PrecedingJoin(d *doc.Document, context []int32, opts *Options) []int32 {
-	o := opts.orDefault()
-	st := o.Stats
-	st.addContext(int64(len(context)))
-	c, ok := ReducePreceding(d, context)
-	if !ok {
-		return nil
-	}
-	e := o.Emit.cols(d)
-	mask, id, kind := e.mask, e.id, e.kind[:c]
-	post, bound := d.PostSlice()[:c], d.Post(c)
-	out := make([]int32, c)
-	k := 0
-	if e.name == nil {
-		// Nearly every node passes the comparison; which kinds pass the
-		// mask is not predictable, so that half is a store and an add.
-		for i, p := range post {
-			if p < bound {
-				out[k] = int32(i)
-				k += int(mask >> kind[i] & 1)
-			}
-		}
-	} else {
-		for i, nm := range e.name[:c] {
-			if nm == id && post[i] < bound && mask>>kind[i]&1 != 0 {
-				out[k] = int32(i)
-				k++
-			}
-		}
-	}
-	st.addScan(1, 0, int64(c), 0, k)
-	return out[:k]
-}
-
 // MergeOrSelf merges two strictly increasing sequences into their
 // strictly increasing union: the '|' merge, and the self side of an
 // or-self step where the kernel could not emit it (pushdown, baselines).

@@ -1,36 +1,37 @@
-// Resumable staircase join cursors — the streaming face of the batch
-// kernels in staircase.go / ancestor.go / nodelist.go.
-//
-// A JoinCursor produces the same node sequence as the corresponding
-// batch join, but on demand: each Next call runs the batch loop over a
-// bounded window of the document and returns what passed, leaving the
-// partition scan suspended mid-flight. Consumers that stop early —
-// LIMIT, existence probes, positional predicates — therefore never pay
-// for document regions beyond what they consumed: the skipping argument
-// of §3.3 extends from "skip what cannot qualify" to "never touch what
-// nobody asked for".
+// Staircase join cursors: the one body of every kernel family but the
+// document ancestor's. A cursor runs the partitioned scan of Algorithms
+// 2–4 over a window of positions and suspends when the window is used
+// up; Next runs it at cap(dst), and Join / JoinNodeList run it once at
+// an unbounded window into a result sized by Equation (1). Consumers
+// that stop early — LIMIT, existence probes, positional predicates —
+// therefore never pay for document regions beyond what they consumed:
+// the skipping argument of §3.3 extends from "skip what cannot qualify"
+// to "never touch what nobody asked for".
 //
 // Four rules shape every kernel here and in cursor_list.go:
 //
-//   - The window. One Next visits at most cap(dst) positions (document
+//   - The window is the only difference between the two faces. One
+//     next(dst, window, seek) visits at most window positions (document
 //     nodes compared or copied, list entries, partitions opened), so the
-//     time to the first batch is a property of the buffer the consumer
-//     hands in, not of how selective the emit test is. Every position
-//     yields at most one node, so the scan writes dst[k] with indexed
-//     stores and never checks for room.
+//     time to Next's first batch is a property of the buffer the
+//     consumer hands in, not of how selective the emit test is. Every
+//     position yields at most one node, and Join's buffer holds the
+//     Equation (1) bound, so the scan writes dst[k] with indexed stores
+//     and never checks for room.
 //   - Context by the batch. The context arrives through a NodeSource a
-//     batch at a time; the kernel keeps the batch as a slice and prunes
-//     it in a tight loop (§3.1 applied on the fly: a running post-rank
-//     maximum for descendant, a one-node lookahead for ancestor). A chain
-//     of cursors evaluates a whole path without materialising
-//     intermediate node sequences.
+//     batch at a time (Join hands its pruned context in as the one held
+//     batch); the kernel keeps the batch as a slice and prunes it in a
+//     tight loop (§3.1 applied on the fly: a running post-rank maximum
+//     for descendant, a one-node lookahead for ancestor). A chain of
+//     cursors evaluates a whole path without materialising intermediate
+//     node sequences.
 //   - Following stops pulling. In document order every context node with
 //     a smaller post rank than the first one lies inside the first one's
 //     subtree, so the following kernels read the context up to the first
 //     node beyond that subtree and never call the source again; upstream
 //     cursors stay suspended where they are. Preceding needs the last
 //     context node and drains.
-//   - Scan in locals, one emit test. Next copies position, bound, columns
+//   - Scan in locals, one emit test. next copies position, bound, columns
 //     and mask into locals, counts its work in locals, adds it to Stats
 //     once per call, and applies Options.Emit inside the scan.
 //
@@ -85,18 +86,21 @@ type JoinCursor interface {
 // NewJoinCursor returns a resumable staircase join over the full
 // document for one of the four partitioning axes. The context arrives
 // through src in document order; opts selects variant, emit test and
-// stats exactly like Join (OrSelf is not supported).
+// stats exactly like Join. OrSelf is honoured on the descendant axis;
+// the ancestor cursor ignores it, so an ancestor-or-self consumer merges
+// the self side itself.
 func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) (JoinCursor, error) {
 	return newCursor(d, a, nil, false, src, opts)
 }
 
 // NewJoinNodeListCursor returns a resumable staircase join over a
 // pre-sorted node list (an index fragment) instead of the whole
-// document — the streaming counterpart of JoinNodeList. Partition
-// boundaries, copy-phase guarantees, subtree jumps and seek targets are
-// located by galloping from the current list position (searchFrom), so
-// a downstream consumer that stops early or seeks forward never rescans
-// fragment prefixes. Like JoinNodeList it ignores opts.Emit.
+// document — the streaming face of JoinNodeList. Partition boundaries,
+// copy-phase guarantees, subtree jumps and seek targets are located by
+// galloping from the current list position (searchFrom), so a
+// downstream consumer that stops early or seeks forward never rescans
+// fragment prefixes. Like JoinNodeList it ignores opts.Emit and
+// opts.OrSelf.
 func NewJoinNodeListCursor(d *doc.Document, a axis.Axis, list []int32, src NodeSource, opts *Options) (JoinCursor, error) {
 	return newCursor(d, a, list, true, src, opts)
 }
@@ -104,7 +108,7 @@ func NewJoinNodeListCursor(d *doc.Document, a axis.Axis, list []int32, src NodeS
 func newCursor(d *doc.Document, a axis.Axis, list []int32, useList bool, src NodeSource, opts *Options) (JoinCursor, error) {
 	o := opts.orDefault()
 	k := kernel{
-		ctxIn: ctxIn{src: src}, d: d, st: o.Stats, emit: o.Emit, variant: o.Variant,
+		ctxIn: ctxIn{src: src}, d: d, st: o.Stats, emit: o.Emit, variant: o.Variant, orSelf: o.OrSelf,
 		done: useList && len(list) == 0, // nothing to intersect with: the context is never read
 	}
 	switch {
@@ -129,6 +133,22 @@ func newCursor(d *doc.Document, a axis.Axis, list []int32, useList bool, src Nod
 	}
 }
 
+// unbounded is the window Join and JoinNodeList run a kernel at: more
+// positions than any document or list holds, and small enough that a
+// position plus the window stays inside int32.
+const unbounded = 1 << 30
+
+// holding returns the kernel Join and JoinNodeList run: its context is
+// already in hand, as held, its one batch (the one node that decides a
+// following or preceding result), or as stair, the staircase pruning
+// left of it. The n context nodes they were taken from count as read.
+func (o *Options) holding(d *doc.Document, held, stair []int32, n int) kernel {
+	return kernel{
+		ctxIn: ctxIn{ctx: held, run: stair, seen: int32(n - len(held)), srcDone: true},
+		d:     d, st: o.Stats, emit: o.Emit, variant: o.Variant, orSelf: o.OrSelf,
+	}
+}
+
 func (s *Stats) addContext(n int64) {
 	if s != nil {
 		s.ContextSize += n
@@ -137,101 +157,121 @@ func (s *Stats) addContext(n int64) {
 
 // --- context input ---------------------------------------------------------
 
-// ctxIn is a kernel's read position in its context: the upstream batch
-// it holds and how far it has read it.
+// ctxIn is a kernel's read position in its context: the batch it holds,
+// how far it has read it, and pruning's state. Pruning reads ahead in
+// runs: the survivors it has confirmed behind the one it returns, at
+// most one window of them, wait in run — a subslice of the batch, or of
+// the staircase Join hands in — and come out one load each.
 type ctxIn struct {
 	src     NodeSource
-	ctx     []int32 // the upstream batch being read
+	ctx     []int32 // the batch being read
 	ci      int32   // next unread index of ctx
+	run     []int32 // pruning survivors read ahead, in document order
+	ri      int     // next unopened index of run
 	seen    int32   // context nodes read since the last Stats flush
 	srcDone bool    // the source is retired: never called again
+	hasCand bool    // ancestor: cand awaits the node after it
+	cand    int32   // ancestor: the last node read, a survivor unless the next one lies in its subtree
+	floor   int32   // descendant: one above the largest post rank read
 }
 
 // fill replaces the (fully read) batch with the next one; false means
 // the context is exhausted.
 func (c *ctxIn) fill() (bool, error) {
+	c.ctx, c.ci = nil, 0
 	if c.srcDone {
 		return false, nil
 	}
 	b, err := c.src()
 	if err != nil || b == nil {
-		c.srcDone, c.ctx, c.ci = true, nil, 0
+		c.srcDone = true
 		return false, err
 	}
-	c.ctx, c.ci = b, 0
+	c.ctx = b
 	return true, nil
 }
 
-// descStairs is descendant pruning's state: the running post-rank
-// maximum, and the survivor after the current partition's owner, whose
-// pre rank ends the partition.
-type descStairs struct {
-	prevPost         int32
-	next             int32
-	hasNext, started bool
-}
-
-// nextDesc returns the next context node surviving descendant pruning:
-// the first one whose post rank exceeds every earlier one's.
-func (c *ctxIn) nextDesc(post []int32, s *descStairs) (int32, bool, error) {
+// descRun reads on to the next context node surviving descendant
+// pruning — the first one whose post rank exceeds every earlier one's —
+// and leaves it in run with the survivors right behind it, at most lim
+// in all. false: the context is exhausted.
+func (c *ctxIn) descRun(post []int32, lim int) (bool, error) {
+	c.run, c.ri = nil, 0
 	for {
-		for i, v := range c.ctx[c.ci:] {
-			if post[v] > s.prevPost {
-				s.prevPost = post[v]
-				c.seen += int32(i + 1)
-				c.ci += int32(i + 1)
-				return v, true, nil
+		b := c.ctx[c.ci:]
+		for i, v := range b {
+			if p := post[v]; p >= c.floor {
+				n := i + 1
+				for n < len(b) && n-i < lim && post[b[n]] > p {
+					p = post[b[n]]
+					n++
+				}
+				c.run, c.floor = b[i:n], p+1
+				c.ci += int32(n)
+				c.seen += int32(n)
+				return true, nil
 			}
 		}
-		c.seen += int32(len(c.ctx)) - c.ci
+		c.seen += int32(len(b))
 		if ok, err := c.fill(); !ok {
-			return 0, false, err
+			return false, err
 		}
 	}
 }
 
-// nextOwner returns the next staircase node and leaves its successor,
-// if any, in s.
-func (c *ctxIn) nextOwner(post []int32, s *descStairs) (owner int32, ok bool, err error) {
-	if !s.started {
-		s.started, s.prevPost = true, -1
-		if s.next, s.hasNext, err = c.nextDesc(post, s); err != nil {
-			return 0, false, err
+// nextStair takes the next staircase node for a descendant partition
+// to own, and makes sure the node after it, which ends the partition,
+// heads run if there is one. It returns -1, with the source's error if
+// any, once the context is exhausted; the kernel is then done.
+func (c *kernel) nextStair(post []int32, lim int) (int32, error) {
+	if c.ri == len(c.run) {
+		if ok, err := c.descRun(post, lim); !ok {
+			c.done = true
+			return -1, err
 		}
 	}
-	if !s.hasNext {
-		return 0, false, nil
+	owner := c.run[c.ri]
+	c.ri++
+	if c.ri == len(c.run) {
+		if _, err := c.descRun(post, lim); err != nil {
+			c.done = true
+			return -1, err
+		}
 	}
-	owner = s.next
-	s.next, s.hasNext, err = c.nextDesc(post, s)
-	return owner, err == nil, err
+	return owner, nil
 }
 
-// ancLookahead is ancestor pruning's one-node lookahead: a candidate
-// survives unless the next context node is its descendant or duplicate.
-type ancLookahead struct {
-	cand    int32
-	hasCand bool
-}
-
-// nextAnc returns the next context node surviving ancestor pruning.
-func (c *ctxIn) nextAnc(post []int32, la *ancLookahead) (int32, bool, error) {
+// ancRun reads on to the next context node surviving ancestor pruning —
+// one survives unless the next context node is its descendant or
+// duplicate — and leaves the ones confirmed right behind it, at most
+// lim, in run. Unlike nextStair's, the run leaves that survivor out: it
+// may come from the previous batch. It returns -1, with the source's
+// error if any, once the context is exhausted; the kernel is then done.
+func (c *kernel) ancRun(post []int32, lim int) (int32, error) {
+	c.run, c.ri = nil, 0
 	for {
-		for i, nxt := range c.ctx[c.ci:] {
-			if la.hasCand && post[nxt] > post[la.cand] {
-				survivor := la.cand
-				la.cand = nxt
-				c.seen += int32(i + 1)
-				c.ci += int32(i + 1)
-				return survivor, true, nil
+		b := c.ctx[c.ci:]
+		for i, nxt := range b {
+			if c.hasCand && post[nxt] > post[c.cand] {
+				v, n := c.cand, i
+				for n+1 < len(b) && n-i < lim && post[b[n+1]] > post[b[n]] {
+					n++
+				}
+				c.run, c.cand = b[i:n], b[n]
+				c.ci += int32(n + 1)
+				c.seen += int32(n + 1)
+				return v, nil
 			}
-			la.cand, la.hasCand = nxt, true // cand was an ancestor of nxt, or nxt itself
+			c.cand, c.hasCand = nxt, true // cand was an ancestor of nxt, or nxt itself
 		}
-		c.seen += int32(len(c.ctx)) - c.ci
+		c.seen += int32(len(b))
 		if ok, err := c.fill(); !ok {
-			survivor, had := la.cand, la.hasCand && err == nil
-			la.hasCand = false
-			return survivor, had, err
+			c.done = !c.hasCand || err != nil
+			if c.done {
+				return -1, err
+			}
+			c.hasCand = false
+			return c.cand, nil
 		}
 	}
 }
@@ -245,7 +285,7 @@ func (c *ctxIn) reduceFollowing(d *doc.Document) (best int32, ok bool, err error
 	post := d.PostSlice()
 	best, hi := int32(-1), int32(-1) // hi: last pre rank of the first node's subtree
 	for {
-		for _, v := range c.ctx {
+		for _, v := range c.ctx[c.ci:] {
 			c.seen++
 			if best < 0 {
 				best, hi = v, v+d.SubtreeSize(v)
@@ -267,17 +307,18 @@ func (c *ctxIn) reduceFollowing(d *doc.Document) (best int32, ok bool, err error
 // maximum-pre node that determines the preceding result (§3.1).
 func (c *ctxIn) reducePreceding() (last int32, ok bool, err error) {
 	for {
-		more, err := c.fill()
-		if !more {
+		if n := int32(len(c.ctx)); c.ci < n {
+			last, ok = c.ctx[n-1], true
+			c.seen += n - c.ci
+		}
+		if more, err := c.fill(); !more {
 			return last, ok && err == nil, err
 		}
-		last, ok = c.ctx[len(c.ctx)-1], true
-		c.seen += int32(len(c.ctx))
 	}
 }
 
 // kernel is the state every cursor shares: the context input, the
-// document and the emit test (Next binds its columns to locals), and
+// document and the emit test (next binds its columns to locals), and
 // the open partition's boundary.
 type kernel struct {
 	ctxIn
@@ -286,6 +327,7 @@ type kernel struct {
 	emit    Emit
 	bound   int32 // boundary post rank of the open partition
 	variant Variant
+	orSelf  bool // descendant, whole document: emit each staircase node passing Emit
 	inPart  bool // a partition (or the one region) is open
 	done    bool
 }
@@ -309,86 +351,97 @@ func (c *kernel) finish(dst []int32, k, pruned int, copied, compared, skipped in
 
 // --- descendant, full document --------------------------------------------
 
-// descCursor streams DescendantJoin: partitions delimited by pruned
-// context survivors, each scanned copy-phase-then-compare (Algorithm 4)
-// and suspended whenever the window is used up.
+// descCursor runs Algorithms 2–4 on the descendant axis: partitions
+// delimited by pruned context survivors, each scanned
+// copy-phase-then-compare and suspended whenever the window is used up.
+// With OrSelf each staircase node passing Emit is emitted as its
+// partition opens, in the slot of that opening position: a context node
+// pruning drops lies inside another one's region, so that covers them
+// all.
 type descCursor struct {
 	kernel
-	pos, to int32 // scan position and partition end (inclusive)
-	est     int32 // copy-phase end (SkipEstimate)
-	stairs  descStairs
+	pos, end int32 // scan position and partition end (exclusive)
+	est      int32 // copy-phase end (inclusive; SkipEstimate)
 }
 
 func (c *descCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
 	e, post := c.emit.cols(c.d), c.d.PostSlice()
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
-	k, pruned, w := 0, 0, int32(len(dst))
-	var copied, compared, skipped int64
+	k, pruned, w := 0, 0, int32(window)
+	pos, end, est := c.pos, c.end, c.est
+	var copied, skipped int64
 	var err error
 	for w > 0 {
-		if !c.inPart {
+		if pos >= end {
 			var owner int32
-			var ok bool
-			if owner, ok, err = c.nextOwner(post, &c.stairs); !ok {
-				c.done = true
+			if c.ri+1 < len(c.run) { // the owner and the node after it
+				owner = c.run[c.ri]
+				c.ri++
+			} else if owner, err = c.nextStair(post, int(w)); owner < 0 {
 				break
 			}
-			c.pos, c.to, c.bound = owner+1, int32(len(post))-1, post[owner]
-			if c.stairs.hasNext {
-				c.to = c.stairs.next - 1
+			pos, end, c.bound, est = owner+1, int32(len(post)), post[owner], owner // est = owner: no copy phase
+			if c.ri < len(c.run) {
+				end = c.run[c.ri]
 			}
-			c.est = owner // no copy phase
 			if c.variant == SkipEstimate {
-				c.est = min(c.bound, c.to) // pres <= post(owner): Equation (1)
+				est = min(c.bound, end-1) // pres <= post(owner): Equation (1)
 			}
-			c.inPart = true
+			if c.orSelf && e.pass(owner) {
+				dst[k] = owner
+				k++
+			}
 			pruned++
 			w--
 		}
-		pos, to, bound := c.pos, c.to, c.bound
 		if seek > pos {
-			j := min(seek, to+1)
+			j := min(seek, end)
 			skipped += int64(j - pos)
 			pos = j
 		}
-		// Copy phase: guaranteed descendants, no post comparison.
-		if end := min(c.est, pos+w-1); pos <= end {
-			k = e.emitRange(dst, k, pos, end)
-			copied += int64(end - pos + 1)
-			w -= end - pos + 1
-			pos = end + 1
+		// Copy phase: the first post(c)−pre(c) nodes after c are
+		// guaranteed descendants (Equation (1) lower bound), no post
+		// comparison.
+		if n := min(est-pos+1, w); n > 0 {
+			k = e.emitRange(dst, k, pos, pos+n-1)
+			copied += int64(n)
+			w -= n
+			pos += n
 		}
-		// Scan phase: compare post ranks against the boundary; Skip and
-		// SkipEstimate end the partition at the first non-descendant.
-		if pos > c.est {
-			p, end := pos, min(to, pos+w-1)
-			for ; p <= end; p++ {
+		// Scan phase: compare post ranks against the boundary. Under
+		// skipping it ends at the first node outside the boundary — the
+		// rest of the partition is an empty region of type Z (Figure 7
+		// (b)); after a copy phase at most h nodes remain.
+		if pos > est {
+			p, stop, bound := pos, pos+min(end-pos, w), c.bound
+			for ; p < stop; p++ {
 				if post[p] >= bound {
 					if c.variant != NoSkip {
 						break
 					}
-				} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
+				} else if e.pass(p) {
 					dst[k] = p
 					k++
 				}
 			}
-			n := p - pos
-			if p <= end { // the breaking node was compared too; the rest is an empty region
-				n++
-				skipped += int64(to - p)
-				p = to + 1
+			w -= p - pos
+			if p < stop { // the breaking node was compared too
+				w--
+				skipped += int64(end - 1 - p)
+				p = end
 			}
-			compared += int64(n)
-			w -= n
 			pos = p
 		}
-		c.pos = pos
-		c.inPart = pos <= to
 	}
+	c.pos, c.end, c.est = pos, end, est
+	compared := int64(window) - int64(w) - int64(pruned) - copied // the rest of the window
 	return c.finish(dst, k, pruned, copied, compared, skipped, err)
 }
 
@@ -396,12 +449,12 @@ func (c *descCursor) Next(dst []int32, seek int32) ([]int32, error) {
 
 // ancCursor streams AncestorJoin: partitions end at each surviving
 // context node's pre rank; non-ancestor subtrees are jumped via
-// Equation (1) made exact by the level column.
+// Equation (1) made exact by the level column. It is the one family
+// whose batch body (AncestorJoin) is still separate.
 type ancCursor struct {
 	kernel
 	pos, to int32
 	from    int32 // next partition start
-	la      ancLookahead
 }
 
 func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
@@ -418,9 +471,10 @@ func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	for w > 0 {
 		if !c.inPart {
 			var owner int32
-			var ok bool
-			if owner, ok, err = c.nextAnc(post, &c.la); !ok {
-				c.done = true
+			if c.ri < len(c.run) {
+				owner = c.run[c.ri]
+				c.ri++
+			} else if owner, err = c.ancRun(post, int(w)); owner < 0 {
 				break
 			}
 			c.pos, c.to, c.bound = c.from, owner-1, post[owner]
@@ -462,16 +516,20 @@ func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
 
 // --- following / preceding, full document ---------------------------------
 
-// folCursor streams FollowingJoin: the context reduces to its
-// minimum-post node, found inside the first context node's subtree,
+// folCursor runs the following axis: the context reduces to its
+// minimum-post node, found inside the first context node's subtree (§3.1),
 // then the cursor copies the document suffix beyond that node's subtree
-// window by window.
+// — every node there follows it — window by window.
 type folCursor struct {
 	kernel
 	pos int32
 }
 
 func (c *folCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *folCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
@@ -493,7 +551,7 @@ func (c *folCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		skipped = int64(j - c.pos)
 		c.pos = j
 	}
-	end := min(n, c.pos+int32(len(dst)))
+	end := c.pos + min(n-c.pos, int32(window))
 	if c.pos < end {
 		e := c.emit.cols(c.d)
 		k = e.emitRange(dst, 0, c.pos, end-1)
@@ -503,15 +561,20 @@ func (c *folCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	return c.finish(dst, k, pruned, copied, 0, skipped, nil)
 }
 
-// precCursor streams PrecedingJoin: the context reduces to its
+// precCursor runs the preceding axis: the context reduces to its
 // maximum-pre node (a full drain: it is the last one), then the cursor
-// scans [0, c) against the boundary post rank window by window.
+// scans [0, c) against the boundary post rank window by window. Every
+// node there is an ancestor of c (at most h many) or precedes it.
 type precCursor struct {
 	kernel
 	pos, end int32
 }
 
 func (c *precCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *precCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
@@ -526,22 +589,15 @@ func (c *precCursor) Next(dst []int32, seek int32) ([]int32, error) {
 		c.inPart, pruned = true, 1
 	}
 	dst = dst[:cap(dst)]
-	e, post, bound := c.emit.cols(c.d), c.d.PostSlice(), c.bound
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
-	k := 0
 	var skipped int64
 	if seek > c.pos {
 		j := min(seek, c.end)
 		skipped = int64(j - c.pos)
 		c.pos = j
 	}
-	end := min(c.end, c.pos+int32(len(dst)))
-	for p := c.pos; p < end; p++ {
-		if post[p] < bound && mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
-			dst[k] = p
-			k++
-		}
-	}
+	end := c.pos + min(c.end-c.pos, int32(window))
+	e := c.emit.cols(c.d)
+	k := e.emitBelow(dst, 0, c.d.PostSlice(), c.bound, c.pos, end)
 	compared := int64(end - c.pos)
 	c.pos, c.done = end, end >= c.end
 	return c.finish(dst, k, pruned, 0, compared, skipped, nil)

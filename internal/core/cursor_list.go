@@ -1,7 +1,7 @@
-// Resumable staircase joins over pre-sorted node lists (index
-// fragments) — the streaming counterparts of nodelist.go, under the
-// rules of cursor.go with list entries as the window's positions. Like
-// the batch kernels they apply no node test: a list is its test's
+// Staircase join cursors over pre-sorted node lists (index fragments):
+// the one body of each node-list family, which JoinNodeList runs at an
+// unbounded window, under the rules of cursor.go with list entries as
+// the window's positions. They apply no node test: a list is its test's
 // fragment.
 // The list position only ever moves forward, so partition boundaries,
 // copy-phase guarantees, subtree jumps and seek targets are all found
@@ -29,56 +29,60 @@ type descListCursor struct {
 	list    []int32
 	li, end int // scan index and partition end (exclusive)
 	guar    int // copy-phase end (exclusive; SkipEstimate)
-	stairs  descStairs
 }
 
 func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *descListCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
 	list, post := c.list, c.d.PostSlice()
-	k, pruned, w := 0, 0, len(dst)
-	var copied, compared, skipped int64
+	k, pruned, w := 0, 0, window
+	li, end, guar := c.li, c.end, c.guar
+	var copied, skipped int64
 	var err error
 	for w > 0 {
-		if !c.inPart {
+		if li >= end {
 			var owner int32
-			var ok bool
-			if owner, ok, err = c.nextOwner(post, &c.stairs); !ok {
-				c.done = true
+			if c.ri+1 < len(c.run) { // the owner and the node after it
+				owner = c.run[c.ri]
+				c.ri++
+			} else if owner, err = c.nextStair(post, w); owner < 0 {
 				break
 			}
 			// Partition of owner within the list: entries with pre > owner,
 			// up to the next surviving context node.
-			c.li = searchFrom(list, c.li, owner+1)
-			c.end = len(list)
-			if c.stairs.hasNext {
-				c.end = searchFrom(list, c.li, c.stairs.next)
+			li = searchFrom(list, li, owner+1)
+			end = len(list)
+			if c.ri < len(c.run) {
+				end = searchFrom(list, li, c.run[c.ri])
 			}
-			c.bound = post[owner]
-			c.guar = c.li
+			c.bound, guar = post[owner], li
 			if c.variant == SkipEstimate {
 				// Copy phase: list entries with pre <= post(owner) are
 				// guaranteed descendants (Equation (1) lower bound).
-				c.guar = searchFrom(list[:c.end], c.li, c.bound+1)
+				guar = searchFrom(list[:end], li, c.bound+1)
 			}
-			c.inPart = true
 			pruned++
 			w--
 		}
-		li, end, bound := c.li, c.end, c.bound
-		var jumped int64
-		li, jumped = seekList(list, li, end, seek)
-		skipped += jumped
-		if stop := min(c.guar, li+w); li < stop {
-			k += copy(dst[k:], list[li:stop])
-			copied += int64(stop - li)
-			w -= stop - li
-			li = stop
+		if seek > 0 {
+			var jumped int64
+			li, jumped = seekList(list, li, end, seek)
+			skipped += jumped
 		}
-		if li >= c.guar {
-			j, stop := li, min(end, li+w)
+		if n := min(guar-li, w); n > 0 {
+			k += copy(dst[k:], list[li:li+n])
+			copied += int64(n)
+			w -= n
+			li += n
+		}
+		if li >= guar {
+			j, stop, bound := li, li+min(end-li, w), c.bound
 			for ; j < stop; j++ {
 				v := list[j]
 				if post[v] >= bound {
@@ -90,61 +94,65 @@ func (c *descListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 					k++
 				}
 			}
-			n := j - li
+			w -= j - li
 			if j < stop { // the breaking entry was compared too
-				n++
+				w--
 				skipped += int64(end - j - 1)
 				j = end
 			}
-			compared += int64(n)
-			w -= n
 			li = j
 		}
-		c.li = li
-		c.inPart = li < end
 	}
+	c.li, c.end, c.guar = li, end, guar
+	compared := int64(window-w-pruned) - copied // the rest of the window
 	return c.finish(dst, k, pruned, copied, compared, skipped, err)
 }
 
 // --- ancestor ∩ list -------------------------------------------------------
 
+// ancListCursor scans the list entries before each staircase node,
+// entry by entry: the first entry at or beyond the owner ends the
+// partition, so no search locates the end.
 type ancListCursor struct {
 	kernel
-	list    []int32
-	li, end int
-	la      ancLookahead
+	list  []int32
+	li    int
+	owner int32 // the open partition's staircase node
 }
 
 func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *ancListCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
-	list, post := c.list, c.d.PostSlice()
+	d, list, post := c.d, c.list, c.d.PostSlice()
 	noSkip := c.variant == NoSkip
-	k, pruned, w := 0, 0, len(dst)
-	var compared, skipped int64
+	k, pruned, w := 0, 0, window
+	li, owner, bound := c.li, c.owner, c.bound
+	var skipped int64
 	var err error
 	for w > 0 {
-		if !c.inPart {
-			var owner int32
-			var ok bool
-			if owner, ok, err = c.nextAnc(post, &c.la); !ok {
-				c.done = true
+		if li == len(list) || list[li] >= owner { // open the next partition
+			if c.ri < len(c.run) {
+				owner = c.run[c.ri]
+				c.ri++
+			} else if owner, err = c.ancRun(post, w); owner < 0 {
 				break
 			}
-			c.end = searchFrom(list, c.li, owner) // entries with pre < owner
-			c.bound = post[owner]
-			c.inPart = true
+			bound = post[owner]
 			pruned++
 			w--
 		}
-		li, end, bound := c.li, c.end, c.bound
-		var jumped int64
-		li, jumped = seekList(list, li, end, seek)
-		skipped += jumped
-		n := 0
-		for ; li < end && n < w; n++ {
+		if seek > 0 {
+			var jumped int64
+			li, jumped = seekList(list, li, len(list), min(seek, owner))
+			skipped += jumped
+		}
+		for ; w > 0 && li < len(list) && list[li] < owner; w-- {
 			v := list[li]
 			if post[v] > bound {
 				dst[k] = v
@@ -153,23 +161,23 @@ func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 			} else if noSkip {
 				li++
 			} else {
-				// v's whole subtree precedes the boundary node: gallop
-				// past it within the list.
-				next := searchFrom(list[:end], li+1, v+1+c.d.SubtreeSize(v))
+				// v and its descendants precede the boundary node: gallop
+				// past v's subtree, which ends before owner.
+				next := searchFrom(list, li+1, v+1+d.SubtreeSize(v))
 				skipped += int64(next - li - 1)
 				li = next
 			}
 		}
-		compared += int64(n)
-		w -= n
-		c.li = li
-		c.inPart = li < end
 	}
+	c.li, c.owner, c.bound = li, owner, bound
+	compared := int64(window - w - pruned) // every position not opening a partition compared an entry
 	return c.finish(dst, k, pruned, 0, compared, skipped, err)
 }
 
 // --- following / preceding ∩ list ------------------------------------------
 
+// folListCursor copies the list suffix beyond the subtree of the
+// minimum-post context node.
 type folListCursor struct {
 	kernel
 	list []int32
@@ -177,6 +185,10 @@ type folListCursor struct {
 }
 
 func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *folListCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
@@ -193,12 +205,14 @@ func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	dst = dst[:cap(dst)]
 	list := c.list
 	li, skipped := seekList(list, c.li, len(list), seek)
-	k := copy(dst, list[li:])
+	k := copy(dst, list[li:li+min(len(list)-li, window)])
 	stop := li + k
 	c.li, c.done = stop, stop >= len(list)
-	return c.finish(dst, k, pruned, int64(stop-li), 0, skipped, nil)
+	return c.finish(dst, k, pruned, int64(k), 0, skipped, nil)
 }
 
+// precListCursor scans the list entries before the maximum-pre context
+// node and keeps those that are not its ancestors.
 type precListCursor struct {
 	kernel
 	list    []int32
@@ -206,6 +220,10 @@ type precListCursor struct {
 }
 
 func (c *precListCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *precListCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
@@ -222,7 +240,7 @@ func (c *precListCursor) Next(dst []int32, seek int32) ([]int32, error) {
 	dst = dst[:cap(dst)]
 	post, bound := c.d.PostSlice(), c.bound
 	li, skipped := seekList(c.list, c.li, c.end, seek)
-	k, stop := 0, min(c.end, li+len(dst))
+	k, stop := 0, li+min(c.end-li, window)
 	for _, v := range c.list[li:stop] {
 		if post[v] < bound {
 			dst[k] = v

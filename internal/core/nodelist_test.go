@@ -115,8 +115,8 @@ func TestNodeListSkipTouchesFewerEntries(t *testing.T) {
 	list := randomList(rng, d, 0.5)
 	context := randomContext(rng, d, 3)
 	var noskip, skip Stats
-	DescendantJoinNodeList(d, list, context, &Options{Variant: NoSkip, Stats: &noskip})
-	DescendantJoinNodeList(d, list, context, &Options{Variant: Skip, Stats: &skip})
+	joinList(d, axis.Descendant, list, context, &Options{Variant: NoSkip, Stats: &noskip})
+	joinList(d, axis.Descendant, list, context, &Options{Variant: Skip, Stats: &skip})
 	if skip.Scanned > noskip.Scanned {
 		t.Fatalf("skip scanned %d > noskip scanned %d", skip.Scanned, noskip.Scanned)
 	}
@@ -137,7 +137,7 @@ func TestSubtreeNodeListMatchesKernel(t *testing.T) {
 		for _, c := range []int32{d.Root(), int32(rng.Intn(d.Size())), int32(rng.Intn(d.Size()))} {
 			for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
 				var want, got Stats
-				nodes := DescendantJoinNodeList(d, list, []int32{c}, &Options{Variant: v, Stats: &want})
+				nodes := joinList(d, axis.Descendant, list, []int32{c}, &Options{Variant: v, Stats: &want})
 				if _, in := slices.BinarySearch(list, c); in {
 					nodes = MergeOrSelf(nodes, []int32{c})
 				}
@@ -197,7 +197,7 @@ func TestNodeListAncestorSkipJumps(t *testing.T) {
 	}
 	last := int32(d.Size() - 1) // the final leaf
 	var st Stats
-	got := AncestorJoinNodeList(d, all, []int32{last}, &Options{Variant: Skip, Stats: &st})
+	got := joinList(d, axis.Ancestor, all, []int32{last}, &Options{Variant: Skip, Stats: &st})
 	if len(got) != depth {
 		t.Fatalf("ancestors = %d, want %d", len(got), depth)
 	}
@@ -210,7 +210,7 @@ func TestNodeListAncestorSkipJumps(t *testing.T) {
 	}
 	// NoSkip must compare every preceding entry.
 	var ns Stats
-	AncestorJoinNodeList(d, all, []int32{last}, &Options{Variant: NoSkip, Stats: &ns})
+	joinList(d, axis.Ancestor, all, []int32{last}, &Options{Variant: NoSkip, Stats: &ns})
 	if ns.Compared <= st.Compared {
 		t.Fatalf("noskip compared %d <= skip compared %d", ns.Compared, st.Compared)
 	}

@@ -88,13 +88,6 @@ type Stats struct {
 	Result int64
 }
 
-// addResult is a nil-safe counter bump helper used by the join loops.
-func (s *Stats) addResult(n int64) {
-	if s != nil {
-		s.Result += n
-	}
-}
-
 // addScan folds one batch join's counters into s (nil-safe): the
 // staircase size, the nodes visited without and with a post comparison,
 // the nodes jumped, and the nodes emitted.
@@ -179,12 +172,13 @@ type Options struct {
 	// SubtreeNodeList and the list cursors) ignore it: a list already is
 	// its test's fragment.
 	Emit Emit
-	// OrSelf makes the document batch kernels (Join) of the descendant
-	// and ancestor axes evaluate the or-self axis: every context node
-	// passing Emit joins the result. A context node pruning drops lies
-	// inside another one's region, so emitting the staircase nodes —
-	// before their partition on descendant, after it on ancestor — covers
-	// them all. The other kernel families ignore the field.
+	// OrSelf makes the document kernels of the descendant and ancestor
+	// axes evaluate the or-self axis: every context node passing Emit
+	// joins the result. A context node pruning drops lies inside another
+	// one's region, so emitting the staircase nodes — as their partition
+	// opens on descendant, after it on ancestor — covers them all. Join
+	// honours it on both axes, NewJoinCursor on descendant only; the
+	// node-list kernels ignore it.
 	OrSelf bool
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
@@ -208,19 +202,56 @@ func (o *Options) orDefault() *Options {
 // using the staircase join. The context must be in document order
 // (strictly increasing pre ranks). The result is duplicate-free and in
 // document order.
+//
+// Join runs the axis's cursor kernel (cursor.go) once, at an unbounded
+// window, with the context already in hand as its one batch. The result
+// is sized once, before the scan, by Equation (1): partition (c, to] of
+// a descendant staircase holds at most post(c)−pre(c)+level(c) nodes
+// and at most its own width, a following or preceding region at most
+// its width. So one allocation takes the whole result and the scan
+// writes it with indexed stores. The ancestor axis keeps a batch body
+// of its own (AncestorJoin).
 func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32, error) {
+	o := opts.orDefault()
+	switch a {
+	case axis.Ancestor:
+		return AncestorJoin(d, context, o), nil
+	case axis.Descendant, axis.Following, axis.Preceding:
+	default:
+		return nil, errNonPartitioning(a)
+	}
+	if len(context) == 0 {
+		return nil, nil
+	}
+	var out, res []int32
 	switch a {
 	case axis.Descendant:
-		return DescendantJoin(d, context, opts), nil
-	case axis.Ancestor:
-		return AncestorJoin(d, context, opts), nil
+		stair := PruneDescendant(d, context)
+		post, level := d.PostSlice(), d.LevelSlice()
+		to, size := int32(d.Size())-1, 0 // the last partition ends at the last node
+		for i := len(stair) - 1; i >= 0; i-- {
+			c := stair[i]
+			size += int(min(post[c]-c+level[c], to-c))
+			to = c - 1
+		}
+		if o.OrSelf {
+			size += len(stair)
+		}
+		out = make([]int32, 0, size)
+		c := descCursor{kernel: o.holding(d, nil, stair, len(context))}
+		res, _ = c.next(out, unbounded, 0)
 	case axis.Following:
-		return FollowingJoin(d, context, opts), nil
+		i := minPostAt(d, context)
+		f, n := context[i], int32(d.Size())
+		out = make([]int32, 0, n-min(f+1+d.SubtreeSize(f), n))
+		c := folCursor{kernel: o.holding(d, context[i:i+1], nil, len(context))}
+		res, _ = c.next(out, unbounded, 0)
 	case axis.Preceding:
-		return PrecedingJoin(d, context, opts), nil
-	default:
-		return nil, fmt.Errorf("core: staircase join does not handle axis %v", a)
+		out = make([]int32, 0, context[len(context)-1])
+		c := precCursor{kernel: o.holding(d, context[len(context)-1:], nil, len(context))}
+		res, _ = c.next(out, unbounded, 0)
 	}
+	return out[:len(res)], nil
 }
 
 // --- pruning (§3.1, Algorithm 1) ------------------------------------------
@@ -300,28 +331,23 @@ func ReduceFollowing(d *doc.Document, context []int32) (int32, bool) {
 	if len(context) == 0 {
 		return 0, false
 	}
+	return context[minPostAt(d, context)], true
+}
+
+// minPostAt returns ReduceFollowing's node as an index into a non-empty
+// context.
+func minPostAt(d *doc.Document, context []int32) int {
 	post := d.PostSlice()
-	best := context[0]
-	hi := best + d.SubtreeSize(best)
-	for _, c := range context[1:] {
+	best, hi := 0, context[0]+d.SubtreeSize(context[0])
+	for i, c := range context {
 		if c > hi {
 			break
 		}
-		if post[c] < post[best] {
-			best = c
+		if post[c] < post[context[best]] {
+			best = i
 		}
 	}
-	return best, true
-}
-
-// ReducePreceding returns the single context node that determines the
-// whole preceding-axis result: the node with maximum preorder rank.
-func ReducePreceding(d *doc.Document, context []int32) (int32, bool) {
-	if len(context) == 0 {
-		return 0, false
-	}
-	// Context is in document order: the maximum pre rank is the last.
-	return context[len(context)-1], true
+	return best
 }
 
 // IsStaircaseDesc reports whether context is a proper descendant-axis
@@ -334,82 +360,6 @@ func IsStaircaseDesc(d *doc.Document, context []int32) bool {
 		}
 	}
 	return true
-}
-
-// --- descendant staircase join (§3.2–§4.2) --------------------------------
-
-// DescendantJoin evaluates context/descendant with the staircase join.
-// The result is sized once, before the scan: partition (c, to] holds at
-// most |descendant(c)| = post(c)−pre(c)+level(c) result nodes (Equation
-// (1)) and at most its own width, so one allocation takes the whole
-// result and the scan writes it with indexed stores.
-func DescendantJoin(d *doc.Document, context []int32, opts *Options) []int32 {
-	o := opts.orDefault()
-	st := o.Stats
-	st.addContext(int64(len(context)))
-	if len(context) == 0 {
-		return nil
-	}
-	context = PruneDescendant(d, context)
-	post, level := d.PostSlice(), d.LevelSlice()
-	e := o.Emit.cols(d)
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
-	last := int32(d.Size()) - 1 // the last partition ends here
-	size := 0
-	for i, c := range context {
-		size += int(min(post[c]-c+level[c], descPartEnd(context, i, last)-c))
-	}
-	if o.OrSelf {
-		size += len(context)
-	}
-	out := make([]int32, size)
-	k := 0
-	var copied, compared, skipped int64
-	for i, c := range context {
-		if o.OrSelf && e.pass(c) {
-			out[k] = c
-			k++
-		}
-		to, bound := descPartEnd(context, i, last), post[c]
-		p := c + 1
-		if est := min(bound, to); o.Variant == SkipEstimate && est >= p {
-			// Copy phase: the first post(c)−pre(c) nodes after c are
-			// guaranteed descendants (Equation (1) lower bound).
-			k = e.emitRange(out, k, p, est)
-			copied += int64(est - p + 1)
-			p = est + 1
-		}
-		// Scan phase: under skipping it ends at the first node outside
-		// the boundary — the rest of the partition is an empty region of
-		// type Z (Figure 7 (b)); after a copy phase at most h nodes remain.
-		from := p
-		for ; p <= to; p++ {
-			if post[p] >= bound {
-				if o.Variant != NoSkip {
-					break
-				}
-			} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
-				out[k] = p
-				k++
-			}
-		}
-		compared += int64(p - from)
-		if p <= to {
-			compared++ // the breaking node was compared too
-			skipped += int64(to - p)
-		}
-	}
-	st.addScan(len(context), copied, compared, skipped, k)
-	return out[:k]
-}
-
-// descPartEnd returns the last pre rank of the i-th descendant
-// partition: the node before the next staircase node, or last.
-func descPartEnd(context []int32, i int, last int32) int32 {
-	if i+1 < len(context) {
-		return context[i+1] - 1
-	}
-	return last
 }
 
 // emitRange writes the nodes of the pre range [from, to] that pass the
@@ -429,6 +379,33 @@ func (e *emitCols) emitRange(out []int32, k int, from, to int32) int {
 	for j, nm := range e.name[from : to+1] {
 		if nm == id && mask>>kind[j]&1 != 0 {
 			out[k] = from + int32(j)
+			k++
+		}
+	}
+	return k
+}
+
+// emitBelow writes the nodes of the pre range [from, to) whose post rank
+// is below bound and that pass the emit test to out[k:] — the preceding
+// scan — and returns the new k. out must have room for the whole range.
+func (e *emitCols) emitBelow(out []int32, k int, post []int32, bound, from, to int32) int {
+	mask, post := e.mask, post[:to]
+	kind := e.kind[:len(post)]
+	if e.name == nil {
+		// Nearly every node passes the comparison; which kinds pass the
+		// mask is not predictable, so that half is a store and an add.
+		for i := int(from); i < len(post); i++ {
+			if post[i] < bound {
+				out[k] = int32(i)
+				k += int(mask >> kind[i] & 1)
+			}
+		}
+		return k
+	}
+	id, name := e.id, e.name[:len(post)]
+	for i := int(from); i < len(name); i++ {
+		if name[i] == id && post[i] < bound && mask>>kind[i]&1 != 0 {
+			out[k] = int32(i)
 			k++
 		}
 	}

@@ -50,6 +50,24 @@ func eq32(a, b []int32) bool {
 	return true
 }
 
+// join and joinList run Join and JoinNodeList on an axis the caller
+// knows to be partitioning.
+func join(d *doc.Document, a axis.Axis, context []int32, o *Options) []int32 {
+	r, err := Join(d, a, context, o)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func joinList(d *doc.Document, a axis.Axis, list, context []int32, o *Options) []int32 {
+	r, err := JoinNodeList(d, a, list, context, o)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func allVariants() []*Options {
 	return []*Options{
 		{Variant: NoSkip},
@@ -106,7 +124,7 @@ func TestFigure4AncestorOrSelfResult(t *testing.T) {
 func TestPaperSection21Example(t *testing.T) {
 	// (c)/following/descendant = (f, g, h, i, j) — §2.1.
 	d := figure1(t)
-	foll := FollowingJoin(d, pres("c"), nil)
+	foll := join(d, axis.Following, pres("c"), nil)
 	if tagsOf(d, foll) != "defghij"[1:] { // following of c = e,f,g,h,i,j? verify below
 		// Computed explicitly instead: see assertions following.
 		_ = foll
@@ -116,7 +134,7 @@ func TestPaperSection21Example(t *testing.T) {
 	if tagsOf(d, foll) != "defghij" {
 		t.Fatalf("c/following = %q, want %q", tagsOf(d, foll), "defghij")
 	}
-	desc := DescendantJoin(d, foll, nil)
+	desc := join(d, axis.Descendant, foll, nil)
 	if tagsOf(d, desc) != "fghij" {
 		t.Fatalf("c/following/descendant = %q, want %q", tagsOf(d, desc), "fghij")
 	}
@@ -171,10 +189,11 @@ func TestReduceFollowingPreceding(t *testing.T) {
 	if !ok || tagsOf(d, []int32{c}) != "b" {
 		t.Fatalf("ReduceFollowing = %v,%v", c, ok)
 	}
-	// Max pre is f.
-	c, ok = ReducePreceding(d, pres("bf"))
-	if !ok || tagsOf(d, []int32{c}) != "f" {
-		t.Fatalf("ReducePreceding = %v,%v", c, ok)
+	// Max pre is f: the preceding kernel reads it off its held batch.
+	held := ctxIn{ctx: pres("bf"), srcDone: true}
+	c, ok, _ = held.reducePreceding()
+	if !ok || tagsOf(d, []int32{c}) != "f" || held.seen != 2 {
+		t.Fatalf("reducePreceding = %v,%v after reading %d nodes", c, ok, held.seen)
 	}
 	if _, ok := ReduceFollowing(d, nil); ok {
 		t.Fatal("empty context should not reduce")
@@ -289,7 +308,7 @@ func TestPropPruningPreservesResult(t *testing.T) {
 		// The join over the pruned context equals the spec over the
 		// full context (pruning does not change the result, §3.1).
 		if want, got := spec.Join(d, axis.Descendant, context),
-			DescendantJoin(d, PruneDescendant(d, context), &Options{Variant: Skip}); !eq32(got, want) {
+			join(d, axis.Descendant, PruneDescendant(d, context), &Options{Variant: Skip}); !eq32(got, want) {
 			t.Fatalf("descendant pruning changed result")
 		}
 		if want, got := spec.Join(d, axis.Ancestor, context),
@@ -307,7 +326,7 @@ func TestSkipTouchBound(t *testing.T) {
 		d := randomDoc(rng, 400)
 		context := randomContext(rng, d, 1+rng.Intn(25))
 		var st Stats
-		res := DescendantJoin(d, context, &Options{Variant: Skip, Stats: &st, Emit: Emit{Kinds: AllKinds}})
+		res := join(d, axis.Descendant, context, &Options{Variant: Skip, Stats: &st, Emit: Emit{Kinds: AllKinds}})
 		if st.Scanned > int64(len(res))+int64(len(context)) {
 			t.Fatalf("trial %d: scanned %d > result %d + context %d",
 				trial, st.Scanned, len(res), len(context))
@@ -323,7 +342,7 @@ func TestEstimateComparisonBound(t *testing.T) {
 		d := randomDoc(rng, 400)
 		context := randomContext(rng, d, 1+rng.Intn(25))
 		var st Stats
-		DescendantJoin(d, context, &Options{Variant: SkipEstimate, Stats: &st, Emit: Emit{Kinds: AllKinds}})
+		join(d, axis.Descendant, context, &Options{Variant: SkipEstimate, Stats: &st, Emit: Emit{Kinds: AllKinds}})
 		bound := int64(d.Height()) * st.PrunedSize
 		if st.Compared > bound {
 			t.Fatalf("trial %d: compared %d > h*|context| = %d", trial, st.Compared, bound)
@@ -338,7 +357,7 @@ func TestStatsConsistency(t *testing.T) {
 		context := randomContext(rng, d, 1+rng.Intn(20))
 		for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
 			var st Stats
-			res := DescendantJoin(d, context, &Options{Variant: v, Stats: &st})
+			res := join(d, axis.Descendant, context, &Options{Variant: v, Stats: &st})
 			if st.Scanned != st.Copied+st.Compared {
 				t.Fatalf("variant %v: scanned %d != copied %d + compared %d",
 					v, st.Scanned, st.Copied, st.Compared)
@@ -362,7 +381,7 @@ func TestNoSkipScansMoreThanSkip(t *testing.T) {
 	counts := map[Variant]int64{}
 	for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
 		var st Stats
-		DescendantJoin(d, context, &Options{Variant: v, Stats: &st, Emit: Emit{Kinds: AllKinds}})
+		join(d, axis.Descendant, context, &Options{Variant: v, Stats: &st, Emit: Emit{Kinds: AllKinds}})
 		counts[v] = st.Scanned
 	}
 	if counts[NoSkip] < counts[Skip] {
@@ -408,7 +427,7 @@ func TestAttributeContextNodes(t *testing.T) {
 		t.Fatalf("ancestor of attr = %v, want %v", got, want)
 	}
 	// descendant of @b is empty.
-	if got := DescendantJoin(d, []int32{attrB}, nil); len(got) != 0 {
+	if got := join(d, axis.Descendant, []int32{attrB}, nil); len(got) != 0 {
 		t.Fatalf("descendant of attr = %v, want empty", got)
 	}
 }
