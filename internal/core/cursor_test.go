@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"staircase/internal/axis"
+	"staircase/internal/doc"
+	"staircase/internal/spec"
 )
 
 var cursorAxes = []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding}
@@ -42,43 +45,149 @@ func drainCursor(t *testing.T, c JoinCursor, batch int) []int32 {
 	}
 }
 
+// inList keeps the nodes of nodes that are in the sorted list.
+func inList(nodes, list []int32) []int32 {
+	return slices.DeleteFunc(slices.Clone(nodes), func(v int32) bool {
+		_, in := slices.BinarySearch(list, v)
+		return !in
+	})
+}
+
 // TestJoinCursorEqualsBatchJoin: draining a cursor must reproduce the
-// batch kernel's node sequence exactly, for every axis, variant and
-// batch size, over full documents and over node lists.
+// unbounded run — Join and JoinNodeList — exactly, and both must equal
+// the specification, for every axis and variant at windows of 1, 16,
+// 256 and a random one, over full documents and over node lists.
 func TestJoinCursorEqualsBatchJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		d, context := docFromSeed(rng.Int63(), uint16(rng.Intn(1<<16)))
 		list := randomList(rng, d, 0.3)
 		for _, a := range cursorAxes {
+			ref := spec.Join(d, a, context)
+			refList := inList(ref, list)
 			for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
-				batch := 1 + rng.Intn(70)
 				o := &Options{Variant: v}
 				want, err := Join(d, a, context, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cur, err := NewJoinCursor(d, a, SliceSource(context), o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := drainCursor(t, cur, batch); !eq32(got, want) {
-					t.Fatalf("cursor != join for %v/%v batch=%d:\n got %v\nwant %v", a, v, batch, got, want)
+				if !eq32(want, ref) {
+					t.Fatalf("join != spec for %v/%v:\n got %v\nwant %v", a, v, want, ref)
 				}
 				wantList, err := JoinNodeList(d, a, list, context, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lcur, err := NewJoinNodeListCursor(d, a, list, SliceSource(context), o)
-				if err != nil {
-					t.Fatal(err)
+				if !eq32(wantList, refList) {
+					t.Fatalf("list join != spec for %v/%v:\n got %v\nwant %v", a, v, wantList, refList)
 				}
-				if got := drainCursor(t, lcur, batch); !eq32(got, wantList) {
-					t.Fatalf("list cursor != list join for %v/%v batch=%d:\n got %v\nwant %v", a, v, batch, got, wantList)
+				for _, batch := range []int{1, 16, 256, 1 + rng.Intn(70)} {
+					cur, err := NewJoinCursor(d, a, SliceSource(context), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := drainCursor(t, cur, batch); !eq32(got, want) {
+						t.Fatalf("cursor != join for %v/%v batch=%d:\n got %v\nwant %v", a, v, batch, got, want)
+					}
+					lcur, err := NewJoinNodeListCursor(d, a, list, SliceSource(context), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := drainCursor(t, lcur, batch); !eq32(got, wantList) {
+						t.Fatalf("list cursor != list join for %v/%v batch=%d:\n got %v\nwant %v", a, v, batch, got, wantList)
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestFollowingCountsWhatItIsHanded: Join counts the whole context it is
+// handed, while a drained following cursor stops reading its source at
+// the first node beyond the first context node's subtree and counts
+// only what it read.
+func TestFollowingCountsWhatItIsHanded(t *testing.T) {
+	d := figure1(t)
+	context := pres("bcdf") // b's subtree is b, c: reading stops at c
+	for _, list := range [][]int32{nil, pres("dghj")} {
+		var joined, drained Stats
+		var want []int32
+		var cur JoinCursor
+		var err error
+		if list == nil {
+			want, err = Join(d, axis.Following, context, &Options{Stats: &joined})
+			if err == nil {
+				cur, err = NewJoinCursor(d, axis.Following, SliceSource(context), &Options{Stats: &drained})
+			}
+		} else {
+			want, err = JoinNodeList(d, axis.Following, list, context, &Options{Stats: &joined})
+			if err == nil {
+				cur, err = NewJoinNodeListCursor(d, axis.Following, list, SliceSource(context), &Options{Stats: &drained})
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainCursor(t, cur, 3); !eq32(got, want) {
+			t.Fatalf("list %v: cursor %v, join %v", list, got, want)
+		}
+		if joined.ContextSize != 4 || drained.ContextSize != 2 {
+			t.Errorf("list %v: Join counted %d context nodes (want 4), the cursor %d (want 2)", list, joined.ContextSize, drained.ContextSize)
+		}
+		joined.ContextSize = drained.ContextSize
+		if joined != drained {
+			t.Errorf("list %v: cursor counters %+v, Join's %+v", list, drained, joined)
+		}
+	}
+}
+
+// TestDescendantCursorOrSelf: a descendant cursor over the document with
+// OrSelf emits what Join with OrSelf does — each staircase node passing
+// the test, in the slot of its partition's opening — at every window.
+func TestDescendantCursorOrSelf(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	emits := []Emit{{}, {Kinds: AllKinds}, {Kinds: 1 << doc.Elem}, {Kinds: 1 << doc.Elem, ByName: true, Name: 1}}
+	for trial := 0; trial < 40; trial++ {
+		d, context := docFromSeed(rng.Int63(), uint16(rng.Intn(1<<16)))
+		for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
+			e := emits[rng.Intn(len(emits))]
+			o := &Options{Variant: v, Emit: e, OrSelf: true}
+			want, err := Join(d, axis.Descendant, context, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := descOrSelfPassing(d, context, e); !eq32(want, ref) {
+				t.Fatalf("descendant-or-self join %+v:\n got %v\nwant %v", e, want, ref)
+			}
+			for _, batch := range []int{1, 16, 256, 1 + rng.Intn(70)} {
+				cur, err := NewJoinCursor(d, axis.Descendant, SliceSource(context), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := drainCursor(t, cur, batch); !eq32(got, want) {
+					t.Fatalf("or-self cursor != join, %v %+v batch=%d:\n got %v\nwant %v", v, e, batch, got, want)
+				}
+			}
+		}
+	}
+}
+
+// descOrSelfPassing lists, from the region definition, the nodes that
+// pass e and are a context node or lie in one's subtree.
+func descOrSelfPassing(d *doc.Document, context []int32, e Emit) []int32 {
+	var out []int32
+	for v := int32(0); int(v) < d.Size(); v++ {
+		if !e.Pass(d.KindOf(v), d.NameID(v)) {
+			continue
+		}
+		for _, c := range context {
+			if c <= v && v <= c+d.SubtreeSize(c) {
+				out = append(out, v)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestJoinCursorSeek: with a seek hint, the cursor may omit results
