@@ -439,24 +439,7 @@ func (o *axisStepOp) open(ec *execCtx) (cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ec.cancelled(); err != nil {
-			return nil, err
-		}
-		st := ec.step(o.meta, len(ctxNodes))
-		start := time.Now()
-		var out []int32
-		if o.docNode {
-			out, err = ec.docRootAxisTest(o.a, o.test, st)
-		} else {
-			out, err = ec.axisTest(o.a, o.test, ctxNodes, st)
-		}
-		st.Duration += time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		st.OutputSize = len(out)
-		ec.ops[o.id].record(len(ctxNodes), len(out))
-		return out, nil
+		return o.eval(ec, ctxNodes)
 	}}, nil
 }
 
@@ -531,8 +514,6 @@ func (o *posFilterOp) open(ec *execCtx) (cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &ec.steps[o.meta.ord-1]
-	ost := &ec.ops[o.id]
 	if o.docNode || o.step.Axis.Reverse() {
 		// Reverse axes number proximity positions backwards and emit
 		// per-context results in reverse document order: inherently
@@ -542,19 +523,10 @@ func (o *posFilterOp) open(ec *execCtx) (cursor, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.InputSize = len(ctxNodes)
-			start := time.Now()
-			out, err := o.evalContext(ec, ctxNodes, st)
-			st.Duration += time.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			st.OutputSize = len(out)
-			ost.record(len(ctxNodes), len(out))
-			return out, nil
+			return o.eval(ec, ctxNodes)
 		}}, nil
 	}
-	return &posFilterCursor{ec: ec, o: o, in: in, st: st, ost: ost}, nil
+	return &posFilterCursor{ec: ec, o: o, in: in, st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id]}, nil
 }
 
 // posFilterCursor streams a forward-axis positional step: context

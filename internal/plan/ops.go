@@ -292,12 +292,19 @@ func (o *axisStepOp) run(ec *execCtx) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
+	return o.eval(ec, in)
+}
+
+// eval evaluates the step over its whole input: the one body of run and
+// of the blocking cursor.
+func (o *axisStepOp) eval(ec *execCtx, in []int32) ([]int32, error) {
 	if err := ec.cancelled(); err != nil {
 		return nil, err
 	}
 	st := ec.step(o.meta, len(in))
 	start := time.Now()
 	var out []int32
+	var err error
 	if o.docNode {
 		out, err = ec.docRootAxisTest(o.a, o.test, st)
 	} else {
@@ -417,6 +424,12 @@ func (o *posFilterOp) run(ec *execCtx) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
+	return o.eval(ec, in)
+}
+
+// eval evaluates the step over its whole input: the one body of run and
+// of the blocking cursor (reverse axes, the document node).
+func (o *posFilterOp) eval(ec *execCtx, in []int32) ([]int32, error) {
 	st := ec.step(o.meta, len(in))
 	ost := &ec.ops[o.id]
 	prev := ec.cur
