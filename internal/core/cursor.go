@@ -361,7 +361,7 @@ func (c *kernel) finish(dst []int32, k, pruned int, copied, compared, skipped in
 type descCursor struct {
 	kernel
 	pos, end int32 // scan position and partition end (exclusive)
-	est      int32 // copy-phase end (inclusive; SkipEstimate)
+	copyEnd  int32 // copy-phase end (exclusive; SkipEstimate)
 }
 
 func (c *descCursor) Next(dst []int32, seek int32) ([]int32, error) {
@@ -374,34 +374,15 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 	}
 	dst = dst[:cap(dst)]
 	e, post := c.emit.cols(c.d), c.d.PostSlice()
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	estimate, skip := c.variant == SkipEstimate, c.variant != NoSkip
 	k, pruned, w := 0, 0, int32(window)
-	pos, end, est := c.pos, c.end, c.est
+	pos, end, copyEnd, bound := c.pos, c.end, c.copyEnd, c.bound
 	var copied, skipped int64
 	var err error
-	for w > 0 {
-		if pos >= end {
-			var owner int32
-			if c.ri+1 < len(c.run) { // the owner and the node after it
-				owner = c.run[c.ri]
-				c.ri++
-			} else if owner, err = c.nextStair(post, int(w)); owner < 0 {
-				break
-			}
-			pos, end, c.bound, est = owner+1, int32(len(post)), post[owner], owner // est = owner: no copy phase
-			if c.ri < len(c.run) {
-				end = c.run[c.ri]
-			}
-			if c.variant == SkipEstimate {
-				est = min(c.bound, end-1) // pres <= post(owner): Equation (1)
-			}
-			if c.orSelf && e.pass(owner) {
-				dst[k] = owner
-				k++
-			}
-			pruned++
-			w--
-		}
-		if seek > pos {
+	for {
+		// The partition [pos, end) is open, or empty.
+		if seek > pos && pos < end {
 			j := min(seek, end)
 			skipped += int64(j - pos)
 			pos = j
@@ -409,7 +390,7 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 		// Copy phase: the first post(c)−pre(c) nodes after c are
 		// guaranteed descendants (Equation (1) lower bound), no post
 		// comparison.
-		if n := min(est-pos+1, w); n > 0 {
+		if n := min(copyEnd-pos, w); n > 0 {
 			k = e.emitRange(dst, k, pos, pos+n-1)
 			copied += int64(n)
 			w -= n
@@ -419,14 +400,14 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 		// skipping it ends at the first node outside the boundary — the
 		// rest of the partition is an empty region of type Z (Figure 7
 		// (b)); after a copy phase at most h nodes remain.
-		if pos > est {
-			p, stop, bound := pos, pos+min(end-pos, w), c.bound
+		if pos >= copyEnd {
+			p, stop := pos, pos+min(end-pos, w)
 			for ; p < stop; p++ {
 				if post[p] >= bound {
-					if c.variant != NoSkip {
+					if skip {
 						break
 					}
-				} else if e.pass(p) {
+				} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
 					dst[k] = p
 					k++
 				}
@@ -439,8 +420,35 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 			}
 			pos = p
 		}
+		if pos < end || w == 0 { // the window is used up
+			break
+		}
+		// Open the next partition: the next staircase node owns it, the
+		// one after it ends it.
+		var owner int32
+		if i := c.ri; i+1 < len(c.run) {
+			owner, end = c.run[i], c.run[i+1]
+			c.ri = i + 1
+		} else if owner, err = c.nextStair(post, int(w)); owner < 0 {
+			break
+		} else {
+			end = int32(len(post))
+			if c.ri < len(c.run) {
+				end = c.run[c.ri]
+			}
+		}
+		pos, bound, copyEnd = owner+1, post[owner], owner+1 // no copy phase
+		if estimate {
+			copyEnd = min(bound+1, end) // pres <= post(owner): Equation (1)
+		}
+		if c.orSelf && e.pass(owner) {
+			dst[k] = owner
+			k++
+		}
+		pruned++
+		w--
 	}
-	c.pos, c.end, c.est = pos, end, est
+	c.pos, c.end, c.copyEnd, c.bound = pos, end, copyEnd, bound
 	compared := int64(window) - int64(w) - int64(pruned) - copied // the rest of the window
 	return c.finish(dst, k, pruned, copied, compared, skipped, err)
 }

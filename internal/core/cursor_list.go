@@ -181,7 +181,7 @@ func (c *ancListCursor) next(dst []int32, window int, seek int32) ([]int32, erro
 type folListCursor struct {
 	kernel
 	list []int32
-	li   int
+	li   int // no entry before it follows the context
 }
 
 func (c *folListCursor) Next(dst []int32, seek int32) ([]int32, error) {
@@ -199,7 +199,7 @@ func (c *folListCursor) next(dst []int32, window int, seek int32) ([]int32, erro
 			c.done = true
 			return c.finish(dst, 0, 0, 0, 0, 0, err)
 		}
-		c.li = searchList(c.list, best+1+c.d.SubtreeSize(best))
+		c.li = searchFrom(c.list, c.li, best+1+c.d.SubtreeSize(best))
 		c.inPart, pruned = true, 1
 	}
 	dst = dst[:cap(dst)]

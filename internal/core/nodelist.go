@@ -73,8 +73,9 @@ func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Opt
 	case axis.Following:
 		i := minPostAt(d, context)
 		f := context[i]
-		out = make([]int32, 0, len(list)-searchList(list, f+1+d.SubtreeSize(f)))
-		c := folListCursor{kernel: o.holding(d, context[i:i+1], nil, len(context)), list: list}
+		from := searchList(list, f+1+d.SubtreeSize(f))
+		out = make([]int32, 0, len(list)-from)
+		c := folListCursor{kernel: o.holding(d, context[i:i+1], nil, len(context)), list: list, li: from}
 		res, _ = c.next(out, unbounded, 0)
 	case axis.Preceding:
 		out = make([]int32, 0, searchList(list, context[len(context)-1]))
