@@ -605,7 +605,7 @@ func (c *precCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 	}
 	end := c.pos + min(c.end-c.pos, int32(window))
 	e := c.emit.cols(c.d)
-	k := e.emitBelow(dst, 0, c.d.PostSlice(), c.bound, c.pos, end)
+	k := e.emitBelow(dst, c.d.PostSlice(), c.bound, c.pos, end)
 	compared := int64(end - c.pos)
 	c.pos, c.done = end, end >= c.end
 	return c.finish(dst, k, pruned, 0, compared, skipped, nil)

@@ -368,44 +368,46 @@ func IsStaircaseDesc(d *doc.Document, context []int32) bool {
 // and an add per node, no branch.
 func (e *emitCols) emitRange(out []int32, k int, from, to int32) int {
 	mask, kind := e.mask, e.kind[from:to+1]
+	out = out[k:][:len(kind)] // one length for every index below
+	n := 0
 	if e.name == nil {
 		for j, kd := range kind {
-			out[k] = from + int32(j)
-			k += int(mask >> kd & 1)
+			out[n] = from + int32(j)
+			n += int(mask >> kd & 1)
 		}
-		return k
+		return k + n
 	}
 	id := e.id
 	for j, nm := range e.name[from : to+1] {
 		if nm == id && mask>>kind[j]&1 != 0 {
-			out[k] = from + int32(j)
-			k++
+			out[n] = from + int32(j)
+			n++
 		}
 	}
-	return k
+	return k + n
 }
 
 // emitBelow writes the nodes of the pre range [from, to) whose post rank
-// is below bound and that pass the emit test to out[k:] — the preceding
-// scan — and returns the new k. out must have room for the whole range.
-func (e *emitCols) emitBelow(out []int32, k int, post []int32, bound, from, to int32) int {
-	mask, post := e.mask, post[:to]
-	kind := e.kind[:len(post)]
+// is below bound and that pass the emit test to out — the preceding scan
+// — and returns how many it wrote. out must have room for the range.
+func (e *emitCols) emitBelow(out, post []int32, bound, from, to int32) int {
+	mask, kind, post := e.mask, e.kind[from:to], post[from:to]
+	out, k := out[:len(post)], 0 // one length for every index below
 	if e.name == nil {
 		// Nearly every node passes the comparison; which kinds pass the
 		// mask is not predictable, so that half is a store and an add.
-		for i := int(from); i < len(post); i++ {
-			if post[i] < bound {
-				out[k] = int32(i)
+		for i, p := range post {
+			if p < bound {
+				out[k] = from + int32(i)
 				k += int(mask >> kind[i] & 1)
 			}
 		}
 		return k
 	}
-	id, name := e.id, e.name[:len(post)]
-	for i := int(from); i < len(name); i++ {
-		if name[i] == id && post[i] < bound && mask>>kind[i]&1 != 0 {
-			out[k] = int32(i)
+	id := e.id
+	for i, nm := range e.name[from:to] {
+		if nm == id && post[i] < bound && mask>>kind[i]&1 != 0 {
+			out[k] = from + int32(i)
 			k++
 		}
 	}
