@@ -244,7 +244,7 @@ func (c *kernel) nextStair(post []int32, lim int) (int32, error) {
 // ancRun reads on to the next context node surviving ancestor pruning —
 // one survives unless the next context node is its descendant or
 // duplicate — and leaves the ones confirmed right behind it, at most
-// lim, in run. Unlike nextStair's, the run leaves that survivor out: it
+// lim, in run. Unlike descRun's, the run leaves that survivor out: it
 // may come from the previous batch. It returns -1, with the source's
 // error if any, once the context is exhausted; the kernel is then done.
 func (c *kernel) ancRun(post []int32, lim int) (int32, error) {
@@ -374,7 +374,6 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 	}
 	dst = dst[:cap(dst)]
 	e, post := c.emit.cols(c.d), c.d.PostSlice()
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
 	estimate, skip := c.variant == SkipEstimate, c.variant != NoSkip
 	k, pruned, w := 0, 0, int32(window)
 	pos, end, copyEnd, bound := c.pos, c.end, c.copyEnd, c.bound
@@ -407,7 +406,7 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 					if skip {
 						break
 					}
-				} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
+				} else if e.pass(p) {
 					dst[k] = p
 					k++
 				}

@@ -41,36 +41,14 @@ func (c *descListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 	}
 	dst = dst[:cap(dst)]
 	list, post := c.list, c.d.PostSlice()
+	estimate, skip := c.variant == SkipEstimate, c.variant != NoSkip
 	k, pruned, w := 0, 0, window
-	li, end, guar := c.li, c.end, c.guar
+	li, end, guar, bound := c.li, c.end, c.guar, c.bound
 	var copied, skipped int64
 	var err error
-	for w > 0 {
-		if li >= end {
-			var owner int32
-			if c.ri+1 < len(c.run) { // the owner and the node after it
-				owner = c.run[c.ri]
-				c.ri++
-			} else if owner, err = c.nextStair(post, w); owner < 0 {
-				break
-			}
-			// Partition of owner within the list: entries with pre > owner,
-			// up to the next surviving context node.
-			li = searchFrom(list, li, owner+1)
-			end = len(list)
-			if c.ri < len(c.run) {
-				end = searchFrom(list, li, c.run[c.ri])
-			}
-			c.bound, guar = post[owner], li
-			if c.variant == SkipEstimate {
-				// Copy phase: list entries with pre <= post(owner) are
-				// guaranteed descendants (Equation (1) lower bound).
-				guar = searchFrom(list[:end], li, c.bound+1)
-			}
-			pruned++
-			w--
-		}
-		if seek > 0 {
+	for {
+		// The partition list[li:end] is open, or empty.
+		if seek > 0 && li < end {
 			var jumped int64
 			li, jumped = seekList(list, li, end, seek)
 			skipped += jumped
@@ -82,11 +60,11 @@ func (c *descListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 			li += n
 		}
 		if li >= guar {
-			j, stop, bound := li, li+min(end-li, w), c.bound
+			j, stop := li, li+min(end-li, w)
 			for ; j < stop; j++ {
 				v := list[j]
 				if post[v] >= bound {
-					if c.variant != NoSkip {
+					if skip {
 						break
 					}
 				} else {
@@ -102,8 +80,36 @@ func (c *descListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 			}
 			li = j
 		}
+		if li < end || w == 0 { // the window is used up
+			break
+		}
+		// Open the next partition: list entries with pre > owner, up to
+		// the next staircase node.
+		var owner int32
+		next := int32(-1)
+		if i := c.ri; i+1 < len(c.run) {
+			owner, next = c.run[i], c.run[i+1]
+			c.ri = i + 1
+		} else if owner, err = c.nextStair(post, w); owner < 0 {
+			break
+		} else if c.ri < len(c.run) {
+			next = c.run[c.ri]
+		}
+		li = searchFrom(list, li, owner+1)
+		end = len(list)
+		if next >= 0 {
+			end = searchFrom(list, li, next)
+		}
+		bound, guar = post[owner], li
+		if estimate {
+			// Copy phase: list entries with pre <= post(owner) are
+			// guaranteed descendants (Equation (1) lower bound).
+			guar = searchFrom(list[:end], li, bound+1)
+		}
+		pruned++
+		w--
 	}
-	c.li, c.end, c.guar = li, end, guar
+	c.li, c.end, c.guar, c.bound = li, end, guar, bound
 	compared := int64(window-w-pruned) - copied // the rest of the window
 	return c.finish(dst, k, pruned, copied, compared, skipped, err)
 }

@@ -203,20 +203,19 @@ func (o *Options) orDefault() *Options {
 // (strictly increasing pre ranks). The result is duplicate-free and in
 // document order.
 //
-// Join runs the axis's cursor kernel (cursor.go) once, at an unbounded
-// window, with the context already in hand as its one batch. The result
-// is sized once, before the scan, by Equation (1): partition (c, to] of
-// a descendant staircase holds at most post(c)−pre(c)+level(c) nodes
-// and at most its own width, a following or preceding region at most
-// its width. So one allocation takes the whole result and the scan
-// writes it with indexed stores. The ancestor axis keeps a batch body
-// of its own (AncestorJoin).
+// On following and preceding Join runs the axis's cursor kernel
+// (cursor.go) once, at an unbounded window, with the one context node
+// that decides the result in hand as its batch, into a result sized by
+// that node's region. Descendant and ancestor keep batch bodies of their
+// own (DescendantJoin, AncestorJoin).
 func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
+	case axis.Descendant:
+		return DescendantJoin(d, context, o), nil
 	case axis.Ancestor:
 		return AncestorJoin(d, context, o), nil
-	case axis.Descendant, axis.Following, axis.Preceding:
+	case axis.Following, axis.Preceding:
 	default:
 		return nil, errNonPartitioning(a)
 	}
@@ -224,29 +223,13 @@ func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32
 		return nil, nil
 	}
 	var out, res []int32
-	switch a {
-	case axis.Descendant:
-		stair := PruneDescendant(d, context)
-		post, level := d.PostSlice(), d.LevelSlice()
-		to, size := int32(d.Size())-1, 0 // the last partition ends at the last node
-		for i := len(stair) - 1; i >= 0; i-- {
-			c := stair[i]
-			size += int(min(post[c]-c+level[c], to-c))
-			to = c - 1
-		}
-		if o.OrSelf {
-			size += len(stair)
-		}
-		out = make([]int32, 0, size)
-		c := descCursor{kernel: o.holding(d, nil, stair, len(context))}
-		res, _ = c.next(out, unbounded, 0)
-	case axis.Following:
+	if a == axis.Following {
 		i := minPostAt(d, context)
 		f, n := context[i], int32(d.Size())
 		out = make([]int32, 0, n-min(f+1+d.SubtreeSize(f), n))
 		c := folCursor{kernel: o.holding(d, context[i:i+1], nil, len(context))}
 		res, _ = c.next(out, unbounded, 0)
-	case axis.Preceding:
+	} else {
 		out = make([]int32, 0, context[len(context)-1])
 		c := precCursor{kernel: o.holding(d, context[len(context)-1:], nil, len(context))}
 		res, _ = c.next(out, unbounded, 0)
@@ -360,6 +343,82 @@ func IsStaircaseDesc(d *doc.Document, context []int32) bool {
 		}
 	}
 	return true
+}
+
+// --- descendant staircase join (§3.2–§4.2) --------------------------------
+
+// DescendantJoin evaluates context/descendant with the staircase join.
+// The result is sized once, before the scan: partition (c, to] holds at
+// most |descendant(c)| = post(c)−pre(c)+level(c) result nodes (Equation
+// (1)) and at most its own width, so one allocation takes the whole
+// result and the scan writes it with indexed stores.
+func DescendantJoin(d *doc.Document, context []int32, opts *Options) []int32 {
+	o := opts.orDefault()
+	st := o.Stats
+	st.addContext(int64(len(context)))
+	if len(context) == 0 {
+		return nil
+	}
+	context = PruneDescendant(d, context)
+	post, level := d.PostSlice(), d.LevelSlice()
+	e := o.Emit.cols(d)
+	mask, id, kind, name := e.mask, e.id, e.kind, e.name
+	last := int32(d.Size()) - 1 // the last partition ends here
+	size := 0
+	for i, c := range context {
+		size += int(min(post[c]-c+level[c], descPartEnd(context, i, last)-c))
+	}
+	if o.OrSelf {
+		size += len(context)
+	}
+	out := make([]int32, size)
+	k := 0
+	var copied, compared, skipped int64
+	for i, c := range context {
+		if o.OrSelf && e.pass(c) {
+			out[k] = c
+			k++
+		}
+		to, bound := descPartEnd(context, i, last), post[c]
+		p := c + 1
+		if est := min(bound, to); o.Variant == SkipEstimate && est >= p {
+			// Copy phase: the first post(c)−pre(c) nodes after c are
+			// guaranteed descendants (Equation (1) lower bound).
+			k = e.emitRange(out, k, p, est)
+			copied += int64(est - p + 1)
+			p = est + 1
+		}
+		// Scan phase: under skipping it ends at the first node outside
+		// the boundary — the rest of the partition is an empty region of
+		// type Z (Figure 7 (b)); after a copy phase at most h nodes remain.
+		from := p
+		for ; p <= to; p++ {
+			if post[p] >= bound {
+				if o.Variant != NoSkip {
+					break
+				}
+			} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
+				out[k] = p
+				k++
+			}
+		}
+		compared += int64(p - from)
+		if p <= to {
+			compared++ // the breaking node was compared too
+			skipped += int64(to - p)
+		}
+	}
+	st.addScan(len(context), copied, compared, skipped, k)
+	return out[:k]
+}
+
+// descPartEnd returns the last pre rank of the i-th descendant
+// partition: the node before the next staircase node, or last.
+func descPartEnd(context []int32, i int, last int32) int32 {
+	if i+1 < len(context) {
+		return context[i+1] - 1
+	}
+	return last
 }
 
 // emitRange writes the nodes of the pre range [from, to] that pass the
