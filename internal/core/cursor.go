@@ -1,8 +1,10 @@
 // Staircase join cursors: the one body of every kernel family but the
-// document ancestor's. A cursor runs the partitioned scan of Algorithms
-// 2–4 over a window of positions and suspends when the window is used
-// up; Next runs it at cap(dst), and Join / JoinNodeList run it once at
-// an unbounded window into a result sized by Equation (1). Consumers
+// document descendant's and ancestor's, which keep a batch body beside
+// their cursor (DescendantJoin, AncestorJoin). A cursor runs the
+// partitioned scan of Algorithms 2–4 over a window of positions and
+// suspends when the window is used up; Next runs it at cap(dst), and
+// Join / JoinNodeList run it once at an unbounded window into a result
+// sized by Equation (1). Consumers
 // that stop early — LIMIT, existence probes, positional predicates —
 // therefore never pay for document regions beyond what they consumed:
 // the skipping argument of §3.3 extends from "skip what cannot qualify"
@@ -351,13 +353,12 @@ func (c *kernel) finish(dst []int32, k, pruned int, copied, compared, skipped in
 
 // --- descendant, full document --------------------------------------------
 
-// descCursor runs Algorithms 2–4 on the descendant axis: partitions
-// delimited by pruned context survivors, each scanned
-// copy-phase-then-compare and suspended whenever the window is used up.
-// With OrSelf each staircase node passing Emit is emitted as its
-// partition opens, in the slot of that opening position: a context node
-// pruning drops lies inside another one's region, so that covers them
-// all.
+// descCursor streams DescendantJoin: partitions delimited by pruned
+// context survivors, each scanned copy-phase-then-compare and suspended
+// whenever the window is used up. With OrSelf each staircase node
+// passing Emit is emitted as its partition opens, in the slot of that
+// opening position: a context node pruning drops lies inside another
+// one's region, so that covers them all.
 type descCursor struct {
 	kernel
 	pos, end int32 // scan position and partition end (exclusive)
@@ -456,8 +457,7 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 
 // ancCursor streams AncestorJoin: partitions end at each surviving
 // context node's pre rank; non-ancestor subtrees are jumped via
-// Equation (1) made exact by the level column. It is the one family
-// whose batch body (AncestorJoin) is still separate.
+// Equation (1) made exact by the level column.
 type ancCursor struct {
 	kernel
 	pos, to int32
