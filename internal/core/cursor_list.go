@@ -22,20 +22,6 @@ func seekList(list []int32, li, end int, seek int32) (int, int64) {
 	return j, int64(j - li)
 }
 
-// listBelow copies the entries of list whose post rank is below bound
-// to out — the preceding scan — and returns how many it copied. out must
-// have room for the whole list.
-func listBelow(out, post, list []int32, bound int32) int {
-	k := 0
-	for _, v := range list {
-		if post[v] < bound {
-			out[k] = v
-			k++
-		}
-	}
-	return k
-}
-
 // --- descendant ∩ list -----------------------------------------------------
 
 type descListCursor struct {
@@ -260,8 +246,13 @@ func (c *precListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 	dst = dst[:cap(dst)]
 	post, bound := c.d.PostSlice(), c.bound
 	li, skipped := seekList(c.list, c.li, c.end, seek)
-	stop := li + min(c.end-li, window)
-	k := listBelow(dst, post, c.list[li:stop], bound)
+	k, stop := 0, li+min(c.end-li, window)
+	for _, v := range c.list[li:stop] {
+		if post[v] < bound {
+			dst[k] = v
+			k++
+		}
+	}
 	c.li, c.done = stop, stop >= c.end
 	return c.finish(dst, k, pruned, 0, int64(stop-li), skipped, nil)
 }
