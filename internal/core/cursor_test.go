@@ -250,7 +250,7 @@ func checkSeek(t *testing.T, c JoinCursor, seek int32, want []int32, batch int) 
 }
 
 // TestCursorStatsEqualGolden: drained to exhaustion, every cursor kernel
-// visits exactly the nodes its batch kernel visits — the rows of
+// visits exactly the nodes Join or JoinNodeList visits — the rows of
 // testdata/stats_golden.json — whatever the window. ContextSize is the
 // exception for following, whose cursors stop reading the context at
 // the first node beyond the first context node's subtree.
@@ -314,7 +314,7 @@ func TestCursorStatsEqualGolden(t *testing.T) {
 // partition, copy-phase, subtree-jump and seek positions all come from
 // searchFrom — over random staircases with a seek hint that rises from
 // call to call: whatever the hints and windows, the output is a strictly
-// increasing subset of the batch join over the same list (located there
+// increasing subset of JoinNodeList over the same list (located there
 // by searchList), and holds every result node from the last hint on.
 func TestQuickListCursorSeekHints(t *testing.T) {
 	f := func(seed int64, ctxBits uint16, axisPick, variantPick, window uint8) bool {

@@ -12,7 +12,7 @@ import (
 	"staircase/internal/doc"
 )
 
-// Tests of the batch kernels' three rules: results sized once from the
+// Tests of the kernels' sizing rules: results sized once from the
 // encoding, pruning that does not copy a proper staircase, and the
 // galloping list search.
 
