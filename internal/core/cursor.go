@@ -1,6 +1,6 @@
-// Staircase join cursors: the one body of every kernel family but the
-// document descendant's and ancestor's, which keep a batch body beside
-// their cursor (DescendantJoin, AncestorJoin). A cursor runs the
+// Staircase join cursors: the one body of every kernel family but
+// three, which keep a batch body beside their cursor (DescendantJoin,
+// AncestorJoin, precedingJoinNodeList). A cursor runs the
 // partitioned scan of Algorithms 2–4 over a window of positions and
 // suspends when the window is used up; Next runs it at cap(dst), and
 // Join / JoinNodeList run it once at an unbounded window into a result
