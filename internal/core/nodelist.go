@@ -28,9 +28,10 @@ import (
 // JoinNodeList evaluates an axis step along a partitioning axis against
 // a pre-sorted node list instead of the whole document. The result is
 // the intersection of the usual staircase join result with the list.
-// Like Join it runs the list cursor (cursor_list.go) once at an
-// unbounded window, into a result sized once: the list range the
-// staircase spans, capped by the document bound.
+// On descendant, ancestor and following it runs the list cursor
+// (cursor_list.go) once at an unbounded window, into a result sized
+// once: the list range the staircase spans, capped by the document
+// bound. Preceding keeps a batch body (precedingJoinNodeList).
 func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
