@@ -1,14 +1,14 @@
-// Staircase join cursors: the one body of every kernel family but
-// three, which keep a batch body beside their cursor (DescendantJoin,
-// AncestorJoin, precedingJoinNodeList). A cursor runs the
+// Staircase join cursors: the one body of every kernel family but the
+// document descendant and ancestor ones, which keep a batch body beside
+// their cursor (DescendantJoin, AncestorJoin). A cursor runs the
 // partitioned scan of Algorithms 2–4 over a window of positions and
 // suspends when the window is used up; Next runs it at cap(dst), and
 // Join / JoinNodeList run it once at an unbounded window into a result
-// sized by Equation (1). Consumers
-// that stop early — LIMIT, existence probes, positional predicates —
-// therefore never pay for document regions beyond what they consumed:
-// the skipping argument of §3.3 extends from "skip what cannot qualify"
-// to "never touch what nobody asked for".
+// sized by Equation (1). Consumers that stop early — LIMIT, existence
+// probes, positional predicates — therefore never pay for document
+// regions beyond what they consumed: the skipping argument of §3.3
+// extends from "skip what cannot qualify" to "never touch what nobody
+// asked for".
 //
 // Four rules shape every kernel here and in cursor_list.go:
 //
@@ -88,9 +88,8 @@ type JoinCursor interface {
 // NewJoinCursor returns a resumable staircase join over the full
 // document for one of the four partitioning axes. The context arrives
 // through src in document order; opts selects variant, emit test and
-// stats exactly like Join. OrSelf is honoured on the descendant axis;
-// the ancestor cursor ignores it, so an ancestor-or-self consumer merges
-// the self side itself.
+// stats exactly like Join (OrSelf is not supported: a consumer of an
+// or-self axis merges the self side itself).
 func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) (JoinCursor, error) {
 	return newCursor(d, a, nil, false, src, opts)
 }
@@ -110,7 +109,7 @@ func NewJoinNodeListCursor(d *doc.Document, a axis.Axis, list []int32, src NodeS
 func newCursor(d *doc.Document, a axis.Axis, list []int32, useList bool, src NodeSource, opts *Options) (JoinCursor, error) {
 	o := opts.orDefault()
 	k := kernel{
-		ctxIn: ctxIn{src: src}, d: d, st: o.Stats, emit: o.Emit, variant: o.Variant, orSelf: o.OrSelf,
+		ctxIn: ctxIn{src: src}, d: d, st: o.Stats, emit: o.Emit, variant: o.Variant,
 		done: useList && len(list) == 0, // nothing to intersect with: the context is never read
 	}
 	switch {
@@ -147,7 +146,7 @@ const unbounded = 1 << 30
 func (o *Options) holding(d *doc.Document, held, stair []int32, n int) kernel {
 	return kernel{
 		ctxIn: ctxIn{ctx: held, run: stair, seen: int32(n - len(held)), srcDone: true},
-		d:     d, st: o.Stats, emit: o.Emit, variant: o.Variant, orSelf: o.OrSelf,
+		d:     d, st: o.Stats, emit: o.Emit, variant: o.Variant,
 	}
 }
 
@@ -222,25 +221,31 @@ func (c *ctxIn) descRun(post []int32, lim int) (bool, error) {
 }
 
 // nextStair takes the next staircase node for a descendant partition
-// to own, and makes sure the node after it, which ends the partition,
-// heads run if there is one. It returns -1, with the source's error if
-// any, once the context is exhausted; the kernel is then done.
-func (c *kernel) nextStair(post []int32, lim int) (int32, error) {
+// to own and returns it with the pre rank that ends the partition: the
+// staircase node after it, or the document size if there is none. It
+// returns owner -1, with the source's error if any, once the context is
+// exhausted; the kernel is then done. The cursors inline its common
+// case, run holding both nodes: calling it for every partition ran the
+// list descendant steps of BenchmarkKernelFamilies 8–11 % slower.
+func (c *kernel) nextStair(post []int32, lim int) (owner, end int32, err error) {
 	if c.ri == len(c.run) {
 		if ok, err := c.descRun(post, lim); !ok {
 			c.done = true
-			return -1, err
+			return -1, 0, err
 		}
 	}
-	owner := c.run[c.ri]
+	owner = c.run[c.ri]
 	c.ri++
 	if c.ri == len(c.run) {
 		if _, err := c.descRun(post, lim); err != nil {
 			c.done = true
-			return -1, err
+			return -1, 0, err
 		}
 	}
-	return owner, nil
+	if c.ri < len(c.run) {
+		return owner, c.run[c.ri], nil
+	}
+	return owner, int32(len(post)), nil
 }
 
 // ancRun reads on to the next context node surviving ancestor pruning —
@@ -329,7 +334,6 @@ type kernel struct {
 	emit    Emit
 	bound   int32 // boundary post rank of the open partition
 	variant Variant
-	orSelf  bool // descendant, whole document: emit each staircase node passing Emit
 	inPart  bool // a partition (or the one region) is open
 	done    bool
 }
@@ -355,10 +359,7 @@ func (c *kernel) finish(dst []int32, k, pruned int, copied, compared, skipped in
 
 // descCursor streams DescendantJoin: partitions delimited by pruned
 // context survivors, each scanned copy-phase-then-compare and suspended
-// whenever the window is used up. With OrSelf each staircase node
-// passing Emit is emitted as its partition opens, in the slot of that
-// opening position: a context node pruning drops lies inside another
-// one's region, so that covers them all.
+// whenever the window is used up.
 type descCursor struct {
 	kernel
 	pos, end int32 // scan position and partition end (exclusive)
@@ -426,24 +427,15 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 		// Open the next partition: the next staircase node owns it, the
 		// one after it ends it.
 		var owner int32
-		if i := c.ri; i+1 < len(c.run) {
+		if i := c.ri; i+1 < len(c.run) { // nextStair's common case
 			owner, end = c.run[i], c.run[i+1]
 			c.ri = i + 1
-		} else if owner, err = c.nextStair(post, int(w)); owner < 0 {
+		} else if owner, end, err = c.nextStair(post, int(w)); owner < 0 {
 			break
-		} else {
-			end = int32(len(post))
-			if c.ri < len(c.run) {
-				end = c.run[c.ri]
-			}
 		}
 		pos, bound, copyEnd = owner+1, post[owner], owner+1 // no copy phase
 		if estimate {
 			copyEnd = min(bound+1, end) // pres <= post(owner): Equation (1)
-		}
-		if c.orSelf && e.pass(owner) {
-			dst[k] = owner
-			k++
 		}
 		pruned++
 		w--

@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"staircase/internal/axis"
-	"staircase/internal/doc"
 	"staircase/internal/spec"
 )
 
@@ -139,55 +138,6 @@ func TestFollowingCountsWhatItIsHanded(t *testing.T) {
 			t.Errorf("list %v: cursor counters %+v, Join's %+v", list, drained, joined)
 		}
 	}
-}
-
-// TestDescendantCursorOrSelf: a descendant cursor over the document with
-// OrSelf emits what Join with OrSelf does — each staircase node passing
-// the test, in the slot of its partition's opening — at every window.
-func TestDescendantCursorOrSelf(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	emits := []Emit{{}, {Kinds: AllKinds}, {Kinds: 1 << doc.Elem}, {Kinds: 1 << doc.Elem, ByName: true, Name: 1}}
-	for trial := 0; trial < 40; trial++ {
-		d, context := docFromSeed(rng.Int63(), uint16(rng.Intn(1<<16)))
-		for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
-			e := emits[rng.Intn(len(emits))]
-			o := &Options{Variant: v, Emit: e, OrSelf: true}
-			want, err := Join(d, axis.Descendant, context, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref := descOrSelfPassing(d, context, e); !eq32(want, ref) {
-				t.Fatalf("descendant-or-self join %+v:\n got %v\nwant %v", e, want, ref)
-			}
-			for _, batch := range []int{1, 16, 256, 1 + rng.Intn(70)} {
-				cur, err := NewJoinCursor(d, axis.Descendant, SliceSource(context), o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := drainCursor(t, cur, batch); !eq32(got, want) {
-					t.Fatalf("or-self cursor != join, %v %+v batch=%d:\n got %v\nwant %v", v, e, batch, got, want)
-				}
-			}
-		}
-	}
-}
-
-// descOrSelfPassing lists, from the region definition, the nodes that
-// pass e and are a context node or lie in one's subtree.
-func descOrSelfPassing(d *doc.Document, context []int32, e Emit) []int32 {
-	var out []int32
-	for v := int32(0); int(v) < d.Size(); v++ {
-		if !e.Pass(d.KindOf(v), d.NameID(v)) {
-			continue
-		}
-		for _, c := range context {
-			if c <= v && v <= c+d.SubtreeSize(c) {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // TestJoinCursorSeek: with a seek hint, the cursor may omit results

@@ -29,22 +29,20 @@ var fuzzEmits = []Emit{
 // ContextSize: the cursor stops reading its source early.
 //
 // pick selects, bit field by bit field: the axis, the variant, the emit
-// test, OrSelf (descendant over the document), the node-list kernel and
-// seeking. Each byte of steps sizes one Next's window and, when seeking,
+// test, the node-list kernel and seeking. Each byte of steps sizes one Next's window and, when seeking,
 // raises the seek hint.
 func FuzzKernelWindows(f *testing.F) {
 	f.Add(int64(1), uint16(3), uint16(0), []byte{1, 2, 3})
-	f.Add(int64(7), uint16(900), uint16(0x3ff), []byte{40, 1, 0, 255})
-	f.Add(int64(-5), uint16(17), uint16(0x155), []byte{})
-	f.Add(int64(42), uint16(0xffff), uint16(0x2aa), []byte{7, 7, 7, 7, 7, 7})
+	f.Add(int64(7), uint16(900), uint16(0x1ff), []byte{40, 1, 0, 255})
+	f.Add(int64(-5), uint16(17), uint16(0xd5), []byte{})
+	f.Add(int64(42), uint16(0xffff), uint16(0x12a), []byte{7, 7, 7, 7, 7, 7})
 	f.Fuzz(func(t *testing.T, seed int64, ctxBits, pick uint16, steps []byte) {
 		d, context := docFromSeed(seed, ctxBits)
 		rng := rand.New(rand.NewSource(seed))
 		a := cursorAxes[pick&3]
 		v := []Variant{NoSkip, Skip, SkipEstimate}[int(pick>>2&3)%3]
 		e := fuzzEmits[int(pick>>4&7)%len(fuzzEmits)]
-		orSelf := a == axis.Descendant && pick>>7&1 == 1
-		useList, seeking := pick>>8&1 == 1, pick>>9&1 == 1
+		useList, seeking := pick>>7&1 == 1, pick>>8&1 == 1
 
 		ref := spec.Join(d, a, context)
 		var list []int32
@@ -54,23 +52,20 @@ func FuzzKernelWindows(f *testing.F) {
 		if useList {
 			list = randomList(rng, d, 0.1+0.8*rng.Float64())
 			ref = inList(ref, list)
-			want, err = JoinNodeList(d, a, list, context, &Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &joined})
+			want, err = JoinNodeList(d, a, list, context, &Options{Variant: v, Emit: e, Stats: &joined})
 		} else {
 			ref = passing(d, ref, e)
-			if orSelf {
-				ref = MergeOrSelf(ref, passing(d, context, e))
-			}
-			want, err = Join(d, a, context, &Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &joined})
+			want, err = Join(d, a, context, &Options{Variant: v, Emit: e, Stats: &joined})
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !eq32(want, ref) {
-			t.Fatalf("%v/%v emit %+v orSelf %v list %v: unbounded run\n got %v\nwant %v", a, v, e, orSelf, useList, want, ref)
+			t.Fatalf("%v/%v emit %+v list %v: unbounded run\n got %v\nwant %v", a, v, e, useList, want, ref)
 		}
 
 		var drained Stats
-		o := &Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &drained}
+		o := &Options{Variant: v, Emit: e, Stats: &drained}
 		var cur JoinCursor
 		if useList {
 			cur, err = NewJoinNodeListCursor(d, a, list, SliceSource(context), o)

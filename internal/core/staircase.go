@@ -172,13 +172,12 @@ type Options struct {
 	// SubtreeNodeList and the list cursors) ignore it: a list already is
 	// its test's fragment.
 	Emit Emit
-	// OrSelf makes the document kernels of the descendant and ancestor
-	// axes evaluate the or-self axis: every context node passing Emit
-	// joins the result. A context node pruning drops lies inside another
-	// one's region, so emitting the staircase nodes — as their partition
-	// opens on descendant, after it on ancestor — covers them all. Join
-	// honours it on both axes, NewJoinCursor on descendant only; the
-	// node-list kernels ignore it.
+	// OrSelf makes Join on the descendant and ancestor axes evaluate the
+	// or-self axis: every context node passing Emit joins the result. A
+	// context node pruning drops lies inside another one's region, so
+	// emitting the staircase nodes — before their partition on
+	// descendant, after it on ancestor — covers them all. The cursors and
+	// the node-list kernels ignore the field.
 	OrSelf bool
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
