@@ -1,7 +1,7 @@
 // Staircase join cursors over pre-sorted node lists (index fragments):
-// the one body of each node-list family but preceding, which
-// JoinNodeList runs at an unbounded window, under the rules of cursor.go
-// with list entries as the window's positions. They apply no node test:
+// the one body of each node-list family, which JoinNodeList runs at an
+// unbounded window, under the rules of cursor.go with list entries as
+// the window's positions. They apply no node test:
 // a list is its test's fragment.
 // The list position only ever moves forward, so partition boundaries,
 // copy-phase guarantees, subtree jumps and seek targets are all found
@@ -20,6 +20,24 @@ func seekList(list []int32, li, end int, seek int32) (int, int64) {
 	}
 	j := searchFrom(list[:end], li, seek)
 	return j, int64(j - li)
+}
+
+// keepBelow copies the entries of list whose post rank is below bound
+// to out — the preceding scan — and returns how many it copied. out must
+// have room for the whole list. It stays out of line so the scan loop
+// has the registers to itself: inlined into next it reloads a spilled
+// counter on every entry.
+//
+//go:noinline
+func keepBelow(out, post, list []int32, bound int32) int {
+	out, k := out[:len(list)], 0
+	for _, v := range list {
+		if post[v] < bound {
+			out[k] = v
+			k++
+		}
+	}
+	return k
 }
 
 // --- descendant ∩ list -----------------------------------------------------
@@ -85,21 +103,15 @@ func (c *descListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 		}
 		// Open the next partition: list entries with pre > owner, up to
 		// the next staircase node.
-		var owner int32
-		next := int32(-1)
-		if i := c.ri; i+1 < len(c.run) {
+		var owner, next int32
+		if i := c.ri; i+1 < len(c.run) { // nextStair's common case
 			owner, next = c.run[i], c.run[i+1]
 			c.ri = i + 1
-		} else if owner, err = c.nextStair(post, w); owner < 0 {
+		} else if owner, next, err = c.nextStair(post, w); owner < 0 {
 			break
-		} else if c.ri < len(c.run) {
-			next = c.run[c.ri]
 		}
 		li = searchFrom(list, li, owner+1)
-		end = len(list)
-		if next >= 0 {
-			end = searchFrom(list, li, next)
-		}
+		end = searchFrom(list, li, next)
 		bound, guar = post[owner], li
 		if estimate {
 			// Copy phase: list entries with pre <= post(owner) are
@@ -246,13 +258,8 @@ func (c *precListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 	dst = dst[:cap(dst)]
 	post, bound := c.d.PostSlice(), c.bound
 	li, skipped := seekList(c.list, c.li, c.end, seek)
-	k, stop := 0, li+min(c.end-li, window)
-	for _, v := range c.list[li:stop] {
-		if post[v] < bound {
-			dst[k] = v
-			k++
-		}
-	}
+	stop := li + min(c.end-li, window)
+	k := keepBelow(dst, post, c.list[li:stop], bound)
 	c.li, c.done = stop, stop >= c.end
 	return c.finish(dst, k, pruned, 0, int64(stop-li), skipped, nil)
 }

@@ -28,10 +28,9 @@ import (
 // JoinNodeList evaluates an axis step along a partitioning axis against
 // a pre-sorted node list instead of the whole document. The result is
 // the intersection of the usual staircase join result with the list.
-// On descendant, ancestor and following it runs the list cursor
-// (cursor_list.go) once at an unbounded window, into a result sized
-// once: the list range the staircase spans, capped by the document
-// bound. Preceding keeps a batch body (precedingJoinNodeList).
+// It runs the axis's list cursor (cursor_list.go) once at an unbounded
+// window, into a result sized once: the list range the staircase spans,
+// capped by the document bound.
 func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
@@ -79,7 +78,9 @@ func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Opt
 		c := folListCursor{kernel: o.holding(d, context[i:i+1], nil, len(context)), list: list, li: from}
 		res, _ = c.next(out, unbounded, 0)
 	case axis.Preceding:
-		return precedingJoinNodeList(d, list, context, o), nil
+		out = make([]int32, 0, searchList(list, context[len(context)-1]))
+		c := precListCursor{kernel: o.holding(d, context[len(context)-1:], nil, len(context)), list: list}
+		res, _ = c.next(out, unbounded, 0)
 	}
 	return out[:len(res)], nil
 }
@@ -164,25 +165,4 @@ func SubtreeNodeList(d *doc.Document, list []int32, c int32, opts *Options) []in
 		lo--
 	}
 	return list[lo:hi:hi]
-}
-
-// precedingJoinNodeList computes context/preceding ∩ list: list entries
-// before the maximum-pre context node, minus its ancestors. It is the
-// one node-list family whose batch body stays beside its cursor: the
-// cursor ran the short preceding steps 5–6 % slower.
-func precedingJoinNodeList(d *doc.Document, list, context []int32, o *Options) []int32 {
-	o.Stats.addContext(int64(len(context)))
-	c := context[len(context)-1]
-	post, bound := d.PostSlice(), d.Post(c)
-	end := searchList(list, c)
-	out := make([]int32, end)
-	k := 0
-	for _, v := range list[:end] {
-		if post[v] < bound {
-			out[k] = v
-			k++
-		}
-	}
-	o.Stats.addScan(1, 0, int64(end), 0, k)
-	return out[:k]
 }
