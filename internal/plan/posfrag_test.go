@@ -58,3 +58,52 @@ func TestPositionalStepResolvesFragmentOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockingPositionalStepMarksBothFaces: a positional step on a
+// reverse axis, or from the document node, blocks under the cursor face
+// and evaluates its whole input in the one body Plan.Run uses, so the
+// pushdown decision and the cost model's bound land on its operator
+// alike in both faces.
+func TestBlockingPositionalStepMarksBothFaces(t *testing.T) {
+	d, err := xmark.Generate(xmark.Config{SizeMB: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(d)
+	marked := 0
+	for _, q := range []string{
+		"/descendant::increase/ancestor::bidder[1]",
+		"/descendant::bidder/preceding::increase[2]",
+		"/descendant::bidder[3]",
+	} {
+		for _, opts := range []*Options{nil, {Pushdown: PushAlways}, {Pushdown: PushNever}} {
+			p := compileQuery(t, env, q, opts)
+			res, err := p.RunRoot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lr, err := p.RunLimitRoot(context.Background(), math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range p.ops {
+				pf, ok := o.(*posFilterOp)
+				if !ok || !pf.docNode && !pf.step.Axis.Reverse() {
+					continue
+				}
+				run, cur := res.ops[pf.opID()], lr.ops[pf.opID()]
+				if run.bound == 0 {
+					t.Errorf("%s %+v: Run left no bound on the positional step", q, opts)
+				}
+				if cur.pushed != run.pushed || cur.indexed != run.indexed || cur.fragSize != run.fragSize || cur.bound != run.bound {
+					t.Errorf("%s %+v: cursor marks pushed %v indexed %v fragment %d bound %d, Run's %v %v %d %d",
+						q, opts, cur.pushed, cur.indexed, cur.fragSize, cur.bound, run.pushed, run.indexed, run.fragSize, run.bound)
+				}
+				marked++
+			}
+		}
+	}
+	if marked == 0 {
+		t.Fatal("no blocking positional step compiled")
+	}
+}
