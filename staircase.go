@@ -108,7 +108,6 @@ func Open(path string) (*Document, error) {
 // Load reads a document from a reader, sniffing the SCJ1/SCJ2 binary
 // magic exactly like Open.
 func Load(r io.Reader) (*Document, error) {
-	layoutPad()
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.Peek(4)
 	if err == nil && (string(magic) == "SCJ1" || string(magic) == "SCJ2") {
