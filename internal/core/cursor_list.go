@@ -1,8 +1,8 @@
 // Staircase join cursors over pre-sorted node lists (index fragments):
 // the one body of each node-list family, which JoinNodeList runs at an
 // unbounded window, under the rules of cursor.go with list entries as
-// the window's positions. They apply no node test:
-// a list is its test's fragment.
+// the window's positions. They apply no node test: a list is its test's
+// fragment.
 // The list position only ever moves forward, so partition boundaries,
 // copy-phase guarantees, subtree jumps and seek targets are all found
 // by galloping from it (searchFrom): early-terminating consumers touch

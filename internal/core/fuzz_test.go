@@ -29,8 +29,8 @@ var fuzzEmits = []Emit{
 // ContextSize: the cursor stops reading its source early.
 //
 // pick selects, bit field by bit field: the axis, the variant, the emit
-// test, the node-list kernel and seeking. Each byte of steps sizes one Next's window and, when seeking,
-// raises the seek hint.
+// test, the node-list kernel and seeking. Each byte of steps sizes one
+// Next's window and, when seeking, raises the seek hint.
 func FuzzKernelWindows(f *testing.F) {
 	f.Add(int64(1), uint16(3), uint16(0), []byte{1, 2, 3})
 	f.Add(int64(7), uint16(900), uint16(0x1ff), []byte{40, 1, 0, 255})
