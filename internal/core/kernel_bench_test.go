@@ -11,8 +11,9 @@ import (
 
 // BenchmarkKernelFamilies times one kernel call per sub-benchmark: the
 // steps of the repository benchmark's axes_batch and stream_first_k
-// scripts that reach a staircase kernel, over a 32 MB, seed-1 XMark
-// document built once per process. Sub-benchmarks are named family/step
+// scripts that reach a staircase kernel, plus selective ancestor steps,
+// name tests and or-self steps of the document kernels, over a 32 MB,
+// seed-1 XMark document built once per process. Sub-benchmarks are named family/step
 // (doc-* for the document kernels, list-* for the node-list kernels) and
 // call only Join and JoinNodeList, so one binary per commit compares
 // kernel bodies across commits:
@@ -70,6 +71,10 @@ func kernelFamilyCases(b *testing.B) []kernelFamilyCase {
 		text := ix.KindList(uint8(doc.Text))
 		itemText, _ := Join(d, axis.Descendant, tag("item"), &Options{Variant: SkipEstimate, Emit: Emit{Kinds: 1 << doc.Text}})
 		root := []int32{d.Root()}
+		named := func(name string) Emit {
+			id, _ := d.Names().Lookup(name)
+			return Emit{Kinds: 1 << doc.Elem, ByName: true, Name: id}
+		}
 		step := func(family, from string, a axis.Axis, to string) kernelFamilyCase {
 			return kernelFamilyCase{name: family + "/" + from + "-" + to, d: d, a: a, ctx: tag(from), list: tag(to)}
 		}
@@ -77,7 +82,13 @@ func kernelFamilyCases(b *testing.B) []kernelFamilyCase {
 			{name: "doc-descendant/root-node", d: d, a: axis.Descendant, ctx: root},
 			{name: "doc-descendant/root-or-self-node", d: d, a: axis.Descendant, ctx: root, orSelf: true},
 			{name: "doc-descendant/item-text", d: d, a: axis.Descendant, ctx: tag("item"), emit: Emit{Kinds: 1 << doc.Text}},
+			{name: "doc-descendant/person-or-self-node", d: d, a: axis.Descendant, ctx: tag("person"), orSelf: true},
 			{name: "doc-ancestor/text-node", d: d, a: axis.Ancestor, ctx: text},
+			{name: "doc-ancestor/text-or-self-node", d: d, a: axis.Ancestor, ctx: text, orSelf: true},
+			{name: "doc-ancestor/text-listitem", d: d, a: axis.Ancestor, ctx: text, emit: named("listitem")},
+			{name: "doc-ancestor/keyword-node", d: d, a: axis.Ancestor, ctx: tag("keyword")},
+			{name: "doc-ancestor/item-elem", d: d, a: axis.Ancestor, ctx: tag("item"), emit: Emit{Kinds: 1 << doc.Elem}},
+			{name: "doc-ancestor/increase-bidder", d: d, a: axis.Ancestor, ctx: tag("increase"), emit: named("bidder")},
 			{name: "doc-following/category-node", d: d, a: axis.Following, ctx: tag("category")},
 			{name: "doc-preceding/person-elem", d: d, a: axis.Preceding, ctx: tag("person"), emit: Emit{Kinds: 1 << doc.Elem}},
 			step("list-descendant", "profile", axis.Descendant, "education"),
