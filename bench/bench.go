@@ -214,7 +214,7 @@ func Table1(c *Corpus, sizes []float64) Table {
 
 		// Q2: step-2 ancestor axis over the increase context, then the
 		// bidder name test.
-		q2axis := core.AncestorJoin(d, cx.increases, nil)
+		q2axis := baseline.AncestorJoin(d, cx.increases, nil)
 		q2res, err := e.EvalString(Q2, nil)
 		if err != nil {
 			panic(err)
@@ -305,7 +305,7 @@ func Fig11a(c *Corpus, sizes []float64) Table {
 		cx := getContexts(d)
 		var nst baseline.NaiveStats
 		baseline.NaiveJoin(d, axis.Ancestor, cx.increases, &nst)
-		scj := core.AncestorJoin(d, cx.increases, nil)
+		scj := baseline.AncestorJoin(d, cx.increases, nil)
 		ratio := 0.0
 		if nst.Produced > 0 {
 			ratio = float64(nst.Duplicates) / float64(nst.Produced)
@@ -608,7 +608,7 @@ func MPMGJN(c *Corpus, sizes []float64) Table {
 		d := c.Doc(mb)
 		cx := getContexts(d)
 		var ss core.Stats
-		scj := core.AncestorJoin(d, cx.increases, &core.Options{Variant: core.Skip, Stats: &ss})
+		scj := baseline.AncestorJoin(d, cx.increases, &core.Options{Variant: core.Skip, Stats: &ss})
 		var msSt baseline.MPMGJNStats
 		mp := baseline.MPMGJNAncestor(d, cx.increases, &msSt)
 		var ixSt baseline.IndexJoinStats

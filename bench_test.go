@@ -149,7 +149,7 @@ func BenchmarkFig11aNaive(b *testing.B) {
 func BenchmarkFig11aStaircase(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		for i := 0; i < b.N; i++ {
-			core.AncestorJoin(c.d, c.increases, nil)
+			baseline.AncestorJoin(c.d, c.increases, nil)
 		}
 	})
 }
@@ -654,7 +654,7 @@ func BenchmarkStaircaseAncestorVsMPMGJN(b *testing.B) {
 		var st core.Stats
 		for i := 0; i < b.N; i++ {
 			st = core.Stats{}
-			core.AncestorJoin(c.d, c.increases, &core.Options{Variant: core.Skip, Stats: &st})
+			baseline.AncestorJoin(c.d, c.increases, &core.Options{Variant: core.Skip, Stats: &st})
 		}
 		b.ReportMetric(float64(st.Scanned), "touched/op")
 	})

@@ -1,5 +1,5 @@
-// Package baseline implements the tree-unaware comparators the staircase
-// join is evaluated against in the paper:
+// Package baseline implements the paper's experiment subjects that the
+// product path does not run:
 //
 //   - Naive per-context-node region queries with subsequent sort and
 //     duplicate elimination (Experiment 1, Figure 11 (a)): the context
@@ -12,6 +12,9 @@
 //   - MPMGJN, the multi-predicate merge join of Zhang et al. (SIGMOD
 //     2001), the closest related structural join (§5): interval
 //     containment aware, but without pruning and skipping.
+//   - The staircase join's own ancestor scan, Algorithm 2 with the
+//     skipping of Algorithm 3 (AncestorJoin), which the paper's ancestor
+//     experiments measure; core.Join climbs the parent column instead.
 package baseline
 
 import (

@@ -1,14 +1,13 @@
-// Staircase join cursors: the one body of every kernel family but the
-// document descendant and ancestor ones, which keep a batch body beside
-// their cursor (DescendantJoin, AncestorJoin). A cursor runs the
-// partitioned scan of Algorithms 2–4 over a window of positions and
-// suspends when the window is used up; Next runs it at cap(dst), and
-// Join / JoinNodeList run it once at an unbounded window into a result
-// sized by Equation (1). Consumers that stop early — LIMIT, existence
-// probes, positional predicates — therefore never pay for document
-// regions beyond what they consumed: the skipping argument of §3.3
-// extends from "skip what cannot qualify" to "never touch what nobody
-// asked for".
+// Staircase join cursors: the one body of every kernel family. A cursor
+// runs the partitioned scan of Algorithms 2–4 (the document ancestor
+// cursor: a climb of the parent column per partition) over a window of
+// positions and suspends when the window is used up; Next runs it at
+// cap(dst), and Join / JoinNodeList run it once at an unbounded window
+// into a result sized by Equation (1). Consumers that stop early —
+// LIMIT, existence probes, positional predicates — therefore never pay
+// for document regions beyond what they consumed: the skipping argument
+// of §3.3 extends from "skip what cannot qualify" to "never touch what
+// nobody asked for".
 //
 // Four rules shape every kernel here and in cursor_list.go:
 //
@@ -16,10 +15,12 @@
 //     next(dst, window, seek) visits at most window positions (document
 //     nodes compared or copied, list entries, partitions opened), so the
 //     time to Next's first batch is a property of the buffer the
-//     consumer hands in, not of how selective the emit test is. Every
-//     position yields at most one node, and Join's buffer holds the
-//     Equation (1) bound, so the scan writes dst[k] with indexed stores
-//     and never checks for room.
+//     consumer hands in, not of how selective the emit test is. (An
+//     ancestor climb reads its chain whole, at most h nodes: a window
+//     too short for it parks the chain and spends a position per node
+//     handed out.) Every position yields at most one node, and Join's
+//     buffer holds the Equation (1) bound, so the scan writes dst[k] with
+//     indexed stores and never checks for room.
 //   - Context by the batch. The context arrives through a NodeSource a
 //     batch at a time (Join hands its pruned context in as the one held
 //     batch); the kernel keeps the batch as a slice and prunes it in a
@@ -87,9 +88,8 @@ type JoinCursor interface {
 
 // NewJoinCursor returns a resumable staircase join over the full
 // document for one of the four partitioning axes. The context arrives
-// through src in document order; opts selects variant, emit test and
-// stats exactly like Join (OrSelf is not supported: a consumer of an
-// or-self axis merges the self side itself).
+// through src in document order; opts selects variant, emit test, OrSelf
+// and stats exactly like Join.
 func NewJoinCursor(d *doc.Document, a axis.Axis, src NodeSource, opts *Options) (JoinCursor, error) {
 	return newCursor(d, a, nil, false, src, opts)
 }
@@ -109,7 +109,7 @@ func NewJoinNodeListCursor(d *doc.Document, a axis.Axis, list []int32, src NodeS
 func newCursor(d *doc.Document, a axis.Axis, list []int32, useList bool, src NodeSource, opts *Options) (JoinCursor, error) {
 	o := opts.orDefault()
 	k := kernel{
-		ctxIn: ctxIn{src: src}, d: d, st: o.Stats, emit: o.Emit, variant: o.Variant,
+		ctxIn: ctxIn{src: src}, d: d, st: o.Stats, emit: o.Emit, variant: o.Variant, orSelf: o.OrSelf,
 		done: useList && len(list) == 0, // nothing to intersect with: the context is never read
 	}
 	switch {
@@ -146,7 +146,7 @@ const unbounded = 1 << 30
 func (o *Options) holding(d *doc.Document, held, stair []int32, n int) kernel {
 	return kernel{
 		ctxIn: ctxIn{ctx: held, run: stair, seen: int32(n - len(held)), srcDone: true},
-		d:     d, st: o.Stats, emit: o.Emit, variant: o.Variant,
+		d:     d, st: o.Stats, emit: o.Emit, variant: o.Variant, orSelf: o.OrSelf,
 	}
 }
 
@@ -334,6 +334,7 @@ type kernel struct {
 	emit    Emit
 	bound   int32 // boundary post rank of the open partition
 	variant Variant
+	orSelf  bool // descendant, ancestor: emit each staircase node passing the test
 	inPart  bool // a partition (or the one region) is open
 	done    bool
 }
@@ -357,9 +358,10 @@ func (c *kernel) finish(dst []int32, k, pruned int, copied, compared, skipped in
 
 // --- descendant, full document --------------------------------------------
 
-// descCursor streams DescendantJoin: partitions delimited by pruned
+// descCursor runs the descendant axis: partitions delimited by pruned
 // context survivors, each scanned copy-phase-then-compare and suspended
-// whenever the window is used up.
+// whenever the window is used up. Under OrSelf the position that opens a
+// partition emits its staircase node.
 type descCursor struct {
 	kernel
 	pos, end int32 // scan position and partition end (exclusive)
@@ -376,7 +378,7 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 	}
 	dst = dst[:cap(dst)]
 	e, post := c.emit.cols(c.d), c.d.PostSlice()
-	estimate, skip := c.variant == SkipEstimate, c.variant != NoSkip
+	estimate, skip, self := c.variant == SkipEstimate, c.variant != NoSkip, c.orSelf
 	k, pruned, w := 0, 0, int32(window)
 	pos, end, copyEnd, bound := c.pos, c.end, c.copyEnd, c.bound
 	var copied, skipped int64
@@ -434,6 +436,10 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 			break
 		}
 		pos, bound, copyEnd = owner+1, post[owner], owner+1 // no copy phase
+		if self && e.pass(owner) {
+			dst[k] = owner
+			k++
+		}
 		if estimate {
 			copyEnd = min(bound+1, end) // pres <= post(owner): Equation (1)
 		}
@@ -447,70 +453,117 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 
 // --- ancestor, full document ----------------------------------------------
 
-// ancCursor streams AncestorJoin: partitions end at each surviving
-// context node's pre rank; non-ancestor subtrees are jumped via
-// Equation (1) made exact by the level column.
+// ancCursor runs the ancestor axis: partitions end at each surviving
+// context node's pre rank, and partition [from, c) holds the ancestors of
+// c at or beyond from and nothing else. So the cursor climbs the parent
+// column from c to the first node before from (or before the seek hint):
+// it reads the partition's result, counts that as compared, and skips
+// the rest of the partition. A window too short for a chain parks it in
+// chain and hands it out over the next calls.
 type ancCursor struct {
 	kernel
-	pos, to int32
-	from    int32 // next partition start
+	from  int32    // next partition start
+	chain []int32  // a parked chain, top-down, in buf
+	buf   []int32  // height+1 nodes, allocated on first need
+	one   [1]int32 // a staircase node ancRun returned outside run
 }
 
 func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
+	return c.next(dst, cap(dst), seek)
+}
+
+func (c *ancCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	if c.done {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
-	e, post, level := c.emit.cols(c.d), c.d.PostSlice(), c.d.LevelSlice()
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
-	noSkip := c.variant == NoSkip
-	k, pruned, w := 0, 0, int32(len(dst))
-	var compared, skipped int64
+	post, h := c.d.PostSlice(), c.d.Height()
+	k, pruned, w, from := 0, 0, int32(window), c.from
+	var read int64
 	var err error
 	for w > 0 {
-		if !c.inPart {
+		if len(c.chain) > 0 { // the parked chain
+			m := copy(dst[k:k+min(len(c.chain), int(w))], c.chain)
+			k, w, c.chain = k+m, w-int32(m), c.chain[m:]
+			continue
+		}
+		stair, inRun := c.run[c.ri:], true
+		if len(stair) == 0 {
 			var owner int32
-			if c.ri < len(c.run) {
-				owner = c.run[c.ri]
-				c.ri++
-			} else if owner, err = c.ancRun(post, int(w)); owner < 0 {
+			if owner, err = c.ancRun(post, int(w)); owner < 0 {
 				break
 			}
-			c.pos, c.to, c.bound = c.from, owner-1, post[owner]
-			c.from = owner + 1
-			c.inPart = true
-			pruned++
-			w--
+			c.one[0] = owner
+			stair, inRun = c.one[:], false
 		}
-		pos, to, bound := c.pos, c.to, c.bound
-		if seek > pos {
-			j := min(seek, to+1)
-			skipped += int64(j - pos)
-			pos = j
-		}
-		n := int32(0)
-		for ; pos <= to && n < w; n++ {
-			if post[pos] > bound {
-				if mask>>kind[pos]&1 != 0 && (name == nil || name[pos] == id) {
-					dst[k] = pos
-					k++
-				}
-				pos++
-			} else if noSkip {
-				pos++
-			} else {
-				// pos and its whole subtree precede the boundary node: jump.
-				next := pos + 1 + max(post[pos]-pos+level[pos], 0)
-				skipped += int64(min(next, to+1) - pos - 1)
-				pos = next
+		n, r := 0, int64(0)
+		if w > h { // the window holds any chain: climb into dst
+			n, k, w, from, r = c.climb(dst, k, stair, w, from, seek)
+		} else {
+			if c.buf == nil {
+				c.buf = make([]int32, h+1)
 			}
+			var m int
+			n, m, _, from, r = c.climb(c.buf, 0, stair[:1], h+1, from, seek)
+			c.chain, w = c.buf[:m], w-1 // the chain costs a position per node handed out
 		}
-		compared += int64(n)
-		w -= n
-		c.pos = pos
-		c.inPart = pos <= to
+		if inRun {
+			c.ri += n
+		}
+		pruned += n
+		read += r
 	}
-	return c.finish(dst, k, pruned, 0, compared, skipped, err)
+	skipped := int64(from-c.from) - int64(pruned) - read // the partitions' rest
+	c.from = from
+	return c.finish(dst, k, pruned, 0, read, skipped, err)
+}
+
+// climb runs the partitions of stair while the window w holds any chain
+// (w > h): for each staircase node c it climbs the parent column from c
+// to the first node before max(from, seek), writes the nodes read that
+// pass the emit test to out[k:] top-down, and c itself after them under
+// OrSelf. Opening a partition and reading a node cost a position each.
+// It returns the staircase nodes it ran, the new k, w and from, and the
+// nodes read.
+func (c *ancCursor) climb(out []int32, k int, stair []int32, w, from, seek int32) (int, int, int32, int32, int64) {
+	parent, h := c.d.ParentSlice(), c.d.Height()
+	e, orSelf := c.emit.cols(c.d), c.orSelf
+	// A node with a child is an element, or the root at pre 0: the kind
+	// test is decided once, and only a name test reads a column.
+	elem, name, id, root := int32(e.mask>>doc.Elem&1), e.name, e.id, e.pass(0)
+	var read int64
+	i := 0
+	for ; i < len(stair) && w > h; i++ {
+		owner := stair[i]
+		lo, n, r := max(from, seek), int32(k), int32(0)
+		v := parent[owner]
+		for ; v >= lo && v > 0; v = parent[v] {
+			out[n] = v
+			if name == nil || name[v] == id {
+				n += elem
+			}
+			r++
+		}
+		if v == 0 && lo == 0 {
+			out[n] = 0
+			if root {
+				n++
+			}
+			r++
+		}
+		for a, b := k, int(n)-1; a < b; a, b = a+1, b-1 {
+			out[a], out[b] = out[b], out[a]
+		}
+		k = int(n)
+		if orSelf && e.pass(owner) {
+			out[k] = owner
+			k++
+		}
+		w -= 1 + r
+		read += int64(r)
+		from = owner + 1
+	}
+	return i, k, w, from, read
 }
 
 // --- following / preceding, full document ---------------------------------

@@ -29,13 +29,16 @@ var fuzzEmits = []Emit{
 // ContextSize: the cursor stops reading its source early.
 //
 // pick selects, bit field by bit field: the axis, the variant, the emit
-// test, the node-list kernel and seeking. Each byte of steps sizes one
-// Next's window and, when seeking, raises the seek hint.
+// test, the node-list kernel, seeking and OrSelf (document descendant and
+// ancestor; the reference is then the or-self axis). Each byte of steps
+// sizes one Next's window and, when seeking, raises the seek hint.
 func FuzzKernelWindows(f *testing.F) {
 	f.Add(int64(1), uint16(3), uint16(0), []byte{1, 2, 3})
 	f.Add(int64(7), uint16(900), uint16(0x1ff), []byte{40, 1, 0, 255})
 	f.Add(int64(-5), uint16(17), uint16(0xd5), []byte{})
 	f.Add(int64(42), uint16(0xffff), uint16(0x12a), []byte{7, 7, 7, 7, 7, 7})
+	f.Add(int64(3), uint16(5), uint16(0x201), []byte{0, 2, 1})
+	f.Add(int64(9), uint16(40), uint16(0x231), []byte{3})
 	f.Fuzz(func(t *testing.T, seed int64, ctxBits, pick uint16, steps []byte) {
 		d, context := docFromSeed(seed, ctxBits)
 		rng := rand.New(rand.NewSource(seed))
@@ -43,8 +46,15 @@ func FuzzKernelWindows(f *testing.F) {
 		v := []Variant{NoSkip, Skip, SkipEstimate}[int(pick>>2&3)%3]
 		e := fuzzEmits[int(pick>>4&7)%len(fuzzEmits)]
 		useList, seeking := pick>>7&1 == 1, pick>>8&1 == 1
+		orSelf := pick>>9&1 == 1 && !useList && (a == axis.Descendant || a == axis.Ancestor)
 
-		ref := spec.Join(d, a, context)
+		refAxis := a
+		if orSelf && a == axis.Descendant {
+			refAxis = axis.DescendantOrSelf
+		} else if orSelf {
+			refAxis = axis.AncestorOrSelf
+		}
+		ref := spec.Join(d, refAxis, context)
 		var list []int32
 		var want []int32
 		var joined Stats
@@ -55,7 +65,7 @@ func FuzzKernelWindows(f *testing.F) {
 			want, err = JoinNodeList(d, a, list, context, &Options{Variant: v, Emit: e, Stats: &joined})
 		} else {
 			ref = passing(d, ref, e)
-			want, err = Join(d, a, context, &Options{Variant: v, Emit: e, Stats: &joined})
+			want, err = Join(d, a, context, &Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &joined})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +75,7 @@ func FuzzKernelWindows(f *testing.F) {
 		}
 
 		var drained Stats
-		o := &Options{Variant: v, Emit: e, Stats: &drained}
+		o := &Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &drained}
 		var cur JoinCursor
 		if useList {
 			cur, err = NewJoinNodeListCursor(d, a, list, SliceSource(context), o)

@@ -12,7 +12,10 @@
 //  2. Partitioned scan (§3.2, Algorithm 2): the staircase splits the
 //     plane into partitions, one per context node; scanning each
 //     partition once yields the result duplicate-free and in document
-//     order — no unique, no sort.
+//     order — no unique, no sort. An ancestor partition holds one chain
+//     of its context node's ancestors, so the document ancestor kernel
+//     climbs the parent column instead of scanning: it reads the result
+//     and nothing else.
 //  3. Skipping (§3.3, Algorithm 3) and estimation-based skipping (§4.2,
 //     Algorithm 4): empty-region analysis (Figure 7) ends partition
 //     scans early, and Equation (1) turns the bulk of each descendant
@@ -32,6 +35,8 @@ import (
 )
 
 // Variant selects the scan strategy inside each staircase partition.
+// Every kernel follows it but the document ancestor one, whose climb
+// reads only the result under every variant.
 type Variant uint8
 
 const (
@@ -40,7 +45,8 @@ const (
 	NoSkip Variant = iota
 	// Skip is Algorithm 3: the partition scan terminates at the first
 	// node outside the boundary (descendant), or jumps over skipped
-	// subtrees (ancestor), touching at most |result|+|context| nodes.
+	// subtrees (node-list ancestor), touching at most |result|+|context|
+	// nodes.
 	Skip
 	// SkipEstimate is Algorithm 4: Skip plus the Equation (1) estimate
 	// that splits descendant partitions into a comparison-free copy
@@ -172,12 +178,12 @@ type Options struct {
 	// SubtreeNodeList and the list cursors) ignore it: a list already is
 	// its test's fragment.
 	Emit Emit
-	// OrSelf makes Join on the descendant and ancestor axes evaluate the
-	// or-self axis: every context node passing Emit joins the result. A
-	// context node pruning drops lies inside another one's region, so
-	// emitting the staircase nodes — before their partition on
-	// descendant, after it on ancestor — covers them all. The cursors and
-	// the node-list kernels ignore the field.
+	// OrSelf makes the document descendant and ancestor kernels (Join,
+	// NewJoinCursor) evaluate the or-self axis: every context node
+	// passing Emit joins the result. A context node pruning drops lies
+	// inside another one's region, so emitting the staircase nodes —
+	// before their partition on descendant, after it on ancestor — covers
+	// them all. The other kernels ignore the field.
 	OrSelf bool
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
@@ -202,19 +208,17 @@ func (o *Options) orDefault() *Options {
 // (strictly increasing pre ranks). The result is duplicate-free and in
 // document order.
 //
-// On following and preceding Join runs the axis's cursor kernel
-// (cursor.go) once, at an unbounded window, with the one context node
-// that decides the result in hand as its batch, into a result sized by
-// that node's region. Descendant and ancestor keep batch bodies of their
-// own (DescendantJoin, AncestorJoin).
+// Join runs the axis's cursor kernel (cursor.go) once, at an unbounded
+// window, with the context in hand — the pruned staircase, or the one
+// node that decides a following or preceding result — into a result
+// sized once: partition (c, next) holds at most |descendant(c)| =
+// post(c)−pre(c)+level(c) descendants (Equation (1)), partition
+// [prev+1, c) at most level(c) ancestors, and neither more than its
+// width.
 func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
-	case axis.Descendant:
-		return DescendantJoin(d, context, o), nil
-	case axis.Ancestor:
-		return AncestorJoin(d, context, o), nil
-	case axis.Following, axis.Preceding:
+	case axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding:
 	default:
 		return nil, errNonPartitioning(a)
 	}
@@ -222,13 +226,45 @@ func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32
 		return nil, nil
 	}
 	var out, res []int32
-	if a == axis.Following {
+	n := int32(d.Size())
+	switch a {
+	case axis.Descendant:
+		stair := PruneDescendant(d, context)
+		size := 0
+		for i, c := range stair {
+			end := n
+			if i+1 < len(stair) {
+				end = stair[i+1]
+			}
+			size += int(min(d.SubtreeSize(c), end-1-c))
+		}
+		if o.OrSelf {
+			size += len(stair)
+		}
+		out = make([]int32, 0, size)
+		c := descCursor{kernel: o.holding(d, nil, stair, len(context))}
+		res, _ = c.next(out, unbounded, 0)
+	case axis.Ancestor:
+		stair := PruneAncestor(d, context)
+		level := d.LevelSlice()
+		size, from := 0, int32(0)
+		for _, c := range stair {
+			size += int(max(min(level[c], c-from), 0))
+			from = c + 1
+		}
+		if o.OrSelf {
+			size += len(stair)
+		}
+		out = make([]int32, 0, size)
+		c := ancCursor{kernel: o.holding(d, nil, stair, len(context))}
+		res, _ = c.next(out, unbounded, 0)
+	case axis.Following:
 		i := minPostAt(d, context)
-		f, n := context[i], int32(d.Size())
+		f := context[i]
 		out = make([]int32, 0, n-min(f+1+d.SubtreeSize(f), n))
 		c := folCursor{kernel: o.holding(d, context[i:i+1], nil, len(context))}
 		res, _ = c.next(out, unbounded, 0)
-	} else {
+	case axis.Preceding:
 		out = make([]int32, 0, context[len(context)-1])
 		c := precCursor{kernel: o.holding(d, context[len(context)-1:], nil, len(context))}
 		res, _ = c.next(out, unbounded, 0)
@@ -344,82 +380,6 @@ func IsStaircaseDesc(d *doc.Document, context []int32) bool {
 	return true
 }
 
-// --- descendant staircase join (§3.2–§4.2) --------------------------------
-
-// DescendantJoin evaluates context/descendant with the staircase join.
-// The result is sized once, before the scan: partition (c, to] holds at
-// most |descendant(c)| = post(c)−pre(c)+level(c) result nodes (Equation
-// (1)) and at most its own width, so one allocation takes the whole
-// result and the scan writes it with indexed stores.
-func DescendantJoin(d *doc.Document, context []int32, opts *Options) []int32 {
-	o := opts.orDefault()
-	st := o.Stats
-	st.addContext(int64(len(context)))
-	if len(context) == 0 {
-		return nil
-	}
-	context = PruneDescendant(d, context)
-	post, level := d.PostSlice(), d.LevelSlice()
-	e := o.Emit.cols(d)
-	mask, id, kind, name := e.mask, e.id, e.kind, e.name
-	last := int32(d.Size()) - 1 // the last partition ends here
-	size := 0
-	for i, c := range context {
-		size += int(min(post[c]-c+level[c], descPartEnd(context, i, last)-c))
-	}
-	if o.OrSelf {
-		size += len(context)
-	}
-	out := make([]int32, size)
-	k := 0
-	var copied, compared, skipped int64
-	for i, c := range context {
-		if o.OrSelf && e.pass(c) {
-			out[k] = c
-			k++
-		}
-		to, bound := descPartEnd(context, i, last), post[c]
-		p := c + 1
-		if est := min(bound, to); o.Variant == SkipEstimate && est >= p {
-			// Copy phase: the first post(c)−pre(c) nodes after c are
-			// guaranteed descendants (Equation (1) lower bound).
-			k = e.emitRange(out, k, p, est)
-			copied += int64(est - p + 1)
-			p = est + 1
-		}
-		// Scan phase: under skipping it ends at the first node outside
-		// the boundary — the rest of the partition is an empty region of
-		// type Z (Figure 7 (b)); after a copy phase at most h nodes remain.
-		from := p
-		for ; p <= to; p++ {
-			if post[p] >= bound {
-				if o.Variant != NoSkip {
-					break
-				}
-			} else if mask>>kind[p]&1 != 0 && (name == nil || name[p] == id) {
-				out[k] = p
-				k++
-			}
-		}
-		compared += int64(p - from)
-		if p <= to {
-			compared++ // the breaking node was compared too
-			skipped += int64(to - p)
-		}
-	}
-	st.addScan(len(context), copied, compared, skipped, k)
-	return out[:k]
-}
-
-// descPartEnd returns the last pre rank of the i-th descendant
-// partition: the node before the next staircase node, or last.
-func descPartEnd(context []int32, i int, last int32) int32 {
-	if i+1 < len(context) {
-		return context[i+1] - 1
-	}
-	return last
-}
-
 // emitRange writes the nodes of the pre range [from, to] that pass the
 // emit test to out[k:] — no post comparison — and returns the new k.
 // out must have room for the whole range. A kind test alone is a store
@@ -470,4 +430,33 @@ func (e *emitCols) emitBelow(out, post []int32, bound, from, to int32) int {
 		}
 	}
 	return k
+}
+
+// MergeOrSelf merges two strictly increasing sequences into their
+// strictly increasing union: the '|' merge, and the self side of an
+// or-self step where the kernel could not emit it (pushdown, baselines).
+// When one side is empty the other is returned as is, not copied.
+func MergeOrSelf(result, context []int32) []int32 {
+	if len(context) == 0 {
+		return result
+	}
+	if len(result) == 0 {
+		return context
+	}
+	out := make([]int32, len(result)+len(context))
+	i, j, k := 0, 0, 0
+	for i < len(result) && j < len(context) {
+		r, c := result[i], context[j]
+		if r <= c {
+			i++
+		}
+		if c <= r {
+			j++
+		}
+		out[k] = min(r, c)
+		k++
+	}
+	k += copy(out[k:], result[i:])
+	k += copy(out[k:], context[j:])
+	return out[:k]
 }

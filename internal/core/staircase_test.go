@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -114,10 +115,13 @@ func TestPruneAncestorFigure4(t *testing.T) {
 func TestFigure4AncestorOrSelfResult(t *testing.T) {
 	d := figure1(t)
 	context := pres("defhij")
-	anc := AncestorJoin(d, context, nil)
+	anc := join(d, axis.Ancestor, context, nil)
 	res := MergeOrSelf(anc, context)
 	if tagsOf(d, res) != "adefhij" {
 		t.Fatalf("ancestor-or-self = %q, want %q", tagsOf(d, res), "adefhij")
+	}
+	if got := join(d, axis.Ancestor, context, &Options{OrSelf: true}); !eq32(got, res) {
+		t.Fatalf("OrSelf join = %q, want %q", tagsOf(d, got), "adefhij")
 	}
 }
 
@@ -312,7 +316,7 @@ func TestPropPruningPreservesResult(t *testing.T) {
 			t.Fatalf("descendant pruning changed result")
 		}
 		if want, got := spec.Join(d, axis.Ancestor, context),
-			AncestorJoin(d, PruneAncestor(d, context), &Options{Variant: Skip}); !eq32(got, want) {
+			join(d, axis.Ancestor, PruneAncestor(d, context), &Options{Variant: Skip}); !eq32(got, want) {
 			t.Fatalf("ancestor pruning changed result")
 		}
 	}
@@ -330,6 +334,44 @@ func TestSkipTouchBound(t *testing.T) {
 		if st.Scanned > int64(len(res))+int64(len(context)) {
 			t.Fatalf("trial %d: scanned %d > result %d + context %d",
 				trial, st.Scanned, len(res), len(context))
+		}
+	}
+}
+
+// TestAncestorClimbTouchesOnlyResult: the document ancestor kernel climbs
+// the parent column, so under every variant and window it reads exactly
+// the result (the paper's work bound with no compared extras) and counts
+// the rest of each partition as skipped.
+func TestAncestorClimbTouchesOnlyResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(5150))
+	all := Emit{Kinds: AllKinds}
+	for trial := 0; trial < quickMax(30); trial++ {
+		d := randomDoc(rng, 50+rng.Intn(400))
+		context := randomContext(rng, d, 1+rng.Intn(30))
+		width, from := int64(0), int32(0)
+		for _, c := range PruneAncestor(d, context) {
+			width += int64(c - from)
+			from = c + 1
+		}
+		for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
+			check := func(face string, st Stats, n int) {
+				if st.Scanned != int64(n) || st.Compared != st.Scanned || st.Scanned+st.Skipped != width {
+					t.Fatalf("trial %d %v %s: scanned %d, compared %d, skipped %d; result %d, partitions %d wide",
+						trial, v, face, st.Scanned, st.Compared, st.Skipped, n, width)
+				}
+			}
+			var st Stats
+			res := join(d, axis.Ancestor, context, &Options{Variant: v, Emit: all, Stats: &st})
+			check("join", st, len(res))
+			for _, w := range []int{1, 16, 256, 1 + rng.Intn(70)} {
+				var st Stats
+				cur, err := NewJoinCursor(d, axis.Ancestor, SliceSource(context), &Options{Variant: v, Emit: all, Stats: &st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := drainCursor(t, cur, w)
+				check(fmt.Sprintf("window %d", w), st, len(res))
+			}
 		}
 	}
 }
@@ -421,7 +463,7 @@ func TestAttributeContextNodes(t *testing.T) {
 		}
 	}
 	// ancestor of @b = (r, x).
-	got := AncestorJoin(d, []int32{attrB}, nil)
+	got := join(d, axis.Ancestor, []int32{attrB}, nil)
 	want := spec.Join(d, axis.Ancestor, []int32{attrB})
 	if !eq32(got, want) {
 		t.Fatalf("ancestor of attr = %v, want %v", got, want)

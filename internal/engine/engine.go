@@ -44,7 +44,8 @@ import (
 	"staircase/internal/xpath"
 )
 
-// Strategy selects the staircase join's skip rule. It is an alias of
+// Strategy selects the staircase join's skip rule (for every kernel but
+// the document ancestor one, which climbs). It is an alias of
 // plan.Strategy: the planner owns the strategy space, the engine
 // re-exports it for its callers.
 type Strategy = plan.Strategy

@@ -217,9 +217,11 @@ func TestFollowingStepLeavesUpstreamSuspended(t *testing.T) {
 }
 
 // TestFirstWindowBoundsFirstBatch: where the tested name occurs once,
-// near the end of the document, the first Next of a descendant and of an
-// ancestor document cursor comes back after one window of work with an
-// empty non-nil batch — and a LIMIT 1 plan still finds the node.
+// near the end of the document, the first Next of a descendant document
+// cursor comes back after one window of work with an empty non-nil batch,
+// and the first Next of an ancestor document cursor, which climbs from
+// the context node, returns the node after reading at most its level's
+// worth of ancestors — and a LIMIT 1 plan still finds the node.
 func TestFirstWindowBoundsFirstBatch(t *testing.T) {
 	b := doc.NewBuilder()
 	b.OpenElem("r")
@@ -240,34 +242,44 @@ func TestFirstWindowBoundsFirstBatch(t *testing.T) {
 	x := int32(d.Size()) - 1
 	p := x - 1
 	test := xpath.NodeTest{Kind: xpath.TestName, Name: "p"}
-	for _, c := range []struct {
-		a   axis.Axis
-		ctx int32
-	}{{axis.Descendant, d.Root()}, {axis.Ancestor, x}} {
-		for _, w := range []int{execBatchMin, 64, execBatchSize} {
-			var st core.Stats
-			co := &core.Options{Variant: core.SkipEstimate, Emit: emitFor(d, c.a, test), Stats: &st}
-			cur, err := core.NewJoinCursor(d, c.a, core.SliceSource([]int32{c.ctx}), co)
-			if err != nil {
+	for _, w := range []int{execBatchMin, 64, execBatchSize} {
+		var st core.Stats
+		co := &core.Options{Variant: core.SkipEstimate, Emit: emitFor(d, axis.Descendant, test), Stats: &st}
+		cur, err := core.NewJoinCursor(d, axis.Descendant, core.SliceSource([]int32{d.Root()}), co)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := cur.Next(make([]int32, 0, w), 0)
+		if err != nil || first == nil || len(first) != 0 {
+			t.Fatalf("descendant, window %d: first Next returned %v, %v; want an empty non-nil batch", w, first, err)
+		}
+		if st.Scanned > int64(w) || st.Scanned == 0 {
+			t.Errorf("descendant, window %d: first Next scanned %d nodes", w, st.Scanned)
+		}
+		var got []int32
+		for b := first; b != nil; {
+			if b, err = cur.Next(make([]int32, 0, w), 0); err != nil {
 				t.Fatal(err)
 			}
-			first, err := cur.Next(make([]int32, 0, w), 0)
-			if err != nil || first == nil || len(first) != 0 {
-				t.Fatalf("%v, window %d: first Next returned %v, %v; want an empty non-nil batch", c.a, w, first, err)
-			}
-			if st.Scanned > int64(w) || st.Scanned == 0 {
-				t.Errorf("%v, window %d: first Next scanned %d nodes", c.a, w, st.Scanned)
-			}
-			var got []int32
-			for b := first; b != nil; {
-				if b, err = cur.Next(make([]int32, 0, w), 0); err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, b...)
-			}
-			if !slices.Equal(got, []int32{p}) {
-				t.Errorf("%v, window %d: drained %v, want [%d]", c.a, w, got, p)
-			}
+			got = append(got, b...)
+		}
+		if !slices.Equal(got, []int32{p}) {
+			t.Errorf("descendant, window %d: drained %v, want [%d]", w, got, p)
+		}
+
+		st = core.Stats{}
+		co = &core.Options{Variant: core.SkipEstimate, Emit: emitFor(d, axis.Ancestor, test), Stats: &st}
+		if cur, err = core.NewJoinCursor(d, axis.Ancestor, core.SliceSource([]int32{x}), co); err != nil {
+			t.Fatal(err)
+		}
+		if first, err = cur.Next(make([]int32, 0, w), 0); err != nil || !slices.Equal(first, []int32{p}) {
+			t.Fatalf("ancestor, window %d: first Next returned %v, %v; want [%d]", w, first, err, p)
+		}
+		if st.Scanned > int64(d.Level(x)) {
+			t.Errorf("ancestor, window %d: first Next scanned %d nodes, level(x) = %d", w, st.Scanned, d.Level(x))
+		}
+		if rest, err := cur.Next(make([]int32, 0, w), 0); rest != nil || err != nil {
+			t.Errorf("ancestor, window %d: second Next returned %v, %v; want nil", w, rest, err)
 		}
 	}
 	env := NewEnv(d)

@@ -43,8 +43,10 @@ import (
 	"staircase/internal/doc"
 )
 
-// Strategy selects the staircase join's skip rule for the partitioning
-// axes (Algorithms 2–4).
+// Strategy selects the staircase join's skip rule (Algorithms 2–4) for
+// the descendant, following and preceding kernels and for every
+// node-list kernel; the document ancestor kernel climbs the parent
+// column and reads only its result under every strategy.
 type Strategy uint8
 
 const (

@@ -10,8 +10,10 @@ import (
 // automatic name-test pushdown, shared tag/kind index enabled.
 type Options = engine.Options
 
-// Strategy selects the staircase join's skip rule for the four
-// partitioning axes (the paper's Algorithms 2–4).
+// Strategy selects the staircase join's skip rule (the paper's
+// Algorithms 2–4) for the descendant, following and preceding kernels
+// and for every node-list kernel. The document ancestor kernel climbs
+// the parent column and reads only its result under every strategy.
 type Strategy = engine.Strategy
 
 const (
