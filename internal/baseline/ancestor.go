@@ -21,10 +21,10 @@ import (
 // paper's estimate post(v)−pre(v) is maximally off by h).
 //
 // opts selects the variant (NoSkip scans every node; Skip and
-// SkipEstimate jump), the emit test and the counters, as for core.Join;
-// OrSelf is not supported. The result is sized once: partition
-// [from, c) holds at most level(c) ancestors of c and at most its own
-// width.
+// SkipEstimate jump) and the counters, as for core.Join; the result
+// holds every ancestor but attributes (no emit test, no OrSelf). It is
+// sized once: partition [from, c) holds at most level(c) ancestors of c
+// and at most its own width.
 func AncestorJoin(d *doc.Document, context []int32, opts *core.Options) []int32 {
 	if opts == nil {
 		opts = core.DefaultOptions()
@@ -36,11 +36,7 @@ func AncestorJoin(d *doc.Document, context []int32, opts *core.Options) []int32 
 		return nil
 	}
 	context = core.PruneAncestor(d, context)
-	post, level, kind, name := d.PostSlice(), d.LevelSlice(), d.KindSlice(), d.NameSlice()
-	mask, byName, id := opts.Emit.Kinds, opts.Emit.ByName, opts.Emit.Name
-	if mask == 0 {
-		mask = core.NonAttr
-	}
+	post, level, kind := d.PostSlice(), d.LevelSlice(), d.KindSlice()
 
 	// First partition: [0, c0-1] against boundary post(c0); subsequent
 	// partitions: [c_{i-1}+1, c_i - 1] against boundary post(c_i).
@@ -58,7 +54,7 @@ func AncestorJoin(d *doc.Document, context []int32, opts *core.Options) []int32 
 		for i := from; i < c; {
 			compared++
 			if post[i] > bound {
-				if mask>>kind[i]&1 != 0 && (!byName || name[i] == id) {
+				if kind[i] != doc.Attr {
 					out[k] = i
 					k++
 				}

@@ -324,3 +324,30 @@ func TestMPMGJNTouchesMoreThanStaircase(t *testing.T) {
 		t.Fatalf("MPMGJN produced %d < distinct %d", ms.Produced, ms.Result)
 	}
 }
+
+// TestAncestorJoinMatchesSpec: Algorithm 2 under every variant returns
+// the ancestor result, and skipping touches no more nodes than NoSkip,
+// which touches every node of every partition.
+func TestAncestorJoinMatchesSpec(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 25; trial++ {
+		d := randomDoc(rng, 220)
+		context := randomContext(rng, d, 1+rng.Intn(15))
+		want := spec.Join(d, axis.Ancestor, context)
+		var scanned [3]int64
+		for i, v := range []core.Variant{core.NoSkip, core.Skip, core.SkipEstimate} {
+			var st core.Stats
+			if got := AncestorJoin(d, context, &core.Options{Variant: v, Stats: &st}); !eq32(got, want) {
+				t.Fatalf("trial %d %v: got %v want %v", trial, v, got, want)
+			}
+			if st.Result != int64(len(want)) || st.ContextSize != int64(len(context)) {
+				t.Fatalf("trial %d %v: counters %+v for %d results", trial, v, st, len(want))
+			}
+			scanned[i] = st.Scanned
+		}
+		stair := core.PruneAncestor(d, context)
+		if width := int64(stair[len(stair)-1]) + 1 - int64(len(stair)); scanned[0] != width || scanned[1] > scanned[0] || scanned[2] != scanned[1] {
+			t.Fatalf("trial %d: scanned %v, partitions %d wide", trial, scanned, width)
+		}
+	}
+}
