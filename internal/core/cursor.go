@@ -22,12 +22,12 @@
 //     buffer holds the Equation (1) bound, so the scan writes dst[k] with
 //     indexed stores and never checks for room.
 //   - Context by the batch. The context arrives through a NodeSource a
-//     batch at a time (Join hands its pruned context in as the one held
-//     batch); the kernel keeps the batch as a slice and prunes it in a
-//     tight loop (§3.1 applied on the fly: a running post-rank maximum
-//     for descendant, a one-node lookahead for ancestor). A chain of
-//     cursors evaluates a whole path without materialising intermediate
-//     node sequences.
+//     batch at a time (Join hands in the pruned staircase, or the one
+//     node that decides the result); the kernel keeps the batch as a
+//     slice and prunes it in a tight loop (§3.1 applied on the fly: a
+//     running post-rank maximum for descendant, a one-node lookahead for
+//     ancestor). A chain of cursors evaluates a whole path without
+//     materialising intermediate node sequences.
 //   - Following stops pulling. In document order every context node with
 //     a smaller post rank than the first one lies inside the first one's
 //     subtree, so the following kernels read the context up to the first

@@ -94,7 +94,7 @@ type Stats struct {
 	Result int64
 }
 
-// addScan folds one batch join's counters into s (nil-safe): the
+// addScan folds one kernel call's counters into s (nil-safe): the
 // staircase size, the nodes visited without and with a post comparison,
 // the nodes jumped, and the nodes emitted.
 func (s *Stats) addScan(pruned int, copied, compared, skipped int64, result int) {
@@ -143,8 +143,7 @@ func (e Emit) Pass(k doc.Kind, name int32) bool {
 }
 
 // emitCols is an Emit bound to a document's kind and name columns; name
-// is nil unless the test is by name. Batch kernels copy the fields into
-// locals before their scan loop, cursors embed the struct.
+// is nil unless the test is by name.
 type emitCols struct {
 	mask KindMask
 	id   int32
