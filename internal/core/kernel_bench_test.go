@@ -13,10 +13,10 @@ import (
 // steps of the repository benchmark's axes_batch and stream_first_k
 // scripts that reach a staircase kernel, plus selective ancestor steps,
 // name tests and or-self steps of the document kernels, over a 32 MB,
-// seed-1 XMark document built once per process. Sub-benchmarks are named family/step
-// (doc-* for the document kernels, list-* for the node-list kernels) and
-// call only Join and JoinNodeList, so one binary per commit compares
-// kernel bodies across commits:
+// seed-1 XMark document built once per process. Sub-benchmarks are
+// named family/step (doc-* for the document kernels, list-* for the
+// node-list kernels) and call only Join and JoinNodeList, so one binary
+// per commit compares kernel bodies across commits:
 //
 //	go test -c -o parent.test ./internal/core   # at each commit
 //	./parent.test -test.run '^$' -test.bench KernelFamilies -test.benchtime 200x

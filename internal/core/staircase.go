@@ -83,7 +83,8 @@ type Stats struct {
 	// (estimation-based copy phase only).
 	Copied int64
 	// Compared counts nodes whose post rank was compared against the
-	// staircase boundary.
+	// staircase boundary; the document ancestor climb counts the chain
+	// nodes it reads, which are the result.
 	Compared int64
 	// Skipped counts document nodes jumped over without being touched.
 	Skipped int64
