@@ -34,9 +34,10 @@ import (
 	"staircase/internal/doc"
 )
 
-// Variant selects the scan strategy inside each staircase partition.
-// Every kernel follows it but the document ancestor one, whose climb
-// reads only the result under every variant.
+// Variant selects the scan strategy inside each staircase partition of
+// the descendant kernels and the node-list ancestor kernel. The
+// document ancestor climb reads only the result under every variant;
+// following and preceding scan one region either way.
 type Variant uint8
 
 const (

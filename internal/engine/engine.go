@@ -44,10 +44,10 @@ import (
 	"staircase/internal/xpath"
 )
 
-// Strategy selects the staircase join's skip rule (for every kernel but
-// the document ancestor one, which climbs). It is an alias of
-// plan.Strategy: the planner owns the strategy space, the engine
-// re-exports it for its callers.
+// Strategy selects the staircase join's skip rule (descendant and
+// node-list ancestor; the document ancestor kernel climbs). It is an
+// alias of plan.Strategy: the planner owns the strategy space, the
+// engine re-exports it for its callers.
 type Strategy = plan.Strategy
 
 const (

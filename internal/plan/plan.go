@@ -44,9 +44,9 @@ import (
 )
 
 // Strategy selects the staircase join's skip rule (Algorithms 2–4) for
-// the descendant, following and preceding kernels and for every
-// node-list kernel; the document ancestor kernel climbs the parent
-// column and reads only its result under every strategy.
+// the descendant kernels and the node-list ancestor kernel; the
+// document ancestor kernel climbs the parent column and reads only its
+// result under every strategy.
 type Strategy uint8
 
 const (

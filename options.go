@@ -11,9 +11,10 @@ import (
 type Options = engine.Options
 
 // Strategy selects the staircase join's skip rule (the paper's
-// Algorithms 2–4) for the descendant, following and preceding kernels
-// and for every node-list kernel. The document ancestor kernel climbs
-// the parent column and reads only its result under every strategy.
+// Algorithms 2–4) for the descendant kernels and the node-list ancestor
+// kernel. The document ancestor kernel climbs the parent column and
+// reads only its result under every strategy; following and preceding
+// scan one region either way.
 type Strategy = engine.Strategy
 
 const (
