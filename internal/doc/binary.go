@@ -227,7 +227,7 @@ func ReadBinary(r io.Reader) (*Document, error) {
 		if err := fault.Hit("doc.vindex.read"); err != nil {
 			return nil, err
 		}
-		vix, err := vindex.ReadSection(br, int(n))
+		vix, err := vindex.ReadSection(br, d.name)
 		if err != nil {
 			return nil, fmt.Errorf("doc: corrupt value index section: %w", err)
 		}

@@ -210,7 +210,7 @@ func (d *Document) buildValueIndex() *vindex.Index {
 			b.AddBytes(pre, scratch)
 		}
 	}
-	return b.Build(len(d.post))
+	return b.Build(d.name)
 }
 
 // eachText calls f with every piece of the node's XPath string value

@@ -28,6 +28,7 @@ func FuzzQueryDiff(f *testing.F) {
 		`<r><p><q v="1"/>t</p><p><x v="2"/><!--c--></p><q v="3"><q v="4"/></q><?go x?></r>`,
 		`<a k="1"><b>2<c>3</c></b><b k="x"><c/>4</b>5<a><b><c>6</c></b></a></a>`,
 		`<r><s><x/><s><t><x/></t>u<s><t/></s></s></s><p k="1"><v>1</v><a><b/></a></p><p k="2"><v>2</v>w<a><p><v>3</v><x/></p></a></p></r>`,
+		`<r><a a="1">2</a><a a="3.0"><a>4</a><b a=" 5 ">1e0</b></a><b>6<!--7--></b>8</r>`,
 	}
 	queries := []string{
 		"//open_auction[reserve]/bidder", "//open_auction[bidder]/current", "//person[profile/education]",
@@ -39,6 +40,8 @@ func FuzzQueryDiff(f *testing.F) {
 		"//person[not(profile)]", "//b[c or text()]", "//b[c][2]", "//p[q/@v != 1]",
 		"//p[v > 1][a]", "//p[v > 1][a/b]", "//p[v < 3]/a", "//*[x]", "//*[*/x]", "//*[text()]", "//s[t/x]",
 		"//person[profile][name = 'Carol']", "//open_auction[current > 10][bidder]", "//p[q/@v >= 1][q]",
+		"//*[a > 1]", "//*[@a >= 3]", "//*[* < 5]", "//*[node() = 1]", "//*[text() > 2]", "//*[@* <= 1]",
+		"//a[. > 3]", "//*[descendant::a < 4]",
 	}
 	queries = append(queries, blockingShapes...)
 	for _, d := range docs {

@@ -5,9 +5,10 @@
 //
 // ValueScan resolves the predicate's last step to a pre-sorted node-list
 // fragment: a range of the index's string or numeric partition (typed by
-// the literal), put into document order through a pre bitmap and filtered
-// by the step's node test, merged with the re-evaluated overflow nodes
-// (values longer than the index key cap).
+// the literal), put into document order and filtered by the step's node
+// test, merged with the re-evaluated overflow nodes (values longer than
+// the index key cap). A numeric range under a name test reads that
+// name's block of the name-major numeric partition only.
 //
 // Compile builds a ValueScan only where the value index serves the
 // plan: under Options.NoValueIndex, or over a document built without
@@ -110,21 +111,28 @@ func (o *valueScan) materialize(d *doc.Document, ix *vindex.Index, opts *Options
 		}
 	}
 	var keyed []int32
-	if o.contains {
+	keep := func(v int32) bool { return e.Pass(kind[v], name[v]) }
+	switch {
+	case o.contains:
 		// ContainsSubstr returns a fresh slice in document order: filter
 		// it in place.
 		keyed = filterTest(d, o.pa, o.test, ix.ContainsSubstr(o.lit))
-	} else {
-		// A range is a view of the index's node column grouped by value.
-		var view []int32
-		inOrder := true
-		if !o.numeric {
-			view, inOrder = ix.StringRange(valueOpFor(o.op), o.lit)
-		} else if f, okf := vindex.ParseNumber(o.lit); okf {
-			view, inOrder = ix.NumericRange(valueOpFor(o.op), f)
-		}
+	case o.numeric:
 		// A non-numeric number literal cannot occur (the parser marks
 		// Numeric only for number tokens); no keyed node matches it.
+		f, ok := vindex.ParseNumber(o.lit)
+		switch {
+		case !ok || e.Kinds == core.NoKinds:
+		case e.ByName:
+			// A name test reads its own name's block of the partition.
+			keyed = ix.AppendNumeric(nil, valueOpFor(o.op), f, e.Name, keep)
+		default:
+			keyed = ix.AppendNumericAll(nil, valueOpFor(o.op), f, keep)
+		}
+	default:
+		// A string range is a view of the index's node column grouped by
+		// value.
+		view, inOrder := ix.StringRange(valueOpFor(o.op), o.lit)
 		switch {
 		case inOrder:
 			// One value group is in document order already.
@@ -140,7 +148,7 @@ func (o *valueScan) materialize(d *doc.Document, ix *vindex.Index, opts *Options
 		default:
 			// Any other test, or one under NoIndex, reads the kind and name
 			// columns in ascending pre order as the bitmap scan reaches them.
-			keyed = vindex.Order(nil, view, d.Size(), func(v int32) bool { return e.Pass(kind[v], name[v]) })
+			keyed = vindex.Order(nil, view, d.Size(), keep)
 		}
 	}
 	if len(over) == 0 {

@@ -20,6 +20,7 @@ import (
 
 	"staircase/internal/axis"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 	"staircase/internal/vindex"
 	"staircase/internal/xpath"
 )
@@ -267,9 +268,8 @@ func TestValuePathProbeDirections(t *testing.T) {
 
 // TestValueScanMaterializeCost: materialising //open_auction[initial >
 // C] allocates in proportion to the matching initial nodes, not to the
-// numeric nodes above C the index range holds (the range goes into the
-// pooled pre bitmap, and only the initial nodes found there are copied
-// out).
+// numeric nodes above C the index holds (the lookup reads the initial
+// block of the name-major partition only).
 func TestValueScanMaterializeCost(t *testing.T) {
 	const auctions, others = 50, 20000
 	var sb strings.Builder
@@ -286,7 +286,7 @@ func TestValueScanMaterializeCost(t *testing.T) {
 	p := compileQuery(t, NewEnv(d), "//open_auction[initial > 7]", nil)
 	vs := findValueScan(t, p)
 
-	view, _ := ix.NumericRange(vindex.OpGt, 7)
+	view := ix.LookupNumeric(vindex.OpGt, 7)
 	frag := vs.materialize(d, ix, &p.opts)
 	if len(frag) != auctions {
 		t.Fatalf("fragment holds %d nodes, want %d", len(frag), auctions)
@@ -321,12 +321,13 @@ func tagged(d *doc.Document, name string) int {
 }
 
 // TestValueScanBitmapEqualsSort: a range fragment ordered through the
-// pre bitmap (probing the tag list or scanning the words) equals the
-// reference — filter the range view by the node test, sort, merge the
-// matching overflow nodes — for every operator, with literals on,
-// between and beyond the value groups' boundaries, on both partitions,
-// on the attribute axis, over one-group and whole-document views, with
-// and without the tag index.
+// pre bitmap (probing the tag list or scanning the words) or by sorting
+// equals the reference — filter the range by the node test, sort, merge
+// the matching overflow nodes — for every operator, with literals on,
+// between and beyond the value groups' boundaries, on both partitions
+// (the numeric one by name block and over every name), on the attribute
+// axis, over one-group and whole-document views, with and without the
+// tag index.
 func TestValueScanBitmapEqualsSort(t *testing.T) {
 	steps := []xpath.Step{
 		{Axis: axis.Child, Test: xpath.NodeTest{Kind: xpath.TestName, Name: "a"}},
@@ -352,7 +353,7 @@ func TestValueScanBitmapEqualsSort(t *testing.T) {
 		ix.ForEachString(func(val string, _ []int32) {
 			lits[false] = append(lits[false], val, val+"0")
 		})
-		ix.ForEachNumeric(func(f float64, _ []int32) {
+		ix.ForEachNumeric(func(_ int32, f float64, _ []int32) {
 			lits[true] = append(lits[true], fmt.Sprint(f), fmt.Sprint(f+0.25))
 		})
 		for numeric, ls := range lits {
@@ -363,8 +364,9 @@ func TestValueScanBitmapEqualsSort(t *testing.T) {
 						var view []int32
 						inOrder := true
 						if numeric {
+							// Every name's numbers, in document order.
 							f, _ := vindex.ParseNumber(lit)
-							view, inOrder = ix.NumericRange(valueOpFor(op), f)
+							view = ix.LookupNumeric(valueOpFor(op), f)
 						} else {
 							view, inOrder = ix.StringRange(valueOpFor(op), lit)
 						}
@@ -387,6 +389,10 @@ func TestValueScanBitmapEqualsSort(t *testing.T) {
 									round, st, op, lit, numeric, noIndex, got, want)
 							}
 							switch {
+							case numeric && st.Test.Kind == xpath.TestName:
+								paths["name block"]++
+							case numeric:
+								paths["every name"]++
 							case inOrder:
 								paths["one group"]++
 							case st.Test.Kind == xpath.TestName && st.Axis != axis.Attribute && !noIndex:
@@ -407,9 +413,76 @@ func TestValueScanBitmapEqualsSort(t *testing.T) {
 		}
 	}
 	t.Logf("cases by path: %v", paths)
-	for _, p := range []string{"one group", "probe", "probe, no such element", "scan", "whole document"} {
+	for _, p := range []string{"one group", "probe", "probe, no such element", "scan", "whole document", "name block", "every name"} {
 		if paths[p] == 0 {
 			t.Errorf("no case took the %s path: %v", p, paths)
+		}
+	}
+}
+
+// sharedNameXML generates a document whose elements and attributes
+// share names (a, b), holding numbers in several spellings, a few words
+// and one value past the index key cap.
+func sharedNameXML(rng *rand.Rand) string {
+	vocab := []string{"1", "1.0", " 2 ", "2e0", "-3", "0", "4.5", "7", "10", "x",
+		strings.Repeat("9", vindex.MaxKeyLen+1)}
+	names := []string{"a", "b", "c"}
+	var sb strings.Builder
+	var emit func(depth int)
+	emit = func(depth int) {
+		name := names[rng.Intn(len(names))]
+		fmt.Fprintf(&sb, "<%s", name)
+		for _, attr := range names[:2] {
+			if rng.Intn(2) == 0 {
+				fmt.Fprintf(&sb, " %s=%q", attr, vocab[rng.Intn(len(vocab))])
+			}
+		}
+		sb.WriteString(">")
+		if depth < 3 && rng.Intn(3) > 0 {
+			for i := rng.Intn(3); i >= 0; i-- {
+				emit(depth + 1)
+			}
+		} else {
+			sb.WriteString(vocab[rng.Intn(len(vocab))])
+		}
+		fmt.Fprintf(&sb, "</%s>", name)
+	}
+	sb.WriteString("<r>")
+	for i := 0; i < 8; i++ {
+		emit(0)
+	}
+	sb.WriteString("</r>")
+	return sb.String()
+}
+
+// TestNumericValueScanMatchesSpec: numeric value scans under a name test
+// (one name's block), *, node() and text() (every name) and @name (an
+// attribute name that elements carry too) answer like the per-node
+// PredFilter and like the reference evaluator, with and without the tag
+// index.
+func TestNumericValueScanMatchesSpec(t *testing.T) {
+	steps := []string{"a", "*", "node()", "text()", "@a", "@b", "@*", "descendant::b"}
+	preds := []string{"= 2", "< 2", "<= 1", "> 4.5", ">= 0", "> 100", "< 0"}
+	rng := rand.New(rand.NewSource(41))
+	for round := 0; round < 4; round++ {
+		d := shredString(t, sharedNameXML(rng))
+		env := NewEnv(d)
+		root := []int32{d.Root()}
+		for _, s := range steps {
+			for _, pr := range preds {
+				q := fmt.Sprintf("//*[%s %s]", s, pr)
+				findValueScan(t, compileQuery(t, env, q, nil))
+				pq, err := xpath.ParseQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := spec.EvalQuery(d, pq, root)
+				for _, opts := range []*Options{nil, {NoIndex: true}, {NoValueIndex: true}, {NoIndex: true, NoValueIndex: true}} {
+					if got := run(t, env, q, opts); !equal32(got, want) {
+						t.Fatalf("round %d: %s %+v = %v, spec %v", round, q, opts, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -9,9 +9,10 @@
 // control collapses into catalog lookup. Three shared structures do the
 // rest:
 //
-//   - a compiled-query LRU (parse + logical rewrite once per distinct
-//     query text) and a prepared-plan LRU (physical plan once per
-//     document generation × options × query);
+//   - a prepared-plan LRU (physical plan once per document generation
+//     × options × query) that admits a plan on its key's second request
+//     only, so queries asked once parse, rewrite and optimize afresh
+//     and leave nothing behind;
 //   - a sharded LRU result cache keyed on (doc, generation, canonical
 //     optimized-plan string) — equivalent query texts compile to the
 //     same canonical plan and share one entry; see
@@ -63,6 +64,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"runtime"
 	"slices"
@@ -144,10 +146,6 @@ type Server struct {
 	flights *share.Registry
 	start   time.Time
 
-	compiledMu sync.Mutex
-	compiled   map[string]*list.Element
-	compiledLL *list.List // front = most recent; values are *compiledEntry
-
 	// The result-cache fast path sits behind prepare(), so a plan hit
 	// takes preparedMu shared — concurrent warm requests do not
 	// serialise, and the look-up reads the request's pooled key bytes
@@ -157,6 +155,13 @@ type Server struct {
 	prepared    map[string]*list.Element
 	preparedLL  *list.List        // front = most recent; values are *preparedEntry
 	preparedGen map[string]uint64 // latest generation seen per document
+	// seen remembers the hashes of the last maxPrepared distinct keys
+	// that missed, so a plan is cached only on its key's second request;
+	// both structures are pointer-free, the collector marks neither.
+	seen     map[uint64]struct{}
+	seenRing []uint64 // ring of the hashes in seen, oldest at seenNext
+	seenNext int
+	seed     maphash.Seed
 
 	// defaultOpts is engineOptions(nil), resolved once: a request
 	// without options shares it read-only.
@@ -183,18 +188,10 @@ type preparedEntry struct {
 	p   *engine.Prepared
 }
 
-type compiledEntry struct {
-	src string
-	c   *engine.Compiled
-}
-
-// maxCompiled bounds the compiled-query LRU; distinct query texts
-// beyond this evict the least recently used handle.
-const maxCompiled = 1024
-
 // maxPrepared bounds the prepared-plan LRU; distinct (document
 // generation, options, query) combinations beyond this evict the
-// least recently used plan.
+// least recently used plan. It also bounds how far apart a key's two
+// requests may be for its plan to be admitted.
 const maxPrepared = 4096
 
 // New returns a server over the catalog.
@@ -219,11 +216,12 @@ func New(cfg Config) *Server {
 		cache:       newResultCache(cfg.CacheBytes),
 		pool:        newWsem(workers, maxQueue),
 		start:       time.Now(),
-		compiled:    make(map[string]*list.Element),
-		compiledLL:  list.New(),
 		prepared:    make(map[string]*list.Element),
 		preparedLL:  list.New(),
 		preparedGen: make(map[string]uint64),
+		seen:        make(map[uint64]struct{}),
+		seenRing:    make([]uint64, 0, maxPrepared),
+		seed:        maphash.MakeSeed(),
 	}
 	// The pace car is the only client of a flight doing work, so it is
 	// the only one charged against the worker budget: the wheel hooks
@@ -537,41 +535,12 @@ func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Opti
 	return append(dst, query...)
 }
 
-// compile returns a compiled handle for the query text, LRU-cached.
-func (s *Server) compile(query string) (*engine.Compiled, error) {
-	s.compiledMu.Lock()
-	if el, ok := s.compiled[query]; ok {
-		s.compiledLL.MoveToFront(el)
-		c := el.Value.(*compiledEntry).c
-		s.compiledMu.Unlock()
-		return c, nil
-	}
-	s.compiledMu.Unlock()
-
-	c, err := engine.Compile(query) // parse outside the lock
-	if err != nil {
-		return nil, err
-	}
-
-	s.compiledMu.Lock()
-	defer s.compiledMu.Unlock()
-	if el, ok := s.compiled[query]; ok { // raced: keep the first
-		s.compiledLL.MoveToFront(el)
-		return el.Value.(*compiledEntry).c, nil
-	}
-	s.compiled[query] = s.compiledLL.PushFront(&compiledEntry{src: query, c: c})
-	for len(s.compiled) > maxCompiled {
-		el := s.compiledLL.Back()
-		e := s.compiledLL.Remove(el).(*compiledEntry)
-		delete(s.compiled, e.src)
-	}
-	return c, nil
-}
-
-// prepare returns the physical plan for (document, options, query),
-// LRU-cached per document generation: parse and logical rewrite come
-// from the compiled-query cache, the optimizer runs once per
-// generation × options × text. The key is built in *kb, scratch the
+// prepare returns the physical plan for (document, options, query).
+// A miss parses, rewrites and optimizes the query afresh; the plan is
+// kept, per document generation, only when its key was already
+// requested within the last maxPrepared distinct keys — a query asked
+// once costs no cache entry, and a recurring one is served from the LRU
+// from its third request on. The key is built in *kb, scratch the
 // caller may reuse afterwards.
 func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options, kb *[]byte) (*engine.Prepared, error) {
 	*kb = appendPreparedKey((*kb)[:0], h.Name(), h.Generation(), opts, query)
@@ -594,16 +563,17 @@ func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options, 
 		s.planHits.Add(1)
 		return p, nil
 	}
+	admit := s.recurredLocked(maphash.String(s.seed, key))
 	s.preparedMu.Unlock()
 	s.planMisses.Add(1)
 
-	c, err := s.compile(query)
+	c, err := engine.Compile(query)
 	if err != nil {
 		return nil, err
 	}
 	p, err := h.Engine().Prepare(c, opts) // optimize outside the lock
-	if err != nil {
-		return nil, err
+	if err != nil || !admit {
+		return p, err
 	}
 
 	s.preparedMu.Lock()
@@ -620,6 +590,26 @@ func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options, 
 		delete(s.prepared, e.key)
 	}
 	return p, nil
+}
+
+// recurredLocked reports whether a missed key's hash is among the last
+// maxPrepared distinct ones, and remembers it if not, forgetting the
+// oldest. A key that recurs further apart than that would have left the
+// LRU before its next use anyway; a hash collision merely admits a plan
+// early.
+func (s *Server) recurredLocked(h uint64) bool {
+	if _, ok := s.seen[h]; ok {
+		return true
+	}
+	if len(s.seenRing) < maxPrepared {
+		s.seenRing = append(s.seenRing, h)
+	} else {
+		delete(s.seen, s.seenRing[s.seenNext])
+		s.seenRing[s.seenNext] = h
+		s.seenNext = (s.seenNext + 1) % maxPrepared
+	}
+	s.seen[h] = struct{}{}
+	return false
 }
 
 // dropStalePlansLocked evicts every cached plan of a document whose

@@ -11,10 +11,12 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"staircase/internal/catalog"
+	"staircase/internal/doc"
 	"staircase/internal/engine"
 	"staircase/internal/xmark"
 )
@@ -689,7 +691,9 @@ func TestEquivalentQueriesShareCacheEntries(t *testing.T) {
 		t.Fatalf("expected distinct results, both %d", a.Count)
 	}
 
-	// The prepared-plan cache serves repeats of the same text.
+	// The prepared-plan cache serves repeats of the same text: the
+	// second request admits the plan, the third hits it.
+	post("//person/profile")
 	ph0, _ := s.PlanCacheStats()
 	post("//person/profile")
 	ph1, _ := s.PlanCacheStats()
@@ -728,6 +732,77 @@ func TestExplainJSONFormat(t *testing.T) {
 	}
 }
 
+// TestOnceOnlyQueriesRetainNoPlans: the prepared-plan cache admits a
+// plan on its key's second request within maxPrepared distinct keys.
+// Queries asked once leave no entry behind, a query asked twice in a row
+// is admitted, and of two keys that recur, the one maxPrepared-1 other
+// keys apart is admitted and the one maxPrepared apart is not.
+func TestOnceOnlyQueriesRetainNoPlans(t *testing.T) {
+	cat := catalog.New(0)
+	d, err := doc.ShredString(`<r><a>1</a><a>2</a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddDocument("d", d); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Catalog: cat, CacheBytes: 1 << 20})
+	h, err := cat.Open("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	next := 0
+	ask := func(k int) {
+		t.Helper()
+		if _, err := s.prepare(h, fmt.Sprintf("//a[. > %d]", k), s.defaultOpts, new([]byte)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	askNew := func(n int) {
+		for range n {
+			ask(next)
+			next++
+		}
+	}
+	entries := func() string {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "xpathd_plan_cache_entries "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no xpathd_plan_cache_entries in /metrics:\n%s", rec.Body)
+		return ""
+	}
+
+	askNew(maxPrepared + 1)
+	if n := entries(); n != "0" {
+		t.Fatalf("%d queries asked once each left %s plans cached, want 0", maxPrepared+1, n)
+	}
+	twice := next
+	askNew(1)
+	ask(twice)
+	if n := entries(); n != "1" {
+		t.Fatalf("a query asked twice in a row: %s plans cached, want 1", n)
+	}
+	near := next
+	askNew(1)
+	askNew(maxPrepared - 1)
+	ask(near)
+	if n := entries(); n != "2" {
+		t.Fatalf("a key recurring %d keys apart: %s plans cached, want 2", maxPrepared-1, n)
+	}
+	far := next
+	askNew(1)
+	askNew(maxPrepared)
+	ask(far)
+	if n := entries(); n != "2" {
+		t.Fatalf("a key recurring %d keys apart: %s plans cached, want still 2", maxPrepared, n)
+	}
+}
+
 // TestStalePreparedPlansDropOnReload: a document reload (generation
 // bump) must evict the previous generation's cached plans — they pin
 // the old document copy in memory.
@@ -754,9 +829,12 @@ func TestStalePreparedPlansDropOnReload(t *testing.T) {
 		}
 		defer h.Close()
 		gen := h.Generation()
-		for _, q := range []string{"//person", "//bidder", "//increase"} {
-			if _, err := s.prepare(h, q, &engine.Options{}, new([]byte)); err != nil {
-				t.Fatal(err)
+		// Twice each: the plan cache admits a plan on its second request.
+		for range 2 {
+			for _, q := range []string{"//person", "//bidder", "//increase"} {
+				if _, err := s.prepare(h, q, &engine.Options{}, new([]byte)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return gen

@@ -31,10 +31,28 @@ func acquireBitmap(n int, pres []int32) *bitmap {
 		b.words = make([]uint64, words)
 	}
 	b.words = b.words[:words]
+	b.set(pres)
+	return b
+}
+
+// set adds pres to the bitmap.
+func (b *bitmap) set(pres []int32) {
 	for _, v := range pres {
 		b.words[uint32(v)>>6] |= 1 << (uint32(v) & 63)
 	}
-	return b
+}
+
+// appendTo appends the members keep accepts (all of them when keep is
+// nil) to dst in ascending order.
+func (b *bitmap) appendTo(dst []int32, keep func(v int32) bool) []int32 {
+	for w, word := range b.words {
+		for ; word != 0; word &= word - 1 {
+			if v := int32(w<<6 | bits.TrailingZeros64(word)); keep == nil || keep(v) {
+				dst = append(dst, v)
+			}
+		}
+	}
+	return dst
 }
 
 // release clears the bitmap and returns it to the pool.
@@ -50,13 +68,7 @@ func (b *bitmap) release() {
 // pres's array: pres is read whole before the first append.
 func Order(dst, pres []int32, n int, keep func(v int32) bool) []int32 {
 	b := acquireBitmap(n, pres)
-	for w, word := range b.words {
-		for ; word != 0; word &= word - 1 {
-			if v := int32(w<<6 | bits.TrailingZeros64(word)); keep == nil || keep(v) {
-				dst = append(dst, v)
-			}
-		}
-	}
+	dst = b.appendTo(dst, keep)
 	b.release()
 	return dst
 }

@@ -48,14 +48,14 @@ func TestLookupBoundaries(t *testing.T) {
 			vals[i] = vocab[rng.Intn(len(vocab))]
 			b.Add(int32(i), vals[i])
 		}
-		ix := b.Build(len(vals))
+		ix := b.Build(make([]int32, len(vals)))
 		if round%2 == 1 { // a loaded index must answer like a built one
 			var buf bytes.Buffer
 			if err := ix.WriteSection(&buf); err != nil {
 				t.Fatal(err)
 			}
 			var err error
-			if ix, err = vindex.ReadSection(&buf, len(vals)); err != nil {
+			if ix, err = vindex.ReadSection(&buf, make([]int32, len(vals))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,7 +67,7 @@ func TestLookupBoundaries(t *testing.T) {
 			)
 			if isNum {
 				f, _ := vindex.ParseNumber(lit)
-				view, inOrder = ix.NumericRange(op, f)
+				view, inOrder = ix.NumericRange(op, f, 0)
 				keyed = ix.LookupNumeric(op, f)
 			} else {
 				view, inOrder = ix.StringRange(op, lit)

@@ -82,7 +82,7 @@ func TestBuildMatchesStableSortDefinition(t *testing.T) {
 				b.Add(int32(i), v)
 			}
 		}
-		ix, ref := b.Build(len(vals)), refBuild(vals)
+		ix, ref := b.Build(unnamed(len(vals))), refBuild(vals)
 		if ix.NumValues() != len(ref.keys) || !slices.Equal(ix.Overflow(), ref.overflow) {
 			t.Fatalf("round %d: %d keys, overflow %v; want %d, %v",
 				round, ix.NumValues(), ix.Overflow(), len(ref.keys), ref.overflow)
@@ -99,13 +99,13 @@ func TestBuildMatchesStableSortDefinition(t *testing.T) {
 		if err := ix.WriteSection(&sec); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadSection(bytes.NewReader(sec.Bytes()), len(vals))
+		back, err := ReadSection(bytes.NewReader(sec.Bytes()), unnamed(len(vals)))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if back.keyText != ix.keyText || !slices.Equal(back.keyOff, ix.keyOff) ||
 			!slices.Equal(back.strOff, ix.strOff) || !slices.Equal(back.strPre, ix.strPre) ||
-			!slices.Equal(back.nums, ix.nums) || !slices.Equal(back.numOff, ix.numOff) || !slices.Equal(back.numPre, ix.numPre) {
+			!slices.Equal(back.nameGrp, ix.nameGrp) || !slices.Equal(back.nums, ix.nums) || !slices.Equal(back.numOff, ix.numOff) || !slices.Equal(back.numPre, ix.numPre) {
 			t.Fatalf("round %d: index read back from its section differs", round)
 		}
 	}
@@ -147,7 +147,7 @@ func TestRangesMatchLinearScan(t *testing.T) {
 				t.Fatalf("round %d: StringRange %s %q = %v, want %v", round, op, lit, got, wantStr)
 			}
 			if numeric {
-				if got := sorted(ix.NumericRange(op, f)); !slices.Equal(got, wantNum) {
+				if got := sorted(ix.NumericRange(op, f, -1)); !slices.Equal(got, wantNum) {
 					t.Fatalf("round %d: NumericRange %s %v = %v, want %v", round, op, f, got, wantNum)
 				}
 			}
@@ -177,7 +177,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() {
 		view, _ := ix.StringRange(OpGe, "open_auction10")
 		nodes += len(view)
-		view, _ = ix.NumericRange(OpLt, 10)
+		view, _ = ix.NumericRange(OpLt, 10, -1)
 		nodes += len(view)
 		ix.ForEachString(func(key string, _ []int32) { keys += len(key) })
 	}); n != 0 {

@@ -1,7 +1,7 @@
 // Package vindex implements the persistent per-document value index:
 // every node's XPath string value, mapped to the pre-sorted list of
-// preorder ranks carrying it, with a numeric partition derived for the
-// values that parse as numbers.
+// preorder ranks carrying it, with a name-major numeric partition
+// derived for the values that parse as numbers.
 //
 // The tag/kind index (internal/index) makes name tests cheap; this
 // package does the same for value predicates. A comparison predicate
@@ -10,10 +10,10 @@
 // index, the predicate becomes a range over sorted distinct values,
 // resolved to a rank interval by binary search. A rank interval is one
 // contiguous slice of the node column (StringRange/NumericRange return
-// it as a read-only view); put back into document order through a pre
-// bitmap (Order, Intersect) it is a pre-sorted node fragment the staircase
-// semijoin machinery can intersect with the context, exactly like a
-// name-test fragment.
+// it as a read-only view); put back into document order (by sorting it
+// when it is small, else through a pre bitmap: Order, Intersect) it is a
+// pre-sorted node fragment the staircase semijoin machinery can
+// intersect with the context, exactly like a name-test fragment.
 //
 // Layout: the distinct string values (the keys) are sorted and stored
 // once, as offsets into one text arena — keyOff + keyText, no string
@@ -27,8 +27,12 @@
 // document. The numeric partition (ranks whose value parses via
 // ParseNumber — the canonical numeric-value semantics, which
 // internal/xpath re-exports for the executors) is derived from the
-// string partition, both at build and at load time, so the two can
-// never disagree.
+// string partition and the document's name column, both at build and
+// at load time, so the two can never disagree. It is name-major: one
+// block per element or attribute name (and one for unnamed nodes),
+// grouped by number within the block, so a predicate under a name test
+// reads its own name's numbers only, the way an inverted file reads one
+// keyword's posting list.
 //
 // Every node of the document is indexed: the keyed lists plus the
 // overflow list form an exact partition of [0, n), which is what
@@ -47,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -127,12 +132,16 @@ type Index struct {
 	strOff  []uint32 // CSR offsets into strPre, one more entry than keys
 	strPre  []int32  // node column: pre ranks grouped by key rank, ascending per group
 
-	// Numeric partition, derived from the string partition: the nodes
-	// whose value parses as a finite number, regrouped by that number
-	// (several spellings of one number share a group).
-	nums   []float64
-	numOff []uint32
-	numPre []int32
+	// Numeric partition, derived from the string partition and the name
+	// column: the nodes whose value parses as a finite number, in one
+	// block per name, regrouped by that number within the block (several
+	// spellings of one number share a group). Block b holds the name id
+	// b-1, so unnamed nodes are block 0; its groups are
+	// [nameGrp[b], nameGrp[b+1]).
+	nameGrp []uint32
+	nums    []float64
+	numOff  []uint32
+	numPre  []int32
 
 	overflow []int32 // nodes with values > MaxKeyLen, ascending
 
@@ -211,11 +220,12 @@ func (b *Builder) add(pre int32, id uint32, overflow bool) {
 	b.kid = append(b.kid, id)
 }
 
-// Build constructs the index for a document of n nodes. It panics
-// unless the added entries cover exactly the pre ranks [0, n) — the
-// partition invariant ReadSection later revalidates.
-func (b *Builder) Build(n int) *Index {
-	if len(b.pres)+len(b.overflow) != n {
+// Build constructs the index for a document whose name column is
+// names: one name id per node, negative for unnamed nodes. It panics
+// unless the added entries cover exactly the pre ranks [0, len(names))
+// — the partition invariant ReadSection later revalidates.
+func (b *Builder) Build(names []int32) *Index {
+	if n := len(names); len(b.pres)+len(b.overflow) != n {
 		panic(fmt.Sprintf("vindex: %d entries for a document of %d nodes",
 			len(b.pres)+len(b.overflow), n))
 	}
@@ -267,50 +277,99 @@ func (b *Builder) Build(n int) *Index {
 		strPre[next[r]] = b.pres[i]
 		next[r]++
 	}
-	return newIndex(keyOff, keyText.String(), strOff, strPre, b.overflow, n)
+	return newIndex(keyOff, keyText.String(), strOff, strPre, b.overflow, names)
 }
 
 // newIndex assembles an Index from a validated (or freshly built)
 // string partition by deriving the numeric partition. Only the distinct
-// numeric values are sorted; each numeric group is the concatenation of
-// its spellings' node lists, re-sorted when there are several.
-func newIndex(keyOff []uint32, keyText string, strOff []uint32, strPre []int32, overflow []int32, n int) *Index {
+// numeric values are sorted; a counting pass by name sizes the blocks,
+// and each numeric node is scattered into its name's block in number
+// order. A group spelled several ways is re-sorted.
+func newIndex(keyOff []uint32, keyText string, strOff []uint32, strPre []int32, overflow []int32, names []int32) *Index {
 	ix := &Index{
 		keyOff: keyOff, keyText: keyText, strOff: strOff, strPre: strPre,
-		overflow: overflow, nodes: n,
+		overflow: overflow, nodes: len(names),
 	}
 	type numRank struct {
 		f float64
 		r int // string rank spelling f
 	}
-	var (
-		nrs   []numRank
-		total uint32
-	)
+	var nrs []numRank
 	for r := range ix.NumValues() {
 		if f, ok := ParseNumber(ix.key(r)); ok {
 			nrs = append(nrs, numRank{f, r})
-			total += strOff[r+1] - strOff[r]
 		}
 	}
-	slices.SortFunc(nrs, func(x, y numRank) int { return cmp.Compare(x.f, y.f) })
-	ix.numOff = append(ix.numOff, 0)
-	ix.numPre = make([]int32, 0, total)
-	for i := 0; i < len(nrs); {
-		start, j := len(ix.numPre), i
-		for ; j < len(nrs) && nrs[j].f == nrs[i].f; j++ {
-			r := nrs[j].r
-			ix.numPre = append(ix.numPre, strPre[strOff[r]:strOff[r+1]]...)
+	// ParseNumber admits no NaN, so plain comparisons order the numbers
+	// (cmp.Compare's NaN checks slow the sort down).
+	slices.SortFunc(nrs, func(x, y numRank) int {
+		switch {
+		case x.f < y.f:
+			return -1
+		case x.f > y.f:
+			return 1
 		}
-		if j-i > 1 {
-			slices.Sort(ix.numPre[start:])
+		return 0
+	})
+	// start[b+1] counts block b's nodes; the prefix sums then place the
+	// blocks one after another.
+	var start []uint32
+	for _, nr := range nrs {
+		for _, v := range ix.group(nr.r) {
+			b := blockOf(names[v])
+			if b+2 > len(start) {
+				start = append(start, make([]uint32, b+2-len(start))...)
+			}
+			start[b+1]++
 		}
-		ix.nums = append(ix.nums, nrs[i].f)
-		ix.numOff = append(ix.numOff, uint32(len(ix.numPre)))
-		i = j
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	total := 0
+	if len(start) > 0 {
+		total = int(start[len(start)-1])
+	}
+	// Scatter in number order, each spelling's nodes ascending; from[i]
+	// remembers which spelling placed the i-th node.
+	ix.numPre = make([]int32, total)
+	from := make([]int32, total)
+	next := slices.Clone(start)
+	for i, nr := range nrs {
+		for _, v := range ix.group(nr.r) {
+			b := blockOf(names[v])
+			ix.numPre[next[b]], from[next[b]] = v, int32(i)
+			next[b]++
+		}
+	}
+	// Cut each block into groups at every change of number.
+	ix.nameGrp = make([]uint32, 1, max(len(start), 1))
+	ix.nums = make([]float64, 0, len(nrs))
+	ix.numOff = make([]uint32, 1, len(nrs)+1)
+	for b := 0; b+1 < len(start); b++ {
+		for i, end := start[b], start[b+1]; i < end; {
+			f, j := nrs[from[i]].f, i+1
+			for j < end && nrs[from[j]].f == f {
+				j++
+			}
+			if from[j-1] != from[i] {
+				slices.Sort(ix.numPre[i:j])
+			}
+			ix.nums = append(ix.nums, f)
+			ix.numOff = append(ix.numOff, j)
+			i = j
+		}
+		ix.nameGrp = append(ix.nameGrp, uint32(len(ix.nums)))
 	}
 	return ix
 }
+
+// blockOf returns the numeric partition block of a name id: unnamed
+// nodes (a negative id) share block 0.
+func blockOf(name int32) int { return int(max(name, -1)) + 1 }
+
+// group returns the pre-sorted node list of string rank r.
+func (ix *Index) group(r int) []int32 { return ix.strPre[ix.strOff[r]:ix.strOff[r+1]] }
 
 // Nodes returns the size of the document the index was built for.
 func (ix *Index) Nodes() int { return ix.nodes }
@@ -318,7 +377,8 @@ func (ix *Index) Nodes() int { return ix.nodes }
 // NumValues returns the number of distinct keyed string values.
 func (ix *Index) NumValues() int { return len(ix.keyOff) - 1 }
 
-// NumNumeric returns the number of distinct numeric values.
+// NumNumeric returns the number of numeric groups: distinct numbers per
+// name.
 func (ix *Index) NumNumeric() int { return len(ix.nums) }
 
 // Entries returns the number of indexed nodes: keyed plus overflow.
@@ -332,13 +392,13 @@ func (ix *Index) Entries() int64 {
 // slice must not be modified.
 func (ix *Index) Overflow() []int32 { return ix.overflow }
 
-// Bytes returns the in-memory footprint of the index (the key arena
-// and the distinct numbers plus the CSR arrays of both partitions). The
-// catalog charges this against its residency budget alongside
-// IndexBytes.
+// Bytes returns the in-memory footprint of the index (the key arena,
+// the numbers of the numeric groups, the block offsets and the CSR
+// arrays of both partitions). The catalog charges this against its
+// residency budget alongside IndexBytes.
 func (ix *Index) Bytes() int64 {
 	total := int64(len(ix.keyText))
-	total += 4 * int64(len(ix.keyOff)+len(ix.strOff)+len(ix.numOff))
+	total += 4 * int64(len(ix.keyOff)+len(ix.strOff)+len(ix.nameGrp)+len(ix.numOff))
 	total += 4 * int64(len(ix.strPre)+len(ix.numPre)+len(ix.overflow))
 	total += 8 * int64(len(ix.nums))
 	return total
@@ -361,16 +421,29 @@ func (ix *Index) StringRange(op Op, lit string) (view []int32, inOrder bool) {
 	return rankView(ix.strOff, ix.strPre, op, ge, gt)
 }
 
-// NumericRange is StringRange over the numeric partition: the nodes
-// whose value parses as a number standing in relation op to f. Values
-// that do not parse never match (xpath.CompareValue semantics).
-func (ix *Index) NumericRange(op Op, f float64) (view []int32, inOrder bool) {
-	ge := sort.SearchFloat64s(ix.nums, f)
+// NumericRange is StringRange over one name's block of the numeric
+// partition: the nodes carrying the name id (a negative id selects the
+// unnamed nodes) whose value parses as a number standing in relation op
+// to f. Values that do not parse never match (xpath.CompareValue
+// semantics).
+func (ix *Index) NumericRange(op Op, f float64, name int32) (view []int32, inOrder bool) {
+	b := blockOf(name)
+	if b+1 >= len(ix.nameGrp) {
+		return nil, true
+	}
+	return ix.blockRange(op, f, b)
+}
+
+// blockRange is NumericRange over block b.
+func (ix *Index) blockRange(op Op, f float64, b int) (view []int32, inOrder bool) {
+	lo, hi := ix.nameGrp[b], ix.nameGrp[b+1]
+	nums := ix.nums[lo:hi]
+	ge := sort.SearchFloat64s(nums, f)
 	gt := ge
-	if gt < len(ix.nums) && ix.nums[gt] == f {
+	if gt < len(nums) && nums[gt] == f {
 		gt++
 	}
-	return rankView(ix.numOff, ix.numPre, op, ge, gt)
+	return rankView(ix.numOff[lo:hi+1], ix.numPre, op, ge, gt)
 }
 
 // rankView turns the (first >= lit, first > lit) bracketing ranks into
@@ -399,23 +472,96 @@ func rankView(off []uint32, pres []int32, op Op, ge, gt int) (view []int32, inOr
 // LookupString returns the result of StringRange as a freshly
 // allocated slice in document order.
 func (ix *Index) LookupString(op Op, lit string) []int32 {
-	return ix.orderedCopy(ix.StringRange(op, lit))
+	view, inOrder := ix.StringRange(op, lit)
+	return ix.appendOrdered(nil, view, inOrder, nil)
 }
 
-// LookupNumeric returns the result of NumericRange as a freshly
-// allocated slice in document order.
+// LookupNumeric returns, as a freshly allocated slice in document
+// order, the nodes of every name whose value parses as a number
+// standing in relation op to f.
 func (ix *Index) LookupNumeric(op Op, f float64) []int32 {
-	return ix.orderedCopy(ix.NumericRange(op, f))
+	return ix.AppendNumericAll(nil, op, f, nil)
 }
 
-func (ix *Index) orderedCopy(view []int32, inOrder bool) []int32 {
-	switch {
-	case len(view) == 0:
-		return nil
-	case inOrder:
-		return slices.Clone(view)
+// AppendNumeric appends to dst, in document order, the nodes of
+// NumericRange(op, f, name) that keep accepts (all of them when keep is
+// nil), and returns the extended slice. It reads that name's block only.
+func (ix *Index) AppendNumeric(dst []int32, op Op, f float64, name int32, keep func(v int32) bool) []int32 {
+	view, inOrder := ix.NumericRange(op, f, name)
+	return ix.appendOrdered(dst, view, inOrder, keep)
+}
+
+// AppendNumericAll is AppendNumeric over every name at once: each
+// block's range is set into one pre bitmap, read back in document order.
+func (ix *Index) AppendNumericAll(dst []int32, op Op, f float64, keep func(v int32) bool) []int32 {
+	var (
+		m       int
+		one     []int32 // the first non-empty range, until a second one shows
+		inOrder bool
+		bm      *bitmap
+	)
+	for b := range len(ix.nameGrp) - 1 {
+		view, in := ix.blockRange(op, f, b)
+		switch {
+		case len(view) == 0:
+			continue
+		case one == nil:
+			one, inOrder = view, in
+		case bm == nil:
+			bm = acquireBitmap(ix.nodes, one)
+			fallthrough
+		default:
+			bm.set(view)
+		}
+		m += len(view)
 	}
-	return Order(make([]int32, 0, len(view)), view, ix.nodes, nil)
+	if bm == nil {
+		return ix.appendOrdered(dst, one, inOrder, keep)
+	}
+	dst = bm.appendTo(reserve(dst, m), keep)
+	bm.release()
+	return dst
+}
+
+// reserve returns dst with room for m more entries, reallocated at most
+// once. (slices.Grow allocates twice under the race detector.)
+func reserve(dst []int32, m int) []int32 {
+	if cap(dst)-len(dst) >= m {
+		return dst
+	}
+	return append(make([]int32, 0, len(dst)+m), dst...)
+}
+
+// appendOrdered appends the members of view that keep accepts to dst in
+// document order. A view spanning one group is in order already; m
+// nodes spanning several are sorted while m·log₂m is below the n/64
+// words a pre bitmap would read, and put in order through one otherwise.
+// dst grows at most once, to hold all of view.
+func (ix *Index) appendOrdered(dst, view []int32, inOrder bool, keep func(v int32) bool) []int32 {
+	m := len(view)
+	if m == 0 {
+		return dst
+	}
+	dst = reserve(dst, m)
+	if !inOrder && m*bits.Len(uint(m)) >= (ix.nodes+63)>>6 {
+		return Order(dst, view, ix.nodes, keep)
+	}
+	start := len(dst)
+	dst = append(dst, view...)
+	if !inOrder {
+		slices.Sort(dst[start:])
+	}
+	if keep == nil {
+		return dst
+	}
+	kept := start
+	for _, v := range dst[start:] {
+		if keep(v) {
+			dst[kept] = v
+			kept++
+		}
+	}
+	return dst[:kept]
 }
 
 // ContainsSubstr returns the pre-sorted nodes whose keyed string value
@@ -425,7 +571,7 @@ func (ix *Index) orderedCopy(view []int32, inOrder bool) []int32 {
 // at the next key.
 func (ix *Index) ContainsSubstr(sub string) []int32 {
 	if sub == "" {
-		return ix.orderedCopy(ix.strPre, ix.NumValues() <= 1)
+		return ix.appendOrdered(nil, ix.strPre, ix.NumValues() <= 1, nil)
 	}
 	var out []int32
 	groups, n := 0, ix.NumValues()
@@ -464,10 +610,14 @@ func (ix *Index) ForEachString(f func(val string, pres []int32)) {
 	}
 }
 
-// ForEachNumeric visits every numeric value group in numeric order.
-func (ix *Index) ForEachNumeric(f func(val float64, pres []int32)) {
-	for r, n := range ix.nums {
-		f(n, ix.numPre[ix.numOff[r]:ix.numOff[r+1]])
+// ForEachNumeric visits every numeric group in (name, number) order
+// with its pre-sorted node list; name is -1 for unnamed nodes. The
+// callback must not retain or modify pres.
+func (ix *Index) ForEachNumeric(f func(name int32, val float64, pres []int32)) {
+	for b := range len(ix.nameGrp) - 1 {
+		for g := ix.nameGrp[b]; g < ix.nameGrp[b+1]; g++ {
+			f(int32(b)-1, ix.nums[g], ix.numPre[ix.numOff[g]:ix.numOff[g+1]])
+		}
 	}
 }
 
@@ -486,8 +636,9 @@ func (ix *Index) ForEachNumeric(f func(val float64, pres []int32)) {
 // value owns at least one node), per-group node lists are strictly
 // ascending, and the keyed lists plus the overflow list partition
 // [0, n) exactly. The numeric partition is not stored — it derives
-// deterministically on load — so writing a freshly read index
-// reproduces the input bytes exactly.
+// deterministically on load from these lists and the document's name
+// column — so writing a freshly read index reproduces the input bytes
+// exactly.
 
 // WriteSection serializes the index.
 func (ix *Index) WriteSection(w io.Writer) error {
@@ -512,12 +663,13 @@ func (ix *Index) WriteSection(w io.Writer) error {
 }
 
 // ReadSection deserializes and validates a value section for a
-// document of n nodes. Corrupt input of any shape (bad lengths,
+// document whose name column is names (see Build). Corrupt input of any shape (bad lengths,
 // unsorted values or node lists, out-of-range ranks, overlapping or
 // incomplete partitions, truncation) yields an error, never a panic or
 // an unbounded allocation. When r is a bufio.Reader of at least
 // colio.BufSize it is read in place, consuming the section and no more.
-func ReadSection(r io.Reader, n int) (*Index, error) {
+func ReadSection(r io.Reader, names []int32) (*Index, error) {
+	n := len(names)
 	br := colio.Reader(r)
 	hdr, err := colio.ReadWords[uint32](br, 3)
 	if err != nil {
@@ -598,5 +750,5 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 			return nil, err
 		}
 	}
-	return newIndex(keyOff, string(text), strOff, strPre, overflow, n), nil
+	return newIndex(keyOff, string(text), strOff, strPre, overflow, names), nil
 }

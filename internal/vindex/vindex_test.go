@@ -16,7 +16,16 @@ func buildFrom(vals []string) *Index {
 	for i, v := range vals {
 		b.Add(int32(i), v)
 	}
-	return b.Build(len(vals))
+	return b.Build(unnamed(len(vals)))
+}
+
+// unnamed is the name column of n unnamed nodes.
+func unnamed(n int) []int32 {
+	names := make([]int32, n)
+	for i := range names {
+		names[i] = -1
+	}
+	return names
 }
 
 // compareValue is the test oracle's comparison: the same semantics
@@ -230,13 +239,27 @@ func TestRoundTrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = words[rng.Intn(len(words))]
 		}
-		ix := buildFrom(vals)
-		var buf bytes.Buffer
+		// The name column shapes the derived numeric partition only: the
+		// section of a named index is the unnamed one's, byte for byte.
+		names := make([]int32, n)
+		var b Builder
+		for i, v := range vals {
+			names[i] = int32(rng.Intn(3)) - 1
+			b.Add(int32(i), v)
+		}
+		ix := b.Build(names)
+		var buf, plain bytes.Buffer
 		if err := ix.WriteSection(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if err := buildFrom(vals).WriteSection(&plain); err != nil {
+			t.Fatal(err)
+		}
 		first := append([]byte(nil), buf.Bytes()...)
-		ix2, err := ReadSection(&buf, n)
+		if !bytes.Equal(first, plain.Bytes()) {
+			t.Fatalf("n=%d: the name column changed the section bytes", n)
+		}
+		ix2, err := ReadSection(&buf, names)
 		if err != nil {
 			t.Fatalf("n=%d: ReadSection: %v", n, err)
 		}
@@ -251,6 +274,11 @@ func TestRoundTrip(t *testing.T) {
 			for _, lit := range []string{"alpha", "10"} {
 				if !eq32(ix.LookupString(op, lit), ix2.LookupString(op, lit)) {
 					t.Fatalf("n=%d: reloaded index disagrees on %s %q", n, op, lit)
+				}
+			}
+			for name := int32(-1); name < 2; name++ {
+				if !eq32(ix.AppendNumeric(nil, op, 10, name, nil), ix2.AppendNumeric(nil, op, 10, name, nil)) {
+					t.Fatalf("n=%d: reloaded index disagrees on name %d %s 10", n, name, op)
 				}
 			}
 		}
@@ -268,16 +296,16 @@ func TestReadSectionRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if _, err := ReadSection(bytes.NewReader(good), len(vals)); err != nil {
+	if _, err := ReadSection(bytes.NewReader(good), unnamed(len(vals))); err != nil {
 		t.Fatalf("pristine section rejected: %v", err)
 	}
 	// Wrong node count: partition no longer covers the document.
-	if _, err := ReadSection(bytes.NewReader(good), len(vals)+1); err == nil {
+	if _, err := ReadSection(bytes.NewReader(good), unnamed(len(vals)+1)); err == nil {
 		t.Error("section accepted for wrong node count")
 	}
 	// Truncations at every length must error, never panic.
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := ReadSection(bytes.NewReader(good[:cut]), len(vals)); err == nil {
+		if _, err := ReadSection(bytes.NewReader(good[:cut]), unnamed(len(vals))); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -294,7 +322,7 @@ func TestReadSectionRejectsCorrupt(t *testing.T) {
 					t.Fatalf("flip at %d: panic %v", off, r)
 				}
 			}()
-			_, _ = ReadSection(bytes.NewReader(mut), len(vals))
+			_, _ = ReadSection(bytes.NewReader(mut), unnamed(len(vals)))
 		}()
 	}
 }
@@ -318,7 +346,7 @@ func TestBuilderPanics(t *testing.T) {
 		}()
 		var b Builder
 		b.Add(0, "x")
-		b.Build(2)
+		b.Build(unnamed(2))
 	})
 }
 
@@ -330,7 +358,7 @@ func TestDerivedNumericPartition(t *testing.T) {
 		t.Fatalf("NumNumeric() = %d, want 2", ix.NumNumeric())
 	}
 	var groups []string
-	ix.ForEachNumeric(func(f float64, pres []int32) {
+	ix.ForEachNumeric(func(_ int32, f float64, pres []int32) {
 		groups = append(groups, fmt.Sprintf("%g:%v", f, pres))
 	})
 	want := []string{"2:[3]", "10:[0 1 2 5]"}
