@@ -136,12 +136,11 @@ func (p *Prepared) EvalFirst(ctx context.Context) (*Result, error) {
 	return p.EvalLimit(ctx, 1)
 }
 
-// EvalLimit executes the plan through the streaming cursor executor,
-// stopping after limit result nodes: the staircase kernels suspend
-// mid-partition and the document regions beyond the limit are never
-// scanned. Result.Nodes is a prefix of the full evaluation's nodes;
-// Result.Truncated reports whether further results may exist. A
-// limit <= 0 evaluates fully (identical to Run).
+// EvalLimit executes the plan, stopping after limit result nodes: the
+// staircase kernels suspend mid-partition and the document regions
+// beyond the limit are never scanned. Result.Nodes is a prefix of the
+// full evaluation's nodes; Result.Truncated reports whether further
+// results may exist. A limit <= 0 drains the plan, as Run does.
 func (p *Prepared) EvalLimit(ctx context.Context, limit int) (*Result, error) {
 	r, err := p.pl.RunLimitRoot(ctx, limit)
 	if err != nil {

@@ -19,9 +19,11 @@
 //	nametest(staircasejoin_anc(doc, cs), "bidder")
 //	  -> staircasejoin_anc(nametest(doc, "bidder"), cs)
 //
-// running the join over the (much smaller) tag node list. A simple
-// selectivity heuristic decides automatically — the cost-model stub the
-// paper lists as future research — and can be overridden for ablation.
+// running the join over the (much smaller) tag node list. By default
+// the plan pushes whenever the shared index serves the fragment (the
+// legacy interpreter decides by a selectivity heuristic, the cost-model
+// stub the paper lists as future research); the choice can be
+// overridden for ablation.
 //
 // Pushdown fragments come from the document's shared tag/kind index
 // (doc.TagIndex, internal/index): built at most once per document —
@@ -64,7 +66,7 @@ const (
 type Pushdown = plan.Pushdown
 
 const (
-	// PushAuto decides by tag selectivity (the cost-model heuristic).
+	// PushAuto pushes when the shared index serves the fragment.
 	PushAuto = plan.PushAuto
 	// PushAlways forces pushdown whenever a name test is present.
 	PushAlways = plan.PushAlways
@@ -90,9 +92,9 @@ type Options struct {
 	NoValueIndex bool
 	// NoReorder disables the planner's statistics-driven greedy
 	// ordering of commutable filter chains and the empty-fragment
-	// short-circuit: predicates evaluate strictly in source order,
-	// semijoins keep one probe direction. Results are identical; the
-	// knob exists for ablation and the ordering benchmarks.
+	// short-circuit: predicates evaluate strictly in source order.
+	// Results are identical; the knob exists for ablation and the
+	// ordering benchmarks.
 	NoReorder bool
 	// LegacyEval bypasses the plan compiler and evaluates with the
 	// pre-plan recursive step interpreter. Results are identical — the

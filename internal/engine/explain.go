@@ -4,14 +4,13 @@ package engine
 // query — the counterpart of the DB2 plan analysis in the paper's
 // Figure 3, now produced by the plan compiler: the operator tree with
 // the rewrite rules that fired, each operator's fragment source
-// (shared tag/kind index vs name-column scan), the pushdown decision
-// with the cost model's bound, and per-operator cardinalities.
+// (shared tag/kind index vs name-column scan), the pushdown decision,
+// and per-operator cardinalities.
 //
-// The context sizes the cost model decides with are unknown before
-// execution, so Explain *executes the plan* (plans in this engine are
-// cheap to run relative to parsing a 100 MB document) and reports the
-// actual decision taken and the actual cardinality at each operator,
-// next to the compile-time estimates.
+// Explain *executes the plan* (plans in this engine are cheap to run
+// relative to parsing a 100 MB document) and reports the decisions
+// taken and the actual cardinality at each operator, next to the
+// compile-time estimates.
 
 // Explain returns the executed plan tree in text form.
 func (e *Engine) Explain(query string, opts *Options) (string, error) {

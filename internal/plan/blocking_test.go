@@ -1,8 +1,8 @@
 package plan
 
-// Tests of chained pipeline breakers: a blocking step whose input is
-// itself blocking takes that input's materialised slice whole
-// (drainAll) instead of copying it batch by batch.
+// Tests of chained pipeline breakers: a blocking step opens its input
+// whole, so an input that is itself blocking hands over its materialised
+// slice in one batch instead of copying it batch by batch.
 
 import (
 	"context"
@@ -29,7 +29,7 @@ var blockingShapes = []string{
 }
 
 // blockingChains counts the AxisSteps of p whose input is an AxisStep,
-// the shape drainAll hands over whole.
+// the shape that hands its input over whole.
 func blockingChains(p *Plan) int {
 	n := 0
 	for _, o := range p.ops {

@@ -71,8 +71,6 @@ func canonOp(sb *strings.Builder, o op) {
 			canonOp(sb, in)
 		}
 		sb.WriteString(")")
-	case *fragScan:
-		fmt.Fprintf(sb, "frag(%s)", t.test)
 	}
 }
 

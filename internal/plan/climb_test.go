@@ -117,10 +117,10 @@ func climbsOf(p *Plan) []*semiJoinOp {
 	return out
 }
 
-// TestClimbCursorDirection: the cursor face sweeps a climb whose
-// fragment is no larger than its compile-time input bound and seeks
-// otherwise; NoReorder pins input-seek. After a sweep, the join below
-// has scanned at most the certified nodes plus one window.
+// TestClimbCursorDirection: a cursor sweeps a climb whose fragment is no
+// larger than its compile-time input bound and seeks otherwise, under
+// NoReorder too. After a sweep, the join below has scanned at most the
+// certified nodes plus one window.
 func TestClimbCursorDirection(t *testing.T) {
 	d := shredString(t, climbXML())
 	env := NewEnv(d)
@@ -136,7 +136,7 @@ func TestClimbCursorDirection(t *testing.T) {
 			for _, sj := range climbsOf(p) {
 				ost := lr.ops[sj.opID()]
 				want := probeInputSeek
-				if opts == nil && int64(ost.fragSize) <= sj.est.In {
+				if int64(ost.fragSize) <= sj.est.In {
 					want = probeFragSweep
 					sweeps[q] = true
 				}

@@ -29,7 +29,7 @@ func Compile(env *Env, l *Logical, opts *Options) (*Plan, error) {
 	var branches []op
 	for pi := range l.Paths {
 		lp := &l.Paths[pi]
-		cur := op(c.add(&sourceOp{docRoot: lp.Absolute}))
+		cur := op(add(c, &sourceOp{docRoot: lp.Absolute}))
 		estIn := int64(1)
 		if !lp.Absolute {
 			estIn = 4 // relative contexts are small node sets in practice
@@ -47,7 +47,7 @@ func Compile(env *Env, l *Logical, opts *Options) (*Plan, error) {
 	if len(branches) == 1 {
 		p.root = branches[0]
 	} else {
-		p.root = c.add(&mergeOp{ins: branches})
+		p.root = add(c, &mergeOp{ins: branches})
 	}
 	if !o.NoReorder {
 		c.orderPlan()
@@ -66,7 +66,7 @@ type compiler struct {
 }
 
 // add registers an operator in the plan's op table.
-func (c *compiler) add(o op) op {
+func add[T planNode](c *compiler, o T) T {
 	o.setID(len(c.p.ops))
 	c.p.ops = append(c.p.ops, o)
 	return o
@@ -101,7 +101,7 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 			// through the plan's memoised scan, not once per node.
 			c.newFragScan(s.Test)
 		}
-		c.add(pf)
+		add(c, pf)
 		return pf, maxInt64(pf.est.Out/2, 1), nil
 	}
 
@@ -117,7 +117,7 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 			if err != nil {
 				return nil, 0, err
 			}
-			cur = c.add(&predFilterOp{filterBase: fb, prog: prog})
+			cur = add(c, &predFilterOp{filterBase: fb, prog: prog})
 		}
 		estOut = fb.est.Out
 	}
@@ -155,17 +155,13 @@ func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bo
 			jo.frag = c.newFragScan(s.Test)
 		}
 		card := c.fragCard(s.Test)
-		jo.est = estimates{
-			In:    estIn,
-			Out:   estimateStep(d, s.Axis, card, estIn),
-			Bound: int64(d.Size()),
-		}
-		c.add(jo)
+		jo.est = estimates{In: estIn, Out: estimateStep(d, s.Axis, card, estIn)}
+		add(c, jo)
 		return jo
 	}
 	ao := &axisStepOp{in: in, meta: meta, a: s.Axis, test: s.Test, docNode: docNode}
 	ao.est = estimates{In: estIn, Out: estimateStep(d, s.Axis, c.fragCard(s.Test), estIn)}
-	c.add(ao)
+	add(c, ao)
 	return ao
 }
 
@@ -220,7 +216,7 @@ func (c *compiler) newFragScan(test xpath.NodeTest) *fragScan {
 		c.p.frags = make(map[xpath.NodeTest]*fragScan)
 	}
 	c.p.frags[test] = fs
-	c.add(fs)
+	add(c, fs)
 	return fs
 }
 
@@ -355,10 +351,10 @@ func (c *compiler) trySemiJoin(fb filterBase, owningAxis axis.Axis) *semiJoinOp 
 		sj.frag = c.newFragScan(last.Test)
 	} else {
 		vs.pa, vs.test = last.Axis, last.Test
-		c.add(vs)
+		add(c, vs)
 		sj.frag = vs
 	}
-	c.add(sj)
+	add(c, sj)
 	c.p.rewrites = append(c.p.rewrites, "semijoin")
 	return sj
 }

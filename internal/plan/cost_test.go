@@ -2,18 +2,19 @@ package plan
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
-	"staircase/internal/axis"
 	"staircase/internal/doc"
 )
 
-// TestFollowingBoundMatchesFullScan: the following-axis bound searches
-// only the first context node's subtree for the minimum-post node
-// (core.ReduceFollowing) and must equal the bound from a scan of the
-// whole context, so EXPLAIN's full-join bound lines keep their figures.
-func TestFollowingBoundMatchesFullScan(t *testing.T) {
-	fullScan := func(d *doc.Document, context []int32) int64 {
+// TestFollowingPrefixHoldsMinimumPost: a whole following join reads its
+// context only up to the first node beyond the first context node's
+// subtree (followingPrefix), in batches or in one, and that prefix holds
+// the minimum-post node of the whole context — the one node that decides
+// the result.
+func TestFollowingPrefixHoldsMinimumPost(t *testing.T) {
+	minPost := func(d *doc.Document, context []int32) int32 {
 		post := d.PostSlice()
 		best := context[0]
 		for _, c := range context[1:] {
@@ -21,7 +22,7 @@ func TestFollowingBoundMatchesFullScan(t *testing.T) {
 				best = c
 			}
 		}
-		return int64(d.Size()) - int64(best)
+		return best
 	}
 	// sample draws a sorted, duplicate-free context from [lo, hi) keeping
 	// each node with probability p.
@@ -55,8 +56,19 @@ func TestFollowingBoundMatchesFullScan(t *testing.T) {
 				if len(c.context) == 0 {
 					continue
 				}
-				if got, want := estimateJoinTouches(d, axis.Following, c.context), fullScan(d, c.context); got != want {
-					t.Fatalf("trial %d, %s, %s context of %d nodes: bound %d, full scan %d", trial, shape, c.name, len(c.context), got, want)
+				for _, whole := range []bool{false, true} {
+					in := &sliceCursor{nodes: c.context, whole: whole}
+					prefix, err := followingPrefix(d, in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(prefix) == 0 || !slices.Equal(prefix, c.context[:len(prefix)]) {
+						t.Fatalf("trial %d, %s, %s context: prefix %v is not a prefix of %v", trial, shape, c.name, prefix, c.context)
+					}
+					if got, want := minPost(d, prefix), minPost(d, c.context); got != want {
+						t.Fatalf("trial %d, %s, %s context of %d nodes: prefix of %d holds minimum-post %d, the whole context %d",
+							trial, shape, c.name, len(c.context), len(prefix), got, want)
+					}
 				}
 			}
 		}

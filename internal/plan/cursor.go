@@ -1,31 +1,41 @@
-// The cursor executor: the streaming face of the physical operators.
+// The cursor executor: the one face of the physical operators.
 //
-// Every operator implements open(ec) (cursor, error); a cursor yields
-// the operator's result as a sequence of bounded, strictly increasing
-// preorder batches (at most execBatchSize nodes per batch), pulled on
-// demand. Downstream consumers that stop early — Plan.RunLimit, the
-// engine's EvalFirst/EvalLimit, existence probes, positional [k]
-// predicates — simply stop pulling, and the suspended staircase kernels
-// (core.JoinCursor) never scan the document regions nobody asked for.
-// A join hands its kernel the batch buffer and takes back what one
-// window of that many positions yielded, node test applied inside the
-// scan; its context reaches the kernel as the input cursor's batches.
-// Memory stays bounded by the batch size for the pipelined operators;
-// the few inherently blocking spots (AxisStep's positional lookups,
-// reverse-axis PosFilter, the context drain of preceding) materialize
-// exactly what the semantics force them to. A following step reads its
-// context only as far as the first context node's subtree reaches and
-// leaves the operators below it suspended there.
+// Every executable operator implements open(ec, whole) (cursor, error);
+// a cursor yields the operator's result as a sequence of strictly
+// increasing preorder batches, pulled on demand. Plan.Run drains the
+// root cursor; Plan.RunLimit and Plan.Cursor pull only what they need,
+// and the suspended staircase kernels (core.JoinCursor) never scan the
+// document regions nobody asked for.
+//
+// A cursor opens in one of two modes, chosen by its consumer:
+//
+//   - Streaming: batches of at most execBatchSize nodes, valid until the
+//     following next call. A join hands its kernel the batch buffer and
+//     takes back what one window of that many positions yielded, node
+//     test applied inside the scan; its context reaches the kernel as
+//     the input cursor's batches.
+//   - Whole: the first batch is the operator's entire result and the
+//     next one is nil. A whole join drains its context and runs its
+//     kernel once at an unbounded window into a result sized by
+//     Equation (1) (core.Join, core.JoinNodeList). A consumer that needs
+//     its whole input — a whole join, AxisStep, a blocking PosFilter, a
+//     whole Merge — opens that input whole. A following join opens its
+//     input streaming even when whole: it reads its context only as far
+//     as the first context node's subtree reaches and leaves the
+//     operators below it suspended there.
+//
+// Ownership: a whole batch is the consumer's, to filter in place or to
+// return as Result.Nodes, with one exception — a pushed document-node
+// step lends its consumer the index list's own span when that consumer
+// only reads it (a StaircaseJoin or an AxisStep; joinOp.lend). A
+// streaming batch is released to the consumer until its next pull; a
+// filter may filter it in place.
 //
 // next additionally accepts a seekPre hint — the consumer's promise to
 // ignore result nodes with pre < seekPre — which operators translate
 // into scan-position jumps and node-list gallops inside the core
 // kernels (SemiJoin turns fragment spans into such hints; the public
 // Plan cursor exposes it as Seek).
-//
-// The materializing executor (op.run) remains the EXPLAIN and
-// full-result path; the differential suite pins cursor execution to
-// byte-identical node sequences.
 
 package plan
 
@@ -68,15 +78,48 @@ func (g *growBuf) take() []int32 {
 	return g.buf[:0]
 }
 
-// cursor is the streaming face of one physical operator. next returns
-// the next batch (strictly increasing pre ranks, each batch continuing
-// past the previous one) or nil when exhausted; batches are valid only
-// until the following next call. seekPre is the consumer's promise to
-// ignore nodes below it (0 disables). close releases the cursor chain;
-// it is idempotent.
+// cursor is the face of one physical operator. next returns the next
+// batch (strictly increasing pre ranks, each batch continuing past the
+// previous one) or nil when exhausted. seekPre is the consumer's
+// promise to ignore nodes below it (0 disables). close releases the
+// cursor chain; it is idempotent.
 type cursor interface {
 	next(seekPre int32) ([]int32, error)
 	close()
+}
+
+// reuse returns the cursor a reused execution kept for operator id, or
+// a new one; the caller overwrites it whole.
+func reuse[T any, PT interface {
+	*T
+	cursor
+}](ec *execCtx, id int) PT {
+	if ec.curs == nil {
+		return PT(new(T))
+	}
+	if c, ok := ec.curs[id].(PT); ok {
+		return c
+	}
+	c := PT(new(T))
+	ec.curs[id] = c
+	return c
+}
+
+// drain reads a cursor opened whole to its end: one batch, the
+// consumer's own unless lent.
+func drain(c cursor) ([]int32, error) {
+	var all []int32
+	for {
+		b, err := c.next(0)
+		if err != nil || b == nil {
+			return all, err
+		}
+		if all == nil {
+			all = b
+		} else {
+			all = append(all, b...)
+		}
+	}
 }
 
 // invariantChecks enables internal executor assertions (the
@@ -111,12 +154,12 @@ func assertSortedDedup(nodes []int32) {
 
 // --- generic cursors -------------------------------------------------------
 
-// sliceCursor batches out a materialised node sequence, honouring
-// seek by binary search.
+// sliceCursor batches out a materialised node sequence — the rest of it
+// at once when whole — honouring seek by binary search.
 type sliceCursor struct {
-	nodes  []int32
-	pos    int
-	onEmit func(n int)
+	nodes []int32
+	pos   int
+	whole bool
 }
 
 func (c *sliceCursor) next(seek int32) ([]int32, error) {
@@ -126,19 +169,22 @@ func (c *sliceCursor) next(seek int32) ([]int32, error) {
 	if c.pos >= len(c.nodes) {
 		return nil, nil
 	}
-	end := c.pos + execBatchSize
-	if end > len(c.nodes) {
-		end = len(c.nodes)
+	end := len(c.nodes)
+	if !c.whole {
+		end = min(end, c.pos+execBatchSize)
 	}
 	b := c.nodes[c.pos:end]
 	c.pos = end
-	if c.onEmit != nil {
-		c.onEmit(len(b))
-	}
 	return b, nil
 }
 
 func (c *sliceCursor) close() {}
+
+// emptyCursor is exhausted from the start.
+type emptyCursor struct{}
+
+func (emptyCursor) next(int32) ([]int32, error) { return nil, nil }
+func (emptyCursor) close()                      {}
 
 // searchNodes returns the smallest index i with nodes[i] >= pre.
 func searchNodes(nodes []int32, pre int32) int {
@@ -154,137 +200,252 @@ func searchNodes(nodes []int32, pre int32) int {
 	return lo
 }
 
+// blocker is an operator that evaluates its whole input at once: an
+// AxisStep, or a PosFilter on a reverse axis, from the document node or
+// drained whole.
+type blocker interface {
+	eval(ec *execCtx, in []int32) ([]int32, error)
+}
+
 // blockingCursor materializes its result on first use (a pipeline
-// breaker) and then batches it out like a sliceCursor. in is the input
-// pipeline the fill closure drains: close propagates into it.
+// breaker) and then batches it out like a sliceCursor. in is the input,
+// opened whole.
 type blockingCursor struct {
-	fill   func() ([]int32, error)
+	sliceCursor
+	ec     *execCtx
+	o      blocker
 	in     cursor
-	sc     sliceCursor
-	inited bool
+	filled bool
+}
+
+func newBlockingCursor(ec *execCtx, id int, o blocker, in cursor, whole bool) *blockingCursor {
+	c := reuse[blockingCursor](ec, id)
+	*c = blockingCursor{sliceCursor: sliceCursor{whole: whole}, ec: ec, o: o, in: in}
+	return c
 }
 
 func (c *blockingCursor) next(seek int32) ([]int32, error) {
-	if !c.inited {
-		nodes, err := c.fill()
+	if !c.filled {
+		c.filled = true
+		ctx, err := drain(c.in)
 		if err != nil {
 			return nil, err
 		}
-		c.sc.nodes = nodes
-		c.inited = true
+		if c.nodes, err = c.o.eval(c.ec, ctx); err != nil {
+			return nil, err
+		}
 	}
-	return c.sc.next(seek)
+	return c.sliceCursor.next(seek)
 }
 
 func (c *blockingCursor) close() { c.in.close() }
 
-// drainAll pulls a cursor to exhaustion, materialising its sequence.
-// A blocking cursor not read yet hands over its materialised slice
-// whole instead of batch by batch: the slice is the execution's own,
-// and no consumer of a drained context modifies it.
-func drainAll(c cursor) ([]int32, error) {
-	if bc, ok := c.(*blockingCursor); ok && !bc.inited {
-		nodes, err := bc.fill()
-		if err != nil {
-			return nil, err
-		}
-		bc.inited = true // and exhausted: sc holds nothing
-		return nodes, nil
-	}
-	var out []int32
-	for {
-		b, err := c.next(0)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out = append(out, b...)
-	}
+// --- Source ----------------------------------------------------------------
+
+// sourceCursor hands out the initial context, or the document root. Its
+// consumers only read it: the caller's initial slice is never written.
+type sourceCursor struct {
+	sliceCursor
+	ost  *opStat
+	root [1]int32
 }
 
-// --- Source / fragment scans ----------------------------------------------
-
-func (o *sourceOp) open(ec *execCtx) (cursor, error) {
-	var nodes []int32
+func (o *sourceOp) open(ec *execCtx, whole bool) (cursor, error) {
+	c := reuse[sourceCursor](ec, o.id)
+	*c = sourceCursor{sliceCursor: sliceCursor{nodes: ec.initial, whole: whole}, ost: &ec.ops[o.id]}
 	if o.docRoot {
-		nodes = []int32{ec.env.Doc.Root()}
-	} else {
-		nodes = ec.initial
+		c.root[0] = ec.env.Doc.Root()
+		c.nodes = c.root[:]
 	}
-	ost := &ec.ops[o.id]
-	ost.ran = true
-	return &sliceCursor{nodes: nodes, onEmit: func(n int) {
-		ost.in += n
-		ost.out += n
-	}}, nil
+	c.ost.ran = true
+	return c, nil
 }
 
-func (o *fragScan) open(ec *execCtx) (cursor, error) {
-	list, _ := o.nodes(ec.env.Doc, ec.opts)
-	// Batches are released to consumers, which may filter them in
-	// place; the memoised fragment is shared.
-	return &sliceCursor{nodes: append([]int32(nil), list...)}, nil
+func (c *sourceCursor) next(seek int32) ([]int32, error) {
+	b, _ := c.sliceCursor.next(seek)
+	c.ost.in += len(b)
+	c.ost.out += len(b)
+	return b, nil
 }
 
 // --- StaircaseJoin ---------------------------------------------------------
 
-// ctxSource adapts an input cursor to a core.NodeSource — the kernel
-// takes the input's batches as they are — optionally teeing every
-// context node that passes the or-self self test into a pending queue
-// the join stream merges back in (the streaming form of
-// core.MergeOrSelf over the context).
-type ctxSource struct {
-	in     cursor
-	inDone bool
-	pulled int
-	// or-self self side: the test and the columns it reads
-	selfOn bool
-	self   core.Emit
-	kind   []doc.Kind
-	name   []int32
-	pend   []int32
-}
-
-func (s *ctxSource) next() ([]int32, error) {
-	if s.inDone {
-		return nil, nil
-	}
-	b, err := s.in.next(0)
-	if err != nil || b == nil {
-		s.inDone = true
+func (o *joinOp) open(ec *execCtx, whole bool) (cursor, error) {
+	in, err := o.in.open(ec, whole && o.base != axis.Following)
+	if err != nil {
 		return nil, err
 	}
-	s.pulled += len(b)
-	if s.selfOn {
+	c := reuse[joinCursor](ec, o.id)
+	*c = joinCursor{ec: ec, o: o, st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id], in: in, whole: whole}
+	c.ost.ran = true
+	if whole {
+		return c, nil
+	}
+	d := ec.env.Doc
+	co := ec.coreOptions(c.st)
+	var frag []int32
+	pushed := false
+	if o.frag != nil {
+		frag, pushed = ec.pushdown(o.test, c.st, c.ost)
+	}
+	if o.orSelf || !pushed {
+		emit := emitFor(d, o.base, o.test)
+		if o.orSelf {
+			// (Under docNode the implicit document node's descendant set
+			// includes the root element itself: the same self side.)
+			c.selfOn, c.self = true, emit
+		}
+		if !pushed {
+			co.Emit = emit // a fragment already is the test
+		}
+	}
+	if pushed {
+		c.kernel, err = core.NewJoinNodeListCursor(d, o.base, frag, c.pullContext, &co)
+	} else {
+		c.kernel, err = core.NewJoinCursor(d, o.base, c.pullContext, &co)
+	}
+	if err != nil {
+		in.close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// joinCursor runs one staircase join step. Whole, it computes the step
+// in one kernel call on the first next. Streaming, it feeds its kernel
+// the input's batches and, on an or-self axis, tees every context node
+// that passes the self test into a pending queue merged back into the
+// kernel's output (the streaming form of core.MergeOrSelf over the
+// context).
+type joinCursor struct {
+	ec    *execCtx
+	o     *joinOp
+	st    *StepStats
+	ost   *opStat
+	in    cursor
+	whole bool
+
+	kernel core.JoinCursor
+	buf    growBuf
+	inDone bool
+	pulled int
+	selfOn bool
+	self   core.Emit
+	pend   []int32
+
+	kernelDone bool
+	done       bool
+}
+
+func (c *joinCursor) next(seek int32) ([]int32, error) {
+	if c.done {
+		return nil, nil
+	}
+	if err := c.ec.cancelled(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	var out []int32
+	var err error
+	if c.whole {
+		c.done = true
+		out, err = c.all()
+	} else {
+		out, err = c.pull(seek)
+	}
+	c.st.Duration += time.Since(start)
+	if len(out) == 0 {
+		return nil, err
+	}
+	return out, err
+}
+
+// all computes the whole step: the context drained (up to the first
+// context node's subtree end, on the following axis) and the kernel run
+// once at an unbounded window, or a pushed document-node step's span.
+func (c *joinCursor) all() ([]int32, error) {
+	o := c.o
+	var ctx, out []int32
+	var err error
+	if o.base == axis.Following {
+		ctx, err = followingPrefix(c.ec.env.Doc, c.in)
+	} else {
+		ctx, err = drain(c.in)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.docNode {
+		out, err = c.ec.docNodeStep(o.test, c.st, c.ost, o.lend)
+	} else {
+		out, err = c.ec.partitioning(o.base, o.orSelf, o.test, ctx, c.st, c.ost)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.st.InputSize, c.st.OutputSize = len(ctx), len(out)
+	c.ost.record(len(ctx), len(out))
+	c.ost.skipped = c.st.Core.Skipped
+	return out, nil
+}
+
+// followingPrefix reads a following step's context up to the first node
+// beyond the first node's subtree, the prefix that holds its
+// minimum-post node (core.ReduceFollowing), and leaves the rest unread.
+func followingPrefix(d *doc.Document, in cursor) ([]int32, error) {
+	var ctx []int32
+	hi := int32(-1)
+	for {
+		b, err := in.next(0)
+		if err != nil || b == nil {
+			return ctx, err
+		}
+		if hi < 0 {
+			hi = b[0] + d.SubtreeSize(b[0])
+		}
+		if i := searchNodes(b, hi); i < len(b) {
+			if ctx == nil {
+				return b[:i+1], nil // read before the input's next pull
+			}
+			return append(ctx, b[:i+1]...), nil
+		}
+		ctx = append(ctx, b...)
+	}
+}
+
+// pullContext is the streaming kernel's core.NodeSource: the input's
+// batches as they are, with the or-self self side teed off.
+func (c *joinCursor) pullContext() ([]int32, error) {
+	if c.inDone {
+		return nil, nil
+	}
+	b, err := c.in.next(0)
+	if err != nil || b == nil {
+		c.inDone = true
+		return nil, err
+	}
+	c.pulled += len(b)
+	if c.selfOn {
+		d := c.ec.env.Doc
+		kind, name := d.KindSlice(), d.NameSlice()
 		for _, v := range b {
-			if s.self.Pass(s.kind[v], s.name[v]) {
-				s.pend = append(s.pend, v)
+			if c.self.Pass(kind[v], name[v]) {
+				c.pend = append(c.pend, v)
 			}
 		}
 	}
 	return b, nil
 }
 
-// drain exhausts the underlying input (populating the self queue).
-func (s *ctxSource) drain() error {
-	for {
-		if b, err := s.next(); err != nil || b == nil {
-			return err
-		}
-	}
-}
-
 // takePend pops the pending self nodes <= hi, dropping those below the
 // seek hint.
-func (s *ctxSource) takePend(hi, seek int32) []int32 {
+func (c *joinCursor) takePend(hi, seek int32) []int32 {
 	i := 0
-	for i < len(s.pend) && s.pend[i] <= hi {
+	for i < len(c.pend) && c.pend[i] <= hi {
 		i++
 	}
-	out := s.pend[:i]
-	s.pend = s.pend[i:]
+	out := c.pend[:i]
+	c.pend = c.pend[i:]
 	j := 0
 	for j < len(out) && out[j] < seek {
 		j++
@@ -292,94 +453,10 @@ func (s *ctxSource) takePend(hi, seek int32) []int32 {
 	return out[j:]
 }
 
-// streamPush decides name-test pushdown for the cursor executor. The
-// materializing path decides from the actual context's touch bound;
-// a streaming join never sees its whole context up front, so the
-// cursor pushes whenever the fragment comes from the shared index
-// (binary-search bounded partitions beat rescans in every regime the
-// cost model distinguishes) and under PushAlways even without it.
-func streamPush(opts *Options, indexed bool) bool {
-	return opts.Pushdown == PushAlways || indexed
-}
-
-func (o *joinOp) open(ec *execCtx) (cursor, error) {
-	in, err := o.in.open(ec)
-	if err != nil {
-		return nil, err
-	}
-	d := ec.env.Doc
-	st := &ec.steps[o.meta.ord-1]
-	ost := &ec.ops[o.id]
-	ost.ran = true
-	co := &core.Options{Variant: o.variant, Stats: &st.Core}
-
-	src := &ctxSource{in: in}
-
-	pushed := false
-	var frag []int32
-	if o.frag != nil && ec.opts.Pushdown != PushNever {
-		if list, indexed := o.frag.nodes(d, ec.opts); streamPush(ec.opts, indexed) {
-			pushed = true
-			st.Pushed, st.Indexed = true, indexed
-			ost.pushed, ost.indexed = true, indexed
-			ost.fragSize = len(list)
-			frag = list
-			if invariantChecks {
-				assertFragment(d, frag)
-			}
-		}
-	}
-	if o.orSelf || !pushed {
-		emit := emitFor(d, o.base, o.test)
-		if o.orSelf {
-			// (Under docNode the implicit document node's descendant set
-			// includes the root element itself: the same self side.)
-			src.selfOn, src.self = true, emit
-			src.kind, src.name = d.KindSlice(), d.NameSlice()
-		}
-		if !pushed {
-			co.Emit = emit // a fragment already is the test
-		}
-	}
-	var kernel core.JoinCursor
-	if pushed {
-		kernel, err = core.NewJoinNodeListCursor(d, o.base, frag, src.next, co)
-	} else {
-		kernel, err = core.NewJoinCursor(d, o.base, src.next, co)
-	}
-	if err != nil {
-		in.close()
-		return nil, err
-	}
-	return &joinStreamCursor{ec: ec, st: st, ost: ost, src: src, kernel: kernel}, nil
-}
-
-type joinStreamCursor struct {
-	ec     *execCtx
-	st     *StepStats
-	ost    *opStat
-	src    *ctxSource
-	kernel core.JoinCursor
-	buf    growBuf
-
-	kernelDone bool
-	done       bool
-}
-
-func (c *joinStreamCursor) next(seek int32) ([]int32, error) {
-	if c.done {
-		return nil, nil
-	}
-	start := time.Now()
-	out, err := c.pull(seek)
-	c.st.Duration += time.Since(start)
-	return out, err
-}
-
 // pull asks the kernel for windows until one yields nodes (the kernel's
 // own output is the step's result: the emit test runs inside its scan)
 // or the join is exhausted.
-func (c *joinStreamCursor) pull(seek int32) ([]int32, error) {
+func (c *joinCursor) pull(seek int32) ([]int32, error) {
 	for {
 		if err := c.ec.cancelled(); err != nil {
 			return nil, err
@@ -392,27 +469,31 @@ func (c *joinStreamCursor) pull(seek int32) ([]int32, error) {
 			}
 			out, c.kernelDone = b, b == nil
 		}
-		if c.src.selfOn {
+		if c.selfOn {
 			if c.kernelDone {
 				// Kernels drain their context before finishing, except
 				// over an empty fragment: finish the drain so the self
 				// queue is complete, then flush it.
-				if err := c.src.drain(); err != nil {
-					return nil, err
+				for {
+					if b, err := c.pullContext(); err != nil {
+						return nil, err
+					} else if b == nil {
+						break
+					}
 				}
-				out = core.MergeOrSelf(out, c.src.takePend(math.MaxInt32, seek))
+				out = core.MergeOrSelf(out, c.takePend(math.MaxInt32, seek))
 			} else if len(out) > 0 {
 				// Self nodes up to the batch ceiling can no longer be
 				// interleaved by future kernel output (which is strictly
 				// increasing past it).
-				out = core.MergeOrSelf(out, c.src.takePend(out[len(out)-1], seek))
+				out = core.MergeOrSelf(out, c.takePend(out[len(out)-1], seek))
 			}
 		}
-		if c.kernelDone && (!c.src.selfOn || len(c.src.pend) == 0) {
+		if c.kernelDone && (!c.selfOn || len(c.pend) == 0) {
 			c.done = true
 		}
-		c.ost.in = c.src.pulled
-		c.st.InputSize = c.src.pulled
+		c.ost.in = c.pulled
+		c.st.InputSize = c.pulled
 		c.ost.skipped = c.st.Core.Skipped
 		if len(out) > 0 {
 			c.ost.out += len(out)
@@ -425,35 +506,29 @@ func (c *joinStreamCursor) pull(seek int32) ([]int32, error) {
 	}
 }
 
-func (c *joinStreamCursor) close() { c.src.in.close() }
+func (c *joinCursor) close() { c.in.close() }
 
 // --- AxisStep (pipeline breaker) ------------------------------------------
 
-func (o *axisStepOp) open(ec *execCtx) (cursor, error) {
-	in, err := o.in.open(ec)
+func (o *axisStepOp) open(ec *execCtx, whole bool) (cursor, error) {
+	in, err := o.in.open(ec, true)
 	if err != nil {
 		return nil, err
 	}
-	return &blockingCursor{in: in, fill: func() ([]int32, error) {
-		ctxNodes, err := drainAll(in)
-		if err != nil {
-			return nil, err
-		}
-		return o.eval(ec, ctxNodes)
-	}}, nil
+	return newBlockingCursor(ec, o.id, o, in, whole), nil
 }
 
 // --- PredFilter ------------------------------------------------------------
 
-func (o *predFilterOp) open(ec *execCtx) (cursor, error) {
-	in, err := o.in.open(ec)
+func (o *predFilterOp) open(ec *execCtx, whole bool) (cursor, error) {
+	in, err := o.in.open(ec, whole)
 	if err != nil {
 		return nil, err
 	}
-	return &predFilterCursor{
-		ec: ec, o: o, in: in,
-		st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id],
-	}, nil
+	c := reuse[predFilterCursor](ec, o.id)
+	*c = predFilterCursor{ec: ec, o: o, in: in, st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id]}
+	c.ost.ran = true
+	return c, nil
 }
 
 type predFilterCursor struct {
@@ -466,10 +541,7 @@ type predFilterCursor struct {
 }
 
 func (c *predFilterCursor) next(seek int32) ([]int32, error) {
-	if c.done {
-		return nil, nil
-	}
-	for {
+	for !c.done {
 		if err := c.ec.cancelled(); err != nil {
 			return nil, err
 		}
@@ -479,13 +551,18 @@ func (c *predFilterCursor) next(seek int32) ([]int32, error) {
 		}
 		if b == nil {
 			c.done = true
-			return nil, nil
+			break
 		}
 		start := time.Now()
-		// Filter in place: b is the producing operator's batch buffer,
-		// released to us until our next pull.
+		// Filter in place: b is the consumer's (whole) or released to it
+		// until the next pull (streaming).
 		out := b[:0]
-		for _, v := range b {
+		for i, v := range b {
+			if i&1023 == 1023 {
+				if err := c.ec.cancelled(); err != nil {
+					return nil, err
+				}
+			}
 			ok, err := c.o.prog.holds(c.ec, v)
 			if err != nil {
 				return nil, err
@@ -495,7 +572,6 @@ func (c *predFilterCursor) next(seek int32) ([]int32, error) {
 			}
 		}
 		c.st.Duration += time.Since(start)
-		c.ost.ran = true
 		c.ost.in += len(b)
 		c.ost.out += len(out)
 		c.st.OutputSize = c.ost.out
@@ -503,30 +579,28 @@ func (c *predFilterCursor) next(seek int32) ([]int32, error) {
 			return out, nil
 		}
 	}
+	return nil, nil
 }
 
 func (c *predFilterCursor) close() { c.in.close() }
 
 // --- PosFilter -------------------------------------------------------------
 
-func (o *posFilterOp) open(ec *execCtx) (cursor, error) {
-	in, err := o.in.open(ec)
+func (o *posFilterOp) open(ec *execCtx, whole bool) (cursor, error) {
+	// Reverse axes number proximity positions backwards and emit
+	// per-context results in reverse document order: inherently
+	// blocking. The document-node case is a single evaluation.
+	blocks := whole || o.docNode || o.step.Axis.Reverse()
+	in, err := o.in.open(ec, blocks)
 	if err != nil {
 		return nil, err
 	}
-	if o.docNode || o.step.Axis.Reverse() {
-		// Reverse axes number proximity positions backwards and emit
-		// per-context results in reverse document order: inherently
-		// blocking. The document-node case is a single evaluation.
-		return &blockingCursor{in: in, fill: func() ([]int32, error) {
-			ctxNodes, err := drainAll(in)
-			if err != nil {
-				return nil, err
-			}
-			return o.eval(ec, ctxNodes)
-		}}, nil
+	if blocks {
+		return newBlockingCursor(ec, o.id, o, in, whole), nil
 	}
-	return &posFilterCursor{ec: ec, o: o, in: in, st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id]}, nil
+	c := reuse[posFilterCursor](ec, o.id)
+	*c = posFilterCursor{ec: ec, o: o, in: in, st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id]}
+	return c, nil
 }
 
 // posFilterCursor streams a forward-axis positional step: context
@@ -579,10 +653,7 @@ func (c *posFilterCursor) next(seek int32) ([]int32, error) {
 			return nil, err
 		}
 		if c.rpos < len(c.ready) {
-			end := c.rpos + execBatchSize
-			if end > len(c.ready) {
-				end = len(c.ready)
-			}
+			end := min(c.rpos+execBatchSize, len(c.ready))
 			b := c.ready[c.rpos:end]
 			c.rpos = end
 			c.ost.out += len(b)
@@ -608,7 +679,7 @@ func (c *posFilterCursor) next(seek int32) ([]int32, error) {
 		c.ost.in++
 		c.st.InputSize = c.ost.in
 		start := time.Now()
-		rs, err := c.o.evalOneCapped(c.ec, v, c.st)
+		rs, err := c.o.evalOne(c.ec, v, c.st, c.ost)
 		c.st.Duration += time.Since(start)
 		if err != nil {
 			return nil, err
@@ -629,45 +700,23 @@ func (c *posFilterCursor) next(seek int32) ([]int32, error) {
 
 func (c *posFilterCursor) close() { c.in.close() }
 
-// evalOneCapped is evalOne with the [k] early-stop enabled (cursor
-// path only: the materializing executor keeps its exact work counters).
-func (o *posFilterOp) evalOneCapped(ec *execCtx, c int32, st *StepStats) ([]int32, error) {
-	if k := o.firstK(); k > 0 && !o.step.Axis.Reverse() && !o.docNode {
-		nodes, err := ec.axisTestFirstK(o.step.Axis, o.step.Test, c, k, st)
-		if err != nil {
-			return nil, err
-		}
-		for _, prog := range o.progs {
-			nodes, err = applyPositional(ec, nodes, prog)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return nodes, nil
-	}
-	return o.evalOne(ec, c, st)
-}
-
 // axisTestFirstK evaluates axis::test for one context node, stopping
 // after the first k candidates. For the streaming partitioning axes
 // the early stop reaches the staircase kernels — the rest of the
 // partition is skipped, never scanned; the remaining (positional,
 // cheap) axes evaluate normally and truncate.
-func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k int, st *StepStats) ([]int32, error) {
+func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k int, st *StepStats, ost *opStat) ([]int32, error) {
 	base := a
 	switch a {
 	case axis.Descendant, axis.Following:
 	case axis.DescendantOrSelf:
 		base = axis.Descendant
 	default:
-		nodes, err := ec.axisTest(a, test, []int32{c}, st)
-		if err != nil {
-			return nil, err
-		}
+		nodes, err := ec.axisTest(a, test, []int32{c}, st, ost)
 		if len(nodes) > k {
 			nodes = nodes[:k]
 		}
-		return nodes, nil
+		return nodes, err
 	}
 	d := ec.env.Doc
 	var out []int32
@@ -677,17 +726,11 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 	co := ec.coreOptions(st)
 	var kernel core.JoinCursor
 	var err error
-	if ec.opts.Pushdown != PushNever && pushable(test) {
-		if list, indexed, ok := ec.fragList(test); ok && streamPush(ec.opts, indexed) {
-			if invariantChecks {
-				assertFragment(d, list)
-			}
-			kernel, err = core.NewJoinNodeListCursor(d, base, list, core.SliceSource([]int32{c}), co)
-		}
-	}
-	if kernel == nil && err == nil {
+	if list, pushed := ec.pushdown(test, st, ost); pushed {
+		kernel, err = core.NewJoinNodeListCursor(d, base, list, core.SliceSource([]int32{c}), &co)
+	} else {
 		co.Emit = emitFor(d, base, test)
-		kernel, err = core.NewJoinCursor(d, base, core.SliceSource([]int32{c}), co)
+		kernel, err = core.NewJoinCursor(d, base, core.SliceSource([]int32{c}), &co)
 	}
 	if err != nil {
 		return nil, err
@@ -701,44 +744,46 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 		if b == nil {
 			break
 		}
-		take := k - len(out)
-		if take > len(b) {
-			take = len(b)
-		}
-		out = append(out, b[:take]...)
+		out = append(out, b[:min(k-len(out), len(b))]...)
 	}
 	return out, nil
 }
 
 // --- Merge -----------------------------------------------------------------
 
-func (o *mergeOp) open(ec *execCtx) (cursor, error) {
-	ins := make([]cursor, len(o.ins))
+func (o *mergeOp) open(ec *execCtx, whole bool) (cursor, error) {
+	c := reuse[mergeCursor](ec, o.id)
+	*c = mergeCursor{ec: ec, ost: &ec.ops[o.id], ins: make([]mergeIn, len(o.ins)), whole: whole}
 	for i, in := range o.ins {
-		c, err := in.open(ec)
+		b, err := in.open(ec, whole)
 		if err != nil {
+			c.close()
 			return nil, err
 		}
-		ins[i] = c
+		c.ins[i].c = b
 	}
-	return &mergeCursor{
-		ec: ec, ost: &ec.ops[o.id], ins: ins,
-		heads: make([][]int32, len(ins)), pos: make([]int, len(ins)),
-		fin: make([]bool, len(ins)),
-	}, nil
+	c.ost.ran = true
+	return c, nil
 }
 
-// mergeCursor is the streaming '|' union: a k-way merge with
-// duplicate elimination over the branch cursors.
+// mergeCursor is the '|' union: whole, the branches' results merged
+// pairwise; streaming, a k-way merge with duplicate elimination over the
+// branch cursors.
 type mergeCursor struct {
 	ec    *execCtx
 	ost   *opStat
-	ins   []cursor
-	heads [][]int32
-	pos   []int
-	fin   []bool
+	ins   []mergeIn
 	buf   growBuf
+	whole bool
 	done  bool
+}
+
+// mergeIn is one branch of a merge: its cursor and current batch.
+type mergeIn struct {
+	c    cursor
+	head []int32
+	pos  int
+	fin  bool
 }
 
 func (c *mergeCursor) next(seek int32) ([]int32, error) {
@@ -748,28 +793,43 @@ func (c *mergeCursor) next(seek int32) ([]int32, error) {
 	if err := c.ec.cancelled(); err != nil {
 		return nil, err
 	}
+	if c.whole {
+		c.done = true
+		var acc []int32
+		for i := range c.ins {
+			b, err := drain(c.ins[i].c)
+			if err != nil {
+				return nil, err
+			}
+			c.ost.in += len(b)
+			acc = core.MergeOrSelf(acc, b)
+		}
+		c.ost.out = len(acc)
+		return acc, nil
+	}
 	out := c.buf.take()
 	for len(out) < cap(out) {
 		// Refill exhausted heads.
 		for i := range c.ins {
-			for !c.fin[i] && c.pos[i] >= len(c.heads[i]) {
-				b, err := c.ins[i].next(seek)
+			in := &c.ins[i]
+			for !in.fin && in.pos >= len(in.head) {
+				b, err := in.c.next(seek)
 				if err != nil {
 					return nil, err
 				}
 				if b == nil {
-					c.fin[i] = true
+					in.fin = true
 					break
 				}
 				c.ost.in += len(b)
-				c.heads[i], c.pos[i] = b, 0
+				in.head, in.pos = b, 0
 			}
 		}
-		min := int32(math.MaxInt32)
+		least := int32(math.MaxInt32)
 		found := false
 		for i := range c.ins {
-			if !c.fin[i] && c.pos[i] < len(c.heads[i]) && c.heads[i][c.pos[i]] < min {
-				min = c.heads[i][c.pos[i]]
+			if in := &c.ins[i]; !in.fin && in.head[in.pos] < least {
+				least = in.head[in.pos]
 				found = true
 			}
 		}
@@ -778,13 +838,12 @@ func (c *mergeCursor) next(seek int32) ([]int32, error) {
 			break
 		}
 		for i := range c.ins {
-			if !c.fin[i] && c.pos[i] < len(c.heads[i]) && c.heads[i][c.pos[i]] == min {
-				c.pos[i]++
+			if in := &c.ins[i]; !in.fin && in.head[in.pos] == least {
+				in.pos++
 			}
 		}
-		out = append(out, min)
+		out = append(out, least)
 	}
-	c.ost.ran = true
 	c.ost.out += len(out)
 	if len(out) == 0 {
 		return nil, nil
@@ -794,7 +853,9 @@ func (c *mergeCursor) next(seek int32) ([]int32, error) {
 
 func (c *mergeCursor) close() {
 	for _, in := range c.ins {
-		in.close()
+		if in.c != nil {
+			in.c.close()
+		}
 	}
 }
 
@@ -812,16 +873,23 @@ type RunCursor struct {
 	exhausted bool
 }
 
+// open starts an execution: the root operator's cursor, streaming or
+// whole.
+func (p *Plan) open(ctx context.Context, initial []int32, whole bool) (RunCursor, error) {
+	ec := p.newExecCtx(ctx, initial)
+	root, err := p.root.open(ec, whole)
+	return RunCursor{ec: ec, root: root}, err
+}
+
 // Cursor opens a streaming execution with the given initial context
 // (nil ctx never cancels). The caller should Close the cursor when
 // done; draining it closes it implicitly.
 func (p *Plan) Cursor(ctx context.Context, initial []int32) (*RunCursor, error) {
-	ec := p.newExecCtx(ctx, initial)
-	root, err := p.root.open(ec)
+	c, err := p.open(ctx, initial, false)
 	if err != nil {
 		return nil, err
 	}
-	return &RunCursor{ec: ec, root: root}, nil
+	return &c, nil
 }
 
 // CursorRoot opens a streaming execution with the document root as
@@ -871,50 +939,3 @@ func (c *RunCursor) Close() { c.root.close() }
 // Steps returns the per-step statistics accumulated so far (final
 // after exhaustion or Close).
 func (c *RunCursor) Steps() []StepStats { return c.ec.steps }
-
-// RunLimit executes the plan through the cursor executor and stops
-// after limit result nodes: the streaming LIMIT operator. The
-// result's Truncated field reports whether further results may exist
-// (exact when the limit was hit mid-batch; conservatively true when
-// the cursor stopped exactly at the limit). limit <= 0 runs to
-// completion via the materializing executor.
-func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Result, error) {
-	if limit <= 0 {
-		return p.RunCtx(ctx, initial)
-	}
-	cur, err := p.Cursor(ctx, initial)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	capHint := limit
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	nodes := make([]int32, 0, capHint)
-	truncated := false
-	for len(nodes) < limit {
-		b, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		take := limit - len(nodes)
-		if len(b) > take {
-			truncated = true
-			b = b[:take]
-		}
-		nodes = append(nodes, b...)
-	}
-	if !truncated && !cur.Exhausted() {
-		truncated = true // stopped exactly at the limit: more may exist
-	}
-	return &Result{Nodes: nodes, Steps: cur.ec.steps, Truncated: truncated, ops: cur.ec.ops}, nil
-}
-
-// RunLimitRoot is RunLimit from the document root.
-func (p *Plan) RunLimitRoot(ctx context.Context, limit int) (*Result, error) {
-	return p.RunLimit(ctx, []int32{p.env.Doc.Root()}, limit)
-}

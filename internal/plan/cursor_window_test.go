@@ -176,9 +176,9 @@ func TestFollowingCursorStopsPulling(t *testing.T) {
 }
 
 // TestFollowingStepLeavesUpstreamSuspended: ten nodes of
-// //item//text()/following::keyword need the first text node of the
-// first item and nothing else of the two upstream steps, however large
-// the document is.
+// //item//text()/following::keyword, and all of them through Plan.Run,
+// need the first text node of the first item and nothing else of the
+// two upstream steps, however large the document is.
 func TestFollowingStepLeavesUpstreamSuspended(t *testing.T) {
 	var upstream [2]int64
 	for i, mb := range []float64{4, 16} {
@@ -201,13 +201,15 @@ func TestFollowingStepLeavesUpstreamSuspended(t *testing.T) {
 		if len(res.Steps) != 3 || res.Steps[2].Axis != axis.Following {
 			t.Fatalf("%v MB: steps %+v, want the following step third", mb, res.Steps)
 		}
-		if cs := res.Steps[2].Core.ContextSize; cs > 2 {
-			t.Errorf("%v MB: following step read %d context nodes, want <= 2", mb, cs)
+		for _, r := range []*Result{res, full} {
+			if cs := r.Steps[2].Core.ContextSize; cs > 2 {
+				t.Errorf("%v MB: following step read %d context nodes, want <= 2", mb, cs)
+			}
 		}
 		upstream[i] = res.Steps[0].Core.Scanned + res.Steps[1].Core.Scanned
 		fullUp := full.Steps[0].Core.Scanned + full.Steps[1].Core.Scanned
-		if upstream[i] > 2*execBatchMin || fullUp < 100*upstream[i] {
-			t.Errorf("%v MB: upstream steps scanned %d nodes under limit 10 (want <= %d), %d in full", mb, upstream[i], 2*execBatchMin, fullUp)
+		if upstream[i] > 2*execBatchMin || fullUp > 2*execBatchMin {
+			t.Errorf("%v MB: upstream steps scanned %d nodes under limit 10, %d in full (want <= %d)", mb, upstream[i], fullUp, 2*execBatchMin)
 		}
 		t.Logf("%v MB: upstream steps scanned %d nodes under limit 10, %d in full", mb, upstream[i], fullUp)
 	}

@@ -1,6 +1,7 @@
-// Plan execution: the executor walks the operator tree, pulling node
-// sequences through the operators and recording per-operator and
-// per-step statistics for EXPLAIN and the engine's step reports.
+// Plan execution: every run opens the root operator's cursor
+// (cursor.go) and pulls node sequences through the operator tree,
+// recording per-operator and per-step statistics for EXPLAIN and the
+// engine's step reports.
 
 package plan
 
@@ -47,29 +48,18 @@ type opStat struct {
 	// regions plus, under streaming execution, seek jumps and regions
 	// never scanned because a downstream consumer stopped early.
 	skipped int64
-	// bound is the cost model's full-join touch bound from the actual
-	// context.
-	bound int64
-	// probeDir records the semijoin probe direction actually taken:
-	// probeFragSweep partitions the fragment (one staircase sweep over
-	// input+fragment), probeInputSeek probes each input node into the
-	// fragment by binary search (chosen when the input is much smaller).
+	// probeDir records the semijoin probe direction taken: probeFragSweep
+	// walks a climb's certified set, probeInputSeek probes each input
+	// node into the fragment by binary search.
 	probeDir int8
 }
 
 // Semijoin probe directions (opStat.probeDir).
 const (
 	probeUnset     int8 = iota
-	probeFragSweep      // sweep: fragment partitions the input
+	probeFragSweep      // sweep: the climb's certified set drives the input
 	probeInputSeek      // seek: each input node binary-probes the fragment
 )
-
-// probeFromInput decides the semijoin probe direction from the actual
-// cardinalities: per-input binary probes (O(n log f)) beat the linear
-// fragment sweep (O(n + f)) when the fragment dwarfs the input.
-func probeFromInput(in, frag int) bool {
-	return in > 0 && frag/in >= 16
-}
 
 func (s *opStat) record(in, out int) {
 	s.ran = true
@@ -85,14 +75,10 @@ type execCtx struct {
 	ops     []opStat
 	steps   []StepStats
 	// ctx carries cancellation into the execution; operators check it
-	// between batches (streaming) and at operator/loop boundaries
-	// (materializing), so server timeouts and client disconnects stop
-	// running joins. nil means "never cancelled".
+	// between batches and inside per-node loops, so server timeouts and
+	// client disconnects stop running joins. nil means "never
+	// cancelled".
 	ctx context.Context
-	// cur points at the opStat of the operator currently evaluating a
-	// partitioning axis, so the shared helpers can record the cost
-	// bounds and decisions they compute.
-	cur *opStat
 	// frags is the plan's fragment scans by node test, so the shared
 	// partitioning helper reuses their memoised lists instead of
 	// re-probing the index maps (or, under NoIndex, re-scanning the
@@ -101,6 +87,10 @@ type execCtx struct {
 	// subs holds the execution each predicate sub-plan reuses for every
 	// candidate node of this execution (predProg.evalSub).
 	subs map[*predProg]*execCtx
+	// curs keeps each operator's cursor for the next open of the same
+	// operator, indexed by op id; nil unless the execution is reused
+	// (a predicate sub-plan's, opened once per candidate node).
+	curs []cursor
 }
 
 // fragList resolves the fragment list for a node test, serving it from
@@ -144,7 +134,7 @@ type Plan struct {
 	opts     Options
 	logical  *Logical
 	root     op
-	ops      []op        // all operators, indexed by op id
+	ops      []planNode  // all operators, indexed by op id
 	metas    []*stepMeta // one per location step, in step order
 	rewrites []string    // logical + physical rewrites applied
 	// frags holds one fragment scan per pushable node test, shared by
@@ -207,23 +197,70 @@ func (p *Plan) Canon() string {
 // branches (absolute branches always start at the document root);
 // pass the document root for the conventional whole-document query.
 func (p *Plan) Run(initial []int32) (*Result, error) {
-	return p.RunCtx(nil, initial)
+	return p.RunLimit(nil, initial, 0)
 }
 
-// RunCtx is Run with cancellation: the execution checks ctx at
-// operator boundaries and inside per-node loops, returning ctx's
-// error once it is cancelled. A nil ctx never cancels.
+// RunCtx is Run with cancellation: the execution checks ctx between
+// batches and inside per-node loops, returning ctx's error once it is
+// cancelled. A nil ctx never cancels.
 func (p *Plan) RunCtx(ctx context.Context, initial []int32) (*Result, error) {
-	ec := p.newExecCtx(ctx, initial)
-	nodes, err := p.root.run(ec)
+	return p.RunLimit(ctx, initial, 0)
+}
+
+// RunRoot executes the plan with the document root as initial context
+// (the conventional whole-document evaluation).
+func (p *Plan) RunRoot() (*Result, error) {
+	return p.Run([]int32{p.env.Doc.Root()})
+}
+
+// RunLimit executes the plan and stops after limit result nodes: the
+// streaming LIMIT operator. The result's Truncated field reports
+// whether further results may exist (exact when the limit was hit
+// mid-batch; conservatively true when the cursor stopped exactly at the
+// limit). limit <= 0 drains the plan: the root cursor opens whole and
+// hands over its result in one batch, which becomes Result.Nodes.
+func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Result, error) {
+	whole := limit <= 0
+	cur, err := p.open(ctx, initial, whole)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Nodes: nodes, Steps: ec.steps, ops: ec.ops}, nil
+	defer cur.Close()
+	var nodes []int32
+	if !whole {
+		nodes = make([]int32, 0, min(limit, 4096))
+	}
+	truncated := false
+	for whole || len(nodes) < limit {
+		b, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		if take := limit - len(nodes); !whole && len(b) > take {
+			truncated = true
+			b = b[:take]
+		}
+		if whole && nodes == nil {
+			nodes = b // a whole batch is the caller's
+		} else {
+			nodes = append(nodes, b...)
+		}
+	}
+	if !truncated && !cur.Exhausted() {
+		truncated = true // stopped exactly at the limit: more may exist
+	}
+	return &Result{Nodes: nodes, Steps: cur.ec.steps, Truncated: truncated, ops: cur.ec.ops}, nil
 }
 
-// newExecCtx builds the per-execution state shared by the
-// materializing and streaming executors.
+// RunLimitRoot is RunLimit from the document root.
+func (p *Plan) RunLimitRoot(ctx context.Context, limit int) (*Result, error) {
+	return p.RunLimit(ctx, []int32{p.env.Doc.Root()}, limit)
+}
+
+// newExecCtx builds the per-execution state.
 func (p *Plan) newExecCtx(ctx context.Context, initial []int32) *execCtx {
 	ec := &execCtx{
 		env:     p.env,
@@ -239,10 +276,4 @@ func (p *Plan) newExecCtx(ctx context.Context, initial []int32) *execCtx {
 		ec.steps[i].Axis = m.axis
 	}
 	return ec
-}
-
-// RunRoot executes the plan with the document root as initial context
-// (the conventional whole-document evaluation).
-func (p *Plan) RunRoot() (*Result, error) {
-	return p.Run([]int32{p.env.Doc.Root()})
 }

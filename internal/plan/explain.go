@@ -52,7 +52,6 @@ type ExplainNode struct {
 	Pushed   bool   `json:"pushed,omitempty"`
 	Indexed  bool   `json:"indexed,omitempty"`
 	Fragment int    `json:"fragment,omitempty"`
-	Bound    int64  `json:"bound,omitempty"`
 	// Fragment-scan leaves: the fragment source and exact statistics.
 	Source string `json:"source,omitempty"` // "shared tag/kind index" or "name-column scan"
 	Count  int64  `json:"count,omitempty"`
@@ -95,7 +94,7 @@ func (p *Plan) explainTree(res *Result) *ExplainTree {
 // predicate, step or test string EXPLAIN repeats for it. Prepared
 // plans are explained many times; the strings are rendered once,
 // lazily, alongside the canon cache.
-func (p *Plan) opDetail(o op) string {
+func (p *Plan) opDetail(o planNode) string {
 	p.displayOnce.Do(func() {
 		p.display = make([]string, len(p.ops))
 		for i, q := range p.ops {
@@ -129,7 +128,7 @@ func probeDirName(d int8) string {
 	return ""
 }
 
-func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
+func (p *Plan) explainNode(o planNode, res *Result) *ExplainNode {
 	n := &ExplainNode{Op: opName(o, &p.opts)}
 	var ost *opStat
 	if res != nil {
@@ -203,7 +202,6 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 		if ost.fragSize > 0 {
 			n.Fragment = ost.fragSize
 		}
-		n.Bound = ost.bound
 	}
 	for _, kid := range o.kids() {
 		n.Children = append(n.Children, p.explainNode(kid, res))
@@ -212,7 +210,7 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 }
 
 // opName names the physical operator.
-func opName(o op, opts *Options) string {
+func opName(o planNode, opts *Options) string {
 	switch o.(type) {
 	case *sourceOp:
 		return "Source"
@@ -278,7 +276,7 @@ func (p *Plan) ExplainText(res *Result) string {
 }
 
 // renderOp prints one operator and recurses into its inputs.
-func (p *Plan) renderOp(sb *strings.Builder, o op, res *Result, depth int) {
+func (p *Plan) renderOp(sb *strings.Builder, o planNode, res *Result, depth int) {
 	pad := strings.Repeat("  ", depth)
 	line := func(format string, args ...any) {
 		sb.WriteString(pad)
@@ -393,7 +391,7 @@ func (p *Plan) renderPushdown(t *joinOp, ost *opStat, line func(string, ...any))
 	switch {
 	case ost == nil || !ost.ran:
 		if t.frag != nil {
-			line("  pushdown: candidate fragment scan attached (policy %s, decided at execution from the context bound)", p.opts.Pushdown)
+			line("  pushdown: candidate fragment scan attached (policy %s)", p.opts.Pushdown)
 		} else {
 			line("  pushdown: disabled (mode %s)", p.opts.Pushdown)
 		}
@@ -402,16 +400,13 @@ func (p *Plan) renderPushdown(t *joinOp, ost *opStat, line func(string, ...any))
 		if t.frag != nil && t.frag.hasSpan {
 			source += fmt.Sprintf(", pre span [%d..%d]", t.frag.spanLo, t.frag.spanHi)
 		}
-		line("  pushdown: test %s pushed below join (fragment %d < full-join bound %d; %s)",
-			testName, ost.fragSize, ost.bound, source)
+		line("  pushdown: test %s pushed below join (fragment %d; %s)", testName, ost.fragSize, source)
 	case ost.pushed:
-		line("  pushdown: test %s pushed below join (fragment %d < full-join bound %d; name-column scan, index disabled)",
-			testName, ost.fragSize, ost.bound)
+		line("  pushdown: test %s pushed below join (fragment %d; name-column scan, index disabled)", testName, ost.fragSize)
 	case p.opts.Pushdown == PushNever:
 		line("  pushdown: test %s applied after join (mode never)", testName)
 	default:
-		line("  pushdown: test %s applied after join (mode %s, fragment %d vs full-join bound %d)",
-			testName, p.opts.Pushdown, ost.fragSize, ost.bound)
+		line("  pushdown: test %s applied after join (mode %s, index disabled)", testName, p.opts.Pushdown)
 	}
 }
 

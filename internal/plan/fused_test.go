@@ -303,7 +303,7 @@ func TestChildSweepEqualsParentColumn(t *testing.T) {
 								want = append(want, v)
 							}
 						}
-						got, err := ec.axisTest(a, test, ctx, nil)
+						got, err := ec.axisTest(a, test, ctx, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

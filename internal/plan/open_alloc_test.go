@@ -22,9 +22,9 @@ func TestCursorOpenAllocations(t *testing.T) {
 		query string
 		bound float64
 	}{
-		{"/descendant::open_auction/descendant::bidder", 19},
-		{"/descendant::keyword/ancestor::listitem", 21},
-		{"/descendant::education/preceding::interest", 21},
+		{"/descendant::open_auction/descendant::bidder", 14},
+		{"/descendant::keyword/ancestor::listitem", 16},
+		{"/descendant::education/preceding::interest", 16},
 	} {
 		p := compileQuery(t, env, c.query, nil)
 		if res, err := p.RunLimit(context.Background(), root, 10); err != nil || len(res.Nodes) != 10 {

@@ -1,5 +1,6 @@
-// Physical operators. A compiled plan is a tree of ops; each op pulls
-// its input operator's result and transforms it. Operator kinds:
+// Physical operators. A compiled plan is a tree of ops; each op opens
+// a cursor over its input operator's cursor and transforms what it
+// pulls (cursor.go). Operator kinds:
 //
 //	Source         initial context ([root] or the caller's nodes)
 //	StaircaseJoin  one partitioning-axis step (descendant, ancestor,
@@ -16,6 +17,10 @@
 //	PosFilter      a whole step with position-sensitive predicates,
 //	               context node at a time with proximity positions
 //	Merge          the '|' union merge (document order, dedup)
+//
+// IndexScan, ColumnScan and ValueScan are the fragment leaves of joins
+// and semijoins: their operators read them through nodes(), and they
+// appear in the tree for EXPLAIN only.
 
 package plan
 
@@ -31,20 +36,23 @@ import (
 	"staircase/internal/xpath"
 )
 
-// op is one physical operator.
-type op interface {
-	// run pulls the input operators and evaluates this operator
-	// (materializing executor).
-	run(ec *execCtx) ([]int32, error)
-	// open returns a streaming cursor over the operator's result
-	// (cursor executor, cursor.go). The cursor owns its input cursors.
-	open(ec *execCtx) (cursor, error)
+// planNode is one operator of the plan tree, as the op table and
+// EXPLAIN see it.
+type planNode interface {
 	// kids returns the input operators (primary input first).
-	kids() []op
+	kids() []planNode
 	// opID is the operator's index into the plan's op table.
 	opID() int
 	// setID assigns the id at compile time.
 	setID(int)
+}
+
+// op is an executable operator: a plan node with a cursor.
+type op interface {
+	planNode
+	// open returns a cursor over the operator's result, whole or
+	// streaming (cursor.go). The cursor owns its input cursors.
+	open(ec *execCtx, whole bool) (cursor, error)
 }
 
 // opBase carries the plan-assigned operator id.
@@ -67,18 +75,7 @@ type sourceOp struct {
 	docRoot bool
 }
 
-func (o *sourceOp) kids() []op { return nil }
-
-func (o *sourceOp) run(ec *execCtx) ([]int32, error) {
-	var out []int32
-	if o.docRoot {
-		out = []int32{ec.env.Doc.Root()}
-	} else {
-		out = ec.initial
-	}
-	ec.ops[o.id].record(len(out), len(out))
-	return out, nil
-}
+func (o *sourceOp) kids() []planNode { return nil }
 
 // fragScan is the pushdown candidate of a join or semijoin: the
 // pre-sorted node list of a name or kind test, served by the shared
@@ -105,15 +102,7 @@ type fragScan struct {
 	indexed bool
 }
 
-func (o *fragScan) kids() []op { return nil }
-
-// run resolves the fragment list; used via nodes, never as a chain
-// link.
-func (o *fragScan) run(ec *execCtx) ([]int32, error) {
-	list, _ := o.nodes(ec.env.Doc, ec.opts)
-	// Callers own run results; the memoised fragment is shared.
-	return append([]int32(nil), list...), nil
-}
+func (o *fragScan) kids() []planNode { return nil }
 
 // nodes returns the fragment node list and whether it came from the
 // shared index (a fragScan is built for pushable tests only). The
@@ -224,42 +213,11 @@ type joinOp struct {
 	est     estimates
 }
 
-func (o *joinOp) kids() []op {
+func (o *joinOp) kids() []planNode {
 	if o.frag != nil {
-		return []op{o.in, o.frag}
+		return []planNode{o.in, o.frag}
 	}
-	return []op{o.in}
-}
-
-func (o *joinOp) run(ec *execCtx) ([]int32, error) {
-	in, err := o.in.run(ec)
-	if err != nil {
-		return nil, err
-	}
-	if err := ec.cancelled(); err != nil {
-		return nil, err
-	}
-	st := ec.step(o.meta, len(in))
-	ost := &ec.ops[o.id]
-	prev := ec.cur
-	ec.cur = ost
-	skippedBefore := st.Core.Skipped
-	start := time.Now()
-	var out []int32
-	if o.docNode {
-		out, err = ec.docNodeStep(o.test, st, o.lend)
-	} else {
-		out, err = ec.axisTest(o.stepAxis(), o.test, in, st)
-	}
-	st.Duration += time.Since(start)
-	ec.cur = prev
-	if err != nil {
-		return nil, err
-	}
-	st.OutputSize = len(out)
-	ost.record(len(in), len(out))
-	ost.skipped += st.Core.Skipped - skippedBefore
-	return out, nil
+	return []planNode{o.in}
 }
 
 // stepAxis returns the axis the operator evaluates (the or-self axis
@@ -285,37 +243,28 @@ type axisStepOp struct {
 	est     estimates
 }
 
-func (o *axisStepOp) kids() []op { return []op{o.in} }
+func (o *axisStepOp) kids() []planNode { return []planNode{o.in} }
 
-func (o *axisStepOp) run(ec *execCtx) ([]int32, error) {
-	in, err := o.in.run(ec)
-	if err != nil {
-		return nil, err
-	}
-	return o.eval(ec, in)
-}
-
-// eval evaluates the step over its whole input: the one body of run and
-// of the blocking cursor.
+// eval evaluates the step over its whole input (blocker).
 func (o *axisStepOp) eval(ec *execCtx, in []int32) ([]int32, error) {
 	if err := ec.cancelled(); err != nil {
 		return nil, err
 	}
-	st := ec.step(o.meta, len(in))
+	st, ost := ec.step(o.meta, len(in)), &ec.ops[o.id]
 	start := time.Now()
 	var out []int32
 	var err error
 	if o.docNode {
-		out, err = ec.docRootAxisTest(o.a, o.test, st)
+		out, err = ec.docRootAxisTest(o.a, o.test, st, ost)
 	} else {
-		out, err = ec.axisTest(o.a, o.test, in, st)
+		out, err = ec.axisTest(o.a, o.test, in, st, ost)
 	}
 	st.Duration += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 	st.OutputSize = len(out)
-	ec.ops[o.id].record(len(in), len(out))
+	ost.record(len(in), len(out))
 	return out, nil
 }
 
@@ -372,35 +321,7 @@ type predFilterOp struct {
 	prog *predProg
 }
 
-func (o *predFilterOp) kids() []op { return []op{o.in} }
-
-func (o *predFilterOp) run(ec *execCtx) ([]int32, error) {
-	in, err := o.in.run(ec)
-	if err != nil {
-		return nil, err
-	}
-	st := &ec.steps[o.meta.ord-1]
-	start := time.Now()
-	out := in[:0]
-	for i, v := range in {
-		if i&1023 == 0 {
-			if err := ec.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		ok, err := o.prog.holds(ec, v)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, v)
-		}
-	}
-	st.Duration += time.Since(start)
-	st.OutputSize = len(out)
-	ec.ops[o.id].record(len(in), len(out))
-	return out, nil
-}
+func (o *predFilterOp) kids() []planNode { return []planNode{o.in} }
 
 // posFilterOp evaluates a whole step with position-sensitive
 // predicates, context node by context node, maintaining XPath
@@ -417,39 +338,13 @@ type posFilterOp struct {
 	est     estimates
 }
 
-func (o *posFilterOp) kids() []op { return []op{o.in} }
+func (o *posFilterOp) kids() []planNode { return []planNode{o.in} }
 
-func (o *posFilterOp) run(ec *execCtx) ([]int32, error) {
-	in, err := o.in.run(ec)
-	if err != nil {
-		return nil, err
-	}
-	return o.eval(ec, in)
-}
-
-// eval evaluates the step over its whole input: the one body of run and
-// of the blocking cursor (reverse axes, the document node).
+// eval evaluates the step over its whole input, context node by context
+// node (blocker).
 func (o *posFilterOp) eval(ec *execCtx, in []int32) ([]int32, error) {
-	st := ec.step(o.meta, len(in))
-	ost := &ec.ops[o.id]
-	prev := ec.cur
-	ec.cur = ost
+	st, ost := ec.step(o.meta, len(in)), &ec.ops[o.id]
 	start := time.Now()
-	out, err := o.evalContext(ec, in, st)
-	st.Duration += time.Since(start)
-	ec.cur = prev
-	if err != nil {
-		return nil, err
-	}
-	st.OutputSize = len(out)
-	ost.record(len(in), len(out))
-	return out, nil
-}
-
-// evalContext evaluates the positional step for a whole context
-// sequence, context node by context node (shared by the materializing
-// run and the blocking modes of the streaming cursor).
-func (o *posFilterOp) evalContext(ec *execCtx, in []int32, st *StepStats) ([]int32, error) {
 	var all []int32
 	// Forward-axis per-context results are strictly increasing, so the
 	// concatenation only needs re-sorting when consecutive groups
@@ -460,7 +355,7 @@ func (o *posFilterOp) evalContext(ec *execCtx, in []int32, st *StepStats) ([]int
 		if err := ec.cancelled(); err != nil {
 			return nil, err
 		}
-		nodes, err := o.evalOne(ec, c, st)
+		nodes, err := o.evalOne(ec, c, st, ost)
 		if err != nil {
 			return nil, err
 		}
@@ -473,35 +368,37 @@ func (o *posFilterOp) evalContext(ec *execCtx, in []int32, st *StepStats) ([]int
 	// (the common case: disjoint context subtrees) the concatenation
 	// is already a document-ordered duplicate-free sequence, so the
 	// defensive sortDedup decays to the monotonicity counter above.
-	if sorted {
-		if invariantChecks {
-			assertSortedDedup(all)
-		}
-		return all, nil
+	if !sorted {
+		all = sortDedup(all)
+	} else if invariantChecks {
+		assertSortedDedup(all)
 	}
-	return sortDedup(all), nil
+	st.Duration += time.Since(start)
+	st.OutputSize = len(all)
+	ost.record(len(in), len(all))
+	return all, nil
 }
 
 // evalOne evaluates the positional step for one context node: axis
-// result in proximity order (reverse axes count backwards), then the
-// predicates in sequence. (The streaming cursor's evalOneCapped wraps
-// this with the [k] early-stop; the materializing executor keeps its
-// exact per-step work counters.)
-func (o *posFilterOp) evalOne(ec *execCtx, c int32, st *StepStats) ([]int32, error) {
+// result in proximity order (reverse axes count backwards), stopping at
+// the k-th candidate on a forward axis when the first predicate is a
+// plain [k], then the predicates in sequence.
+func (o *posFilterOp) evalOne(ec *execCtx, c int32, st *StepStats, ost *opStat) ([]int32, error) {
 	var nodes []int32
 	var err error
-	if o.docNode {
-		nodes, err = ec.docRootAxisTest(o.step.Axis, o.step.Test, st)
-	} else {
-		nodes, err = ec.axisTest(o.step.Axis, o.step.Test, []int32{c}, st)
+	switch k := o.firstK(); {
+	case o.docNode:
+		nodes, err = ec.docRootAxisTest(o.step.Axis, o.step.Test, st, ost)
+	case k > 0 && !o.step.Axis.Reverse():
+		nodes, err = ec.axisTestFirstK(o.step.Axis, o.step.Test, c, k, st, ost)
+	default:
+		nodes, err = ec.axisTest(o.step.Axis, o.step.Test, []int32{c}, st, ost)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if o.step.Axis.Reverse() {
-		for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-			nodes[i], nodes[j] = nodes[j], nodes[i]
-		}
+		slices.Reverse(nodes)
 	}
 	for _, prog := range o.progs {
 		nodes, err = applyPositional(ec, nodes, prog)
@@ -545,24 +442,12 @@ type mergeOp struct {
 	ins []op
 }
 
-func (o *mergeOp) kids() []op { return o.ins }
-
-func (o *mergeOp) run(ec *execCtx) ([]int32, error) {
-	var acc []int32
-	total := 0
-	for _, in := range o.ins {
-		if err := ec.cancelled(); err != nil {
-			return nil, err
-		}
-		nodes, err := in.run(ec)
-		if err != nil {
-			return nil, err
-		}
-		total += len(nodes)
-		acc = core.MergeOrSelf(acc, nodes)
+func (o *mergeOp) kids() []planNode {
+	kids := make([]planNode, len(o.ins))
+	for i, in := range o.ins {
+		kids[i] = in
 	}
-	ec.ops[o.id].record(total, len(acc))
-	return acc, nil
+	return kids
 }
 
 // --- shared evaluation helpers (the step interpreter's machinery,
@@ -576,16 +461,18 @@ func (ec *execCtx) step(meta *stepMeta, inputSize int) *StepStats {
 	return st
 }
 
-// axisTest evaluates axis::nodetest for the whole context.
-func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
+// axisTest evaluates axis::nodetest for the whole context, recording
+// a partitioning step's work on st and its pushdown decision on st and
+// ost (either may be nil).
+func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats, ost *opStat) ([]int32, error) {
 	d := ec.env.Doc
 	switch a {
 	case axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding:
-		return ec.partitioning(a, false, test, context, st)
+		return ec.partitioning(a, false, test, context, st, ost)
 	case axis.DescendantOrSelf:
-		return ec.partitioning(axis.Descendant, true, test, context, st)
+		return ec.partitioning(axis.Descendant, true, test, context, st, ost)
 	case axis.AncestorOrSelf:
-		return ec.partitioning(axis.Ancestor, true, test, context, st)
+		return ec.partitioning(axis.Ancestor, true, test, context, st, ost)
 	case axis.Child, axis.Attribute:
 		return childSweep(d, a == axis.Attribute, emitFor(d, a, test), context), nil
 	case axis.Parent:
@@ -671,14 +558,14 @@ func childSweep(d *doc.Document, attrs bool, e core.Emit, context []int32) []int
 // of an absolute path: its only child is the root element, its
 // descendants are all nodes including the root element, and every
 // other axis is empty from there.
-func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepStats) ([]int32, error) {
+func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepStats, ost *opStat) ([]int32, error) {
 	d := ec.env.Doc
 	root := d.Root()
 	switch a {
 	case axis.Child:
 		return filterTest(d, a, test, []int32{root}), nil
 	case axis.Descendant, axis.DescendantOrSelf:
-		return ec.docNodeStep(test, st, false)
+		return ec.docNodeStep(test, st, ost, false)
 	case axis.Self, axis.AncestorOrSelf:
 		if test.Kind == xpath.TestNode {
 			return []int32{root}, nil // stand-in for the document node
@@ -697,19 +584,18 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 // root's subtree, found by two binary searches (core.SubtreeNodeList).
 // With lend the step returns the index list's own subslice, for a
 // consumer that only reads it; otherwise one exact-size copy.
-func (ec *execCtx) docNodeStep(test xpath.NodeTest, st *StepStats, lend bool) ([]int32, error) {
+func (ec *execCtx) docNodeStep(test xpath.NodeTest, st *StepStats, ost *opStat, lend bool) ([]int32, error) {
 	d := ec.env.Doc
-	root := []int32{d.Root()}
 	co := ec.coreOptions(st)
-	list, pushed := ec.pushdown(axis.Descendant, test, root, st)
+	list, pushed := ec.pushdown(test, st, ost)
 	if !pushed {
 		co.Emit, co.OrSelf = emitFor(d, axis.Descendant, test), true
-		return core.Join(d, axis.Descendant, root, co)
+		return core.Join(d, axis.Descendant, []int32{d.Root()}, &co)
 	}
 	if len(list) == 0 {
 		return nil, nil // tag/kind absent
 	}
-	nodes := core.SubtreeNodeList(d, list, root[0], co)
+	nodes := core.SubtreeNodeList(d, list, d.Root(), &co)
 	if lend {
 		return nodes, nil
 	}
@@ -718,52 +604,45 @@ func (ec *execCtx) docNodeStep(test xpath.NodeTest, st *StepStats, lend bool) ([
 
 // partitioning evaluates one of the four partitioning axes (with orSelf:
 // the or-self variant of descendant or ancestor) with the staircase
-// join. The full scan applies the node test and emits the self side
-// inside the kernel; the pushdown path merges the self side after.
-func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
+// join, the kernel run once at an unbounded window. The full scan
+// applies the node test and emits the self side inside the kernel; the
+// pushdown path merges the self side after.
+func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, context []int32, st *StepStats, ost *opStat) ([]int32, error) {
 	d := ec.env.Doc
 	co := ec.coreOptions(st)
-	if list, pushed := ec.pushdown(a, test, context, st); pushed {
+	if list, pushed := ec.pushdown(test, st, ost); pushed {
 		if len(list) == 0 {
 			return nil, nil // tag/kind absent: empty result, self side included
 		}
-		nodes, err := core.JoinNodeList(d, a, list, context, co)
+		nodes, err := core.JoinNodeList(d, a, list, context, &co)
 		if err != nil || !orSelf {
 			return nodes, err
 		}
 		return core.MergeOrSelf(nodes, filterTest(d, a, test, slices.Clone(context))), nil
 	}
 	co.Emit, co.OrSelf = emitFor(d, a, test), orSelf
-	return core.Join(d, a, context, co)
+	return core.Join(d, a, context, &co)
 }
 
-// pushdown makes the §4.4 decision for a partitioning step from its
-// actual context, with the cost model's bound, and records both on the
-// step and the current operator. pushed reports that the step joins
-// against list, the test's fragment.
-func (ec *execCtx) pushdown(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats) (list []int32, pushed bool) {
-	bound := estimateJoinTouches(ec.env.Doc, a, context)
-	if ec.cur != nil {
-		ec.cur.bound = bound
-	}
-	if ec.opts.Pushdown == PushNever {
+// pushdown makes the §4.4 decision for a partitioning step with the one
+// rule a bounded window can apply: push the node test below the join
+// when the shared index serves its fragment, and under PushAlways
+// whenever the test has one. It records the decision on the step and
+// the operator (either may be nil); list is the fragment when pushed.
+func (ec *execCtx) pushdown(test xpath.NodeTest, st *StepStats, ost *opStat) (list []int32, pushed bool) {
+	mode := ec.opts.Pushdown
+	if mode == PushNever || ec.opts.NoIndex && mode != PushAlways {
 		return nil, false
 	}
 	list, indexed, ok := ec.fragList(test)
 	if !ok {
 		return nil, false
 	}
-	if ec.cur != nil {
-		ec.cur.fragSize = len(list)
-	}
-	if !shouldPush(int64(len(list)), bound, ec.opts.Pushdown) {
-		return nil, false
-	}
 	if st != nil {
 		st.Pushed, st.Indexed = true, indexed
 	}
-	if ec.cur != nil {
-		ec.cur.pushed, ec.cur.indexed = true, indexed
+	if ost != nil {
+		ost.pushed, ost.indexed, ost.fragSize = true, indexed, len(list)
 	}
 	if invariantChecks {
 		assertFragment(ec.env.Doc, list)
@@ -773,8 +652,8 @@ func (ec *execCtx) pushdown(a axis.Axis, test xpath.NodeTest, context []int32, s
 
 // coreOptions returns the kernel options of one step: the plan's
 // variant, counting into the step's stats when it has any.
-func (ec *execCtx) coreOptions(st *StepStats) *core.Options {
-	co := &core.Options{Variant: variantFor(ec.opts.Strategy)}
+func (ec *execCtx) coreOptions(st *StepStats) core.Options {
+	co := core.Options{Variant: variantFor(ec.opts.Strategy)}
 	if st != nil {
 		co.Stats = &st.Core
 	}

@@ -7,10 +7,10 @@
 // predicates are conjunctive and order-independent) by exact fragment
 // count and hoists cheap selective semijoins ahead of expensive
 // per-node predicate programs — a greedy order over exact statistics,
-// the "when greedy beats optimal" price/performance point. Semijoin
-// probe *direction* (sweep the fragment vs. binary-probe each input
-// node) is decided at execution time from the actual cardinalities
-// (semijoin.go); and when any intermediate is provably empty —
+// the "when greedy beats optimal" price/performance point. The pass
+// also stamps each filter's input bound, from which a climb semijoin
+// picks its probe direction (semijoin.go); and when any intermediate
+// is provably empty —
 // a name test over an absent tag, an empty semijoin fragment — the
 // whole branch is replaced by a zero-cardinality EmptyOp and the
 // downstream operators never execute.
@@ -24,10 +24,9 @@
 //
 // The order is final: every count the pass ranks on is exact, so there
 // is no estimate for execution to correct. A reordered chain executes
-// as the operators it rewired — in batch each filter runs over its
-// input's result, and in the cursor executor each filter's cursor pulls
-// from the one below it, passing its seek hint down and stopping on its
-// own exhaustion.
+// as the operators it rewired: each filter's cursor pulls from the one
+// below it, passing its seek hint down and stopping on its own
+// exhaustion.
 
 package plan
 
@@ -65,16 +64,11 @@ type emptyOp struct {
 	reason string
 }
 
-func (o *emptyOp) kids() []op { return []op{o.inner} }
+func (o *emptyOp) kids() []planNode { return []planNode{o.inner} }
 
-func (o *emptyOp) run(ec *execCtx) ([]int32, error) {
+func (o *emptyOp) open(ec *execCtx, _ bool) (cursor, error) {
 	ec.ops[o.id].record(0, 0)
-	return nil, nil
-}
-
-func (o *emptyOp) open(ec *execCtx) (cursor, error) {
-	ec.ops[o.id].record(0, 0)
-	return &sliceCursor{}, nil
+	return emptyCursor{}, nil
 }
 
 // orderPlan is the greedy ordering pass entry point, run by Compile
@@ -87,7 +81,7 @@ func (c *compiler) orderPlan() {
 		b = c.reorderFrom(b)
 		if reason := c.branchEmptyReason(b); reason != "" {
 			e := &emptyOp{inner: b, reason: reason}
-			c.add(e)
+			add(c, e)
 			p.orderNotes = append(p.orderNotes, "empty: "+reason+"; downstream operators skipped")
 			reordersTotal.Add(1)
 			return e

@@ -1,8 +1,8 @@
 package plan
 
-// Unit tests for the greedy ordering pass (order.go) and the
-// execution-time probe-direction decision (semijoin.go): probe
-// direction pinned on hand-built fragments, empty-intermediate
+// Unit tests for the greedy ordering pass (order.go) and the semijoin
+// probe direction (semijoin.go): probe direction pinned on hand-built
+// fragments, empty-intermediate
 // short-circuits terminating without downstream work, greedy hoisting
 // of exact-count semijoins, canon invariance under ordering (the
 // result-cache key), fragment-list memoization, and the results and
@@ -19,28 +19,6 @@ import (
 	"staircase/internal/doc"
 )
 
-// TestProbeFromInput pins the execution-time probe-direction heuristic:
-// input-seek pays one binary search per input node, so it wins only
-// when the fragment outnumbers the input by a wide margin.
-func TestProbeFromInput(t *testing.T) {
-	cases := []struct {
-		in, frag int
-		want     bool
-	}{
-		{0, 100, false}, // no input: nothing to probe
-		{1, 15, false},
-		{1, 16, true},
-		{10, 159, false},
-		{10, 160, true},
-		{100, 100, false},
-	}
-	for _, c := range cases {
-		if got := probeFromInput(c.in, c.frag); got != c.want {
-			t.Errorf("probeFromInput(%d, %d) = %v, want %v", c.in, c.frag, got, c.want)
-		}
-	}
-}
-
 // findSemiJoin returns the plan's first semijoin operator.
 func findSemiJoin(t *testing.T, p *Plan) *semiJoinOp {
 	t.Helper()
@@ -53,10 +31,9 @@ func findSemiJoin(t *testing.T, p *Plan) *semiJoinOp {
 	return nil
 }
 
-// TestSemiJoinProbeDirection pins the direction the batch executor
-// actually takes: a fragment that dwarfs the input is probed per input
-// node (input-seek); comparable sizes sweep the fragment. NoReorder
-// restores the unconditional sweep.
+// TestSemiJoinProbeDirection pins the direction Plan.Run takes on a
+// staircase semijoin: input-seek, whether the fragment dwarfs the input
+// or not, and under NoReorder too.
 func TestSemiJoinProbeDirection(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<r><x/>")
@@ -81,18 +58,18 @@ func TestSemiJoinProbeDirection(t *testing.T) {
 		t.Errorf("skewed semijoin probeDir = %d, want input-seek", got)
 	}
 
-	// NoReorder pins the legacy fragment sweep in the same situation.
+	// NoReorder takes the same direction.
 	p = compileQuery(t, env, "//x[following::f]", &Options{NoReorder: true})
 	sj = findSemiJoin(t, p)
 	res, err = p.RunRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.ops[sj.opID()].probeDir; got != probeFragSweep {
-		t.Errorf("NoReorder semijoin probeDir = %d, want fragment-sweep", got)
+	if got := res.ops[sj.opID()].probeDir; got != probeInputSeek {
+		t.Errorf("NoReorder semijoin probeDir = %d, want input-seek", got)
 	}
 
-	// Comparable cardinalities on the fixture: fragment sweep.
+	// Comparable cardinalities on the fixture: input-seek as well.
 	env = NewEnv(fixture(t))
 	p = compileQuery(t, env, "//person[descendant::name]", nil)
 	sj = findSemiJoin(t, p)
@@ -100,8 +77,8 @@ func TestSemiJoinProbeDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.ops[sj.opID()].probeDir; got != probeFragSweep {
-		t.Errorf("balanced semijoin probeDir = %d, want fragment-sweep", got)
+	if got := res.ops[sj.opID()].probeDir; got != probeInputSeek {
+		t.Errorf("balanced semijoin probeDir = %d, want input-seek", got)
 	}
 }
 
@@ -132,8 +109,8 @@ func TestEmptyIntermediateShortCircuit(t *testing.T) {
 	if ost := res.ops[e.opID()]; !ost.ran || ost.in != 0 || ost.out != 0 {
 		t.Errorf("emptyOp stat = %+v, want ran with 0 -> 0", ost)
 	}
-	var walk func(o op)
-	walk = func(o op) {
+	var walk func(o planNode)
+	walk = func(o planNode) {
 		if ost := res.ops[o.opID()]; ost.ran {
 			t.Errorf("%T below EmptyResult ran (%d -> %d)", o, ost.in, ost.out)
 		}

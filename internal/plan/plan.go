@@ -29,12 +29,12 @@
 // identical results, which is what the query server keys its result
 // cache on so that equivalent query texts share cache entries.
 //
-// Cost-model decisions that depend on the runtime context sequence
-// (pushdown of a specific step) are resolved by the operators at
-// execution time with exactly the bounds the legacy evaluator used, so
-// plan-based execution is result- and report-identical to it; the plan
-// records the candidate fragment scan and the policy, and EXPLAIN
-// reports the decision actually taken.
+// Every execution opens the root operator's cursor: Run drains it,
+// RunLimit and Cursor pull what they need (cursor.go). Each decision an
+// operator takes is one a bounded window can apply — push a node test
+// when the index serves its fragment, probe a staircase semijoin by
+// input seek, pick a climb's direction from its compile-time input
+// bound — and EXPLAIN reports the decision taken.
 package plan
 
 import (
@@ -77,7 +77,8 @@ func (s Strategy) String() string {
 type Pushdown uint8
 
 const (
-	// PushAuto decides by tag selectivity (the cost-model heuristic).
+	// PushAuto pushes when the shared tag/kind index serves the
+	// fragment.
 	PushAuto Pushdown = iota
 	// PushAlways forces pushdown whenever a name test is present.
 	PushAlways
@@ -118,9 +119,8 @@ type Options struct {
 	// ablation and the value-rescan benchmarks.
 	NoValueIndex bool
 	// NoReorder disables the greedy ordering pass: commutable
-	// predicate filters evaluate in source order, semijoin probe
-	// directions stay fixed, and provably
-	// empty intermediates are not short-circuited. Results are identical
+	// predicate filters evaluate in source order, and provably empty
+	// intermediates are not short-circuited. Results are identical
 	// (ordering is excluded from the canonical plan string); the knob
 	// exists for ablation and the order benchmarks.
 	NoReorder bool

@@ -60,10 +60,9 @@ func TestPositionalStepResolvesFragmentOnce(t *testing.T) {
 }
 
 // TestBlockingPositionalStepMarksBothFaces: a positional step on a
-// reverse axis, or from the document node, blocks under the cursor face
-// and evaluates its whole input in the one body Plan.Run uses, so the
-// pushdown decision and the cost model's bound land on its operator
-// alike in both faces.
+// reverse axis, or from the document node, blocks under a streaming
+// cursor and evaluates its whole input in the one body Plan.Run uses, so
+// the pushdown decision lands on its operator alike in both modes.
 func TestBlockingPositionalStepMarksBothFaces(t *testing.T) {
 	d, err := xmark.Generate(xmark.Config{SizeMB: 0.5, Seed: 3})
 	if err != nil {
@@ -92,12 +91,12 @@ func TestBlockingPositionalStepMarksBothFaces(t *testing.T) {
 					continue
 				}
 				run, cur := res.ops[pf.opID()], lr.ops[pf.opID()]
-				if run.bound == 0 {
-					t.Errorf("%s %+v: Run left no bound on the positional step", q, opts)
+				if !run.ran || run.pushed != (opts == nil || opts.Pushdown != PushNever) {
+					t.Errorf("%s %+v: Run marks ran %v pushed %v on the positional step", q, opts, run.ran, run.pushed)
 				}
-				if cur.pushed != run.pushed || cur.indexed != run.indexed || cur.fragSize != run.fragSize || cur.bound != run.bound {
-					t.Errorf("%s %+v: cursor marks pushed %v indexed %v fragment %d bound %d, Run's %v %v %d %d",
-						q, opts, cur.pushed, cur.indexed, cur.fragSize, cur.bound, run.pushed, run.indexed, run.fragSize, run.bound)
+				if cur.pushed != run.pushed || cur.indexed != run.indexed || cur.fragSize != run.fragSize {
+					t.Errorf("%s %+v: cursor marks pushed %v indexed %v fragment %d, Run's %v %v %d",
+						q, opts, cur.pushed, cur.indexed, cur.fragSize, run.pushed, run.indexed, run.fragSize)
 				}
 				marked++
 			}

@@ -111,18 +111,25 @@ func compileSubPath(env *Env, opts *Options, path xpath.Path) (*Plan, error) {
 // candidate of one outer execution reuses one sub-execution, created on
 // first use: it carries the outer cancellation and a one-node initial
 // context, and its statistics are never reported. The result may alias
-// that initial context, so it is valid until the next evalSub of pg.
+// that initial context, so it is valid until the next evalSub of pg. The
+// sub-execution keeps its cursors, so a candidate opens none anew.
 func (pg *predProg) evalSub(ec *execCtx, v int32) ([]int32, error) {
 	sub := ec.subs[pg]
 	if sub == nil {
 		sub = pg.sub.newExecCtx(ec.ctx, make([]int32, 1))
+		sub.curs = make([]cursor, len(pg.sub.ops))
 		if ec.subs == nil {
 			ec.subs = make(map[*predProg]*execCtx)
 		}
 		ec.subs[pg] = sub
 	}
 	sub.initial[0] = v
-	return pg.sub.root.run(sub)
+	c, err := pg.sub.root.open(sub, true)
+	if err != nil {
+		return nil, err
+	}
+	defer c.close()
+	return drain(c)
 }
 
 // holds decides a non-positional predicate for one candidate node.

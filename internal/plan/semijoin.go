@@ -19,16 +19,13 @@
 //     its parent-column walk up the path reaches — Monet's positional
 //     parent lookup (§4), one tested hop per step.
 //
-// Either relation runs in one of two directions: input-seek decides
-// each input node by binary search over the fragment (semiProbe);
-// fragment-sweep derives the certified nodes from the fragment in one
-// pass. A staircase seeks when the fragment outnumbers the batch input
-// 16×, and its cursor always seeks. A climb sweeps when its fragment is
-// no larger than its input — the batch face reads the input's length,
-// the cursor face the compile-time input bound — through its certified
-// set: the sorted, duplicate-free nodes the fragment certifies, built at
-// most once per plan. The batch sweep intersects the input with it; the
-// cursor pulls its input from the next certified node on.
+// A staircase always probes by input seek: it decides each input node
+// by binary search over the fragment (semiProbe), pulling its input
+// with seek hints derived from the fragment span. A climb sweeps
+// instead when its fragment is no larger than its compile-time input
+// bound: it walks its certified set — the sorted, duplicate-free nodes
+// the fragment certifies, built at most once per plan — and pulls its
+// input from the next certified node on.
 
 package plan
 
@@ -47,7 +44,7 @@ import (
 
 // fragment is a semijoin's leaf: a fragScan or a valueScan.
 type fragment interface {
-	op
+	planNode
 	// nodes returns the fragment node list (shared across executions:
 	// callers must not mutate it) and whether an index served it.
 	nodes(d *doc.Document, opts *Options) (list []int32, indexed bool)
@@ -70,12 +67,12 @@ type semiJoinOp struct {
 	path xpath.Path
 	// A climb's certified set is a pure function of the plan's document
 	// and fragment, so it is built at most once per plan, by the first
-	// sweep on either face, and shared read-only by every execution.
+	// sweep, and shared read-only by every execution.
 	certOnce sync.Once
 	cert     []int32
 }
 
-func (o *semiJoinOp) kids() []op { return []op{o.in, o.frag} }
+func (o *semiJoinOp) kids() []planNode { return []planNode{o.in, o.frag} }
 
 // relation names the semijoin's relation for EXPLAIN.
 func (o *semiJoinOp) relation() string {
@@ -103,15 +100,11 @@ func inverseAxis(a axis.Axis) axis.Axis {
 	}
 }
 
-// seeks decides the probe direction from exact counts, each relation by
-// its own rule: a staircase probes per input node when the fragment
-// dwarfs the input, a climb sweeps when its fragment is no larger than
-// its input. NoReorder pins the staircase sweep and the climb probe.
-func (o *semiJoinOp) seeks(opts *Options, in, frag int) bool {
-	if o.a.Partitioning() {
-		return !opts.NoReorder && probeFromInput(in, frag)
-	}
-	return opts.NoReorder || frag > in
+// sweeps decides the probe direction: a climb sweeps its certified set
+// when its fragment is no larger than its compile-time input bound; a
+// staircase always seeks.
+func (o *semiJoinOp) sweeps(frag int) bool {
+	return !o.a.Partitioning() && frag > 0 && int64(frag) <= o.est.In
 }
 
 // certifiesOne reports a climb whose fragment nodes certify at most one
@@ -119,78 +112,6 @@ func (o *semiJoinOp) seeks(opts *Options, in, frag int) bool {
 // certifies a whole ancestor chain).
 func (o *semiJoinOp) certifiesOne() bool {
 	return o.a == axis.Self || o.a == axis.Child || o.a == axis.Attribute
-}
-
-func (o *semiJoinOp) run(ec *execCtx) ([]int32, error) {
-	in, err := o.in.run(ec)
-	if err != nil {
-		return nil, err
-	}
-	if err := ec.cancelled(); err != nil {
-		return nil, err
-	}
-	st := &ec.steps[o.meta.ord-1]
-	ost := &ec.ops[o.id]
-	start := time.Now()
-	skippedBefore := st.Core.Skipped
-	list, indexed := o.frag.nodes(ec.env.Doc, ec.opts)
-	ost.indexed = indexed
-	var out []int32
-	if len(in) > 0 && len(list) > 0 {
-		if o.seeks(ec.opts, len(in), len(list)) {
-			ost.probeDir = probeInputSeek
-			out, err = o.seek(ec, in, list)
-		} else {
-			ost.probeDir = probeFragSweep
-			out, err = o.sweep(ec, in, list, st)
-		}
-	}
-	st.Duration += time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	st.OutputSize = len(out)
-	ost.record(len(in), len(out))
-	ost.fragSize = len(list)
-	ost.skipped += st.Core.Skipped - skippedBefore
-	return out, nil
-}
-
-// seek filters the (caller-owned) input in place, one probe per input
-// node, and stops at the first input node past every possible witness.
-func (o *semiJoinOp) seek(ec *execCtx, in, list []int32) ([]int32, error) {
-	pr := newSemiProbe(ec.env.Doc, o.a, o.up, list)
-	out := in[:0]
-	for i, v := range in {
-		if i&1023 == 0 {
-			if err := ec.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		if pr.admit(v) {
-			out = append(out, v)
-		}
-		if pr.exhaustedAfter(v) {
-			break
-		}
-	}
-	return out, nil
-}
-
-// sweep derives the certified input nodes from the fragment: a
-// staircase node-list join on the inverse axis, or the input
-// intersected with the climb's certified set.
-func (o *semiJoinOp) sweep(ec *execCtx, in, list []int32, st *StepStats) ([]int32, error) {
-	d := ec.env.Doc
-	if o.a.Partitioning() {
-		// The input is the list here. It holds no attribute: steps on the
-		// attribute axis compile their predicates to PredFilter.
-		if invariantChecks {
-			assertFragment(d, in)
-		}
-		return core.JoinNodeList(d, inverseAxis(o.a), in, list, ec.coreOptions(st))
-	}
-	return intersectSorted(in, o.certified(d, list)), nil
 }
 
 // certified returns the climb's certified set: the sorted,
@@ -246,49 +167,13 @@ func climb(d *doc.Document, up []core.Emit, f int32) int32 {
 	return p
 }
 
-// intersectSorted intersects two strictly increasing sequences,
-// writing the result into a's prefix (a is caller-owned).
-func intersectSorted(a, b []int32) []int32 {
-	out := a[:0]
-	if len(b)*16 < len(a) {
-		// b is tiny: binary-probe a for each b member. Writes trail the
-		// read position (the k-th match sits at index >= k), so the
-		// in-place prefix never clobbers unread entries.
-		pos := 0
-		for _, v := range b {
-			i := pos + searchNodes(a[pos:], v)
-			if i < len(a) && a[i] == v {
-				out = append(out, v)
-				i++
-			}
-			pos = i
-		}
-		return out
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // semiProbe is the input-seek form of the semijoin: it decides per
 // input node whether a fragment node certifies it — by binary search
 // and Equation (1) subtree windows, against the fragment's reduction
 // node (following/preceding), or by climbing from the fragment nodes
 // inside the node's subtree (child/attribute) — plus seek hints derived
-// from the fragment span. Shared by the cursor and the batch executor's
-// input-seek direction. Not safe for concurrent use (minSeek advances
-// while probing): build one per execution.
+// from the fragment span. Not safe for concurrent use (minSeek advances
+// while probing): each execution's cursor holds its own.
 type semiProbe struct {
 	a    axis.Axis
 	up   []core.Emit
@@ -302,12 +187,12 @@ type semiProbe struct {
 	spanHi    int32
 }
 
-// newSemiProbe builds the probe state for one execution over a
-// resolved (shared, read-only) fragment list.
-func newSemiProbe(d *doc.Document, a axis.Axis, up []core.Emit, list []int32) *semiProbe {
-	p := &semiProbe{a: a, up: up, d: d, post: d.PostSlice(), kind: d.KindSlice(), list: list}
+// init sets up the probe state for one execution over a resolved
+// (shared, read-only) fragment list.
+func (p *semiProbe) init(d *doc.Document, a axis.Axis, up []core.Emit, list []int32) {
+	*p = semiProbe{a: a, up: up, d: d, post: d.PostSlice(), kind: d.KindSlice(), list: list}
 	if len(list) == 0 {
-		return p
+		return
 	}
 	p.spanHi = list[len(list)-1]
 	switch a {
@@ -338,7 +223,6 @@ func newSemiProbe(d *doc.Document, a axis.Axis, up []core.Emit, list []int32) *s
 		}
 		p.minSeek = best + 1 + d.SubtreeSize(best)
 	}
-	return p
 }
 
 // qualifies decides the predicate for one input node and may raise
@@ -416,28 +300,27 @@ func (p *semiProbe) exhaustedAfter(v int32) bool {
 	}
 }
 
-func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
-	in, err := o.in.open(ec)
+func (o *semiJoinOp) open(ec *execCtx, whole bool) (cursor, error) {
+	in, err := o.in.open(ec, whole)
 	if err != nil {
 		return nil, err
 	}
-	st := &ec.steps[o.meta.ord-1]
-	ost := &ec.ops[o.id]
+	d := ec.env.Doc
+	st, ost := &ec.steps[o.meta.ord-1], &ec.ops[o.id]
 	ost.ran = true
-	list, indexed := o.frag.nodes(ec.env.Doc, ec.opts)
-	ost.indexed = indexed
-	ost.fragSize = len(list)
-	// A cursor never sees its whole input: a climb compares its fragment
-	// with the compile-time input bound. A staircase always seeks.
-	if !o.a.Partitioning() && len(list) > 0 && !o.seeks(ec.opts, int(o.est.In), len(list)) {
+	list, indexed := o.frag.nodes(d, ec.opts)
+	ost.indexed, ost.fragSize = indexed, len(list)
+	if o.sweeps(len(list)) {
 		ost.probeDir = probeFragSweep
-		return &climbSweepCursor{ec: ec, st: st, ost: ost, in: in, cert: o.certified(ec.env.Doc, list)}, nil
+		c := reuse[climbSweepCursor](ec, o.id)
+		*c = climbSweepCursor{ec: ec, st: st, ost: ost, in: in, cert: o.certified(d, list)}
+		return c, nil
 	}
 	ost.probeDir = probeInputSeek
-	return &semiJoinCursor{
-		ec: ec, st: st, ost: ost, in: in,
-		pr: newSemiProbe(ec.env.Doc, o.a, o.up, list),
-	}, nil
+	c := reuse[semiJoinCursor](ec, o.id)
+	*c = semiJoinCursor{ec: ec, st: st, ost: ost, in: in}
+	c.pr.init(d, o.a, o.up, list)
+	return c, nil
 }
 
 // semiJoinCursor streams the semijoin in the input-seek direction:
@@ -450,7 +333,7 @@ type semiJoinCursor struct {
 	st   *StepStats
 	ost  *opStat
 	in   cursor
-	pr   *semiProbe
+	pr   semiProbe
 	done bool
 }
 
@@ -486,8 +369,8 @@ func (c *semiJoinCursor) probe(seek int32) ([]int32, error) {
 			c.done = true
 			return nil, nil
 		}
-		// Filter in place: b is the producing operator's batch buffer,
-		// released to us until our next pull.
+		// Filter in place: b is the consumer's (whole) or released to it
+		// until the next pull (streaming).
 		out := b[:0]
 		for _, v := range b {
 			if c.pr.admit(v) {

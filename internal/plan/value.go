@@ -52,18 +52,7 @@ type valueScan struct {
 	frag []int32
 }
 
-func (o *valueScan) kids() []op { return nil }
-
-func (o *valueScan) run(ec *execCtx) ([]int32, error) {
-	list, _ := o.nodes(ec.env.Doc, ec.opts)
-	// Callers own run results; the memoised fragment is shared.
-	return append([]int32(nil), list...), nil
-}
-
-func (o *valueScan) open(ec *execCtx) (cursor, error) {
-	list, _ := o.nodes(ec.env.Doc, ec.opts)
-	return &sliceCursor{nodes: append([]int32(nil), list...)}, nil
-}
+func (o *valueScan) kids() []planNode { return nil }
 
 // nodes returns the fragment node list, always index-served. The
 // returned slice is shared across executions: callers must not mutate

@@ -31,7 +31,7 @@ const (
 type PushdownMode = engine.Pushdown
 
 const (
-	// PushAuto decides by tag selectivity (the cost model).
+	// PushAuto pushes when the shared index serves the fragment.
 	PushAuto = engine.PushAuto
 	// PushAlways forces pushdown whenever the test is servable.
 	PushAlways = engine.PushAlways
