@@ -19,6 +19,7 @@ import (
 	"staircase/internal/doc"
 	"staircase/internal/engine"
 	"staircase/internal/xmark"
+	"staircase/internal/xpath"
 )
 
 // newTestServer builds a server over generated XMark documents: "mem"
@@ -852,6 +853,39 @@ func TestStalePreparedPlansDropOnReload(t *testing.T) {
 	for _, el := range s.prepared {
 		if e := el.Value.(*preparedEntry); e.gen != g2 {
 			t.Fatalf("stale plan survived: %s gen %d (current %d)", e.key, e.gen, g2)
+		}
+	}
+}
+
+// TestHostileQueryRejected: a query past the parser's nesting limit
+// (//a[a[…]], 500 deep) is a 400 naming the limit on /query, /stream and
+// /explain — the parser refuses it before any plan compiles — while a
+// query at the limit still answers 200.
+func TestHostileQueryRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t, 1<<20)
+	nested := func(n int) string { return "//a" + strings.Repeat("[a", n) + strings.Repeat("]", n) }
+	do := func(endpoint, q string) (int, string) {
+		var resp *http.Response
+		var err error
+		if endpoint == "/explain" {
+			resp, err = http.Get(ts.URL + "/explain?doc=mem&q=" + url.QueryEscape(q))
+		} else {
+			body, _ := json.Marshal(QueryRequest{Doc: "mem", Query: q})
+			resp, err = http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(body))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for _, endpoint := range []string{"/query", "/stream", "/explain"} {
+		if code, body := do(endpoint, nested(500)); code != http.StatusBadRequest || !strings.Contains(body, "depth limit") {
+			t.Errorf("%s, 500 nested predicates: status %d, body %.120q; want 400 naming the depth limit", endpoint, code, body)
+		}
+		if code, body := do(endpoint, nested(xpath.MaxDepth)); code != http.StatusOK {
+			t.Errorf("%s, %d nested predicates: status %d, body %.120q; want 200", endpoint, xpath.MaxDepth, code, body)
 		}
 	}
 }

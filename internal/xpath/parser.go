@@ -255,6 +255,44 @@ func (l *lexer) scan() token {
 
 type parser struct {
 	lex *lexer
+	// depth is the predicate nesting at the current token; terms counts
+	// the steps and predicate terms parsed so far.
+	depth, terms int
+}
+
+// Query limits. Compiling a query costs about n^2.5 in its predicate
+// nesting depth n (each predicate's path compiles to a sub-plan inside
+// its enclosing one), so a few kilobytes of nested predicates could
+// pin a core for seconds; past either limit the parser returns a
+// *LimitError instead.
+const (
+	// MaxDepth bounds the nesting of predicates: [...] and not(...).
+	MaxDepth = 32
+	// MaxTerms bounds the location steps plus predicate terms of a
+	// query, over all union branches.
+	MaxTerms = 512
+)
+
+// LimitError reports a query that exceeds MaxDepth or MaxTerms.
+type LimitError struct {
+	// Offset is the byte offset at which the query crossed the limit.
+	Offset int
+	// Limit names the limit crossed: "depth" or "terms".
+	Limit string
+	// Max is the limit's value.
+	Max int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("xpath: offset %d: query exceeds the %s limit of %d", e.Offset, e.Limit, e.Max)
+}
+
+// count charges one step or predicate term against MaxTerms.
+func (p *parser) count() error {
+	if p.terms++; p.terms > MaxTerms {
+		return &LimitError{Offset: p.lex.peek().off, Limit: "terms", Max: MaxTerms}
+	}
+	return nil
 }
 
 // errf builds a diagnostic anchored at the byte offset of the token
@@ -305,6 +343,9 @@ func (p *parser) parsePath() (Path, error) {
 
 // parseStep parses one location step including predicates.
 func (p *parser) parseStep() (Step, error) {
+	if err := p.count(); err != nil {
+		return Step{}, err
+	}
 	var step Step
 	tok := p.lex.peek()
 	switch tok.kind {
@@ -412,6 +453,10 @@ func (p *parser) finishNodeTest(name string) (NodeTest, error) {
 // parsePredicate parses the expression inside [...]: a term chain
 // combined with 'and'/'or' ('and' binds tighter, per XPath).
 func (p *parser) parsePredicate() (Predicate, error) {
+	if p.depth++; p.depth > MaxDepth {
+		return nil, &LimitError{Offset: p.lex.peek().off, Limit: "depth", Max: MaxDepth}
+	}
+	defer func() { p.depth-- }()
 	return p.parseOrExpr()
 }
 
@@ -459,6 +504,9 @@ func (p *parser) parseAndExpr() (Predicate, error) {
 
 // parsePredTerm parses a single predicate term.
 func (p *parser) parsePredTerm() (Predicate, error) {
+	if err := p.count(); err != nil {
+		return nil, err
+	}
 	tok := p.lex.peek()
 	switch tok.kind {
 	case tokNumber:

@@ -1,6 +1,8 @@
 package xpath
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"staircase/internal/axis"
@@ -552,6 +554,47 @@ func TestParseComparisonErrorOffsets(t *testing.T) {
 		}
 		if err.Error() != tc.want {
 			t.Errorf("Parse(%q):\n got %q\nwant %q", tc.input, err.Error(), tc.want)
+		}
+	}
+}
+
+// nested returns n predicates nested inside each other: //a[a[…a…]].
+func nested(n int) string {
+	return "//a" + strings.Repeat("[a", n) + strings.Repeat("]", n)
+}
+
+// TestParseLimits: a query at MaxDepth nested predicates and MaxTerms
+// steps and terms parses; one level or one term more returns a
+// *LimitError naming the limit, as does a hostile query far past it.
+func TestParseLimits(t *testing.T) {
+	flat := func(terms int) string { // //a is two steps, each [b] two terms
+		return "//a" + strings.Repeat("[b]", (terms-2)/2)
+	}
+	notNest := func(n int) string {
+		return "//a[" + strings.Repeat("not(", n-1) + "b" + strings.Repeat(")", n-1) + "]"
+	}
+	for _, q := range []string{nested(MaxDepth), notNest(MaxDepth), flat(MaxTerms)} {
+		if _, err := ParseQuery(q); err != nil {
+			t.Errorf("%.40s…: %v", q, err)
+		}
+	}
+	for _, c := range []struct {
+		q     string
+		limit string
+	}{
+		{nested(MaxDepth + 1), "depth"},
+		{notNest(MaxDepth + 1), "depth"},
+		{nested(10000), "depth"},
+		{flat(MaxTerms + 2), "terms"},
+		{strings.Repeat("a|", MaxTerms) + "a", "terms"},
+	} {
+		_, err := ParseQuery(c.q)
+		var le *LimitError
+		if !errors.As(err, &le) || le.Limit != c.limit {
+			t.Errorf("%.40s…: error %v, want a %s LimitError", c.q, err, c.limit)
+		}
+		if _, err := Parse(c.q); err == nil {
+			t.Errorf("Parse(%.40s…) accepted the query", c.q)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package staircase
 import (
 	"staircase/internal/doc"
 	"staircase/internal/engine"
+	"staircase/internal/xpath"
 )
 
 // Options configures query planning and execution. The zero value (or
@@ -38,6 +39,18 @@ const (
 	// PushNever evaluates the join first and filters afterwards.
 	PushNever = engine.PushNever
 )
+
+// Query limits: a query that nests predicates ([...], not(...)) deeper
+// than MaxQueryDepth, or holds more than MaxQueryTerms location steps
+// and predicate terms, is rejected with a *QueryLimitError before it is
+// planned.
+const (
+	MaxQueryDepth = xpath.MaxDepth
+	MaxQueryTerms = xpath.MaxTerms
+)
+
+// QueryLimitError reports a query past MaxQueryDepth or MaxQueryTerms.
+type QueryLimitError = xpath.LimitError
 
 // Result is the outcome of a query: the node sequence (preorder
 // ranks, document order, duplicate-free) plus per-step statistics.

@@ -15,11 +15,11 @@ import (
 	"staircase/internal/server"
 )
 
-// The surface ledger: every knob, option value, request field, metric
-// and EXPLAIN key the library exposes, one sorted line per item in
-// testdata/surface.txt with a count per section. A change that adds or
-// removes surface shows up as a diff of that file; the CLIs keep their
-// flags in cmd/*/testdata/flags.txt the same way. Regenerate with
+// The surface ledger: every knob, option value, request field, metric,
+// EXPLAIN key and query limit the library exposes, one sorted line per
+// item in testdata/surface.txt with a count per section. A change that
+// adds or removes surface shows up as a diff of that file; the CLIs keep
+// their flags in cmd/*/testdata/flags.txt the same way. Regenerate with
 //
 //	go test . ./cmd/xpathd ./cmd/xpathq -run Surface -update-surface
 
@@ -38,6 +38,11 @@ func TestSurface(t *testing.T) {
 		{"EXPLAIN JSON keys", explainKeys(t)},
 		{"EXPLAIN operators", planSurface(t, "op")},
 		{"rewrite rules", planSurface(t, "rewrites")},
+		{"query limits", []string{
+			fmt.Sprintf("MaxQueryDepth=%d", staircase.MaxQueryDepth),
+			fmt.Sprintf("MaxQueryTerms=%d", staircase.MaxQueryTerms),
+			fmt.Sprintf("%T", &staircase.QueryLimitError{}),
+		}},
 	}
 	var sb strings.Builder
 	sb.WriteString("# Surface ledger. Regenerate: go test . -run TestSurface -update-surface\n")
