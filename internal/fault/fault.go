@@ -10,7 +10,7 @@
 //	catalog.load    before a catalog entry loads its document
 //	doc.index.read  before a SCJ2 tag/kind index section is parsed
 //	doc.vindex.read before a SCJ2 value-index section is parsed
-//	cursor.next     on every public plan-cursor batch pull
+//	cursor.next     on every plan batch pull (Run, RunLimit, Cursor)
 //	pool.acquire    on every worker-semaphore admission
 //	share.drive     before the pace car pulls a batch for its flight
 //
