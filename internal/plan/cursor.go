@@ -22,7 +22,9 @@
 //     whole Merge — opens that input whole. A following join opens its
 //     input streaming even when whole: it reads its context only as far
 //     as the first context node's subtree reaches and leaves the
-//     operators below it suspended there.
+//     operators below it suspended there. The exception is an input
+//     that lends a span (a pushed document-node step): that span costs
+//     two binary searches, so it opens whole.
 //
 // Ownership: a whole batch is the consumer's, to filter in place or to
 // return as Result.Nodes, with one exception — a pushed document-node
@@ -271,7 +273,7 @@ func (c *sourceCursor) next(seek int32) ([]int32, error) {
 // --- StaircaseJoin ---------------------------------------------------------
 
 func (o *joinOp) open(ec *execCtx, whole bool) (cursor, error) {
-	in, err := o.in.open(ec, whole && o.base != axis.Following)
+	in, err := o.in.open(ec, whole && (o.base != axis.Following || o.inLendsSpan(ec)))
 	if err != nil {
 		return nil, err
 	}
@@ -309,6 +311,15 @@ func (o *joinOp) open(ec *execCtx, whole bool) (cursor, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// inLendsSpan reports whether o's input is a pushed document-node step
+// that lends its consumer the index list's span: opened whole, that
+// span costs two binary searches, less than a kernel cursor streaming
+// the prefix a following step reads.
+func (o *joinOp) inLendsSpan(ec *execCtx) bool {
+	in, ok := o.in.(*joinOp)
+	return ok && in.docNode && in.lend && in.frag != nil && ec.pushes()
 }
 
 // joinCursor runs one staircase join step. Whole, it computes the step

@@ -41,3 +41,44 @@ func TestCursorOpenAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestFollowingLentSpanAllocations: a whole following join whose input
+// is a pushed document-node step opens that input whole and reads the
+// index span it lends (two binary searches), so a warm RunRoot
+// allocates no more than a descendant join over the same kind of input.
+// Unpushed, the document-node input still streams: the following step
+// reads only its first context subtree and the scan above it stops
+// there.
+func TestFollowingLentSpanAllocations(t *testing.T) {
+	d, err := xmark.Generate(xmark.Config{SizeMB: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(d)
+	allocs := func(query string) float64 {
+		p := compileQuery(t, env, query, nil)
+		if res, err := p.RunRoot(); err != nil || len(res.Nodes) == 0 {
+			t.Fatalf("%s: %d nodes (err %v)", query, len(res.Nodes), err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := p.RunRoot(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fol := allocs("/descendant::seller/following::bidder")
+	desc := allocs("/descendant::open_auction/descendant::bidder")
+	t.Logf("warm RunRoot: following %v, descendant %v allocations", fol, desc)
+	if fol > desc {
+		t.Errorf("following over a pushed document step: %v allocations per warm RunRoot, want <= %v (descendant)", fol, desc)
+	}
+	for _, opts := range []*Options{{Pushdown: PushNever}, {NoIndex: true}} {
+		res, err := compileQuery(t, env, "/descendant::seller/following::bidder", opts).RunRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Steps[0].Core.Scanned; n >= int64(d.Size()) {
+			t.Errorf("%+v: document step scanned %d of %d nodes, want the streamed prefix only", *opts, n, d.Size())
+		}
+	}
+}

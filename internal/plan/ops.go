@@ -630,8 +630,7 @@ func (ec *execCtx) partitioning(a axis.Axis, orSelf bool, test xpath.NodeTest, c
 // whenever the test has one. It records the decision on the step and
 // the operator (either may be nil); list is the fragment when pushed.
 func (ec *execCtx) pushdown(test xpath.NodeTest, st *StepStats, ost *opStat) (list []int32, pushed bool) {
-	mode := ec.opts.Pushdown
-	if mode == PushNever || ec.opts.NoIndex && mode != PushAlways {
+	if !ec.pushes() {
 		return nil, false
 	}
 	list, indexed, ok := ec.fragList(test)
@@ -648,6 +647,14 @@ func (ec *execCtx) pushdown(test xpath.NodeTest, st *StepStats, ost *opStat) (li
 		assertFragment(ec.env.Doc, list)
 	}
 	return list, true
+}
+
+// pushes reports whether the options let pushdown push a node test
+// that has a fragment: never under PushNever, under NoIndex only with
+// PushAlways.
+func (ec *execCtx) pushes() bool {
+	mode := ec.opts.Pushdown
+	return mode != PushNever && (!ec.opts.NoIndex || mode == PushAlways)
 }
 
 // coreOptions returns the kernel options of one step: the plan's
