@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"staircase/internal/engine"
+	"staircase/internal/plan"
 )
 
 // qValueRange is a numeric range comparison served by the value index's
@@ -23,19 +24,20 @@ const qValueRange = "//open_auction[current > 100]"
 func TestValuePushdownSpeedup(t *testing.T) {
 	c := NewCorpus()
 	d := c.ValueDoc(smokeSizeMB)
-	e := engine.New(d)
+	env := plan.NewEnv(d)
 
 	run := func(opts *engine.Options, source string) *engine.Result {
-		p, err := e.PrepareString(qValueRange, opts)
+		po := engine.PlanOptions(opts)
+		p, err := plan.Prepare(env, qValueRange, &po)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := p.Run()
+		r, err := p.RunRoot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan, err := p.Explain(); err != nil || !strings.Contains(plan, source) {
-			t.Fatalf("plan under %+v does not read %q (err %v):\n%s", opts, source, err, plan)
+		if text := p.ExplainText(r); !strings.Contains(text, source) {
+			t.Fatalf("plan under %+v does not read %q:\n%s", opts, source, text)
 		}
 		return r
 	}

@@ -26,8 +26,10 @@ import (
 	"staircase/internal/doc"
 	"staircase/internal/engine"
 	"staircase/internal/index"
+	"staircase/internal/plan"
 	"staircase/internal/server"
 	"staircase/internal/xmark"
+	"staircase/internal/xpath"
 )
 
 // benchSizes is the document sweep for benchmarks (MB equivalents).
@@ -308,19 +310,19 @@ func benchValuePushdown(b *testing.B, cold bool) {
 			d := corpus.ValueDoc(mb)
 			d.TagIndex()
 			d.ValueIndex() // both resident, as in a server's catalog
-			e := engine.New(d)
-			p, err := e.PrepareString(valueRange, nil)
+			env := plan.NewEnv(d)
+			p, err := plan.Prepare(env, valueRange, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if cold {
-					if p, err = e.PrepareString(valueRange, nil); err != nil {
+					if p, err = plan.Prepare(env, valueRange, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := p.Run(); err != nil {
+				if _, err := p.RunRoot(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -408,11 +410,7 @@ func BenchmarkServeHitLarge(b *testing.B) {
 func BenchmarkPlanCompile(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		for i := 0; i < b.N; i++ {
-			cq, err := engine.Compile(bench.Q1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.eng.Prepare(cq, nil); err != nil {
+			if _, err := plan.Prepare(c.eng.Env(), bench.Q1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -431,7 +429,7 @@ func BenchmarkPlanRunHeavy(b *testing.B) {
 		{"open_auction-desc-bidder", "/descendant::open_auction/descendant::bidder"},
 	} {
 		b.Run(q.Name, func(b *testing.B) {
-			pl, err := engine.New(corpus.Doc(16)).PrepareString(q.Query, nil)
+			pl, err := plan.Prepare(plan.NewEnv(corpus.Doc(16)), q.Query, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -439,7 +437,7 @@ func BenchmarkPlanRunHeavy(b *testing.B) {
 			b.ResetTimer()
 			results := 0
 			for i := 0; i < b.N; i++ {
-				r, err := pl.Plan().RunRoot()
+				r, err := pl.RunRoot()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -468,7 +466,7 @@ func BenchmarkCursorDrain(b *testing.B) {
 		{"person-pred-10", "//person[profile/education]", 10},
 	} {
 		b.Run(q.name, func(b *testing.B) {
-			pl, err := engine.New(corpus.Doc(16)).PrepareString(q.query, nil)
+			pl, err := plan.Prepare(plan.NewEnv(corpus.Doc(16)), q.query, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -476,7 +474,7 @@ func BenchmarkCursorDrain(b *testing.B) {
 			b.ResetTimer()
 			var results, scanned int64
 			for i := 0; i < b.N; i++ {
-				r, err := pl.Plan().RunLimitRoot(nil, q.k)
+				r, err := pl.RunLimitRoot(nil, q.k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -499,7 +497,7 @@ func BenchmarkCursorDrain(b *testing.B) {
 // wall time and the staircase Scanned of the step that holds the
 // predicates (its duration nests the join below the filters).
 func BenchmarkAdhocLightDrain(b *testing.B) {
-	e := engine.New(corpus.ValueDoc(8))
+	env := plan.NewEnv(corpus.ValueDoc(8))
 	for _, q := range []struct{ name, query string }{
 		{"initial-bidder-increase", "//open_auction[initial > 470]/bidder/increase"},
 		{"price-seller", "//closed_auction[price < 32]/seller"},
@@ -507,19 +505,21 @@ func BenchmarkAdhocLightDrain(b *testing.B) {
 		{"quantity-initial-bidder-itemref", "//open_auction[quantity = 2][initial > 470][bidder]/itemref"},
 	} {
 		b.Run(q.name, func(b *testing.B) {
-			cq, err := engine.Compile(q.query)
+			pq, err := xpath.ParseQuery(q.query)
 			if err != nil {
 				b.Fatal(err)
 			}
+			lg := plan.BuildLogical(pq)
+			plan.Rewrite(lg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var predNs, predScanned int64
 			for i := 0; i < b.N; i++ {
-				pl, err := e.Prepare(cq, nil)
+				pl, err := plan.Compile(env, lg, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := pl.Plan().RunLimitRoot(nil, math.MaxInt)
+				r, err := pl.RunLimitRoot(nil, math.MaxInt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,6 +17,7 @@ import (
 	"staircase/internal/catalog"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
+	"staircase/internal/plan"
 	"staircase/internal/spec"
 	"staircase/internal/xmark"
 	"staircase/internal/xpath"
@@ -205,10 +206,15 @@ func TestIntegrationExplainMatchesExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(d)
-	out, err := e.Explain(bench.Q2, nil)
+	p, err := plan.Prepare(e.Env(), bench.Q2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	explained, err := p.RunRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.ExplainText(explained)
 	res, err := e.EvalString(bench.Q2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -260,9 +266,9 @@ func TestIntegrationIndexAcceptance(t *testing.T) {
 	// Both catalog configurations must sniff and load all three files.
 	type loaded struct {
 		name string
-		eng  *engine.Engine
+		env  *plan.Env
 	}
-	var engines []loaded
+	var envs []loaded
 	for _, withIndex := range []bool{true, false} {
 		var opts []catalog.Option
 		if !withIndex {
@@ -278,7 +284,7 @@ func TestIntegrationIndexAcceptance(t *testing.T) {
 				t.Fatalf("index=%v %s: %v", withIndex, name, err)
 			}
 			t.Cleanup(h.Close)
-			engines = append(engines, loaded{fmt.Sprintf("%s/index=%v", name, withIndex), h.Engine()})
+			envs = append(envs, loaded{fmt.Sprintf("%s/index=%v", name, withIndex), h.Env()})
 		}
 	}
 
@@ -287,13 +293,18 @@ func TestIntegrationIndexAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range engines {
+		for _, l := range envs {
 			for _, opts := range []*engine.Options{
 				nil,
 				{Pushdown: engine.PushAlways},
 				{Pushdown: engine.PushAlways, NoIndex: true},
 			} {
-				got, err := l.eng.EvalString(q, opts)
+				po := engine.PlanOptions(opts)
+				p, err := plan.Prepare(l.env, q, &po)
+				if err != nil {
+					t.Fatalf("%s [%s]: %v", q, l.name, err)
+				}
+				got, err := p.RunRoot()
 				if err != nil {
 					t.Fatalf("%s [%s]: %v", q, l.name, err)
 				}

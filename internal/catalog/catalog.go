@@ -7,7 +7,7 @@
 // SCJ2 binary formats written by doc.WriteBinary; the format is
 // sniffed from the file's magic bytes). Loading is lazy: the first
 // Open shreds or deserializes the file, later Opens share the resident
-// *doc.Document and its *engine.Engine. Documents are immutable after
+// *doc.Document and its *plan.Env. Documents are immutable after
 // loading, so any number of concurrent readers can evaluate queries
 // against one entry without locking — the catalog only synchronises
 // lookup, load, and eviction.
@@ -16,7 +16,7 @@
 // the document's shared tag/kind index (doc.TagIndex) is resident —
 // deserialized from the SCJ2 index section when present, built with
 // one O(n) pass otherwise — so queries never pay a name-column rescan,
-// no matter how many engines or reloads the entry sees. The value
+// no matter how many plans or reloads the entry sees. The value
 // index (doc.ValueIndex, serving comparison and contains() predicates)
 // is handled the same way for documents that carry values, unless
 // disabled with WithoutValueIndex.
@@ -39,8 +39,8 @@ import (
 	"time"
 
 	"staircase/internal/doc"
-	"staircase/internal/engine"
 	"staircase/internal/fault"
+	"staircase/internal/plan"
 )
 
 // ErrUnknownDocument is wrapped by Open when the name is not
@@ -110,7 +110,7 @@ type entry struct {
 	path      string
 	format    Format
 	d         *doc.Document
-	eng       *engine.Engine
+	env       *plan.Env
 	gen       uint64 // bumped on every load
 	bytes     int64  // resident footprint: encoding + node values + indexes
 	valBytes  int64  // node-value share of bytes
@@ -140,9 +140,9 @@ type Catalog struct {
 type Option func(*Catalog)
 
 // WithoutIndex disables eager tag/kind index residency: loads skip the
-// index build (engines fall back to per-query scans when asked to
-// evaluate with engine.Options.NoIndex; a query that does use the
-// index still builds it lazily). Ablation/operations knob — the
+// index build (plans fall back to per-query scans when compiled with
+// plan.Options.NoIndex; a query that does use the index still builds
+// it lazily). Ablation/operations knob — the
 // xpathd -index=false flag.
 func WithoutIndex() Option {
 	return func(c *Catalog) { c.noIndex = true }
@@ -195,7 +195,7 @@ func (c *Catalog) AddDocument(name string, d *doc.Document) error {
 	if _, ok := c.entries[name]; ok {
 		return fmt.Errorf("catalog: document %q already registered", name)
 	}
-	e := &entry{name: name, pinned: true, d: d, eng: engine.New(d), gen: 1, loads: 1}
+	e := &entry{name: name, pinned: true, d: d, env: plan.NewEnv(d), gen: 1, loads: 1}
 	if !c.noIndex {
 		d.TagIndex()
 	}
@@ -222,7 +222,7 @@ type Handle struct {
 	e *entry
 
 	d   *doc.Document
-	eng *engine.Engine
+	env *plan.Env
 	gen uint64
 
 	once sync.Once
@@ -258,14 +258,14 @@ func (c *Catalog) Open(name string) (*Handle, error) {
 			return nil, fmt.Errorf("catalog: load %q: %w", name, err)
 		}
 		e.d = d
-		e.eng = engine.New(d)
+		e.env = plan.NewEnv(d)
 		e.format = format
 		e.gen++
 		e.loads++
 		e.charge(d)
 		c.resident += e.bytes
 	}
-	h := &Handle{c: c, e: e, d: e.d, eng: e.eng, gen: e.gen}
+	h := &Handle{c: c, e: e, d: e.d, env: e.env, gen: e.gen}
 	c.mu.Unlock()
 	e.loadMu.Unlock()
 	c.evict()
@@ -275,10 +275,11 @@ func (c *Catalog) Open(name string) (*Handle, error) {
 // Document returns the resident document.
 func (h *Handle) Document() *doc.Document { return h.d }
 
-// Engine returns the shared evaluation engine over the document (safe
-// for concurrent use; pushdown fragments come from the document's
-// shared tag/kind index, so engines carry no per-engine caches).
-func (h *Handle) Engine() *engine.Engine { return h.eng }
+// Env returns the shared plan environment over the document: every
+// plan the server compiles for this load binds to it. Safe for
+// concurrent use; pushdown fragments come from the document's shared
+// tag/kind index, so an Env carries no caches of its own.
+func (h *Handle) Env() *plan.Env { return h.env }
 
 // Name returns the catalog name of the document.
 func (h *Handle) Name() string { return h.e.name }
@@ -331,7 +332,7 @@ func (c *Catalog) evict() {
 			return // everything left is pinned or in use
 		}
 		victim.d = nil
-		victim.eng = nil
+		victim.env = nil
 		victim.evictions++
 		c.resident -= victim.bytes
 		victim.bytes, victim.valBytes, victim.idxBytes, victim.vidxBytes = 0, 0, 0, 0

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"staircase/internal/doc"
+	"staircase/internal/plan"
 	"staircase/internal/xmark"
 )
 
@@ -17,6 +18,15 @@ const testXML = `<site><people>` +
 	`<person id="p1"><profile><education>College</education></profile></person>` +
 	`<person id="p2"><profile/></person>` +
 	`</people></site>`
+
+// evalHandle runs a query on the handle's document from its root.
+func evalHandle(h *Handle, query string) (*plan.Result, error) {
+	p, err := plan.Prepare(h.Env(), query, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunRoot()
+}
 
 func writeXML(t *testing.T, name string) string {
 	t.Helper()
@@ -59,7 +69,7 @@ func TestLazyLoadAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	r, err := h.Engine().EvalString("/descendant::education", nil)
+	r, err := evalHandle(h, "/descendant::education")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +110,11 @@ func TestBinarySniffMatchesXML(t *testing.T) {
 		}
 	}
 	for _, q := range []string{"/descendant::person", "//person[profile/education]", "/descendant::education/ancestor::person"} {
-		rx, err := hx.Engine().EvalString(q, nil)
+		rx, err := evalHandle(hx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := hb.Engine().EvalString(q, nil)
+		rb, err := evalHandle(hb, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +244,7 @@ func TestConcurrentOpenLoadsOnce(t *testing.T) {
 				return
 			}
 			defer h.Close()
-			r, err := h.Engine().EvalString("/descendant::person", nil)
+			r, err := evalHandle(h, "/descendant::person")
 			if err != nil {
 				t.Error(err)
 				return

@@ -39,8 +39,8 @@ func TestCostModelPushesSelectiveTags(t *testing.T) {
 // shouldPush policy/cost gate.
 func shouldPushTag(e *Engine, tag string, bound int64, mode Pushdown) bool {
 	var frag int64
-	if id, ok := e.Document().Names().Lookup(tag); ok {
-		frag = int64(e.Document().TagIndex().TagCount(id))
+	if id, ok := e.d.Names().Lookup(tag); ok {
+		frag = int64(e.d.TagIndex().TagCount(id))
 	}
 	return shouldPush(frag, bound, mode)
 }
@@ -149,7 +149,7 @@ func TestEmptyContextAncestorStep(t *testing.T) {
 		if len(res.Nodes) != 0 {
 			t.Fatalf("%s: expected empty result, got %v", q, res.Nodes)
 		}
-		if _, err := e.Explain(q, nil); err != nil {
+		if _, err := explain(e, q, nil); err != nil {
 			t.Fatalf("explain %s: %v", q, err)
 		}
 	}

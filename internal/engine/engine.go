@@ -1,36 +1,16 @@
-// Package engine evaluates XPath location paths over pre/post encoded
-// documents, with the staircase join as the axis-step workhorse.
+// Package engine is the frozen pre-plan evaluator and the benchmark's
+// whole-query entry points.
 //
-// The engine is the evaluation façade over the plan compiler
-// (internal/plan): Eval and EvalString build the logical plan, apply
-// the rewrite rules, compile the physical plan against the document
-// and execute it; Compile returns a reusable parse+rewrite handle and
-// Prepare a bound physical plan for callers that run one query many
-// times (the query server, benchmark loops). A strategy knob selects the
-// staircase join's skip rule (Algorithms 2–4); the paper's tree-unaware
-// baselines live in internal/baseline, which only the experiments in
-// bench/ call. The pre-plan recursive step interpreter is kept,
-// verbatim, behind Options.LegacyEval as the oracle of the plan ≡
-// legacy differential property suite (plan_equiv_test.go).
-//
-// Name-test pushdown (§4.4): for a step like ancestor::bidder the
-// engine may rewrite
-//
-//	nametest(staircasejoin_anc(doc, cs), "bidder")
-//	  -> staircasejoin_anc(nametest(doc, "bidder"), cs)
-//
-// running the join over the (much smaller) tag node list. By default
-// the plan pushes whenever the shared index serves the fragment (the
-// legacy interpreter decides by a selectivity heuristic, the cost-model
-// stub the paper lists as future research); the choice can be
-// overridden for ablation.
-//
-// Pushdown fragments come from the document's shared tag/kind index
-// (doc.TagIndex, internal/index): built at most once per document —
-// or loaded straight from an SCJ2 file — and shared lock-free by every
-// engine over the document, so no engine ever rescans the name column.
-// Options.NoIndex restores the pre-index behaviour (an O(n) scan per
-// pushed step) for ablation; results are identical either way.
+// Queries run through internal/plan: plan.Prepare turns query text into
+// a physical plan, and the root package and the query server hold that
+// plan themselves. What is left here is the recursive step interpreter
+// that preceded the plan compiler, kept verbatim behind
+// Options.LegacyEval as the oracle of the plan ≡ legacy differential
+// suite (plan_equiv_test.go), and EvalString, EvalQuery and Eval, which
+// run a query either way in one call. Its legacy pushdown decision is
+// a selectivity heuristic (cost.go), the cost-model stub the paper
+// lists as future research; the plan pushes whenever the shared index
+// serves the fragment.
 package engine
 
 import (
@@ -104,9 +84,13 @@ type Options struct {
 	LegacyEval bool
 }
 
-// planOptions converts engine options to planner options.
-func planOptions(o *Options) *plan.Options {
-	return &plan.Options{
+// PlanOptions returns the planner options of o (nil: the defaults);
+// LegacyEval has no planner counterpart.
+func PlanOptions(o *Options) plan.Options {
+	if o == nil {
+		return plan.Options{}
+	}
+	return plan.Options{
 		Strategy:     o.Strategy,
 		Pushdown:     o.Pushdown,
 		NoIndex:      o.NoIndex,
@@ -116,35 +100,10 @@ func planOptions(o *Options) *plan.Options {
 }
 
 // StepReport records per-step evaluation statistics.
-type StepReport struct {
-	// Step is the canonical rendering of the location step.
-	Step string
-	// Axis of the step.
-	Axis axis.Axis
-	// InputSize and OutputSize are the context and result sequence
-	// lengths (after predicates).
-	InputSize, OutputSize int
-	// Pushed reports whether the name/kind test was pushed below the
-	// join; Indexed reports whether the pushed fragment came from the
-	// document's shared tag/kind index (false: name-column scan).
-	Pushed, Indexed bool
-	// Core holds staircase join work counters (partitioning axes only).
-	Core core.Stats
-	// Duration is the wall-clock time of the step.
-	Duration time.Duration
-}
+type StepReport = plan.StepStats
 
 // Result is the outcome of a path evaluation.
-type Result struct {
-	// Nodes is the result sequence: pre ranks in document order,
-	// duplicate-free (XPath node-sequence semantics).
-	Nodes []int32
-	// Steps reports per-step statistics in evaluation order.
-	Steps []StepReport
-	// Truncated reports that a limited evaluation (EvalFirst,
-	// EvalLimit) stopped at its limit while further results may exist.
-	Truncated bool
-}
+type Result = plan.Result
 
 // Engine evaluates XPath paths over one document. Engines are immutable
 // and safe for concurrent use: pushdown fragments live in the
@@ -161,16 +120,6 @@ func New(d *doc.Document) *Engine {
 
 // Env returns the plan execution environment of the engine.
 func (e *Engine) Env() *plan.Env { return e.env }
-
-// Document returns the engine's document.
-func (e *Engine) Document() *doc.Document { return e.d }
-
-// TagList returns the pre-sorted list of element nodes carrying the
-// given name id — the nametest(doc, n) fragment of §4.4, served by the
-// document's shared index (built at most once per document).
-func (e *Engine) TagList(nameID int32) []int32 {
-	return e.d.TagIndex().Tag(nameID)
-}
 
 // scanTagList rebuilds a tag fragment with an O(n) column scan — the
 // pre-index behaviour behind Options.NoIndex.
@@ -203,11 +152,19 @@ func (e *Engine) scanKindList(k doc.Kind) []int32 {
 // root; relative paths are evaluated with the root as the initial
 // context node as well (the conventional CLI behaviour).
 func (e *Engine) EvalString(query string, opts *Options) (*Result, error) {
-	c, err := Compile(query)
+	if opts != nil && opts.LegacyEval {
+		q, err := xpath.ParseQuery(query)
+		if err != nil {
+			return nil, err
+		}
+		return e.EvalQuery(q, []int32{e.d.Root()}, opts)
+	}
+	po := PlanOptions(opts)
+	pl, err := plan.Prepare(e.env, query, &po)
 	if err != nil {
 		return nil, err
 	}
-	return e.EvalCompiled(c, opts)
+	return pl.RunRoot()
 }
 
 // EvalQuery evaluates a union of paths: each path runs independently
@@ -215,11 +172,13 @@ func (e *Engine) EvalString(query string, opts *Options) (*Result, error) {
 // sequence (XPath '|' semantics). Step reports concatenate in path
 // order.
 func (e *Engine) EvalQuery(q xpath.Query, context []int32, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	if !opts.LegacyEval {
-		return e.evalPlan(q, context, opts)
+	if opts == nil || !opts.LegacyEval {
+		po := PlanOptions(opts)
+		pl, err := plan.PrepareQuery(e.env, q, &po)
+		if err != nil {
+			return nil, err
+		}
+		return pl.Run(context)
 	}
 	if len(q.Paths) == 1 {
 		return e.Eval(q.Paths[0], context, opts)
@@ -236,53 +195,14 @@ func (e *Engine) EvalQuery(q xpath.Query, context []int32, opts *Options) (*Resu
 	return res, nil
 }
 
-// evalPlan evaluates a query through the plan pipeline: build the
-// logical plan, rewrite, compile against this document, execute.
-func (e *Engine) evalPlan(q xpath.Query, context []int32, opts *Options) (*Result, error) {
-	l := plan.BuildLogical(q)
-	plan.Rewrite(l)
-	pl, err := plan.Compile(e.env, l, planOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	r, err := pl.Run(context)
-	if err != nil {
-		return nil, err
-	}
-	return planResult(r), nil
-}
-
-// planResult converts a plan execution result to the engine's report
-// form (the two are field-compatible by construction).
-func planResult(r *plan.Result) *Result {
-	res := &Result{Nodes: r.Nodes, Steps: make([]StepReport, len(r.Steps)), Truncated: r.Truncated}
-	for i, s := range r.Steps {
-		res.Steps[i] = StepReport{
-			Step:       s.Step,
-			Axis:       s.Axis,
-			InputSize:  s.InputSize,
-			OutputSize: s.OutputSize,
-			Pushed:     s.Pushed,
-			Indexed:    s.Indexed,
-			Core:       s.Core,
-			Duration:   s.Duration,
-		}
-	}
-	return res
-}
-
 // Eval evaluates a parsed path against an initial context sequence
 // (document order, duplicate free). Absolute paths reset the context
-// to the document root. The default route is the plan pipeline
-// (build, rewrite, compile, execute); Options.LegacyEval selects the
-// pre-plan recursive step interpreter below, kept for differential
-// testing.
+// to the document root. The default route is the plan pipeline;
+// Options.LegacyEval selects the pre-plan recursive step interpreter
+// below, kept for differential testing.
 func (e *Engine) Eval(p xpath.Path, context []int32, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	if !opts.LegacyEval {
-		return e.evalPlan(xpath.Query{Paths: []xpath.Path{p}}, context, opts)
+	if opts == nil || !opts.LegacyEval {
+		return e.EvalQuery(xpath.Query{Paths: []xpath.Path{p}}, context, opts)
 	}
 	cur := context
 	if p.Absolute {

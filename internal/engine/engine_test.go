@@ -273,13 +273,12 @@ func TestEngineRelativeEval(t *testing.T) {
 
 func TestEngineTagListCachedAndSorted(t *testing.T) {
 	d := fixture(t)
-	e := New(d)
 	id, ok := d.Names().Lookup("person")
 	if !ok {
 		t.Fatal("person not interned")
 	}
-	l1 := e.TagList(id)
-	l2 := e.TagList(id)
+	l1 := d.TagIndex().Tag(id)
+	l2 := d.TagIndex().Tag(id)
 	if &l1[0] != &l2[0] {
 		t.Fatal("tag list not cached")
 	}

@@ -42,11 +42,11 @@ var goldenQueries = []struct {
 func TestExplainGolden(t *testing.T) {
 	e := New(fixture(t))
 	for _, tc := range goldenQueries {
-		text, err := e.Explain(tc.query, nil)
+		text, err := explain(e, tc.query, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		jsonOut, err := e.ExplainJSON(tc.query, nil)
+		jsonOut, err := explainJSON(e, tc.query, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}

@@ -5,9 +5,36 @@ import (
 	"testing"
 )
 
+// explain prepares and runs a query and renders its executed plan as
+// EXPLAIN text, as the root package's Document.Explain does.
+func explain(e *Engine, q string, opts *Options) (string, error) {
+	p, err := prepare(e, q, opts)
+	if err != nil {
+		return "", err
+	}
+	r, err := p.RunRoot()
+	if err != nil {
+		return "", err
+	}
+	return p.ExplainText(r), nil
+}
+
+// explainJSON is explain in JSON form.
+func explainJSON(e *Engine, q string, opts *Options) ([]byte, error) {
+	p, err := prepare(e, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	r, err := p.RunRoot()
+	if err != nil {
+		return nil, err
+	}
+	return p.ExplainJSON(r)
+}
+
 func TestExplainStaircasePlan(t *testing.T) {
 	e := New(fixture(t))
-	out, err := e.Explain("/descendant::increase/ancestor::bidder", nil)
+	out, err := explain(e, "/descendant::increase/ancestor::bidder", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +53,14 @@ func TestExplainStaircasePlan(t *testing.T) {
 
 func TestExplainPushdownDecision(t *testing.T) {
 	e := New(fixture(t))
-	out, err := e.Explain("/descendant::education", &Options{Pushdown: PushAlways})
+	out, err := explain(e, "/descendant::education", &Options{Pushdown: PushAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "pushed below join") {
 		t.Errorf("expected pushdown note:\n%s", out)
 	}
-	out, err = e.Explain("/descendant::education", &Options{Pushdown: PushNever})
+	out, err = explain(e, "/descendant::education", &Options{Pushdown: PushNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +71,7 @@ func TestExplainPushdownDecision(t *testing.T) {
 
 func TestExplainUnionAndPredicates(t *testing.T) {
 	e := New(fixture(t))
-	out, err := e.Explain("//person[profile and name] | //bidder", nil)
+	out, err := explain(e, "//person[profile and name] | //bidder", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +88,7 @@ func TestExplainUnionAndPredicates(t *testing.T) {
 
 func TestExplainNonPartitioningAxis(t *testing.T) {
 	e := New(fixture(t))
-	out, err := e.Explain("//profile/parent::person/@id", nil)
+	out, err := explain(e, "//profile/parent::person/@id", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +102,7 @@ func TestExplainNonPartitioningAxis(t *testing.T) {
 
 func TestExplainParseError(t *testing.T) {
 	e := New(fixture(t))
-	if _, err := e.Explain("//[", nil); err == nil {
+	if _, err := explain(e, "//[", nil); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

@@ -168,14 +168,14 @@ func TestExplainShowsIndexStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(d)
-	out, err := e.Explain("/descendant::profile/descendant::education", &Options{Pushdown: PushAlways})
+	out, err := explain(e, "/descendant::profile/descendant::education", &Options{Pushdown: PushAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "shared tag/kind index") || !strings.Contains(out, "pre span [") {
 		t.Fatalf("explain missing index-hit strategy:\n%s", out)
 	}
-	out, err = e.Explain("/descendant::profile/descendant::education", &Options{Pushdown: PushAlways, NoIndex: true})
+	out, err = explain(e, "/descendant::profile/descendant::education", &Options{Pushdown: PushAlways, NoIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,17 @@ func init() {
 	plan.EnableInvariantChecks(true)
 }
 
-// drainPrepared runs a prepared plan through the streaming cursor
-// executor to exhaustion.
-func drainPrepared(p *Prepared) ([]int32, error) {
-	cur, err := p.Cursor(context.Background())
+// prepare compiles a query into a plan over the engine's document, the
+// way the root package's Document.Prepare does.
+func prepare(e *Engine, q string, opts *Options) (*plan.Plan, error) {
+	po := PlanOptions(opts)
+	return plan.Prepare(e.Env(), q, &po)
+}
+
+// drainPlan runs a plan through the streaming cursor executor to
+// exhaustion.
+func drainPlan(p *plan.Plan) ([]int32, error) {
+	cur, err := p.CursorRoot(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -51,16 +58,16 @@ func drainPrepared(p *Prepared) ([]int32, error) {
 }
 
 // checkStreaming pins the cursor executor to the legacy result: a full
-// drain must be byte-identical, and EvalLimit(k) must return exactly
+// drain must be byte-identical, and RunLimit(k) must return exactly
 // the k-prefix with a consistent Truncated report.
 func checkStreaming(t *testing.T, e *Engine, q string, opts *Options, want []int32) {
 	t.Helper()
-	p, err := e.PrepareString(q, opts)
+	p, err := prepare(e, q, opts)
 	if err != nil {
 		t.Errorf("prepare %s %+v: %v", q, *opts, err)
 		return
 	}
-	got, err := drainPrepared(p)
+	got, err := drainPlan(p)
 	if err != nil {
 		t.Errorf("cursor drain %s %+v: %v", q, *opts, err)
 		return
@@ -71,9 +78,9 @@ func checkStreaming(t *testing.T, e *Engine, q string, opts *Options, want []int
 	}
 	// A deterministic pseudo-random limit in [1, len(want)+2].
 	lim := 1 + (len(q)*7+len(want)*3)%(len(want)+2)
-	lr, err := p.EvalLimit(context.Background(), lim)
+	lr, err := p.RunLimitRoot(context.Background(), lim)
 	if err != nil {
-		t.Errorf("EvalLimit(%d) %s %+v: %v", lim, q, *opts, err)
+		t.Errorf("RunLimit(%d) %s %+v: %v", lim, q, *opts, err)
 		return
 	}
 	wantPrefix := want
@@ -81,16 +88,16 @@ func checkStreaming(t *testing.T, e *Engine, q string, opts *Options, want []int
 		wantPrefix = want[:lim]
 	}
 	if !eq32(lr.Nodes, wantPrefix) {
-		t.Errorf("EvalLimit(%d) != legacy prefix for %s under %+v:\n got %v\nwant %v",
+		t.Errorf("RunLimit(%d) != legacy prefix for %s under %+v:\n got %v\nwant %v",
 			lim, q, *opts, lr.Nodes, wantPrefix)
 		return
 	}
 	if !lr.Truncated && len(lr.Nodes) != len(want) {
-		t.Errorf("EvalLimit(%d) for %s under %+v: Truncated=false but %d of %d nodes returned",
+		t.Errorf("RunLimit(%d) for %s under %+v: Truncated=false but %d of %d nodes returned",
 			lim, q, *opts, len(lr.Nodes), len(want))
 	}
 	if lr.Truncated && len(lr.Nodes) < lim && len(lr.Nodes) < len(want) {
-		t.Errorf("EvalLimit(%d) for %s under %+v: Truncated=true but stopped early with %d nodes",
+		t.Errorf("RunLimit(%d) for %s under %+v: Truncated=true but stopped early with %d nodes",
 			lim, q, *opts, len(lr.Nodes))
 	}
 }
@@ -385,12 +392,12 @@ func TestReorderEquivalence(t *testing.T) {
 					return
 				}
 				checkStreaming(t, e, q, &Options{}, legacy.Nodes)
-				po, err := e.PrepareString(q, &Options{})
+				po, err := prepare(e, q, &Options{})
 				if err != nil {
 					t.Errorf("prepare %s: %v", q, err)
 					return
 				}
-				pp, err := e.PrepareString(q, &Options{NoReorder: true})
+				pp, err := prepare(e, q, &Options{NoReorder: true})
 				if err != nil {
 					t.Errorf("prepare no-reorder %s: %v", q, err)
 					return

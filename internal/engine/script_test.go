@@ -141,11 +141,11 @@ func TestBenchmarkScriptsMatchSpec(t *testing.T) {
 		if !eq32(legacy.Nodes, want) {
 			t.Fatalf("legacy != spec for %s:\n got %v\nwant %v", q.text, legacy.Nodes, want)
 		}
-		p, err := e.PrepareString(q.text, nil)
+		p, err := prepare(e, q.text, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run()
+		res, err := p.RunRoot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestBenchmarkScriptsMatchSpec(t *testing.T) {
 		}
 		checkStreaming(t, e, q.text, &Options{}, want)
 		if q.limit > 0 {
-			lr, err := p.EvalLimit(context.Background(), q.limit)
+			lr, err := p.RunLimitRoot(context.Background(), q.limit)
 			if err != nil {
 				t.Fatal(err)
 			}

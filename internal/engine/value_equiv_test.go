@@ -2,7 +2,7 @@
 // produce byte-identical results whether it is served from value-index
 // fragments (the semijoin rewrite), re-evaluated per node with
 // the index disabled (Options.NoValueIndex), or run through the
-// legacy evaluator. Streaming (cursor drain, EvalLimit prefixes) is
+// legacy evaluator. Streaming (cursor drain, RunLimit prefixes) is
 // checked against batch execution on every knob combination, and the
 // whole suite spawns one goroutine per query so `go test -race`
 // exercises concurrent plan execution against the lazily built index.
@@ -154,7 +154,7 @@ func randValueQuery(rng *rand.Rand) string {
 // TestValuePushdownEquivalence is the differential property suite:
 // random value-rich documents x random value-predicate queries,
 // checking that the index-served plan, the NoValueIndex plan, and the
-// legacy evaluator agree, and that cursors and EvalLimit prefixes
+// legacy evaluator agree, and that cursors and RunLimit prefixes
 // match batch output under every knob combination.
 func TestValuePushdownEquivalence(t *testing.T) {
 	trials := quickTrials(5)
@@ -223,7 +223,7 @@ func TestValuePredicateRewriteFires(t *testing.T) {
 		{"//person[profile/age > 35]", "numeric range"},
 	}
 	for _, tc := range cases {
-		p, err := e.PrepareString(tc.q, nil)
+		p, err := prepare(e, tc.q, nil)
 		if err != nil {
 			t.Fatalf("prepare %s: %v", tc.q, err)
 		}
@@ -236,10 +236,11 @@ func TestValuePredicateRewriteFires(t *testing.T) {
 		if !found {
 			t.Errorf("%s: rewrite list %v lacks semijoin", tc.q, p.Rewrites())
 		}
-		txt, err := p.Explain()
+		got, err := p.RunRoot()
 		if err != nil {
-			t.Fatalf("explain %s: %v", tc.q, err)
+			t.Fatalf("run %s: %v", tc.q, err)
 		}
+		txt := p.ExplainText(got)
 		if !strings.Contains(txt, "ValueScan") {
 			t.Errorf("%s: explain lacks ValueScan:\n%s", tc.q, txt)
 		}
@@ -249,27 +250,20 @@ func TestValuePredicateRewriteFires(t *testing.T) {
 
 		// Canonical string must be identical with the index disabled,
 		// and the plain/no-index runs must agree node for node.
-		pNo, err := e.PrepareString(tc.q, &Options{NoValueIndex: true})
+		pNo, err := prepare(e, tc.q, &Options{NoValueIndex: true})
 		if err != nil {
 			t.Fatalf("prepare noindex %s: %v", tc.q, err)
 		}
 		if p.Canon() != pNo.Canon() {
 			t.Errorf("%s: canon differs with NoValueIndex:\n %s\n %s", tc.q, p.Canon(), pNo.Canon())
 		}
-		txtNo, err := pNo.Explain()
-		if err != nil {
-			t.Fatalf("explain noindex %s: %v", tc.q, err)
-		}
-		if !strings.Contains(txtNo, "PredFilter") || strings.Contains(txtNo, "SemiJoin") {
-			t.Errorf("%s: NoValueIndex explain is not a PredFilter:\n%s", tc.q, txtNo)
-		}
-		got, err := p.Run()
-		if err != nil {
-			t.Fatalf("run %s: %v", tc.q, err)
-		}
-		gotNo, err := pNo.Run()
+		gotNo, err := pNo.RunRoot()
 		if err != nil {
 			t.Fatalf("run noindex %s: %v", tc.q, err)
+		}
+		txtNo := pNo.ExplainText(gotNo)
+		if !strings.Contains(txtNo, "PredFilter") || strings.Contains(txtNo, "SemiJoin") {
+			t.Errorf("%s: NoValueIndex explain is not a PredFilter:\n%s", tc.q, txtNo)
 		}
 		if !eq32(got.Nodes, gotNo.Nodes) {
 			t.Errorf("%s: indexed %v != rescan %v", tc.q, got.Nodes, gotNo.Nodes)
@@ -299,7 +293,7 @@ func TestValuePredicateNotRewritten(t *testing.T) {
 		"//person[*/descendant::age > 35]",   // chain ending in descendant
 		"//person[profile/age != 35]",        // != over a chain
 	} {
-		p, err := e.PrepareString(q, nil)
+		p, err := prepare(e, q, nil)
 		if err != nil {
 			t.Fatalf("prepare %s: %v", q, err)
 		}

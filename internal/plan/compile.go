@@ -16,6 +16,26 @@ import (
 	"staircase/internal/xpath"
 )
 
+// Prepare turns query text (a location path, or a union of paths
+// combined with '|') into a physical plan over env: parse, then
+// PrepareQuery. A query past the parser's limits fails with an
+// *xpath.LimitError.
+func Prepare(env *Env, query string, opts *Options) (*Plan, error) {
+	q, err := xpath.ParseQuery(query)
+	if err != nil {
+		return nil, err
+	}
+	return PrepareQuery(env, q, opts)
+}
+
+// PrepareQuery builds the logical plan of a parsed query, rewrites it
+// and compiles it against env.
+func PrepareQuery(env *Env, q xpath.Query, opts *Options) (*Plan, error) {
+	l := BuildLogical(q)
+	Rewrite(l)
+	return Compile(env, l, opts)
+}
+
 // Compile binds a rewritten logical plan to a document environment
 // under the given options. The logical plan is not modified and may be
 // shared by concurrent compilations.

@@ -36,16 +36,10 @@ func fixture(t testing.TB) *doc.Document {
 	return d
 }
 
-// compileQuery builds, rewrites and compiles a query for the fixture.
+// compileQuery prepares a query for the fixture.
 func compileQuery(t testing.TB, env *Env, q string, opts *Options) *Plan {
 	t.Helper()
-	pq, err := xpath.ParseQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := BuildLogical(pq)
-	Rewrite(l)
-	p, err := Compile(env, l, opts)
+	p, err := Prepare(env, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

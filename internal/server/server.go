@@ -1,5 +1,5 @@
-// Package server exposes the catalog and engine as a long-lived HTTP
-// query service — the front door of cmd/xpathd. It is the layer the
+// Package server exposes the catalog and the plan executor as a
+// long-lived HTTP query service — the front door of cmd/xpathd. It is the layer the
 // paper's framing implies but never builds: the staircase join as the
 // axis-step workhorse *inside* a system answering many concurrent
 // queries over many documents.
@@ -35,7 +35,7 @@
 // or server timeout cancels the running cursors between batches, so
 // abandoned queries release their worker-semaphore unit instead of
 // scanning to completion. Limited queries (POST /query with limit=N,
-// POST /stream) evaluate through the engine's streaming executor —
+// POST /stream) evaluate through the plan's streaming executor —
 // the staircase kernels stop after the N-th result — and the result
 // cache keys truncated results on (canonical plan, limit) so they
 // never collide with full results.
@@ -74,7 +74,6 @@ import (
 	"time"
 
 	"staircase/internal/catalog"
-	"staircase/internal/engine"
 	"staircase/internal/fault"
 	"staircase/internal/plan"
 	"staircase/internal/share"
@@ -163,9 +162,9 @@ type Server struct {
 	seenNext int
 	seed     maphash.Seed
 
-	// defaultOpts is engineOptions(nil), resolved once: a request
+	// defaultOpts is planOptions(nil), resolved once: a request
 	// without options shares it read-only.
-	defaultOpts *engine.Options
+	defaultOpts *plan.Options
 
 	queries     atomic.Int64
 	batches     atomic.Int64
@@ -185,7 +184,7 @@ type preparedEntry struct {
 	key string
 	doc string
 	gen uint64
-	p   *engine.Prepared
+	p   *plan.Plan
 }
 
 // maxPrepared bounds the prepared-plan LRU; distinct (document
@@ -234,7 +233,7 @@ func New(cfg Config) *Server {
 		OnWheel:     s.pool.acquire,
 		OnWheelDone: s.pool.release,
 	})
-	s.defaultOpts, _ = s.engineOptions(nil)
+	s.defaultOpts, _ = s.planOptions(nil)
 	return s
 }
 
@@ -384,7 +383,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, st *reqStat
 }
 
 // QueryOptions selects the evaluation configuration, mirroring
-// engine.Options with JSON-friendly names.
+// plan.Options with JSON-friendly names.
 type QueryOptions struct {
 	// Pushdown: auto (default), always, never.
 	Pushdown string `json:"pushdown,omitempty"`
@@ -453,19 +452,19 @@ type QueryResponse struct {
 	Results    []QueryResult `json:"results"`
 }
 
-var pushdowns = map[string]engine.Pushdown{
-	"":       engine.PushAuto,
-	"auto":   engine.PushAuto,
-	"always": engine.PushAlways,
-	"never":  engine.PushNever,
+var pushdowns = map[string]plan.Pushdown{
+	"":       plan.PushAuto,
+	"auto":   plan.PushAuto,
+	"always": plan.PushAlways,
+	"never":  plan.PushNever,
 }
 
-// engineOptions resolves request options against server defaults.
-func (s *Server) engineOptions(o *QueryOptions) (*engine.Options, error) {
+// planOptions resolves request options against server defaults.
+func (s *Server) planOptions(o *QueryOptions) (*plan.Options, error) {
 	if o == nil && s.defaultOpts != nil {
 		return s.defaultOpts, nil
 	}
-	opts := &engine.Options{
+	opts := &plan.Options{
 		NoIndex:      s.cfg.NoIndex,
 		NoValueIndex: s.cfg.NoValueIndex,
 		NoReorder:    s.cfg.NoReorder,
@@ -516,7 +515,7 @@ func appendCacheKey(dst []byte, docName string, gen uint64, canon string, limit 
 // generation, full options signature (NoIndex changes how a plan
 // executes, so prepared handles are per-knob even though results are
 // not), and the query text.
-func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Options, query string) []byte {
+func appendPreparedKey(dst []byte, docName string, gen uint64, opts *plan.Options, query string) []byte {
 	dst = append(dst, docName...)
 	dst = append(dst, 0)
 	dst = strconv.AppendUint(dst, gen, 10)
@@ -542,7 +541,7 @@ func appendPreparedKey(dst []byte, docName string, gen uint64, opts *engine.Opti
 // once costs no cache entry, and a recurring one is served from the LRU
 // from its third request on. The key is built in *kb, scratch the
 // caller may reuse afterwards.
-func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options, kb *[]byte) (*engine.Prepared, error) {
+func (s *Server) prepare(h *catalog.Handle, query string, opts *plan.Options, kb *[]byte) (*plan.Plan, error) {
 	*kb = appendPreparedKey((*kb)[:0], h.Name(), h.Generation(), opts, query)
 	s.preparedMu.RLock()
 	el, ok := s.prepared[string(*kb)]
@@ -567,11 +566,7 @@ func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options, 
 	s.preparedMu.Unlock()
 	s.planMisses.Add(1)
 
-	c, err := engine.Compile(query)
-	if err != nil {
-		return nil, err
-	}
-	p, err := h.Engine().Prepare(c, opts) // optimize outside the lock
+	p, err := plan.Prepare(h.Env(), query, opts) // optimize outside the lock
 	if err != nil || !admit {
 		return p, err
 	}
@@ -667,7 +662,7 @@ func (s *Server) classifyEvalErr(ctx context.Context, res *QueryResult, err erro
 // on their own goroutines, where an uncaught panic kills the process —
 // is recovered into a 500-classified result; the deferred release
 // keeps the worker budget balanced on that path.
-func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *engine.Options, noCache bool, limit int, kb *[]byte) (res QueryResult) {
+func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *plan.Options, noCache bool, limit int, kb *[]byte) (res QueryResult) {
 	start := time.Now()
 	res = QueryResult{Query: query}
 	defer func() {
@@ -732,12 +727,7 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *eng
 	// Deferred (not inline after eval) so a panicking operator cannot
 	// leak its unit past the recover above.
 	defer s.pool.release()
-	var r *engine.Result
-	if limit > 0 {
-		r, err = p.EvalLimit(ctx, limit)
-	} else {
-		r, err = p.RunCtx(ctx)
-	}
+	r, err := p.RunLimitRoot(ctx, limit) // limit <= 0 runs the whole plan
 	elapsed := time.Since(start)
 	h.RecordQuery(elapsed)
 	res.ElapsedNs = elapsed.Nanoseconds()
@@ -755,7 +745,7 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *eng
 }
 
 // limitCursor caps a streaming cursor at its flight's limit: the
-// coalesced counterpart of EvalLimit. Reporting exhaustion at the cap
+// coalesced counterpart of RunLimit. Reporting exhaustion at the cap
 // makes the flight finish and close the underlying cursor, so the
 // kernels never scan past what the limit needs.
 type limitCursor struct {
@@ -786,9 +776,9 @@ func (l *limitCursor) Close() { l.cur.Close() }
 // joinFlight joins (or creates) the in-flight execution of p under its
 // cache key; a completed result of at most keep nodes becomes one slice
 // and retires into the result cache. Its pace car holds one unit.
-func (s *Server) joinFlight(p *engine.Prepared, key string, limit, keep int) (*share.Follower, bool) {
+func (s *Server) joinFlight(p *plan.Plan, key string, limit, keep int) (*share.Follower, bool) {
 	open := func(fctx context.Context) (share.Cursor, error) {
-		cur, err := p.Cursor(fctx)
+		cur, err := p.CursorRoot(fctx)
 		if err != nil {
 			return nil, err
 		}
@@ -808,7 +798,7 @@ func (s *Server) joinFlight(p *engine.Prepared, key string, limit, keep int) (*s
 // keeps every result, and the slice the cache gets is the one returned.
 // The returned bool reports coalescing (this client attached to a
 // flight another request created).
-func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, limit int) ([]int32, bool, error) {
+func (s *Server) sharedEval(ctx context.Context, p *plan.Plan, key string, limit int) ([]int32, bool, error) {
 	f, created := s.joinFlight(p, key, limit, share.Unbounded)
 	defer f.Close()
 	// A flight joined rather than created may be a /stream client's that
@@ -860,7 +850,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(queries), s.cfg.MaxBatch)
 		return
 	}
-	opts, err := s.engineOptions(req.Options)
+	opts, err := s.planOptions(req.Options)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -959,7 +949,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "POST /stream takes exactly one query")
 		return
 	}
-	opts, err := s.engineOptions(req.Options)
+	opts, err := s.planOptions(req.Options)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -990,7 +980,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.pool.release()
-	cur, err := p.Cursor(ctx)
+	cur, err := p.CursorRoot(ctx)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1109,7 +1099,7 @@ func (s *Server) failEval(w http.ResponseWriter, ctx context.Context, err error)
 // streams run the plan exactly once. Only the current driver holds a
 // worker-budget unit (via the registry's wheel hooks); followers are
 // blocked handlers replaying shared batches.
-func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *engine.Prepared, limit int, kb *[]byte) {
+func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *plan.Plan, limit int, kb *[]byte) {
 	*kb = appendCacheKey((*kb)[:0], h.Name(), h.Generation(), p.Canon(), limit)
 	start := time.Now()
 	s.streams.Add(1)
@@ -1173,7 +1163,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		noReorder = b
 	}
-	opts, err := s.engineOptions(&QueryOptions{
+	opts, err := s.planOptions(&QueryOptions{
 		Pushdown:     q.Get("pushdown"),
 		NoIndex:      noIndex,
 		NoValueIndex: noValueIndex,
@@ -1205,8 +1195,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.pool.release()
+	res, err := p.RunRoot()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if q.Get("format") == "json" {
-		out, err := p.ExplainJSON()
+		out, err := p.ExplainJSON(res)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
@@ -1215,13 +1210,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		w.Write(out)
 		return
 	}
-	out, err := p.Explain()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, out)
+	fmt.Fprint(w, p.ExplainText(res))
 	if s.cfg.ShareScans {
 		created, coalesced, handoffs := s.flights.Stats()
 		fmt.Fprintf(w, "share-scans: on flights=%d coalesced=%d handoffs=%d\n",

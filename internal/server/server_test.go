@@ -18,6 +18,7 @@ import (
 	"staircase/internal/catalog"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
+	"staircase/internal/plan"
 	"staircase/internal/xmark"
 	"staircase/internal/xpath"
 )
@@ -833,7 +834,7 @@ func TestStalePreparedPlansDropOnReload(t *testing.T) {
 		// Twice each: the plan cache admits a plan on its second request.
 		for range 2 {
 			for _, q := range []string{"//person", "//bidder", "//increase"} {
-				if _, err := s.prepare(h, q, &engine.Options{}, new([]byte)); err != nil {
+				if _, err := s.prepare(h, q, &plan.Options{}, new([]byte)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package staircase
 import (
 	"staircase/internal/doc"
 	"staircase/internal/engine"
+	"staircase/internal/plan"
 	"staircase/internal/xpath"
 )
 
@@ -54,12 +55,12 @@ type QueryLimitError = xpath.LimitError
 
 // Result is the outcome of a query: the node sequence (preorder
 // ranks, document order, duplicate-free) plus per-step statistics.
-type Result = engine.Result
+type Result = plan.Result
 
 // StepReport carries the per-location-step statistics of a Result:
 // cardinalities, the pushdown decision, and the staircase join work
 // counters.
-type StepReport = engine.StepReport
+type StepReport = plan.StepStats
 
 // NodeKind classifies document nodes (element, attribute, text,
 // comment, processing instruction).

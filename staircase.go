@@ -80,16 +80,16 @@ import (
 )
 
 // Document is an immutable pre/post encoded document (or collection)
-// together with its query engine. Documents are safe for concurrent
-// use: queries never lock.
+// together with its plan environment. Documents are safe for
+// concurrent use: queries never lock.
 type Document struct {
-	d *doc.Document
-	e *engine.Engine
+	d   *doc.Document
+	env *plan.Env
 }
 
 // wrap builds the public handle around an internal document.
 func wrap(d *doc.Document) *Document {
-	return &Document{d: d, e: engine.New(d)}
+	return &Document{d: d, env: plan.NewEnv(d)}
 }
 
 // Open loads a document from a file. The format is sniffed: files
@@ -201,9 +201,17 @@ func (d *Document) Stats() DocStats { return d.d.ComputeStats() }
 // Query parses, plans and runs a query with the document root as
 // context. opts selects the staircase variant, pushdown policy and the
 // ablation knobs; nil is the paper default (staircase join with
-// automatic pushdown).
+// automatic pushdown). Options.LegacyEval runs the pre-plan
+// interpreter instead.
 func (d *Document) Query(query string, opts *Options) (*Result, error) {
-	return d.e.EvalString(query, opts)
+	if opts != nil && opts.LegacyEval {
+		return engine.New(d.d).EvalString(query, opts)
+	}
+	p, err := d.prepare(query, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunRoot()
 }
 
 // QueryFrom runs a query with an explicit initial context (relative
@@ -212,49 +220,63 @@ func (d *Document) Query(query string, opts *Options) (*Result, error) {
 // sequence first — the precondition every set-at-a-time operator
 // relies on.
 func (d *Document) QueryFrom(context []int32, query string, opts *Options) (*Result, error) {
-	p, err := d.Prepare(query, opts)
+	p, err := d.prepare(query, opts)
 	if err != nil {
 		return nil, err
 	}
-	return p.RunFrom(context)
+	return p.Run(normalizeContext(context))
 }
 
 // Prepare compiles a query into an optimized physical plan bound to
 // this document: parse → logical plan → rewrite rules → operator
 // selection. The plan is immutable and safe for concurrent Run calls.
 func (d *Document) Prepare(query string, opts *Options) (*Plan, error) {
-	p, err := d.e.PrepareString(query, opts)
+	p, err := d.prepare(query, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{p: p}, nil
 }
 
+// prepare compiles a query into the plan package's physical plan.
+func (d *Document) prepare(query string, opts *Options) (*plan.Plan, error) {
+	po := engine.PlanOptions(opts)
+	return plan.Prepare(d.env, query, &po)
+}
+
 // Explain prepares and explains in one call: the optimized plan tree
 // in text form, with per-operator fragment sources and cardinalities.
 func (d *Document) Explain(query string, opts *Options) (string, error) {
-	return d.e.Explain(query, opts)
+	p, err := d.Prepare(query, opts)
+	if err != nil {
+		return "", err
+	}
+	return p.Explain()
 }
 
 // ExplainJSON is Explain in machine-readable form.
 func (d *Document) ExplainJSON(query string, opts *Options) ([]byte, error) {
-	return d.e.ExplainJSON(query, opts)
+	p, err := d.Prepare(query, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExplainJSON()
 }
 
 // Plan is a compiled, optimized physical plan bound to one Document.
 type Plan struct {
-	p *engine.Prepared
+	p *plan.Plan
 }
 
 // Run executes the plan with the document root as initial context.
-func (p *Plan) Run() (*Result, error) { return p.p.Run() }
+func (p *Plan) Run() (*Result, error) { return p.p.RunRoot() }
 
 // RunFrom executes the plan with an explicit initial context. The
 // context is normalised to a document-ordered, duplicate-free
 // sequence first (the operators' precondition), so callers may pass
 // nodes in any order.
 func (p *Plan) RunFrom(context []int32) (*Result, error) {
-	return p.p.RunContext(normalizeContext(context))
+	return p.p.Run(normalizeContext(context))
 }
 
 // RunLimit executes the plan through the streaming cursor executor
@@ -264,13 +286,13 @@ func (p *Plan) RunFrom(context []int32) (*Result, error) {
 // Result.Nodes is a prefix of Run's nodes; Result.Truncated reports
 // whether further results may exist. limit <= 0 evaluates fully.
 func (p *Plan) RunLimit(limit int) (*Result, error) {
-	return p.p.EvalLimit(context.Background(), limit)
+	return p.p.RunLimitRoot(context.Background(), limit)
 }
 
 // RunLimitContext is RunLimit with cancellation: the execution checks
 // ctx between batches and stops early when it is cancelled.
 func (p *Plan) RunLimitContext(ctx context.Context, limit int) (*Result, error) {
-	return p.p.EvalLimit(ctx, limit)
+	return p.p.RunLimitRoot(ctx, limit)
 }
 
 // Cursor opens a streaming execution of the plan from the document
@@ -283,7 +305,7 @@ func (p *Plan) Cursor() (*Cursor, error) {
 
 // CursorContext is Cursor with cancellation.
 func (p *Plan) CursorContext(ctx context.Context) (*Cursor, error) {
-	rc, err := p.p.Cursor(ctx)
+	rc, err := p.p.CursorRoot(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -347,12 +369,18 @@ func (p *Plan) Rewrites() []string { return p.p.Rewrites() }
 
 // Explain executes the plan and renders the optimized operator tree
 // with actual per-operator cardinalities.
-func (p *Plan) Explain() (string, error) { return p.p.Explain() }
+func (p *Plan) Explain() (string, error) {
+	r, err := p.p.RunRoot()
+	if err != nil {
+		return "", err
+	}
+	return p.p.ExplainText(r), nil
+}
 
 // MustExplain is Explain for examples and diagnostics; it panics on
 // evaluation errors.
 func (p *Plan) MustExplain() string {
-	out, err := p.p.Explain()
+	out, err := p.Explain()
 	if err != nil {
 		panic(fmt.Sprintf("staircase: explain: %v", err))
 	}
@@ -361,4 +389,10 @@ func (p *Plan) MustExplain() string {
 
 // ExplainJSON executes the plan and returns the operator tree in JSON
 // form.
-func (p *Plan) ExplainJSON() ([]byte, error) { return p.p.ExplainJSON() }
+func (p *Plan) ExplainJSON() ([]byte, error) {
+	r, err := p.p.RunRoot()
+	if err != nil {
+		return nil, err
+	}
+	return p.p.ExplainJSON(r)
+}
