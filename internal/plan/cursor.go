@@ -60,7 +60,7 @@ const execBatchSize = 256
 
 // execBatchMin is the first batch's capacity, and with it the first
 // window a staircase kernel scans; batches grow geometrically toward
-// execBatchSize so a LIMIT 1 / EvalFirst consumer pays for a 16-node
+// execBatchSize so a LIMIT 1 consumer pays for a 16-node
 // buffer and a 16-position scan, not the full batch.
 const execBatchMin = 16
 

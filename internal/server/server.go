@@ -692,7 +692,7 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *pla
 			}
 			res.Count = len(e.nodes)
 			// A stored limited result of exactly `limit` nodes may have
-			// more behind it — the same conservative report EvalLimit
+			// more behind it — the same conservative report RunLimit
 			// itself gives at the boundary.
 			res.Truncated = limit > 0 && len(e.nodes) >= limit
 			res.Cached = true

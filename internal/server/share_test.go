@@ -354,7 +354,7 @@ func TestCursorHoldsOneWorkerUnit(t *testing.T) {
 	if last := chunks[len(chunks)-1]; !last.Done || last.Error != "" {
 		t.Errorf("second stream: %+v", last)
 	}
-	for _, noCache := range []bool{false, true} { // shared flight, then EvalLimit
+	for _, noCache := range []bool{false, true} { // shared flight, then RunLimit
 		resp, code := postQuery(t, ts.URL, QueryRequest{
 			Doc: "mem", Query: "/descendant::bidder", Limit: 5, NoCache: noCache, TimeoutMs: 2000,
 		})
