@@ -1,8 +1,8 @@
 // Package server exposes the catalog and the plan executor as a
-// long-lived HTTP query service — the front door of cmd/xpathd. It is the layer the
-// paper's framing implies but never builds: the staircase join as the
-// axis-step workhorse *inside* a system answering many concurrent
-// queries over many documents.
+// long-lived HTTP query service — the front door of cmd/xpathd. It is
+// the layer the paper's framing implies but never builds: the
+// staircase join as the axis-step workhorse *inside* a system
+// answering many concurrent queries over many documents.
 //
 // The design leans on one fact: documents are immutable after
 // shredding, so query evaluation needs no locking at all — concurrency
