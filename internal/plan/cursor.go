@@ -18,13 +18,15 @@
 //     next one is nil. A whole join drains its context and runs its
 //     kernel once at an unbounded window into a result sized by
 //     Equation (1) (core.Join, core.JoinNodeList). A consumer that needs
-//     its whole input — a whole join, AxisStep, a blocking PosFilter, a
-//     whole Merge — opens that input whole. A following join opens its
-//     input streaming even when whole: it reads its context only as far
-//     as the first context node's subtree reaches and leaves the
-//     operators below it suspended there. The exception is an input
-//     that lends a span (a pushed document-node step): that span costs
-//     two binary searches, so it opens whole.
+//     its whole input — a whole join or child step, a parent, self or
+//     sibling AxisStep, a blocking PosFilter, a whole Merge — opens that
+//     input whole. A streaming child or attribute step sweeps its
+//     input's batches (childStack), and a following join opens its input
+//     streaming even when whole: it reads its context only as far as the
+//     first context node's subtree reaches and leaves the operators below
+//     it suspended there. The exception is an input that lends a span (a
+//     pushed document-node step): that span costs two binary searches,
+//     so it opens whole.
 //
 // Ownership: a whole batch is the consumer's, to filter in place or to
 // return as Result.Nodes, with one exception — a pushed document-node
@@ -202,9 +204,9 @@ func searchNodes(nodes []int32, pre int32) int {
 	return lo
 }
 
-// blocker is an operator that evaluates its whole input at once: an
-// AxisStep, or a PosFilter on a reverse axis, from the document node or
-// drained whole.
+// blocker is an operator that evaluates its whole input at once: a
+// parent, self, sibling or document-node AxisStep, or a PosFilter on a
+// reverse axis, from the document node or drained whole.
 type blocker interface {
 	eval(ec *execCtx, in []int32) ([]int32, error)
 }
@@ -273,7 +275,7 @@ func (c *sourceCursor) next(seek int32) ([]int32, error) {
 // --- StaircaseJoin ---------------------------------------------------------
 
 func (o *joinOp) open(ec *execCtx, whole bool) (cursor, error) {
-	in, err := o.in.open(ec, whole && (o.base != axis.Following || o.inLendsSpan(ec)))
+	in, err := o.in.open(ec, whole && (o.base != axis.Following || lendsSpan(ec, o.in)))
 	if err != nil {
 		return nil, err
 	}
@@ -313,13 +315,13 @@ func (o *joinOp) open(ec *execCtx, whole bool) (cursor, error) {
 	return c, nil
 }
 
-// inLendsSpan reports whether o's input is a pushed document-node step
-// that lends its consumer the index list's span: opened whole, that
-// span costs two binary searches, less than a kernel cursor streaming
-// the prefix a following step reads.
-func (o *joinOp) inLendsSpan(ec *execCtx) bool {
-	in, ok := o.in.(*joinOp)
-	return ok && in.docNode && in.lend && in.frag != nil && ec.pushes()
+// lendsSpan reports whether in is a pushed document-node step that
+// lends its consumer the index list's span: opened whole, that span
+// costs two binary searches, less than a kernel cursor streaming the
+// prefix a following or child step reads.
+func lendsSpan(ec *execCtx, in op) bool {
+	j, ok := in.(*joinOp)
+	return ok && j.docNode && j.lend && j.frag != nil && ec.pushes()
 }
 
 // joinCursor runs one staircase join step. Whole, it computes the step
@@ -519,15 +521,148 @@ func (c *joinCursor) pull(seek int32) ([]int32, error) {
 
 func (c *joinCursor) close() { c.in.close() }
 
-// --- AxisStep (pipeline breaker) ------------------------------------------
+// --- AxisStep --------------------------------------------------------------
 
 func (o *axisStepOp) open(ec *execCtx, whole bool) (cursor, error) {
-	in, err := o.in.open(ec, true)
+	if o.docNode || o.a != axis.Child && o.a != axis.Attribute {
+		// Parent, self and the sibling axes sort what they collect.
+		in, err := o.in.open(ec, true)
+		if err != nil {
+			return nil, err
+		}
+		return newBlockingCursor(ec, o.id, o, in, whole), nil
+	}
+	in, err := o.in.open(ec, whole || lendsSpan(ec, o.in))
 	if err != nil {
 		return nil, err
 	}
-	return newBlockingCursor(ec, o.id, o, in, whole), nil
+	c := reuse[childCursor](ec, o.id)
+	*c = childCursor{
+		childStack: childStack{d: ec.env.Doc, attrs: o.a == axis.Attribute, e: emitFor(ec.env.Doc, o.a, o.test), stack: c.stack[:0]},
+		ec:         ec, st: &ec.steps[o.meta.ord-1], ost: &ec.ops[o.id], in: in, whole: whole,
+	}
+	return c, nil
 }
+
+// childStack sweeps child::test, or attribute::test, over a
+// document-ordered context (Stack-Tree-Desc, Al-Khalifa et al., ICDE
+// 2002). Each context node whose subtree is not empty becomes the top
+// frame {next child, subtree end} that jumps from child to child over
+// their subtrees (post + level + 1); the attribute axis stops at the end
+// of the run of attribute leaves that opens the subtree. A context node
+// below the top's next child lies inside an earlier child's subtree: the
+// top is suspended under it. Otherwise the top emits, so the output is
+// in document order with no sort.
+type childStack struct {
+	d     *doc.Document
+	attrs bool
+	e     core.Emit
+	top   childFrame   // next == 0: no frame
+	stack []childFrame // the suspended parents
+	ctx   []int32      // the context batch being read
+	pos   int
+	read  int // context nodes read
+}
+
+type childFrame struct{ next, end int32 }
+
+// pop resumes the parent the top was suspended over, if any.
+func (s *childStack) pop() {
+	s.top = childFrame{}
+	if n := len(s.stack); n > 0 {
+		s.top, s.stack = s.stack[n-1], s.stack[:n-1]
+	}
+}
+
+// sweep appends the step's next nodes at or past seek to out until out
+// holds limit nodes, or until it needs the context node after ctx —
+// unless final, when ctx is the last of the context.
+func (s *childStack) sweep(out []int32, limit int, seek int32, final bool) []int32 {
+	post, level, kind, name := s.d.PostSlice(), s.d.LevelSlice(), s.d.KindSlice(), s.d.NameSlice()
+	for s.top.next > 0 && s.top.end < seek {
+		s.pop()
+	}
+	for len(out) < limit {
+		if s.pos < len(s.ctx) {
+			if c := s.ctx[s.pos]; s.top.next == 0 || c < s.top.next {
+				s.pos, s.read = s.pos+1, s.read+1
+				if end := post[c] + level[c]; end > c && end >= seek {
+					if s.top.next > 0 {
+						s.stack = append(s.stack, s.top)
+					}
+					s.top = childFrame{c + 1, end}
+				}
+				continue
+			}
+		} else if !final || s.top.next == 0 {
+			return out
+		}
+		v := s.top.next
+		if v > s.top.end || s.attrs && kind[v] != doc.Attr {
+			s.pop()
+			continue
+		}
+		s.top.next = post[v] + level[v] + 1
+		if v >= seek && s.e.Pass(kind[v], name[v]) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// childCursor runs a child or attribute step over its input's batches.
+// Streaming, it fills one growBuf window and hands back what it has
+// before it pulls more context; whole, it sweeps the whole context at
+// an unbounded window into the consumer's slice.
+type childCursor struct {
+	childStack
+	ec     *execCtx
+	st     *StepStats
+	ost    *opStat
+	in     cursor
+	buf    growBuf
+	whole  bool
+	inDone bool
+}
+
+func (c *childCursor) next(seek int32) ([]int32, error) {
+	if c.inDone && c.top.next == 0 {
+		return nil, nil
+	}
+	if err := c.ec.cancelled(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	var out []int32
+	limit := math.MaxInt
+	if !c.whole {
+		out = c.buf.take()
+		limit = cap(out)
+	}
+	var err error
+	for {
+		out = c.sweep(out, limit, seek, c.inDone)
+		if len(out) == limit || c.inDone || len(out) > 0 && !c.whole {
+			break
+		}
+		var b []int32
+		if b, err = c.in.next(0); err != nil {
+			break
+		}
+		c.ctx, c.pos, c.inDone = b, 0, b == nil
+	}
+	c.st.Duration += time.Since(start)
+	c.ost.ran = true
+	c.ost.in, c.st.InputSize = c.read, c.read
+	if len(out) == 0 {
+		return nil, err
+	}
+	c.ost.out += len(out)
+	c.st.OutputSize = c.ost.out
+	return out, err
+}
+
+func (c *childCursor) close() { c.in.close() }
 
 // --- PredFilter ------------------------------------------------------------
 

@@ -26,6 +26,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -474,7 +475,8 @@ func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, s
 	case axis.AncestorOrSelf:
 		return ec.partitioning(axis.Ancestor, true, test, context, st, ost)
 	case axis.Child, axis.Attribute:
-		return childSweep(d, a == axis.Attribute, emitFor(d, a, test), context), nil
+		s := childStack{d: d, attrs: a == axis.Attribute, e: emitFor(d, a, test), ctx: context}
+		return s.sweep(nil, math.MaxInt, 0, true), nil
 	case axis.Parent:
 		var out []int32
 		for _, c := range context {
@@ -516,42 +518,6 @@ func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, s
 	default:
 		return nil, fmt.Errorf("plan: unsupported axis %v", a)
 	}
-}
-
-// childSweep evaluates child::test, or attribute::test when attrs, as
-// one Equation (1) sweep per context node c, applying the node test e on
-// the way: from c+1 the child axis jumps over each child's subtree to
-// the next child, and the attribute axis reads the run of attribute
-// leaves that opens c's subtree. Distinct context nodes share no child,
-// so the concatenation is duplicate-free, and it is in document order
-// unless a context node lies inside an earlier one's subtree — the one
-// case that sorts.
-func childSweep(d *doc.Document, attrs bool, e core.Emit, context []int32) []int32 {
-	post, level, kind, name := d.PostSlice(), d.LevelSlice(), d.KindSlice(), d.NameSlice()
-	var out []int32
-	last, nested := int32(-1), false // last: the furthest subtree end swept
-	for _, c := range context {
-		end := post[c] + level[c] // c + |descendant(c)|
-		nested = nested || c <= last
-		last = max(last, end)
-		if attrs {
-			for v := c + 1; v <= end && kind[v] == doc.Attr; v++ {
-				if e.Pass(kind[v], name[v]) {
-					out = append(out, v)
-				}
-			}
-			continue
-		}
-		for v := c + 1; v <= end; v = post[v] + level[v] + 1 {
-			if e.Pass(kind[v], name[v]) {
-				out = append(out, v)
-			}
-		}
-	}
-	if nested {
-		slices.Sort(out)
-	}
-	return out
 }
 
 // docRootAxisTest evaluates a step against the implicit document node
@@ -733,17 +699,12 @@ func emitFor(d *doc.Document, a axis.Axis, test xpath.NodeTest) core.Emit {
 	return e
 }
 
-// sortNodes sorts a pre-rank slice, unless it already ascends (per-
+// sortDedup sorts a pre-rank slice, unless it already ascends (per-
 // context results concatenate in order whenever the context nodes do
-// not nest).
-func sortNodes(nodes []int32) {
+// not nest), and removes duplicates in place.
+func sortDedup(nodes []int32) []int32 {
 	if !slices.IsSorted(nodes) {
 		slices.Sort(nodes)
 	}
-}
-
-// sortDedup sorts a pre-rank slice and removes duplicates in place.
-func sortDedup(nodes []int32) []int32 {
-	sortNodes(nodes)
 	return slices.Compact(nodes)
 }
