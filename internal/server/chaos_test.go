@@ -438,6 +438,37 @@ func TestRequestTimeoutAnswers408(t *testing.T) {
 	assertQuiesced(t, s, cat)
 }
 
+// TestRequestTimeoutExplainAnswers408: /explain runs its plan under the
+// request's deadline, so a plan stalled past it answers 408 as POST
+// /query does, instead of finishing the run after the deadline.
+func TestRequestTimeoutExplainAnswers408(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	if err := fault.Configure("cursor.next:delay:d=50ms"); err != nil {
+		t.Fatal(err)
+	}
+	s, ts, cat := newChaosServer(t, Config{Workers: 2, RequestTimeout: 5 * time.Millisecond})
+	for _, req := range []struct{ method, path, body string }{
+		{"POST", "/query", `{"doc":"mem","query":"/descendant::person/child::name","noCache":true}`},
+		{"GET", "/explain?doc=mem&q=/descendant::person/child::name", ""},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestTimeout {
+			t.Errorf("%s %s past its deadline: status %d, want 408", req.method, req.path, resp.StatusCode)
+		}
+	}
+	fault.Reset()
+	assertQuiesced(t, s, cat)
+}
+
 // TestPanickingOperatorAnswers500 pins panic containment end to end:
 // an injected panic in the streaming cursor costs that query a 500
 // (with panics_recovered_total moving), and the very next request —

@@ -1184,10 +1184,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Explain executes the plan through Plan.Run, so it holds one
-	// worker-budget unit just like a full POST /query — explain traffic
-	// cannot oversubscribe the machine, and under overload it is shed
-	// the same way.
+	// Explain executes the whole plan, so it holds one worker-budget
+	// unit just like a full POST /query — explain traffic cannot
+	// oversubscribe the machine, and under overload it is shed the same
+	// way — and it runs under the request's deadline and cancellation.
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
 	if err := s.pool.acquire(ctx); err != nil {
@@ -1195,9 +1195,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.pool.release()
-	res, err := p.RunRoot()
+	res, err := p.RunLimitRoot(ctx, 0)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.failEval(w, ctx, err)
 		return
 	}
 	if q.Get("format") == "json" {
