@@ -135,34 +135,37 @@ func gallop(list []int32, lo int, pre int32) int {
 // SubtreeNodeList computes c/descendant-or-self ∩ list, the list entries
 // in [c, c + |subtree(c)|], with two binary searches: the result is a
 // subslice of list, not a copy, so the caller must not write to it (its
-// capacity ends with it, so an append copies). The counters are
-// JoinNodeList's on the descendant axis and the context [c].
+// capacity ends with it, so an append copies). It counts the entries the
+// searches compared as scanned and the rest of the list as skipped; a
+// caller that copies the span charges the copy (Stats.AddCopy).
 func SubtreeNodeList(d *doc.Document, list []int32, c int32, opts *Options) []int32 {
 	o := opts.orDefault()
 	o.Stats.addContext(1)
 	if len(list) == 0 {
 		return nil
 	}
-	lo := searchList(list, c+1)
-	hi := searchFrom(list, lo, c+1+d.SubtreeSize(c))
-	// The descendant kernel copies the entries up to post(c), compares the
-	// rest of the subtree, and breaks at the first entry beyond it, which
-	// NoSkip compares too, with everything after.
-	copied, compared, skipped := int64(0), int64(hi-lo), int64(0)
-	if o.Variant == SkipEstimate {
-		g := searchFrom(list[:hi], lo, d.Post(c)+1)
-		copied, compared = int64(g-lo), int64(hi-g)
-	}
-	if rest := int64(len(list) - hi); rest > 0 {
-		if o.Variant == NoSkip {
-			compared += rest
-		} else {
-			compared, skipped = compared+1, rest-1
-		}
-	}
-	o.Stats.addScan(1, copied, compared, skipped, hi-lo)
+	lo, n := probeList(list, 0, c+1)
+	hi, m := probeList(list, lo, c+1+d.SubtreeSize(c))
+	k := min(n+m, int64(len(list))) // the entries compared, some twice
+	o.Stats.addScan(1, 0, k, int64(len(list))-k, hi-lo)
+	// The search for c+1 compared list[lo-1].
 	if lo > 0 && list[lo-1] == c {
 		lo--
 	}
 	return list[lo:hi:hi]
+}
+
+// probeList is searchList over list[lo:], returning the index into list
+// and the number of entries it compared.
+func probeList(list []int32, lo int, pre int32) (int, int64) {
+	n, hi := int64(0), len(list)
+	for ; lo < hi; n++ {
+		m := int(uint(lo+hi) >> 1)
+		if list[m] < pre {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -127,8 +128,9 @@ func TestNodeListSkipTouchesFewerEntries(t *testing.T) {
 
 // TestSubtreeNodeListMatchesKernel: the two-search span of a subtree
 // over a list equals the descendant kernel on the one-node context with
-// the node merged back in, counts the kernel's work under every variant,
-// and is a subslice of the list that an append cannot write past.
+// the node merged back in, counts the kernel's context and result but
+// only the entries its two binary searches compared as scanned, and is a
+// subslice of the list that an append cannot write past.
 func TestSubtreeNodeListMatchesKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 40; trial++ {
@@ -142,8 +144,14 @@ func TestSubtreeNodeListMatchesKernel(t *testing.T) {
 					nodes = MergeOrSelf(nodes, []int32{c})
 				}
 				span := SubtreeNodeList(d, list, c, &Options{Variant: v, Stats: &got})
-				if !eq32(span, nodes) || got != want {
-					t.Fatalf("trial %d, node %d, %v: span %v with %+v, kernel %v with %+v", trial, c, v, span, got, nodes, want)
+				if !eq32(span, nodes) {
+					t.Fatalf("trial %d, node %d, %v: span %v, kernel %v", trial, c, v, span, nodes)
+				}
+				searches := min(2*int64(bits.Len(uint(len(list)))+1), int64(len(list)))
+				if got.ContextSize != want.ContextSize || got.PrunedSize != want.PrunedSize || got.Result != want.Result ||
+					got.Copied != 0 || got.Scanned != got.Compared || got.Compared == 0 || got.Compared > searches ||
+					got.Skipped != int64(len(list))-got.Compared {
+					t.Fatalf("trial %d, node %d, %v: span counters %+v, kernel %+v, at most %d compared by the searches", trial, c, v, got, want, searches)
 				}
 				if len(span) > 0 {
 					if i := searchList(list, span[0]); &list[i] != &span[0] {

@@ -110,6 +110,16 @@ func (s *Stats) addScan(pruned int, copied, compared, skipped int64, result int)
 	}
 }
 
+// AddCopy charges n entries copied out of a list span the counters
+// took as skipped (nil-safe): they move from skipped to copied.
+func (s *Stats) AddCopy(n int) {
+	if s != nil {
+		s.Copied += int64(n)
+		s.Scanned += int64(n)
+		s.Skipped = max(s.Skipped-int64(n), 0)
+	}
+}
+
 // KindMask is a set of node kinds: bit k stands for doc.Kind k.
 type KindMask uint8
 

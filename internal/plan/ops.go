@@ -565,6 +565,7 @@ func (ec *execCtx) docNodeStep(test xpath.NodeTest, st *StepStats, ost *opStat, 
 	if lend {
 		return nodes, nil
 	}
+	co.Stats.AddCopy(len(nodes))
 	return slices.Clone(nodes), nil
 }
 
