@@ -297,3 +297,33 @@ func TestFirstWindowBoundsFirstBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestChildStepLimitReadsOneWindow: a limit 1 over a child step reads at
+// most one window of context, whether its input lends the index span
+// (the default) or streams it from a column scan (NoIndex).
+func TestChildStepLimitReadsOneWindow(t *testing.T) {
+	d, err := xmark.Generate(xmark.Config{SizeMB: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(d)
+	const q = "/descendant::open_auction/child::bidder"
+	for _, opts := range []*Options{nil, {NoIndex: true}} {
+		p := compileQuery(t, env, q, opts)
+		full, err := p.RunRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.RunLimitRoot(nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Nodes, full.Nodes[:1]) {
+			t.Fatalf("%+v: limit 1 returned %v, want %v", opts, res.Nodes, full.Nodes[:1])
+		}
+		if in := res.Steps[1].InputSize; in == 0 || in > execBatchMin {
+			t.Errorf("%+v: the child step read %d context nodes under limit 1, want 1..%d (of %d)", opts, in, execBatchMin, full.Steps[1].InputSize)
+		}
+		t.Logf("%+v: the child step read %d of %d context nodes under limit 1", opts, res.Steps[1].InputSize, full.Steps[1].InputSize)
+	}
+}

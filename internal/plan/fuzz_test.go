@@ -19,7 +19,8 @@ import (
 // so are queries with more than two predicates, whose reference
 // evaluation grows with the document to the power of their nesting.
 // The seeds are the predicate shapes a semijoin serves, in both probe
-// directions, the decoys next to them, and chains of blocking steps.
+// directions, the decoys next to them, chains of blocking steps and the
+// child and attribute steps' nested, flat and empty contexts.
 //
 //	go test -run '^$' -fuzz '^FuzzQueryDiff$' -fuzztime 60s ./internal/plan
 func FuzzQueryDiff(f *testing.F) {
@@ -29,6 +30,7 @@ func FuzzQueryDiff(f *testing.F) {
 		`<a k="1"><b>2<c>3</c></b><b k="x"><c/>4</b>5<a><b><c>6</c></b></a></a>`,
 		`<r><s><x/><s><t><x/></t>u<s><t/></s></s></s><p k="1"><v>1</v><a><b/></a></p><p k="2"><v>2</v>w<a><p><v>3</v><x/></p></a></p></r>`,
 		`<r><a a="1">2</a><a a="3.0"><a>4</a><b a=" 5 ">1e0</b></a><b>6<!--7--></b>8</r>`,
+		childXML,
 	}
 	queries := []string{
 		"//open_auction[reserve]/bidder", "//open_auction[bidder]/current", "//person[profile/education]",
@@ -44,6 +46,7 @@ func FuzzQueryDiff(f *testing.F) {
 		"//a[. > 3]", "//*[descendant::a < 4]",
 	}
 	queries = append(queries, blockingShapes...)
+	queries = append(queries, childShapes...)
 	for _, d := range docs {
 		for _, q := range queries {
 			f.Add([]byte(d), q)
