@@ -611,9 +611,9 @@ func (s *childStack) sweep(out []int32, limit int, seek int32, final bool) []int
 }
 
 // childCursor runs a child or attribute step over its input's batches.
-// Streaming, it fills one growBuf window and hands back what it has
-// before it pulls more context; whole, it sweeps the whole context at
-// an unbounded window into the consumer's slice.
+// Streaming, it hands back a batch when its growBuf window is full or
+// the context ends; whole, it sweeps the whole context at an unbounded
+// window into the consumer's slice.
 type childCursor struct {
 	childStack
 	ec     *execCtx
@@ -642,7 +642,7 @@ func (c *childCursor) next(seek int32) ([]int32, error) {
 	var err error
 	for {
 		out = c.sweep(out, limit, seek, c.inDone)
-		if len(out) == limit || c.inDone || len(out) > 0 && !c.whole {
+		if len(out) == limit || c.inDone {
 			break
 		}
 		var b []int32
