@@ -524,17 +524,14 @@ func (c *joinCursor) close() { c.in.close() }
 // --- AxisStep --------------------------------------------------------------
 
 func (o *axisStepOp) open(ec *execCtx, whole bool) (cursor, error) {
-	if o.docNode || o.a != axis.Child && o.a != axis.Attribute {
-		// Parent, self and the sibling axes sort what they collect.
-		in, err := o.in.open(ec, true)
-		if err != nil {
-			return nil, err
-		}
-		return newBlockingCursor(ec, o.id, o, in, whole), nil
-	}
-	in, err := o.in.open(ec, whole || lendsSpan(ec, o.in))
+	// Parent, self and the sibling axes sort what they collect.
+	streams := !o.docNode && (o.a == axis.Child || o.a == axis.Attribute)
+	in, err := o.in.open(ec, whole || !streams || lendsSpan(ec, o.in))
 	if err != nil {
 		return nil, err
+	}
+	if !streams {
+		return newBlockingCursor(ec, o.id, o, in, whole), nil
 	}
 	c := reuse[childCursor](ec, o.id)
 	*c = childCursor{
