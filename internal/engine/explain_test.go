@@ -92,11 +92,11 @@ func TestExplainNonPartitioningAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "positional parent lookup") {
-		t.Errorf("expected positional lookup note:\n%s", out)
+	if !strings.Contains(out, "blocking parent lookup") {
+		t.Errorf("expected blocking lookup note:\n%s", out)
 	}
-	if !strings.Contains(out, "positional attribute lookup") {
-		t.Errorf("expected attribute lookup note:\n%s", out)
+	if !strings.Contains(out, "streaming attribute sweep") {
+		t.Errorf("expected attribute sweep note:\n%s", out)
 	}
 }
 

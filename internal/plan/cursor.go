@@ -524,8 +524,7 @@ func (c *joinCursor) close() { c.in.close() }
 // --- AxisStep --------------------------------------------------------------
 
 func (o *axisStepOp) open(ec *execCtx, whole bool) (cursor, error) {
-	// Parent, self and the sibling axes sort what they collect.
-	streams := !o.docNode && (o.a == axis.Child || o.a == axis.Attribute)
+	streams := o.streams()
 	in, err := o.in.open(ec, whole || !streams || lendsSpan(ec, o.in))
 	if err != nil {
 		return nil, err

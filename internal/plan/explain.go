@@ -317,7 +317,11 @@ func (p *Plan) renderOp(sb *strings.Builder, o planNode, res *Result, depth int)
 			label += ", document node"
 		}
 		line("AxisStep (%s)", label)
-		line("  operator: positional %s lookup (parent/size columns)", t.a)
+		if t.streams() {
+			line("  operator: streaming %s sweep (post/level subtree jumps)", t.a)
+		} else {
+			line("  operator: blocking %s lookup (parent/size columns)", t.a)
+		}
 		card(t.est)
 	case *predFilterOp:
 		line("PredFilter (step %d)", t.meta.ord)

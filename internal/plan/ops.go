@@ -231,7 +231,8 @@ func (o *joinOp) stepAxis() axis.Axis {
 }
 
 // axisStepOp evaluates the non-partitioning axes: child, parent, self,
-// attribute, the sibling axes and namespace, via positional
+// attribute, the sibling axes and namespace. Child and attribute steps
+// stream a subtree-jump sweep (childCursor); the others are blocking
 // parent/size-column lookups. docNode selects the document-node
 // semantics of the first step of an absolute path.
 type axisStepOp struct {
@@ -245,6 +246,12 @@ type axisStepOp struct {
 }
 
 func (o *axisStepOp) kids() []planNode { return []planNode{o.in} }
+
+// streams reports whether the step runs on a childCursor; parent, self,
+// the sibling axes and the document-node step sort what they collect.
+func (o *axisStepOp) streams() bool {
+	return !o.docNode && (o.a == axis.Child || o.a == axis.Attribute)
+}
 
 // eval evaluates the step over its whole input (blocker).
 func (o *axisStepOp) eval(ec *execCtx, in []int32) ([]int32, error) {
