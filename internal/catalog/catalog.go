@@ -19,7 +19,10 @@
 // no matter how many plans or reloads the entry sees. The value
 // index (doc.ValueIndex, serving comparison and contains() predicates)
 // is handled the same way for documents that carry values, unless
-// disabled with WithoutValueIndex.
+// disabled with WithoutValueIndex. The same two settings decide the
+// plan options of every handle (Handle.PlanOptions): a catalog that
+// keeps no index plans without it, so no query builds one outside the
+// residency accounting.
 //
 // Residency is bounded: when the encoded bytes of loaded documents
 // (structural columns plus their tag/kind index) exceed the budget,
@@ -134,24 +137,24 @@ type Catalog struct {
 	clock    int64
 	noIndex  bool
 	noVIndex bool
+	planOpts *plan.Options // shared read-only by every handle
 }
 
 // Option configures a Catalog.
 type Option func(*Catalog)
 
-// WithoutIndex disables eager tag/kind index residency: loads skip the
-// index build (plans fall back to per-query scans when compiled with
-// plan.Options.NoIndex; a query that does use the index still builds
-// it lazily). Ablation/operations knob — the
-// xpathd -index=false flag.
+// WithoutIndex keeps no tag/kind index: loads skip the build and the
+// handles' plans rebuild pushdown fragments by column scan
+// (plan.Options.NoIndex). Results are identical. Ablation/operations
+// knob — the xpathd -index=false flag.
 func WithoutIndex() Option {
 	return func(c *Catalog) { c.noIndex = true }
 }
 
-// WithoutValueIndex disables eager value-index residency: loads skip
-// the build, so value predicates fall back to per-node evaluation
-// unless a query builds the index lazily. Ablation/operations knob —
-// the xpathd -value-index=false flag.
+// WithoutValueIndex keeps no value index: loads skip the build and the
+// handles' plans evaluate value predicates per node
+// (plan.Options.NoValueIndex). Results are identical.
+// Ablation/operations knob — the xpathd -value-index=false flag.
 func WithoutValueIndex() Option {
 	return func(c *Catalog) { c.noVIndex = true }
 }
@@ -165,6 +168,7 @@ func New(maxBytes int64, opts ...Option) *Catalog {
 	for _, o := range opts {
 		o(c)
 	}
+	c.planOpts = &plan.Options{NoIndex: c.noIndex, NoValueIndex: c.noVIndex}
 	return c
 }
 
@@ -280,6 +284,12 @@ func (h *Handle) Document() *doc.Document { return h.d }
 // concurrent use; pushdown fragments come from the document's shared
 // tag/kind index, so an Env carries no caches of its own.
 func (h *Handle) Env() *plan.Env { return h.env }
+
+// PlanOptions returns the options every plan over this handle compiles
+// with: the index settings of the catalog, so a plan uses an index only
+// where the catalog keeps one resident. Shared; callers must not
+// modify it.
+func (h *Handle) PlanOptions() *plan.Options { return h.c.planOpts }
 
 // Name returns the catalog name of the document.
 func (h *Handle) Name() string { return h.e.name }

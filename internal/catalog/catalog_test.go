@@ -19,9 +19,10 @@ const testXML = `<site><people>` +
 	`<person id="p2"><profile/></person>` +
 	`</people></site>`
 
-// evalHandle runs a query on the handle's document from its root.
+// evalHandle runs a query on the handle's document from its root, with
+// the handle's plan options.
 func evalHandle(h *Handle, query string) (*plan.Result, error) {
-	p, err := plan.Prepare(h.Env(), query, nil)
+	p, err := plan.Prepare(h.Env(), query, h.PlanOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -35,6 +36,24 @@ func writeXML(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// askIndexQueries runs a pushdown query and a value-predicate query on
+// testXML, the two kinds of plan that read an index when they may.
+func askIndexQueries(t *testing.T, h *Handle) {
+	t.Helper()
+	for q, want := range map[string]int{
+		"/descendant::education":                  2,
+		"//person[profile/education = 'College']": 1,
+	} {
+		r, err := evalHandle(h, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Nodes) != want {
+			t.Fatalf("%s: %d nodes, want %d", q, len(r.Nodes), want)
+		}
+	}
 }
 
 func writeBinary(t *testing.T, name string) string {
@@ -328,8 +347,9 @@ func TestWithoutIndexSkipsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	askIndexQueries(t, h)
 	if h.Document().IndexBuilt() {
-		t.Fatal("WithoutIndex catalog built the index at load")
+		t.Fatal("WithoutIndex catalog built the index")
 	}
 	if c.IndexBytes() != 0 {
 		t.Fatalf("IndexBytes = %d, want 0", c.IndexBytes())
@@ -349,8 +369,9 @@ func TestWithoutValueIndexSkipsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	askIndexQueries(t, h)
 	if h.Document().ValueIndexBuilt() {
-		t.Fatal("WithoutValueIndex catalog built the value index at load")
+		t.Fatal("WithoutValueIndex catalog built the value index")
 	}
 	if c.ValueIndexBytes() != 0 {
 		t.Fatalf("ValueIndexBytes = %d, want 0", c.ValueIndexBytes())
