@@ -13,8 +13,10 @@
 // from the file, and an SCJ2 file loads with its tag/kind pushdown
 // index already materialised. -gen name=sizeMB registers a generated
 // XMark-style document — handy for demos and load tests without files
-// on disk. -index=false disables the shared index (per-query rescans;
-// results identical — ablation/ops knob).
+// on disk. -index=false and -value-index=false make the catalog keep
+// no tag/kind or value index; every query then plans without it
+// (per-query column rescans, per-node value predicates; results
+// identical — ablation/ops knobs). Requests carry no planner options.
 //
 //	curl -s localhost:8080/query -d '{
 //	  "doc": "auction",
@@ -90,13 +92,12 @@ func (p *pairList) Set(s string) error {
 
 // config is the parsed command line.
 type config struct {
-	addr                           string
-	docs, gens                     pairList
-	cacheMB, catalogMB, maxBody    int64
-	workers, maxQueue              int
-	useIndex, useVIndex, noReorder bool
-	shareScans                     bool
-	reqTimeout, drainTimeout       time.Duration
+	addr                            string
+	docs, gens                      pairList
+	cacheMB, catalogMB, maxBody     int64
+	workers, maxQueue               int
+	useIndex, useVIndex, shareScans bool
+	reqTimeout, drainTimeout        time.Duration
 }
 
 // registerFlags declares the command's flags on fs.
@@ -110,7 +111,6 @@ func registerFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.workers, "workers", 0, "worker budget for query evaluation (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.useIndex, "index", true, "keep the shared tag/kind index resident per document (false: per-query column rescans; results identical)")
 	fs.BoolVar(&c.useVIndex, "value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
-	fs.BoolVar(&c.noReorder, "no-reorder", false, "disable greedy filter ordering (source-order predicate evaluation; results identical)")
 	fs.BoolVar(&c.shareScans, "share-scans", true, "coalesce identical in-flight executions: concurrent cache misses on one (doc, plan, limit) key share a single pace-car execution")
 	fs.DurationVar(&c.reqTimeout, "request-timeout", 30*time.Second, "per-request evaluation deadline; requests may lower it with timeoutMs, expiry answers 408 (0 = none)")
 	fs.IntVar(&c.maxQueue, "max-queue", -1, "admission queue bound: past this many waiting requests new work is shed with 503 + Retry-After (-1 = 8x workers, 0 = unbounded)")
@@ -163,9 +163,6 @@ func main() {
 		Catalog:        cat,
 		CacheBytes:     cfg.cacheMB << 20,
 		Workers:        cfg.workers,
-		NoIndex:        !cfg.useIndex,
-		NoValueIndex:   !cfg.useVIndex,
-		NoReorder:      cfg.noReorder,
 		ShareScans:     cfg.shareScans,
 		RequestTimeout: cfg.reqTimeout,
 		MaxQueue:       cfg.maxQueue,

@@ -289,7 +289,7 @@ func mustCanon(t testing.TB, s *Server, query string) string {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	p, err := s.prepare(h, query, s.defaultOpts, new([]byte))
+	p, err := s.prepare(h, query, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestCachedStreamReplayObeysRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	p, err := s.prepare(h, "//x", s.defaultOpts, new([]byte))
+	p, err := s.prepare(h, "//x", new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 // rest:
 //
 //   - a prepared-plan LRU (physical plan once per document generation
-//     × options × query) that admits a plan on its key's second request
-//     only, so queries asked once parse, rewrite and optimize afresh
-//     and leave nothing behind;
+//     × query, compiled with the catalog's plan options) that admits a
+//     plan on its key's second request only, so queries asked once
+//     parse, rewrite and optimize afresh and leave nothing behind;
 //   - a sharded LRU result cache keyed on (doc, generation, canonical
 //     optimized-plan string) — equivalent query texts compile to the
 //     same canonical plan and share one entry; see
@@ -89,20 +89,6 @@ type Config struct {
 	// Workers is the shared worker budget for query evaluation; <= 0
 	// defaults to GOMAXPROCS.
 	Workers int
-	// NoIndex disables the shared tag/kind index by default: pushdown
-	// fragments are rebuilt by column scan per query (ablation knob,
-	// xpathd -index=false). Individual requests may also set it.
-	NoIndex bool
-	// NoValueIndex disables value-index fragment service by default:
-	// comparison and contains() predicates are re-evaluated per node
-	// (ablation knob, xpathd -value-index=false). Individual requests
-	// may also set it.
-	NoValueIndex bool
-	// NoReorder disables the planner's greedy filter ordering and
-	// empty-fragment short-circuit by default: predicates evaluate in
-	// source order (ablation knob, xpathd -no-reorder). Individual
-	// requests may also set it.
-	NoReorder bool
 	// MaxBatch caps the number of queries in one POST /query request;
 	// <= 0 defaults to 256.
 	MaxBatch int
@@ -162,10 +148,6 @@ type Server struct {
 	seenNext int
 	seed     maphash.Seed
 
-	// defaultOpts is planOptions(nil), resolved once: a request
-	// without options shares it read-only.
-	defaultOpts *plan.Options
-
 	queries     atomic.Int64
 	batches     atomic.Int64
 	streams     atomic.Int64
@@ -188,7 +170,7 @@ type preparedEntry struct {
 }
 
 // maxPrepared bounds the prepared-plan LRU; distinct (document
-// generation, options, query) combinations beyond this evict the
+// generation, query) pairs beyond this evict the
 // least recently used plan. It also bounds how far apart a key's two
 // requests may be for its plan to be admitted.
 const maxPrepared = 4096
@@ -233,7 +215,6 @@ func New(cfg Config) *Server {
 		OnWheel:     s.pool.acquire,
 		OnWheelDone: s.pool.release,
 	})
-	s.defaultOpts, _ = s.planOptions(nil)
 	return s
 }
 
@@ -382,30 +363,12 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, st *reqStat
 	return true
 }
 
-// QueryOptions selects the evaluation configuration, mirroring
-// plan.Options with JSON-friendly names.
-type QueryOptions struct {
-	// Pushdown: auto (default), always, never.
-	Pushdown string `json:"pushdown,omitempty"`
-	// NoIndex evaluates without the shared tag/kind index (per-query
-	// column rescans; results are identical — ablation knob).
-	NoIndex bool `json:"noIndex,omitempty"`
-	// NoValueIndex evaluates value predicates without the value index
-	// (per-node string comparison; results are identical — ablation
-	// knob).
-	NoValueIndex bool `json:"noValueIndex,omitempty"`
-	// NoReorder evaluates predicates strictly in source order, without
-	// greedy ordering (results are identical — ablation knob).
-	NoReorder bool `json:"noReorder,omitempty"`
-}
-
 // QueryRequest is the POST /query body. Query and Queries may be
 // combined; all run against the one named document.
 type QueryRequest struct {
-	Doc     string        `json:"doc"`
-	Query   string        `json:"query,omitempty"`
-	Queries []string      `json:"queries,omitempty"`
-	Options *QueryOptions `json:"options,omitempty"`
+	Doc     string   `json:"doc"`
+	Query   string   `json:"query,omitempty"`
+	Queries []string `json:"queries,omitempty"`
 	// NoCache bypasses the result cache (no lookup, no store).
 	NoCache bool `json:"noCache,omitempty"`
 	// Limit stops each query after its first N result nodes via the
@@ -452,50 +415,12 @@ type QueryResponse struct {
 	Results    []QueryResult `json:"results"`
 }
 
-var pushdowns = map[string]plan.Pushdown{
-	"":       plan.PushAuto,
-	"auto":   plan.PushAuto,
-	"always": plan.PushAlways,
-	"never":  plan.PushNever,
-}
-
-// planOptions resolves request options against server defaults.
-func (s *Server) planOptions(o *QueryOptions) (*plan.Options, error) {
-	if o == nil && s.defaultOpts != nil {
-		return s.defaultOpts, nil
-	}
-	opts := &plan.Options{
-		NoIndex:      s.cfg.NoIndex,
-		NoValueIndex: s.cfg.NoValueIndex,
-		NoReorder:    s.cfg.NoReorder,
-	}
-	if o != nil {
-		if o.NoIndex {
-			opts.NoIndex = true
-		}
-		if o.NoValueIndex {
-			opts.NoValueIndex = true
-		}
-		if o.NoReorder {
-			opts.NoReorder = true
-		}
-		push, ok := pushdowns[o.Pushdown]
-		if !ok {
-			return nil, fmt.Errorf("unknown pushdown mode %q", o.Pushdown)
-		}
-		opts.Pushdown = push
-	}
-	return opts, nil
-}
-
 // appendCacheKey appends the result-cache key built from the canonical
 // optimized-plan string. Document generation guards against
 // reload-after-eviction serving stale results; the canonical plan
-// covers the operator tree and pushdown policy, and — by
-// construction — collapses equivalent query texts ("//a/b" vs its
-// unabbreviated spelling) onto one entry, while the NoIndex ablation
-// knob stays excluded (it is property-tested to be byte-identical to
-// the default evaluation). A limit joins the key:
+// covers the operator tree and, by construction, collapses equivalent
+// query texts ("//a/b" vs its unabbreviated spelling) onto one entry.
+// A limit joins the key:
 // truncated results must never collide with full ones or with other
 // limits.
 func appendCacheKey(dst []byte, docName string, gen uint64, canon string, limit int) []byte {
@@ -511,38 +436,26 @@ func appendCacheKey(dst []byte, docName string, gen uint64, canon string, limit 
 	return dst
 }
 
-// appendPreparedKey appends the key of a physical plan: document
-// generation, full options signature (NoIndex changes how a plan
-// executes, so prepared handles are per-knob even though results are
-// not), and the query text.
-func appendPreparedKey(dst []byte, docName string, gen uint64, opts *plan.Options, query string) []byte {
+// appendPreparedKey appends the key of a physical plan: document,
+// generation and query text. The plan options are the catalog's, one
+// set per document, so they need no place in the key.
+func appendPreparedKey(dst []byte, docName string, gen uint64, query string) []byte {
 	dst = append(dst, docName...)
 	dst = append(dst, 0)
 	dst = strconv.AppendUint(dst, gen, 10)
 	dst = append(dst, 0)
-	dst = append(dst, opts.Pushdown.String()...)
-	if opts.NoIndex {
-		dst = append(dst, ",noindex"...)
-	}
-	if opts.NoValueIndex {
-		dst = append(dst, ",novalueindex"...)
-	}
-	if opts.NoReorder {
-		dst = append(dst, ",noreorder"...)
-	}
-	dst = append(dst, 0)
 	return append(dst, query...)
 }
 
-// prepare returns the physical plan for (document, options, query).
+// prepare returns the physical plan for (document, query).
 // A miss parses, rewrites and optimizes the query afresh; the plan is
 // kept, per document generation, only when its key was already
 // requested within the last maxPrepared distinct keys — a query asked
 // once costs no cache entry, and a recurring one is served from the LRU
 // from its third request on. The key is built in *kb, scratch the
 // caller may reuse afterwards.
-func (s *Server) prepare(h *catalog.Handle, query string, opts *plan.Options, kb *[]byte) (*plan.Plan, error) {
-	*kb = appendPreparedKey((*kb)[:0], h.Name(), h.Generation(), opts, query)
+func (s *Server) prepare(h *catalog.Handle, query string, kb *[]byte) (*plan.Plan, error) {
+	*kb = appendPreparedKey((*kb)[:0], h.Name(), h.Generation(), query)
 	s.preparedMu.RLock()
 	el, ok := s.prepared[string(*kb)]
 	s.preparedMu.RUnlock()
@@ -566,7 +479,7 @@ func (s *Server) prepare(h *catalog.Handle, query string, opts *plan.Options, kb
 	s.preparedMu.Unlock()
 	s.planMisses.Add(1)
 
-	p, err := plan.Prepare(h.Env(), query, opts) // optimize outside the lock
+	p, err := plan.Prepare(h.Env(), query, h.PlanOptions()) // optimize outside the lock
 	if err != nil || !admit {
 		return p, err
 	}
@@ -662,7 +575,7 @@ func (s *Server) classifyEvalErr(ctx context.Context, res *QueryResult, err erro
 // on their own goroutines, where an uncaught panic kills the process —
 // is recovered into a 500-classified result; the deferred release
 // keeps the worker budget balanced on that path.
-func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *plan.Options, noCache bool, limit int, kb *[]byte) (res QueryResult) {
+func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, noCache bool, limit int, kb *[]byte) (res QueryResult) {
 	start := time.Now()
 	res = QueryResult{Query: query}
 	defer func() {
@@ -672,7 +585,7 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, opts *pla
 			res.ElapsedNs = time.Since(start).Nanoseconds()
 		}
 	}()
-	p, err := s.prepare(h, query, opts, kb)
+	p, err := s.prepare(h, query, kb)
 	if err != nil {
 		res.Error = err.Error()
 		res.status = http.StatusBadRequest
@@ -850,11 +763,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(queries), s.cfg.MaxBatch)
 		return
 	}
-	opts, err := s.planOptions(req.Options)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	h, err := s.cat.Open(req.Doc)
 	if err != nil {
 		s.fail(w, openStatus(err), "%v", err)
@@ -875,10 +783,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		st.wg.Add(1)
 		go func(i int, q string) {
 			defer st.wg.Done()
-			results[i] = s.evalOne(&st.lc, h, q, opts, req.NoCache, req.Limit, new([]byte))
+			results[i] = s.evalOne(&st.lc, h, q, req.NoCache, req.Limit, new([]byte))
 		}(i+1, q)
 	}
-	results[0] = s.evalOne(&st.lc, h, queries[0], opts, req.NoCache, req.Limit, &st.key)
+	results[0] = s.evalOne(&st.lc, h, queries[0], req.NoCache, req.Limit, &st.key)
 	st.wg.Wait()
 
 	s.queries.Add(int64(len(queries)))
@@ -949,18 +857,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "POST /stream takes exactly one query")
 		return
 	}
-	opts, err := s.planOptions(req.Options)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	h, err := s.cat.Open(req.Doc)
 	if err != nil {
 		s.fail(w, openStatus(err), "%v", err)
 		return
 	}
 	defer h.Close()
-	p, err := s.prepare(h, req.Query, opts, &st.key)
+	p, err := s.prepare(h, req.Query, &st.key)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1136,50 +1039,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	noIndex := false
-	if v := q.Get("noIndex"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad noIndex %q", v)
-			return
-		}
-		noIndex = b
-	}
-	noValueIndex := false
-	if v := q.Get("noValueIndex"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad noValueIndex %q", v)
-			return
-		}
-		noValueIndex = b
-	}
-	noReorder := false
-	if v := q.Get("noReorder"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad noReorder %q", v)
-			return
-		}
-		noReorder = b
-	}
-	opts, err := s.planOptions(&QueryOptions{
-		Pushdown:     q.Get("pushdown"),
-		NoIndex:      noIndex,
-		NoValueIndex: noValueIndex,
-		NoReorder:    noReorder,
-	})
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	h, err := s.cat.Open(q.Get("doc"))
 	if err != nil {
 		s.fail(w, openStatus(err), "%v", err)
 		return
 	}
 	defer h.Close()
-	p, err := s.prepare(h, query, opts, new([]byte))
+	p, err := s.prepare(h, query, new([]byte))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return

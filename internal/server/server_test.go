@@ -18,7 +18,6 @@ import (
 	"staircase/internal/catalog"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/plan"
 	"staircase/internal/xmark"
 	"staircase/internal/xpath"
 )
@@ -27,9 +26,9 @@ import (
 // is pinned in memory, "disk" is registered from an XML file so the
 // lazy-load path runs too. It returns the server, the HTTP test server,
 // and a serial reference engine per document.
-func newTestServer(t testing.TB, cacheBytes int64) (*Server, *httptest.Server, map[string]*engine.Engine) {
+func newTestServer(t testing.TB, cacheBytes int64, opts ...catalog.Option) (*Server, *httptest.Server, map[string]*engine.Engine) {
 	t.Helper()
-	cat := catalog.New(0)
+	cat := catalog.New(0, opts...)
 	ref := make(map[string]*engine.Engine)
 
 	dm, err := xmark.Generate(xmark.Config{SizeMB: 0.08, Seed: 1, KeepValues: true})
@@ -192,12 +191,6 @@ func TestQueryErrors(t *testing.T) {
 	if _, code := postQuery(t, ts.URL, QueryRequest{Doc: "mem"}); code != http.StatusBadRequest {
 		t.Fatalf("empty query: status %d", code)
 	}
-	if _, code := postQuery(t, ts.URL, QueryRequest{
-		Doc: "mem", Query: "/descendant::a",
-		Options: &QueryOptions{Pushdown: "quantum"},
-	}); code != http.StatusBadRequest {
-		t.Fatalf("bad pushdown: status %d", code)
-	}
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
@@ -276,10 +269,9 @@ func randomQuery(rng *rand.Rand) string {
 }
 
 // TestConcurrentClientsMatchSerial is the server-concurrency property
-// test: N concurrent clients issue randomized (doc, query, options)
-// batches and every result must be byte-identical to a serial
-// engine.Eval of the same query — across pushdown modes and cache
-// hits/misses. Run under -race in CI.
+// test: N concurrent clients issue randomized (doc, query) batches and
+// every result must be byte-identical to a serial engine.Eval of the
+// same query — across cache hits and misses. Run under -race in CI.
 func TestConcurrentClientsMatchSerial(t *testing.T) {
 	_, ts, ref := newTestServer(t, 1<<20)
 
@@ -327,9 +319,6 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 					Doc:     docName,
 					Queries: queries,
 					NoCache: rng.Intn(3) == 0,
-					Options: &QueryOptions{
-						Pushdown: []string{"auto", "always", "never"}[rng.Intn(3)],
-					},
 				}
 				body, err := json.Marshal(req)
 				if err != nil {
@@ -358,8 +347,8 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 						continue
 					}
 					if want := expect(docName, queries[j]); !sameNodes(res.Nodes, want) {
-						t.Errorf("client %d: %s %q (%+v): got %d nodes, want %d — results diverge from serial evaluation",
-							c, docName, queries[j], *req.Options, len(res.Nodes), len(want))
+						t.Errorf("client %d: %s %q: got %d nodes, want %d — results diverge from serial evaluation",
+							c, docName, queries[j], len(res.Nodes), len(want))
 					}
 				}
 			}
@@ -478,147 +467,104 @@ func TestDocsReportIndexBytes(t *testing.T) {
 	}
 }
 
-// TestExplainShowsIndexHit: /explain names the fragment source and the
-// noIndex query parameter flips it to the scan fallback.
-func TestExplainShowsIndexHit(t *testing.T) {
-	_, ts, _ := newTestServer(t, 1<<20)
-	defer ts.Close()
-
-	get := func(url string) string {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s -> %d: %s", url, resp.StatusCode, b)
-		}
-		return string(b)
+// getExplain returns the body of a GET /explain that must answer 200.
+func getExplain(t *testing.T, ts *httptest.Server, query string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/explain?doc=mem&q=" + url.QueryEscape(query))
+	if err != nil {
+		t.Fatal(err)
 	}
-	q := "/explain?doc=mem&pushdown=always&q=" + "%2Fdescendant%3A%3Aprofile%2Fdescendant%3A%3Aeducation"
-	out := get(ts.URL + q)
-	if !bytes.Contains([]byte(out), []byte("shared tag/kind index")) {
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain %s -> %d: %s", query, resp.StatusCode, b)
+	}
+	return string(b)
+}
+
+// TestExplainShowsIndexHit: /explain names the fragment source, and a
+// server over a catalog without the tag/kind index plans without it.
+func TestExplainShowsIndexHit(t *testing.T) {
+	const q = "/descendant::profile/descendant::education"
+	_, ts, _ := newTestServer(t, 1<<20)
+	if out := getExplain(t, ts, q); !strings.Contains(out, "shared tag/kind index") {
 		t.Fatalf("explain missing index-hit strategy:\n%s", out)
 	}
-	out = get(ts.URL + q + "&noIndex=true")
-	if !bytes.Contains([]byte(out), []byte("name-column scan, index disabled")) {
-		t.Fatalf("explain missing scan fallback:\n%s", out)
-	}
-}
-
-// TestQueryNoIndexMatchesDefault: the noIndex request knob must not
-// change any result (and must not poison the shared result cache with
-// a different key space — both run through the same cache).
-func TestQueryNoIndexMatchesDefault(t *testing.T) {
-	_, ts, ref := newTestServer(t, 0) // cache disabled: both paths evaluate
-	defer ts.Close()
-
-	for _, q := range []string{
-		"/descendant::profile/descendant::education",
-		"/descendant::increase/ancestor::bidder",
-		"//person/name/text()",
-	} {
-		want, err := ref["mem"].EvalString(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, noIndex := range []bool{false, true} {
-			body, _ := json.Marshal(QueryRequest{
-				Doc:     "mem",
-				Query:   q,
-				Options: &QueryOptions{NoIndex: noIndex, Pushdown: "always"},
-			})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out QueryResponse
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(out.Results) != 1 || out.Results[0].Error != "" {
-				t.Fatalf("bad response: %+v", out)
-			}
-			if out.Results[0].Count != len(want.Nodes) {
-				t.Fatalf("%s noIndex=%v: %d nodes, want %d", q, noIndex, out.Results[0].Count, len(want.Nodes))
-			}
-		}
-	}
-}
-
-// TestQueryNoValueIndexMatchesDefault: the noValueIndex request knob
-// must not change any result of a value-predicate query (index-served
-// fragments and per-node re-evaluation are property-tested equal; this
-// pins the HTTP threading of the knob).
-func TestQueryNoValueIndexMatchesDefault(t *testing.T) {
-	_, ts, ref := newTestServer(t, 0) // cache disabled: both paths evaluate
-	defer ts.Close()
-
-	for _, q := range []string{
-		"//open_auction[current > 100]",
-		"//person[contains(name, 'a')]/name",
-		"//bidder[increase >= 10]",
-	} {
-		want, err := ref["mem"].EvalString(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, noVIdx := range []bool{false, true} {
-			out, code := postQuery(t, ts.URL, QueryRequest{
-				Doc:     "mem",
-				Query:   q,
-				Options: &QueryOptions{NoValueIndex: noVIdx},
-			})
-			if code != http.StatusOK {
-				t.Fatalf("%s noValueIndex=%v: status %d", q, noVIdx, code)
-			}
-			if len(out.Results) != 1 || out.Results[0].Error != "" {
-				t.Fatalf("bad response: %+v", out)
-			}
-			if out.Results[0].Count != len(want.Nodes) {
-				t.Fatalf("%s noValueIndex=%v: %d nodes, want %d",
-					q, noVIdx, out.Results[0].Count, len(want.Nodes))
-			}
-		}
+	_, ts, _ = newTestServer(t, 1<<20, catalog.WithoutIndex())
+	out := getExplain(t, ts, q)
+	if !strings.Contains(out, " no-index") || !strings.Contains(out, "index disabled") ||
+		strings.Contains(out, "shared tag/kind index") {
+		t.Fatalf("explain over a catalog without the index:\n%s", out)
 	}
 }
 
 // TestExplainShowsValueIndexSource: /explain names the value-fragment
-// source for a comparison predicate and the noValueIndex parameter
-// compiles it to a per-node PredFilter.
+// source for a comparison predicate, and a server over a catalog
+// without the value index compiles it to a per-node PredFilter.
 func TestExplainShowsValueIndexSource(t *testing.T) {
+	const q = "//open_auction[current > 100]"
 	_, ts, _ := newTestServer(t, 1<<20)
-	defer ts.Close()
-
-	get := func(url string) string {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s -> %d: %s", url, resp.StatusCode, b)
-		}
-		return string(b)
-	}
-	q := "/explain?doc=mem&q=" + url.QueryEscape("//open_auction[current > 100]")
-	out := get(ts.URL + q)
-	if !bytes.Contains([]byte(out), []byte("value index (numeric range)")) {
+	if out := getExplain(t, ts, q); !strings.Contains(out, "value index (numeric range)") {
 		t.Fatalf("explain missing value-index source:\n%s", out)
 	}
-	out = get(ts.URL + q + "&noValueIndex=true")
-	if !bytes.Contains([]byte(out), []byte("PredFilter")) {
+	_, ts, _ = newTestServer(t, 1<<20, catalog.WithoutValueIndex())
+	out := getExplain(t, ts, q)
+	if !strings.Contains(out, "PredFilter") || strings.Contains(out, "value index") {
 		t.Fatalf("explain missing per-node fallback:\n%s", out)
+	}
+}
+
+// TestCatalogDecidesIndexUse: the catalog's index settings alone decide
+// whether a query reads an index. Over catalogs with and without each
+// index, a pushdown query and a value-predicate query answer alike, no
+// query builds an index the catalog does not keep, and /metrics charges
+// exactly the index bytes the document holds.
+func TestCatalogDecidesIndexUse(t *testing.T) {
+	queries := []string{
+		"/descendant::open_auction/descendant::bidder",
+		"//open_auction[initial > 100]",
+	}
+	var want [][]int32
+	for _, c := range []struct{ noIndex, noVIndex bool }{
+		{false, false}, {true, false}, {false, true}, {true, true},
+	} {
+		var opts []catalog.Option
+		if c.noIndex {
+			opts = append(opts, catalog.WithoutIndex())
+		}
+		if c.noVIndex {
+			opts = append(opts, catalog.WithoutValueIndex())
+		}
+		s, ts, _ := newTestServer(t, 0, opts...)
+		for i, q := range queries {
+			out, code := postQuery(t, ts.URL, QueryRequest{Doc: "disk", Query: q})
+			if code != http.StatusOK || out.Results[0].Error != "" {
+				t.Fatalf("%+v %s: status %d %+v", c, q, code, out.Results)
+			}
+			if len(want) <= i {
+				want = append(want, out.Results[0].Nodes)
+			} else if !sameNodes(out.Results[0].Nodes, want[i]) {
+				t.Fatalf("%+v %s: %d nodes, default catalog %d", c, q, out.Results[0].Count, len(want[i]))
+			}
+		}
+		h, err := s.cat.Open("disk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := h.Document()
+		h.Close()
+		if d.IndexBuilt() == c.noIndex || d.ValueIndexBuilt() == c.noVIndex {
+			t.Errorf("%+v: index built %v, value index built %v", c, d.IndexBuilt(), d.ValueIndexBuilt())
+		}
+		if got := scrapeMetric(t, ts.URL, "xpathd_catalog_index_bytes"); got != d.IndexBytes() {
+			t.Errorf("%+v: /metrics index bytes %d, document holds %d", c, got, d.IndexBytes())
+		}
+		if got := scrapeMetric(t, ts.URL, "xpathd_catalog_value_index_bytes"); got != d.ValueIndexBytes() {
+			t.Errorf("%+v: /metrics value index bytes %d, document holds %d", c, got, d.ValueIndexBytes())
+		}
 	}
 }
 
@@ -757,7 +703,7 @@ func TestOnceOnlyQueriesRetainNoPlans(t *testing.T) {
 	next := 0
 	ask := func(k int) {
 		t.Helper()
-		if _, err := s.prepare(h, fmt.Sprintf("//a[. > %d]", k), s.defaultOpts, new([]byte)); err != nil {
+		if _, err := s.prepare(h, fmt.Sprintf("//a[. > %d]", k), new([]byte)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -834,7 +780,7 @@ func TestStalePreparedPlansDropOnReload(t *testing.T) {
 		// Twice each: the plan cache admits a plan on its second request.
 		for range 2 {
 			for _, q := range []string{"//person", "//bidder", "//increase"} {
-				if _, err := s.prepare(h, q, &plan.Options{}, new([]byte)); err != nil {
+				if _, err := s.prepare(h, q, new([]byte)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -200,7 +200,7 @@ func TestQueryJoinsUnkeptFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	p, err := s.prepare(h, q, s.defaultOpts, new([]byte))
+	p, err := s.prepare(h, q, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}

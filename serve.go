@@ -41,14 +41,18 @@ type catalogConfig struct {
 	inner []catalog.Option
 }
 
-// WithoutIndex disables eager tag/kind index residency on load (the
-// ablation/operations knob behind xpathd -index=false).
+// WithoutIndex keeps no tag/kind index: loads skip the build and the
+// catalog's queries rebuild pushdown fragments by column scan; results
+// are identical (the ablation/operations knob behind xpathd
+// -index=false).
 func WithoutIndex() CatalogOption {
 	return func(c *catalogConfig) { c.inner = append(c.inner, catalog.WithoutIndex()) }
 }
 
-// WithoutValueIndex disables eager value-index residency on load (the
-// ablation/operations knob behind xpathd -value-index=false).
+// WithoutValueIndex keeps no value index: loads skip the build and the
+// catalog's queries evaluate value predicates per node; results are
+// identical (the ablation/operations knob behind xpathd
+// -value-index=false).
 func WithoutValueIndex() CatalogOption {
 	return func(c *catalogConfig) { c.inner = append(c.inner, catalog.WithoutValueIndex()) }
 }
@@ -90,17 +94,6 @@ type ServerConfig struct {
 	// Workers is the shared worker budget for query evaluation; <= 0
 	// defaults to GOMAXPROCS.
 	Workers int
-	// NoIndex disables the shared tag/kind index by default
-	// (per-query column rescans; results identical — ablation knob).
-	NoIndex bool
-	// NoValueIndex disables value-index fragment service by default
-	// (per-node predicate re-evaluation; results identical — ablation
-	// knob).
-	NoValueIndex bool
-	// NoReorder disables greedy filter ordering by default
-	// (source-order predicate evaluation; results identical — ablation
-	// knob).
-	NoReorder bool
 	// MaxBatch caps the number of queries in one POST /query request;
 	// <= 0 defaults to 256.
 	MaxBatch int
@@ -139,9 +132,6 @@ func NewServer(cfg ServerConfig) *Server {
 		Catalog:        cfg.Catalog.c,
 		CacheBytes:     cfg.CacheBytes,
 		Workers:        cfg.Workers,
-		NoIndex:        cfg.NoIndex,
-		NoValueIndex:   cfg.NoValueIndex,
-		NoReorder:      cfg.NoReorder,
 		MaxBatch:       cfg.MaxBatch,
 		ShareScans:     cfg.ShareScans,
 		RequestTimeout: cfg.RequestTimeout,

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"staircase"
-	"staircase/internal/server"
 )
 
 // The surface ledger: every knob, option value, request field, metric,
@@ -33,7 +32,6 @@ func TestSurface(t *testing.T) {
 		{"Options fields", fieldLines(reflect.TypeOf(staircase.Options{}))},
 		{"Options values", optionValues(reflect.TypeOf(staircase.Options{}))},
 		{"ServerConfig fields", fieldLines(reflect.TypeOf(staircase.ServerConfig{}))},
-		{"QueryOptions JSON", jsonNames(reflect.TypeOf(server.QueryOptions{}))},
 		{"metrics", metricNames(t)},
 		{"EXPLAIN JSON keys", explainKeys(t)},
 		{"EXPLAIN operators", planSurface(t, "op")},
@@ -104,17 +102,6 @@ func optionValues(typ reflect.Type) []string {
 				break
 			}
 			out = append(out, f.Name+"="+name)
-		}
-	}
-	return out
-}
-
-// jsonNames lists the JSON names of a request struct's fields.
-func jsonNames(typ reflect.Type) []string {
-	var out []string
-	for _, f := range reflect.VisibleFields(typ) {
-		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "" && name != "-" {
-			out = append(out, name)
 		}
 	}
 	return out
