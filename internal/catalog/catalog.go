@@ -135,9 +135,10 @@ type Catalog struct {
 	maxBytes int64 // residency budget; 0 = unbounded
 	resident int64
 	clock    int64
-	noIndex  bool
-	noVIndex bool
-	planOpts *plan.Options // shared read-only by every handle
+	// planOpts holds the index settings: NoIndex and NoValueIndex
+	// decide both what a load builds and how every plan compiles.
+	// Shared read-only by every handle.
+	planOpts *plan.Options
 }
 
 // Option configures a Catalog.
@@ -148,7 +149,7 @@ type Option func(*Catalog)
 // (plan.Options.NoIndex). Results are identical. Ablation/operations
 // knob — the xpathd -index=false flag.
 func WithoutIndex() Option {
-	return func(c *Catalog) { c.noIndex = true }
+	return func(c *Catalog) { c.planOpts.NoIndex = true }
 }
 
 // WithoutValueIndex keeps no value index: loads skip the build and the
@@ -156,7 +157,7 @@ func WithoutIndex() Option {
 // (plan.Options.NoValueIndex). Results are identical.
 // Ablation/operations knob — the xpathd -value-index=false flag.
 func WithoutValueIndex() Option {
-	return func(c *Catalog) { c.noVIndex = true }
+	return func(c *Catalog) { c.planOpts.NoValueIndex = true }
 }
 
 // New returns an empty catalog. maxBytes bounds the total resident
@@ -164,11 +165,10 @@ func WithoutValueIndex() Option {
 // indexes (0 = unbounded); entries beyond the budget are evicted
 // least-recently-used once unreferenced.
 func New(maxBytes int64, opts ...Option) *Catalog {
-	c := &Catalog{entries: make(map[string]*entry), maxBytes: maxBytes}
+	c := &Catalog{entries: make(map[string]*entry), maxBytes: maxBytes, planOpts: &plan.Options{}}
 	for _, o := range opts {
 		o(c)
 	}
-	c.planOpts = &plan.Options{NoIndex: c.noIndex, NoValueIndex: c.noVIndex}
 	return c
 }
 
@@ -200,10 +200,10 @@ func (c *Catalog) AddDocument(name string, d *doc.Document) error {
 		return fmt.Errorf("catalog: document %q already registered", name)
 	}
 	e := &entry{name: name, pinned: true, d: d, env: plan.NewEnv(d), gen: 1, loads: 1}
-	if !c.noIndex {
+	if !c.planOpts.NoIndex {
 		d.TagIndex()
 	}
-	if !c.noVIndex {
+	if !c.planOpts.NoValueIndex {
 		d.ValueIndex()
 	}
 	e.charge(d)
@@ -250,10 +250,8 @@ func (c *Catalog) Open(name string) (*Handle, error) {
 	c.mu.Lock()
 	if e.d == nil {
 		path, format := e.path, e.format
-		buildIndex := !c.noIndex
-		buildVIndex := !c.noVIndex
 		c.mu.Unlock()
-		d, format, err := safeLoad(path, format, buildIndex, buildVIndex)
+		d, format, err := safeLoad(path, format, c.planOpts)
 		c.mu.Lock()
 		if err != nil {
 			e.refs--
@@ -444,7 +442,7 @@ func (c *Catalog) Info() []DocInfo {
 // (corrupt file, injected fault) becomes a load error on this Open,
 // leaving the entry cold and cleanly retryable. "catalog.load" is the
 // fault-injection point.
-func safeLoad(path string, format Format, buildIndex, buildVIndex bool) (d *doc.Document, f Format, err error) {
+func safeLoad(path string, format Format, opts *plan.Options) (d *doc.Document, f Format, err error) {
 	f = format
 	defer func() {
 		if v := recover(); v != nil {
@@ -458,10 +456,10 @@ func safeLoad(path string, format Format, buildIndex, buildVIndex bool) (d *doc.
 	if err != nil {
 		return nil, f, err
 	}
-	if buildIndex {
+	if !opts.NoIndex {
 		d.TagIndex()
 	}
-	if buildVIndex && d.HasValues() {
+	if !opts.NoValueIndex && d.HasValues() {
 		d.ValueIndex()
 	}
 	return d, f, nil
