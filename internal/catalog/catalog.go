@@ -33,7 +33,6 @@
 package catalog
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -452,7 +451,7 @@ func safeLoad(path string, format Format, opts *plan.Options) (d *doc.Document, 
 	if err := fault.Hit("catalog.load"); err != nil {
 		return nil, f, err
 	}
-	d, f, err = loadDocument(path, format)
+	d, f, err = loadDocument(path, format, opts)
 	if err != nil {
 		return nil, f, err
 	}
@@ -479,29 +478,22 @@ func (c *Catalog) OpenRefs() int {
 	return total
 }
 
-// loadDocument reads a document from disk, sniffing the SCJ1/SCJ2
-// magic when the format is FormatAuto.
-func loadDocument(path string, format Format) (*doc.Document, Format, error) {
+// loadDocument reads a document from disk, attaching only the stored
+// index sections the plan options read. FormatXML shreds; otherwise
+// doc.Load sniffs the SCJ1/SCJ2 magic.
+func loadDocument(path string, format Format, opts *plan.Options) (*doc.Document, Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, format, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	if format == FormatAuto {
-		magic, err := br.Peek(4)
-		if err == nil && (string(magic) == "SCJ1" || string(magic) == "SCJ2") {
-			format = FormatBinary
-		} else {
-			format = FormatXML
-		}
-	}
-	switch format {
-	case FormatBinary:
-		d, err := doc.ReadBinary(br)
+	if format == FormatXML {
+		d, err := doc.Shred(f)
 		return d, format, err
-	default:
-		d, err := doc.Shred(br)
-		return d, FormatXML, err
 	}
+	d, binary, err := doc.Load(f, doc.Skip{Index: opts.NoIndex, ValueIndex: opts.NoValueIndex})
+	if binary {
+		return d, FormatBinary, err
+	}
+	return d, FormatXML, err
 }

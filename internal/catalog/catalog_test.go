@@ -381,6 +381,64 @@ func TestWithoutValueIndexSkipsBuild(t *testing.T) {
 	}
 }
 
+// TestLoadAttachesOnlyKeptSections: an SCJ2 file carries both index
+// sections, and a catalog that keeps an index off attaches and charges
+// only the sections its plans read — also when it skips the tag/kind
+// section and must read past it to the value index.
+func TestLoadAttachesOnlyKeptSections(t *testing.T) {
+	path := writeBinary(t, "d.scj")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := doc.ReadBinary(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.IndexBuilt() || !full.ValueIndexBuilt() {
+		t.Fatal("the test file lacks an index section")
+	}
+	for _, tc := range []struct {
+		name                  string
+		opts                  []Option
+		noIndex, noValueIndex bool
+	}{
+		{"neither", []Option{WithoutIndex(), WithoutValueIndex()}, true, true},
+		{"no-index", []Option{WithoutIndex()}, true, false},
+		{"no-value-index", []Option{WithoutValueIndex()}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(0, tc.opts...)
+			if err := c.Register("d", path, FormatAuto); err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Open("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			d := h.Document()
+			if d.IndexBuilt() == tc.noIndex || d.ValueIndexBuilt() == tc.noValueIndex {
+				t.Fatalf("after Open: IndexBuilt %v, ValueIndexBuilt %v", d.IndexBuilt(), d.ValueIndexBuilt())
+			}
+			askIndexQueries(t, h)
+			if tc.noIndex && c.IndexBytes() != 0 {
+				t.Errorf("IndexBytes = %d, want 0", c.IndexBytes())
+			}
+			if tc.noValueIndex && c.ValueIndexBytes() != 0 {
+				t.Errorf("ValueIndexBytes = %d, want 0", c.ValueIndexBytes())
+			}
+			if got, want := c.ResidentBytes(), d.EncodedBytes()+d.ValueBytes()+d.IndexBytes()+d.ValueIndexBytes(); got != want {
+				t.Errorf("ResidentBytes = %d, want %d", got, want)
+			}
+			if tc.noIndex && tc.noValueIndex && c.ResidentBytes() != d.EncodedBytes()+d.ValueBytes() {
+				t.Errorf("ResidentBytes = %d, want the encoding and values, %d", c.ResidentBytes(), d.EncodedBytes()+d.ValueBytes())
+			}
+		})
+	}
+}
+
 func TestEvictionReclaimsIndexBytes(t *testing.T) {
 	d, err := xmark.Generate(xmark.Config{SizeMB: 0.05, Seed: 1})
 	if err != nil {

@@ -1,6 +1,7 @@
 package doc
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -138,7 +139,36 @@ const maxRecord = 1 << 28
 // section must agree exactly with the kind/name columns — a corrupt
 // index can never silently change query results.
 func ReadBinary(r io.Reader) (*Document, error) {
+	return readBinary(colio.Reader(r), Skip{})
+}
+
+// Skip names the index sections of an SCJ2 file that Load leaves
+// unattached, for a caller that will not read them; the zero value
+// attaches every section the file carries.
+type Skip struct {
+	Index      bool // the tag/kind index section
+	ValueIndex bool // the value index section
+}
+
+// Load reads a document in either encoding, sniffed from its first
+// bytes: input beginning with the SCJ1/SCJ2 magic deserializes as
+// ReadBinary does, except that the sections skip names stay
+// unattached; anything else shreds as XML text. binary reports which
+// encoding was read.
+func Load(r io.Reader, skip Skip) (d *Document, binary bool, err error) {
 	br := colio.Reader(r)
+	if magic, err := br.Peek(4); err == nil && (string(magic) == binaryMagicV1 || string(magic) == binaryMagicV2) {
+		d, err := readBinary(br, skip)
+		return d, true, err
+	}
+	d, err = Shred(br)
+	return d, false, err
+}
+
+// readBinary is ReadBinary over a colio window, attaching the index
+// sections skip does not name. A skipped index section is still read
+// when the value index section after it is wanted.
+func readBinary(br *bufio.Reader, skip Skip) (*Document, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("doc: read magic: %w", err)
@@ -210,7 +240,8 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("doc: corrupt binary document: %w", err)
 	}
-	if flags&flagHasIndex != 0 {
+	wantVIndex := flags&flagHasVIndex != 0 && !skip.ValueIndex
+	if flags&flagHasIndex != 0 && (!skip.Index || wantVIndex) {
 		if err := fault.Hit("doc.index.read"); err != nil {
 			return nil, err
 		}
@@ -221,9 +252,11 @@ func ReadBinary(r io.Reader) (*Document, error) {
 		if err := d.validateIndex(ix); err != nil {
 			return nil, fmt.Errorf("doc: corrupt index section: %w", err)
 		}
-		d.idx.Store(ix)
+		if !skip.Index {
+			d.idx.Store(ix)
+		}
 	}
-	if flags&flagHasVIndex != 0 {
+	if wantVIndex {
 		if err := fault.Hit("doc.vindex.read"); err != nil {
 			return nil, err
 		}

@@ -303,3 +303,47 @@ func TestEncodedBytesStorageClaim(t *testing.T) {
 		t.Fatalf("EncodedBytes = %d, want %d", got, want)
 	}
 }
+
+// TestLoadSniffsAndSkipsSections: Load reads XML text and both binary
+// versions, reports which it read, and leaves the SCJ2 sections Skip
+// names unattached.
+func TestLoadSniffsAndSkipsSections(t *testing.T) {
+	src := `<r a="1"><x>t</x><x/></r>`
+	d, err := ShredString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1, v2 bytes.Buffer
+	if err := d.WriteBinaryV1(&v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBinary(&v2); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		in           []byte
+		skip         Skip
+		binary       bool
+		index, value bool
+	}{
+		{"xml", []byte(src), Skip{}, false, false, false},
+		{"scj1", v1.Bytes(), Skip{}, true, false, false},
+		{"scj2", v2.Bytes(), Skip{}, true, true, true},
+		{"scj2 no index", v2.Bytes(), Skip{Index: true}, true, false, true},
+		{"scj2 no value index", v2.Bytes(), Skip{ValueIndex: true}, true, true, false},
+		{"scj2 neither", v2.Bytes(), Skip{Index: true, ValueIndex: true}, true, false, false},
+	} {
+		got, binary, err := Load(bytes.NewReader(tc.in), tc.skip)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if binary != tc.binary || got.IndexBuilt() != tc.index || got.ValueIndexBuilt() != tc.value {
+			t.Errorf("%s: binary %v, index %v, value index %v; want %v, %v, %v",
+				tc.name, binary, got.IndexBuilt(), got.ValueIndexBuilt(), tc.binary, tc.index, tc.value)
+		}
+		if got.Size() != d.Size() || got.StringValue(0) != d.StringValue(0) {
+			t.Errorf("%s: loaded a different document", tc.name)
+		}
+	}
+}

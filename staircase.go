@@ -66,7 +66,6 @@
 package staircase
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -108,16 +107,7 @@ func Open(path string) (*Document, error) {
 // Load reads a document from a reader, sniffing the SCJ1/SCJ2 binary
 // magic exactly like Open.
 func Load(r io.Reader) (*Document, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(4)
-	if err == nil && (string(magic) == "SCJ1" || string(magic) == "SCJ2") {
-		d, err := doc.ReadBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(d), nil
-	}
-	d, err := doc.Shred(br)
+	d, _, err := doc.Load(r, doc.Skip{})
 	if err != nil {
 		return nil, err
 	}
