@@ -1,16 +1,14 @@
-// Package engine is the frozen pre-plan evaluator and the benchmark's
+// Package engine is the pre-plan evaluator and the benchmark's
 // whole-query entry points.
 //
 // Queries run through internal/plan: plan.Prepare turns query text into
 // a physical plan, and the root package and the query server hold that
 // plan themselves. What is left here is the recursive step interpreter
-// that preceded the plan compiler, kept verbatim behind
-// Options.LegacyEval as the oracle of the plan ≡ legacy differential
+// that preceded the plan compiler, kept behind Options.LegacyEval as the oracle of the plan ≡ legacy differential
 // suite (plan_equiv_test.go), and EvalString, EvalQuery and Eval, which
-// run a query either way in one call. Its legacy pushdown decision is
-// a selectivity heuristic (cost.go), the cost-model stub the paper
-// lists as future research; the plan pushes whenever the shared index
-// serves the fragment.
+// run a query either way in one call. The legacy runs the basic
+// staircase join (Algorithm 2) and applies every node test after it; it
+// reads no index, so of the Options only LegacyEval applies to it.
 package engine
 
 import (
@@ -121,32 +119,6 @@ func New(d *doc.Document) *Engine {
 // Env returns the plan execution environment of the engine.
 func (e *Engine) Env() *plan.Env { return e.env }
 
-// scanTagList rebuilds a tag fragment with an O(n) column scan — the
-// pre-index behaviour behind Options.NoIndex.
-func (e *Engine) scanTagList(nameID int32) []int32 {
-	kind := e.d.KindSlice()
-	name := e.d.NameSlice()
-	var list []int32
-	for v := 0; v < e.d.Size(); v++ {
-		if kind[v] == doc.Elem && name[v] == nameID {
-			list = append(list, int32(v))
-		}
-	}
-	return list
-}
-
-// scanKindList is scanTagList for a non-element node kind.
-func (e *Engine) scanKindList(k doc.Kind) []int32 {
-	kind := e.d.KindSlice()
-	var list []int32
-	for v := 0; v < e.d.Size(); v++ {
-		if kind[v] == k {
-			list = append(list, int32(v))
-		}
-	}
-	return list
-}
-
 // EvalString parses and evaluates a query (a location path, or a union
 // of paths combined with '|'). Absolute paths start at the document
 // root; relative paths are evaluated with the root as the initial
@@ -247,7 +219,7 @@ func (e *Engine) evalDocRootStep(step xpath.Step, opts *Options, rep *StepReport
 	case axis.Child:
 		nodes = e.filterTest(step.Axis, step.Test, []int32{root})
 	case axis.Descendant, axis.DescendantOrSelf:
-		nodes, err = e.evalAxisTest(axis.DescendantOrSelf, step.Test, []int32{root}, opts, rep)
+		nodes, err = e.evalAxisTest(axis.DescendantOrSelf, step.Test, []int32{root}, rep)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +250,7 @@ func (e *Engine) evalStep(step xpath.Step, context []int32, opts *Options, rep *
 	if hasPositional(step.Preds) {
 		return e.evalStepPositional(step, context, opts, rep)
 	}
-	nodes, err := e.evalAxisTest(step.Axis, step.Test, context, opts, rep)
+	nodes, err := e.evalAxisTest(step.Axis, step.Test, context, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +292,7 @@ func hasPositional(preds []xpath.Predicate) bool {
 func (e *Engine) evalStepPositional(step xpath.Step, context []int32, opts *Options, rep *StepReport) ([]int32, error) {
 	var all []int32
 	for _, c := range context {
-		nodes, err := e.evalAxisTest(step.Axis, step.Test, []int32{c}, opts, rep)
+		nodes, err := e.evalAxisTest(step.Axis, step.Test, []int32{c}, rep)
 		if err != nil {
 			return nil, err
 		}

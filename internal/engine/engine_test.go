@@ -362,3 +362,54 @@ func TestStrategyAndPushdownStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyContextAncestorStep: an intermediate step producing no
+// nodes followed by a partitioning step must evaluate to an empty
+// result on both routes, not panic (a cost model once indexed
+// context[len-1] for the ancestor axis without an empty guard).
+func TestEmptyContextAncestorStep(t *testing.T) {
+	d := shred(t, `<r><b><c/></b></r>`)
+	e := New(d)
+	for _, q := range []string{
+		"/descendant::nosuchtag/ancestor::b",
+		"/descendant::nosuchtag/preceding::b",
+		"/descendant::nosuchtag/following::b",
+		"/descendant::nosuchtag/descendant::b",
+	} {
+		for _, opts := range []*Options{nil, {LegacyEval: true}} {
+			res, err := e.EvalString(q, opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", q, opts, err)
+			}
+			if len(res.Nodes) != 0 {
+				t.Fatalf("%s %+v: expected empty result, got %v", q, opts, res.Nodes)
+			}
+		}
+		if _, err := explain(e, q, nil); err != nil {
+			t.Fatalf("explain %s: %v", q, err)
+		}
+	}
+}
+
+// TestLegacyReadsNoIndex: the legacy interpreter applies every node
+// test after a basic staircase join, so with default options it
+// answers a name-test path without building the document's index.
+func TestLegacyReadsNoIndex(t *testing.T) {
+	d := fixture(t)
+	q := "/descendant::open_auction/descendant::bidder"
+	pq, err := xpath.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := spec.EvalQuery(d, pq, []int32{d.Root()})
+	got, err := New(d).EvalString(q, &Options{LegacyEval: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !eq32(got.Nodes, want) {
+		t.Fatalf("legacy %s:\n got %v\nwant %v", q, got.Nodes, want)
+	}
+	if d.IndexBuilt() {
+		t.Fatal("the legacy interpreter built the tag/kind index")
+	}
+}

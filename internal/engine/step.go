@@ -1,7 +1,8 @@
-// FROZEN LEGACY COPY — the pre-plan step interpreter, kept verbatim
-// behind Options.LegacyEval as the oracle of the plan ≡ legacy
-// differential suite. The live evaluation machinery is
-// internal/plan/ops.go; do not evolve this file.
+// The pre-plan step interpreter behind Options.LegacyEval, the oracle
+// of the plan ≡ legacy differential suite. It runs one staircase
+// variant, the basic join (Algorithm 2), and reads no index: every node
+// test applies after the join. The live evaluation machinery is
+// internal/plan/ops.go; this file stays that simple on purpose.
 
 package engine
 
@@ -16,16 +17,16 @@ import (
 )
 
 // evalAxisTest evaluates axis::nodetest for the whole context.
-func (e *Engine) evalAxisTest(a axis.Axis, test xpath.NodeTest, context []int32, opts *Options, rep *StepReport) ([]int32, error) {
+func (e *Engine) evalAxisTest(a axis.Axis, test xpath.NodeTest, context []int32, rep *StepReport) ([]int32, error) {
 	switch a {
 	case axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding:
-		return e.evalPartitioning(a, test, context, opts, rep)
+		return e.evalPartitioning(a, test, context, rep)
 	case axis.DescendantOrSelf, axis.AncestorOrSelf:
 		base := axis.Descendant
 		if a == axis.AncestorOrSelf {
 			base = axis.Ancestor
 		}
-		nodes, err := e.evalPartitioning(base, test, context, opts, rep)
+		nodes, err := e.evalPartitioning(base, test, context, rep)
 		if err != nil {
 			return nil, err
 		}
@@ -89,92 +90,18 @@ func (e *Engine) evalAxisTest(a axis.Axis, test xpath.NodeTest, context []int32,
 }
 
 // evalPartitioning evaluates one of the four partitioning axes with the
-// configured strategy, applying the name test before or after the join.
-func (e *Engine) evalPartitioning(a axis.Axis, test xpath.NodeTest, context []int32, opts *Options, rep *StepReport) ([]int32, error) {
-	switch opts.Strategy {
-	case Staircase, StaircaseSkip, StaircaseNoSkip:
-		co := &core.Options{Variant: coreVariant(opts.Strategy)}
-		if rep != nil {
-			co.Stats = &rep.Core
-		}
-		bound := e.estimateJoinTouches(a, context)
-		if opts.Pushdown != PushNever {
-			if list, indexed, ok := e.pushdownList(test, opts); ok &&
-				shouldPush(int64(len(list)), bound, opts.Pushdown) {
-				if len(list) == 0 {
-					return nil, nil // tag/kind absent: empty result
-				}
-				if rep != nil {
-					rep.Pushed = true
-					rep.Indexed = indexed
-				}
-				return core.JoinNodeList(e.d, a, list, context, co)
-			}
-		}
-		nodes, err := core.Join(e.d, a, context, co)
-		if err != nil {
-			return nil, err
-		}
-		return e.filterTest(a, test, nodes), nil
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %v", opts.Strategy)
+// basic staircase join (Algorithm 2) over the whole document and
+// applies the node test after the join; the legacy reads no index.
+func (e *Engine) evalPartitioning(a axis.Axis, test xpath.NodeTest, context []int32, rep *StepReport) ([]int32, error) {
+	co := &core.Options{Variant: core.NoSkip}
+	if rep != nil {
+		co.Stats = &rep.Core
 	}
-}
-
-// coreVariant maps engine strategies to staircase join variants.
-func coreVariant(s Strategy) core.Variant {
-	switch s {
-	case StaircaseNoSkip:
-		return core.NoSkip
-	case StaircaseSkip:
-		return core.Skip
-	default:
-		return core.SkipEstimate
+	nodes, err := core.Join(e.d, a, context, co)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// pushdownList resolves the fragment node list for a pushable node
-// test — the nametest(doc, n) (or kind-test) operand of the §4.4
-// rewrite. Name tests map to the tag list of the interned name; the
-// non-element kind tests text(), comment() and processing-instruction()
-// map to the kind lists the index keeps alongside. With the shared
-// index the list is a slice fetch with exact cardinality and pre span;
-// with Options.NoIndex it is rebuilt by an O(n) column scan (and an
-// absent tag yields an empty list, making the step trivially empty).
-// ok is false for tests that cannot be pushed (*, node(), and named
-// processing instructions, which would need a kind∩name list).
-func (e *Engine) pushdownList(test xpath.NodeTest, opts *Options) (list []int32, indexed, ok bool) {
-	switch test.Kind {
-	case xpath.TestName:
-		id, found := e.d.Names().Lookup(test.Name)
-		if !found {
-			return nil, !opts.NoIndex, true // absent tag: empty fragment
-		}
-		if opts.NoIndex {
-			return e.scanTagList(id), false, true
-		}
-		return e.d.TagIndex().Tag(id), true, true
-	case xpath.TestText:
-		return e.kindFragment(doc.Text, opts)
-	case xpath.TestComment:
-		return e.kindFragment(doc.Comment, opts)
-	case xpath.TestPI:
-		if test.Name != "" {
-			return nil, false, false
-		}
-		return e.kindFragment(doc.PI, opts)
-	default:
-		return nil, false, false
-	}
-}
-
-// kindFragment serves a non-element kind list from the index or by
-// scan.
-func (e *Engine) kindFragment(k doc.Kind, opts *Options) (list []int32, indexed, ok bool) {
-	if opts.NoIndex {
-		return e.scanKindList(k), false, true
-	}
-	return e.d.TagIndex().KindList(uint8(k)), true, true
+	return e.filterTest(a, test, nodes), nil
 }
 
 // filterTest filters nodes by the node test in place (the slice is
