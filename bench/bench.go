@@ -333,7 +333,7 @@ func Fig11b(c *Corpus, sizes []float64) Table {
 		var res *engine.Result
 		dur := timeIt(3, func() {
 			var err error
-			res, err = e.EvalString(Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
+			res, err = e.EvalString(Q2, &engine.Options{Pushdown: engine.PushNever})
 			if err != nil {
 				panic(err)
 			}
@@ -436,8 +436,8 @@ func figEF(c *Corpus, sizes []float64, id, query string, steps []TagStep) Table 
 			})
 			return dur, n
 		}
-		scj, n1 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
-		early, n2 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
+		scj, n1 := run(&engine.Options{Pushdown: engine.PushNever})
+		early, n2 := run(&engine.Options{Pushdown: engine.PushAlways})
 		sqlEng := baseline.NewSQLEngine(d)
 		var n3 int
 		sql := timeIt(3, func() {
@@ -562,7 +562,7 @@ func Fragmentation(c *Corpus, sizes []float64) Table {
 		e := engine.New(d)
 		var n1 int
 		scj := timeIt(3, func() {
-			r, err := e.EvalString(Q1, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
+			r, err := e.EvalString(Q1, &engine.Options{Pushdown: engine.PushNever})
 			if err != nil {
 				panic(err)
 			}

@@ -160,7 +160,7 @@ func BenchmarkFig11aStaircase(b *testing.B) {
 
 func BenchmarkFig11bStaircaseQ2(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
-		opts := &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever}
+		opts := &engine.Options{Pushdown: engine.PushNever}
 		for i := 0; i < b.N; i++ {
 			if _, err := c.eng.EvalString(bench.Q2, opts); err != nil {
 				b.Fatal(err)
@@ -200,11 +200,11 @@ func benchEngineQuery(b *testing.B, query string, opts *engine.Options) {
 }
 
 func BenchmarkFig11eQ1Staircase(b *testing.B) {
-	benchEngineQuery(b, bench.Q1, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
+	benchEngineQuery(b, bench.Q1, &engine.Options{Pushdown: engine.PushNever})
 }
 
 func BenchmarkFig11eQ1EarlyNametest(b *testing.B) {
-	benchEngineQuery(b, bench.Q1, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
+	benchEngineQuery(b, bench.Q1, &engine.Options{Pushdown: engine.PushAlways})
 }
 
 // benchSQLPath times a query's steps through the SQL plan of Figure 3.
@@ -223,11 +223,11 @@ func benchSQLPath(b *testing.B, steps []bench.TagStep) {
 func BenchmarkFig11eQ1SQL(b *testing.B) { benchSQLPath(b, bench.Q1Steps) }
 
 func BenchmarkFig11fQ2Staircase(b *testing.B) {
-	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
+	benchEngineQuery(b, bench.Q2, &engine.Options{Pushdown: engine.PushNever})
 }
 
 func BenchmarkFig11fQ2EarlyNametest(b *testing.B) {
-	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
+	benchEngineQuery(b, bench.Q2, &engine.Options{Pushdown: engine.PushAlways})
 }
 
 func BenchmarkFig11fQ2SQL(b *testing.B) { benchSQLPath(b, bench.Q2Steps) }

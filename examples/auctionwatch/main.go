@@ -41,8 +41,8 @@ func main() {
 		name string
 		opts staircase.Options
 	}{
-		{"staircase (skip+estimate)", staircase.Options{Strategy: staircase.Staircase, Pushdown: staircase.PushNever}},
-		{"staircase + early nametest", staircase.Options{Strategy: staircase.Staircase, Pushdown: staircase.PushAlways}},
+		{"staircase (skip+estimate)", staircase.Options{Pushdown: staircase.PushNever}},
+		{"staircase + early nametest", staircase.Options{Pushdown: staircase.PushAlways}},
 	}
 
 	for _, q := range queries {
@@ -68,7 +68,7 @@ func main() {
 
 	// Work counters: what the staircase join actually touched for Q2.
 	res, err := d.Query("/descendant::increase/ancestor::bidder",
-		&staircase.Options{Strategy: staircase.Staircase, Pushdown: staircase.PushNever})
+		&staircase.Options{Pushdown: staircase.PushNever})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,19 +52,19 @@ func TestIntegrationAllVariantsMatchSpec(t *testing.T) {
 	e := engine.New(d)
 	for _, q := range integrationQueries {
 		want := spec.EvalQuery(d, mustParseQuery(t, q), []int32{d.Root()})
-		for _, s := range []engine.Strategy{engine.Staircase, engine.StaircaseSkip, engine.StaircaseNoSkip} {
-			for _, p := range []engine.Pushdown{engine.PushAuto, engine.PushAlways, engine.PushNever} {
-				res, err := e.EvalString(q, &engine.Options{Strategy: s, Pushdown: p})
-				if err != nil {
-					t.Fatalf("%s [%v/%v]: %v", q, s, p, err)
-				}
-				if len(res.Nodes) != len(want) {
-					t.Fatalf("%s [%v/%v]: %d nodes, want %d", q, s, p, len(res.Nodes), len(want))
-				}
-				for i := range want {
-					if res.Nodes[i] != want[i] {
-						t.Fatalf("%s [%v/%v]: node %d differs", q, s, p, i)
-					}
+		for _, opts := range []engine.Options{
+			{Pushdown: engine.PushAuto}, {Pushdown: engine.PushAlways}, {Pushdown: engine.PushNever}, {LegacyEval: true},
+		} {
+			res, err := e.EvalString(q, &opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", q, opts, err)
+			}
+			if len(res.Nodes) != len(want) {
+				t.Fatalf("%s %+v: %d nodes, want %d", q, opts, len(res.Nodes), len(want))
+			}
+			for i := range want {
+				if res.Nodes[i] != want[i] {
+					t.Fatalf("%s %+v: node %d differs", q, opts, i)
 				}
 			}
 		}
@@ -156,7 +156,7 @@ func TestIntegrationConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i, q := range integrationQueries {
 				opts := &engine.Options{
-					Strategy: []engine.Strategy{engine.Staircase, engine.StaircaseNoSkip}[(w+i)%2],
+					Pushdown: []engine.Pushdown{engine.PushAuto, engine.PushNever}[(w+i)%2],
 				}
 				r, err := e.EvalString(q, opts)
 				if err != nil {

@@ -24,20 +24,19 @@ import (
 	"staircase/internal/xpath"
 )
 
-// Strategy selects the staircase join's skip rule (descendant and
-// node-list ancestor; the document ancestor kernel climbs). It is an
-// alias of plan.Strategy: the planner owns the strategy space, the
-// engine re-exports it for its callers.
-type Strategy = plan.Strategy
+// Strategy once selected the staircase join's skip rule.
+//
+// Deprecated: Strategy is ignored. Plans always run estimation-based
+// skipping (Algorithm 4) and the legacy interpreter the basic join
+// (Algorithm 2); the skip rules are a kernel experiment on
+// core.Options.Variant. Strategy goes with LegacyEval.
+type Strategy uint8
 
+// Deprecated: the Strategy values are ignored; see Strategy.
 const (
-	// Staircase is the paper's full configuration: staircase join with
-	// estimation-based skipping.
-	Staircase = plan.Staircase
-	// StaircaseSkip uses plain skipping (Algorithm 3).
-	StaircaseSkip = plan.StaircaseSkip
-	// StaircaseNoSkip uses the basic algorithm (Algorithm 2).
-	StaircaseNoSkip = plan.StaircaseNoSkip
+	Staircase Strategy = iota
+	StaircaseSkip
+	StaircaseNoSkip
 )
 
 // Pushdown controls name-test pushdown (an alias of plan.Pushdown).
@@ -55,6 +54,7 @@ const (
 // Options configures evaluation. The zero value is the paper default:
 // full staircase join with automatic pushdown.
 type Options struct {
+	// Deprecated: Strategy is ignored; see Strategy.
 	Strategy Strategy
 	Pushdown Pushdown
 	// NoIndex disables the document's shared tag/kind index for this
@@ -78,7 +78,8 @@ type Options struct {
 	// pre-plan recursive step interpreter. Results are identical — the
 	// property suite asserts plan ≡ legacy across random queries — and
 	// the knob exists only for that differential testing; it will be
-	// removed once the interpreter is retired.
+	// removed once the interpreter is retired. The interpreter reads no
+	// index and ignores every other option.
 	LegacyEval bool
 }
 
@@ -89,7 +90,6 @@ func PlanOptions(o *Options) plan.Options {
 		return plan.Options{}
 	}
 	return plan.Options{
-		Strategy:     o.Strategy,
 		Pushdown:     o.Pushdown,
 		NoIndex:      o.NoIndex,
 		NoValueIndex: o.NoValueIndex,

@@ -12,9 +12,6 @@ import (
 	"staircase/internal/xpath"
 )
 
-// allStrategies is the staircase join's three skip rules (Algorithms 2–4).
-var allStrategies = []Strategy{Staircase, StaircaseSkip, StaircaseNoSkip}
-
 func shred(t testing.TB, s string) *doc.Document {
 	t.Helper()
 	d, err := doc.ShredString(s)
@@ -110,16 +107,14 @@ func TestEngineMatchesSpecOnFixture(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		want := spec.Eval(d, p, []int32{0})
-		for _, s := range allStrategies {
-			for _, push := range []Pushdown{PushAuto, PushAlways, PushNever} {
-				e := New(d)
-				got, err := e.EvalString(q, &Options{Strategy: s, Pushdown: push})
-				if err != nil {
-					t.Fatalf("%s [%v/%v]: %v", q, s, push, err)
-				}
-				if !eq32(got.Nodes, want) {
-					t.Fatalf("%s [%v/%v]:\n got %v\nwant %v", q, s, push, got.Nodes, want)
-				}
+		for _, push := range []Pushdown{PushAuto, PushAlways, PushNever} {
+			e := New(d)
+			got, err := e.EvalString(q, &Options{Pushdown: push})
+			if err != nil {
+				t.Fatalf("%s [%v]: %v", q, push, err)
+			}
+			if !eq32(got.Nodes, want) {
+				t.Fatalf("%s [%v]:\n got %v\nwant %v", q, push, got.Nodes, want)
 			}
 		}
 	}
@@ -185,13 +180,13 @@ func TestEngineMatchesSpecOnRandomDocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := spec.Eval(d, p, []int32{0})
-			for _, s := range allStrategies {
-				got, err := e.EvalString(q, &Options{Strategy: s})
+			for _, opts := range []*Options{nil, {LegacyEval: true}} {
+				got, err := e.EvalString(q, opts)
 				if err != nil {
-					t.Fatalf("%s [%v]: %v", q, s, err)
+					t.Fatalf("%s %+v: %v", q, opts, err)
 				}
 				if !eq32(got.Nodes, want) {
-					t.Fatalf("trial %d %s [%v]:\n got %v\nwant %v", trial, q, s, got.Nodes, want)
+					t.Fatalf("trial %d %s %+v:\n got %v\nwant %v", trial, q, opts, got.Nodes, want)
 				}
 			}
 		}
@@ -350,12 +345,7 @@ func TestEngineNamespaceAxisEmpty(t *testing.T) {
 	}
 }
 
-func TestStrategyAndPushdownStrings(t *testing.T) {
-	for _, s := range allStrategies {
-		if s.String() == "" || strings.HasPrefix(s.String(), "Strategy(") {
-			t.Errorf("missing name for strategy %d", s)
-		}
-	}
+func TestPushdownStrings(t *testing.T) {
 	for _, p := range []Pushdown{PushAuto, PushAlways, PushNever} {
 		if p.String() == "" || strings.HasPrefix(p.String(), "Pushdown(") {
 			t.Errorf("missing name for pushdown %d", p)

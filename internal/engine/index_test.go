@@ -17,11 +17,10 @@ import (
 // TestQuickIndexPushdownEqualsScanThenFilter is the index acceptance
 // bar: for random documents, index-backed JoinNodeList pushdown is
 // byte-identical to scan-then-filter evaluation for every partitioning
-// axis × staircase variant × pushable node test — with the shared
-// index and with the Options.NoIndex scan fallback.
+// axis × pushable node test — with the shared index and with the
+// Options.NoIndex scan fallback.
 func TestQuickIndexPushdownEqualsScanThenFilter(t *testing.T) {
 	axes := []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding}
-	variants := []Strategy{Staircase, StaircaseSkip, StaircaseNoSkip}
 	tests := []xpath.NodeTest{
 		{Kind: xpath.TestName, Name: "p"},
 		{Kind: xpath.TestName, Name: "q"},
@@ -29,7 +28,7 @@ func TestQuickIndexPushdownEqualsScanThenFilter(t *testing.T) {
 		{Kind: xpath.TestText},
 		{Kind: xpath.TestComment},
 	}
-	f := func(seed int64, ctxBits uint16, axisPick, variantPick, testPick uint8) bool {
+	f := func(seed int64, ctxBits uint16, axisPick, testPick uint8) bool {
 		rng := rand.New(rand.NewSource(seed ^ int64(ctxBits)<<17))
 		d := randomDoc(rng, 60+int(uint16(seed)%150))
 		var context []int32
@@ -42,20 +41,19 @@ func TestQuickIndexPushdownEqualsScanThenFilter(t *testing.T) {
 			context = []int32{int32(int(ctxBits) % d.Size())}
 		}
 		a := axes[axisPick%4]
-		strat := variants[variantPick%3]
 		test := tests[testPick%uint8(len(tests))]
 		e := New(d)
 		path := xpath.Path{Steps: []xpath.Step{{Axis: a, Test: test}}}
 
-		want, err := e.Eval(path, context, &Options{Strategy: strat, Pushdown: PushNever})
+		want, err := e.Eval(path, context, &Options{Pushdown: PushNever})
 		if err != nil {
 			return false
 		}
 		for _, opts := range []*Options{
-			{Strategy: strat, Pushdown: PushAlways},
-			{Strategy: strat, Pushdown: PushAlways, NoIndex: true},
-			{Strategy: strat, Pushdown: PushAuto},
-			{Strategy: strat, Pushdown: PushAuto, NoIndex: true},
+			{Pushdown: PushAlways},
+			{Pushdown: PushAlways, NoIndex: true},
+			{Pushdown: PushAuto},
+			{Pushdown: PushAuto, NoIndex: true},
 		} {
 			got, err := e.Eval(path, context, opts)
 			if err != nil || !eq32(got.Nodes, want.Nodes) {

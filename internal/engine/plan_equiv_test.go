@@ -3,8 +3,8 @@ package engine
 // Differential property suite for the plan compiler: for randomly
 // generated documents and randomly generated queries — covering every
 // axis, the node-test kinds, predicate forms (existential, compare,
-// positional, not/and/or) and the NoIndex, Pushdown, Strategy and
-// NoReorder knobs — the plan pipeline (build → rewrite → compile →
+// positional, not/and/or) and the NoIndex, Pushdown and NoReorder
+// knobs — the plan pipeline (build → rewrite → compile →
 // execute) must produce exactly the node sequence of the pre-plan step
 // interpreter (Options.LegacyEval). Run under -race in CI, this also
 // exercises concurrent plan execution over one shared engine.
@@ -267,9 +267,7 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 			{NoIndex: true},
 			{Pushdown: PushAlways},
 			{Pushdown: PushNever},
-			{Strategy: StaircaseNoSkip},
-			{Strategy: StaircaseSkip},
-			{NoIndex: true, Strategy: StaircaseSkip},
+			{NoIndex: true, Pushdown: PushAlways},
 			{NoReorder: true},
 			{NoReorder: true, NoIndex: true},
 		}
@@ -416,32 +414,28 @@ func TestReorderEquivalence(t *testing.T) {
 }
 
 // TestPlanEquivalenceOnFixtureMatrix re-runs the curated fixture
-// queries through the full strategy × pushdown matrix, comparing plan
-// and legacy node sequences (the strategies already agree with the
-// spec evaluator; this pins plan == legacy per configuration).
+// queries through every pushdown mode, comparing plan and legacy node
+// sequences (both already agree with the spec evaluator; this pins
+// plan == legacy per configuration).
 func TestPlanEquivalenceOnFixtureMatrix(t *testing.T) {
 	d := fixture(t)
 	e := New(d)
 	for _, q := range fixtureQueries {
-		for _, s := range allStrategies {
-			for _, push := range []Pushdown{PushAuto, PushAlways, PushNever} {
-				opts := Options{Strategy: s, Pushdown: push}
-				legacyOpts := opts
-				legacyOpts.LegacyEval = true
-				legacy, err := e.EvalString(q, &legacyOpts)
-				if err != nil {
-					t.Fatalf("legacy %s: %v", q, err)
-				}
-				got, err := e.EvalString(q, &opts)
-				if err != nil {
-					t.Fatalf("plan %s: %v", q, err)
-				}
-				if !eq32(got.Nodes, legacy.Nodes) {
-					t.Fatalf("plan != legacy for %s [%v/%v]:\n got %v\nwant %v",
-						q, s, push, got.Nodes, legacy.Nodes)
-				}
-				checkStreaming(t, e, q, &opts, legacy.Nodes)
+		legacy, err := e.EvalString(q, &Options{LegacyEval: true})
+		if err != nil {
+			t.Fatalf("legacy %s: %v", q, err)
+		}
+		for _, push := range []Pushdown{PushAuto, PushAlways, PushNever} {
+			opts := Options{Pushdown: push}
+			got, err := e.EvalString(q, &opts)
+			if err != nil {
+				t.Fatalf("plan %s: %v", q, err)
 			}
+			if !eq32(got.Nodes, legacy.Nodes) {
+				t.Fatalf("plan != legacy for %s [%v]:\n got %v\nwant %v",
+					q, push, got.Nodes, legacy.Nodes)
+			}
+			checkStreaming(t, e, q, &opts, legacy.Nodes)
 		}
 	}
 }

@@ -168,7 +168,6 @@ func TestValuePushdownEquivalence(t *testing.T) {
 		{NoIndex: true},
 		{NoValueIndex: true, NoIndex: true},
 		{Pushdown: PushAlways},
-		{Strategy: StaircaseNoSkip},
 	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(7300 + trial)))

@@ -1,6 +1,6 @@
 // Canonical plan strings. The canonical form identifies the result a
 // plan computes (together with the document): operator tree, axes,
-// node tests, predicates, strategy and pushdown policy. Execution
+// node tests, predicates and pushdown policy. Execution
 // attributes that are property-tested to never change results —
 // index-vs-scan fragment sourcing, ordering, whether a predicate runs
 // as a semijoin or a PredFilter — are deliberately excluded, so the
@@ -21,7 +21,7 @@ import (
 // buildCanon renders the canonical string of a compiled plan.
 func buildCanon(p *Plan) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "strategy=%s,push=%s;", p.opts.Strategy, p.opts.Pushdown)
+	fmt.Fprintf(&sb, "push=%s;", p.opts.Pushdown)
 	canonOp(&sb, p.root)
 	return sb.String()
 }
@@ -40,7 +40,7 @@ func canonOp(sb *strings.Builder, o op) {
 		if t.docNode {
 			sb.WriteString(",docnode")
 		}
-		fmt.Fprintf(sb, ",variant=%s)", t.variant)
+		sb.WriteString(")")
 	case *axisStepOp:
 		canonOp(sb, t.in)
 		fmt.Fprintf(sb, "/step(%s::%s", t.a, t.test)

@@ -2,7 +2,7 @@
 // operator set, binding it to one document. Compilation resolves
 // document-node semantics for the first step of absolute paths,
 // attaches fragment scans (IndexScan/ColumnScan) to every join whose
-// node test the tag/kind index can serve, picks the staircase variant,
+// node test the tag/kind index can serve,
 // turns every predicate a fragment serves into a semijoin, and
 // annotates every operator with cardinality estimates for EXPLAIN.
 
@@ -169,7 +169,6 @@ func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bo
 			orSelfAxis: orSelfAxis(s.Axis, docNode),
 			docNode:    docNode,
 			test:       s.Test,
-			variant:    variantFor(c.opts.Strategy),
 		}
 		if pushable(s.Test) && c.opts.Pushdown != PushNever {
 			jo.frag = c.newFragScan(s.Test)

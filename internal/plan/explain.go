@@ -18,7 +18,6 @@ import (
 type ExplainTree struct {
 	Query        string   `json:"query"`
 	Canon        string   `json:"canon"`
-	Strategy     string   `json:"strategy"`
 	Pushdown     string   `json:"pushdown"`
 	NoIndex      bool     `json:"noIndex,omitempty"`
 	NoValueIndex bool     `json:"noValueIndex,omitempty"`
@@ -36,7 +35,6 @@ type ExplainNode struct {
 	Op      string `json:"op"`
 	Step    int    `json:"step,omitempty"`
 	Detail  string `json:"detail,omitempty"`
-	Variant string `json:"variant,omitempty"`
 	DocNode bool   `json:"docNode,omitempty"`
 	EstIn   int64  `json:"estIn,omitempty"`
 	EstOut  int64  `json:"estOut,omitempty"`
@@ -74,7 +72,6 @@ func (p *Plan) explainTree(res *Result) *ExplainTree {
 	t := &ExplainTree{
 		Query:        p.Query(),
 		Canon:        p.Canon(),
-		Strategy:     p.opts.Strategy.String(),
 		Pushdown:     p.opts.Pushdown.String(),
 		NoIndex:      p.opts.NoIndex,
 		NoValueIndex: p.opts.NoValueIndex,
@@ -144,7 +141,6 @@ func (p *Plan) explainNode(o planNode, res *Result) *ExplainNode {
 	case *joinOp:
 		n.Step = t.meta.ord
 		n.Detail = p.opDetail(t)
-		n.Variant = t.variant.String()
 		n.DocNode = t.docNode
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 		if res != nil {
@@ -246,7 +242,7 @@ func opName(o planNode, opts *Options) string {
 func (p *Plan) ExplainText(res *Result) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s\n", p.Query())
-	fmt.Fprintf(&sb, "plan: strategy=%s pushdown=%s", p.opts.Strategy, p.opts.Pushdown)
+	fmt.Fprintf(&sb, "plan: pushdown=%s", p.opts.Pushdown)
 	if p.opts.NoIndex {
 		sb.WriteString(" no-index")
 	}
@@ -359,7 +355,7 @@ func (p *Plan) renderOp(sb *strings.Builder, o planNode, res *Result, depth int)
 	}
 }
 
-// renderJoin prints the join operator with its variant and pushdown
+// renderJoin prints the join operator with its skip rule and pushdown
 // annotations.
 func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opStat, depth int,
 	line func(string, ...any), card func(estimates)) {
@@ -367,13 +363,8 @@ func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opSt
 	if t.docNode {
 		label += ", document node"
 	}
-	variant := map[Strategy]string{
-		Staircase:       "estimation-based skipping (Algorithm 4)",
-		StaircaseSkip:   "skipping (Algorithm 3)",
-		StaircaseNoSkip: "basic scan (Algorithm 2)",
-	}[p.opts.Strategy]
 	line("StaircaseJoin (%s)", label)
-	line("  operator: staircase join, %s", variant)
+	line("  operator: staircase join, estimation-based skipping (Algorithm 4)")
 	line("  properties: no duplicates, document order (no unique/sort needed)")
 	card(t.est)
 	if res != nil {

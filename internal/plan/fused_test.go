@@ -190,8 +190,7 @@ func TestFusedPlansMatchSpec(t *testing.T) {
 						q := fmt.Sprintf("%s/%v::%v%s", ctx, ax.a, test, pred)
 						want := spec.Eval(d, xpath.MustParse(q), nil)
 						for _, opts := range []*Options{
-							{Pushdown: PushNever}, {Strategy: StaircaseSkip, Pushdown: PushNever},
-							{Strategy: StaircaseNoSkip}, {Pushdown: PushAlways}, nil,
+							{Pushdown: PushNever}, {Pushdown: PushAlways}, nil,
 						} {
 							p := compileQuery(t, env, q, opts)
 							var wg sync.WaitGroup

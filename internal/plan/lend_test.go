@@ -55,9 +55,9 @@ var lendShapes = []struct {
 }
 
 // lendOptions are the option sets the shapes run under: the index
-// (default), column-scan fragments memoised per plan, forced pushdown and
-// the variants whose kernels count differently.
-var lendOptions = []*Options{nil, {NoIndex: true}, {Pushdown: PushAlways}, {Strategy: StaircaseNoSkip}, {Strategy: StaircaseSkip}}
+// (default), column-scan fragments memoised per plan and forced
+// pushdown.
+var lendOptions = []*Options{nil, {NoIndex: true}, {Pushdown: PushAlways}}
 
 // lendDoc is a small XMark document with values (the shapes compare
 // increase values).

@@ -207,11 +207,10 @@ type joinOp struct {
 	// lend: the docNode step's consumer only reads its input (a
 	// StaircaseJoin or an AxisStep), so a pushed step returns the index
 	// list's own subslice (docNodeStep). Set when the consumer compiles.
-	lend    bool
-	test    xpath.NodeTest
-	variant core.Variant
-	frag    *fragScan // pushdown candidate; nil when not pushable
-	est     estimates
+	lend bool
+	test xpath.NodeTest
+	frag *fragScan // pushdown candidate; nil when not pushable
+	est  estimates
 }
 
 func (o *joinOp) kids() []planNode {
@@ -631,26 +630,15 @@ func (ec *execCtx) pushes() bool {
 	return mode != PushNever && (!ec.opts.NoIndex || mode == PushAlways)
 }
 
-// coreOptions returns the kernel options of one step: the plan's
-// variant, counting into the step's stats when it has any.
+// coreOptions returns the kernel options of one step: estimation-based
+// skipping (Algorithm 4), counting into the step's stats when it has
+// any.
 func (ec *execCtx) coreOptions(st *StepStats) core.Options {
-	co := core.Options{Variant: variantFor(ec.opts.Strategy)}
+	co := core.Options{Variant: core.SkipEstimate}
 	if st != nil {
 		co.Stats = &st.Core
 	}
 	return co
-}
-
-// variantFor maps strategies to staircase join variants.
-func variantFor(s Strategy) core.Variant {
-	switch s {
-	case StaircaseNoSkip:
-		return core.NoSkip
-	case StaircaseSkip:
-		return core.Skip
-	default:
-		return core.SkipEstimate
-	}
 }
 
 // filterTest filters nodes by the node test in place (the slice is

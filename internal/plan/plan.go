@@ -11,10 +11,13 @@
 // operators (IndexScan, ColumnScan, StaircaseJoin, SemiJoin,
 // PredFilter, PosFilter, Merge) that execute directly against the
 // internal/core staircase kernels and the internal/index tag/kind
-// index. What used to be ad hoc decisions inside a recursive Eval —
-// name/kind-test pushdown, join-variant selection — are now inspectable
-// attributes of plan operators, rendered by EXPLAIN in text and JSON
-// form with per-operator fragment sources and cardinalities.
+// index. What used to be an ad hoc decision inside a recursive Eval —
+// name/kind-test pushdown — is now an inspectable attribute of plan
+// operators, rendered by EXPLAIN in text and JSON form with
+// per-operator fragment sources and cardinalities. Every staircase
+// join runs the paper's full configuration, estimation-based skipping
+// (Algorithm 4); the other skip rules are a kernel experiment that
+// bench/ runs on core.Options.Variant.
 //
 // The pipeline is
 //
@@ -42,36 +45,6 @@ import (
 
 	"staircase/internal/doc"
 )
-
-// Strategy selects the staircase join's skip rule (Algorithms 2–4) for
-// the descendant kernels and the node-list ancestor kernel; the
-// document ancestor kernel climbs the parent column and reads only its
-// result under every strategy.
-type Strategy uint8
-
-const (
-	// Staircase is the paper's full configuration: staircase join with
-	// estimation-based skipping.
-	Staircase Strategy = iota
-	// StaircaseSkip uses plain skipping (Algorithm 3).
-	StaircaseSkip
-	// StaircaseNoSkip uses the basic algorithm (Algorithm 2).
-	StaircaseNoSkip
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case Staircase:
-		return "staircase"
-	case StaircaseSkip:
-		return "staircase-skip"
-	case StaircaseNoSkip:
-		return "staircase-noskip"
-	default:
-		return fmt.Sprintf("Strategy(%d)", uint8(s))
-	}
-}
 
 // Pushdown controls name-test pushdown.
 type Pushdown uint8
@@ -101,10 +74,8 @@ func (p Pushdown) String() string {
 }
 
 // Options configures plan compilation and execution. The zero value is
-// the paper default: full staircase join with automatic pushdown.
+// the paper default: automatic pushdown with both indexes.
 type Options struct {
-	// Strategy selects the staircase join variant.
-	Strategy Strategy
 	// Pushdown is the name/kind-test pushdown policy.
 	Pushdown Pushdown
 	// NoIndex disables the document's shared tag/kind index: pushdown

@@ -666,7 +666,7 @@ func TestExplainJSONFormat(t *testing.T) {
 	}
 	var tree struct {
 		Canon    string `json:"canon"`
-		Strategy string `json:"strategy"`
+		Pushdown string `json:"pushdown"`
 		Root     *struct {
 			Op       string          `json:"op"`
 			Children json.RawMessage `json:"children"`
@@ -675,7 +675,7 @@ func TestExplainJSONFormat(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&tree); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Canon == "" || tree.Strategy != "staircase" || tree.Root == nil || tree.Root.Op == "" {
+	if tree.Canon == "" || tree.Pushdown != "auto" || tree.Root == nil || tree.Root.Op == "" {
 		t.Fatalf("explain json incomplete: %+v", tree)
 	}
 }

@@ -12,20 +12,22 @@ import (
 // automatic name-test pushdown, shared tag/kind index enabled.
 type Options = engine.Options
 
-// Strategy selects the staircase join's skip rule (the paper's
-// Algorithms 2–4) for the descendant kernels and the node-list ancestor
-// kernel. The document ancestor kernel climbs the parent column and
-// reads only its result under every strategy; following and preceding
-// scan one region either way.
+// Strategy once selected the staircase join's skip rule. It is kept
+// only so that existing callers still compile.
+//
+// Deprecated: Strategy is ignored. Queries always run estimation-based
+// skipping (Algorithm 4), and Options.LegacyEval the basic join
+// (Algorithm 2). Strategy goes with LegacyEval.
+//
+//lint:ignore SA1019 the deprecated alias names the deprecated type
 type Strategy = engine.Strategy
 
+// Deprecated: the Strategy values are ignored; see Strategy.
+//
+//lint:ignore SA1019 the deprecated aliases name the deprecated values
 const (
-	// Staircase is the paper's full configuration: staircase join with
-	// estimation-based skipping (Algorithm 4).
-	Staircase = engine.Staircase
-	// StaircaseSkip uses plain skipping (Algorithm 3).
-	StaircaseSkip = engine.StaircaseSkip
-	// StaircaseNoSkip uses the basic partitioned scan (Algorithm 2).
+	Staircase       = engine.Staircase
+	StaircaseSkip   = engine.StaircaseSkip
 	StaircaseNoSkip = engine.StaircaseNoSkip
 )
 

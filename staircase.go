@@ -189,9 +189,9 @@ func (d *Document) Attributes(v int32) []int32 { return d.d.Attributes(v) }
 func (d *Document) Stats() DocStats { return d.d.ComputeStats() }
 
 // Query parses, plans and runs a query with the document root as
-// context. opts selects the staircase variant, pushdown policy and the
-// ablation knobs; nil is the paper default (staircase join with
-// automatic pushdown). Options.LegacyEval runs the pre-plan
+// context. opts selects the pushdown policy and the ablation knobs; nil
+// is the paper default (staircase join with estimation-based skipping
+// and automatic pushdown). Options.LegacyEval runs the pre-plan
 // interpreter instead.
 func (d *Document) Query(query string, opts *Options) (*Result, error) {
 	if opts != nil && opts.LegacyEval {
