@@ -58,8 +58,9 @@ const (
 	FormatAuto Format = iota
 	// FormatXML shreds XML text via doc.Shred.
 	FormatXML
-	// FormatBinary deserializes the SCJ1/SCJ2 encoding via
-	// doc.ReadBinary (an SCJ2 file carries its tag/kind index section).
+	// FormatBinary is the SCJ1/SCJ2 encoding (an SCJ2 file carries its
+	// index sections). Register reads it like FormatAuto: doc.Load knows
+	// it by its magic.
 	FormatBinary
 )
 
