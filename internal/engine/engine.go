@@ -4,9 +4,10 @@
 // Queries run through internal/plan: plan.Prepare turns query text into
 // a physical plan, and the root package and the query server hold that
 // plan themselves. What is left here is the recursive step interpreter
-// that preceded the plan compiler, kept behind Options.LegacyEval as the oracle of the plan ≡ legacy differential
-// suite (plan_equiv_test.go), and EvalString, EvalQuery and Eval, which
-// run a query either way in one call. The legacy runs the basic
+// that preceded the plan compiler, kept behind Options.LegacyEval as
+// the oracle of the plan ≡ legacy differential suite
+// (plan_equiv_test.go), and EvalString, EvalQuery and Eval, which run a
+// query either way in one call. The legacy runs the basic
 // staircase join (Algorithm 2) and applies every node test after it; it
 // reads no index, so of the Options only LegacyEval applies to it.
 package engine

@@ -1,9 +1,9 @@
 // Canonical plan strings. The canonical form identifies the result a
 // plan computes (together with the document): operator tree, axes,
-// node tests, predicates and pushdown policy. Execution
-// attributes that are property-tested to never change results —
-// index-vs-scan fragment sourcing, ordering, whether a predicate runs
-// as a semijoin or a PredFilter — are deliberately excluded, so the
+// node tests, predicates and pushdown policy. Execution attributes that
+// are property-tested to never change results — index-vs-scan fragment
+// sourcing, ordering, whether a predicate runs as a semijoin or a
+// PredFilter — are deliberately excluded, so the
 // same canonical string covers an indexed run and a NoIndex or
 // NoValueIndex run, and equivalent query texts
 // (`//a/b` and `/descendant-or-self::node()/child::a/child::b`,

@@ -2,9 +2,9 @@
 // operator set, binding it to one document. Compilation resolves
 // document-node semantics for the first step of absolute paths,
 // attaches fragment scans (IndexScan/ColumnScan) to every join whose
-// node test the tag/kind index can serve,
-// turns every predicate a fragment serves into a semijoin, and
-// annotates every operator with cardinality estimates for EXPLAIN.
+// node test the tag/kind index can serve, turns every predicate a
+// fragment serves into a semijoin, and annotates every operator with
+// cardinality estimates for EXPLAIN.
 
 package plan
 

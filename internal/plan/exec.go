@@ -183,10 +183,9 @@ func (p *Plan) NumSteps() int { return len(p.metas) }
 // Canon returns the canonical string of the optimized plan. Two plans
 // with equal canonical strings produce identical result sequences on
 // the same document: the string covers the operator tree, axes, node
-// tests, predicates and pushdown policy, and deliberately
-// excludes the execution-time attributes that cannot change results
-// (index-vs-scan fragment source, ordering). The query
-// server keys its result cache on it, so equivalent query texts share
+// tests, predicates and pushdown policy, and deliberately excludes the
+// execution-time attributes that cannot change results (index-vs-scan
+// fragment source, ordering). The query server keys its result cache on it, so equivalent query texts share
 // cache entries.
 func (p *Plan) Canon() string {
 	p.canonOnce.Do(func() { p.canon = buildCanon(p) })
