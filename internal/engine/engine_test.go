@@ -355,8 +355,7 @@ func TestPushdownStrings(t *testing.T) {
 
 // TestEmptyContextAncestorStep: an intermediate step producing no
 // nodes followed by a partitioning step must evaluate to an empty
-// result on both routes, not panic (a cost model once indexed
-// context[len-1] for the ancestor axis without an empty guard).
+// result on both routes, not panic: an empty context has no last node.
 func TestEmptyContextAncestorStep(t *testing.T) {
 	d := shred(t, `<r><b><c/></b></r>`)
 	e := New(d)
