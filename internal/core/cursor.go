@@ -3,11 +3,13 @@
 // cursor: a climb of the parent column per partition) over a window of
 // positions and suspends when the window is used up; Next runs it at
 // cap(dst), and Join / JoinNodeList run it once at an unbounded window
-// into a result sized by Equation (1). Consumers that stop early —
-// LIMIT, existence probes, positional predicates — therefore never pay
-// for document regions beyond what they consumed: the skipping argument
-// of §3.3 extends from "skip what cannot qualify" to "never touch what
-// nobody asked for".
+// into a scratch Equation (1) sizes, and return an exact copy of what
+// it wrote (the list descendant, following and preceding joins, whose
+// list range the result nearly fills, into the result itself).
+// Consumers that stop early — LIMIT, existence probes, positional
+// predicates — therefore never pay for document regions beyond what
+// they consumed: the skipping argument of §3.3 extends from "skip what
+// cannot qualify" to "never touch what nobody asked for".
 //
 // Four rules shape every kernel here and in cursor_list.go:
 //
@@ -19,8 +21,8 @@
 //     ancestor climb reads its chain whole, at most h nodes: a window
 //     too short for it parks the chain and spends a position per node
 //     handed out.) Every position yields at most one node, and Join's
-//     buffer holds the Equation (1) bound, so the scan writes dst[k] with
-//     indexed stores and never checks for room.
+//     scratch holds the Equation (1) bound, so the scan writes dst[k]
+//     with indexed stores and never checks for room.
 //   - Context by the batch. The context arrives through a NodeSource a
 //     batch at a time (Join hands in the pruned staircase, or the one
 //     node that decides the result); the kernel keeps the batch as a

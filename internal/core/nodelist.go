@@ -29,8 +29,11 @@ import (
 // a pre-sorted node list instead of the whole document. The result is
 // the intersection of the usual staircase join result with the list.
 // It runs the axis's list cursor (cursor_list.go) once at an unbounded
-// window, into a result sized once: the list range the staircase spans,
-// capped by the document bound.
+// window. Its bound is the list range the staircase spans, capped by the
+// document bound. An ancestor join runs into a pooled scratch of that
+// size and returns an exact copy, as Join does: the chains fill little
+// of the range. The other joins allocate the bound as their result,
+// which they nearly fill.
 func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
@@ -67,9 +70,10 @@ func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Opt
 			}
 			from = c + 1
 		}
-		out = make([]int32, 0, min(size, docBound))
+		buf := scratchPool.Get().(*[]int32)
 		c := ancListCursor{kernel: o.holding(d, nil, stair, len(context)), list: list}
-		res, _ = c.next(out, unbounded, 0)
+		res, _ = c.next(grow(buf, min(size, docBound)), unbounded, 0)
+		return exact(buf, res), nil
 	case axis.Following:
 		i := minPostAt(d, context)
 		f := context[i]

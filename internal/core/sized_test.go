@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -10,11 +14,12 @@ import (
 
 	"staircase/internal/axis"
 	"staircase/internal/doc"
+	"staircase/internal/spec"
 )
 
-// Tests of the kernels' sizing rules: results sized once from the
-// encoding, pruning that does not copy a proper staircase, and the
-// galloping list search.
+// Tests of the kernels' sizing rules: a scratch sized once from the
+// encoding and results copied out of it at their exact length, pruning
+// that does not copy a proper staircase, and the galloping list search.
 
 // quickMax returns the testing/quick iteration count: the default in
 // ordinary runs, or STAIRCASE_QUICK_MAX when set (the nightly CI job
@@ -109,8 +114,9 @@ func TestPruneReturnsArgumentIffNothingPruned(t *testing.T) {
 	}
 }
 
-// resultBound recomputes, from the definitions, the size the document
-// kernels allocate for a proper staircase.
+// resultBound recomputes, from the definitions, the Equation (1) bound
+// on a document join's result for a proper staircase: the size of the
+// scratch the kernel runs into.
 func resultBound(d *doc.Document, a axis.Axis, stair []int32, orSelf bool) int {
 	n := int32(d.Size())
 	bound := 0
@@ -141,6 +147,9 @@ func resultBound(d *doc.Document, a axis.Axis, stair []int32, orSelf bool) int {
 	return bound
 }
 
+// TestKernelsSizedOnce: Join asks for a scratch of exactly the Equation
+// (1) bound, the kernel's result fits it, and the result Join returns is
+// an exact copy — its capacity is its length.
 func TestKernelsSizedOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < quickMax(40); trial++ {
@@ -148,22 +157,33 @@ func TestKernelsSizedOnce(t *testing.T) {
 		context := randomContext(rng, d, 1+rng.Intn(30))
 		emits := []Emit{{}, {Kinds: AllKinds}, {Kinds: 1 << doc.Text}, {Kinds: 1 << doc.Elem, ByName: true, Name: 1}, {Kinds: NoKinds}}
 		for _, a := range partitioningAxes {
-			stair := context
+			stair, hand := context, context
 			switch a {
 			case axis.Descendant:
 				stair = PruneDescendant(d, context)
+				hand = stair
 			case axis.Ancestor:
 				stair = PruneAncestor(d, context)
+				hand = stair
+			case axis.Following:
+				f, _ := ReduceFollowing(d, context)
+				hand = []int32{f}
+			case axis.Preceding:
+				hand = context[len(context)-1:]
 			}
 			for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
 				for _, e := range emits {
 					for _, orSelf := range []bool{false, true} {
 						self := orSelf && (a == axis.Descendant || a == axis.Ancestor)
+						want := resultBound(d, a, stair, self)
+						if got := wholeBound(d, a, hand, self); got != want {
+							t.Fatalf("axis %v orSelf %v: scratch of %d, bound %d", a, self, got, want)
+						}
 						got, err := Join(d, a, context, &Options{Variant: v, Emit: e, OrSelf: self})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := resultBound(d, a, stair, self); cap(got) != want || len(got) > want {
+						if cap(got) != len(got) || len(got) > want {
 							t.Fatalf("axis %v variant %v emit %+v orSelf %v: len %d cap %d, bound %d",
 								a, v, e, self, len(got), cap(got), want)
 						}
@@ -175,9 +195,13 @@ func TestKernelsSizedOnce(t *testing.T) {
 }
 
 // TestKernelAllocations pins the allocation count: a document kernel on a
-// proper staircase allocates its result and nothing else; a list kernel
-// may copy the context once to prune it.
+// proper staircase allocates its result and nothing else — the scratch
+// it runs into comes back from the pool; a list kernel may copy the
+// context once to prune it.
 func TestKernelAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
 	d, contexts, list := goldenFixture(t)
 	for _, a := range partitioningAxes {
 		for ci, ctx := range contexts {
@@ -199,8 +223,114 @@ func TestKernelAllocations(t *testing.T) {
 	}
 }
 
+var allocSink []int32
+
+// allocated returns the fewest bytes one of a few calls of f allocated:
+// TotalAlloc counts every goroutine's bytes, so the least reading is f's.
+func allocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestJoinResultAllocation: a warm Join on a proper staircase allocates
+// its result's size class and nothing else — not the bound's, however
+// much of it the scan leaves empty (an ancestor join's chains share
+// their tops, so they fill little of it).
+func TestJoinResultAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	d, contexts, _ := goldenFixture(t)
+	for _, a := range partitioningAxes {
+		for ci, ctx := range contexts {
+			switch a {
+			case axis.Descendant:
+				ctx = PruneDescendant(d, ctx)
+			case axis.Ancestor:
+				ctx = PruneAncestor(d, ctx)
+			}
+			res := join(d, a, ctx, nil)
+			got := allocated(func() { allocSink = join(d, a, ctx, nil) })
+			want := allocated(func() { allocSink = make([]int32, len(res)) })
+			if got != want {
+				t.Errorf("%v join, context %d: %d bytes allocated for %d result nodes, want %d",
+					a, ci, got, len(res), want)
+			}
+		}
+	}
+	allocSink = nil
+}
+
+// TestJoinResultsDoNotShareScratch: results of joins run one after
+// another, and from several goroutines at once, stay what the region
+// predicates say after later joins have reused the scratch.
+func TestJoinResultsDoNotShareScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	type call struct {
+		d             *doc.Document
+		a             axis.Axis
+		list, context []int32 // list nil: a document join
+		want          []int32
+	}
+	var calls []call
+	for range 12 {
+		d := randomDoc(rng, 100+rng.Intn(300))
+		context := randomContext(rng, d, 1+rng.Intn(20))
+		list := randomList(rng, d, 0.5)
+		for _, a := range partitioningAxes {
+			want := spec.Join(d, a, context)
+			calls = append(calls, call{d: d, a: a, context: context, want: want})
+			inList := slices.DeleteFunc(slices.Clone(want), func(v int32) bool {
+				_, in := slices.BinarySearch(list, v)
+				return !in
+			})
+			calls = append(calls, call{d: d, a: a, list: list, context: context, want: inList})
+		}
+	}
+	// runAll runs every call rounds times, in an order that starts at
+	// from, and checks every result once the last join has run.
+	runAll := func(from, rounds int) error {
+		got := make([][]int32, 0, rounds*len(calls))
+		for k := range rounds * len(calls) {
+			c := calls[(from+k)%len(calls)]
+			if c.list != nil {
+				got = append(got, joinList(c.d, c.a, c.list, c.context, nil))
+			} else {
+				got = append(got, join(c.d, c.a, c.context, nil))
+			}
+		}
+		for k, r := range got {
+			if c := calls[(from+k)%len(calls)]; !eq32(r, c.want) {
+				return fmt.Errorf("%v join (list %v) changed after later joins:\n got %v\nwant %v",
+					c.a, c.list != nil, r, c.want)
+			}
+		}
+		return nil
+	}
+	if err := runAll(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	errs := make(chan error, workers)
+	for w := range workers {
+		go func() { errs <- runAll(w*len(calls)/workers, 4) }()
+	}
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestListKernelSizing: a list join's result capacity never exceeds the
-// list range its staircase spans nor the document bound.
+// list range its staircase spans nor the document join's bound.
 func TestListKernelSizing(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for trial := 0; trial < quickMax(40); trial++ {
@@ -212,9 +342,18 @@ func TestListKernelSizing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			docRes, _ := Join(d, a, context, &Options{Variant: SkipEstimate, Emit: Emit{Kinds: AllKinds}})
-			if cap(got) > len(list) || cap(got) > cap(docRes) {
-				t.Fatalf("axis %v: list join capacity %d, list %d, document bound %d", a, cap(got), len(list), cap(docRes))
+			stair := context
+			switch a {
+			case axis.Descendant:
+				stair = PruneDescendant(d, context)
+			case axis.Ancestor:
+				stair = PruneAncestor(d, context)
+			}
+			if bound := resultBound(d, a, stair, false); cap(got) > len(list) || cap(got) > bound {
+				t.Fatalf("axis %v: list join capacity %d, list %d, document bound %d", a, cap(got), len(list), bound)
+			}
+			if a == axis.Ancestor && cap(got) != len(got) {
+				t.Fatalf("ancestor list join: len %d cap %d, want an exact copy", len(got), cap(got))
 			}
 		}
 	}

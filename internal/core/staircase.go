@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"staircase/internal/axis"
 	"staircase/internal/doc"
@@ -221,11 +222,10 @@ func (o *Options) orDefault() *Options {
 //
 // Join runs the axis's cursor kernel (cursor.go) once, at an unbounded
 // window, with the context in hand — the pruned staircase, or the one
-// node that decides a following or preceding result — into a result
-// sized once: partition (c, next) holds at most |descendant(c)| =
-// post(c)−pre(c)+level(c) descendants (Equation (1)), partition
-// [prev+1, c) at most level(c) ancestors, and neither more than its
-// width.
+// node that decides a following or preceding result — into a pooled
+// scratch that Equation (1) sizes (wholeBound), and returns an exact
+// copy of what the kernel wrote: len(result) == cap(result), and the
+// result shares no memory with the scratch.
 func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
@@ -236,51 +236,88 @@ func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32
 	if len(context) == 0 {
 		return nil, nil
 	}
-	var out, res []int32
-	n := int32(d.Size())
+	var res []int32
+	buf := scratchPool.Get().(*[]int32)
 	switch a {
 	case axis.Descendant:
 		stair := PruneDescendant(d, context)
-		size := 0
-		for i, c := range stair {
+		c := descCursor{kernel: o.holding(d, nil, stair, len(context))}
+		res, _ = c.next(grow(buf, wholeBound(d, a, stair, o.OrSelf)), unbounded, 0)
+	case axis.Ancestor:
+		stair := PruneAncestor(d, context)
+		c := ancCursor{kernel: o.holding(d, nil, stair, len(context))}
+		res, _ = c.next(grow(buf, wholeBound(d, a, stair, o.OrSelf)), unbounded, 0)
+	case axis.Following:
+		i := minPostAt(d, context)
+		c := folCursor{kernel: o.holding(d, context[i:i+1], nil, len(context))}
+		res, _ = c.next(grow(buf, wholeBound(d, a, context[i:i+1], false)), unbounded, 0)
+	case axis.Preceding:
+		last := context[len(context)-1:]
+		c := precCursor{kernel: o.holding(d, last, nil, len(context))}
+		res, _ = c.next(grow(buf, wholeBound(d, a, last, false)), unbounded, 0)
+	}
+	return exact(buf, res), nil
+}
+
+// wholeBound is the size of the scratch Join runs a kernel into, given
+// the context in hand: partition (c, next) holds at most |descendant(c)|
+// = post(c)−pre(c)+level(c) descendants (Equation (1)), partition
+// [prev+1, c) at most level(c) ancestors, and neither more than its
+// width; the one node f that decides a following result leaves the
+// nodes beyond its subtree, the last context node c of a preceding one
+// the c nodes before it. Under orSelf the staircase nodes add one each.
+func wholeBound(d *doc.Document, a axis.Axis, hand []int32, orSelf bool) int {
+	n := int32(d.Size())
+	size := 0
+	switch a {
+	case axis.Descendant:
+		for i, c := range hand {
 			end := n
-			if i+1 < len(stair) {
-				end = stair[i+1]
+			if i+1 < len(hand) {
+				end = hand[i+1]
 			}
 			size += int(min(d.SubtreeSize(c), end-1-c))
 		}
-		if o.OrSelf {
-			size += len(stair)
-		}
-		out = make([]int32, 0, size)
-		c := descCursor{kernel: o.holding(d, nil, stair, len(context))}
-		res, _ = c.next(out, unbounded, 0)
 	case axis.Ancestor:
-		stair := PruneAncestor(d, context)
-		level := d.LevelSlice()
-		size, from := 0, int32(0)
-		for _, c := range stair {
+		level, from := d.LevelSlice(), int32(0)
+		for _, c := range hand {
 			size += int(max(min(level[c], c-from), 0))
 			from = c + 1
 		}
-		if o.OrSelf {
-			size += len(stair)
-		}
-		out = make([]int32, 0, size)
-		c := ancCursor{kernel: o.holding(d, nil, stair, len(context))}
-		res, _ = c.next(out, unbounded, 0)
 	case axis.Following:
-		i := minPostAt(d, context)
-		f := context[i]
-		out = make([]int32, 0, n-min(f+1+d.SubtreeSize(f), n))
-		c := folCursor{kernel: o.holding(d, context[i:i+1], nil, len(context))}
-		res, _ = c.next(out, unbounded, 0)
+		f := hand[0]
+		return int(n - min(f+1+d.SubtreeSize(f), n))
 	case axis.Preceding:
-		out = make([]int32, 0, context[len(context)-1])
-		c := precCursor{kernel: o.holding(d, context[len(context)-1:], nil, len(context))}
-		res, _ = c.next(out, unbounded, 0)
+		return int(hand[0])
 	}
-	return out[:len(res)], nil
+	if orSelf {
+		size += len(hand)
+	}
+	return size
+}
+
+// scratchPool holds the buffers whole joins run their kernels into. An
+// entry only grows (grow), so each one settles at the largest bound its
+// callers have asked for; the pool drops idle entries at garbage
+// collection.
+var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// grow makes the scratch hold at least n entries and returns it, empty.
+func grow(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, 0, n)
+	}
+	return (*buf)[:0]
+}
+
+// exact returns a copy of res, a prefix of the scratch buf, at its exact
+// length — make then copy, which the compiler turns into one allocation
+// that is not zeroed first — and returns buf to the pool.
+func exact(buf *[]int32, res []int32) []int32 {
+	out := make([]int32, len(res))
+	copy(out, res)
+	scratchPool.Put(buf)
+	return out
 }
 
 // --- pruning (§3.1, Algorithm 1) ------------------------------------------
@@ -377,18 +414,6 @@ func minPostAt(d *doc.Document, context []int32) int {
 		}
 	}
 	return best
-}
-
-// IsStaircaseDesc reports whether context is a proper descendant-axis
-// staircase: strictly increasing pre and post ranks.
-func IsStaircaseDesc(d *doc.Document, context []int32) bool {
-	post := d.PostSlice()
-	for i := 1; i < len(context); i++ {
-		if context[i-1] >= context[i] || post[context[i-1]] >= post[context[i]] {
-			return false
-		}
-	}
-	return true
 }
 
 // emitRange writes the nodes of the pre range [from, to] that pass the

@@ -16,8 +16,9 @@
 //     the input cursor's batches.
 //   - Whole: the first batch is the operator's entire result and the
 //     next one is nil. A whole join drains its context and runs its
-//     kernel once at an unbounded window into a result sized by
-//     Equation (1) (core.Join, core.JoinNodeList). A consumer that needs
+//     kernel once at an unbounded window into a scratch Equation (1)
+//     sizes, and takes an exact copy of the result (core.Join,
+//     core.JoinNodeList). A consumer that needs
 //     its whole input — a whole join or child step, a parent, self or
 //     sibling AxisStep, a blocking PosFilter, a whole Merge — opens that
 //     input whole. A streaming child or attribute step sweeps its

@@ -1,0 +1,5 @@
+//go:build race
+
+package staircase
+
+const raceEnabled = true
