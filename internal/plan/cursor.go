@@ -18,16 +18,16 @@
 //     next one is nil. A whole join drains its context and runs its
 //     kernel once at an unbounded window into a scratch Equation (1)
 //     sizes, and takes an exact copy of the result (core.Join,
-//     core.JoinNodeList). A consumer that needs
-//     its whole input — a whole join or child step, a parent, self or
-//     sibling AxisStep, a blocking PosFilter, a whole Merge — opens that
-//     input whole. A streaming child or attribute step sweeps its
-//     input's batches (childStack), and a following join opens its input
-//     streaming even when whole: it reads its context only as far as the
-//     first context node's subtree reaches and leaves the operators below
-//     it suspended there. The exception is an input that lends a span (a
-//     pushed document-node step): that span costs two binary searches,
-//     so it opens whole.
+//     core.JoinNodeList). A consumer that needs its whole input — a
+//     whole join or child step, a parent, self or sibling AxisStep, a
+//     blocking PosFilter, a whole Merge — opens that input whole. A
+//     streaming child or attribute step sweeps its input's batches
+//     (childStack), and a following join opens its input streaming even
+//     when whole: it reads its context only as far as the first context
+//     node's subtree reaches and leaves the operators below it suspended
+//     there. The exception is an input that lends a span (a pushed
+//     document-node step): that span costs two binary searches, so it
+//     opens whole.
 //
 // Ownership: a whole batch is the consumer's, to filter in place or to
 // return as Result.Nodes, with one exception — a pushed document-node

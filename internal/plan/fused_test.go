@@ -225,8 +225,8 @@ func TestFusedPlansMatchSpec(t *testing.T) {
 // ranks plus the execution's fixed bookkeeping. A pushed first step
 // whose consumer is a join lends the index list and allocates nothing:
 // text()/ancestor::node() — the ancestor join from some 40 000 text
-// nodes — gets its result, not the Equation (1) bound (two thirds of a
-// column), plus a page's rounding and its bookkeeping, and
+// nodes — gets its result plus a page's rounding and its bookkeeping,
+// though its Equation (1) bound is two thirds of a column, and
 // open_auction/bidder its result plus 2 kB of bookkeeping (a copied
 // first step would add 2.4 kB).
 func TestPlanRunAllocationBound(t *testing.T) {
