@@ -147,6 +147,19 @@ func resultBound(d *doc.Document, a axis.Axis, stair []int32, orSelf bool) int {
 	return bound
 }
 
+// staircase returns the context a document join prunes to on axis a:
+// the staircase on descendant and ancestor, the context itself on the
+// other axes.
+func staircase(d *doc.Document, a axis.Axis, context []int32) []int32 {
+	switch a {
+	case axis.Descendant:
+		return PruneDescendant(d, context)
+	case axis.Ancestor:
+		return PruneAncestor(d, context)
+	}
+	return context
+}
+
 // TestKernelsSizedOnce: Join asks for a scratch of exactly the Equation
 // (1) bound, the kernel's result fits it, and the result Join returns is
 // an exact copy — its capacity is its length.
@@ -157,14 +170,9 @@ func TestKernelsSizedOnce(t *testing.T) {
 		context := randomContext(rng, d, 1+rng.Intn(30))
 		emits := []Emit{{}, {Kinds: AllKinds}, {Kinds: 1 << doc.Text}, {Kinds: 1 << doc.Elem, ByName: true, Name: 1}, {Kinds: NoKinds}}
 		for _, a := range partitioningAxes {
-			stair, hand := context, context
+			stair := staircase(d, a, context)
+			hand := stair
 			switch a {
-			case axis.Descendant:
-				stair = PruneDescendant(d, context)
-				hand = stair
-			case axis.Ancestor:
-				stair = PruneAncestor(d, context)
-				hand = stair
 			case axis.Following:
 				f, _ := ReduceFollowing(d, context)
 				hand = []int32{f}
@@ -205,13 +213,7 @@ func TestKernelAllocations(t *testing.T) {
 	d, contexts, list := goldenFixture(t)
 	for _, a := range partitioningAxes {
 		for ci, ctx := range contexts {
-			stair := ctx
-			switch a {
-			case axis.Descendant:
-				stair = PruneDescendant(d, ctx)
-			case axis.Ancestor:
-				stair = PruneAncestor(d, ctx)
-			}
+			stair := staircase(d, a, ctx)
 			o := &Options{Variant: SkipEstimate}
 			if n := testing.AllocsPerRun(10, func() { Join(d, a, stair, o) }); n > 1 {
 				t.Errorf("%v join, staircase %d: %v allocations, want 1", a, ci, n)
@@ -250,12 +252,7 @@ func TestJoinResultAllocation(t *testing.T) {
 	d, contexts, _ := goldenFixture(t)
 	for _, a := range partitioningAxes {
 		for ci, ctx := range contexts {
-			switch a {
-			case axis.Descendant:
-				ctx = PruneDescendant(d, ctx)
-			case axis.Ancestor:
-				ctx = PruneAncestor(d, ctx)
-			}
+			ctx = staircase(d, a, ctx)
 			res := join(d, a, ctx, nil)
 			got := allocated(func() { allocSink = join(d, a, ctx, nil) })
 			want := allocated(func() { allocSink = make([]int32, len(res)) })
@@ -342,14 +339,7 @@ func TestListKernelSizing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stair := context
-			switch a {
-			case axis.Descendant:
-				stair = PruneDescendant(d, context)
-			case axis.Ancestor:
-				stair = PruneAncestor(d, context)
-			}
-			if bound := resultBound(d, a, stair, false); cap(got) > len(list) || cap(got) > bound {
+			if bound := resultBound(d, a, staircase(d, a, context), false); cap(got) > len(list) || cap(got) > bound {
 				t.Fatalf("axis %v: list join capacity %d, list %d, document bound %d", a, cap(got), len(list), bound)
 			}
 			if a == axis.Ancestor && cap(got) != len(got) {
