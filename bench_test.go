@@ -362,7 +362,7 @@ func benchServeHit(b *testing.B, body string) {
 	if err := cat.AddDocument("d", corpus.Doc(0.5)); err != nil {
 		b.Fatal(err)
 	}
-	h := server.New(server.Config{Catalog: cat, CacheBytes: 64 << 20, ShareScans: true}).Handler()
+	h := server.New(server.Config{Catalog: cat, CacheBytes: 64 << 20}).Handler()
 	w := &hitWriter{hdr: http.Header{}}
 	u := &url.URL{Path: "/query"}
 	post := func() {

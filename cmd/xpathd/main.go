@@ -36,11 +36,6 @@
 // cancellation (timeouts, client disconnects) propagates into running
 // plans and frees their worker-pool slots.
 //
-// -share-scans (default on) coalesces identical in-flight executions:
-// concurrent cache misses on the same (doc, plan, limit) key share one
-// pace-car execution, visible as coalesced_queries_total and
-// pace_car_handoffs_total in /metrics.
-//
 // Overload and failure behaviour: -request-timeout bounds every
 // evaluation (a request may lower it with timeoutMs; expiry answers
 // 408), -max-queue bounds the admission queue (beyond it new work is
@@ -92,12 +87,12 @@ func (p *pairList) Set(s string) error {
 
 // config is the parsed command line.
 type config struct {
-	addr                            string
-	docs, gens                      pairList
-	cacheMB, catalogMB, maxBody     int64
-	workers, maxQueue               int
-	useIndex, useVIndex, shareScans bool
-	reqTimeout, drainTimeout        time.Duration
+	addr                        string
+	docs, gens                  pairList
+	cacheMB, catalogMB, maxBody int64
+	workers, maxQueue           int
+	useIndex, useVIndex         bool
+	reqTimeout, drainTimeout    time.Duration
 }
 
 // registerFlags declares the command's flags on fs.
@@ -111,7 +106,6 @@ func registerFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.workers, "workers", 0, "worker budget for query evaluation (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.useIndex, "index", true, "keep the shared tag/kind index resident per document (false: per-query column rescans; results identical)")
 	fs.BoolVar(&c.useVIndex, "value-index", true, "keep the value index resident per document (false: value predicates re-evaluate per node; results identical)")
-	fs.BoolVar(&c.shareScans, "share-scans", true, "coalesce identical in-flight executions: concurrent cache misses on one (doc, plan, limit) key share a single pace-car execution")
 	fs.DurationVar(&c.reqTimeout, "request-timeout", 30*time.Second, "per-request evaluation deadline; requests may lower it with timeoutMs, expiry answers 408 (0 = none)")
 	fs.IntVar(&c.maxQueue, "max-queue", -1, "admission queue bound: past this many waiting requests new work is shed with 503 + Retry-After (-1 = 8x workers, 0 = unbounded)")
 	fs.Int64Var(&c.maxBody, "max-body-bytes", 1<<20, "request body cap on the JSON endpoints")
@@ -163,7 +157,6 @@ func main() {
 		Catalog:        cat,
 		CacheBytes:     cfg.cacheMB << 20,
 		Workers:        cfg.workers,
-		ShareScans:     cfg.shareScans,
 		RequestTimeout: cfg.reqTimeout,
 		MaxQueue:       cfg.maxQueue,
 		MaxBodyBytes:   cfg.maxBody,

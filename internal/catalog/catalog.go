@@ -50,17 +50,19 @@ import (
 // failures with errors.Is.
 var ErrUnknownDocument = errors.New("unknown document")
 
-// Format identifies a document source encoding.
+// Format identifies a document source encoding: what a load found,
+// reported by Info. Register's format argument is deprecated and
+// ignored; every load sniffs the file.
 type Format uint8
 
 const (
-	// FormatAuto sniffs the format from the file's first bytes.
+	// FormatAuto is an entry not loaded yet. Register callers pass it;
+	// any other value reads the same.
 	FormatAuto Format = iota
-	// FormatXML shreds XML text via doc.Shred.
+	// FormatXML is XML text, shredded on load.
 	FormatXML
 	// FormatBinary is the SCJ1/SCJ2 encoding (an SCJ2 file carries its
-	// index sections). Register reads it like FormatAuto: doc.Load knows
-	// it by its magic.
+	// index sections), known by its magic.
 	FormatBinary
 )
 
@@ -172,8 +174,9 @@ func New(maxBytes int64, opts ...Option) *Catalog {
 	return c
 }
 
-// Register adds a named document source without loading it. The format
-// is sniffed on first load when FormatAuto.
+// Register adds a named document source without loading it; the first
+// load sniffs XML text or SCJ1/SCJ2 from the file's first bytes. The
+// format argument is deprecated and ignored.
 func (c *Catalog) Register(name, path string, format Format) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty document name")
@@ -183,7 +186,7 @@ func (c *Catalog) Register(name, path string, format Format) error {
 	if _, ok := c.entries[name]; ok {
 		return fmt.Errorf("catalog: document %q already registered", name)
 	}
-	c.entries[name] = &entry{name: name, path: path, format: format}
+	c.entries[name] = &entry{name: name, path: path}
 	return nil
 }
 
@@ -249,9 +252,9 @@ func (c *Catalog) Open(name string) (*Handle, error) {
 	e.loadMu.Lock()
 	c.mu.Lock()
 	if e.d == nil {
-		path, format := e.path, e.format
+		path := e.path
 		c.mu.Unlock()
-		d, format, err := safeLoad(path, format, c.planOpts)
+		d, format, err := safeLoad(path, c.planOpts)
 		c.mu.Lock()
 		if err != nil {
 			e.refs--
@@ -442,8 +445,7 @@ func (c *Catalog) Info() []DocInfo {
 // (corrupt file, injected fault) becomes a load error on this Open,
 // leaving the entry cold and cleanly retryable. "catalog.load" is the
 // fault-injection point.
-func safeLoad(path string, format Format, opts *plan.Options) (d *doc.Document, f Format, err error) {
-	f = format
+func safeLoad(path string, opts *plan.Options) (d *doc.Document, f Format, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			d, err = nil, fault.NewPanicError(v)
@@ -452,7 +454,7 @@ func safeLoad(path string, format Format, opts *plan.Options) (d *doc.Document, 
 	if err := fault.Hit("catalog.load"); err != nil {
 		return nil, f, err
 	}
-	d, f, err = loadDocument(path, format, opts)
+	d, f, err = loadDocument(path, opts)
 	if err != nil {
 		return nil, f, err
 	}
@@ -480,18 +482,14 @@ func (c *Catalog) OpenRefs() int {
 }
 
 // loadDocument reads a document from disk, attaching only the stored
-// index sections the plan options read. FormatXML shreds; otherwise
-// doc.Load sniffs the SCJ1/SCJ2 magic.
-func loadDocument(path string, format Format, opts *plan.Options) (*doc.Document, Format, error) {
+// index sections the plan options read; doc.Load sniffs the SCJ1/SCJ2
+// magic and shreds anything else as XML.
+func loadDocument(path string, opts *plan.Options) (*doc.Document, Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, format, err
+		return nil, FormatAuto, err
 	}
 	defer f.Close()
-	if format == FormatXML {
-		d, err := doc.Shred(f)
-		return d, format, err
-	}
 	d, binary, err := doc.Load(f, doc.Skip{Index: opts.NoIndex, ValueIndex: opts.NoValueIndex})
 	if binary {
 		return d, FormatBinary, err

@@ -104,6 +104,51 @@ func TestLazyLoadAndQuery(t *testing.T) {
 	}
 }
 
+// TestRegisteredFormatIsSniffed: Register's format argument does not
+// force a decoder. An SCJ2 file registered as XML, and an XML file
+// registered as binary, load as their bytes say, like FormatAuto.
+func TestRegisteredFormatIsSniffed(t *testing.T) {
+	c := New(0)
+	bin, xml := writeBinary(t, "p.scj"), writeXML(t, "p.xml")
+	for name, src := range map[string]struct {
+		path   string
+		format Format
+	}{
+		"bin-auto": {bin, FormatAuto}, "bin-as-xml": {bin, FormatXML},
+		"xml-auto": {xml, FormatAuto}, "xml-as-binary": {xml, FormatBinary},
+	} {
+		if err := c.Register(name, src.path, src.format); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "/descendant::education/ancestor::person"
+	count := map[string]int{}
+	for name := range map[string]bool{"bin-auto": true, "bin-as-xml": true, "xml-auto": true, "xml-as-binary": true} {
+		h, err := c.Open(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r, err := evalHandle(h, q)
+		h.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		count[name] = len(r.Nodes)
+	}
+	for _, e := range c.Info() {
+		format := "xml"
+		if strings.HasPrefix(e.Name, "bin") {
+			format = "binary"
+		}
+		if e.Format != format {
+			t.Errorf("%s: loaded as %s, want %s", e.Name, e.Format, format)
+		}
+		if got := count[e.Name]; got == 0 || got != count["xml-auto"] {
+			t.Errorf("%s: %d nodes, xml-auto %d", e.Name, got, count["xml-auto"])
+		}
+	}
+}
+
 func TestBinarySniffMatchesXML(t *testing.T) {
 	c := New(0)
 	if err := c.Register("xml", writeXML(t, "p.xml"), FormatAuto); err != nil {

@@ -12,7 +12,6 @@
 //	doc.vindex.read before a SCJ2 value-index section is parsed
 //	cursor.next     on every plan batch pull (Run, RunLimit, Cursor)
 //	pool.acquire    on every worker-semaphore admission
-//	share.drive     before the pace car pulls a batch for its flight
 //
 // Rules bind actions to points. A rule fires on every Nth hit of its
 // point (deterministic, the chaos suite's workhorse), with a given

@@ -7,6 +7,7 @@ package plan
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -176,10 +177,6 @@ func (p *Plan) Query() string {
 // compiled from.
 func (p *Plan) Logical() *Logical { return p.logical }
 
-// NumSteps returns the number of location steps across all union
-// branches.
-func (p *Plan) NumSteps() int { return len(p.metas) }
-
 // Canon returns the canonical string of the optimized plan. Two plans
 // with equal canonical strings produce identical result sequences on
 // the same document: the string covers the operator tree, axes, node
@@ -199,13 +196,6 @@ func (p *Plan) Run(initial []int32) (*Result, error) {
 	return p.RunLimit(nil, initial, 0)
 }
 
-// RunCtx is Run with cancellation: the execution checks ctx between
-// batches and inside per-node loops, returning ctx's error once it is
-// cancelled. A nil ctx never cancels.
-func (p *Plan) RunCtx(ctx context.Context, initial []int32) (*Result, error) {
-	return p.RunLimit(ctx, initial, 0)
-}
-
 // RunRoot executes the plan with the document root as initial context
 // (the conventional whole-document evaluation).
 func (p *Plan) RunRoot() (*Result, error) {
@@ -218,6 +208,10 @@ func (p *Plan) RunRoot() (*Result, error) {
 // mid-batch; conservatively true when the cursor stopped exactly at the
 // limit). limit <= 0 drains the plan: the root cursor opens whole and
 // hands over its result in one batch, which becomes Result.Nodes.
+//
+// The ctx checks run between batches and inside per-node loops; a
+// cancelled ctx ends the run with its error, and a nil ctx never
+// cancels.
 func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Result, error) {
 	whole := limit <= 0
 	cur, err := p.open(ctx, initial, whole)
@@ -225,12 +219,18 @@ func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Resul
 		return nil, err
 	}
 	defer cur.Close()
+	// A whole batch is the caller's. A limited run's batches are valid
+	// only until the next one: they are appended to nodes while it has
+	// room (the limit, or 4096 nodes at most), kept as exact copies past
+	// that, and the copies are joined once at the end. A large limited
+	// result so costs two copies of itself, not append's doubling.
 	var nodes []int32
 	if !whole {
 		nodes = make([]int32, 0, min(limit, 4096))
 	}
-	truncated := false
-	for whole || len(nodes) < limit {
+	var more [][]int32
+	n, truncated := 0, false
+	for whole || n < limit {
 		b, err := cur.Next()
 		if err != nil {
 			return nil, err
@@ -238,14 +238,23 @@ func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Resul
 		if b == nil {
 			break
 		}
-		if take := limit - len(nodes); !whole && len(b) > take {
-			truncated = true
-			b = b[:take]
+		if take := limit - n; !whole && len(b) > take {
+			truncated, b = true, b[:take]
 		}
-		if whole && nodes == nil {
-			nodes = b // a whole batch is the caller's
-		} else {
+		n += len(b)
+		switch {
+		case whole && nodes == nil:
+			nodes = b
+		case whole || len(more) == 0 && len(b) <= cap(nodes)-len(nodes):
 			nodes = append(nodes, b...)
+		default:
+			more = append(more, slices.Clone(b))
+		}
+	}
+	if len(more) > 0 {
+		nodes = append(make([]int32, 0, n), nodes...)
+		for _, c := range more {
+			nodes = append(nodes, c...)
 		}
 	}
 	if !truncated && !cur.Exhausted() {

@@ -99,8 +99,12 @@ func TestPlanRewriteCollapse(t *testing.T) {
 	if !strings.Contains(joined, "collapse-descendant-or-self") {
 		t.Errorf("rewrites = %v, want collapse-descendant-or-self", p.Rewrites())
 	}
-	if p.NumSteps() != 2 {
-		t.Errorf("steps = %d, want 2 after collapse", p.NumSteps())
+	res, err := p.RunRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) != 2 {
+		t.Errorf("steps = %d, want 2 after collapse", len(res.Steps))
 	}
 }
 

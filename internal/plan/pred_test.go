@@ -91,7 +91,7 @@ func TestPredicateSubPlanCancels(t *testing.T) {
 	}
 	const after = 16
 	ctx := &errAfter{Context: context.Background(), after: after}
-	if _, err := p.RunCtx(ctx, []int32{d.Root()}); !errors.Is(err, context.Canceled) {
+	if _, err := p.RunLimit(ctx, []int32{d.Root()}, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("%s under a cancelled context: error %v, want %v", q, err, context.Canceled)
 	}
 	if ctx.calls > after+1 {

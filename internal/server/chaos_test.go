@@ -3,8 +3,8 @@ package server
 // The chaos suite: drive the server with randomized concurrent
 // traffic while the fault harness injects errors, panics, and delays
 // at every registered seam, then assert the survival invariants — no
-// leaked worker units, no leaked catalog references, no wedged
-// flights, and a well-formed response for every request. Run under
+// leaked worker units, no leaked catalog references, and a
+// well-formed response for every request. Run under
 // -race in CI (the chaos job); STAIRCASE_CHAOS_REQUESTS boosts the
 // request count for the nightly run.
 
@@ -89,35 +89,32 @@ var wellFormedStatus = map[int]bool{
 }
 
 // assertQuiesced waits for the post-traffic invariants: every worker
-// unit released, no parked waiters, no live flights, no open catalog
-// references. Failure here means a fault leaked a resource.
+// unit released, no parked waiters, no open catalog references.
+// Failure here means a fault leaked a resource.
 func assertQuiesced(t *testing.T, s *Server, cat *catalog.Catalog) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		inUse, depth := s.pool.inUse(), s.pool.queueDepth()
-		inFlight, refs := s.flights.InFlight(), cat.OpenRefs()
-		if inUse == 0 && depth == 0 && inFlight == 0 && refs == 0 {
+		inUse, depth, refs := s.pool.inUse(), s.pool.queueDepth(), cat.OpenRefs()
+		if inUse == 0 && depth == 0 && refs == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("not quiesced: workers=%d queue=%d flights=%d refs=%d",
-				inUse, depth, inFlight, refs)
+			t.Fatalf("not quiesced: workers=%d queue=%d refs=%d", inUse, depth, refs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // chaosSpec arms every registered injection point at once: flaky
-// loads, corrupt-read panics, mid-stream errors and panics, admission
-// failures and stalls, and pace-car drive panics. Deterministic for
-// the fixed seed and hit order.
+// loads, corrupt-read panics, mid-stream errors and panics, and
+// admission failures and stalls. Deterministic for the fixed seed and
+// hit order.
 const chaosSpec = "catalog.load:error:p=0.3;" +
 	"cursor.next:error:p=0.05;" +
 	"cursor.next:panic:p=0.02;" +
 	"pool.acquire:error:p=0.04;" +
 	"pool.acquire:delay:d=1ms:p=0.1;" +
-	"share.drive:panic:p=0.05;" +
 	"seed=7"
 
 // TestChaosSurvival is the headline robustness test: randomized
@@ -134,7 +131,6 @@ func TestChaosSurvival(t *testing.T) {
 		CacheBytes:     1 << 20,
 		Workers:        4,
 		MaxQueue:       32,
-		ShareScans:     true,
 		RequestTimeout: 5 * time.Second,
 	})
 

@@ -136,9 +136,6 @@ func appendQueryResponse(dst []byte, r *QueryResponse) []byte {
 		}
 		dst = append(dst, `,"cached":`...)
 		dst = strconv.AppendBool(dst, res.Cached)
-		if res.Coalesced {
-			dst = append(dst, `,"coalesced":true`...)
-		}
 		dst = append(dst, `,"elapsedNs":`...)
 		dst = strconv.AppendInt(dst, res.ElapsedNs, 10)
 		if res.Error != "" {
@@ -169,9 +166,6 @@ func appendStreamChunk(dst []byte, c *StreamChunk) []byte {
 	}
 	if c.Truncated {
 		dst = append(dst, `,"truncated":true`...)
-	}
-	if c.Coalesced {
-		dst = append(dst, `,"coalesced":true`...)
 	}
 	if c.Cached {
 		dst = append(dst, `,"cached":true`...)

@@ -100,11 +100,11 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		for range rng.Intn(4) {
 			r.Results = append(r.Results, QueryResult{
 				Query: str(), Count: rng.Intn(1 << 20), Nodes: randomNodes(rng), Truncated: flag(), Cached: flag(),
-				Coalesced: flag(), ElapsedNs: rng.Int63n(1 << 40), Error: str(), status: rng.Intn(600),
+				ElapsedNs: rng.Int63n(1 << 40), Error: str(), status: rng.Intn(600),
 			})
 		}
 		checkResponse(t, r)
-		c := &StreamChunk{Nodes: randomNodes(rng), Done: flag(), Truncated: flag(), Coalesced: flag(), Cached: flag(), Error: str()}
+		c := &StreamChunk{Nodes: randomNodes(rng), Done: flag(), Truncated: flag(), Cached: flag(), Error: str()}
 		if flag() {
 			c.Count, c.ElapsedNs = rng.Intn(1<<20), rng.Int63n(1<<40)
 		}
@@ -124,14 +124,14 @@ func FuzzEncodeResponse(f *testing.F) {
 			nodes = nil
 		}
 		res := QueryResult{Query: query, Count: len(nodes), Nodes: nodes, Truncated: flags&2 != 0, Cached: flags&4 != 0,
-			Coalesced: flags&8 != 0, ElapsedNs: elapsed, Error: errText}
+			ElapsedNs: elapsed, Error: errText}
 		r := &QueryResponse{Doc: doc, Generation: gen}
 		for range int(flags >> 6) {
 			r.Results = append(r.Results, res)
 		}
 		checkResponse(t, r)
 		checkChunk(t, &StreamChunk{Nodes: nodes, Done: flags&16 != 0, Count: len(nodes), Truncated: flags&2 != 0,
-			Coalesced: flags&8 != 0, Cached: flags&4 != 0, ElapsedNs: elapsed, Error: errText})
+			Cached: flags&4 != 0, ElapsedNs: elapsed, Error: errText})
 	})
 }
 

@@ -65,13 +65,19 @@ func serveQuery(h http.Handler, rw *hitRecorder, body []byte) []byte {
 
 // servePost posts body to u in-process and returns the response.
 func servePost(h http.Handler, rw *hitRecorder, u *url.URL, body []byte) []byte {
+	return servePostCtx(context.Background(), h, rw, u, body)
+}
+
+// servePostCtx is servePost under the request context ctx.
+func servePostCtx(ctx context.Context, h http.Handler, rw *hitRecorder, u *url.URL, body []byte) []byte {
 	rw.status, rw.writes, rw.flushes = 0, 0, 0
 	rw.body.Reset()
-	h.ServeHTTP(rw, &http.Request{
+	r := &http.Request{
 		Method: http.MethodPost, URL: u, Host: "test",
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
-	})
+	}
+	h.ServeHTTP(rw, r.WithContext(ctx))
 	return rw.body.Bytes()
 }
 
@@ -131,7 +137,7 @@ func TestHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
-	s := newHitServer(t, Config{CacheBytes: 64 << 20, ShareScans: true})
+	s := newHitServer(t, Config{CacheBytes: 64 << 20})
 	h, rw := s.Handler(), newHitRecorder()
 	objects := map[string]float64{}
 	for name, body := range map[string][]byte{"small": []byte(smallHit), "large": []byte(largeHit)} {
@@ -159,9 +165,11 @@ func TestHitAllocations(t *testing.T) {
 }
 
 // TestMissAllocations bounds what a cold miss of N nodes allocates, in
-// bytes per result node: the flight's batches, and the one completed
-// slice where something keeps it. Every request names its own limit,
-// past the result, so each is a miss with the same N-node answer.
+// bytes per result node: a stream's copies of its batches and their
+// one concatenation where the cache keeps it, a limited query's the
+// same, and an unlimited query only its result. Every limited request
+// names its own limit, past the result, and the cache refuses the
+// unlimited one, so each is a miss with the same N-node answer.
 func TestMissAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
@@ -173,15 +181,20 @@ func TestMissAllocations(t *testing.T) {
 		u       *url.URL
 		budget  int64
 		perNode uint64
+		limited bool
 	}{
-		{"stream, refused by the cache", streamURL, 16 << 15, 4},
-		{"stream, kept by the cache", streamURL, 64 << 20, 8},
-		{"query", queryURL, 64 << 20, 8},
+		{"stream, refused by the cache", streamURL, 16 << 15, 4, true},
+		{"stream, kept by the cache", streamURL, 64 << 20, 8, true},
+		{"query", queryURL, 64 << 20, 8, true},
+		{"query, unlimited, refused by the cache", queryURL, 16 << 15, 4, false},
 	} {
-		s := newHitServer(t, Config{CacheBytes: c.budget, ShareScans: true})
+		s := newHitServer(t, Config{CacheBytes: c.budget})
 		h, rw := s.Handler(), newHitRecorder()
 		limit := 1 << 20
 		miss := func() []byte {
+			if !c.limited {
+				return servePost(h, rw, c.u, fmt.Appendf(nil, `{"doc":"d","query":%q}`, query))
+			}
 			limit++
 			return servePost(h, rw, c.u, fmt.Appendf(nil, `{"doc":"d","query":%q,"limit":%d}`, query, limit))
 		}
@@ -300,7 +313,7 @@ func mustCanon(t testing.TB, s *Server, query string) string {
 // flushes every chunk and stops between chunks once the request's
 // context is done, with the usual error line and accounting.
 func TestCachedStreamReplayObeysRequest(t *testing.T) {
-	s := newHitServer(t, Config{CacheBytes: 64 << 20, ShareScans: true})
+	s := newHitServer(t, Config{CacheBytes: 64 << 20})
 	h, err := s.cat.Open("d")
 	if err != nil {
 		t.Fatal(err)
@@ -317,9 +330,7 @@ func TestCachedStreamReplayObeysRequest(t *testing.T) {
 	s.cache.Put(string(appendCacheKey(nil, "d", h.Generation(), p.Canon(), 0)), nodes)
 	const chunks = (200000 + 1023) / 1024
 	replay := func(ctx context.Context, rw *hitRecorder) {
-		var out, kb []byte
-		lw := lineWriter{w: rw, flusher: rw, buf: &out}
-		s.streamShared(&lw, ctx, h, p, 0, &kb)
+		servePostCtx(ctx, s.Handler(), rw, streamURL, []byte(`{"doc":"d","query":"//x"}`))
 	}
 
 	rw := newHitRecorder()

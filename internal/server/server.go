@@ -18,12 +18,11 @@
 //     same canonical plan and share one entry; see
 //     docs/ARCHITECTURE.md for the key design;
 //   - a FIFO worker semaphore holding one unit per running execution,
-//     so a burst of queries cannot oversubscribe the machine;
-//   - optionally (Config.ShareScans) a pace-car registry that coalesces
-//     identical in-flight executions: concurrent cache misses on the
-//     same (doc, generation, canonical plan, limit) key share one
-//     driven cursor, and the completed buffer retires into the result
-//     cache — see internal/share.
+//     so a burst of queries cannot oversubscribe the machine.
+//
+// Every request takes one path: prepare, look the result up (unless
+// the request says noCache), acquire a unit, run the plan once, and
+// store the result. Concurrent identical misses each run the plan.
 //
 // Endpoints: POST /query (single or batched queries against one
 // document), POST /stream (one query, results as NDJSON batches),
@@ -52,9 +51,9 @@
 //     may lower (never raise) it with timeoutMs. Expiry surfaces as
 //     408 and cancels the running cursors between batches.
 //   - Panic containment: evaluation is recovered at every boundary —
-//     per batch item, per stream batch, per flight drive — so a
-//     panicking operator costs one query a 500, not the process; its
-//     semaphore unit releases and its flight aborts.
+//     per batch item and per stream batch — so a panicking operator
+//     costs one query a 500, not the process, and its semaphore unit
+//     releases.
 package server
 
 import (
@@ -76,7 +75,6 @@ import (
 	"staircase/internal/catalog"
 	"staircase/internal/fault"
 	"staircase/internal/plan"
-	"staircase/internal/share"
 )
 
 // Config configures a Server.
@@ -92,12 +90,6 @@ type Config struct {
 	// MaxBatch caps the number of queries in one POST /query request;
 	// <= 0 defaults to 256.
 	MaxBatch int
-	// ShareScans coalesces identical in-flight executions: concurrent
-	// cache-missing requests with the same (doc, generation, canonical
-	// plan, limit) key share one pace-car execution instead of each
-	// running the plan (xpathd -share-scans). Requests with NoCache
-	// bypass coalescing along with the cache.
-	ShareScans bool
 	// RequestTimeout bounds every request's evaluation; <= 0 means no
 	// server-side deadline. A request may lower (never raise) it with
 	// timeoutMs. Expiry surfaces as 408.
@@ -124,12 +116,11 @@ const statusClientClosed = 499
 
 // Server is the HTTP query service. Safe for concurrent use.
 type Server struct {
-	cfg     Config
-	cat     *catalog.Catalog
-	cache   *resultCache
-	pool    *wsem
-	flights *share.Registry
-	start   time.Time
+	cfg   Config
+	cat   *catalog.Catalog
+	cache *resultCache
+	pool  *wsem
+	start time.Time
 
 	// The result-cache fast path sits behind prepare(), so a plan hit
 	// takes preparedMu shared — concurrent warm requests do not
@@ -191,7 +182,7 @@ func New(cfg Config) *Server {
 	if maxQueue < 0 {
 		maxQueue = 8 * workers
 	}
-	s := &Server{
+	return &Server{
 		cfg:         cfg,
 		cat:         cfg.Catalog,
 		cache:       newResultCache(cfg.CacheBytes),
@@ -204,18 +195,6 @@ func New(cfg Config) *Server {
 		seenRing:    make([]uint64, 0, maxPrepared),
 		seed:        maphash.MakeSeed(),
 	}
-	// The pace car is the only client of a flight doing work, so it is
-	// the only one charged against the worker budget: the wheel hooks
-	// acquire and release its unit as the wheel changes hands. The take
-	// goes through the bounded, context-aware acquire: a candidate
-	// driver that is shed (or whose client is gone) fails alone — the
-	// flight stays live for the other followers, one of whom takes the
-	// wheel.
-	s.flights = share.NewRegistry(0, share.Hooks{
-		OnWheel:     s.pool.acquire,
-		OnWheelDone: s.pool.release,
-	})
-	return s
 }
 
 // Handler returns the HTTP routing table, wrapped in a panic-recovery
@@ -234,9 +213,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // recoverPanics is the handler-goroutine safety net. Evaluation paths
-// recover closer to the panic (evalOne, the stream loops, flight
-// drives) so they can release resources and answer
-// precisely; this middleware catches what escapes anyway — net/http
+// recover closer to the panic (evalOne, the stream loop) so they can
+// release resources and answer precisely; this middleware catches what escapes anyway — net/http
 // would only log it and sever the connection, which a load balancer
 // cannot tell apart from a crash.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
@@ -390,12 +368,8 @@ type QueryResult struct {
 	Nodes []int32 `json:"nodes"`
 	// Truncated reports that the limit stopped the evaluation while
 	// further results may exist.
-	Truncated bool `json:"truncated,omitempty"`
-	Cached    bool `json:"cached"`
-	// Coalesced reports that the query attached to an in-flight
-	// execution of the same plan instead of starting its own
-	// (Config.ShareScans).
-	Coalesced bool   `json:"coalesced,omitempty"`
+	Truncated bool   `json:"truncated,omitempty"`
+	Cached    bool   `json:"cached"`
 	ElapsedNs int64  `json:"elapsedNs"`
 	Error     string `json:"error,omitempty"`
 	// status classifies the error for HTTP propagation: 0 on success,
@@ -614,24 +588,8 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, noCache b
 		}
 		s.cacheMisses.Add(1)
 	}
-	// Only a miss needs the key as a string and the request's context.
-	key := string(*kb)
+	// Only a miss needs the request's context.
 	ctx := lc.get()
-	if s.cfg.ShareScans && !noCache {
-		nodes, coalesced, serr := s.sharedEval(ctx, p, key, limit)
-		elapsed := time.Since(start)
-		h.RecordQuery(elapsed)
-		res.ElapsedNs = elapsed.Nanoseconds()
-		if serr != nil {
-			s.classifyEvalErr(ctx, &res, serr)
-			return res
-		}
-		res.Nodes = nodes
-		res.Count = len(nodes)
-		res.Truncated = limit > 0 && len(nodes) >= limit
-		res.Coalesced = coalesced
-		return res
-	}
 	if err := s.pool.acquire(ctx); err != nil {
 		res.ElapsedNs = time.Since(start).Nanoseconds()
 		s.classifyEvalErr(ctx, &res, err)
@@ -652,20 +610,16 @@ func (s *Server) evalOne(lc *lazyCtx, h *catalog.Handle, query string, noCache b
 	res.Count = len(r.Nodes)
 	res.Truncated = r.Truncated
 	if !noCache {
-		s.cache.Put(key, r.Nodes)
+		s.cache.Put(string(*kb), r.Nodes)
 	}
 	return res
 }
 
-// limitCursor caps a streaming cursor at its flight's limit: the
-// coalesced counterpart of RunLimit. Reporting exhaustion at the cap
-// makes the flight finish and close the underlying cursor, so the
-// kernels never scan past what the limit needs.
+// limitCursor caps a /stream cursor at the request's limit: the
+// streaming counterpart of RunLimit. It reports exhaustion at the cap,
+// so the kernels never scan past what the limit needs.
 type limitCursor struct {
-	cur interface {
-		Next() ([]int32, error)
-		Close()
-	}
+	cur  interface{ Next() ([]int32, error) }
 	left int
 }
 
@@ -682,64 +636,6 @@ func (l *limitCursor) Next() ([]int32, error) {
 	}
 	l.left -= len(b)
 	return b, nil
-}
-
-func (l *limitCursor) Close() { l.cur.Close() }
-
-// joinFlight joins (or creates) the in-flight execution of p under its
-// cache key; a completed result of at most keep nodes becomes one slice
-// and retires into the result cache. Its pace car holds one unit.
-func (s *Server) joinFlight(p *plan.Plan, key string, limit, keep int) (*share.Follower, bool) {
-	open := func(fctx context.Context) (share.Cursor, error) {
-		cur, err := p.CursorRoot(fctx)
-		if err != nil {
-			return nil, err
-		}
-		if limit > 0 {
-			return &limitCursor{cur: cur, left: limit}, nil
-		}
-		return cur, nil
-	}
-	retire := func(nodes []int32) { s.cache.Put(key, nodes) }
-	return s.flights.Join(key, keep, open, retire)
-}
-
-// sharedEval evaluates through the pace-car registry: identical
-// concurrent cache misses share one execution keyed exactly like their
-// cache entry, and the completed result retires into the cache through
-// the flight. Its client needs the whole answer, so a flight it creates
-// keeps every result, and the slice the cache gets is the one returned.
-// The returned bool reports coalescing (this client attached to a
-// flight another request created).
-func (s *Server) sharedEval(ctx context.Context, p *plan.Plan, key string, limit int) ([]int32, bool, error) {
-	f, created := s.joinFlight(p, key, limit, share.Unbounded)
-	defer f.Close()
-	// A flight joined rather than created may be a /stream client's that
-	// outgrows the cache and keeps no slice: then the batches it handed
-	// out are concatenated once, at their final size.
-	var batches [][]int32
-	n := 0
-	for {
-		b, err := f.Next(ctx)
-		if err != nil {
-			return nil, !created, err
-		}
-		if b == nil {
-			break
-		}
-		if !created {
-			batches = append(batches, b)
-		}
-		n += len(b)
-	}
-	if nodes := f.Result(); nodes != nil || n == 0 {
-		return nodes, !created, nil
-	}
-	nodes := make([]int32, 0, n)
-	for _, b := range batches {
-		nodes = append(nodes, b...)
-	}
-	return nodes, !created, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -831,10 +727,8 @@ type StreamChunk struct {
 	Done      bool `json:"done,omitempty"`
 	Count     int  `json:"count,omitempty"`
 	Truncated bool `json:"truncated,omitempty"`
-	// Coalesced (terminal line) reports that the stream attached to an
-	// in-flight execution instead of starting its own; Cached that it
-	// was served from the result cache (both Config.ShareScans).
-	Coalesced bool   `json:"coalesced,omitempty"`
+	// Cached (terminal line) reports that the stream replayed a result
+	// from the result cache.
 	Cached    bool   `json:"cached,omitempty"`
 	ElapsedNs int64  `json:"elapsedNs,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -842,10 +736,12 @@ type StreamChunk struct {
 
 // handleStream answers POST /stream: one query, evaluated through the
 // streaming cursor executor, with each result batch written as one
-// NDJSON line as soon as the kernels produce it. The stream holds one
-// worker-budget unit for its whole duration; a client disconnect
-// cancels the request context, the cursor stops between batches, and
-// the unit releases.
+// NDJSON line as soon as the kernels produce it. The result cache works
+// as on POST /query: a hit replays the stored result, and a miss whose
+// result fits the cache is stored once the stream completes. The
+// stream holds one worker-budget unit for its whole duration; a client
+// disconnect cancels the request context, the cursor stops between
+// batches, and the unit releases.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	st := reqStates.Get().(*reqState)
 	defer st.release()
@@ -873,11 +769,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx = fault.WithTag(ctx, "stream")
 	lw := lineWriter{w: w, buf: &st.out}
 	lw.flusher, _ = w.(http.Flusher)
-	if s.cfg.ShareScans && !req.NoCache {
-		s.streamShared(&lw, ctx, h, p, req.Limit, &st.key)
-		return
-	}
 	start := time.Now()
+	s.streams.Add(1)
+	s.queries.Add(1)
+	// keep is the largest result the cache stores under the stream's
+	// key, in nodes; -1 stores nothing.
+	keep, key := -1, ""
+	if !req.NoCache {
+		st.key = appendCacheKey(st.key[:0], h.Name(), h.Generation(), p.Canon(), req.Limit)
+		if e, ok := s.cache.Get(st.key); ok {
+			s.cacheHits.Add(1)
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			s.replay(&lw, ctx, h, start, e.nodes, req.Limit)
+			return
+		}
+		s.cacheMisses.Add(1)
+		key = string(st.key)
+		keep = s.cache.MaxNodes(key)
+	}
 	if err := s.pool.acquire(ctx); err != nil {
 		s.failEval(w, ctx, err)
 		return
@@ -894,12 +803,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		next = &limitCursor{cur: cur, left: req.Limit}
 	}
 
-	s.streams.Add(1)
-	s.queries.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if count, ok := s.pump(&lw, ctx, func() ([]int32, error) { return safeStreamNext(next) }); ok {
-		s.finishStream(&lw, h, start, count, req.Limit, false, false)
+	// A batch is valid only until the next one: while the result still
+	// fits the cache, each is kept as an exact copy, and the copies are
+	// joined once, at their final size.
+	var kept [][]int32
+	n := 0
+	count, ok := s.pump(&lw, ctx, func() ([]int32, error) {
+		b, err := safeStreamNext(next)
+		if n += len(b); n > keep {
+			kept = nil
+		} else if len(b) > 0 {
+			kept = append(kept, slices.Clone(b))
+		}
+		return b, err
+	})
+	if !ok {
+		return
 	}
+	if count <= keep {
+		s.cache.Put(key, slices.Concat(kept...))
+	}
+	s.finishStream(&lw, h, start, count, req.Limit, false)
 }
 
 // pump writes the batches next yields as NDJSON lines until it is
@@ -922,14 +847,13 @@ func (s *Server) pump(lw *lineWriter, ctx context.Context, next func() ([]int32,
 
 // finishStream writes a stream's terminal line. Reaching the limit
 // reports truncated: more may exist.
-func (s *Server) finishStream(lw *lineWriter, h *catalog.Handle, start time.Time, count, limit int, coalesced, cached bool) {
+func (s *Server) finishStream(lw *lineWriter, h *catalog.Handle, start time.Time, count, limit int, cached bool) {
 	elapsed := time.Since(start)
 	h.RecordQuery(elapsed)
 	lw.send(&StreamChunk{
 		Done:      true,
 		Count:     count,
 		Truncated: limit > 0 && count >= limit,
-		Coalesced: coalesced,
 		Cached:    cached,
 		ElapsedNs: elapsed.Nanoseconds(),
 	})
@@ -995,41 +919,21 @@ func (s *Server) failEval(w http.ResponseWriter, ctx context.Context, err error)
 	s.fail(w, res.status, "%v", err)
 }
 
-// streamShared answers POST /stream through the pace-car registry:
-// the stream is keyed exactly like its result-cache entry, a cache hit
-// replays the retired buffer of an earlier flight, and a miss joins
-// (or creates) the in-flight execution — identical concurrent cold
-// streams run the plan exactly once. Only the current driver holds a
-// worker-budget unit (via the registry's wheel hooks); followers are
-// blocked handlers replaying shared batches.
-func (s *Server) streamShared(lw *lineWriter, ctx context.Context, h *catalog.Handle, p *plan.Plan, limit int, kb *[]byte) {
-	*kb = appendCacheKey((*kb)[:0], h.Name(), h.Generation(), p.Canon(), limit)
-	start := time.Now()
-	s.streams.Add(1)
-	s.queries.Add(1)
-	lw.w.Header().Set("Content-Type", "application/x-ndjson")
-	if e, ok := s.cache.Get(*kb); ok {
-		s.cacheHits.Add(1)
-		const chunk = 1024
-		for off := 0; off < len(e.nodes); off += chunk {
-			// The replay obeys the request like a live stream: a deadline
-			// or a gone client stops it between chunks.
-			if err := ctx.Err(); err != nil {
-				s.streamError(lw, ctx, err)
-				return
-			}
-			lw.sendNodes(e.nodes[off:min(off+chunk, len(e.nodes))])
+// replayChunk is how many nodes one NDJSON line of a cached /stream
+// replay carries.
+const replayChunk = 1024
+
+// replay streams a cached result. It obeys the request like a live
+// stream: a deadline or a gone client stops it between chunks.
+func (s *Server) replay(lw *lineWriter, ctx context.Context, h *catalog.Handle, start time.Time, nodes []int32, limit int) {
+	for off := 0; off < len(nodes); off += replayChunk {
+		if err := ctx.Err(); err != nil {
+			s.streamError(lw, ctx, err)
+			return
 		}
-		s.finishStream(lw, h, start, len(e.nodes), limit, false, true)
-		return
+		lw.sendNodes(nodes[off:min(off+replayChunk, len(nodes))])
 	}
-	s.cacheMisses.Add(1)
-	key := string(*kb)
-	f, created := s.joinFlight(p, key, limit, s.cache.MaxNodes(key))
-	defer f.Close()
-	if count, ok := s.pump(lw, ctx, func() ([]int32, error) { return f.Next(ctx) }); ok {
-		s.finishStream(lw, h, start, count, limit, !created, false)
-	}
+	s.finishStream(lw, h, start, len(nodes), limit, true)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -1078,11 +982,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, p.ExplainText(res))
-	if s.cfg.ShareScans {
-		created, coalesced, handoffs := s.flights.Stats()
-		fmt.Fprintf(w, "share-scans: on flights=%d coalesced=%d handoffs=%d\n",
-			created, coalesced, handoffs)
-	}
 }
 
 func (s *Server) handleDocs(w http.ResponseWriter, _ *http.Request) {
@@ -1135,11 +1034,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.preparedMu.RLock()
 	emit("plan_cache_entries", int64(len(s.prepared)))
 	s.preparedMu.RUnlock()
-	created, coalesced, handoffs := s.flights.Stats()
-	emit("shared_flights_total", created)
-	emit("coalesced_queries_total", coalesced)
-	emit("pace_car_handoffs_total", handoffs)
-	emit("shared_flights_in_flight", int64(s.flights.InFlight()))
 	emit("errors_total", s.errors.Load())
 	emit("shed_queries_total", s.pool.shedCount())
 	emit("timeout_queries_total", s.timeouts.Load())
@@ -1163,13 +1057,6 @@ func (s *Server) CacheStats() (hits, misses int64) {
 // benchmarks).
 func (s *Server) PlanCacheStats() (hits, misses int64) {
 	return s.planHits.Load(), s.planMisses.Load()
-}
-
-// ShareStats reports pace-car registry counters — flights created
-// (cold executions started), queries coalesced onto an existing
-// flight, and mid-flight wheel handoffs (tests, benchmarks).
-func (s *Server) ShareStats() (created, coalesced, handoffs int64) {
-	return s.flights.Stats()
 }
 
 // openStatus maps a catalog.Open error to an HTTP status: unknown

@@ -836,3 +836,67 @@ func TestHostileQueryRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovedOptionIgnored: clients written against a request option
+// the server no longer has (each entry of testdata/removed_option.json)
+// keep working — the field is ignored, not rejected, on POST /query and
+// GET /explain.
+func TestRemovedOptionIgnored(t *testing.T) {
+	raw, err := os.ReadFile("testdata/removed_option.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Removed []struct {
+			Options      json.RawMessage `json:"options"`
+			ExplainParam string          `json:"explainParam"`
+		} `json:"removed"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Removed) == 0 {
+		t.Fatal("no removed options listed")
+	}
+	_, ts, _ := newTestServer(t, 1<<20)
+	const q = "/descendant::open_auction/descendant::bidder"
+	query := func(options string) []int32 {
+		t.Helper()
+		body := `{"doc":"mem","query":"` + q + `","noCache":true` + options + `}`
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("options %q: status %d", options, resp.StatusCode)
+		}
+		var out QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Results[0].Nodes
+	}
+	explain := func(extra string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/explain?doc=mem&q=" + q + extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain%s: status %d %s", extra, resp.StatusCode, b)
+		}
+		return string(b)
+	}
+	wantNodes, wantPlan := query(""), explain("")
+	for _, removed := range file.Removed {
+		if got := query(`,"options":` + string(removed.Options)); !sameNodes(got, wantNodes) {
+			t.Errorf("removed option %s changed the answer: %d vs %d nodes", removed.Options, len(got), len(wantNodes))
+		}
+		if got := explain(removed.ExplainParam); got != wantPlan {
+			t.Errorf("removed option %s changed the plan:\n%s\nvs\n%s", removed.ExplainParam, got, wantPlan)
+		}
+	}
+}

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,4 +158,177 @@ func TestCancelledQueryReleasesWorkerSlot(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 1200*time.Millisecond {
 		t.Fatalf("cancellation took %v; evaluation was not interrupted", elapsed)
 	}
+}
+
+// TestStreamCacheLimitKeying: a stream's cache entry is keyed with its
+// limit, so limited and full streams never share an entry, and the
+// limited stream, live or replayed, is the prefix of the full one.
+func TestStreamCacheLimitKeying(t *testing.T) {
+	_, ts, ref := newTestServer(t, 1<<20)
+	const q = "/descendant::profile/descendant::education"
+	want, err := ref["mem"].EvalString(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Nodes) < 3 {
+		t.Fatalf("fixture too small: %d nodes", len(want.Nodes))
+	}
+	lim := len(want.Nodes) / 2
+
+	var limGot []int32
+	chunks := postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: q, Limit: lim})
+	last := chunks[len(chunks)-1]
+	for _, c := range chunks[:len(chunks)-1] {
+		limGot = append(limGot, c.Nodes...)
+	}
+	if !sameNodes(limGot, want.Nodes[:lim]) || !last.Truncated || last.Count != lim {
+		t.Fatalf("limited stream: got %d nodes, summary %+v", len(limGot), last)
+	}
+
+	var full []int32
+	chunks = postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: q})
+	last = chunks[len(chunks)-1]
+	for _, c := range chunks[:len(chunks)-1] {
+		full = append(full, c.Nodes...)
+	}
+	if !sameNodes(full, want.Nodes) || last.Truncated {
+		t.Fatalf("full stream after limited one: got %d nodes, summary %+v", len(full), last)
+	}
+
+	// Replaying the limited key now comes from the cache, still the
+	// exact prefix with the truncation flag.
+	chunks = postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: q, Limit: lim})
+	last = chunks[len(chunks)-1]
+	limGot = limGot[:0]
+	for _, c := range chunks[:len(chunks)-1] {
+		limGot = append(limGot, c.Nodes...)
+	}
+	if !sameNodes(limGot, want.Nodes[:lim]) || !last.Truncated || !last.Cached {
+		t.Fatalf("cached limited stream: got %d nodes, summary %+v", len(limGot), last)
+	}
+}
+
+// streamNodes decodes an NDJSON /stream body: its nodes in order and
+// its terminal line.
+func streamNodes(t *testing.T, body []byte) ([]int32, StreamChunk) {
+	t.Helper()
+	var nodes []int32
+	var c StreamChunk
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for dec.More() {
+		c = StreamChunk{}
+		if err := dec.Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, c.Nodes...)
+	}
+	if !c.Done || c.Error != "" {
+		t.Fatalf("stream did not finish cleanly: %+v", c)
+	}
+	return nodes, c
+}
+
+// TestStreamMissRetiresIntoCache: a /stream miss whose result fits the
+// cache stores it once the stream completes, and the next stream
+// replays the same nodes from the cache; a result the cache refuses,
+// or a noCache stream, stores nothing.
+func TestStreamMissRetiresIntoCache(t *testing.T) {
+	const body = `{"doc":"d","query":"/descendant::node()"}` // 28 050 nodes
+	for _, c := range []struct {
+		budget int64
+		body   string
+		kept   bool
+	}{
+		{64 << 20, body, true},
+		{16 * 50000, body, false},
+		{64 << 20, `{"doc":"d","query":"/descendant::node()","noCache":true}`, false},
+	} {
+		s := newHitServer(t, Config{CacheBytes: c.budget})
+		h, rw := s.Handler(), newHitRecorder()
+		miss, last := streamNodes(t, servePost(h, rw, streamURL, []byte(c.body)))
+		if len(miss) != 28050 || last.Count != len(miss) || last.Cached {
+			t.Fatalf("%+v: miss streamed %d nodes, summary %+v", c, len(miss), last)
+		}
+		if got := s.cache.Len(); (got > 0) != c.kept {
+			t.Fatalf("%+v: %d cache entries after the miss", c, got)
+		}
+		again, last := streamNodes(t, servePost(h, rw, streamURL, []byte(c.body)))
+		if !sameNodes(again, miss) || last.Count != len(miss) || last.Cached != c.kept {
+			t.Fatalf("%+v: second stream %d nodes, summary %+v", c, len(again), last)
+		}
+	}
+}
+
+// blockedWriter is a ResponseWriter whose first Write parks until
+// release closes: a stream held open by a client that stopped reading.
+type blockedWriter struct {
+	hdr     http.Header
+	once    sync.Once
+	wrote   chan struct{} // closed at the first Write
+	release chan struct{}
+}
+
+func (w *blockedWriter) Header() http.Header { return w.hdr }
+func (w *blockedWriter) WriteHeader(int)     {}
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.wrote) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestCursorHoldsOneWorkerUnit: a cursor execution (a limit query, a
+// stream) holds one worker unit. With two units and one
+// stream parked on a blocked writer, a second cold stream and cold
+// limit queries must run at once instead of queueing behind it.
+func TestCursorHoldsOneWorkerUnit(t *testing.T) {
+	s, ts, cat := newChaosServer(t, Config{Workers: 2})
+
+	bw := &blockedWriter{hdr: http.Header{}, wrote: make(chan struct{}), release: make(chan struct{})}
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		body := strings.NewReader(`{"doc":"mem","query":"/descendant::person"}`)
+		s.Handler().ServeHTTP(bw, httptest.NewRequest(http.MethodPost, "/stream", body))
+	}()
+	<-bw.wrote
+	if got := s.pool.inUse(); got != 1 {
+		t.Errorf("a parked stream holds %d worker units, want 1", got)
+	}
+
+	var queued atomic.Bool
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+				if s.pool.queueDepth() > 0 {
+					queued.Store(true)
+				}
+			}
+		}
+	}()
+	chunks := postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: "/descendant::open_auction", TimeoutMs: 2000})
+	if last := chunks[len(chunks)-1]; !last.Done || last.Error != "" {
+		t.Errorf("second stream: %+v", last)
+	}
+	for _, noCache := range []bool{false, true} {
+		resp, code := postQuery(t, ts.URL, QueryRequest{
+			Doc: "mem", Query: "/descendant::bidder", Limit: 5, NoCache: noCache, TimeoutMs: 2000,
+		})
+		if code != http.StatusOK || resp.Results[0].Count != 5 {
+			t.Errorf("limit query (noCache=%v): status %d %+v", noCache, code, resp.Results)
+		}
+	}
+	close(stop)
+	<-watched
+	if queued.Load() {
+		t.Error("a cold cursor execution queued behind one parked stream")
+	}
+	close(bw.release)
+	<-held
+	assertQuiesced(t, s, cat)
 }
