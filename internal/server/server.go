@@ -808,41 +808,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// fits the cache, each is kept as an exact copy, and the copies are
 	// joined once, at their final size.
 	var kept [][]int32
-	n := 0
-	count, ok := s.pump(&lw, ctx, func() ([]int32, error) {
+	count := 0
+	for {
 		b, err := safeStreamNext(next)
-		if n += len(b); n > keep {
+		if err != nil {
+			s.streamError(&lw, ctx, err)
+			return
+		}
+		if b == nil {
+			break
+		}
+		if count += len(b); count > keep {
 			kept = nil
-		} else if len(b) > 0 {
+		} else {
 			kept = append(kept, slices.Clone(b))
 		}
-		return b, err
-	})
-	if !ok {
-		return
+		lw.sendNodes(b)
 	}
 	if count <= keep {
 		s.cache.Put(key, slices.Concat(kept...))
 	}
 	s.finishStream(&lw, h, start, count, req.Limit, false)
-}
-
-// pump writes the batches next yields as NDJSON lines until it is
-// exhausted and returns how many nodes went out; after a failure it has
-// written the error line and reports false.
-func (s *Server) pump(lw *lineWriter, ctx context.Context, next func() ([]int32, error)) (count int, ok bool) {
-	for {
-		b, err := next()
-		if err != nil {
-			s.streamError(lw, ctx, err)
-			return count, false
-		}
-		if b == nil {
-			return count, true
-		}
-		count += len(b)
-		lw.sendNodes(b)
-	}
 }
 
 // finishStream writes a stream's terminal line. Reaching the limit
