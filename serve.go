@@ -97,10 +97,11 @@ type ServerConfig struct {
 	// MaxBatch caps the number of queries in one POST /query request;
 	// <= 0 defaults to 256.
 	MaxBatch int
-	// ShareScans coalesces identical in-flight executions: concurrent
-	// cache-missing requests with the same (doc, generation, canonical
-	// plan, limit) key share one pace-car execution, and the completed
-	// buffer retires into the result cache (xpathd -share-scans).
+	// ShareScans once coalesced identical in-flight executions. It is
+	// kept only so that existing callers still compile.
+	//
+	// Deprecated: ShareScans is ignored. Every request runs its own
+	// execution.
 	ShareScans bool
 	// RequestTimeout bounds every request's evaluation; <= 0 means no
 	// server-side deadline. A request may lower — never raise — it with
@@ -133,7 +134,6 @@ func NewServer(cfg ServerConfig) *Server {
 		CacheBytes:     cfg.CacheBytes,
 		Workers:        cfg.Workers,
 		MaxBatch:       cfg.MaxBatch,
-		ShareScans:     cfg.ShareScans,
 		RequestTimeout: cfg.RequestTimeout,
 		MaxQueue:       cfg.MaxQueue,
 		MaxBodyBytes:   cfg.MaxBodyBytes,
