@@ -772,6 +772,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.streams.Add(1)
 	s.queries.Add(1)
+	// An error answered before the first line replaces the header.
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	// keep is the largest result the cache stores under the stream's
 	// key, in nodes; -1 stores nothing.
 	keep, key := -1, ""
@@ -779,8 +781,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		st.key = appendCacheKey(st.key[:0], h.Name(), h.Generation(), p.Canon(), req.Limit)
 		if e, ok := s.cache.Get(st.key); ok {
 			s.cacheHits.Add(1)
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			s.replay(&lw, ctx, h, start, e.nodes, req.Limit)
+			const chunk = 1024
+			for off := 0; off < len(e.nodes); off += chunk {
+				// The replay obeys the request like a live stream: a
+				// deadline or a gone client stops it between chunks.
+				if err := ctx.Err(); err != nil {
+					s.streamError(&lw, ctx, err)
+					return
+				}
+				lw.sendNodes(e.nodes[off:min(off+chunk, len(e.nodes))])
+			}
+			s.finishStream(&lw, h, start, len(e.nodes), req.Limit, true)
 			return
 		}
 		s.cacheMisses.Add(1)
@@ -803,7 +814,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		next = &limitCursor{cur: cur, left: req.Limit}
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	// A batch is valid only until the next one: while the result still
 	// fits the cache, each is kept as an exact copy, and the copies are
 	// joined once, at their final size.
@@ -903,23 +913,6 @@ func (s *Server) failEval(w http.ResponseWriter, ctx context.Context, err error)
 		w.Header().Set("Retry-After", "1")
 	}
 	s.fail(w, res.status, "%v", err)
-}
-
-// replayChunk is how many nodes one NDJSON line of a cached /stream
-// replay carries.
-const replayChunk = 1024
-
-// replay streams a cached result. It obeys the request like a live
-// stream: a deadline or a gone client stops it between chunks.
-func (s *Server) replay(lw *lineWriter, ctx context.Context, h *catalog.Handle, start time.Time, nodes []int32, limit int) {
-	for off := 0; off < len(nodes); off += replayChunk {
-		if err := ctx.Err(); err != nil {
-			s.streamError(lw, ctx, err)
-			return
-		}
-		lw.sendNodes(nodes[off:min(off+replayChunk, len(nodes))])
-	}
-	s.finishStream(lw, h, start, len(nodes), limit, true)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
