@@ -208,53 +208,38 @@ func TestStreamCacheLimitKeying(t *testing.T) {
 	}
 }
 
-// streamNodes decodes an NDJSON /stream body: its nodes in order and
-// its terminal line.
-func streamNodes(t *testing.T, body []byte) ([]int32, StreamChunk) {
-	t.Helper()
-	var nodes []int32
-	var c StreamChunk
-	dec := json.NewDecoder(bytes.NewReader(body))
-	for dec.More() {
-		c = StreamChunk{}
-		if err := dec.Decode(&c); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, c.Nodes...)
-	}
-	if !c.Done || c.Error != "" {
-		t.Fatalf("stream did not finish cleanly: %+v", c)
-	}
-	return nodes, c
-}
-
 // TestStreamMissRetiresIntoCache: a /stream miss whose result fits the
 // cache stores it once the stream completes, and the next stream
 // replays the same nodes from the cache; a result the cache refuses,
 // or a noCache stream, stores nothing.
 func TestStreamMissRetiresIntoCache(t *testing.T) {
-	const body = `{"doc":"d","query":"/descendant::node()"}` // 28 050 nodes
 	for _, c := range []struct {
-		budget int64
-		body   string
-		kept   bool
+		budget        int64
+		noCache, kept bool
 	}{
-		{64 << 20, body, true},
-		{16 * 50000, body, false},
-		{64 << 20, `{"doc":"d","query":"/descendant::node()","noCache":true}`, false},
+		{1 << 20, false, true},
+		{1 << 12, false, false},
+		{1 << 20, true, false},
 	} {
-		s := newHitServer(t, Config{CacheBytes: c.budget})
-		h, rw := s.Handler(), newHitRecorder()
-		miss, last := streamNodes(t, servePost(h, rw, streamURL, []byte(c.body)))
-		if len(miss) != 28050 || last.Count != len(miss) || last.Cached {
-			t.Fatalf("%+v: miss streamed %d nodes, summary %+v", c, len(miss), last)
+		s, ts, ref := newTestServer(t, c.budget)
+		req := QueryRequest{Doc: "mem", Query: "/descendant::node()", NoCache: c.noCache}
+		want, err := ref["mem"].EvalString(req.Query, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := s.cache.Len(); (got > 0) != c.kept {
-			t.Fatalf("%+v: %d cache entries after the miss", c, got)
-		}
-		again, last := streamNodes(t, servePost(h, rw, streamURL, []byte(c.body)))
-		if !sameNodes(again, miss) || last.Count != len(miss) || last.Cached != c.kept {
-			t.Fatalf("%+v: second stream %d nodes, summary %+v", c, len(again), last)
+		for i := range 2 {
+			chunks := postStream(t, ts.URL, req)
+			var got []int32
+			for _, ch := range chunks[:len(chunks)-1] {
+				got = append(got, ch.Nodes...)
+			}
+			last := chunks[len(chunks)-1]
+			if !sameNodes(got, want.Nodes) || last.Count != len(want.Nodes) || last.Cached != (i == 1 && c.kept) {
+				t.Fatalf("%+v, stream %d: %d nodes, summary %+v", c, i, len(got), last)
+			}
+			if n := s.cache.Len(); (n > 0) != c.kept {
+				t.Fatalf("%+v, stream %d: %d cache entries", c, i, n)
+			}
 		}
 	}
 }
