@@ -12,11 +12,12 @@ import (
 	"testing"
 
 	"staircase"
+	"staircase/internal/server"
 )
 
-// The surface ledger: every knob, option value, request field, metric,
-// EXPLAIN key and query limit the library exposes, one sorted line per
-// item in testdata/surface.txt with a count per section. A change that
+// The surface ledger: every knob, option value, request field, response
+// key, metric, EXPLAIN key and query limit the library exposes, one
+// sorted line per item in testdata/surface.txt with a count per section. A change that
 // adds or removes surface shows up as a diff of that file; the CLIs keep
 // their flags in cmd/*/testdata/flags.txt the same way. Regenerate with
 //
@@ -33,6 +34,8 @@ func TestSurface(t *testing.T) {
 		{"Options values", optionValues(reflect.TypeOf(staircase.Options{}))},
 		{"ServerConfig fields", fieldLines(reflect.TypeOf(staircase.ServerConfig{}))},
 		{"metrics", metricNames(t)},
+		{"/query result keys", jsonKeys(reflect.TypeOf(server.QueryResult{}))},
+		{"/stream line keys", jsonKeys(reflect.TypeOf(server.StreamChunk{}))},
 		{"EXPLAIN JSON keys", explainKeys(t)},
 		{"EXPLAIN operators", planSurface(t, "op")},
 		{"rewrite rules", planSurface(t, "rewrites")},
@@ -79,6 +82,18 @@ func fieldLines(typ reflect.Type) []string {
 	for _, f := range reflect.VisibleFields(typ) {
 		if f.IsExported() {
 			out = append(out, f.Name+" "+f.Type.String())
+		}
+	}
+	return out
+}
+
+// jsonKeys lists the JSON keys a response struct encodes, read from
+// its fields' json tags.
+func jsonKeys(typ reflect.Type) []string {
+	var out []string
+	for _, f := range reflect.VisibleFields(typ) {
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); f.IsExported() && name != "-" {
+			out = append(out, name)
 		}
 	}
 	return out
