@@ -1078,7 +1078,3 @@ func (c *RunCursor) Exhausted() bool { return c.exhausted }
 
 // Close releases the cursor. Idempotent; safe after exhaustion.
 func (c *RunCursor) Close() { c.root.close() }
-
-// Steps returns the per-step statistics accumulated so far (final
-// after exhaustion or Close).
-func (c *RunCursor) Steps() []StepStats { return c.ec.steps }

@@ -160,9 +160,6 @@ type Plan struct {
 	queryStr    string
 }
 
-// Options returns the configuration the plan was compiled with.
-func (p *Plan) Options() Options { return p.opts }
-
 // Rewrites lists the rewrite rules applied to this plan, in
 // application order.
 func (p *Plan) Rewrites() []string { return p.rewrites }
@@ -172,10 +169,6 @@ func (p *Plan) Query() string {
 	p.queryOnce.Do(func() { p.queryStr = p.logical.Query.String() })
 	return p.queryStr
 }
-
-// Logical returns the (rewritten) logical plan the physical plan was
-// compiled from.
-func (p *Plan) Logical() *Logical { return p.logical }
 
 // Canon returns the canonical string of the optimized plan. Two plans
 // with equal canonical strings produce identical result sequences on

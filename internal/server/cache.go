@@ -150,18 +150,9 @@ func (s *cacheShard) maxNodes(key string) int {
 	return int(room / nodeBytes)
 }
 
-// MaxNodes returns the largest result Put keeps under key: -1 when the
-// cache is disabled.
-func (c *resultCache) MaxNodes(key string) int {
-	s := c.shard(maphash.String(c.seed, key))
-	if s == nil {
-		return -1
-	}
-	return s.maxNodes(key)
-}
-
 // Put stores nodes under key, evicting least-recently-used entries to
-// stay within the shard budget; a result over MaxNodes(key) is dropped.
+// stay within the shard budget; a result over the shard's maxNodes(key)
+// is dropped.
 // The slice is retained; callers must not modify it afterwards.
 func (c *resultCache) Put(key string, nodes []int32) {
 	s := c.shard(maphash.String(c.seed, key))

@@ -167,9 +167,6 @@ func appendStreamChunk(dst []byte, c *StreamChunk) []byte {
 	if c.Truncated {
 		dst = append(dst, `,"truncated":true`...)
 	}
-	if c.Cached {
-		dst = append(dst, `,"cached":true`...)
-	}
 	if c.ElapsedNs != 0 {
 		dst = append(dst, `,"elapsedNs":`...)
 		dst = strconv.AppendInt(dst, c.ElapsedNs, 10)

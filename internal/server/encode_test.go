@@ -104,7 +104,7 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 			})
 		}
 		checkResponse(t, r)
-		c := &StreamChunk{Nodes: randomNodes(rng), Done: flag(), Truncated: flag(), Cached: flag(), Error: str()}
+		c := &StreamChunk{Nodes: randomNodes(rng), Done: flag(), Truncated: flag(), Error: str()}
 		if flag() {
 			c.Count, c.ElapsedNs = rng.Intn(1<<20), rng.Int63n(1<<40)
 		}
@@ -131,7 +131,7 @@ func FuzzEncodeResponse(f *testing.F) {
 		}
 		checkResponse(t, r)
 		checkChunk(t, &StreamChunk{Nodes: nodes, Done: flags&16 != 0, Count: len(nodes), Truncated: flags&2 != 0,
-			Cached: flags&4 != 0, ElapsedNs: elapsed, Error: errText})
+			ElapsedNs: elapsed, Error: errText})
 	})
 }
 

@@ -20,9 +20,11 @@
 //   - a FIFO worker semaphore holding one unit per running execution,
 //     so a burst of queries cannot oversubscribe the machine.
 //
-// Every request takes one path: prepare, look the result up (unless
-// the request says noCache), acquire a unit, run the plan once, and
-// store the result. Concurrent identical misses each run the plan.
+// Every POST /query item takes one path: prepare, look the result up
+// (unless the request says noCache), acquire a unit, run the plan once,
+// and store the result. Concurrent identical misses each run the plan.
+// POST /stream skips the cache: prepare, acquire a unit, and write each
+// batch of the plan's cursor as it comes.
 //
 // Endpoints: POST /query (single or batched queries against one
 // document), POST /stream (one query, results as NDJSON batches),
@@ -33,10 +35,10 @@
 // Request contexts propagate into plan execution: a client disconnect
 // or server timeout cancels the running cursors between batches, so
 // abandoned queries release their worker-semaphore unit instead of
-// scanning to completion. Limited queries (POST /query with limit=N,
-// POST /stream) evaluate through the plan's streaming executor —
-// the staircase kernels stop after the N-th result — and the result
-// cache keys truncated results on (canonical plan, limit) so they
+// scanning to completion. Limited queries (POST /query or POST /stream
+// with limit=N) evaluate through the plan's streaming executor — the
+// staircase kernels stop after the N-th result — and the result cache
+// keys truncated /query results on (canonical plan, limit) so they
 // never collide with full results.
 //
 // Failure model. The server survives overload and misbehaving
@@ -236,9 +238,6 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 // then waits for the in-flight handlers to finish.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called (tests, /readyz).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // maxBody is the request-body cap for the JSON endpoints.
 func (s *Server) maxBody() int64 {
 	if s.cfg.MaxBodyBytes > 0 {
@@ -347,12 +346,13 @@ type QueryRequest struct {
 	Doc     string   `json:"doc"`
 	Query   string   `json:"query,omitempty"`
 	Queries []string `json:"queries,omitempty"`
-	// NoCache bypasses the result cache (no lookup, no store).
+	// NoCache bypasses the result cache on POST /query (no lookup, no
+	// store); POST /stream never uses the cache.
 	NoCache bool `json:"noCache,omitempty"`
 	// Limit stops each query after its first N result nodes via the
 	// streaming executor (the join kernels never scan past what the
-	// limit needs); 0 returns all nodes. Limited results are cached
-	// under (canonical plan, limit).
+	// limit needs); 0 returns all nodes. Limited /query results are
+	// cached under (canonical plan, limit).
 	Limit int `json:"limit,omitempty"`
 	// TimeoutMs lowers the server's request timeout for this request;
 	// it can never raise it. 0 keeps the server default.
@@ -724,21 +724,18 @@ type StreamChunk struct {
 	Nodes []int32 `json:"nodes,omitempty"`
 	// Done marks the terminal line; Count is the total nodes streamed
 	// and Truncated whether a limit stopped the stream early.
-	Done      bool `json:"done,omitempty"`
-	Count     int  `json:"count,omitempty"`
-	Truncated bool `json:"truncated,omitempty"`
-	// Cached (terminal line) reports that the stream replayed a result
-	// from the result cache.
-	Cached    bool   `json:"cached,omitempty"`
+	Done      bool   `json:"done,omitempty"`
+	Count     int    `json:"count,omitempty"`
+	Truncated bool   `json:"truncated,omitempty"`
 	ElapsedNs int64  `json:"elapsedNs,omitempty"`
 	Error     string `json:"error,omitempty"`
 }
 
 // handleStream answers POST /stream: one query, evaluated through the
 // streaming cursor executor, with each result batch written as one
-// NDJSON line as soon as the kernels produce it. The result cache works
-// as on POST /query: a hit replays the stored result, and a miss whose
-// result fits the cache is stored once the stream completes. The
+// NDJSON line as soon as the kernels produce it. The stream never reads
+// or writes the result cache: the join yields its result in document
+// order in one pass, so nothing is kept beyond the current batch. The
 // stream holds one worker-budget unit for its whole duration; a client
 // disconnect cancels the request context, the cursor stops between
 // batches, and the unit releases.
@@ -774,30 +771,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
 	// An error answered before the first line replaces the header.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	// keep is the largest result the cache stores under the stream's
-	// key, in nodes; -1 stores nothing.
-	keep, key := -1, ""
-	if !req.NoCache {
-		st.key = appendCacheKey(st.key[:0], h.Name(), h.Generation(), p.Canon(), req.Limit)
-		if e, ok := s.cache.Get(st.key); ok {
-			s.cacheHits.Add(1)
-			const chunk = 1024
-			for off := 0; off < len(e.nodes); off += chunk {
-				// The replay obeys the request like a live stream: a
-				// deadline or a gone client stops it between chunks.
-				if err := ctx.Err(); err != nil {
-					s.streamError(&lw, ctx, err)
-					return
-				}
-				lw.sendNodes(e.nodes[off:min(off+chunk, len(e.nodes))])
-			}
-			s.finishStream(&lw, h, start, len(e.nodes), req.Limit, true)
-			return
-		}
-		s.cacheMisses.Add(1)
-		key = string(st.key)
-		keep = s.cache.MaxNodes(key)
-	}
 	if err := s.pool.acquire(ctx); err != nil {
 		s.failEval(w, ctx, err)
 		return
@@ -813,11 +786,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if req.Limit > 0 {
 		next = &limitCursor{cur: cur, left: req.Limit}
 	}
-
-	// A batch is valid only until the next one: while the result still
-	// fits the cache, each is kept as an exact copy, and the copies are
-	// joined once, at their final size.
-	var kept [][]int32
 	count := 0
 	for {
 		b, err := safeStreamNext(next)
@@ -828,29 +796,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if b == nil {
 			break
 		}
-		if count += len(b); count > keep {
-			kept = nil
-		} else {
-			kept = append(kept, slices.Clone(b))
-		}
+		count += len(b)
 		lw.sendNodes(b)
 	}
-	if count <= keep {
-		s.cache.Put(key, slices.Concat(kept...))
-	}
-	s.finishStream(&lw, h, start, count, req.Limit, false)
-}
-
-// finishStream writes a stream's terminal line. Reaching the limit
-// reports truncated: more may exist.
-func (s *Server) finishStream(lw *lineWriter, h *catalog.Handle, start time.Time, count, limit int, cached bool) {
+	// The terminal line. Reaching the limit reports truncated: more may
+	// exist.
 	elapsed := time.Since(start)
 	h.RecordQuery(elapsed)
 	lw.send(&StreamChunk{
 		Done:      true,
 		Count:     count,
-		Truncated: limit > 0 && count >= limit,
-		Cached:    cached,
+		Truncated: req.Limit > 0 && count >= req.Limit,
 		ElapsedNs: elapsed.Nanoseconds(),
 	})
 }
@@ -1025,17 +981,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("catalog_index_bytes", s.cat.IndexBytes())
 	emit("catalog_value_index_bytes", s.cat.ValueIndexBytes())
 	emit("uptime_seconds", int64(time.Since(s.start).Seconds()))
-}
-
-// CacheStats reports result-cache hit/miss counters (tests, benchmarks).
-func (s *Server) CacheStats() (hits, misses int64) {
-	return s.cacheHits.Load(), s.cacheMisses.Load()
-}
-
-// PlanCacheStats reports prepared-plan cache hit/miss counters (tests,
-// benchmarks).
-func (s *Server) PlanCacheStats() (hits, misses int64) {
-	return s.planHits.Load(), s.planMisses.Load()
 }
 
 // openStatus maps a catalog.Open error to an HTTP status: unknown

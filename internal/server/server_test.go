@@ -133,7 +133,7 @@ func TestQuerySingleBatchAndCache(t *testing.T) {
 	if !sameNodes(resp.Results[0].Nodes, want1.Nodes) {
 		t.Fatal("cached nodes differ")
 	}
-	if hits, _ := s.CacheStats(); hits == 0 {
+	if s.cacheHits.Load() == 0 {
 		t.Fatal("no cache hits recorded")
 	}
 
@@ -405,7 +405,7 @@ func TestWarmCacheThroughput(t *testing.T) {
 	for i := 0; i < coldRounds; i++ {
 		round(true, false)
 	}
-	if hits, misses := s.CacheStats(); hits != 0 || misses != 0 {
+	if hits, misses := s.cacheHits.Load(), s.cacheMisses.Load(); hits != 0 || misses != 0 {
 		t.Fatalf("cold rounds touched the result cache: %d hits, %d misses", hits, misses)
 	}
 	if got := executions(); got != coldRounds*n {
@@ -416,7 +416,7 @@ func TestWarmCacheThroughput(t *testing.T) {
 	for i := 0; i < warmRounds; i++ {
 		round(false, true)
 	}
-	if hits, misses := s.CacheStats(); hits != warmRounds*n || misses != n {
+	if hits, misses := s.cacheHits.Load(), s.cacheMisses.Load(); hits != warmRounds*n || misses != n {
 		t.Fatalf("warm rounds: %d hits, %d misses, want %d and %d", hits, misses, warmRounds*n, n)
 	}
 	if got := executions(); got != primed {
@@ -600,7 +600,7 @@ func TestEquivalentQueriesShareCacheEntries(t *testing.T) {
 		{"//person[profile and name]", "//person[profile][name]"},
 	}
 	for _, group := range groups {
-		h0, _ := s.CacheStats()
+		h0 := s.cacheHits.Load()
 		first := post(group[0])
 		if first.Cached {
 			t.Fatalf("%s: first evaluation already cached", group[0])
@@ -614,7 +614,7 @@ func TestEquivalentQueriesShareCacheEntries(t *testing.T) {
 				t.Fatalf("%s: %d nodes, want %d", alt, res.Count, first.Count)
 			}
 		}
-		h1, _ := s.CacheStats()
+		h1 := s.cacheHits.Load()
 		if h1-h0 != int64(len(group)-1) {
 			t.Fatalf("cache hits %d, want %d", h1-h0, len(group)-1)
 		}
@@ -642,9 +642,9 @@ func TestEquivalentQueriesShareCacheEntries(t *testing.T) {
 	// The prepared-plan cache serves repeats of the same text: the
 	// second request admits the plan, the third hits it.
 	post("//person/profile")
-	ph0, _ := s.PlanCacheStats()
+	ph0 := s.planHits.Load()
 	post("//person/profile")
-	ph1, _ := s.PlanCacheStats()
+	ph1 := s.planHits.Load()
 	if ph1 <= ph0 {
 		t.Fatal("repeat query did not hit the prepared-plan cache")
 	}

@@ -160,88 +160,41 @@ func TestCancelledQueryReleasesWorkerSlot(t *testing.T) {
 	}
 }
 
-// TestStreamCacheLimitKeying: a stream's cache entry is keyed with its
-// limit, so limited and full streams never share an entry, and the
-// limited stream, live or replayed, is the prefix of the full one.
-func TestStreamCacheLimitKeying(t *testing.T) {
-	_, ts, ref := newTestServer(t, 1<<20)
-	const q = "/descendant::profile/descendant::education"
-	want, err := ref["mem"].EvalString(q, nil)
+// TestStreamLeavesResultCache: /stream neither stores its result nor
+// reads one /query stored under the same key, and counts no cache hit
+// or miss; every stream answers the whole result.
+func TestStreamLeavesResultCache(t *testing.T) {
+	s, ts, ref := newTestServer(t, 1<<20)
+	req := QueryRequest{Doc: "mem", Query: "/descendant::node()"}
+	want, err := ref["mem"].EvalString(req.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Nodes) < 3 {
-		t.Fatalf("fixture too small: %d nodes", len(want.Nodes))
-	}
-	lim := len(want.Nodes) / 2
-
-	var limGot []int32
-	chunks := postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: q, Limit: lim})
-	last := chunks[len(chunks)-1]
-	for _, c := range chunks[:len(chunks)-1] {
-		limGot = append(limGot, c.Nodes...)
-	}
-	if !sameNodes(limGot, want.Nodes[:lim]) || !last.Truncated || last.Count != lim {
-		t.Fatalf("limited stream: got %d nodes, summary %+v", len(limGot), last)
-	}
-
-	var full []int32
-	chunks = postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: q})
-	last = chunks[len(chunks)-1]
-	for _, c := range chunks[:len(chunks)-1] {
-		full = append(full, c.Nodes...)
-	}
-	if !sameNodes(full, want.Nodes) || last.Truncated {
-		t.Fatalf("full stream after limited one: got %d nodes, summary %+v", len(full), last)
-	}
-
-	// Replaying the limited key now comes from the cache, still the
-	// exact prefix with the truncation flag.
-	chunks = postStream(t, ts.URL, QueryRequest{Doc: "mem", Query: q, Limit: lim})
-	last = chunks[len(chunks)-1]
-	limGot = limGot[:0]
-	for _, c := range chunks[:len(chunks)-1] {
-		limGot = append(limGot, c.Nodes...)
-	}
-	if !sameNodes(limGot, want.Nodes[:lim]) || !last.Truncated || !last.Cached {
-		t.Fatalf("cached limited stream: got %d nodes, summary %+v", len(limGot), last)
-	}
-}
-
-// TestStreamMissRetiresIntoCache: a /stream miss whose result fits the
-// cache stores it once the stream completes, and the next stream
-// replays the same nodes from the cache; a result the cache refuses,
-// or a noCache stream, stores nothing.
-func TestStreamMissRetiresIntoCache(t *testing.T) {
-	for _, c := range []struct {
-		budget        int64
-		noCache, kept bool
-	}{
-		{1 << 20, false, true},
-		{1 << 12, false, false},
-		{1 << 20, true, false},
-	} {
-		s, ts, ref := newTestServer(t, c.budget)
-		req := QueryRequest{Doc: "mem", Query: "/descendant::node()", NoCache: c.noCache}
-		want, err := ref["mem"].EvalString(req.Query, nil)
-		if err != nil {
-			t.Fatal(err)
+	stream := func(step string) {
+		t.Helper()
+		entries, hits, misses := s.cache.Len(), s.cacheHits.Load(), s.cacheMisses.Load()
+		chunks := postStream(t, ts.URL, req)
+		var got []int32
+		for _, ch := range chunks[:len(chunks)-1] {
+			got = append(got, ch.Nodes...)
 		}
-		for i := range 2 {
-			chunks := postStream(t, ts.URL, req)
-			var got []int32
-			for _, ch := range chunks[:len(chunks)-1] {
-				got = append(got, ch.Nodes...)
-			}
-			last := chunks[len(chunks)-1]
-			if !sameNodes(got, want.Nodes) || last.Count != len(want.Nodes) || last.Cached != (i == 1 && c.kept) {
-				t.Fatalf("%+v, stream %d: %d nodes, summary %+v", c, i, len(got), last)
-			}
-			if n := s.cache.Len(); (n > 0) != c.kept {
-				t.Fatalf("%+v, stream %d: %d cache entries", c, i, n)
-			}
+		if last := chunks[len(chunks)-1]; !sameNodes(got, want.Nodes) || !last.Done || last.Count != len(want.Nodes) {
+			t.Fatalf("%s: %d nodes, summary %+v", step, len(got), last)
+		}
+		if s.cache.Len() != entries || s.cacheHits.Load() != hits || s.cacheMisses.Load() != misses {
+			t.Fatalf("%s moved the result cache: %d entries, %d hits, %d misses", step,
+				s.cache.Len(), s.cacheHits.Load(), s.cacheMisses.Load())
 		}
 	}
+	stream("first stream")
+	stream("second stream")
+	if s.cache.Len() != 0 {
+		t.Fatalf("two streams left %d cache entries", s.cache.Len())
+	}
+	if resp, code := postQuery(t, ts.URL, req); code != http.StatusOK || resp.Results[0].Count != len(want.Nodes) || s.cache.Len() != 1 {
+		t.Fatalf("/query: status %d, %d cache entries", code, s.cache.Len())
+	}
+	stream("stream after /query stored the result")
 }
 
 // blockedWriter is a ResponseWriter whose first Write parks until

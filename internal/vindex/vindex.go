@@ -377,10 +377,6 @@ func (ix *Index) Nodes() int { return ix.nodes }
 // NumValues returns the number of distinct keyed string values.
 func (ix *Index) NumValues() int { return len(ix.keyOff) - 1 }
 
-// NumNumeric returns the number of numeric groups: distinct numbers per
-// name.
-func (ix *Index) NumNumeric() int { return len(ix.nums) }
-
 // Entries returns the number of indexed nodes: keyed plus overflow.
 // For a complete index this equals the node count.
 func (ix *Index) Entries() int64 {

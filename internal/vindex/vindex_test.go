@@ -354,8 +354,8 @@ func TestDerivedNumericPartition(t *testing.T) {
 	vals := []string{"10", " 10 ", "10.0", "2", "abc", "1e1", ""}
 	ix := buildFrom(vals)
 	// "10", " 10 ", "10.0" and "1e1" all parse to 10; "2" to 2.
-	if ix.NumNumeric() != 2 {
-		t.Fatalf("NumNumeric() = %d, want 2", ix.NumNumeric())
+	if len(ix.nums) != 2 {
+		t.Fatalf("%d numeric groups, want 2", len(ix.nums))
 	}
 	var groups []string
 	ix.ForEachNumeric(func(_ int32, f float64, pres []int32) {

@@ -3,7 +3,6 @@ package xpath
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 
 	"staircase/internal/axis"
@@ -641,10 +640,4 @@ func (p *parser) parsePredTerm() (Predicate, error) {
 	default:
 		return Exists{Path: path}, nil
 	}
-}
-
-// NormalizeSpace is a helper mirroring XPath's normalize-space() for
-// string-value comparisons in tests and examples.
-func NormalizeSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
 }

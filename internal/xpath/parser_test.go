@@ -396,12 +396,6 @@ func TestParseRejectsBadCharacters(t *testing.T) {
 	}
 }
 
-func TestNormalizeSpace(t *testing.T) {
-	if NormalizeSpace("  a \n b\t c ") != "a b c" {
-		t.Fatal("NormalizeSpace broken")
-	}
-}
-
 // TestParseErrorOffsets pins the byte offsets reported in parser
 // diagnostics: every error names the position of the offending token,
 // including the trailing-input errors that used to lose it.
