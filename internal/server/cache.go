@@ -152,8 +152,8 @@ func (s *cacheShard) maxNodes(key string) int {
 
 // Put stores nodes under key, evicting least-recently-used entries to
 // stay within the shard budget; a result over the shard's maxNodes(key)
-// is dropped.
-// The slice is retained; callers must not modify it afterwards.
+// is dropped. The slice is retained; callers must not modify it
+// afterwards.
 func (c *resultCache) Put(key string, nodes []int32) {
 	s := c.shard(maphash.String(c.seed, key))
 	if s == nil || len(nodes) > s.maxNodes(key) {

@@ -345,7 +345,7 @@ func TestLiveStreamObeysRequest(t *testing.T) {
 	}
 
 	// So does a deadline that expires mid-stream.
-	expiring, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	expiring, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	rw = newHitRecorder()
 	rw.onWrite = func() {

@@ -17,9 +17,10 @@ import (
 
 // The surface ledger: every knob, option value, request field, response
 // key, metric, EXPLAIN key and query limit the library exposes, one
-// sorted line per item in testdata/surface.txt with a count per section. A change that
-// adds or removes surface shows up as a diff of that file; the CLIs keep
-// their flags in cmd/*/testdata/flags.txt the same way. Regenerate with
+// sorted line per item in testdata/surface.txt with a count per
+// section. A change that adds or removes surface shows up as a diff of
+// that file; the CLIs keep their flags in cmd/*/testdata/flags.txt the
+// same way. Regenerate with
 //
 //	go test . ./cmd/xpathd ./cmd/xpathq -run Surface -update-surface
 
