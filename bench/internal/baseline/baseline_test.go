@@ -250,42 +250,22 @@ func TestSQLWindowReducesKeysScanned(t *testing.T) {
 	}
 }
 
-func TestSQLPath(t *testing.T) {
-	d := figure1(t)
-	e := NewSQLEngine(d)
-	// (c)/following::node()/descendant::node() = (f,g,h,i,j) — §2.1.
-	got, err := e.Path([]int32{2}, []SQLStep{
-		{Axis: axis.Following},
-		{Axis: axis.Descendant},
-	}, SQLOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq32(got, []int32{5, 6, 7, 8, 9}) {
-		t.Fatalf("path = %v, want [5..9]", got)
-	}
-}
-
 func TestMPMGJNMatchesSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
 		d := randomDoc(rng, 220)
 		context := randomContext(rng, d, 1+rng.Intn(15))
-		gotD := MPMGJNDescendant(d, context, nil)
-		wantD := spec.Join(d, axis.Descendant, context)
-		if !eq32(gotD, wantD) {
-			t.Fatalf("trial %d descendant: got %v want %v", trial, gotD, wantD)
-		}
-		gotA := MPMGJNAncestor(d, context, nil)
-		wantA := spec.Join(d, axis.Ancestor, context)
-		if !eq32(gotA, wantA) {
-			t.Fatalf("trial %d ancestor: got %v want %v", trial, gotA, wantA)
+		got := MPMGJNAncestor(d, context, nil)
+		want := spec.Join(d, axis.Ancestor, context)
+		if !eq32(got, want) {
+			t.Fatalf("trial %d: got %v want %v", trial, got, want)
 		}
 	}
 }
 
 // TestMPMGJNTouchesMoreThanStaircase pins the §5 claim: staircase join
-// touches and tests fewer nodes than MPMGJN on nested contexts.
+// touches and tests fewer nodes than MPMGJN on the ancestor step of a
+// nested context.
 func TestMPMGJNTouchesMoreThanStaircase(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	d := randomDoc(rng, 3000)
@@ -313,9 +293,9 @@ func TestMPMGJNTouchesMoreThanStaircase(t *testing.T) {
 	context = dedup
 
 	var ms MPMGJNStats
-	MPMGJNDescendant(d, context, &ms)
+	MPMGJNAncestor(d, context, &ms)
 	var ss core.Stats
-	core.Join(d, axis.Descendant, context, &core.Options{Variant: core.Skip, Stats: &ss})
+	AncestorJoin(d, context, &core.Options{Variant: core.Skip, Stats: &ss})
 	if ss.Scanned >= ms.Touched {
 		t.Fatalf("staircase scanned %d, MPMGJN touched %d — expected staircase < MPMGJN",
 			ss.Scanned, ms.Touched)

@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"sort"
-
-	"staircase/internal/doc"
-)
+import "staircase/internal/doc"
 
 // MPMGJNStats counts the work of the multi-predicate merge join.
 type MPMGJNStats struct {
@@ -17,67 +13,6 @@ type MPMGJNStats struct {
 	Produced int64
 	// Result counts distinct result nodes.
 	Result int64
-}
-
-// MPMGJNDescendant computes the distinct descendants of any context
-// node with the multi-predicate merge join of Zhang et al. (SIGMOD
-// 2001). The ancestor list is the context, the descendant list is the
-// document in pre order; interval containment is tested on (pre, post).
-//
-// The algorithm merges both pre-sorted lists but, unlike the staircase
-// join, restarts the inner cursor for every ancestor that overlaps the
-// previous one's interval (nested context nodes), and it produces one
-// pair per (ancestor, descendant) match, so duplicate elimination is
-// still required for XPath node-sequence semantics.
-func MPMGJNDescendant(d *doc.Document, context []int32, st *MPMGJNStats) []int32 {
-	post := d.PostSlice()
-	kind := d.KindSlice()
-	n := int32(d.Size())
-	var all []int32
-
-	di := int32(0) // outer merge cursor over the document list
-	for ai := 0; ai < len(context); ai++ {
-		a := context[ai]
-		aEnd := post[a]
-		// Advance the outer cursor to the first potential match of a.
-		for di < n && di <= a {
-			di++
-			if st != nil {
-				st.Touched++
-			}
-		}
-		// Inner scan from the merge cursor: all nodes with pre > pre(a)
-		// whose post < post(a). A following node ends the containment
-		// interval — but unlike staircase skipping, MPMGJN re-derives
-		// this per ancestor and re-scans shared regions for nested
-		// ancestors (the cursor is *not* advanced past them globally).
-		for dj := di; dj < n; dj++ {
-			if st != nil {
-				st.Touched++
-			}
-			if post[dj] > aEnd {
-				break
-			}
-			if kind[dj] != doc.Attr {
-				all = append(all, dj)
-			}
-		}
-	}
-	if st != nil {
-		st.Produced += int64(len(all))
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := make([]int32, 0, len(all))
-	for i, v := range all {
-		if i > 0 && v == all[i-1] {
-			continue
-		}
-		out = append(out, v)
-	}
-	if st != nil {
-		st.Result += int64(len(out))
-	}
-	return out
 }
 
 // MPMGJNAncestor computes the distinct ancestors of any context node

@@ -12,6 +12,9 @@
 //   - MPMGJN, the multi-predicate merge join of Zhang et al. (SIGMOD
 //     2001), the closest related structural join (§5): interval
 //     containment aware, but without pruning and skipping.
+//   - IndexedAncestorJoin, a stand-in for the indexed structural join of
+//     Chien et al. (VLDB 2002, §5): it climbs parent pointers and
+//     charges one index probe per hop.
 //   - The staircase join's own ancestor scan, Algorithm 2 with the
 //     skipping of Algorithm 3 (AncestorJoin), which the paper's ancestor
 //     experiments measure; core.Join climbs the parent column instead.

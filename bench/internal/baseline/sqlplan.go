@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"staircase/bench/internal/btree"
 	"staircase/internal/axis"
-	"staircase/internal/btree"
 	"staircase/internal/doc"
 )
 
@@ -155,29 +155,4 @@ func (e *SQLEngine) Step(a axis.Axis, context []int32, opts SQLOptions) ([]int32
 	atomic.AddInt64(&e.JoinStats.Result, int64(len(out)))
 	atomic.AddInt64(&e.JoinStats.Duplicates, int64(len(all)-len(out)))
 	return out, nil
-}
-
-// Path evaluates a multi-step path of (axis, tag) steps starting from
-// the given context, feeding each step's result into the next — the
-// "series of n region queries" of §2.1. Name tests are evaluated early
-// via the (tag, pre, post) index, matching the paper's DB2 observation.
-// An empty tag means node().
-func (e *SQLEngine) Path(context []int32, steps []SQLStep, opts SQLOptions) ([]int32, error) {
-	cur := context
-	for _, s := range steps {
-		o := opts
-		o.Tag = s.Tag
-		var err error
-		cur, err = e.Step(s.Axis, cur, o)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
-}
-
-// SQLStep is one location step for SQLEngine.Path.
-type SQLStep struct {
-	Axis axis.Axis
-	Tag  string // empty = node()
 }

@@ -11,15 +11,10 @@
 // feed the experiment harness.
 //
 // The tree is built bottom-up from sorted input (bulk loading, the way
-// a document-order index is created at load time) and also supports
-// incremental insertion. Beyond the SQL baseline, the value index
-// (internal/vindex) bulk-loads rank→pre trees from it and serves
-// range lookups through Seek/Scan.
-//
-// The zero Tree value is an empty tree ready for use: Seek, Scan,
-// Count, Len, Depth and Validate treat it as empty, and Insert
-// establishes the root lazily. New only differs in attaching a Stats
-// counter.
+// a document-order index is created at load time); it is read-only
+// afterwards. The zero Tree value, like a bulk load of no entries, is
+// an empty tree: Seek, Scan, Count, Len, Depth and Validate treat it as
+// empty.
 package btree
 
 import (
@@ -101,19 +96,12 @@ type node struct {
 }
 
 // Tree is a B+-tree mapping composite keys to int32 values. Duplicate
-// keys are allowed (multi-map), preserving insertion order within equal
-// keys for bulk loads.
+// keys are allowed (multi-map), in their bulk-load order.
 type Tree struct {
 	root  *node
 	size  int
 	depth int
 	stats *Stats
-}
-
-// New returns an empty tree. If st is non-nil, index work is counted
-// into it.
-func New(st *Stats) *Tree {
-	return &Tree{root: &node{leaf: true}, depth: 1, stats: st}
 }
 
 // Len returns the number of stored entries.
@@ -135,7 +123,7 @@ func BulkLoad(keys []Key, vals []int32, st *Stats) *Tree {
 			panic(fmt.Sprintf("btree: BulkLoad input unsorted at %d: %v < %v", i, keys[i], keys[i-1]))
 		}
 	}
-	t := New(st)
+	t := &Tree{stats: st}
 	if len(keys) == 0 {
 		return t
 	}
@@ -187,71 +175,6 @@ func firstKey(n *node) Key {
 		n = n.children[0]
 	}
 	return n.keys[0]
-}
-
-// Insert adds an entry. Duplicate keys are permitted.
-func (t *Tree) Insert(k Key, v int32) {
-	if t.root == nil { // zero-value Tree
-		t.root = &node{leaf: true}
-		t.depth = 1
-	}
-	nk, nc := t.insert(t.root, k, v)
-	if nc != nil {
-		t.root = &node{keys: []Key{nk}, children: []*node{t.root, nc}}
-		t.depth++
-	}
-	t.size++
-}
-
-// insert descends into n; on child split it returns the separator key
-// and the new right sibling.
-func (t *Tree) insert(n *node, k Key, v int32) (Key, *node) {
-	if n.leaf {
-		pos := sort.Search(len(n.keys), func(i int) bool { return k.Less(n.keys[i]) })
-		n.keys = append(n.keys, Key{})
-		copy(n.keys[pos+1:], n.keys[pos:])
-		n.keys[pos] = k
-		n.vals = append(n.vals, 0)
-		copy(n.vals[pos+1:], n.vals[pos:])
-		n.vals[pos] = v
-		if len(n.keys) <= order {
-			return Key{}, nil
-		}
-		mid := len(n.keys) / 2
-		right := &node{
-			leaf: true,
-			keys: append([]Key(nil), n.keys[mid:]...),
-			vals: append([]int32(nil), n.vals[mid:]...),
-			next: n.next,
-		}
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
-		n.next = right
-		return right.keys[0], right
-	}
-	pos := sort.Search(len(n.keys), func(i int) bool { return k.Less(n.keys[i]) })
-	sk, sc := t.insert(n.children[pos], k, v)
-	if sc == nil {
-		return Key{}, nil
-	}
-	n.keys = append(n.keys, Key{})
-	copy(n.keys[pos+1:], n.keys[pos:])
-	n.keys[pos] = sk
-	n.children = append(n.children, nil)
-	copy(n.children[pos+2:], n.children[pos+1:])
-	n.children[pos+1] = sc
-	if len(n.children) <= order {
-		return Key{}, nil
-	}
-	mid := len(n.keys) / 2
-	upKey := n.keys[mid]
-	right := &node{
-		keys:     append([]Key(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	return upKey, right
 }
 
 // Iterator walks leaf entries in key order starting at a lower bound.
@@ -379,7 +302,7 @@ func (t *Tree) Validate() error {
 	walk = func(n *node, lo, hi *Key) error {
 		if n.leaf {
 			leaves = append(leaves, n)
-			for i, k := range n.keys {
+			for _, k := range n.keys {
 				if lo != nil && k.Less(*lo) {
 					return fmt.Errorf("btree: leaf key %v below bound %v", k, *lo)
 				}
@@ -394,7 +317,6 @@ func (t *Tree) Validate() error {
 				kc := k
 				prev = &kc
 				count++
-				_ = i
 			}
 			return nil
 		}

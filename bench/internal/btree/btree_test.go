@@ -2,9 +2,7 @@ package btree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestKeyOrdering(t *testing.T) {
@@ -85,31 +83,6 @@ func TestBulkLoadLargeAndDepth(t *testing.T) {
 	}
 }
 
-func TestInsertAndScan(t *testing.T) {
-	tr := New(nil)
-	rng := rand.New(rand.NewSource(1))
-	var ref []Key
-	for i := 0; i < 5000; i++ {
-		k := Key{A: int32(rng.Intn(1000)), B: int32(rng.Intn(10))}
-		tr.Insert(k, int32(i))
-		ref = append(ref, k)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
-	var got []Key
-	tr.Scan(MinKey, MaxKey, func(k Key, _ int32) bool { got = append(got, k); return true })
-	if len(got) != len(ref) {
-		t.Fatalf("scan length %d, want %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("scan[%d] = %v, want %v", i, got[i], ref[i])
-		}
-	}
-}
-
 func TestSeekLowerBound(t *testing.T) {
 	keys := []Key{{10, 0, 0}, {20, 0, 0}, {30, 0, 0}}
 	tr := BulkLoad(keys, []int32{1, 2, 3}, nil)
@@ -175,36 +148,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestPropInsertMatchesSortedReference(t *testing.T) {
-	f := func(raw []uint16) bool {
-		tr := New(nil)
-		ref := make([]Key, 0, len(raw))
-		for i, r := range raw {
-			k := Key{A: int32(r % 256), B: int32(r / 256)}
-			tr.Insert(k, int32(i))
-			ref = append(ref, k)
-		}
-		if err := tr.Validate(); err != nil {
-			return false
-		}
-		sort.Slice(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
-		i := 0
-		okOrder := true
-		tr.Scan(MinKey, MaxKey, func(k Key, _ int32) bool {
-			if i >= len(ref) || k != ref[i] {
-				okOrder = false
-				return false
-			}
-			i++
-			return true
-		})
-		return okOrder && i == len(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestZeroValueTree(t *testing.T) {
 	var tr Tree
 	if tr.Len() != 0 || tr.Depth() != 0 {
@@ -224,13 +167,6 @@ func TestZeroValueTree(t *testing.T) {
 		t.Fatalf("zero tree Count = %d", got)
 	}
 	tr.Scan(MinKey, MaxKey, func(Key, int32) bool { t.Fatal("zero tree scan visited an entry"); return false })
-	tr.Insert(Key{1, 0, 0}, 7)
-	if tr.Len() != 1 || tr.Depth() != 1 {
-		t.Fatalf("after insert Len=%d Depth=%d", tr.Len(), tr.Depth())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestExhaustedIteratorSafe(t *testing.T) {
@@ -287,25 +223,6 @@ func TestEdgeCaseRanges(t *testing.T) {
 				t.Fatalf("Count(%v, %v) = %d, want %d", c.lo, c.hi, got, c.want)
 			}
 		})
-	}
-}
-
-// TestInsertSplitsKeepLeafChain grows a tree through repeated splits
-// and checks the leaf chain (walked by Validate) and scan order after
-// every growth spurt.
-func TestInsertSplitsKeepLeafChain(t *testing.T) {
-	tr := New(nil)
-	rng := rand.New(rand.NewSource(7))
-	for n := 1; n <= 4*order*order; n *= 4 {
-		for tr.Len() < n {
-			tr.Insert(Key{A: int32(rng.Intn(97)), B: int32(tr.Len())}, int32(tr.Len()))
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("after %d inserts: %v", tr.Len(), err)
-		}
-	}
-	if tr.Depth() < 3 {
-		t.Fatalf("depth = %d, want >= 3 after %d inserts", tr.Depth(), tr.Len())
 	}
 }
 

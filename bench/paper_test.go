@@ -12,8 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"staircase/bench/internal/baseline"
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 )
 

@@ -1,10 +1,11 @@
-// Package staircase_test hosts the testing.B benchmarks that regenerate
-// the paper's tables and figures (one benchmark family per artifact).
-// `go test ./bench -run Paper -v` prints the same quantities as tables
-// and holds their counts to bench/testdata/paper_golden.json.
+// Package staircase_test hosts the product's micro-benchmarks: value
+// pushdown, served cache hits, plan compile, batch and cursor drains of
+// the repository benchmark's plans, index build and the load path. The
+// paper's tables and figures are reproduced by package bench
+// (`go test ./bench -run Paper -v`, `go run ./cmd/benchrun`).
 //
-// Benchmarks report, besides ns/op, the work counters the paper plots
-// (nodes scanned, duplicates, keys touched) via b.ReportMetric.
+// Benchmarks report, besides ns/op, per-node costs and allocations via
+// b.ReportMetric and b.ReportAllocs.
 package staircase_test
 
 import (
@@ -19,12 +20,8 @@ import (
 	"testing"
 
 	"staircase/bench"
-	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/catalog"
-	"staircase/internal/core"
 	"staircase/internal/doc"
-	"staircase/internal/engine"
 	"staircase/internal/index"
 	"staircase/internal/plan"
 	"staircase/internal/server"
@@ -33,8 +30,6 @@ import (
 )
 
 // benchSizes is the document sweep for benchmarks (MB equivalents).
-// The paper sweeps 1.1–1111 MB; keep the benchmark suite laptop-fast
-// and use cmd/benchrun -sizes for bigger sweeps.
 var benchSizes = []float64{0.5, 2}
 
 var (
@@ -44,30 +39,18 @@ var (
 )
 
 type benchCtx struct {
-	d         *doc.Document
-	profiles  []int32
-	increases []int32
-	eng       *engine.Engine
+	d   *doc.Document
+	env *plan.Env
 }
 
-func getCtx(b *testing.B, mb float64) benchCtx {
-	b.Helper()
+func getCtx(mb float64) benchCtx {
 	ctxMu.Lock()
 	defer ctxMu.Unlock()
 	if c, ok := ctxCache[mb]; ok {
 		return c
 	}
 	d := corpus.Doc(mb)
-	e := engine.New(d)
-	prof, err := e.EvalString("/descendant::profile", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inc, err := e.EvalString("/descendant::increase", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := benchCtx{d: d, profiles: prof.Nodes, increases: inc.Nodes, eng: e}
+	c := benchCtx{d: d, env: plan.NewEnv(d)}
 	ctxCache[mb] = c
 	return c
 }
@@ -75,227 +58,9 @@ func getCtx(b *testing.B, mb float64) benchCtx {
 func forSizes(b *testing.B, f func(b *testing.B, c benchCtx)) {
 	for _, mb := range benchSizes {
 		b.Run(fmt.Sprintf("%gMB", mb), func(b *testing.B) {
-			c := getCtx(b, mb)
-			f(b, c)
+			f(b, getCtx(mb))
 		})
 	}
-}
-
-// --- Table 1: full query evaluation ----------------------------------------
-
-func BenchmarkTable1Q1(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		for i := 0; i < b.N; i++ {
-			r, err := c.eng.EvalString(bench.Q1, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = r
-		}
-	})
-}
-
-func BenchmarkTable1Q2(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.eng.EvalString(bench.Q2, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Figure 3: the SQL region-query plan ------------------------------------
-
-func BenchmarkFig3SQLPlan(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		sqlEng := baseline.NewSQLEngine(c.d)
-		ctx := []int32{c.increases[0]}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, err := sqlEng.Step(axis.Following, ctx, baseline.SQLOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sqlEng.Step(axis.Descendant, f, baseline.SQLOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(sqlEng.Stats.KeysScanned)/float64(b.N), "keys/op")
-	})
-}
-
-func BenchmarkFig3Staircase(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		ctx := []int32{c.increases[0]}
-		for i := 0; i < b.N; i++ {
-			f, _ := core.Join(c.d, axis.Following, ctx, nil)
-			core.Join(c.d, axis.Descendant, f, nil)
-		}
-	})
-}
-
-// --- Figure 11 (a): duplicates (Q2 ancestor step) ---------------------------
-
-func BenchmarkFig11aNaive(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		var st baseline.NaiveStats
-		for i := 0; i < b.N; i++ {
-			st = baseline.NaiveStats{}
-			baseline.NaiveJoin(c.d, axis.Ancestor, c.increases, &st)
-		}
-		b.ReportMetric(float64(st.Duplicates), "dups/op")
-	})
-}
-
-func BenchmarkFig11aStaircase(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		for i := 0; i < b.N; i++ {
-			baseline.AncestorJoin(c.d, c.increases, nil)
-		}
-	})
-}
-
-// --- Figure 11 (b): Q2 staircase scaling ------------------------------------
-
-func BenchmarkFig11bStaircaseQ2(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		opts := &engine.Options{Pushdown: engine.PushNever}
-		for i := 0; i < b.N; i++ {
-			if _, err := c.eng.EvalString(bench.Q2, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Figures 11 (c)/(d): skipping variants (Q1 step 2) ----------------------
-
-func benchVariant(b *testing.B, v core.Variant) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		var st core.Stats
-		for i := 0; i < b.N; i++ {
-			st = core.Stats{}
-			core.Join(c.d, axis.Descendant, c.profiles, &core.Options{Variant: v, Stats: &st})
-		}
-		b.ReportMetric(float64(st.Scanned), "scanned/op")
-		b.ReportMetric(float64(st.Skipped), "skipped/op")
-	})
-}
-
-func BenchmarkFig11cdNoSkip(b *testing.B)       { benchVariant(b, core.NoSkip) }
-func BenchmarkFig11cdSkip(b *testing.B)         { benchVariant(b, core.Skip) }
-func BenchmarkFig11cdSkipEstimate(b *testing.B) { benchVariant(b, core.SkipEstimate) }
-
-// --- Figures 11 (e)/(f): engine comparison ----------------------------------
-
-func benchEngineQuery(b *testing.B, query string, opts *engine.Options) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.eng.EvalString(query, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFig11eQ1Staircase(b *testing.B) {
-	benchEngineQuery(b, bench.Q1, &engine.Options{Pushdown: engine.PushNever})
-}
-
-func BenchmarkFig11eQ1EarlyNametest(b *testing.B) {
-	benchEngineQuery(b, bench.Q1, &engine.Options{Pushdown: engine.PushAlways})
-}
-
-// benchSQLPath times a query's steps through the SQL plan of Figure 3.
-func benchSQLPath(b *testing.B, steps []bench.TagStep) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		sqlEng := baseline.NewSQLEngine(c.d)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.SQLPath(sqlEng, c.d, steps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFig11eQ1SQL(b *testing.B) { benchSQLPath(b, bench.Q1Steps) }
-
-func BenchmarkFig11fQ2Staircase(b *testing.B) {
-	benchEngineQuery(b, bench.Q2, &engine.Options{Pushdown: engine.PushNever})
-}
-
-func BenchmarkFig11fQ2EarlyNametest(b *testing.B) {
-	benchEngineQuery(b, bench.Q2, &engine.Options{Pushdown: engine.PushAlways})
-}
-
-func BenchmarkFig11fQ2SQL(b *testing.B) { benchSQLPath(b, bench.Q2Steps) }
-
-// --- §2.1: Equation (1) window on the SQL plan -------------------------------
-
-func benchSQLWindow(b *testing.B, useWindow bool) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		sqlEng := baseline.NewSQLEngine(c.d)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sqlEng.Step(axis.Descendant, c.profiles,
-				baseline.SQLOptions{UseWindow: useWindow}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(sqlEng.Stats.KeysScanned)/float64(b.N), "keys/op")
-	})
-}
-
-func BenchmarkSQLWindowOff(b *testing.B) { benchSQLWindow(b, false) }
-func BenchmarkSQLWindowOn(b *testing.B)  { benchSQLWindow(b, true) }
-
-// --- §6 extensions -----------------------------------------------------------
-
-func BenchmarkFragmentationQ1(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		c.d.TagIndex()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.TagPath(c.d, bench.Q1Steps, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- tag/kind index: zero-rescan pushdown ------------------------------------
-
-// BenchmarkEnginePushdownWarm measures Q1 with name-test pushdown
-// served by the shared per-document index (the steady state every
-// query after document load sees).
-func BenchmarkEnginePushdownWarm(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		c.d.TagIndex() // warm outside the timed loop
-		opts := &engine.Options{Pushdown: engine.PushAlways}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.eng.EvalString(bench.Q1, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEnginePushdownCold measures the rescan baseline: every
-// pushed step rebuilds its tag fragment with an O(n) name-column scan,
-// which is what each cold engine (per doc load, per xpathd reload)
-// used to pay before the index became a shared document structure.
-func BenchmarkEnginePushdownCold(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		opts := &engine.Options{Pushdown: engine.PushAlways, NoIndex: true}
-		for i := 0; i < b.N; i++ {
-			if _, err := c.eng.EvalString(bench.Q1, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // --- value index: fragment semijoin, prepared and ad hoc ----------------------
@@ -410,7 +175,7 @@ func BenchmarkServeHitLarge(b *testing.B) {
 func BenchmarkPlanCompile(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Prepare(c.eng.Env(), bench.Q1, nil); err != nil {
+			if _, err := plan.Prepare(c.env, bench.Q1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -597,79 +362,5 @@ func BenchmarkLoadPath(b *testing.B) {
 	stage("read-binary", bin.Len(), func() error {
 		_, err := doc.ReadBinary(bytes.NewReader(bin.Bytes()))
 		return err
-	})
-}
-
-// --- §4.2 ablation: copy phase vs scan phase ---------------------------------
-
-func BenchmarkCopyVsScanCopyPhase(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		root := []int32{c.d.Root()}
-		o := &core.Options{Variant: core.SkipEstimate, Emit: core.Emit{Kinds: core.AllKinds}}
-		for i := 0; i < b.N; i++ {
-			core.Join(c.d, axis.Descendant, root, o)
-		}
-	})
-}
-
-func BenchmarkCopyVsScanScanPhase(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		root := []int32{c.d.Root()}
-		o := &core.Options{Variant: core.NoSkip, Emit: core.Emit{Kinds: core.AllKinds}}
-		for i := 0; i < b.N; i++ {
-			core.Join(c.d, axis.Descendant, root, o)
-		}
-	})
-}
-
-// --- §5: MPMGJN comparison ----------------------------------------------------
-
-func BenchmarkMPMGJNAncestor(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		var st baseline.MPMGJNStats
-		for i := 0; i < b.N; i++ {
-			st = baseline.MPMGJNStats{}
-			baseline.MPMGJNAncestor(c.d, c.increases, &st)
-		}
-		b.ReportMetric(float64(st.Touched), "touched/op")
-	})
-}
-
-func BenchmarkIndexedStructuralJoin(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		tree := bench.NewPrePostTree(c.d)
-		var st baseline.IndexJoinStats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st = baseline.IndexJoinStats{}
-			baseline.IndexedDescendantJoin(c.d, tree, c.profiles, &st)
-		}
-		b.ReportMetric(float64(st.Touched), "touched/op")
-		b.ReportMetric(float64(st.Probes), "probes/op")
-	})
-}
-
-func BenchmarkStaircaseAncestorVsMPMGJN(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		var st core.Stats
-		for i := 0; i < b.N; i++ {
-			st = core.Stats{}
-			baseline.AncestorJoin(c.d, c.increases, &core.Options{Variant: core.Skip, Stats: &st})
-		}
-		b.ReportMetric(float64(st.Scanned), "touched/op")
-	})
-}
-
-// --- design-choice ablations ---------------------------------------------------
-
-// BenchmarkPrunePrePass measures the join with its pruning pre-pass over
-// a context that is already a staircase (the pass returns it uncopied;
-// the on-the-fly variant of §3.2 it used to be compared with is gone).
-func BenchmarkPrunePrePass(b *testing.B) {
-	forSizes(b, func(b *testing.B, c benchCtx) {
-		o := &core.Options{Variant: core.SkipEstimate}
-		for i := 0; i < b.N; i++ {
-			core.Join(c.d, axis.Descendant, c.increases, o)
-		}
 	})
 }
