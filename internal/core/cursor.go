@@ -21,15 +21,17 @@
 //     ancestor climb reads its chain whole, at most h nodes: a window
 //     too short for it parks the chain and spends a position per node
 //     handed out.) Every position yields at most one node, and Join's
-//     scratch holds the Equation (1) bound, so the scan writes dst[k]
-//     with indexed stores and never checks for room.
+//     scratch holds a bound on the result (wholeBound), so the scan
+//     writes dst[k] with indexed stores and never checks for room.
 //   - Context by the batch. The context arrives through a NodeSource a
-//     batch at a time (Join hands in the pruned staircase, or the one
-//     node that decides the result); the kernel keeps the batch as a
-//     slice and prunes it in a tight loop (§3.1 applied on the fly: a
-//     running post-rank maximum for descendant, a one-node lookahead for
-//     ancestor). A chain of cursors evaluates a whole path without
-//     materialising intermediate node sequences.
+//     batch at a time (Join hands in the pruned staircase, the raw
+//     context, or the one node that decides the result); the kernel
+//     keeps the batch as a slice and prunes it as it reads (§3.1 applied
+//     on the fly: a running post-rank maximum for descendant; for
+//     ancestor the climb itself, which stops on the previous context
+//     node exactly when the next one lies in its subtree). A chain of
+//     cursors evaluates a whole path without materialising intermediate
+//     node sequences.
 //   - Following stops pulling. In document order every context node with
 //     a smaller post rank than the first one lies inside the first one's
 //     subtree, so the following kernels read the context up to the first
@@ -173,8 +175,8 @@ type ctxIn struct {
 	ri      int     // next unopened index of run
 	seen    int32   // context nodes read since the last Stats flush
 	srcDone bool    // the source is retired: never called again
-	hasCand bool    // ancestor: cand awaits the node after it
-	cand    int32   // ancestor: the last node read, a survivor unless the next one lies in its subtree
+	hasCand bool    // list ancestor: cand awaits the node after it
+	cand    int32   // list ancestor: the last node read, a survivor unless the next one lies in its subtree
 	floor   int32   // descendant: one above the largest post rank read
 }
 
@@ -252,7 +254,8 @@ func (c *kernel) nextStair(post []int32, lim int) (owner, end int32, err error) 
 
 // ancRun reads on to the next context node surviving ancestor pruning —
 // one survives unless the next context node is its descendant or
-// duplicate — and leaves the ones confirmed right behind it, at most
+// duplicate — for the node-list ancestor cursor (the document one prunes
+// inside its climb), and leaves the ones confirmed right behind it, at most
 // lim, in run. Unlike descRun's, the run leaves that survivor out: it
 // may come from the previous batch. It returns -1, with the source's
 // error if any, once the context is exhausted; the kernel is then done.
@@ -455,19 +458,21 @@ func (c *descCursor) next(dst []int32, window int, seek int32) ([]int32, error) 
 
 // --- ancestor, full document ----------------------------------------------
 
-// ancCursor runs the ancestor axis: partitions end at each surviving
-// context node's pre rank, and partition [from, c) holds the ancestors of
-// c at or beyond from and nothing else. So the cursor climbs the parent
-// column from c to the first node before from (or before the seek hint):
-// it reads the partition's result, counts that as compared, and skips
-// the rest of the partition. A window too short for a chain parks it in
-// chain and hands it out over the next calls.
+// ancCursor runs the ancestor axis: partition [from, c) ends at a context
+// node c and holds the ancestors of c at or beyond from and nothing else.
+// So the cursor climbs the parent column from c to the first node before
+// from (or before the seek hint): it reads the partition's result, counts
+// that as compared, and skips the rest of the partition. The climb also
+// prunes (§3.1): it reads the raw context, drops duplicates only, and a
+// climb that stops on the previous context node has found that node
+// covered — an ancestor of c — so its partition merges into c's. A
+// window too short for a chain parks it in chain and hands it out over
+// the next calls.
 type ancCursor struct {
 	kernel
-	from  int32    // next partition start
-	chain []int32  // a parked chain, top-down, in buf
-	buf   []int32  // height+1 nodes, allocated on first need
-	one   [1]int32 // a staircase node ancRun returned outside run
+	from  int32   // next partition start: one past the last context node read
+	chain []int32 // a parked chain, top-down, in buf
+	buf   []int32 // height+1 nodes, allocated on first need
 }
 
 func (c *ancCursor) Next(dst []int32, seek int32) ([]int32, error) {
@@ -479,7 +484,7 @@ func (c *ancCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 		return nil, nil
 	}
 	dst = dst[:cap(dst)]
-	post, h := c.d.PostSlice(), c.d.Height()
+	h := c.d.Height()
 	k, pruned, w, from := 0, 0, int32(window), c.from
 	var read int64
 	var err error
@@ -489,30 +494,27 @@ func (c *ancCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 			k, w, c.chain = k+m, w-int32(m), c.chain[m:]
 			continue
 		}
-		stair, inRun := c.run[c.ri:], true
-		if len(stair) == 0 {
-			var owner int32
-			if owner, err = c.ancRun(post, int(w)); owner < 0 {
+		if int(c.ci) == len(c.ctx) {
+			var more bool
+			if more, err = c.fill(); !more {
+				c.done = true
 				break
 			}
-			c.one[0] = owner
-			stair, inRun = c.one[:], false
 		}
-		n, r := 0, int64(0)
+		n, p, r := 0, 0, int64(0)
 		if w > h { // the window holds any chain: climb into dst
-			n, k, w, from, r = c.climb(dst, k, stair, w, from, seek)
+			n, p, k, w, from, r = c.climb(dst, k, c.ctx[c.ci:], w, from, seek)
 		} else {
 			if c.buf == nil {
 				c.buf = make([]int32, h+1)
 			}
 			var m int
-			n, m, _, from, r = c.climb(c.buf, 0, stair[:1], h+1, from, seek)
+			n, p, m, _, from, r = c.climb(c.buf, 0, c.ctx[c.ci:c.ci+1], h+1, from, seek)
 			c.chain, w = c.buf[:m], w-1 // the chain costs a position per node handed out
 		}
-		if inRun {
-			c.ri += n
-		}
-		pruned += n
+		c.ci += int32(n)
+		c.seen += int32(n)
+		pruned += p
 		read += r
 	}
 	skipped := int64(from-c.from) - int64(pruned) - read // the partitions' rest
@@ -520,23 +522,32 @@ func (c *ancCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 	return c.finish(dst, k, pruned, 0, read, skipped, err)
 }
 
-// climb runs the partitions of stair while the window w holds any chain
-// (w > h): for each staircase node c it climbs the parent column from c
-// to the first node before max(from, seek), writes the nodes read that
-// pass the emit test to out[k:] top-down, and c itself after them under
-// OrSelf. Opening a partition and reading a node cost a position each.
-// It returns the staircase nodes it ran, the new k, w and from, and the
+// climb runs the partitions of the context nodes in ctx while the window
+// w holds any chain (w > h): for each node c it climbs the parent column
+// from c to the first node before max(from, seek), writes the nodes read
+// that pass the emit test to out[k:] top-down, and c itself after them
+// under OrSelf. A climb that stops on the previous context node p =
+// from−1 has found p covered: p's partition merges into c's, p counts as
+// read, and it is emitted ahead of c's chain unless OrSelf emitted it
+// already. Where a seek cut the climb short of p, one post compare
+// decides coverage. Opening a partition and reading a node cost a
+// position each; a duplicate costs none. It returns the context nodes it
+// read, the partitions it opened net of those merged (negative when it
+// merges one a previous call opened), the new k, w and from, and the
 // nodes read.
-func (c *ancCursor) climb(out []int32, k int, stair []int32, w, from, seek int32) (int, int, int32, int32, int64) {
-	parent, h := c.d.ParentSlice(), c.d.Height()
+func (c *ancCursor) climb(out []int32, k int, ctx []int32, w, from, seek int32) (int, int, int, int32, int32, int64) {
+	parent, post, h := c.d.ParentSlice(), c.d.PostSlice(), c.d.Height()
 	e, orSelf := c.emit.cols(c.d), c.orSelf
 	// A node with a child is an element, or the root at pre 0: the kind
 	// test is decided once, and only a name test reads a column.
 	elem, name, id, root := int32(e.mask>>doc.Elem&1), e.name, e.id, e.pass(0)
 	var read int64
-	i := 0
-	for ; i < len(stair) && w > h; i++ {
-		owner := stair[i]
+	i, parts := 0, 0
+	for ; i < len(ctx) && w > h; i++ {
+		owner, prev := ctx[i], from-1
+		if owner == prev {
+			continue
+		}
 		lo, n, r := max(from, seek), int32(k), int32(0)
 		v := parent[owner]
 		for ; v >= lo && v > 0; v = parent[v] {
@@ -553,6 +564,26 @@ func (c *ancCursor) climb(out []int32, k int, stair []int32, w, from, seek int32
 			}
 			r++
 		}
+		parts++
+		if prev >= 0 {
+			if v == prev && prev >= seek { // the climb stopped on prev: prev lies above owner
+				if !orSelf {
+					out[n] = prev
+					switch {
+					case prev == 0:
+						if root {
+							n++
+						}
+					case name == nil || name[prev] == id:
+						n += elem
+					}
+				}
+				r++
+				parts--
+			} else if prev < seek && post[owner] < post[prev] {
+				parts--
+			}
+		}
 		for a, b := k, int(n)-1; a < b; a, b = a+1, b-1 {
 			out[a], out[b] = out[b], out[a]
 		}
@@ -565,7 +596,7 @@ func (c *ancCursor) climb(out []int32, k int, stair []int32, w, from, seek int32
 		read += int64(r)
 		from = owner + 1
 	}
-	return i, k, w, from, read
+	return i, parts, k, w, from, read
 }
 
 // --- following / preceding, full document ---------------------------------

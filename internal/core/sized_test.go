@@ -161,8 +161,10 @@ func staircase(d *doc.Document, a axis.Axis, context []int32) []int32 {
 }
 
 // TestKernelsSizedOnce: Join asks for a scratch of exactly the Equation
-// (1) bound, the kernel's result fits it, and the result Join returns is
-// an exact copy — its capacity is its length.
+// (1) bound — on ancestor, which hands the kernel the raw context, of
+// min(|context|·h, last) (+|context| under OrSelf, at most last+1) — the
+// kernel's result fits the Equation (1) bound, and the result Join
+// returns is an exact copy — its capacity is its length.
 func TestKernelsSizedOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < quickMax(40); trial++ {
@@ -173,6 +175,8 @@ func TestKernelsSizedOnce(t *testing.T) {
 			stair := staircase(d, a, context)
 			hand := stair
 			switch a {
+			case axis.Ancestor:
+				hand = context
 			case axis.Following:
 				f, _ := ReduceFollowing(d, context)
 				hand = []int32{f}
@@ -184,8 +188,16 @@ func TestKernelsSizedOnce(t *testing.T) {
 					for _, orSelf := range []bool{false, true} {
 						self := orSelf && (a == axis.Descendant || a == axis.Ancestor)
 						want := resultBound(d, a, stair, self)
-						if got := wholeBound(d, a, hand, self); got != want {
-							t.Fatalf("axis %v orSelf %v: scratch of %d, bound %d", a, self, got, want)
+						scratch := want
+						if a == axis.Ancestor {
+							last := int(context[len(context)-1])
+							scratch = min(len(context)*int(d.Height()), last)
+							if self {
+								scratch = min(scratch+len(context), last+1)
+							}
+						}
+						if got := wholeBound(d, a, hand, self); got != scratch || got < want {
+							t.Fatalf("axis %v orSelf %v: scratch of %d, want %d, bound %d", a, self, got, scratch, want)
 						}
 						got, err := Join(d, a, context, &Options{Variant: v, Emit: e, OrSelf: self})
 						if err != nil {

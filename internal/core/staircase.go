@@ -6,9 +6,11 @@
 // sequential scan. It encapsulates three pieces of tree knowledge:
 //
 //  1. Pruning (§3.1): context nodes whose axis regions are covered by
-//     other context nodes are removed up front; for descendant/ancestor
-//     the survivors form a proper staircase in the pre/post plane, for
-//     following/preceding the context degenerates to a single node.
+//     other context nodes are removed; for descendant/ancestor the
+//     survivors form a proper staircase in the pre/post plane, for
+//     following/preceding the context degenerates to a single node. The
+//     ancestor kernel prunes inside its climb: the climb from a context
+//     node stops on the previous one exactly when that one is covered.
 //  2. Partitioned scan (§3.2, Algorithm 2): the staircase splits the
 //     plane into partitions, one per context node; scanning each
 //     partition once yields the result duplicate-free and in document
@@ -221,11 +223,12 @@ func (o *Options) orDefault() *Options {
 // document order.
 //
 // Join runs the axis's cursor kernel (cursor.go) once, at an unbounded
-// window, with the context in hand — the pruned staircase, or the one
-// node that decides a following or preceding result — into a pooled
-// scratch that Equation (1) sizes (wholeBound), and returns an exact
-// copy of what the kernel wrote: len(result) == cap(result), and the
-// result shares no memory with the scratch.
+// window, with the context in hand — the pruned staircase, the raw
+// context the ancestor climb prunes as it goes, or the one node that
+// decides a following or preceding result — into a pooled scratch that
+// wholeBound sizes, and returns an exact copy of what the kernel wrote:
+// len(result) == cap(result), and the result shares no memory with the
+// scratch.
 func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
@@ -244,9 +247,8 @@ func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32
 		c := descCursor{kernel: o.holding(d, nil, stair, len(context))}
 		res, _ = c.next(grow(buf, wholeBound(d, a, stair, o.OrSelf)), unbounded, 0)
 	case axis.Ancestor:
-		stair := PruneAncestor(d, context)
-		c := ancCursor{kernel: o.holding(d, nil, stair, len(context))}
-		res, _ = c.next(grow(buf, wholeBound(d, a, stair, o.OrSelf)), unbounded, 0)
+		c := ancCursor{kernel: o.holding(d, context, nil, len(context))}
+		res, _ = c.next(grow(buf, wholeBound(d, a, context, o.OrSelf)), unbounded, 0)
 	case axis.Following:
 		i := minPostAt(d, context)
 		c := folCursor{kernel: o.holding(d, context[i:i+1], nil, len(context))}
@@ -261,11 +263,13 @@ func Join(d *doc.Document, a axis.Axis, context []int32, opts *Options) ([]int32
 
 // wholeBound is the size of the scratch Join runs a kernel into, given
 // the context in hand: partition (c, next) holds at most |descendant(c)|
-// = post(c)−pre(c)+level(c) descendants (Equation (1)), partition
-// [prev+1, c) at most level(c) ancestors, and neither more than its
-// width; the one node f that decides a following result leaves the
-// nodes beyond its subtree, the last context node c of a preceding one
-// the c nodes before it. Under orSelf the staircase nodes add one each.
+// = post(c)−pre(c)+level(c) descendants (Equation (1)) and no more than
+// its width; the ancestors of the raw context are at most h per node
+// and all precede its last node c, so no more than c — a bound that
+// takes no pass; the one node f that decides a following result leaves
+// the nodes beyond its subtree, the last context node c of a preceding
+// one the c nodes before it. Under orSelf the context nodes in hand add
+// one each, and an ancestor-or-self result holds no more than c+1.
 func wholeBound(d *doc.Document, a axis.Axis, hand []int32, orSelf bool) int {
 	n := int32(d.Size())
 	size := 0
@@ -279,11 +283,12 @@ func wholeBound(d *doc.Document, a axis.Axis, hand []int32, orSelf bool) int {
 			size += int(min(d.SubtreeSize(c), end-1-c))
 		}
 	case axis.Ancestor:
-		level, from := d.LevelSlice(), int32(0)
-		for _, c := range hand {
-			size += int(max(min(level[c], c-from), 0))
-			from = c + 1
+		last := int(hand[len(hand)-1])
+		size = min(len(hand)*int(d.Height()), last)
+		if orSelf {
+			return min(size+len(hand), last+1)
 		}
+		return size
 	case axis.Following:
 		f := hand[0]
 		return int(n - min(f+1+d.SubtreeSize(f), n))

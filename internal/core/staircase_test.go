@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -351,40 +352,142 @@ func TestSkipTouchBound(t *testing.T) {
 }
 
 // TestAncestorClimbTouchesOnlyResult: the document ancestor kernel climbs
-// the parent column, so under every variant and window it reads exactly
-// the result (the paper's work bound with no compared extras) and counts
-// the rest of each partition as skipped.
+// the parent column and prunes inside the climb, so under every variant,
+// emit test, OrSelf and window 1…h+2, read in batches of 1–4 nodes, it
+// opens exactly the partitions of PruneAncestor's staircase, reads
+// exactly the context's ancestors (the result under node(): the paper's
+// work bound with no compared extras) and counts the rest of each
+// partition as skipped. Seeking may only read less. The contexts hold
+// duplicates, nested covered chains (a ⊃ b ⊃ c) and the root.
 func TestAncestorClimbTouchesOnlyResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(5150))
-	all := Emit{Kinds: AllKinds}
 	for trial := 0; trial < quickMax(30); trial++ {
 		d := randomDoc(rng, 50+rng.Intn(400))
-		context := randomContext(rng, d, 1+rng.Intn(30))
-		width, from := int64(0), int32(0)
-		for _, c := range PruneAncestor(d, context) {
-			width += int64(c - from)
-			from = c + 1
+		h := int(d.Height())
+		named := func(name string) Emit {
+			id, _ := d.Names().Lookup(name)
+			return Emit{Kinds: 1 << doc.Elem, ByName: true, Name: id}
 		}
-		for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
-			check := func(face string, st Stats, n int) {
-				if st.Scanned != int64(n) || st.Compared != st.Scanned || st.Scanned+st.Skipped != width {
-					t.Fatalf("trial %d %v %s: scanned %d, compared %d, skipped %d; result %d, partitions %d wide",
-						trial, v, face, st.Scanned, st.Compared, st.Skipped, n, width)
+		emits := []Emit{{}, named("root"), named("p")}
+		for ci, context := range ancestorContexts(rng, d) {
+			stair := PruneAncestor(d, context)
+			width, from := int64(0), int32(0)
+			for _, c := range stair {
+				width += int64(c - from)
+				from = c + 1
+			}
+			ancestors := spec.Join(d, axis.Ancestor, context)
+			for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
+				for _, e := range emits {
+					for _, orSelf := range []bool{false, true} {
+						ref := ancestors
+						if orSelf {
+							ref = spec.Join(d, axis.AncestorOrSelf, context)
+						}
+						ref = passing(d, ref, e)
+						cfg := fmt.Sprintf("trial %d context %d %v emit %+v orSelf %v", trial, ci, v, e, orSelf)
+						check := func(face string, st Stats, seeking bool) {
+							if st.PrunedSize != int64(len(stair)) || st.ContextSize != int64(len(context)) ||
+								st.Compared != st.Scanned || st.Scanned+st.Skipped != width ||
+								st.Scanned > int64(len(ancestors)) || !seeking && st.Scanned != int64(len(ancestors)) {
+								t.Fatalf("%s %s: %+v; context %d, staircase %d, ancestors %d, partitions %d wide",
+									cfg, face, st, len(context), len(stair), len(ancestors), width)
+							}
+						}
+						var joined Stats
+						res := join(d, axis.Ancestor, context, &Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &joined})
+						if !eq32(res, ref) {
+							t.Fatalf("%s: join\n got %v\nwant %v\ncontext %v", cfg, res, ref, context)
+						}
+						check("join", joined, false)
+						for w := 1; w <= h+2; w++ {
+							for _, seeking := range []bool{false, true} {
+								var st Stats
+								cur, err := NewJoinCursor(d, axis.Ancestor, chunkSource(rng, context),
+									&Options{Variant: v, Emit: e, OrSelf: orSelf, Stats: &st})
+								if err != nil {
+									t.Fatal(err)
+								}
+								face := fmt.Sprintf("window %d seeking %v", w, seeking)
+								var got []int32
+								seek := int32(0)
+								for {
+									b, err := cur.Next(make([]int32, 0, w), seek)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if b == nil {
+										break
+									}
+									got = append(got, b...)
+									if seeking && rng.Intn(2) == 0 {
+										seek += int32(rng.Intn(d.Size()/8 + 1))
+									}
+								}
+								check(face, st, seeking)
+								tail := res[searchList(res, seek):]
+								if len(got) < len(tail) || !eq32(got[len(got)-len(tail):], tail) {
+									t.Fatalf("%s %s seek %d: cursor\n got %v\nwant tail %v", cfg, face, seek, got, tail)
+								}
+								for i, n := range got {
+									if j := searchList(res, n); j == len(res) || res[j] != n || i > 0 && got[i-1] >= n {
+										t.Fatalf("%s %s: cursor produced %v, not an increasing subset of %v", cfg, face, got, res)
+									}
+								}
+								if !seeking && st != joined {
+									t.Fatalf("%s %s: cursor counters %+v, Join's %+v", cfg, face, st, joined)
+								}
+							}
+						}
+					}
 				}
 			}
-			var st Stats
-			res := join(d, axis.Ancestor, context, &Options{Variant: v, Emit: all, Stats: &st})
-			check("join", st, len(res))
-			for _, w := range []int{1, 16, 256, 1 + rng.Intn(70)} {
-				var st Stats
-				cur, err := NewJoinCursor(d, axis.Ancestor, SliceSource(context), &Options{Variant: v, Emit: all, Stats: &st})
-				if err != nil {
-					t.Fatal(err)
+		}
+	}
+}
+
+// ancestorContexts draws contexts in document order for the ancestor
+// kernel to prune: a random one; one with duplicates; nested covered
+// chains, each a node with some of its ancestors; and the root with
+// nested chains, the root duplicated.
+func ancestorContexts(rng *rand.Rand, d *doc.Document) [][]int32 {
+	random := randomContext(rng, d, 1+rng.Intn(30))
+	var dups []int32
+	for _, v := range randomContext(rng, d, 1+rng.Intn(20)) {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			dups = append(dups, v)
+		}
+	}
+	chains := func(withRoot bool) []int32 {
+		var out []int32
+		if withRoot {
+			out = append(out, d.Root(), d.Root())
+		}
+		for range 1 + rng.Intn(6) {
+			v := int32(rng.Intn(d.Size()))
+			out = append(out, v)
+			for p := d.Parent(v); p > 0; p = d.Parent(p) {
+				if rng.Intn(3) != 0 {
+					out = append(out, p)
 				}
-				res := drainCursor(t, cur, w)
-				check(fmt.Sprintf("window %d", w), st, len(res))
 			}
 		}
+		slices.Sort(out)
+		return out
+	}
+	return [][]int32{random, dups, chains(false), chains(true)}
+}
+
+// chunkSource yields context in batches of one to four nodes.
+func chunkSource(rng *rand.Rand, context []int32) NodeSource {
+	return func() ([]int32, error) {
+		if len(context) == 0 {
+			return nil, nil
+		}
+		n := min(1+rng.Intn(4), len(context))
+		b := context[:n]
+		context = context[n:]
+		return b, nil
 	}
 }
 
