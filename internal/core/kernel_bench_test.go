@@ -15,8 +15,10 @@ import (
 // name tests and or-self steps of the document kernels, over a 32 MB,
 // seed-1 XMark document built once per process. Sub-benchmarks are
 // named family/step (doc-* for the document kernels, list-* for the
-// node-list kernels) and call only Join and JoinNodeList, so one binary
-// per commit compares kernel bodies across commits:
+// node-list kernels) and call only Join and JoinNodeList, or, for a
+// step suffixed -drain256 or -first16, NewJoinCursor: drained at
+// 256-node batches, or its first 16-node batch only. One binary per
+// commit compares kernel bodies across commits:
 //
 //	go test -c -o parent.test ./internal/core   # at each commit
 //	./parent.test -test.run '^$' -test.bench KernelFamilies -test.benchtime 200x
@@ -25,9 +27,12 @@ func BenchmarkKernelFamilies(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			o := &Options{Variant: SkipEstimate, Emit: c.emit, OrSelf: c.orSelf}
 			b.ReportAllocs()
+			buf := make([]int32, 0, c.batch)
 			for i := 0; i < b.N; i++ {
 				var err error
-				if c.list != nil {
+				if c.batch > 0 {
+					err = pullCursor(c, o, buf)
+				} else if c.list != nil {
 					_, err = JoinNodeList(c.d, c.a, c.list, c.ctx, o)
 				} else {
 					_, err = Join(c.d, c.a, c.ctx, o)
@@ -48,6 +53,21 @@ type kernelFamilyCase struct {
 	list   []int32 // nil: the document kernel
 	emit   Emit
 	orSelf bool
+	batch  int  // > 0: the cursor face, pulled at batches of this size
+	first  bool // pull the first batch only
+}
+
+// pullCursor runs c's step on the document cursor face: one batch, or
+// every batch until the cursor is exhausted.
+func pullCursor(c kernelFamilyCase, o *Options, buf []int32) error {
+	cur, err := NewJoinCursor(c.d, c.a, SliceSource(c.ctx), o)
+	for err == nil {
+		var b []int32
+		if b, err = cur.Next(buf, 0); b == nil || c.first {
+			break
+		}
+	}
+	return err
 }
 
 var kernelFamilies struct {
@@ -84,6 +104,8 @@ func kernelFamilyCases(b *testing.B) []kernelFamilyCase {
 			{name: "doc-descendant/item-text", d: d, a: axis.Descendant, ctx: tag("item"), emit: Emit{Kinds: 1 << doc.Text}},
 			{name: "doc-descendant/person-or-self-node", d: d, a: axis.Descendant, ctx: tag("person"), orSelf: true},
 			{name: "doc-ancestor/text-node", d: d, a: axis.Ancestor, ctx: text},
+			{name: "doc-ancestor/text-node-drain256", d: d, a: axis.Ancestor, ctx: text, batch: 256},
+			{name: "doc-ancestor/text-node-first16", d: d, a: axis.Ancestor, ctx: text, batch: 16, first: true},
 			{name: "doc-ancestor/text-or-self-node", d: d, a: axis.Ancestor, ctx: text, orSelf: true},
 			{name: "doc-ancestor/text-listitem", d: d, a: axis.Ancestor, ctx: text, emit: named("listitem")},
 			{name: "doc-ancestor/keyword-node", d: d, a: axis.Ancestor, ctx: tag("keyword")},
