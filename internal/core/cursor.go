@@ -530,41 +530,42 @@ func (c *ancCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 // from−1 has found p covered: p's partition merges into c's, p counts as
 // read, and it is emitted ahead of c's chain unless OrSelf emitted it
 // already. Where a seek cut the climb short of p, one post compare
-// decides coverage. Opening a partition and reading a node cost a
-// position each; a duplicate costs none. It returns the context nodes it
-// read, the partitions it opened net of those merged (negative when it
-// merges one a previous call opened), the new k, w and from, and the
-// nodes read.
+// decides coverage. Reading a context node (opening its partition, or
+// dropping a duplicate) and reading a chain node cost a position each,
+// so the nodes read are the positions used less the context nodes. It
+// returns the context nodes it read, the partitions it opened net of
+// those merged (negative when it merges one a previous call opened), the
+// new k, w and from, and the nodes read.
 func (c *ancCursor) climb(out []int32, k int, ctx []int32, w, from, seek int32) (int, int, int, int32, int32, int64) {
 	parent, post, h := c.d.ParentSlice(), c.d.PostSlice(), c.d.Height()
 	e, orSelf := c.emit.cols(c.d), c.orSelf
 	// A node with a child is an element, or the root at pre 0: the kind
 	// test is decided once, and only a name test reads a column.
 	elem, name, id, root := int32(e.mask>>doc.Elem&1), e.name, e.id, e.pass(0)
-	var read int64
-	i, parts := 0, 0
+	w0, i, dropped := w, 0, 0 // dropped: duplicates and merged partitions
 	for ; i < len(ctx) && w > h; i++ {
 		owner, prev := ctx[i], from-1
+		w--
 		if owner == prev {
+			dropped++
 			continue
 		}
-		lo, n, r := max(from, seek), int32(k), int32(0)
+		lo, n := max(from, seek), int32(k)
 		v := parent[owner]
 		for ; v >= lo && v > 0; v = parent[v] {
 			out[n] = v
 			if name == nil || name[v] == id {
 				n += elem
 			}
-			r++
+			w--
 		}
 		if v == 0 && lo == 0 {
 			out[n] = 0
 			if root {
 				n++
 			}
-			r++
+			w--
 		}
-		parts++
 		if prev >= 0 {
 			if v == prev && prev >= seek { // the climb stopped on prev: prev lies above owner
 				if !orSelf {
@@ -578,10 +579,10 @@ func (c *ancCursor) climb(out []int32, k int, ctx []int32, w, from, seek int32) 
 						n += elem
 					}
 				}
-				r++
-				parts--
+				w--
+				dropped++
 			} else if prev < seek && post[owner] < post[prev] {
-				parts--
+				dropped++
 			}
 		}
 		for a, b := k, int(n)-1; a < b; a, b = a+1, b-1 {
@@ -592,11 +593,9 @@ func (c *ancCursor) climb(out []int32, k int, ctx []int32, w, from, seek int32) 
 			out[k] = owner
 			k++
 		}
-		w -= 1 + r
-		read += int64(r)
 		from = owner + 1
 	}
-	return i, parts, k, w, from, read
+	return i, i - dropped, k, w, from, int64(w0-w) - int64(i)
 }
 
 // --- following / preceding, full document ---------------------------------
