@@ -194,10 +194,11 @@ type Options struct {
 	Emit Emit
 	// OrSelf makes the document descendant and ancestor kernels (Join,
 	// NewJoinCursor) evaluate the or-self axis: every context node
-	// passing Emit joins the result. A context node pruning drops lies
-	// inside another one's region, so emitting the staircase nodes —
-	// before their partition on descendant, after it on ancestor — covers
-	// them all. The other kernels ignore the field.
+	// passing Emit joins the result. A context node descendant pruning
+	// drops lies inside another one's region, so emitting the staircase
+	// nodes before their partitions covers them all; the ancestor climb
+	// emits each context node after its chain, before it knows whether
+	// the node is covered. The other kernels ignore the field.
 	OrSelf bool
 	// Stats, when non-nil, accumulates work counters.
 	Stats *Stats
