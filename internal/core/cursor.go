@@ -144,9 +144,9 @@ func newCursor(d *doc.Document, a axis.Axis, list []int32, useList bool, src Nod
 const unbounded = 1 << 30
 
 // holding returns the kernel Join and JoinNodeList run: its context is
-// already in hand, as held, its one batch (the one node that decides a
-// following or preceding result), or as stair, the staircase pruning
-// left of it. The n context nodes they were taken from count as read.
+// already in hand, as held, its one batch (the raw context of an
+// ancestor climb, or the one node that decides a following or preceding
+// result), or as stair, the staircase pruning left of it. The n context nodes they were taken from count as read.
 func (o *Options) holding(d *doc.Document, held, stair []int32, n int) kernel {
 	return kernel{
 		ctxIn: ctxIn{ctx: held, run: stair, seen: int32(n - len(held)), srcDone: true},
@@ -494,12 +494,13 @@ func (c *ancCursor) next(dst []int32, window int, seek int32) ([]int32, error) {
 			k, w, c.chain = k+m, w-int32(m), c.chain[m:]
 			continue
 		}
-		if int(c.ci) == len(c.ctx) {
+		if int(c.ci) == len(c.ctx) { // the batch is read: the next one may be empty
 			var more bool
 			if more, err = c.fill(); !more {
 				c.done = true
 				break
 			}
+			continue
 		}
 		n, p, r := 0, 0, int64(0)
 		if w > h { // the window holds any chain: climb into dst

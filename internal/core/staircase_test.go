@@ -487,11 +487,16 @@ func ancestorContexts(rng *rand.Rand, d *doc.Document) [][]int32 {
 	return [][]int32{random, dups, chains(false), chains(true)}
 }
 
-// chunkSource yields context in batches of one to four nodes.
+// chunkSource yields context in batches of one to four nodes, and now
+// and then an empty one, as a plan's input cursor may when its window
+// was used up (its capacity reaches into the rest of the context).
 func chunkSource(rng *rand.Rand, context []int32) NodeSource {
 	return func() ([]int32, error) {
 		if len(context) == 0 {
 			return nil, nil
+		}
+		if rng.Intn(5) == 0 {
+			return context[:0], nil
 		}
 		n := min(1+rng.Intn(4), len(context))
 		b := context[:n]
