@@ -61,7 +61,6 @@ func WithoutValueIndex() CatalogOption {
 // resident bytes of loaded documents (0 = unbounded); entries beyond
 // the budget are evicted least-recently-used once unreferenced.
 func NewCatalog(maxBytes int64, opts ...CatalogOption) *Catalog {
-	layoutPad()
 	var cfg catalogConfig
 	for _, o := range opts {
 		o(&cfg)
