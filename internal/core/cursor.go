@@ -28,8 +28,8 @@
 //     context, or the one node that decides the result); the kernel
 //     keeps the batch as a slice and prunes it as it reads (§3.1 applied
 //     on the fly: a running post-rank maximum for descendant; for
-//     ancestor the climb itself, which stops on the previous context
-//     node exactly when the next one lies in its subtree). A chain of
+//     ancestor one post compare of each context node with the previous
+//     one, which the climb makes by stopping on it). A chain of
 //     cursors evaluates a whole path without materialising intermediate
 //     node sequences.
 //   - Following stops pulling. In document order every context node with
@@ -144,9 +144,10 @@ func newCursor(d *doc.Document, a axis.Axis, list []int32, useList bool, src Nod
 const unbounded = 1 << 30
 
 // holding returns the kernel Join and JoinNodeList run: its context is
-// already in hand, as held, its one batch (the raw context of an
-// ancestor climb, or the one node that decides a following or preceding
-// result), or as stair, the staircase pruning left of it. The n context nodes they were taken from count as read.
+// already in hand, as held, its one batch (the raw context an ancestor
+// kernel prunes as it reads, or the one node that decides a following
+// or preceding result), or as stair, the staircase descendant pruning
+// left of it. The n context nodes they were taken from count as read.
 func (o *Options) holding(d *doc.Document, held, stair []int32, n int) kernel {
 	return kernel{
 		ctxIn: ctxIn{ctx: held, run: stair, seen: int32(n - len(held)), srcDone: true},
@@ -163,10 +164,11 @@ func (s *Stats) addContext(n int64) {
 // --- context input ---------------------------------------------------------
 
 // ctxIn is a kernel's read position in its context: the batch it holds,
-// how far it has read it, and pruning's state. Pruning reads ahead in
-// runs: the survivors it has confirmed behind the one it returns, at
-// most one window of them, wait in run — a subslice of the batch, or of
-// the staircase Join hands in — and come out one load each.
+// how far it has read it, and descendant pruning's state, which reads
+// ahead in runs: the survivors it has confirmed behind the one it
+// returns, at most one window of them, wait in run — a subslice of the
+// batch, or of the staircase Join hands in — and come out one load each.
+// The ancestor kernels read one node at a time.
 type ctxIn struct {
 	src     NodeSource
 	ctx     []int32 // the batch being read
@@ -175,8 +177,6 @@ type ctxIn struct {
 	ri      int     // next unopened index of run
 	seen    int32   // context nodes read since the last Stats flush
 	srcDone bool    // the source is retired: never called again
-	hasCand bool    // list ancestor: cand awaits the node after it
-	cand    int32   // list ancestor: the last node read, a survivor unless the next one lies in its subtree
 	floor   int32   // descendant: one above the largest post rank read
 }
 
@@ -250,42 +250,6 @@ func (c *kernel) nextStair(post []int32, lim int) (owner, end int32, err error) 
 		return owner, c.run[c.ri], nil
 	}
 	return owner, int32(len(post)), nil
-}
-
-// ancRun reads on to the next context node surviving ancestor pruning —
-// one survives unless the next context node is its descendant or
-// duplicate — for the node-list ancestor cursor (the document one prunes
-// inside its climb), and leaves the ones confirmed right behind it, at most
-// lim, in run. Unlike descRun's, the run leaves that survivor out: it
-// may come from the previous batch. It returns -1, with the source's
-// error if any, once the context is exhausted; the kernel is then done.
-func (c *kernel) ancRun(post []int32, lim int) (int32, error) {
-	c.run, c.ri = nil, 0
-	for {
-		b := c.ctx[c.ci:]
-		for i, nxt := range b {
-			if c.hasCand && post[nxt] > post[c.cand] {
-				v, n := c.cand, i
-				for n+1 < len(b) && n-i < lim && post[b[n+1]] > post[b[n]] {
-					n++
-				}
-				c.run, c.cand = b[i:n], b[n]
-				c.ci += int32(n + 1)
-				c.seen += int32(n + 1)
-				return v, nil
-			}
-			c.cand, c.hasCand = nxt, true // cand was an ancestor of nxt, or nxt itself
-		}
-		c.seen += int32(len(b))
-		if ok, err := c.fill(); !ok {
-			c.done = !c.hasCand || err != nil
-			if c.done {
-				return -1, err
-			}
-			c.hasCand = false
-			return c.cand, nil
-		}
-	}
 }
 
 // reduceFollowing reads the context up to the first node beyond the

@@ -128,14 +128,20 @@ func (c *descListCursor) next(dst []int32, window int, seek int32) ([]int32, err
 
 // --- ancestor ∩ list -------------------------------------------------------
 
-// ancListCursor scans the list entries before each staircase node,
-// entry by entry: the first entry at or beyond the owner ends the
-// partition, so no search locates the end.
+// ancListCursor scans the list entries before each context node, entry
+// by entry: the first entry at or beyond the owner ends the partition,
+// so no search locates the end. It reads the raw context and prunes as
+// it opens partitions (§3.1): a context node whose post rank is below
+// bound is the owner again or lies in the owner's subtree, so the owner
+// is covered and its partition merges into the new node's. Every entry
+// the owner's bound decided, the new node's decides alike: an entry
+// before the owner is its ancestor, and so the new node's, or precedes
+// both.
 type ancListCursor struct {
 	kernel
 	list  []int32
 	li    int
-	owner int32 // the open partition's staircase node
+	owner int32 // the open partition's context node
 }
 
 func (c *ancListCursor) Next(dst []int32, seek int32) ([]int32, error) {
@@ -149,20 +155,29 @@ func (c *ancListCursor) next(dst []int32, window int, seek int32) ([]int32, erro
 	dst = dst[:cap(dst)]
 	d, list, post := c.d, c.list, c.d.PostSlice()
 	noSkip := c.variant == NoSkip
-	k, pruned, w := 0, 0, window
+	k, pruned, read, w := 0, 0, 0, window
+	// bound is one above the owner's post rank (0 before the first): an
+	// entry before the owner is its ancestor iff its post rank reaches it.
 	li, owner, bound := c.li, c.owner, c.bound
 	var skipped int64
 	var err error
 	for w > 0 {
-		if li == len(list) || list[li] >= owner { // open the next partition
-			if c.ri < len(c.run) {
-				owner = c.run[c.ri]
-				c.ri++
-			} else if owner, err = c.ancRun(post, w); owner < 0 {
-				break
+		if li == len(list) || list[li] >= owner { // the partition is scanned
+			if int(c.ci) == len(c.ctx) { // the batch is read: the next one may be empty
+				var more bool
+				if more, err = c.fill(); !more {
+					c.done = true
+					break
+				}
+				continue
 			}
-			bound = post[owner]
-			pruned++
+			v := c.ctx[c.ci]
+			c.ci++
+			if post[v] >= bound { // v follows the owner: a new partition
+				pruned++
+			}
+			owner, bound = v, post[v]+1
+			read++
 			w--
 		}
 		if seek > 0 {
@@ -172,7 +187,7 @@ func (c *ancListCursor) next(dst []int32, window int, seek int32) ([]int32, erro
 		}
 		for ; w > 0 && li < len(list) && list[li] < owner; w-- {
 			v := list[li]
-			if post[v] > bound {
+			if post[v] >= bound {
 				dst[k] = v
 				k++
 				li++
@@ -188,7 +203,8 @@ func (c *ancListCursor) next(dst []int32, window int, seek int32) ([]int32, erro
 		}
 	}
 	c.li, c.owner, c.bound = li, owner, bound
-	compared := int64(window - w - pruned) // every position not opening a partition compared an entry
+	c.seen += int32(read)
+	compared := int64(window - w - read) // every position not reading a context node compared an entry
 	return c.finish(dst, k, pruned, 0, compared, skipped, err)
 }
 

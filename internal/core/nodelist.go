@@ -29,11 +29,13 @@ import (
 // a pre-sorted node list instead of the whole document. The result is
 // the intersection of the usual staircase join result with the list.
 // It runs the axis's list cursor (cursor_list.go) once at an unbounded
-// window. Its bound is the list range the staircase spans, capped by the
-// document bound. An ancestor join runs into a pooled scratch of that
-// size and returns an exact copy, as Join does: the chains fill little
-// of the range. The other joins allocate the bound as their result,
-// which they nearly fill.
+// window. An ancestor join hands it the raw context, which it prunes as
+// it scans, into a pooled scratch sized with no pass — the list entries
+// before the last context node, at most h per context node — and
+// returns an exact copy, as Join does: the chains fill little of the
+// range. The other joins allocate the list range the staircase spans,
+// capped by the document bound, as their result, which they nearly
+// fill.
 func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Options) ([]int32, error) {
 	o := opts.orDefault()
 	switch a {
@@ -61,18 +63,10 @@ func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Opt
 		c := descListCursor{kernel: o.holding(d, nil, stair, len(context)), list: list}
 		res, _ = c.next(out, unbounded, 0)
 	case axis.Ancestor:
-		stair := PruneAncestor(d, context)
-		level := d.LevelSlice()
-		size, docBound, from := searchList(list, stair[len(stair)-1]), 0, int32(0)
-		for _, c := range stair {
-			if docBound += int(max(min(level[c], c-from), 0)); docBound >= size {
-				break
-			}
-			from = c + 1
-		}
+		size := min(searchList(list, context[len(context)-1]), len(context)*int(d.Height()))
 		buf := scratchPool.Get().(*[]int32)
-		c := ancListCursor{kernel: o.holding(d, nil, stair, len(context)), list: list}
-		res, _ = c.next(grow(buf, min(size, docBound)), unbounded, 0)
+		c := ancListCursor{kernel: o.holding(d, context, nil, len(context)), list: list}
+		res, _ = c.next(grow(buf, size), unbounded, 0)
 		return exact(buf, res), nil
 	case axis.Following:
 		i := minPostAt(d, context)

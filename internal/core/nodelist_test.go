@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -250,6 +251,57 @@ func TestNodeListResultsSorted(t *testing.T) {
 			}
 			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 				t.Fatalf("axis %v result unsorted: %v", a, got)
+			}
+		}
+	}
+}
+
+// TestListAncestorPrunesInScan: the list ancestor kernel reads the raw
+// context and prunes as it opens partitions, so under every variant and
+// window 1…h+2, read in batches of 1–4 nodes and now and then none, a
+// drained cursor returns the context's ancestors in the list, counts
+// what JoinNodeList counts, opens exactly the partitions of
+// PruneAncestor's staircase and counts the whole context as read. The
+// contexts hold duplicates, nested covered chains and the root twice.
+func TestListAncestorPrunesInScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5252))
+	for trial := 0; trial < quickMax(30); trial++ {
+		d := randomDoc(rng, 50+rng.Intn(400))
+		h := int(d.Height())
+		list := randomList(rng, d, 0.1+0.8*rng.Float64())
+		if len(list) == 0 { // an empty list is never joined: the context goes unread
+			continue
+		}
+		for ci, context := range ancestorContexts(rng, d) {
+			want := inList(spec.Join(d, axis.Ancestor, context), list)
+			stair := int64(len(PruneAncestor(d, context)))
+			for _, v := range []Variant{NoSkip, Skip, SkipEstimate} {
+				cfg := fmt.Sprintf("trial %d context %d %v", trial, ci, v)
+				var joined Stats
+				res, err := JoinNodeList(d, axis.Ancestor, list, context, &Options{Variant: v, Stats: &joined})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !eq32(res, want) {
+					t.Fatalf("%s: list join\n got %v\nwant %v\ncontext %v", cfg, res, want, context)
+				}
+				if joined.PrunedSize != stair || joined.ContextSize != int64(len(context)) {
+					t.Fatalf("%s: list join %+v; context %d, staircase %d", cfg, joined, len(context), stair)
+				}
+				for w := 1; w <= h+2; w++ {
+					var st Stats
+					cur, err := NewJoinNodeListCursor(d, axis.Ancestor, list, chunkSource(rng, context),
+						&Options{Variant: v, Stats: &st})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := drainCursor(t, cur, w); !eq32(got, want) {
+						t.Fatalf("%s window %d: cursor\n got %v\nwant %v\ncontext %v", cfg, w, got, want, context)
+					}
+					if st != joined {
+						t.Fatalf("%s window %d: cursor counters %+v, JoinNodeList's %+v", cfg, w, st, joined)
+					}
+				}
 			}
 		}
 	}

@@ -216,8 +216,9 @@ func TestKernelsSizedOnce(t *testing.T) {
 
 // TestKernelAllocations pins the allocation count: a document kernel on a
 // proper staircase allocates its result and nothing else — the scratch
-// it runs into comes back from the pool; a list kernel may copy the
-// context once to prune it.
+// it runs into comes back from the pool — and so does a list kernel on
+// any context, but the list descendant join, which may copy the context
+// once to prune it.
 func TestKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
@@ -230,8 +231,12 @@ func TestKernelAllocations(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { Join(d, a, stair, o) }); n > 1 {
 				t.Errorf("%v join, staircase %d: %v allocations, want 1", a, ci, n)
 			}
-			if n := testing.AllocsPerRun(10, func() { JoinNodeList(d, a, list, ctx, o) }); n > 2 {
-				t.Errorf("%v list join, context %d: %v allocations, want <= 2", a, ci, n)
+			want := 1.0
+			if a == axis.Descendant {
+				want = 2
+			}
+			if n := testing.AllocsPerRun(10, func() { JoinNodeList(d, a, list, ctx, o) }); n > want {
+				t.Errorf("%v list join, context %d: %v allocations, want <= %v", a, ci, n, want)
 			}
 		}
 	}

@@ -9,8 +9,9 @@
 //     other context nodes are removed; for descendant/ancestor the
 //     survivors form a proper staircase in the pre/post plane, for
 //     following/preceding the context degenerates to a single node. The
-//     ancestor kernel prunes inside its climb: the climb from a context
-//     node stops on the previous one exactly when that one is covered.
+//     ancestor kernels prune as they read: the climb from a context node
+//     stops on the previous one exactly when that one is covered, and
+//     the list scan merges a covered node's partition into the next.
 //  2. Partitioned scan (§3.2, Algorithm 2): the staircase splits the
 //     plane into partitions, one per context node; scanning each
 //     partition once yields the result duplicate-free and in document
@@ -361,7 +362,10 @@ func PruneDescendant(d *doc.Document, context []int32) []int32 {
 // node is dropped iff it is an ancestor of a later context node (its
 // ancestor-or-self path is a prefix of the other's, Figure 4). The
 // surviving staircase again has strictly increasing pre and post ranks.
-// Like PruneDescendant it returns a proper staircase uncopied.
+// Like PruneDescendant it returns a proper staircase uncopied. No kernel
+// calls it: both ancestor kernels read the raw context and prune as they
+// open partitions. It is the definition their PrunedSize is checked
+// against, and the pre-pass of the bench's baseline ancestor join.
 func PruneAncestor(d *doc.Document, context []int32) []int32 {
 	post := d.PostSlice()
 	for i := range context {
