@@ -188,7 +188,7 @@ func TestShredDropsWhitespaceByDefault(t *testing.T) {
 	if d.Size() != 2 {
 		t.Fatalf("size = %d, want 2 (whitespace dropped)", d.Size())
 	}
-	d2, err := ShredString("<a>\n  <b/>\n</a>", ShredKeepWhitespace())
+	d2, err := ShredString("<a>\n  <b/>\n</a>", shredKeepWhitespace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestBuilderEventErrors(t *testing.T) {
 
 func TestSharedDict(t *testing.T) {
 	dict := NewDict()
-	d1, err := ShredString(`<a><b/></a>`, ShredWithDict(dict))
+	d1, err := ShredString(`<a><b/></a>`, shredWithDict(dict))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ShredString(`<b><a/></b>`, ShredWithDict(dict))
+	d2, err := ShredString(`<b><a/></b>`, shredWithDict(dict))
 	if err != nil {
 		t.Fatal(err)
 	}

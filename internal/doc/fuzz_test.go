@@ -35,7 +35,7 @@ func fuzzSeedDocs(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	add(da)
-	db, err := Shred(strings.NewReader(xmlB), ShredWithoutValues())
+	db, err := Shred(strings.NewReader(xmlB), shredWithoutValues())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -15,20 +15,20 @@ type shredConfig struct {
 	dict       *Dict
 }
 
-// ShredWithoutValues drops node string values during shredding.
-func ShredWithoutValues() ShredOption {
+// shredWithoutValues drops node string values during shredding.
+func shredWithoutValues() ShredOption {
 	return func(c *shredConfig) { c.keepValues = false }
 }
 
-// ShredKeepWhitespace retains whitespace-only text nodes. By default
+// shredKeepWhitespace retains whitespace-only text nodes. By default
 // they are dropped (the usual setting for data-centric XML such as the
 // XMark documents of the paper's evaluation).
-func ShredKeepWhitespace() ShredOption {
+func shredKeepWhitespace() ShredOption {
 	return func(c *shredConfig) { c.keepSpace = true }
 }
 
-// ShredWithDict interns names into an existing dictionary.
-func ShredWithDict(d *Dict) ShredOption {
+// shredWithDict interns names into an existing dictionary.
+func shredWithDict(d *Dict) ShredOption {
 	return func(c *shredConfig) { c.dict = d }
 }
 

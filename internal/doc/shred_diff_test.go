@@ -134,7 +134,7 @@ func diffDocs(got, want *Document) string {
 }
 
 // shredModes are the option sets every differential input runs under.
-var shredModes = [][]ShredOption{nil, {ShredKeepWhitespace()}, {ShredWithoutValues()}}
+var shredModes = [][]ShredOption{nil, {shredKeepWhitespace()}, {shredWithoutValues()}}
 
 func TestShredDiffSeeds(t *testing.T) {
 	for _, in := range shredDiffSeeds {
