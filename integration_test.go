@@ -42,9 +42,6 @@ var integrationQueries = []string{
 }
 
 func TestIntegrationAllVariantsMatchSpec(t *testing.T) {
-	// The reference costs |context| · n per step, and a '//' step's
-	// context is the whole document: at 0.1 MB (2 000 nodes) the battery
-	// takes it a fifth of a second.
 	d, err := xmark.Generate(xmark.Config{SizeMB: 0.1, Seed: 77, KeepValues: true})
 	if err != nil {
 		t.Fatal(err)

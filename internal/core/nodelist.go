@@ -44,8 +44,7 @@ func JoinNodeList(d *doc.Document, a axis.Axis, list, context []int32, opts *Opt
 		return nil, errNonPartitioning(a)
 	}
 	if len(context) == 0 || len(list) == 0 {
-		o.Stats.addContext(int64(len(context)))
-		return nil, nil
+		return nil, nil // an empty list leaves the context unread, as its cursor does
 	}
 	var out, res []int32
 	switch a {

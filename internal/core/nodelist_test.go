@@ -95,12 +95,26 @@ func TestNodeListJoinTagListEquivalence(t *testing.T) {
 
 func TestNodeListJoinEmptyInputs(t *testing.T) {
 	d := figure1(t)
-	for _, a := range []axis.Axis{axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding} {
-		if got, _ := JoinNodeList(d, a, nil, []int32{0}, nil); len(got) != 0 {
-			t.Fatalf("axis %v: empty list gave %v", a, got)
-		}
-		if got, _ := JoinNodeList(d, a, []int32{1, 2}, nil, nil); len(got) != 0 {
-			t.Fatalf("axis %v: empty context gave %v", a, got)
+	for _, a := range cursorAxes {
+		for _, in := range []struct{ list, context []int32 }{
+			{nil, []int32{1, 2, 3, 5}}, // Figure 1's context b, c, d, f
+			{[]int32{1, 2}, nil},
+		} {
+			var joined, drained Stats
+			if got, _ := JoinNodeList(d, a, in.list, in.context, &Options{Stats: &joined}); len(got) != 0 {
+				t.Fatalf("axis %v list %v context %v: gave %v", a, in.list, in.context, got)
+			}
+			c, err := NewJoinNodeListCursor(d, a, in.list, SliceSource(in.context), &Options{Stats: &drained})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drainCursor(t, c, 4); len(got) != 0 {
+				t.Fatalf("axis %v list %v context %v: cursor gave %v", a, in.list, in.context, got)
+			}
+			if joined != drained {
+				t.Fatalf("axis %v list %v context %v: JoinNodeList counts %+v, the drained cursor %+v",
+					a, in.list, in.context, joined, drained)
+			}
 		}
 	}
 	if _, err := JoinNodeList(d, axis.Child, []int32{1}, []int32{0}, nil); err == nil {

@@ -380,8 +380,8 @@ func TestEmptyContextAncestorStep(t *testing.T) {
 	}
 }
 
-// TestLegacyReadsNoIndex: the legacy interpreter applies every node
-// test after a basic staircase join, so with default options it
+// TestLegacyReadsNoIndex: LegacyEval answers with the reference
+// evaluator, which reads the plane alone, so with default options it
 // answers a name-test path without building the document's index.
 func TestLegacyReadsNoIndex(t *testing.T) {
 	d := fixture(t)
@@ -399,6 +399,6 @@ func TestLegacyReadsNoIndex(t *testing.T) {
 		t.Fatalf("legacy %s:\n got %v\nwant %v", q, got.Nodes, want)
 	}
 	if d.IndexBuilt() {
-		t.Fatal("the legacy interpreter built the tag/kind index")
+		t.Fatal("the LegacyEval route built the tag/kind index")
 	}
 }

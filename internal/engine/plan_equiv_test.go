@@ -5,8 +5,8 @@ package engine
 // axis, the node-test kinds, predicate forms (existential, compare,
 // positional, not/and/or) and the NoIndex, Pushdown and NoReorder
 // knobs — the plan pipeline (build → rewrite → compile →
-// execute) must produce exactly the node sequence of the pre-plan step
-// interpreter (Options.LegacyEval). Run under -race in CI, this also
+// execute) must produce exactly the node sequence of the reference
+// evaluator (Options.LegacyEval). Run under -race in CI, this also
 // exercises concurrent plan execution over one shared engine.
 
 import (
@@ -246,7 +246,7 @@ func quickTrials(def int) int {
 
 // TestPlanEquivalentToLegacyEval is the acceptance property: for every
 // generated query and every knob combination, plan-based execution
-// returns byte-identical node sequences to the step interpreter.
+// returns byte-identical node sequences to the reference evaluator.
 func TestPlanEquivalentToLegacyEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := quickTrials(6)
@@ -340,8 +340,8 @@ func randFilterQuery(rng *rand.Rand) string {
 
 // TestReorderEquivalence is the ordering pass's differential property:
 // for randomly generated multi-predicate queries, greedy-ordered
-// evaluation, source-order evaluation (NoReorder) and the legacy step
-// interpreter return byte-identical node sequences; draining the
+// evaluation, source-order evaluation (NoReorder) and the reference
+// evaluator return byte-identical node sequences; draining the
 // reordered chain through the filters' stacked cursors, each passing
 // its seek hint down and stopping on its own exhaustion, matches too;
 // and ordering never changes the canonical plan string (the

@@ -10,12 +10,12 @@ import (
 	"staircase/internal/xpath"
 )
 
-// The benchmark checks every operation against digests from the legacy
-// interpreter. TestBenchmarkScriptsMatchSpec shows, on a small XMark
-// document with values, that the reference evaluator (internal/spec)
-// agrees with that interpreter on every query the benchmark runs, and
-// that the plan's three faces agree with both: Plan.Run, a cursor drain
-// and limited prefixes.
+// The benchmark checks every operation against digests from the
+// reference evaluator (internal/spec), which it reaches through
+// LegacyEval. TestBenchmarkScriptsMatchSpec shows, on a small XMark
+// document with values, that the plan's three faces agree with it on
+// every query the benchmark runs: Plan.Run, a cursor drain and limited
+// prefixes.
 
 // scriptQuery is one query of a benchmark script with the limit its
 // workload runs it under (0: the full result).
@@ -116,7 +116,7 @@ func benchmarkScriptQueries() []scriptQuery {
 
 // TestBenchmarkScriptsMatchSpec runs every benchmark query on a 0.1 MB
 // XMark document with values and requires one node sequence from
-// spec.EvalQuery, the legacy interpreter under the benchmark oracle's
+// spec.EvalQuery, the LegacyEval route under the benchmark oracle's
 // options, Plan.Run, a cursor drain and every limited prefix.
 func TestBenchmarkScriptsMatchSpec(t *testing.T) {
 	d, err := xmark.Generate(xmark.Config{SizeMB: 0.1, Seed: 5, KeepValues: true})

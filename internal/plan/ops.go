@@ -457,8 +457,7 @@ func (o *mergeOp) kids() []planNode {
 	return kids
 }
 
-// --- shared evaluation helpers (the step interpreter's machinery,
-// --- restructured to serve the operators) --------------------------
+// --- shared evaluation helpers ------------------------------------------
 
 // step returns the StepStats slot of a step, stamping its input size
 // on first touch.

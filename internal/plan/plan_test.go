@@ -84,7 +84,7 @@ func TestPlanBasicQueries(t *testing.T) {
 // TestPlanRewriteCollapse pins the //-collapse rewrite and its
 // root-element corner case: //site must NOT return the root element
 // (the document node's children are not materialised), matching the
-// step interpreter.
+// reference evaluator.
 func TestPlanRewriteCollapse(t *testing.T) {
 	d := fixture(t)
 	env := NewEnv(d)
@@ -207,8 +207,8 @@ func TestPlanExplainSurfaces(t *testing.T) {
 	}
 }
 
-// TestPlanStepStats: the per-step reports match the step interpreter's
-// conventions (input/output sizes, pushdown flags, staircase work).
+// TestPlanStepStats: the per-step reports keep their conventions
+// (input/output sizes, pushdown flags, staircase work).
 func TestPlanStepStats(t *testing.T) {
 	d := fixture(t)
 	env := NewEnv(d)

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -55,5 +56,92 @@ func TestOnFigure1(t *testing.T) {
 		if got := EvalQuery(d, pq, []int32{d.Root()}); !slices.Equal(got, pres(want)) {
 			t.Errorf("%s = %v, want %s", q, got, want)
 		}
+	}
+}
+
+// randomDoc builds a document of about n events: elements with up to
+// two attributes, text, comments and PIs, under one root element or,
+// half the time, under a collection's virtual root over several.
+func randomDoc(t *testing.T, rng *rand.Rand, n int) *doc.Document {
+	t.Helper()
+	var b *doc.Builder
+	tops := 1
+	if rng.Intn(2) == 0 {
+		b, tops = doc.NewBuilder(doc.WithVirtualRoot()), 1+rng.Intn(3)
+	} else {
+		b = doc.NewBuilder()
+	}
+	tags := []string{"p", "q", "r"}
+	for range tops {
+		b.OpenElem("top")
+		depth := 1
+		for range n / tops {
+			switch r := rng.Intn(12); {
+			case r < 5:
+				b.OpenElem(tags[rng.Intn(len(tags))])
+				for range rng.Intn(3) {
+					b.Attr(tags[rng.Intn(len(tags))], "v")
+				}
+				depth++
+			case r < 8 && depth > 1:
+				b.CloseElem()
+				depth--
+			case r < 10:
+				b.Text("t")
+			case r < 11:
+				b.Comment("c")
+			default:
+				b.PI("pi", "x")
+			}
+		}
+		for ; depth > 0; depth-- {
+			b.CloseElem()
+		}
+	}
+	d, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRegionMatchesJoin: the one-pass regions equal the brute-force
+// definition on every axis, for contexts of every density (attribute
+// nodes included), the root alone, each single node, the whole
+// document, and an unsorted context with duplicates.
+func TestRegionMatchesJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	kinds := map[doc.Kind]bool{}
+	for trial := 0; trial < 40; trial++ {
+		d := randomDoc(t, rng, 20+rng.Intn(150))
+		n := int32(d.Size())
+		for v := range n {
+			kinds[d.KindOf(v)] = true
+		}
+		contexts := [][]int32{nil, {d.Root()}, {n - 1}}
+		for _, density := range []float64{0.02, 0.1, 0.4, 1} {
+			var c []int32
+			for v := range n {
+				if rng.Float64() < density {
+					c = append(c, v)
+				}
+			}
+			contexts = append(contexts, c)
+		}
+		shuffled := []int32{int32(rng.Intn(int(n))), int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))}
+		contexts = append(contexts, append(shuffled, shuffled[0]))
+		for v := range n {
+			contexts = append(contexts, []int32{v})
+		}
+		for _, a := range axis.All() {
+			for _, c := range contexts {
+				if got, want := Region(d, a, c), Join(d, a, c); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: %v of %v\n got %v\nwant %v", trial, a, c, got, want)
+				}
+			}
+		}
+	}
+	if len(kinds) != int(doc.VRoot)+1 {
+		t.Fatalf("the documents hold only the node kinds %v", kinds)
 	}
 }

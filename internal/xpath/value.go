@@ -1,9 +1,10 @@
 // Value-comparison semantics shared by every execution path. The plan
-// executor's predicate programs, the legacy per-node interpreter, the
-// value index's overflow filter, and the eligibility rules of the
-// semijoin rewrite all call these two functions, so the three
-// ways a comparison predicate can evaluate (index lookup, per-node
-// plan filter, legacy interpreter) agree by construction.
+// executor's predicate programs, the reference evaluator
+// (internal/spec), the value index's overflow filter, and the
+// eligibility rules of the semijoin rewrite all call these two
+// functions, so the three ways a comparison predicate can evaluate
+// (index lookup, per-node plan filter, reference evaluator) agree by
+// construction.
 package xpath
 
 import (

@@ -16,8 +16,9 @@ type Options = engine.Options
 // only so that existing callers still compile.
 //
 // Deprecated: Strategy is ignored. Queries always run estimation-based
-// skipping (Algorithm 4), and Options.LegacyEval the basic join
-// (Algorithm 2). Strategy goes with LegacyEval.
+// skipping (Algorithm 4), and Options.LegacyEval runs no staircase join:
+// it answers with the reference evaluator. Strategy goes with
+// LegacyEval.
 //
 //lint:ignore SA1019 the deprecated alias names the deprecated type
 type Strategy = engine.Strategy

@@ -191,8 +191,9 @@ func (d *Document) Stats() DocStats { return d.d.ComputeStats() }
 // Query parses, plans and runs a query with the document root as
 // context. opts selects the pushdown policy and the ablation knobs; nil
 // is the paper default (staircase join with estimation-based skipping
-// and automatic pushdown). Options.LegacyEval runs the pre-plan
-// interpreter instead.
+// and automatic pushdown). Options.LegacyEval answers with the
+// reference evaluator instead, which reads no index and reports no
+// Steps.
 func (d *Document) Query(query string, opts *Options) (*Result, error) {
 	if opts != nil && opts.LegacyEval {
 		return engine.New(d.d).EvalString(query, opts)
